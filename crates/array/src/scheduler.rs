@@ -630,7 +630,8 @@ impl ArrayScheduler {
         }
     }
 
-    /// Selects every member's GC migration path: bulk `copy_pages`
+    /// Selects every member's GC migration path — for full-block
+    /// collections and budgeted background GC alike: bulk `copy_pages`
     /// (default) or the per-page loop. Observationally identical — an
     /// A/B measurement switch (see `Ftl::set_bulk_gc`).
     pub fn set_bulk_gc(&mut self, enabled: bool) {

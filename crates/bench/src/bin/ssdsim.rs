@@ -85,9 +85,10 @@
 //!                          or the lockstep barrier debug oracle; reports
 //!                          are byte-identical either way    (default steal)
 //!   --gc-migration <bulk|looped>
-//!                          GC migration path: vectorized copy_pages or the
-//!                          per-page loop; observationally identical, an
-//!                          A/B measurement switch      (default bulk)
+//!                          GC migration path (foreground, wear-leveling
+//!                          and background GC): vectorized copy_pages or
+//!                          the per-page loop; observationally identical,
+//!                          an A/B measurement switch   (default bulk)
 //!   --fast-forward <on|off>
 //!                          quiescence fast-forward: skip provably idle
 //!                          flusher ticks in O(1) (DESIGN.md §15); reports

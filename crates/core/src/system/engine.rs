@@ -259,7 +259,8 @@ impl SsdSystem {
 
     /// The accumulated per-phase wall-clock breakdown (all zero unless
     /// [`enable_phase_profiling`](SsdSystem::enable_phase_profiling) was
-    /// called before [`run`](SsdSystem::run)). The `gc_copy` sub-phase is
+    /// called before [`run`](SsdSystem::run)). The `gc_copy` sub-phase
+    /// (full-block collections and background GC's page copies) is
     /// collected inside the FTL and merged here.
     #[must_use]
     pub fn phase_profile(&self) -> PhaseProfile {
@@ -1105,7 +1106,8 @@ impl SsdSystem {
         &self.ftl
     }
 
-    /// Selects the GC migration path: bulk `copy_pages` (default) or the
+    /// Selects the GC migration path — for full-block collections and
+    /// budgeted background GC alike: bulk `copy_pages` (default) or the
     /// per-page loop it replaced. Observationally identical — the switch
     /// exists for A/B measurement (see `Ftl::set_bulk_gc`).
     pub fn set_bulk_gc(&mut self, enabled: bool) {

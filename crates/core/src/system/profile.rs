@@ -23,11 +23,13 @@ pub struct PhaseProfile {
     pub bgc: Duration,
     /// Final report construction.
     pub reporting: Duration,
-    /// Full-block GC copy work inside the FTL (foreground collections and
-    /// wear-leveling relocations). **Sub-phase**: this time is already
-    /// contained in `request_execution`/`flush`/`bgc`, so it is excluded
-    /// from [`accounted`](Self::accounted); it isolates the cost the
-    /// batched `copy_pages` migration path attacks.
+    /// GC copy work inside the FTL: foreground collections, wear-leveling
+    /// relocations, and background GC's migration steps (only the steps
+    /// that copy at least one page — a BGC call with no affordable page
+    /// reads no clock). **Sub-phase**: this time is already contained in
+    /// `request_execution`/`flush`/`bgc`, so it is excluded from
+    /// [`accounted`](Self::accounted); it isolates the cost the batched
+    /// `copy_pages` migration path attacks.
     pub gc_copy: Duration,
     /// The whole periodic-catch-up step: every tick processed (or
     /// fast-forwarded) between requests, including the quiescence check.

@@ -153,20 +153,20 @@ pub struct Ftl {
     /// reused across batches (a mirror layer reads these back from the
     /// surviving replica).
     failed_reads: Vec<Lpn>,
-    /// Full-block collections use the batched
-    /// [`copy_pages`](NandDevice::copy_pages) path when set (the
-    /// default); cleared for A/B comparisons against the per-page loop.
-    /// Both paths produce byte-identical state — debug builds assert it
-    /// on every collection.
+    /// Full-block collections and background GC's migration steps use
+    /// the batched [`copy_pages`](NandDevice::copy_pages) path when set
+    /// (the default); cleared for A/B comparisons against the per-page
+    /// loop. Both paths produce byte-identical state — debug builds
+    /// assert it on every collection and every BGC step.
     bulk_gc: bool,
     /// Scratch for the bulk path's victim snapshot, reused across
     /// collections so the steady state allocates nothing.
     gc_snapshot: Vec<(Ppn, Lpn)>,
     /// Scratch for the destination PPNs a bulk copy reports back.
     gc_dst_scratch: Vec<Ppn>,
-    /// Opt-in wall-clock accounting of full-block GC copy work (surfaced
-    /// as the engine's `gc_copy` profile phase); measurement only, never
-    /// feeds back into simulated behaviour.
+    /// Opt-in wall-clock accounting of GC copy work (surfaced as the
+    /// engine's `gc_copy` profile phase); measurement only, never feeds
+    /// back into simulated behaviour.
     gc_copy_enabled: bool,
     gc_copy_wall: std::time::Duration,
     stats: FtlStats,
@@ -498,6 +498,11 @@ impl Ftl {
     /// GC steps with host I/O in sub-millisecond idle gaps. A bonus of
     /// preemption: host overwrites landing between steps invalidate victim
     /// pages *before* they are migrated, so interrupted victims get cheaper.
+    ///
+    /// Page-granular does not mean page-at-a-time: the pages a visit can
+    /// afford move in one budgeted bulk copy whose in-copy gate stops at
+    /// the same page the per-page loop would (see
+    /// [`set_bulk_gc`](Self::set_bulk_gc)).
     pub fn background_collect(
         &mut self,
         now: SimTime,
@@ -528,49 +533,30 @@ impl Ftl {
                     v
                 }
             };
-            // Migrate surviving pages one at a time, checking the budget
-            // before each step.
-            loop {
-                let next = self.device.block(victim).valid_lpns().next();
-                match next {
-                    Some((offset, lpn)) => {
-                        if outcome.duration + migrate_cost > budget {
-                            break 'outer;
-                        }
-                        match self.migrate_page(victim, offset, lpn, now) {
-                            Ok(took) => {
-                                outcome.duration += took;
-                                outcome.pages_migrated += 1;
-                                self.stats.gc_pages_migrated += 1;
-                            }
-                            // Retirements can empty the free pool so no GC
-                            // scratch block is available: background GC
-                            // simply cannot make progress right now (the
-                            // victim stays in progress for later).
-                            Err(FtlError::NoReclaimableSpace) => break 'outer,
-                            Err(e) => panic!("BGC migration failed: {e}"),
-                        }
-                    }
-                    None => {
-                        if outcome.duration + erase_cost > budget {
-                            break 'outer;
-                        }
-                        let freed = u64::from(self.device.block(victim).invalid_pages());
-                        match self.erase_or_retire(victim, now) {
-                            Some(took) => {
-                                outcome.duration += took;
-                                outcome.blocks_erased += 1;
-                                outcome.pages_freed += freed;
-                            }
-                            None => {
-                                // Worn out: retired, nothing reclaimed.
-                            }
-                        }
-                        self.gc_in_progress = None;
-                        break;
-                    }
+            // Migrate surviving pages while the budget affords one more.
+            while self.device.block(victim).valid_pages() > 0 {
+                if outcome.duration + migrate_cost > budget {
+                    break 'outer;
+                }
+                // Retirements can empty the free pool so no GC scratch
+                // block is available: background GC simply cannot make
+                // progress right now (the victim stays in progress for
+                // later).
+                if !self.migrate_within_budget(victim, now, budget, &mut outcome) {
+                    break 'outer;
                 }
             }
+            if outcome.duration + erase_cost > budget {
+                break;
+            }
+            let freed = u64::from(self.device.block(victim).invalid_pages());
+            // A worn-out victim is retired instead: nothing reclaimed.
+            if let Some(took) = self.erase_or_retire(victim, now) {
+                outcome.duration += took;
+                outcome.blocks_erased += 1;
+                outcome.pages_freed += freed;
+            }
+            self.gc_in_progress = None;
         }
         if outcome.blocks_erased > 0 || outcome.pages_migrated > 0 {
             self.stats.bgc_invocations += 1;
@@ -578,6 +564,110 @@ impl Ftl {
             self.stats.bgc_time += outcome.duration;
         }
         outcome
+    }
+
+    /// One budgeted migration step of background GC: moves valid pages out
+    /// of `victim` until the victim is empty or the next page would not
+    /// fit (`outcome.duration + page_migrate_cost > budget`), adding to
+    /// `outcome`. Returns `false` when no GC scratch block could be
+    /// opened; the page in flight then stays valid in the victim and its
+    /// cost is not charged.
+    ///
+    /// The caller has checked that at least one page is affordable, so
+    /// every call reads at least one page. Dispatches like
+    /// [`collect_block`](Self::collect_block): bulk by default, the
+    /// per-page loop when [`set_bulk_gc`](Self::set_bulk_gc) cleared it,
+    /// and in debug builds every bulk step is replayed through the loop on
+    /// a cloned shadow FTL.
+    fn migrate_within_budget(
+        &mut self,
+        victim: BlockId,
+        now: SimTime,
+        budget: SimDuration,
+        outcome: &mut BgcOutcome,
+    ) -> bool {
+        #[cfg(debug_assertions)]
+        let shadow = self.bulk_gc.then(|| (self.oracle_shadow(), *outcome));
+        let t0 = self.gc_copy_enabled.then(std::time::Instant::now);
+        let result = if self.bulk_gc {
+            self.migrate_within_budget_bulk(victim, now, budget, outcome)
+        } else {
+            self.migrate_within_budget_looped(victim, now, budget, outcome)
+        };
+        if let Some(t0) = t0 {
+            self.gc_copy_wall += t0.elapsed();
+        }
+        #[cfg(debug_assertions)]
+        if let Some((mut shadow, mut expected)) = shadow {
+            let expected_result =
+                shadow.migrate_within_budget_looped(victim, now, budget, &mut expected);
+            self.assert_matches_oracle(&shadow, &(expected_result, expected), &(result, *outcome));
+        }
+        match result {
+            Ok(()) => true,
+            Err(FtlError::NoReclaimableSpace) => false,
+            Err(e) => panic!("BGC migration failed: {e}"),
+        }
+    }
+
+    /// Per-page reference implementation of
+    /// [`migrate_within_budget`](Self::migrate_within_budget): the budget
+    /// gate, then one read/program/invalidate round-trip, per page.
+    fn migrate_within_budget_looped(
+        &mut self,
+        victim: BlockId,
+        now: SimTime,
+        budget: SimDuration,
+        outcome: &mut BgcOutcome,
+    ) -> Result<(), FtlError> {
+        let migrate_cost = self.config.timing().page_migrate_cost();
+        while let Some((offset, lpn)) = {
+            let next = self.device.block(victim).valid_lpns().next();
+            next
+        } {
+            if outcome.duration + migrate_cost > budget {
+                break;
+            }
+            outcome.duration += self.migrate_page(victim, offset, lpn, now)?;
+            outcome.pages_migrated += 1;
+            self.stats.gc_pages_migrated += 1;
+        }
+        Ok(())
+    }
+
+    /// Batched implementation of
+    /// [`migrate_within_budget`](Self::migrate_within_budget): snapshots
+    /// only as many valid pages as the remaining budget can pay for (each
+    /// costs at least `page_migrate_cost`), then hands them to the
+    /// budget-aware chunk loop, whose in-copy gate decides where the step
+    /// really stops — program retries make pages dearer than the estimate.
+    fn migrate_within_budget_bulk(
+        &mut self,
+        victim: BlockId,
+        now: SimTime,
+        budget: SimDuration,
+        outcome: &mut BgcOutcome,
+    ) -> Result<(), FtlError> {
+        let migrate_cost = self.config.timing().page_migrate_cost();
+        let affordable = budget
+            .saturating_sub(outcome.duration)
+            .div_duration(migrate_cost);
+        let affordable = usize::try_from(affordable).unwrap_or(usize::MAX);
+        let mut snapshot = std::mem::take(&mut self.gc_snapshot);
+        snapshot.clear();
+        {
+            let geometry = self.device.geometry();
+            snapshot.extend(
+                self.device
+                    .block(victim)
+                    .valid_lpns()
+                    .take(affordable)
+                    .map(|(offset, lpn)| (geometry.ppn(victim, offset), lpn)),
+            );
+        }
+        let result = self.bulk_copy_out(victim, &snapshot, now, Some(budget), outcome);
+        self.gc_snapshot = snapshot;
+        result
     }
 
     /// Migrates one valid page out of `victim` into the GC write stream.
@@ -730,10 +820,10 @@ impl Ftl {
 
     /// Batched implementation of [`collect_block`]: snapshot the victim's
     /// valid pages once, then relocate them in destination-block-sized
-    /// chunks through [`NandDevice::copy_pages`], applying mapping / SIP /
-    /// recency updates per chunk instead of per page. Device operations
-    /// (and therefore fault-model RNG draws, timings and counters) happen
-    /// in exactly the order the per-page loop issues them.
+    /// chunks through [`NandDevice::copy_pages_within`], applying mapping /
+    /// SIP / recency updates per chunk instead of per page. Device
+    /// operations (and therefore fault-model RNG draws, timings and
+    /// counters) happen in exactly the order the per-page loop issues them.
     ///
     /// [`collect_block`]: Self::collect_block
     fn collect_block_bulk(
@@ -757,22 +847,23 @@ impl Ftl {
                     .map(|(offset, lpn)| (geometry.ppn(victim, offset), lpn)),
             );
         }
-        let outcome = self.bulk_copy_out(victim, &snapshot, now);
+        let mut copied = BgcOutcome::default();
+        let result = self.bulk_copy_out(victim, &snapshot, now, None, &mut copied);
         self.gc_snapshot = snapshot;
-        let (mut duration, migrated) = outcome?;
+        result?;
         debug_assert_eq!(
             self.sip_counts[victim.0 as usize], 0,
             "erased block retains SIP-listed valid pages"
         );
         if let Some(took) = self.erase_or_retire(victim, now) {
-            duration += took;
+            copied.duration += took;
         }
-        Ok((duration, migrated))
+        Ok((copied.duration, copied.pages_migrated))
     }
 
-    /// Copies every `snapshot` page out of `victim` into the GC write
-    /// stream, one [`copy_pages`](NandDevice::copy_pages) call per
-    /// destination block.
+    /// Copies `snapshot` pages out of `victim` into the GC write stream,
+    /// one [`copy_pages_within`](NandDevice::copy_pages_within) call per
+    /// destination block, adding completed pages to `outcome`.
     ///
     /// The per-page loop interleaves each source read with GC-block
     /// allocation (read first, then allocate on demand), so the chunk
@@ -781,26 +872,42 @@ impl Ftl {
     /// fills its destination mid-copy reports `pending_read` so the
     /// already-read source page is not re-read (nor its fault re-drawn)
     /// after the next block is opened.
+    ///
+    /// With a `budget`, the copy stops before the first page for which
+    /// `outcome.duration + page_migrate_cost > budget` — the gate sits in
+    /// front of every source read, here for a chunk's first page and
+    /// inside the device for the rest — and returns `Ok` with the
+    /// remainder untouched. On an error (no destination block to be had)
+    /// `outcome` holds the completed pages only: what the page in flight
+    /// had already cost is dropped, as `migrate_page`'s early return
+    /// drops it.
     fn bulk_copy_out(
         &mut self,
         victim: BlockId,
         snapshot: &[(Ppn, Lpn)],
         now: SimTime,
-    ) -> Result<(SimDuration, u64), FtlError> {
-        let mut duration = SimDuration::ZERO;
-        let mut migrated = 0u64;
+        budget: Option<SimDuration>,
+        outcome: &mut BgcOutcome,
+    ) -> Result<(), FtlError> {
+        let migrate_cost = self.config.timing().page_migrate_cost();
         let mut idx = 0usize;
+        // Cost so far of the page that is read but not yet programmed.
+        let mut in_flight = SimDuration::ZERO;
         let mut pending_read = false;
         while idx < snapshot.len() {
             if !pending_read {
-                duration += self.gc_source_read(snapshot[idx].0)?;
+                if budget.is_some_and(|budget| outcome.duration + migrate_cost > budget) {
+                    break;
+                }
+                in_flight = self.gc_source_read(snapshot[idx].0)?;
             }
             let gc_block = self.ensure_active_gc_block()?;
+            let room = budget.map(|budget| budget.saturating_sub(outcome.duration + in_flight));
             let mut dsts = std::mem::take(&mut self.gc_dst_scratch);
             dsts.clear();
-            let copied = self
-                .device
-                .copy_pages(&snapshot[idx..], gc_block, true, &mut dsts);
+            let copied =
+                self.device
+                    .copy_pages_within(&snapshot[idx..], gc_block, true, &mut dsts, room);
             let out = match copied {
                 Ok(out) => out,
                 Err(e) => {
@@ -822,18 +929,20 @@ impl Ftl {
                 }
             }
             self.gc_dst_scratch = dsts;
-            if out.copied > 0 {
-                self.last_write[gc_block.0 as usize] = now;
-            }
             self.stats.gc_read_failures += out.read_failures;
             self.stats.program_retries += out.program_retries;
             self.stats.gc_pages_migrated += out.copied as u64;
-            duration += out.duration;
-            migrated += out.copied as u64;
+            in_flight += out.duration;
+            if out.copied > 0 {
+                self.last_write[gc_block.0 as usize] = now;
+                outcome.duration += in_flight - out.pending_cost;
+                in_flight = out.pending_cost;
+            }
+            outcome.pages_migrated += out.copied as u64;
             idx += out.copied;
             pending_read = out.pending_read;
         }
-        Ok((duration, migrated))
+        Ok(())
     }
 
     /// One GC source read with uncorrectable-read salvage, exactly as the
@@ -891,16 +1000,11 @@ impl Ftl {
     /// Field-for-field comparison of the bulk collection result against
     /// the shadow replay of the per-page loop.
     #[cfg(debug_assertions)]
-    fn assert_matches_oracle(
-        &self,
-        shadow: &Ftl,
-        expected: &Result<(SimDuration, u64), FtlError>,
-        actual: &Result<(SimDuration, u64), FtlError>,
-    ) {
+    fn assert_matches_oracle<R: std::fmt::Debug>(&self, shadow: &Ftl, expected: &R, actual: &R) {
         assert_eq!(
             format!("{actual:?}"),
             format!("{expected:?}"),
-            "bulk collect_block result diverged from per-page loop"
+            "bulk GC result diverged from per-page loop"
         );
         assert_eq!(self.stats, shadow.stats, "FTL stats diverged");
         assert_eq!(
@@ -1375,30 +1479,34 @@ impl Ftl {
         self.selector.name()
     }
 
-    /// Selects between the batched full-block collection path (`true`,
-    /// the default) and the per-page reference loop. Both produce
-    /// byte-identical simulation state; the switch exists for A/B
-    /// benchmarking and the equivalence tests.
+    /// Selects between the batched migration path (`true`, the default)
+    /// and the per-page reference loop, for full-block collections
+    /// (foreground GC, wear leveling) and for budgeted background GC
+    /// alike. Both produce byte-identical simulation state — background
+    /// GC stops on the same page under the same budget; the switch exists
+    /// for A/B benchmarking and the equivalence tests.
     pub fn set_bulk_gc(&mut self, enabled: bool) {
         self.bulk_gc = enabled;
     }
 
-    /// `true` when full-block collections use the batched
-    /// [`copy_pages`](NandDevice::copy_pages) path.
+    /// `true` when GC migration — full-block collections and background
+    /// GC — uses the batched [`copy_pages`](NandDevice::copy_pages) path.
     #[must_use]
     pub fn bulk_gc(&self) -> bool {
         self.bulk_gc
     }
 
-    /// Starts wall-clock accounting of full-block GC copy work; the total
+    /// Starts wall-clock accounting of GC copy work — full-block
+    /// collections plus every background-GC step that copies at least one
+    /// page (calls whose budget affords no page read no clock); the total
     /// is read back with [`gc_copy_wall`](Self::gc_copy_wall). Measurement
     /// only — simulated behaviour is unaffected.
     pub fn enable_gc_copy_profiling(&mut self) {
         self.gc_copy_enabled = true;
     }
 
-    /// Host wall-clock time spent inside full-block collections since
-    /// profiling was enabled (zero when it never was).
+    /// Host wall-clock time spent copying pages for GC since profiling
+    /// was enabled (zero when it never was).
     #[must_use]
     pub fn gc_copy_wall(&self) -> std::time::Duration {
         self.gc_copy_wall

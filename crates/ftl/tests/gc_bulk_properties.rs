@@ -31,6 +31,7 @@ fn ftl_with(fault: Option<FaultConfig>, endurance: u64, bulk: bool) -> Ftl {
 enum Op {
     Write(u64),
     Trim(u64),
+    /// Background GC with a budget in microseconds.
     Bgc(u64),
     WearLevel,
 }
@@ -39,7 +40,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => (0..USER_PAGES).prop_map(Op::Write),
         1 => (0..USER_PAGES).prop_map(Op::Trim),
-        1 => (1..50u64).prop_map(Op::Bgc),
+        1 => (1..50u64).prop_map(|ms| Op::Bgc(ms * 1_000)),
+        // Sub-page to few-page budgets: where the in-copy gate stops.
+        1 => (0..2_000u64).prop_map(Op::Bgc),
         1 => Just(Op::WearLevel),
     ]
 }
@@ -59,9 +62,9 @@ fn drive(ftl: &mut Ftl, ops: &[Op]) -> Vec<String> {
                 Err(e) => panic!("unexpected write error: {e}"),
             },
             Op::Trim(lpn) => format!("{:?}", ftl.trim(Lpn(*lpn), now)),
-            Op::Bgc(ms) => format!(
+            Op::Bgc(us) => format!(
                 "{:?}",
-                ftl.background_collect(now, SimDuration::from_millis(*ms), None)
+                ftl.background_collect(now, SimDuration::from_micros(*us), None)
             ),
             Op::WearLevel => format!("{:?}", ftl.wear_level(now)),
         };

@@ -33,6 +33,11 @@ pub struct CopyOutcome {
     /// must resume with `first_read_done = true` on a fresh destination
     /// so that read is not re-issued (nor its fault re-drawn).
     pub pending_read: bool,
+    /// The share of `duration` spent on the pending page — its read (when
+    /// this call performed it) and the failed program attempts that used
+    /// up the destination. Zero unless `pending_read`. A budgeted caller
+    /// that cannot open a fresh destination drops exactly this much.
+    pub pending_cost: SimDuration,
 }
 
 /// A NAND flash device: a flat array of erase blocks plus a timing model
@@ -354,8 +359,38 @@ impl NandDevice {
         first_read_done: bool,
         dst_ppns: &mut Vec<Ppn>,
     ) -> Result<CopyOutcome, NandError> {
+        self.copy_pages_within(srcs, dst, first_read_done, dst_ppns, None)
+    }
+
+    /// [`copy_pages`](Self::copy_pages) under a time budget: with
+    /// `room = Some(r)`, the copy stops *before* the source read of the
+    /// first page for which `duration + page_migrate_cost > r` — the gate
+    /// budgeted background GC applies before every page, evaluated where
+    /// the pages move. A page whose read the caller already performed
+    /// (`first_read_done`) is past its gate and always completes. A page
+    /// that is started is finished (program retries included) even when
+    /// that overruns `r`, exactly as the per-page loop behaves, so
+    /// preemption stays page-exact.
+    ///
+    /// A budget stop performs no read, draws no fault and touches no
+    /// counter for the page it refuses, and never sets
+    /// [`CopyOutcome::pending_read`]: the caller tells it from completion
+    /// by `copied < srcs.len()`. `room = None` is unlimited.
+    ///
+    /// # Errors
+    ///
+    /// As [`copy_pages`](Self::copy_pages).
+    pub fn copy_pages_within(
+        &mut self,
+        srcs: &[(Ppn, Lpn)],
+        dst: BlockId,
+        first_read_done: bool,
+        dst_ppns: &mut Vec<Ppn>,
+        room: Option<SimDuration>,
+    ) -> Result<CopyOutcome, NandError> {
         self.check_block(dst)?;
         let mut out = CopyOutcome::default();
+        let migrate_cost = self.timing.page_migrate_cost();
         let read_cost = self.timing.page_read_cost();
         let program_cost = self.timing.page_program_cost();
         // No erase can happen mid-copy, so both wear inputs to the fault
@@ -363,9 +398,13 @@ impl NandDevice {
         let dst_worn = self.blocks[dst.0 as usize].erase_count();
 
         for (idx, &(src, lpn)) in srcs.iter().enumerate() {
+            let page_start = out.duration;
             // Source read. The caller may have read the first page itself
             // (GC reads before it knows whether a destination exists).
             if idx > 0 || !first_read_done {
+                if room.is_some_and(|room| out.duration + migrate_cost > room) {
+                    return Ok(out);
+                }
                 self.check_ppn(src)?;
                 let src_block = self.geometry.block_of(src);
                 let src_offset = self.geometry.page_offset(src);
@@ -391,6 +430,7 @@ impl NandDevice {
                     // Destination full with this page's read already done:
                     // hand back to the caller for a fresh destination.
                     out.pending_read = true;
+                    out.pending_cost = out.duration - page_start;
                     return Ok(out);
                 };
                 let failed = self
@@ -747,6 +787,32 @@ mod tests {
             .collect()
     }
 
+    /// A 32-page victim (block 0) and destination (block 1), both worn so
+    /// that `fault` (whose `erase_rate` must be zero) can fire on reads and
+    /// programs. Same seed ⇒ identical devices.
+    fn worn_faulty_fixture(fault: FaultConfig) -> NandDevice {
+        let mut dev = NandDevice::new(
+            Geometry::builder()
+                .blocks(4)
+                .pages_per_block(32)
+                .page_size_bytes(4096)
+                .build(),
+            NandTiming::mlc_20nm(),
+        )
+        .with_fault_model(FaultModel::new(fault));
+        for blk in [BlockId(0), BlockId(1)] {
+            for _ in 0..5 {
+                dev.erase(blk).expect("erase never faults here");
+            }
+        }
+        // Fill the victim, tolerating injected program failures.
+        while let Some(off) = dev.block(BlockId(0)).next_free_offset() {
+            let ppn = dev.geometry().ppn(BlockId(0), off);
+            let _ = dev.program(ppn, Lpn(u64::from(off)));
+        }
+        dev
+    }
+
     #[test]
     fn copy_pages_matches_the_per_page_loop() {
         let mut looped = copy_fixture();
@@ -811,33 +877,8 @@ mod tests {
                 read_rate: 0.35,
                 wear_scale: 10,
             };
-            let build = || {
-                let mut dev = NandDevice::new(
-                    Geometry::builder()
-                        .blocks(4)
-                        .pages_per_block(32)
-                        .page_size_bytes(4096)
-                        .build(),
-                    NandTiming::mlc_20nm(),
-                )
-                .with_fault_model(FaultModel::new(fault));
-                // Wear the victim and destination so faults can fire
-                // (erase_rate is zero: these draw nothing).
-                for blk in [BlockId(0), BlockId(1)] {
-                    for _ in 0..5 {
-                        dev.erase(blk).expect("erase never faults here");
-                    }
-                }
-                // Fill the victim, tolerating injected program failures —
-                // both devices share the seed, so they build identically.
-                while let Some(off) = dev.block(BlockId(0)).next_free_offset() {
-                    let ppn = dev.geometry().ppn(BlockId(0), off);
-                    let _ = dev.program(ppn, Lpn(u64::from(off)));
-                }
-                dev
-            };
-            let mut looped = build();
-            let mut bulk = build();
+            let mut looped = worn_faulty_fixture(fault);
+            let mut bulk = worn_faulty_fixture(fault);
             let srcs: Vec<_> = victim_srcs(&looped, BlockId(0))
                 .into_iter()
                 .take(8)
@@ -861,6 +902,167 @@ mod tests {
         }
         assert!(saw_read_failure, "no seed injected an uncorrectable read");
         assert!(saw_program_retry, "no seed injected a program failure");
+    }
+
+    #[test]
+    fn copy_pages_within_unlimited_is_copy_pages() {
+        // Nearly full destination, so the comparison covers a pending read.
+        let build = || {
+            let mut dev = copy_fixture();
+            for i in 0..6 {
+                dev.program(Ppn(8 + i), Lpn(100 + i)).expect("dst fill");
+            }
+            dev
+        };
+        let (mut plain, mut within) = (build(), build());
+        let srcs = victim_srcs(&plain, BlockId(0));
+        let (mut plain_dsts, mut within_dsts) = (Vec::new(), Vec::new());
+        let expected = plain
+            .copy_pages(&srcs, BlockId(1), false, &mut plain_dsts)
+            .expect("copy");
+        let out = within
+            .copy_pages_within(&srcs, BlockId(1), false, &mut within_dsts, None)
+            .expect("copy");
+        assert_eq!(out, expected);
+        assert!(out.pending_read);
+        assert_eq!(out.pending_cost, plain.timing().page_read_cost());
+        assert_eq!(within_dsts, plain_dsts);
+        assert_same_device_state(&plain, &within);
+    }
+
+    #[test]
+    fn copy_pages_within_stops_before_the_read_it_cannot_afford() {
+        let migrate = NandTiming::mlc_20nm().page_migrate_cost();
+        let one_us = SimDuration::from_micros(1);
+        // Rooms on either side of page-count boundaries of the 5-page victim.
+        for (room, pages) in [
+            (SimDuration::ZERO, 0),
+            (migrate - one_us, 0),
+            (migrate, 1),
+            (migrate * 3 - one_us, 2),
+            (migrate * 3, 3),
+            (migrate * 9, 5),
+        ] {
+            let mut dev = copy_fixture();
+            let srcs = victim_srcs(&dev, BlockId(0));
+            let mut dsts = Vec::new();
+            let out = dev
+                .copy_pages_within(&srcs, BlockId(1), false, &mut dsts, Some(room))
+                .expect("copy");
+            assert_eq!(out.copied, pages, "room {room}");
+            assert_eq!(out.duration, migrate * pages as u64, "room {room}");
+            assert!(!out.pending_read, "a budget stop precedes the read");
+            assert_eq!(out.pending_cost, SimDuration::ZERO);
+            assert_eq!(dsts.len(), pages);
+            // The refused page was not touched: no read, no invalidation.
+            assert_eq!(dev.stats().reads, pages as u64, "room {room}");
+            assert_eq!(dev.stats().programs, 8 + pages as u64);
+            assert_eq!(
+                dev.block(BlockId(0)).valid_pages() as usize,
+                srcs.len() - pages
+            );
+        }
+    }
+
+    #[test]
+    fn copy_pages_within_gate_skips_a_page_the_caller_already_read() {
+        // `first_read_done`: the caller gated and read page 0 itself, so a
+        // zero room still completes it and stops before page 1.
+        let mut dev = copy_fixture();
+        let srcs = victim_srcs(&dev, BlockId(0));
+        let mut dsts = Vec::new();
+        let out = dev
+            .copy_pages_within(&srcs, BlockId(1), true, &mut dsts, Some(SimDuration::ZERO))
+            .expect("copy");
+        assert_eq!(out.copied, 1);
+        assert_eq!(out.duration, dev.timing().page_program_cost());
+        assert!(!out.pending_read);
+        assert_eq!(dev.stats().reads, 0);
+    }
+
+    #[test]
+    fn budget_stop_draws_no_fault() {
+        let fault = FaultConfig {
+            seed: 3,
+            program_rate: 0.3,
+            erase_rate: 0.0,
+            read_rate: 0.3,
+            wear_scale: 10,
+        };
+        // Copying 3 pages and being refused the 4th leaves the injector
+        // where copying exactly 3 pages leaves it: the rest of the victim
+        // then copies identically on both devices.
+        let (mut stopped, mut exact) = (worn_faulty_fixture(fault), worn_faulty_fixture(fault));
+        let srcs = victim_srcs(&stopped, BlockId(0));
+        let mut dsts = Vec::new();
+        let three = exact
+            .copy_pages(&srcs[..3], BlockId(1), false, &mut dsts)
+            .expect("copy");
+        dsts.clear();
+        let out = stopped
+            .copy_pages_within(&srcs, BlockId(1), false, &mut dsts, Some(three.duration))
+            .expect("copy");
+        assert_eq!(out, three);
+        assert_same_device_state(&stopped, &exact);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let rest_stopped = stopped.copy_pages(&srcs[3..], BlockId(2), false, &mut a);
+        let rest_exact = exact.copy_pages(&srcs[3..], BlockId(2), false, &mut b);
+        assert_eq!(rest_stopped, rest_exact);
+        assert_eq!(a, b);
+        assert_same_device_state(&stopped, &exact);
+    }
+
+    #[test]
+    fn pending_cost_is_the_pending_pages_read_plus_its_failed_programs() {
+        let mut saw_failed_programs_on_the_pending_page = false;
+        for seed in 0..40 {
+            let fault = FaultConfig {
+                seed,
+                program_rate: 0.5,
+                erase_rate: 0.0,
+                read_rate: 0.2,
+                wear_scale: 10,
+            };
+            let mut dev = NandDevice::new(
+                Geometry::builder()
+                    .blocks(4)
+                    .pages_per_block(8)
+                    .page_size_bytes(4096)
+                    .build(),
+                NandTiming::mlc_20nm(),
+            )
+            .with_fault_model(FaultModel::new(fault));
+            for _ in 0..8 {
+                dev.erase(BlockId(1)).expect("erase never faults here");
+            }
+            // Unworn victim: its fill cannot fail.
+            for i in 0..8 {
+                dev.program(Ppn(i), Lpn(i)).expect("victim fill");
+            }
+            let srcs = victim_srcs(&dev, BlockId(0));
+            let mut dsts = Vec::new();
+            let out = dev
+                .copy_pages(&srcs, BlockId(1), false, &mut dsts)
+                .expect("copy");
+            if !out.pending_read {
+                assert_eq!(out.pending_cost, SimDuration::ZERO, "seed {seed}");
+                continue;
+            }
+            // Every destination page past the last successful program was
+            // burnt by the pending page.
+            let used = dsts
+                .last()
+                .map_or(0, |&ppn| dev.geometry().page_offset(ppn) + 1);
+            let burnt = u64::from(dev.geometry().pages_per_block() - used);
+            let t = dev.timing();
+            assert_eq!(
+                out.pending_cost,
+                t.page_read_cost() + t.page_program_cost() * burnt,
+                "seed {seed}"
+            );
+            saw_failed_programs_on_the_pending_page |= burnt > 0;
+        }
+        assert!(saw_failed_programs_on_the_pending_page);
     }
 
     #[test]
