@@ -22,12 +22,13 @@ pub struct ArrayConfig {
     pub redundancy: Redundancy,
     /// BGC coordination across members.
     pub gc_mode: GcMode,
-    /// Which driver advances the members. Reports are byte-identical
-    /// for either mode; `Barrier` is the lockstep debug oracle.
+    /// Which driver advances the members: `Steal` everywhere outside
+    /// tests; `Serial` is the request-at-a-time reference (one thread
+    /// only). Reports are byte-identical for either.
     pub sched: ArraySched,
-    /// Worker threads for parallel member stepping (1 = serial; must not
-    /// exceed the member count). Reports are byte-identical for any
-    /// value.
+    /// Threads stepping members, the driver included (1 spawns nothing;
+    /// must not exceed the member count). Reports are byte-identical for
+    /// any value.
     pub member_threads: usize,
     /// Per-member system configuration (identical for every member
     /// unless [`build_with`](ArrayConfig::build_with) tweaks it).
@@ -43,8 +44,9 @@ impl ArrayConfig {
     ///
     /// Returns a message naming the offending knob when the member
     /// count is zero, the chunk is zero pages, mirroring gets an odd
-    /// member count, or the member-thread count is zero or exceeds the
-    /// member count.
+    /// member count, the member-thread count is zero or exceeds the
+    /// member count, or the serial reference driver is asked for more
+    /// than one thread.
     pub fn validate(&self) -> Result<(), String> {
         if self.members == 0 {
             return Err("an array needs at least one member".into());
@@ -66,6 +68,13 @@ impl ArrayConfig {
                 "{} member threads exceed the {} members; extra workers would never \
                  find work",
                 self.member_threads, self.members
+            ));
+        }
+        if self.sched == ArraySched::Serial && self.member_threads > 1 {
+            return Err(format!(
+                "the serial reference driver steps on one thread; {} member threads need \
+                 the steal driver",
+                self.member_threads
             ));
         }
         Ok(())
@@ -205,5 +214,18 @@ mod tests {
         assert!(err(config(3, Redundancy::Mirror, 1)).contains("even"));
         assert!(err(config(4, Redundancy::None, 0)).contains("at least one thread"));
         assert!(err(config(4, Redundancy::None, 5)).contains("exceed"));
+    }
+
+    #[test]
+    fn validate_rejects_a_threaded_serial_reference() {
+        let mut serial = config(4, Redundancy::None, 1);
+        serial.sched = ArraySched::Serial;
+        assert_eq!(serial.validate(), Ok(()));
+        serial.member_threads = 2;
+        let message = serial.validate().unwrap_err();
+        assert!(
+            message.contains("serial") && message.contains("2 member threads"),
+            "{message}"
+        );
     }
 }

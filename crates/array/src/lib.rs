@@ -12,11 +12,12 @@
 //! * [`ArrayScheduler`] — the closed-loop engine: advances members in
 //!   virtual-time lockstep through the core engine's stepping API, fans
 //!   each logical request out as one sub-request per touched member, and
-//!   completes it when the slowest member does. Members step in parallel
-//!   under either a work-stealing driver ([`ArraySched::Steal`], scales
-//!   to hundreds of members) or the lockstep barrier oracle
-//!   ([`ArraySched::Barrier`]) — reports are byte-identical either way,
-//!   for any thread count.
+//!   completes it when the slowest member does. One work-stealing
+//!   quantum loop ([`ArraySched::Steal`], scales to hundreds of members)
+//!   steps the members on any number of threads; the request-at-a-time
+//!   loop ([`ArraySched::Serial`]) is the reference tests compare it
+//!   against — reports are byte-identical either way, for any thread
+//!   count.
 //! * [`ArrayManager`] — the coordination brain: staggers member flusher
 //!   phases ([`GcMode::Staggered`]) so background-GC windows de-correlate
 //!   instead of stalling every stripe column at once, and steers mirrored

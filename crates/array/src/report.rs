@@ -71,7 +71,7 @@ pub struct ArrayReport {
     /// Per-member scheduler accounting, index-aligned with
     /// `member_reports`. Every field is a function of the simulated
     /// timeline only — identical for any `--member-threads` count and
-    /// either `--array-sched` mode — so it lives in the deterministic
+    /// under the serial reference driver — so it lives in the deterministic
     /// report; wall-clock artifacts (steal counts, epochs) are in
     /// `SchedTelemetry` instead.
     pub member_sched: Vec<MemberSched>,

@@ -15,17 +15,23 @@ use std::sync::{Barrier, Mutex, MutexGuard};
 /// Which engine advances the members during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArraySched {
-    /// The PR 5 lockstep driver: every worker sweeps a static member
-    /// partition between two global barriers per quantum, visiting all
-    /// of its members whether or not the quantum touched them. Kept as
-    /// the debug oracle (`--array-sched barrier`).
-    Barrier,
-    /// Work-stealing (the default): only the members a quantum actually
-    /// touched become work items, ordered laggiest-first and dealt into
-    /// per-worker deque shards; a worker that drains its own shard
-    /// steals from its neighbours'. Serial phases lock only the touched
-    /// lanes, so per-quantum driver cost is O(touched), not O(members) —
-    /// the difference between 4 and 256 members.
+    /// The reference: one request at a time on the calling thread,
+    /// exactly the closed-loop schedule of the single-device engine, with
+    /// no quantum structure at all. Every identity test compares the
+    /// production driver against it; nothing but tests selects it
+    /// (through [`ArrayScheduler::set_sched`] or
+    /// [`ArrayConfig::sched`](crate::ArrayConfig::sched)), and it ignores
+    /// the member-thread count.
+    Serial,
+    /// Work-stealing quanta (the default, and the only driver `ssdsim`
+    /// runs): only the members a quantum actually touched become work
+    /// items, ordered laggiest-first and dealt into per-worker deque
+    /// shards; a worker that drains its own shard steals from its
+    /// neighbours'. Serial phases lock only the touched lanes, so
+    /// per-quantum driver cost is O(touched), not O(members) — the
+    /// difference between 4 and 256 members. One loop serves every
+    /// worker count: the driver thread is worker 0, so one member thread
+    /// spawns nothing and takes each lane's lock once per run.
     Steal,
 }
 
@@ -34,7 +40,7 @@ impl ArraySched {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            ArraySched::Barrier => "barrier",
+            ArraySched::Serial => "serial",
             ArraySched::Steal => "steal",
         }
     }
@@ -53,9 +59,9 @@ struct StepResult {
     fgc: bool,
 }
 
-/// One member plus its per-quantum mailboxes, owned by a worker thread
-/// during the parallel phase and by the driver (via the lock, always
-/// uncontended at that point) during the serial phase.
+/// One member plus its per-quantum mailboxes, owned by whichever worker
+/// claimed it during the step phase and by the driver (via the lock,
+/// always uncontended at that point) during the serial phase.
 struct Lane {
     system: SsdSystem,
     /// Sub-requests for this member in global request order.
@@ -113,80 +119,56 @@ fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
     }
 }
 
-/// Uniform indexed access to the member lanes for the serial phases of
-/// the parallel drivers. The barrier driver pre-locks every lane; the
-/// work-stealing driver locks lazily, so a quantum that touches 10 of
-/// 256 members pays for 10 locks.
-trait LaneTable {
-    fn lane(&mut self, member: usize) -> &mut Lane;
-    /// Two distinct lanes at once (mirrored-read routing).
-    fn pair(&mut self, a: usize, b: usize) -> (&mut Lane, &mut Lane);
-}
-
-impl LaneTable for [Lane] {
-    fn lane(&mut self, member: usize) -> &mut Lane {
-        &mut self[member]
-    }
-
-    fn pair(&mut self, a: usize, b: usize) -> (&mut Lane, &mut Lane) {
-        pair_mut(self, a, b)
-    }
-}
-
-impl LaneTable for [MutexGuard<'_, Lane>] {
-    fn lane(&mut self, member: usize) -> &mut Lane {
-        &mut self[member]
-    }
-
-    fn pair(&mut self, a: usize, b: usize) -> (&mut Lane, &mut Lane) {
-        let (x, y) = pair_mut(self, a, b);
-        (&mut *x, &mut *y)
-    }
-}
-
-/// Lock-on-demand lane access for the work-stealing driver's serial
-/// phases. Holds the guards it acquired until [`release`](Self::release);
-/// the linear scan is over the touched set (≤ a few × queue depth), not
-/// the member count.
+/// Lock-on-demand lane access for the driver: a quantum that touches 10
+/// of 256 members pays for 10 locks, and a lane stays locked — free to
+/// touch again — until [`release`](Self::release) hands the lanes to the
+/// workers. Lookup is by member index, so holding many lanes costs
+/// nothing per access.
 struct LazyLanes<'l> {
     all: &'l [Mutex<Lane>],
-    held: Vec<(usize, MutexGuard<'l, Lane>)>,
+    /// The guard of every lane currently held, by member index.
+    held: Vec<Option<MutexGuard<'l, Lane>>>,
+    /// Members with a guard in `held`, so a release is O(held).
+    taken: Vec<usize>,
 }
 
 impl<'l> LazyLanes<'l> {
     fn new(all: &'l [Mutex<Lane>]) -> Self {
         LazyLanes {
             all,
-            held: Vec::new(),
+            held: all.iter().map(|_| None).collect(),
+            taken: Vec::new(),
         }
     }
 
     /// Drops every held guard (call before handing the lanes to workers).
     fn release(&mut self) {
-        self.held.clear();
-    }
-
-    fn slot(&mut self, member: usize) -> usize {
-        if let Some(pos) = self.held.iter().position(|(m, _)| *m == member) {
-            return pos;
+        for member in self.taken.drain(..) {
+            self.held[member] = None;
         }
-        self.held
-            .push((member, self.all[member].lock().expect("a member panicked")));
-        self.held.len() - 1
     }
-}
 
-impl LaneTable for LazyLanes<'_> {
+    fn hold(&mut self, member: usize) {
+        if self.held[member].is_none() {
+            self.held[member] = Some(self.all[member].lock().expect("a member panicked"));
+            self.taken.push(member);
+        }
+    }
+
     fn lane(&mut self, member: usize) -> &mut Lane {
-        let pos = self.slot(member);
-        &mut self.held[pos].1
+        self.hold(member);
+        self.held[member].as_mut().expect("held above")
     }
 
+    /// Two distinct lanes at once (mirrored-read routing).
     fn pair(&mut self, a: usize, b: usize) -> (&mut Lane, &mut Lane) {
-        let pa = self.slot(a);
-        let pb = self.slot(b);
-        let (x, y) = pair_mut(&mut self.held, pa, pb);
-        (&mut x.1, &mut y.1)
+        self.hold(a);
+        self.hold(b);
+        let (x, y) = pair_mut(&mut self.held, a, b);
+        (
+            x.as_mut().expect("held above"),
+            y.as_mut().expect("held above"),
+        )
     }
 }
 
@@ -241,6 +223,27 @@ impl StealQueue {
             }
         }
         None
+    }
+}
+
+/// Worker-round opcodes (stored in an `AtomicU8` between barriers).
+const ROUND_STEPS: u8 = 0;
+const ROUND_PREFILL: u8 = 1;
+const ROUND_SHUTDOWN: u8 = 2;
+
+/// One worker's share of a round: claims members until the agenda runs
+/// dry, stepping (or prefilling) each under its lane lock.
+fn drain_round(lanes: &[Mutex<Lane>], queue: &StealQueue, worker: usize, op: u8) {
+    while let Some((member, stolen)) = queue.pop(worker) {
+        let mut lane = lanes[member].lock().expect("a member panicked");
+        if op == ROUND_PREFILL {
+            lane.system.prefill();
+            continue;
+        }
+        if stolen {
+            lane.steals += 1;
+        }
+        lane.run_queue();
     }
 }
 
@@ -343,8 +346,8 @@ struct MirrorOutcome {
 
 /// Routes and executes one mirrored-read sub-request over the two
 /// replica members. This is *the* serialization point of the array: the
-/// replica choice reads both members' live GC signals, so every driver —
-/// serial, barrier, work-stealing — funnels through this one function
+/// replica choice reads both members' live GC signals, so the quantum
+/// loop and the serial reference both funnel through this one function
 /// and the reports cannot drift apart.
 fn route_mirrored_sub(
     manager: &mut ArrayManager,
@@ -406,8 +409,8 @@ fn route_mirrored_sub(
 /// Everything here depends on the driver mode or on OS thread timing
 /// (how often a worker had to steal), so it lives outside the
 /// deterministic [`ArrayReport`] — reports stay byte-identical across
-/// `--array-sched` modes and thread counts, while this struct tells you
-/// what the machinery did to get there. Surfaced in `--bench-json`
+/// thread counts and against the serial reference, while this struct
+/// tells you what the machinery did to get there. Surfaced in `--bench-json`
 /// (`ssdsim-bench/9`), never in `--json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedTelemetry {
@@ -415,19 +418,15 @@ pub struct SchedTelemetry {
     pub sched: ArraySched,
     /// Configured worker-thread count.
     pub member_threads: usize,
-    /// Scheduling quanta executed (0 for the fully serial barrier path,
-    /// which has no quantum structure).
+    /// Scheduling quanta executed — a function of the request stream and
+    /// queue depth only, so the same for any worker count (0 under the
+    /// [`ArraySched::Serial`] reference, which has no quantum structure).
     pub epochs: u64,
     /// Total lane executions by a non-owning worker.
     pub steals: u64,
     /// Per-member steal counts, index-aligned with the members.
     pub steal_counts: Vec<u64>,
 }
-
-/// Worker-round opcodes (stored in an `AtomicU8` between barriers).
-const ROUND_STEPS: u8 = 0;
-const ROUND_PREFILL: u8 = 1;
-const ROUND_SHUTDOWN: u8 = 2;
 
 /// Drives N member [`SsdSystem`]s in virtual-time lockstep behind one
 /// logical volume.
@@ -448,25 +447,29 @@ const ROUND_SHUTDOWN: u8 = 2;
 ///
 /// # Parallel member stepping
 ///
-/// With [`set_member_threads`](ArrayScheduler::set_member_threads) above
-/// 1, independent members advance concurrently on a persistent worker
-/// pool. Each scheduling quantum — up to `queue_depth` consecutive
-/// requests, whose issue times are all computable up front because the
-/// closed loop deals them to distinct threads — is split into a parallel
-/// step phase (workers drain member sub-request queues) and a serial
-/// merge phase (the driver folds completions back into the schedule in
-/// request order). Cross-member decisions — mirrored-read routing
-/// through the [`ArrayManager`] — are serial points that truncate the
-/// quantum. Every member sees the exact call sequence the serial
-/// scheduler would have issued, so reports are byte-identical for any
-/// thread count *and* either [`ArraySched`] mode; which worker stepped a
-/// member is invisible to the simulation.
+/// A run is a sequence of scheduling quanta — up to `queue_depth`
+/// consecutive requests, whose issue times are all computable up front
+/// because the closed loop deals them to distinct threads. Each quantum
+/// is a serial phase (the driver folds the previous completions back
+/// into the schedule in request order and deals the next sub-requests
+/// into member queues) followed by a step phase (workers drain the
+/// touched members' queues). With
+/// [`set_member_threads`](ArrayScheduler::set_member_threads) above 1
+/// the step phase runs on a persistent pool — the driver thread plus
+/// `threads − 1` scoped workers; at 1 the same loop has the driver step
+/// the touched members in place. Cross-member decisions — mirrored-read
+/// routing through the [`ArrayManager`] — are serial points that
+/// truncate the quantum. Every member sees the exact call sequence the
+/// request-at-a-time reference ([`ArraySched::Serial`]) would have
+/// issued, so reports are byte-identical for any thread count and
+/// against that reference; which worker stepped a member is invisible
+/// to the simulation.
 pub struct ArrayScheduler {
     members: Vec<SsdSystem>,
     stripe: StripeMap,
     manager: ArrayManager,
     workload: Box<dyn Workload>,
-    /// Worker threads for the parallel step phase (1 = serial path).
+    /// Threads draining the step phase, the driver included.
     member_threads: usize,
     /// Which driver advances the members.
     sched: ArraySched,
@@ -588,11 +591,10 @@ impl ArrayScheduler {
         total
     }
 
-    /// Sets how many worker threads advance members during the parallel
-    /// step phase. Clamped to the member count at run time; 1 (the
-    /// default) keeps everything on the calling thread. Any value
-    /// produces byte-identical reports — the knob trades wall-clock time
-    /// only.
+    /// Sets how many threads advance members during the step phase,
+    /// the calling thread included. Clamped to the member count at run
+    /// time; 1 (the default) spawns nothing. Any value produces
+    /// byte-identical reports — the knob trades wall-clock time only.
     pub fn set_member_threads(&mut self, threads: usize) {
         self.member_threads = threads.max(1);
     }
@@ -603,9 +605,10 @@ impl ArrayScheduler {
         self.member_threads
     }
 
-    /// Selects the driver mode. Both modes produce byte-identical
-    /// reports; [`ArraySched::Barrier`] exists as the lockstep debug
-    /// oracle for [`ArraySched::Steal`] (the default).
+    /// Test hook: selects the driver. [`ArraySched::Steal`] (the default)
+    /// is the production quantum loop; [`ArraySched::Serial`] is the
+    /// request-at-a-time reference the identity tests compare it
+    /// against. Reports are byte-identical either way.
     pub fn set_sched(&mut self, sched: ArraySched) {
         self.sched = sched;
     }
@@ -630,20 +633,10 @@ impl ArrayScheduler {
         }
     }
 
-    /// Selects every member's GC migration path — for full-block
-    /// collections and budgeted background GC alike: bulk `copy_pages`
-    /// (default) or the per-page loop. Observationally identical — an
-    /// A/B measurement switch (see `Ftl::set_bulk_gc`).
-    pub fn set_bulk_gc(&mut self, enabled: bool) {
-        for member in &mut self.members {
-            member.set_bulk_gc(enabled);
-        }
-    }
-
     /// Switches every member's quiescence fast-forward (see
     /// [`SsdSystem::set_fast_forward`]; on by default). Byte-identical
-    /// reports either way — an A/B wall-clock switch. Works under both
-    /// driver modes and any worker-thread count: a skip only moves a
+    /// reports either way — an A/B wall-clock switch. Works under either
+    /// driver and any worker-thread count: a skip only moves a
     /// member's virtual clock to where the per-tick loop would have put
     /// it, so `time_behind` ordering is unaffected.
     pub fn set_fast_forward(&mut self, enabled: bool) {
@@ -694,17 +687,14 @@ impl ArrayScheduler {
     /// Panics if any member's FTL signals an unrecoverable condition,
     /// which indicates a misconfigured experiment.
     pub fn run(&mut self) -> ArrayReport {
-        let threads = self.member_threads.min(self.members.len()).max(1);
-        match (self.sched, threads) {
-            (ArraySched::Barrier, 1) => self.run_serial(),
-            (ArraySched::Barrier, t) => self.run_barrier_pool(t),
-            (ArraySched::Steal, 1) => self.run_steal_inline(),
-            (ArraySched::Steal, t) => self.run_steal_pool(t),
+        match self.sched {
+            ArraySched::Serial => self.run_serial(),
+            ArraySched::Steal => self.run_quanta(),
         }
     }
 
-    /// Single-threaded reference loop: one request at a time, exactly the
-    /// closed-loop schedule of the single-device engine.
+    /// The reference loop: one request at a time on the calling thread,
+    /// exactly the closed-loop schedule of the single-device engine.
     fn run_serial(&mut self) -> ArrayReport {
         self.manager.apply_stagger(&mut self.members);
         if self.members[0].config().prefill {
@@ -724,47 +714,18 @@ impl ArrayScheduler {
         self.build_report(end)
     }
 
-    /// Work-stealing driver degenerated to one thread: the same quantum
-    /// structure as the pooled driver, executed inline without locks,
-    /// barriers, or worker threads. Exists so `--array-sched steal
-    /// --member-threads 1` exercises the exact dealing/merge code path
-    /// the pool uses.
-    fn run_steal_inline(&mut self) -> ArrayReport {
-        self.manager.apply_stagger(&mut self.members);
-        let do_prefill = self.members[0].config().prefill;
-        let queue_depth = self.thread_completion.len();
-        let mut lanes: Vec<Lane> = std::mem::take(&mut self.members)
-            .into_iter()
-            .map(Lane::new)
-            .collect();
-        if do_prefill {
-            for lane in &mut lanes {
-                lane.system.prefill();
-            }
-        }
-        let mut q = QuantumState::new(queue_depth, lanes.len());
-        loop {
-            if !self.serial_phase(&mut lanes[..], &mut q) {
-                break;
-            }
-            for &member in &q.touched {
-                lanes[member].run_queue();
-            }
-        }
-        for (i, lane) in lanes.into_iter().enumerate() {
-            self.absorb_lane(i, lane);
-        }
-        let end = self.end_time();
-        self.build_report(end)
-    }
-
-    /// Work-stealing driver: between the epoch-ordered serial sections,
-    /// workers claim the laggiest eligible members from a sharded agenda
-    /// and steal across shards once their own runs dry. The serial
-    /// sections lock only the lanes the quantum touched, so driver cost
-    /// per quantum is O(touched ∪ queue-depth), independent of the
-    /// member count.
-    fn run_steal_pool(&mut self, threads: usize) -> ArrayReport {
+    /// The production loop, for any worker count: between the
+    /// epoch-ordered serial sections, workers claim the laggiest touched
+    /// members from a sharded agenda and steal across shards once their
+    /// own runs dry. The serial sections lock only the lanes the quantum
+    /// touched, so driver cost per quantum is O(touched ∪ queue-depth),
+    /// independent of the member count. The driver is worker 0 — it
+    /// drains its shard between the same two barriers as the spawned
+    /// workers — so one thread spawns nothing; it then has nobody to
+    /// hand the lanes to, and steps the touched members through the
+    /// guards its serial phase already holds.
+    fn run_quanta(&mut self) -> ArrayReport {
+        let threads = self.member_threads.min(self.members.len()).max(1);
         self.manager.apply_stagger(&mut self.members);
         let do_prefill = self.members[0].config().prefill;
         let queue_depth = self.thread_completion.len();
@@ -774,31 +735,20 @@ impl ArrayScheduler {
             .collect();
         let queue = StealQueue::new(lanes.len(), threads);
         let round = AtomicU8::new(ROUND_STEPS);
-        let start = Barrier::new(threads + 1);
-        let finish = Barrier::new(threads + 1);
+        let start = Barrier::new(threads);
+        let finish = Barrier::new(threads);
 
         std::thread::scope(|scope| {
-            for worker in 0..threads {
+            for worker in 1..threads {
                 let (lanes, queue, round) = (&lanes, &queue, &round);
                 let (start, finish) = (&start, &finish);
                 scope.spawn(move || loop {
                     start.wait();
                     let op = round.load(Ordering::Acquire);
                     if op == ROUND_SHUTDOWN {
-                        finish.wait();
                         break;
                     }
-                    while let Some((member, stolen)) = queue.pop(worker) {
-                        let mut lane = lanes[member].lock().expect("a member panicked");
-                        if op == ROUND_PREFILL {
-                            lane.system.prefill();
-                            continue;
-                        }
-                        if stolen {
-                            lane.steals += 1;
-                        }
-                        lane.run_queue();
-                    }
+                    drain_round(lanes, queue, worker, op);
                     finish.wait();
                 });
             }
@@ -806,6 +756,7 @@ impl ArrayScheduler {
             let run_round = |op: u8| {
                 round.store(op, Ordering::Release);
                 start.wait();
+                drain_round(&lanes, &queue, 0, op);
                 finish.wait();
             };
             if do_prefill {
@@ -816,10 +767,14 @@ impl ArrayScheduler {
 
             let mut q = QuantumState::new(queue_depth, lanes.len());
             let mut table = LazyLanes::new(&lanes);
-            loop {
-                let more = self.serial_phase(&mut table, &mut q);
-                if !more {
-                    break;
+            while self.serial_phase(&mut table, &mut q) {
+                if threads == 1 {
+                    // Nobody to hand the lanes to: keep the guards and
+                    // step in place — no lock, agenda or barrier per quantum.
+                    for &member in &q.touched {
+                        table.lane(member).run_queue();
+                    }
+                    continue;
                 }
                 let horizon = self.schedule;
                 order_agenda(&mut table, &mut q.touched, &mut q.agenda_keys, horizon);
@@ -827,86 +782,8 @@ impl ArrayScheduler {
                 queue.publish(&q.touched);
                 run_round(ROUND_STEPS);
             }
-            table.release();
-            run_round(ROUND_SHUTDOWN);
-        });
-
-        for (i, lane) in lanes.into_iter().enumerate() {
-            self.absorb_lane(i, lane.into_inner().expect("a member panicked"));
-        }
-        let end = self.end_time();
-        self.build_report(end)
-    }
-
-    /// Barrier-lockstep driver (the debug oracle): a persistent pool of
-    /// `threads` scoped workers advances a static member partition
-    /// between two global barriers per quantum, visiting every member of
-    /// its partition each round, while this thread owns all scheduling,
-    /// routing and merging over fully pre-locked lanes.
-    fn run_barrier_pool(&mut self, threads: usize) -> ArrayReport {
-        self.manager.apply_stagger(&mut self.members);
-        let do_prefill = self.members[0].config().prefill;
-        let queue_depth = self.thread_completion.len();
-        let lanes: Vec<Mutex<Lane>> = std::mem::take(&mut self.members)
-            .into_iter()
-            .map(|system| Mutex::new(Lane::new(system)))
-            .collect();
-        let round = AtomicU8::new(ROUND_STEPS);
-        let start = Barrier::new(threads + 1);
-        let finish = Barrier::new(threads + 1);
-
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let (lanes, round) = (&lanes, &round);
-                let (start, finish) = (&start, &finish);
-                scope.spawn(move || loop {
-                    start.wait();
-                    let op = round.load(Ordering::Acquire);
-                    if op == ROUND_SHUTDOWN {
-                        finish.wait();
-                        break;
-                    }
-                    for lane in lanes.iter().skip(worker).step_by(threads) {
-                        let mut lane = lane.lock().expect("a member panicked");
-                        if op == ROUND_PREFILL {
-                            lane.system.prefill();
-                            continue;
-                        }
-                        lane.run_queue();
-                    }
-                    finish.wait();
-                });
-            }
-
-            let run_round = |op: u8| {
-                round.store(op, Ordering::Release);
-                start.wait();
-                finish.wait();
-            };
-            if do_prefill {
-                run_round(ROUND_PREFILL);
-            }
-
-            let mut q = QuantumState::new(queue_depth, lanes.len());
-            loop {
-                let more;
-                {
-                    // Workers are parked at the start barrier, so every
-                    // lock below is uncontended; holding all guards gives
-                    // the same indexed member access the serial scheduler
-                    // has.
-                    let mut guards: Vec<MutexGuard<'_, Lane>> = lanes
-                        .iter()
-                        .map(|l| l.lock().expect("a member panicked"))
-                        .collect();
-                    more = self.serial_phase(&mut guards[..], &mut q);
-                }
-                if !more {
-                    break;
-                }
-                run_round(ROUND_STEPS);
-            }
-            run_round(ROUND_SHUTDOWN);
+            round.store(ROUND_SHUTDOWN, Ordering::Release);
+            start.wait();
         });
 
         for (i, lane) in lanes.into_iter().enumerate() {
@@ -929,7 +806,7 @@ impl ArrayScheduler {
     /// mirrored read, then deals the next quantum into member queues.
     /// Returns `false` once the quantum comes up empty — the workload is
     /// exhausted and fully merged.
-    fn serial_phase<T: LaneTable + ?Sized>(&mut self, table: &mut T, q: &mut QuantumState) -> bool {
+    fn serial_phase(&mut self, table: &mut LazyLanes<'_>, q: &mut QuantumState) -> bool {
         if !q.quantum.is_empty() {
             self.merge_quantum(table, q);
         }
@@ -966,10 +843,10 @@ impl ArrayScheduler {
     /// Assigns `req` its closed-loop thread and issue time, then deals
     /// one sub-request per touched member (both replicas for mirrored
     /// writes/trims) into the member queues for the next parallel round.
-    fn enqueue_sub_requests<T: LaneTable + ?Sized>(
+    fn enqueue_sub_requests(
         &mut self,
         req: IoRequest,
-        table: &mut T,
+        table: &mut LazyLanes<'_>,
         q: &mut QuantumState,
     ) {
         let thread = self.next_thread;
@@ -1024,7 +901,7 @@ impl ArrayScheduler {
     /// thread completion / latency / straggler accounting exactly as the
     /// serial loop performs per request. Only the quantum's touched lanes
     /// are read and reset.
-    fn merge_quantum<T: LaneTable + ?Sized>(&mut self, table: &mut T, q: &mut QuantumState) {
+    fn merge_quantum(&mut self, table: &mut LazyLanes<'_>, q: &mut QuantumState) {
         q.outcomes.clear();
         q.outcomes
             .extend(q.quantum.iter().map(|&(_, issue)| ReqOutcome::new(issue)));
@@ -1072,7 +949,7 @@ impl ArrayScheduler {
 
     /// Serial-phase handler for a mirrored read: the replica choice reads
     /// both members' live GC signals, so it cannot overlap other work.
-    fn dispatch_mirrored_read<T: LaneTable + ?Sized>(&mut self, req: IoRequest, table: &mut T) {
+    fn dispatch_mirrored_read(&mut self, req: IoRequest, table: &mut LazyLanes<'_>) {
         let thread = self.next_thread;
         self.next_thread = (self.next_thread + 1) % self.thread_completion.len();
         let issue = self.thread_completion[thread] + req.gap;
@@ -1180,8 +1057,8 @@ impl ArrayScheduler {
     }
 
     /// Steps one member with the same telemetry [`Lane::run_queue`]
-    /// records, so serial and parallel runs report identical lag
-    /// histograms and FGC attribution.
+    /// records, so the reference and the quantum loop report identical
+    /// lag histograms and FGC attribution.
     fn step_member(&mut self, member: usize, sub: IoRequest, issue: SimTime) -> (SimTime, bool) {
         let lag = issue.saturating_since(self.members[member].virtual_clock());
         self.member_lag[member].record(lag);
@@ -1255,8 +1132,8 @@ impl ArrayScheduler {
 /// queued sub-requests, then most virtual time behind the horizon, then
 /// lowest index. Purely a wall-clock optimization (LPT-style longest
 /// processing time first) — execution order cannot affect results.
-fn order_agenda<T: LaneTable + ?Sized>(
-    table: &mut T,
+fn order_agenda(
+    table: &mut LazyLanes<'_>,
     touched: &mut [usize],
     keys: &mut Vec<(usize, u64, u64)>,
     horizon: SimTime,

@@ -1,16 +1,16 @@
 //! **Rack-scale scheduler micro-benchmark** — wall-clock cost of stepping
-//! a 64-member array with one straggling (degraded, GC-heavy) member,
-//! under the work-stealing driver versus the lockstep barrier oracle, at
-//! one and eight member threads.
+//! a 64-member array with one straggling (degraded, GC-heavy) member:
+//! the request-at-a-time serial reference, then the work-stealing
+//! quantum loop at one and eight member threads.
 //!
 //! The simulated reports are byte-identical across every cell (the bench
 //! asserts it); only the wall clock moves. The interesting comparisons:
 //!
-//! * `steal` vs `barrier` at the same thread count — the barrier driver
-//!   sweeps and locks all 64 lanes every quantum, the steal driver
-//!   touches only the lanes the quantum actually dealt to, and its
-//!   workers keep pulling the laggiest member instead of idling at two
-//!   global barriers while the straggler finishes its FGC.
+//! * `steal/1` vs `serial/1` — what the quantum structure (dealing into
+//!   lane queues, merging a quantum at a time) costs when nothing runs
+//!   in parallel; `steal/8` vs `steal/1` — what the workers buy, pulling the
+//!   laggiest member instead of idling while the straggler finishes its
+//!   FGC (needs more than one core to show).
 //! * the straggler attribution table — which member set volume p999 and
 //!   how much of its exclusive delay was foreground GC.
 //!
@@ -87,9 +87,8 @@ fn run_cell(sched: ArraySched, member_threads: usize) -> (ArrayReport, SchedTele
 
 fn main() {
     let cells = [
-        (ArraySched::Barrier, 1),
+        (ArraySched::Serial, 1),
         (ArraySched::Steal, 1),
-        (ArraySched::Barrier, 8),
         (ArraySched::Steal, 8),
     ];
     println!(
@@ -110,7 +109,7 @@ fn main() {
                 sched.name()
             ),
         }
-        if sched == ArraySched::Barrier && threads == 1 {
+        if sched == ArraySched::Serial {
             baseline = Some(wall);
         }
         println!(
@@ -124,7 +123,7 @@ fn main() {
         );
         if let Some(base) = baseline {
             if wall > 0.0 {
-                println!("{:<24}{:>11.2}x vs barrier/1", "", base / wall);
+                println!("{:<24}{:>11.2}x vs serial/1", "", base / wall);
             }
         }
         if sched == ArraySched::Steal && threads == 8 {
@@ -154,5 +153,5 @@ fn main() {
             );
         }
     }
-    println!("\nall four cells produced byte-identical simulated reports");
+    println!("\nall three cells produced byte-identical simulated reports");
 }

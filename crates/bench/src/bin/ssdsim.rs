@@ -24,9 +24,9 @@
 //!                          keep their model predictions in --bench-json
 //!   --screen-keep <F>      fraction of each benchmark's cells the screen
 //!                          fills up to beyond the frontier  (default 0.25)
-//!   --seconds <N>          simulated duration          (default 300)
-//!   --iops <F>             mean arrival rate           (default 250)
-//!   --burst <F>            mean burst length           (default 1024)
+//!   --seconds <N>          simulated duration, ≥ 1     (default 300)
+//!   --iops <F>             mean arrival rate, > 0      (default 250)
+//!   --burst <F>            mean burst length, ≥ 1      (default 1024)
 //!   --seed <N>             RNG seed                    (default 42)
 //!   --victim <greedy|cost-benefit|fifo|random:<seed>>  (default greedy)
 //!   --no-prefill           start from an erased device (default: aged)
@@ -75,20 +75,11 @@
 //!   --gc-mode <staggered|unsync>
 //!                          stagger member flusher/BGC phases or leave them
 //!                          aligned                          (default staggered)
-//!   --member-threads <N>   worker threads stepping array members in
-//!                          parallel (must not exceed the member count);
+//!   --member-threads <N>   threads stepping array members through the
+//!                          work-stealing quantum loop, the driver thread
+//!                          included (must not exceed the member count);
 //!                          reports are byte-identical for any value
 //!                                                              (default 1)
-//!   --array-sched <steal|barrier>
-//!                          member-stepping driver: deterministic
-//!                          work-stealing (scales to hundreds of members)
-//!                          or the lockstep barrier debug oracle; reports
-//!                          are byte-identical either way    (default steal)
-//!   --gc-migration <bulk|looped>
-//!                          GC migration path (foreground, wear-leveling
-//!                          and background GC): vectorized copy_pages or
-//!                          the per-page loop; observationally identical,
-//!                          an A/B measurement switch   (default bulk)
 //!   --fast-forward <on|off>
 //!                          quiescence fast-forward: skip provably idle
 //!                          flusher ticks in O(1) (DESIGN.md §15); reports
@@ -143,8 +134,6 @@ struct Args {
     mirror: bool,
     gc_mode: GcMode,
     member_threads: usize,
-    array_sched: ArraySched,
-    bulk_gc: bool,
     fast_forward: bool,
     queue_depth: Option<u32>,
 }
@@ -183,8 +172,6 @@ impl Default for Args {
             mirror: false,
             gc_mode: GcMode::Staggered,
             member_threads: 1,
-            array_sched: ArraySched::Steal,
-            bulk_gc: true,
             fast_forward: true,
             queue_depth: None,
         }
@@ -206,9 +193,7 @@ fn usage() -> ! {
     eprintln!("              [--fault-erase F] [--fault-read F]");
     eprintln!("              [--array N] [--stripe-kb K] [--mirror]");
     eprintln!("              [--gc-mode staggered|unsync] [--member-threads N]");
-    eprintln!("              [--array-sched steal|barrier]");
-    eprintln!("              [--gc-migration bulk|looped] [--fast-forward on|off]");
-    eprintln!("              [--queue-depth N]");
+    eprintln!("              [--fast-forward on|off] [--queue-depth N]");
     eprintln!("see the module docs (`ssdsim.rs`) for value sets");
     std::process::exit(2)
 }
@@ -319,9 +304,33 @@ fn parse_args() -> Args {
                     usage()
                 }
             }
-            "--seconds" => args.seconds = value().parse().unwrap_or_else(|_| usage()),
-            "--iops" => args.iops = value().parse().unwrap_or_else(|_| usage()),
-            "--burst" => args.burst = value().parse().unwrap_or_else(|_| usage()),
+            "--seconds" => {
+                args.seconds = value().parse().unwrap_or_else(|_| usage());
+                if args.seconds == 0 {
+                    eprintln!("--seconds 0: the run needs at least one simulated second");
+                    usage()
+                }
+            }
+            "--iops" => {
+                args.iops = value().parse().unwrap_or_else(|_| usage());
+                if !(args.iops.is_finite() && args.iops > 0.0) {
+                    eprintln!(
+                        "--iops {}: the mean IOPS must be positive and finite",
+                        args.iops
+                    );
+                    usage()
+                }
+            }
+            "--burst" => {
+                args.burst = value().parse().unwrap_or_else(|_| usage());
+                if !(args.burst.is_finite() && args.burst >= 1.0) {
+                    eprintln!(
+                        "--burst {}: the mean burst length must be at least 1",
+                        args.burst
+                    );
+                    usage()
+                }
+            }
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
             "--victim" => args.victim = parse_victim(&value()),
             "--no-prefill" => args.prefill = false,
@@ -357,26 +366,6 @@ fn parse_args() -> Args {
                 if args.member_threads == 0 {
                     eprintln!("--member-threads must be at least 1");
                     usage()
-                }
-            }
-            "--array-sched" => {
-                args.array_sched = match value().as_str() {
-                    "steal" => ArraySched::Steal,
-                    "barrier" => ArraySched::Barrier,
-                    other => {
-                        eprintln!("unknown array scheduler: {other}");
-                        usage()
-                    }
-                }
-            }
-            "--gc-migration" => {
-                args.bulk_gc = match value().as_str() {
-                    "bulk" => true,
-                    "looped" => false,
-                    other => {
-                        eprintln!("unknown gc migration path: {other}");
-                        usage()
-                    }
                 }
             }
             "--fast-forward" => {
@@ -623,7 +612,7 @@ fn array_perf_record(
         .field("ticks_skipped", ff.ticks_skipped)
         .field("ff_spans", ff.ff_spans)
         .field("phase_untracked_secs", untracked)
-        // Schema 5: the parallel-stepping width (1 = serial scheduler).
+        // Schema 5: the parallel-stepping width (1 = driver thread only).
         .field("member_threads", args.member_threads as u64)
         .field(
             "array",
@@ -635,8 +624,7 @@ fn array_perf_record(
                 .field("split_requests", report.split_requests)
                 .field("routed_reads", report.routed_reads)
                 // Schema 6: which driver stepped the members and how much
-                // work moved between workers (zero under `barrier` or
-                // with one thread).
+                // work moved between workers (zero with one thread).
                 .field("array_sched", telemetry.sched.name())
                 .field("epochs", telemetry.epochs)
                 .field("steals", telemetry.steals)
@@ -826,7 +814,7 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
         chunk_pages,
         redundancy,
         gc_mode: args.gc_mode,
-        sched: args.array_sched,
+        sched: ArraySched::Steal,
         member_threads: args.member_threads,
         system: system.clone(),
     };
@@ -870,7 +858,6 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
             let setup_start = Instant::now();
             let workload = benchmark.build(workload_config);
             let mut sim = config.build(|cfg| policy.build(cfg), workload);
-            sim.set_bulk_gc(args.bulk_gc);
             sim.set_fast_forward(args.fast_forward);
             if profile_phases {
                 sim.enable_phase_profiling();
@@ -967,7 +954,7 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
     );
     println!(
         "scheduler       {}, {} member thread(s)",
-        args.array_sched.name(),
+        config.sched.name(),
         args.member_threads
     );
     println!("policy          {}", report.policy);
@@ -1139,7 +1126,6 @@ fn main() {
     // byte-identical to the same cell of an exhaustive sweep.
     let threads = if kept.len() == 1 { 1 } else { args.threads };
     let profile_phases = args.bench_json.is_some();
-    let bulk_gc = args.bulk_gc;
     let fast_forward = args.fast_forward;
     let system_ref = &system;
     let cells_ref = &cells;
@@ -1159,7 +1145,6 @@ fn main() {
         let workload = cell.benchmark.build(workload_config);
         let policy = cell.policy.build(&cell_system);
         let mut sim = SsdSystem::new(cell_system, policy, workload);
-        sim.set_bulk_gc(bulk_gc);
         sim.set_fast_forward(fast_forward);
         if profile_phases {
             sim.enable_phase_profiling();

@@ -5,7 +5,6 @@ use jitgc_sim::{ByteSize, SimDuration};
 
 /// The manager's verdict for one write-back interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReclaimDecision {
     /// `D_reclaim`: how much additional free capacity background GC must
     /// produce *now* (zero when GC can wait).

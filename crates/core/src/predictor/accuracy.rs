@@ -28,7 +28,6 @@
 /// assert!((score - 0.70).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccuracyTracker {
     sum: f64,
     scored: u64,

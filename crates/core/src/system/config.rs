@@ -16,7 +16,6 @@ use jitgc_sim::{ByteSize, SimDuration};
 /// explicit commands over `SG_IO`, paying ~160 µs per exchange. The
 /// placement changes only that interface cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ManagerPlacement {
     /// Fig. 3(b): manager in the host kernel; each tick pays the
     /// configured per-command overhead for the demand/SIP/C_free/BGC
@@ -29,7 +28,6 @@ pub enum ManagerPlacement {
 
 /// Which victim-selection policy the FTL uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VictimKind {
     /// Fewest valid pages first (default).
     Greedy,
@@ -93,7 +91,6 @@ impl VictimKind {
 /// Serializable, so whole experiment setups can be stored and replayed
 /// (`ssdsim --config setup.json`).
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemConfig {
     /// FTL / device configuration.
     pub ftl: FtlConfig,

@@ -23,10 +23,12 @@ pub struct PhaseProfile {
     pub bgc: Duration,
     /// Final report construction.
     pub reporting: Duration,
-    /// GC copy work inside the FTL: foreground collections, wear-leveling
-    /// relocations, and background GC's migration steps (only the steps
-    /// that copy at least one page — a BGC call with no affordable page
-    /// reads no clock). **Sub-phase**: this time is already contained in
+    /// GC copy work inside the FTL: the page migration of foreground
+    /// collections, wear-leveling relocations and background GC's steps
+    /// (only the steps that copy at least one page — a BGC call with no
+    /// affordable page reads no clock). The timed region is the copy
+    /// alone: no victim's erase falls inside it, foreground or
+    /// background. **Sub-phase**: this time is already contained in
     /// `request_execution`/`flush`/`bgc`, so it is excluded from
     /// [`accounted`](Self::accounted); it isolates the cost the batched
     /// `copy_pages` migration path attacks.

@@ -26,7 +26,6 @@ use jitgc_sim::{ByteSize, SimDuration};
 /// assert!(config.op_pages() >= 700);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FtlConfig {
     user_pages: u64,
     op_permille: u64,

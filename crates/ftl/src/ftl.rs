@@ -153,11 +153,10 @@ pub struct Ftl {
     /// reused across batches (a mirror layer reads these back from the
     /// surviving replica).
     failed_reads: Vec<Lpn>,
-    /// Full-block collections and background GC's migration steps use
-    /// the batched [`copy_pages`](NandDevice::copy_pages) path when set
-    /// (the default); cleared for A/B comparisons against the per-page
-    /// loop. Both paths produce byte-identical state — debug builds
-    /// assert it on every collection and every BGC step.
+    /// GC migration uses the batched
+    /// [`copy_pages`](NandDevice::copy_pages) path when set (the default);
+    /// tests clear it to run the per-page reference. Both produce
+    /// byte-identical state — debug builds assert it on every migration.
     bulk_gc: bool,
     /// Scratch for the bulk path's victim snapshot, reused across
     /// collections so the steady state allocates nothing.
@@ -501,8 +500,7 @@ impl Ftl {
     ///
     /// Page-granular does not mean page-at-a-time: the pages a visit can
     /// afford move in one budgeted bulk copy whose in-copy gate stops at
-    /// the same page the per-page loop would (see
-    /// [`set_bulk_gc`](Self::set_bulk_gc)).
+    /// the same page a per-page loop would.
     pub fn background_collect(
         &mut self,
         now: SimTime,
@@ -542,8 +540,10 @@ impl Ftl {
                 // block is available: background GC simply cannot make
                 // progress right now (the victim stays in progress for
                 // later).
-                if !self.migrate_within_budget(victim, now, budget, &mut outcome) {
-                    break 'outer;
+                match self.migrate(victim, now, Some(budget), &mut outcome) {
+                    Ok(()) => {}
+                    Err(FtlError::NoReclaimableSpace) => break 'outer,
+                    Err(e) => panic!("BGC migration failed: {e}"),
                 }
             }
             if outcome.duration + erase_cost > budget {
@@ -566,58 +566,64 @@ impl Ftl {
         outcome
     }
 
-    /// One budgeted migration step of background GC: moves valid pages out
-    /// of `victim` until the victim is empty or the next page would not
-    /// fit (`outcome.duration + page_migrate_cost > budget`), adding to
-    /// `outcome`. Returns `false` when no GC scratch block could be
-    /// opened; the page in flight then stays valid in the victim and its
-    /// cost is not charged.
+    /// The one GC copy primitive: moves valid pages out of `victim` into the
+    /// GC write stream until the victim is empty or — with a `budget` —
+    /// the next page would not fit (`outcome.duration` plus
+    /// `page_migrate_cost` exceeds it), adding completed pages to
+    /// `outcome`. `None` is unlimited: foreground GC and wear leveling
+    /// empty the victim.
     ///
-    /// The caller has checked that at least one page is affordable, so
-    /// every call reads at least one page. Dispatches like
-    /// [`collect_block`](Self::collect_block): bulk by default, the
-    /// per-page loop when [`set_bulk_gc`](Self::set_bulk_gc) cleared it,
-    /// and in debug builds every bulk step is replayed through the loop on
-    /// a cloned shadow FTL.
-    fn migrate_within_budget(
+    /// Fails with [`FtlError::NoReclaimableSpace`] when no GC scratch block
+    /// could be opened; the page in flight then stays valid in the victim
+    /// and its cost is not charged.
+    ///
+    /// This is the only dispatch site between the batched production path
+    /// and the per-page reference ([`set_bulk_gc`](Self::set_bulk_gc)), and
+    /// in debug builds every batched call is replayed through the
+    /// reference on a cloned shadow FTL.
+    fn migrate(
         &mut self,
         victim: BlockId,
         now: SimTime,
-        budget: SimDuration,
+        budget: Option<SimDuration>,
         outcome: &mut BgcOutcome,
-    ) -> bool {
+    ) -> Result<(), FtlError> {
+        debug_assert!(!self.is_free[victim.0 as usize], "victim must be in use");
+        debug_assert!(
+            self.active_user != Some(victim) && self.active_gc != Some(victim),
+            "victim must not be an active block"
+        );
         #[cfg(debug_assertions)]
         let shadow = self.bulk_gc.then(|| (self.oracle_shadow(), *outcome));
         let t0 = self.gc_copy_enabled.then(std::time::Instant::now);
         let result = if self.bulk_gc {
-            self.migrate_within_budget_bulk(victim, now, budget, outcome)
+            self.migrate_bulk(victim, now, budget, outcome)
         } else {
-            self.migrate_within_budget_looped(victim, now, budget, outcome)
+            self.migrate_per_page(victim, now, budget, outcome)
         };
         if let Some(t0) = t0 {
             self.gc_copy_wall += t0.elapsed();
         }
         #[cfg(debug_assertions)]
         if let Some((mut shadow, mut expected)) = shadow {
-            let expected_result =
-                shadow.migrate_within_budget_looped(victim, now, budget, &mut expected);
-            self.assert_matches_oracle(&shadow, &(expected_result, expected), &(result, *outcome));
+            let expected_result = shadow.migrate_per_page(victim, now, budget, &mut expected);
+            self.assert_matches_oracle(
+                &shadow,
+                &(&expected_result, expected),
+                &(&result, *outcome),
+            );
         }
-        match result {
-            Ok(()) => true,
-            Err(FtlError::NoReclaimableSpace) => false,
-            Err(e) => panic!("BGC migration failed: {e}"),
-        }
+        result
     }
 
-    /// Per-page reference implementation of
-    /// [`migrate_within_budget`](Self::migrate_within_budget): the budget
-    /// gate, then one read/program/invalidate round-trip, per page.
-    fn migrate_within_budget_looped(
+    /// Per-page reference implementation of [`migrate`](Self::migrate):
+    /// the budget gate, then one read/program/invalidate round-trip, per
+    /// page.
+    fn migrate_per_page(
         &mut self,
         victim: BlockId,
         now: SimTime,
-        budget: SimDuration,
+        budget: Option<SimDuration>,
         outcome: &mut BgcOutcome,
     ) -> Result<(), FtlError> {
         let migrate_cost = self.config.timing().page_migrate_cost();
@@ -625,7 +631,7 @@ impl Ftl {
             let next = self.device.block(victim).valid_lpns().next();
             next
         } {
-            if outcome.duration + migrate_cost > budget {
+            if budget.is_some_and(|budget| outcome.duration + migrate_cost > budget) {
                 break;
             }
             outcome.duration += self.migrate_page(victim, offset, lpn, now)?;
@@ -635,24 +641,26 @@ impl Ftl {
         Ok(())
     }
 
-    /// Batched implementation of
-    /// [`migrate_within_budget`](Self::migrate_within_budget): snapshots
-    /// only as many valid pages as the remaining budget can pay for (each
-    /// costs at least `page_migrate_cost`), then hands them to the
-    /// budget-aware chunk loop, whose in-copy gate decides where the step
-    /// really stops — program retries make pages dearer than the estimate.
-    fn migrate_within_budget_bulk(
+    /// Batched implementation of [`migrate`](Self::migrate): snapshots the
+    /// victim's valid pages — under a budget only as many as it can pay
+    /// for, each costing at least `page_migrate_cost` — then hands them to
+    /// the chunk loop, whose in-copy gate decides where a budgeted step
+    /// really stops (program retries make pages dearer than the estimate).
+    /// Device operations, and therefore fault-model RNG draws, timings and
+    /// counters, happen in exactly the order the per-page loop issues them.
+    fn migrate_bulk(
         &mut self,
         victim: BlockId,
         now: SimTime,
-        budget: SimDuration,
+        budget: Option<SimDuration>,
         outcome: &mut BgcOutcome,
     ) -> Result<(), FtlError> {
-        let migrate_cost = self.config.timing().page_migrate_cost();
-        let affordable = budget
-            .saturating_sub(outcome.duration)
-            .div_duration(migrate_cost);
-        let affordable = usize::try_from(affordable).unwrap_or(usize::MAX);
+        let affordable = budget.map_or(usize::MAX, |budget| {
+            let pages = budget
+                .saturating_sub(outcome.duration)
+                .div_duration(self.config.timing().page_migrate_cost());
+            usize::try_from(pages).unwrap_or(usize::MAX)
+        });
         let mut snapshot = std::mem::take(&mut self.gc_snapshot);
         snapshot.clear();
         {
@@ -665,7 +673,7 @@ impl Ftl {
                     .map(|(offset, lpn)| (geometry.ppn(victim, offset), lpn)),
             );
         }
-        let result = self.bulk_copy_out(victim, &snapshot, now, Some(budget), outcome);
+        let result = self.bulk_copy_out(victim, &snapshot, now, budget, outcome);
         self.gc_snapshot = snapshot;
         result
     }
@@ -752,113 +760,23 @@ impl Ftl {
         Ok(outcome)
     }
 
-    /// Migrates every remaining valid page out of `victim` and erases it.
-    ///
-    /// Dispatches to the batched [`copy_pages`](NandDevice::copy_pages)
-    /// path (default) or the per-page reference loop; both produce
-    /// byte-identical state and debug builds assert it on every call by
-    /// replaying the collection on a cloned shadow FTL.
+    /// Migrates every remaining valid page out of `victim` and erases it
+    /// (or retires it, when the erase fails or the block is worn out).
     fn collect_block(
         &mut self,
         victim: BlockId,
         now: SimTime,
     ) -> Result<(SimDuration, u64), FtlError> {
-        #[cfg(debug_assertions)]
-        let shadow = self.bulk_gc.then(|| self.oracle_shadow());
-        let t0 = self.gc_copy_enabled.then(std::time::Instant::now);
-        let result = if self.bulk_gc {
-            self.collect_block_bulk(victim, now)
-        } else {
-            self.collect_block_looped(victim, now)
-        };
-        if let Some(t0) = t0 {
-            self.gc_copy_wall += t0.elapsed();
-        }
-        #[cfg(debug_assertions)]
-        if let Some(mut shadow) = shadow {
-            let expected = shadow.collect_block_looped(victim, now);
-            self.assert_matches_oracle(&shadow, &expected, &result);
-        }
-        result
-    }
-
-    /// Per-page reference implementation of [`collect_block`]: one
-    /// read/program/invalidate round-trip per surviving page. Kept as the
-    /// equivalence oracle for the bulk path and selectable at runtime via
-    /// [`set_bulk_gc`](Self::set_bulk_gc) for A/B benchmarking.
-    ///
-    /// [`collect_block`]: Self::collect_block
-    fn collect_block_looped(
-        &mut self,
-        victim: BlockId,
-        now: SimTime,
-    ) -> Result<(SimDuration, u64), FtlError> {
-        debug_assert!(!self.is_free[victim.0 as usize], "victim must be in use");
-        debug_assert!(
-            self.active_user != Some(victim) && self.active_gc != Some(victim),
-            "victim must not be an active block"
-        );
-        let mut duration = SimDuration::ZERO;
-        let mut migrated = 0u64;
-        while let Some((offset, lpn)) = {
-            let next = self.device.block(victim).valid_lpns().next();
-            next
-        } {
-            duration += self.migrate_page(victim, offset, lpn, now)?;
-            migrated += 1;
-            self.stats.gc_pages_migrated += 1;
-        }
+        let mut outcome = BgcOutcome::default();
+        self.migrate(victim, now, None, &mut outcome)?;
         debug_assert_eq!(
             self.sip_counts[victim.0 as usize], 0,
             "erased block retains SIP-listed valid pages"
         );
         if let Some(took) = self.erase_or_retire(victim, now) {
-            duration += took;
+            outcome.duration += took;
         }
-        Ok((duration, migrated))
-    }
-
-    /// Batched implementation of [`collect_block`]: snapshot the victim's
-    /// valid pages once, then relocate them in destination-block-sized
-    /// chunks through [`NandDevice::copy_pages_within`], applying mapping /
-    /// SIP / recency updates per chunk instead of per page. Device
-    /// operations (and therefore fault-model RNG draws, timings and
-    /// counters) happen in exactly the order the per-page loop issues them.
-    ///
-    /// [`collect_block`]: Self::collect_block
-    fn collect_block_bulk(
-        &mut self,
-        victim: BlockId,
-        now: SimTime,
-    ) -> Result<(SimDuration, u64), FtlError> {
-        debug_assert!(!self.is_free[victim.0 as usize], "victim must be in use");
-        debug_assert!(
-            self.active_user != Some(victim) && self.active_gc != Some(victim),
-            "victim must not be an active block"
-        );
-        let mut snapshot = std::mem::take(&mut self.gc_snapshot);
-        snapshot.clear();
-        {
-            let geometry = self.device.geometry();
-            let block = self.device.block(victim);
-            snapshot.extend(
-                block
-                    .valid_lpns()
-                    .map(|(offset, lpn)| (geometry.ppn(victim, offset), lpn)),
-            );
-        }
-        let mut copied = BgcOutcome::default();
-        let result = self.bulk_copy_out(victim, &snapshot, now, None, &mut copied);
-        self.gc_snapshot = snapshot;
-        result?;
-        debug_assert_eq!(
-            self.sip_counts[victim.0 as usize], 0,
-            "erased block retains SIP-listed valid pages"
-        );
-        if let Some(took) = self.erase_or_retire(victim, now) {
-            copied.duration += took;
-        }
-        Ok((copied.duration, copied.pages_migrated))
+        Ok((outcome.duration, outcome.pages_migrated))
     }
 
     /// Copies `snapshot` pages out of `victim` into the GC write stream,
@@ -960,7 +878,7 @@ impl Ftl {
     }
 
     /// Clones the full FTL state (fault-model RNG position included) into
-    /// a shadow instance pinned to the per-page path, so a bulk collection
+    /// a shadow instance pinned to the per-page path, so a batched migration
     /// can be replayed and compared field-for-field.
     #[cfg(debug_assertions)]
     fn oracle_shadow(&self) -> Ftl {
@@ -980,7 +898,7 @@ impl Ftl {
             sip: self.sip.clone(),
             sip_counts: self.sip_counts.clone(),
             sip_filter_enabled: self.sip_filter_enabled,
-            // collect_block never consults the selector, so the shadow
+            // Migration never consults the selector, so the shadow
             // does not need a clone of the (non-Clone) installed one.
             selector: Box::new(crate::GreedySelector),
             victim_index: self.victim_index.clone(),
@@ -997,7 +915,7 @@ impl Ftl {
         }
     }
 
-    /// Field-for-field comparison of the bulk collection result against
+    /// Field-for-field comparison of a batched migration's result against
     /// the shadow replay of the per-page loop.
     #[cfg(debug_assertions)]
     fn assert_matches_oracle<R: std::fmt::Debug>(&self, shadow: &Ftl, expected: &R, actual: &R) {
@@ -1479,12 +1397,13 @@ impl Ftl {
         self.selector.name()
     }
 
-    /// Selects between the batched migration path (`true`, the default)
-    /// and the per-page reference loop, for full-block collections
-    /// (foreground GC, wear leveling) and for budgeted background GC
-    /// alike. Both produce byte-identical simulation state — background
-    /// GC stops on the same page under the same budget; the switch exists
-    /// for A/B benchmarking and the equivalence tests.
+    /// Test hook: `false` pins every GC migration — foreground GC, wear
+    /// leveling and budgeted background GC alike — to the per-page
+    /// reference loop instead of the batched production path (`true`, the
+    /// default). Both produce byte-identical simulation state, background
+    /// GC stopping on the same page under the same budget; the hook exists
+    /// so release-build equivalence tests can run the reference (debug
+    /// builds replay it on every migration anyway). No driver exposes it.
     pub fn set_bulk_gc(&mut self, enabled: bool) {
         self.bulk_gc = enabled;
     }
@@ -1496,10 +1415,11 @@ impl Ftl {
         self.bulk_gc
     }
 
-    /// Starts wall-clock accounting of GC copy work — full-block
-    /// collections plus every background-GC step that copies at least one
-    /// page (calls whose budget affords no page read no clock); the total
-    /// is read back with [`gc_copy_wall`](Self::gc_copy_wall). Measurement
+    /// Starts wall-clock accounting of GC copy work — the page migration
+    /// of full-block collections (their erase is not timed) plus every
+    /// background-GC step that copies at least one page (calls whose
+    /// budget affords no page read no clock); the total is read back with
+    /// [`gc_copy_wall`](Self::gc_copy_wall). Measurement
     /// only — simulated behaviour is unaffected.
     pub fn enable_gc_copy_profiling(&mut self) {
         self.gc_copy_enabled = true;

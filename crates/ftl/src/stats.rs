@@ -8,7 +8,6 @@ use jitgc_sim::SimDuration;
 /// Factor, NAND page programs divided by host page writes — the paper's
 /// lifetime proxy (Fig. 2(b), Fig. 7(b)). The SIP counters feed Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FtlStats {
     /// Pages written by the host (flushes + direct writes).
     pub host_pages_written: u64,

@@ -9,18 +9,15 @@ use std::fmt;
 /// so garbage collection can relocate pages without a reverse-map lookup,
 /// exactly as production FTLs do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lpn(pub u64);
 
 /// A **physical** page number, indexing pages across the whole device in
 /// block-major order: `ppn = block.0 × pages_per_block + offset`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ppn(pub u64);
 
 /// A physical erase-block number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockId(pub u32);
 
 impl Lpn {
@@ -107,13 +104,5 @@ mod tests {
         assert!(Lpn(1) < Lpn(2));
         assert!(Ppn(1) < Ppn(2));
         assert!(BlockId(1) < BlockId(2));
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let l = Lpn(77);
-        let json = serde_json::to_string(&l).expect("serialize");
-        assert_eq!(serde_json::from_str::<Lpn>(&json).expect("parse"), l);
     }
 }

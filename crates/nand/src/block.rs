@@ -4,7 +4,6 @@ use crate::{Lpn, NandError, Ppn};
 
 /// The lifecycle state of one physical page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PageState {
     /// Erased and programmable (once).
     Free,
@@ -40,7 +39,6 @@ pub enum PageState {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Block {
     states: Vec<PageState>,
     oob: Vec<Option<Lpn>>,

@@ -24,7 +24,6 @@ use jitgc_sim::SimRng;
 /// growing past the scale, clamped at 1). Setting a rate to zero
 /// disables that fault class entirely.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultConfig {
     /// Seed of the injector's private RNG stream.
     pub seed: u64,

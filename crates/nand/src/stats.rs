@@ -9,7 +9,6 @@ use jitgc_sim::SimDuration;
 /// `programs` is the numerator of the Write Amplification Factor; the FTL
 /// divides it by host-issued page writes to report WAF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NandStats {
     /// Pages read.
     pub reads: u64,
@@ -64,7 +63,6 @@ impl NandStats {
 /// assert_eq!(wear.max, 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WearReport {
     /// Sum of erase counts over all blocks.
     pub total: u64,

@@ -19,7 +19,6 @@ use jitgc_sim::SimDuration;
 /// assert_eq!(config.flush_threshold_pages(), 204);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PageCacheConfig {
     capacity_pages: u64,
     tau_expire: SimDuration,

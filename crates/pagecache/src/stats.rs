@@ -2,7 +2,6 @@
 
 /// Cumulative counters for one [`PageCache`](crate::PageCache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PageCacheStats {
     /// Buffered writes absorbed by the cache.
     pub writes: u64,

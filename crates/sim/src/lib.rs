@@ -6,8 +6,6 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond simulated time, so
 //!   every run is exactly reproducible (no floating-point clock drift).
 //! * [`ByteSize`] — a byte-count newtype with KiB/MiB/GiB constructors.
-//! * [`EventQueue`] — a deterministic priority queue of timestamped events
-//!   with stable FIFO ordering among equal timestamps.
 //! * [`SimRng`] and [`Zipf`] — seeded randomness and the skewed-access
 //!   sampler used by the workload generators.
 //! * [`stats`] — histograms, the cumulative data histogram (CDH) used by the
@@ -20,21 +18,16 @@
 //! # Example
 //!
 //! ```
-//! use jitgc_sim::{EventQueue, SimTime, SimDuration};
+//! use jitgc_sim::{SimDuration, SimTime};
 //!
-//! let mut queue = EventQueue::new();
-//! queue.push(SimTime::from_secs(5), "flusher tick");
-//! queue.push(SimTime::from_secs(1), "request arrival");
-//! let (when, what) = queue.pop().expect("queue is non-empty");
-//! assert_eq!(when, SimTime::from_secs(1));
-//! assert_eq!(what, "request arrival");
+//! let tick = SimTime::from_secs(5) + SimDuration::from_millis(500);
+//! assert_eq!(tick.as_micros(), 5_500_000);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bytes;
-mod event;
 mod rng;
 mod time;
 
@@ -43,7 +36,6 @@ pub mod json;
 pub mod stats;
 
 pub use bytes::ByteSize;
-pub use event::EventQueue;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use json::{JsonError, JsonValue, ObjectBuilder};
 pub use rng::{SimRng, Zipf};

@@ -19,7 +19,6 @@
 /// assert!(est > 100.0 && est < 200.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,

@@ -24,7 +24,6 @@
 /// assert_eq!(h.total(), 5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     bin_width: u64,
     counts: Vec<u64>,

@@ -32,7 +32,6 @@ const MAJOR_BUCKETS: usize = 64;
 /// assert!(p50.as_micros() >= 200 && p50.as_micros() <= 320);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyRecorder {
     counts: Vec<u64>,
     total: u64,

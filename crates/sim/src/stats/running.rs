@@ -20,7 +20,6 @@
 /// assert_eq!(s.population_std_dev(), Some(2.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunningStats {
     count: u64,
     mean: f64,

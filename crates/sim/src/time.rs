@@ -26,7 +26,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(end.as_micros(), 12_500_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
@@ -45,7 +44,6 @@ pub struct SimTime(u64);
 /// assert_eq!(tick.as_secs_f64(), 5.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -436,14 +434,5 @@ mod tests {
     fn duration_sum() {
         let total: SimDuration = (1..=4).map(SimDuration::from_secs).sum();
         assert_eq!(total, SimDuration::from_secs(10));
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let t = SimTime::from_micros(123_456);
-        let json = serde_json::to_string(&t).expect("serialize");
-        let back: SimTime = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(t, back);
     }
 }

@@ -3,7 +3,7 @@
 //! Property-based tests of the statistics primitives.
 
 use jitgc_sim::stats::{Cdh, Histogram, LatencyRecorder, RunningStats};
-use jitgc_sim::{EventQueue, SimDuration, SimTime};
+use jitgc_sim::SimDuration;
 use proptest::prelude::*;
 
 proptest! {
@@ -76,20 +76,5 @@ proptest! {
         let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
         prop_assert!((stats.mean().expect("non-empty") - mean).abs() < 1e-6);
         prop_assert!((stats.population_variance().expect("non-empty") - var).abs() < 1e-3);
-    }
-
-    /// The event queue dequeues in exact (time, insertion) order.
-    #[test]
-    fn event_queue_is_stable_priority(times in proptest::collection::vec(0..50u64, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_secs(t), i);
-        }
-        let mut expected: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        expected.sort(); // stable by (time, insertion index)
-        let drained: Vec<(u64, usize)> =
-            std::iter::from_fn(|| q.pop().map(|(t, i)| (t.as_secs(), i))).collect();
-        prop_assert_eq!(drained, expected);
     }
 }

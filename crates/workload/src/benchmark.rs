@@ -17,7 +17,6 @@ use std::fmt;
 /// }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BenchmarkKind {
     /// YCSB on Cassandra (update-intensive, 88.2 % buffered).
     Ycsb,
@@ -128,13 +127,5 @@ mod tests {
     #[test]
     fn display_matches_name() {
         assert_eq!(BenchmarkKind::Bonnie.to_string(), "Bonnie++");
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_round_trip() {
-        let json = serde_json::to_string(&BenchmarkKind::TpcC).expect("serialize");
-        let back: BenchmarkKind = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back, BenchmarkKind::TpcC);
     }
 }

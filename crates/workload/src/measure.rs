@@ -4,7 +4,6 @@ use crate::{IoKind, Workload};
 
 /// Measured page counts per request kind over a drained workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MeasuredMix {
     /// Pages written through the page cache.
     pub buffered_pages: u64,

@@ -6,7 +6,6 @@ use std::fmt;
 
 /// What a request asks the storage stack to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IoKind {
     /// A read served from the page cache when possible.
     Read,
@@ -47,7 +46,6 @@ impl fmt::Display for IoKind {
 /// engine issues this request no earlier than `previous_issue + gap`, and
 /// no earlier than the previous request's completion (closed-loop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IoRequest {
     /// Think time since the previous request.
     pub gap: SimDuration,
@@ -70,7 +68,6 @@ impl IoRequest {
 /// The configured buffered : direct split of a workload's write traffic
 /// (paper Table 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WriteMix {
     /// Fraction of written pages that are buffered, in `[0, 1]`.
     pub buffered_fraction: f64,

@@ -13,7 +13,6 @@ use std::fmt;
 
 /// One serialized request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceRecord {
     /// Think-time gap since the previous request, microseconds.
     pub gap_us: u64,
@@ -27,8 +26,6 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Serializes one record as a compact JSON object — one trace-file line.
-    /// The `kind` names match the serde representation, so trace files
-    /// written by either serializer interchange.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         let kind = match self.kind {
@@ -558,20 +555,6 @@ mod tests {
         let back = TraceRecord::from_json(&JsonValue::parse(&line).unwrap()).unwrap();
         assert_eq!(back, rec);
         assert!(TraceRecord::from_json(&JsonValue::parse("{}").unwrap()).is_err());
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serde_json_round_trip() {
-        let rec = TraceRecord {
-            gap_us: 123,
-            kind: IoKind::Trim,
-            lpn: 7,
-            pages: 8,
-        };
-        let json = serde_json::to_string(&rec).expect("serialize");
-        let back: TraceRecord = serde_json::from_str(&json).expect("parse");
-        assert_eq!(rec, back);
     }
 
     #[test]

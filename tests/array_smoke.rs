@@ -76,12 +76,12 @@ fn one_member_array_is_the_standalone_engine() {
     assert_eq!(array.ops, single.ops);
     assert_eq!(array.split_requests, 0);
 
-    // Both drivers degenerate to the same serial schedule at N = 1.
-    let barrier = array_report_with(1, GcMode::Staggered, ArraySched::Barrier, 42);
+    // The quantum loop degenerates to the reference's schedule at N = 1.
+    let serial = array_report_with(1, GcMode::Staggered, ArraySched::Serial, 42);
     assert_eq!(
-        barrier.to_json().to_pretty(),
+        serial.to_json().to_pretty(),
         array.to_json().to_pretty(),
-        "barrier and steal drivers diverged on a 1-member array"
+        "serial reference and steal driver diverged on a 1-member array"
     );
 }
 

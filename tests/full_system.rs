@@ -121,21 +121,6 @@ fn cross_policy_runs_share_workload_stream() {
 }
 
 #[test]
-#[cfg(feature = "serde")]
-fn report_serializes_and_round_trips() {
-    let config = SystemConfig::small_for_tests();
-    let report = run(&config, Box::new(NoBgc), BenchmarkKind::Tiobench, 10, 1);
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    let back: SimReport = serde_json::from_str(&json).expect("parse");
-    assert_eq!(back.ops, report.ops);
-    assert_eq!(
-        back.waf.expect("host writes happened"),
-        report.waf.expect("host writes happened")
-    );
-    assert_eq!(back.policy, report.policy);
-}
-
-#[test]
 fn wear_leveling_can_be_enabled_end_to_end() {
     let mut config = SystemConfig::small_for_tests();
     config.wear_leveling = true;

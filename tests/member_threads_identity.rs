@@ -1,8 +1,7 @@
 //! Parallel member stepping is an implementation detail: whatever worker
-//! count steps the members — and whichever driver schedules them, the
-//! work-stealing scheduler or the lockstep barrier oracle — the array
-//! report must be **byte-identical** (as serialized JSON) to the serial
-//! scheduler's. That holds across striped and mirrored layouts, with
+//! count drains the work-stealing quantum loop, the array report must be
+//! **byte-identical** (as serialized JSON) to the request-at-a-time
+//! `ArraySched::Serial` reference. That holds across striped and mirrored layouts, with
 //! wear-dependent fault injection active (the fault timeline is part of
 //! the identity, so a reordered RNG draw anywhere would show up here),
 //! and at rack scale (64 members), where stealing actually moves work
@@ -68,14 +67,10 @@ fn array_json(
     .to_pretty()
 }
 
-/// Every (driver, thread-count) cell beyond the serial barrier baseline.
-const CELLS: [(ArraySched, usize); 5] = [
-    (ArraySched::Steal, 1),
-    (ArraySched::Steal, 2),
-    (ArraySched::Steal, 4),
-    (ArraySched::Barrier, 2),
-    (ArraySched::Barrier, 4),
-];
+/// Worker counts of the quantum loop compared against the serial
+/// reference: 1 drains every queue on the driver thread, the others
+/// spawn workers that steal.
+const STEAL_THREADS: [usize; 3] = [1, 2, 4];
 
 /// Striped (no redundancy): members only interact through routing-free
 /// address splitting, so every quantum runs fully parallel.
@@ -86,25 +81,24 @@ fn striped_array_is_identical_for_any_worker_count() {
         &system,
         4,
         Redundancy::None,
-        ArraySched::Barrier,
+        ArraySched::Serial,
         1,
         42,
         (15, 400.0),
     );
-    for (sched, threads) in CELLS {
+    for threads in STEAL_THREADS {
         assert_eq!(
             serial,
             array_json(
                 &system,
                 4,
                 Redundancy::None,
-                sched,
+                ArraySched::Steal,
                 threads,
                 42,
                 (15, 400.0)
             ),
-            "striped report diverged at {threads} member threads ({})",
-            sched.name()
+            "striped report diverged at {threads} member threads"
         );
     }
 }
@@ -118,25 +112,24 @@ fn mirrored_array_is_identical_for_any_worker_count() {
         &system,
         4,
         Redundancy::Mirror,
-        ArraySched::Barrier,
+        ArraySched::Serial,
         1,
         7,
         (15, 400.0),
     );
-    for (sched, threads) in CELLS {
+    for threads in STEAL_THREADS {
         assert_eq!(
             serial,
             array_json(
                 &system,
                 4,
                 Redundancy::Mirror,
-                sched,
+                ArraySched::Steal,
                 threads,
                 7,
                 (15, 400.0)
             ),
-            "mirrored report diverged at {threads} member threads ({})",
-            sched.name()
+            "mirrored report diverged at {threads} member threads"
         );
     }
 }
@@ -170,17 +163,24 @@ fn faulty_array_is_identical_for_any_worker_count() {
             &system,
             4,
             redundancy,
-            ArraySched::Barrier,
+            ArraySched::Serial,
             1,
             21,
             (15, 400.0),
         );
-        for (sched, threads) in CELLS {
+        for threads in STEAL_THREADS {
             assert_eq!(
                 serial,
-                array_json(&system, 4, redundancy, sched, threads, 21, (15, 400.0)),
-                "faulty {redundancy:?} report diverged at {threads} member threads ({})",
-                sched.name()
+                array_json(
+                    &system,
+                    4,
+                    redundancy,
+                    ArraySched::Steal,
+                    threads,
+                    21,
+                    (15, 400.0)
+                ),
+                "faulty {redundancy:?} report diverged at {threads} member threads"
             );
         }
     }
@@ -188,9 +188,9 @@ fn faulty_array_is_identical_for_any_worker_count() {
 
 /// Rack scale: 64 mirrored members with fault injection and a deep
 /// queue, so quanta are long, mirrored-read serial points are frequent,
-/// and the steal driver's shards actually exchange work. Reports must be
-/// byte-identical across {1, 4, 8} threads for both drivers — the
-/// acceptance criterion for the work-stealing scheduler.
+/// and the shards actually exchange work. Reports must be byte-identical
+/// to the serial reference across {1, 4, 8} threads — the acceptance
+/// criterion for the work-stealing scheduler.
 #[test]
 fn rack_scale_array_is_identical_for_any_worker_count_and_driver() {
     let mut system = faulty_system();
@@ -206,18 +206,12 @@ fn rack_scale_array_is_identical_for_any_worker_count_and_driver() {
             (3, 150.0),
         )
     };
-    let serial = run(ArraySched::Barrier, 1);
-    for sched in [ArraySched::Steal, ArraySched::Barrier] {
-        for threads in [1, 4, 8] {
-            if sched == ArraySched::Barrier && threads == 1 {
-                continue;
-            }
-            assert_eq!(
-                serial,
-                run(sched, threads),
-                "64-member report diverged at {threads} member threads ({})",
-                sched.name()
-            );
-        }
+    let serial = run(ArraySched::Serial, 1);
+    for threads in [1, 4, 8] {
+        assert_eq!(
+            serial,
+            run(ArraySched::Steal, threads),
+            "64-member report diverged at {threads} member threads"
+        );
     }
 }

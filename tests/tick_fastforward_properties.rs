@@ -3,7 +3,7 @@
 //! The fast-forward is a pure wall-clock optimization: a run with it on
 //! must produce a report **byte-identical** (as serialized JSON) to the
 //! same run with it off, at every driver level — the single-device
-//! engine, the array scheduler under both driver modes and worker-thread
+//! engine, the array scheduler under both drivers and worker-thread
 //! counts, and the multi-tenant service. These tests pin that contract on
 //! seeded idle-heavy workloads; debug builds additionally replay every
 //! skipped span through the per-tick loop inside the engine itself (the
@@ -105,24 +105,27 @@ fn array_run(sched: ArraySched, member_threads: usize, fast_forward: bool) -> (S
 }
 
 /// The array acceptance criterion: byte-identical reports with the
-/// fast-forward on and off, under both driver modes and both worker
-/// counts — and all five runs agree with each other (the fast-forward
-/// must not break the existing sched/thread-count identities either).
+/// fast-forward on and off, under the serial reference and the quantum
+/// loop at both worker counts — and all four runs agree with each other
+/// (the fast-forward must not break the existing driver/thread-count
+/// identities either).
 #[test]
 fn array_reports_are_identical_ff_on_and_off_across_drivers() {
     let (baseline, skipped_off) = array_run(ArraySched::Steal, 1, false);
     assert_eq!(skipped_off, 0, "off-run must never skip");
     let mut engaged = 0;
-    for sched in [ArraySched::Steal, ArraySched::Barrier] {
-        for member_threads in [1, 4] {
-            let (on, skipped) = array_run(sched, member_threads, true);
-            assert_eq!(
-                on, baseline,
-                "{sched:?} x {member_threads} thread(s): fast-forward \
-                 changed the array report"
-            );
-            engaged += skipped;
-        }
+    for (sched, member_threads) in [
+        (ArraySched::Serial, 1),
+        (ArraySched::Steal, 1),
+        (ArraySched::Steal, 4),
+    ] {
+        let (on, skipped) = array_run(sched, member_threads, true);
+        assert_eq!(
+            on, baseline,
+            "{sched:?} x {member_threads} thread(s): fast-forward \
+             changed the array report"
+        );
+        engaged += skipped;
     }
     assert!(
         engaged > 0,
