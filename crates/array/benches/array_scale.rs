@@ -41,7 +41,7 @@ fn main() {
     let system = exp.system.clone();
     // Stripe the volume so every member carries the same working-set
     // share a standalone device would (Experiment::run's sizing × N).
-    let per_member = system.ftl.user_pages() - system.ftl.op_pages() / 2;
+    let per_member = system.standard_working_set().unwrap();
     let reports = run_grid(&cells, default_threads(), |&(policy, mode, benchmark)| {
         let workload = benchmark.build(
             WorkloadConfig::builder()

@@ -107,30 +107,13 @@ impl ArrayManager {
     }
 
     /// Picks which of two mirrored replicas should serve a read issued at
-    /// `issue`, returning the chosen device index.
+    /// `issue`, returning the chosen device index. Takes direct member
+    /// references because the scheduler's members live behind
+    /// per-member locks, not in one slice.
     ///
     /// Preference order: the device that frees up sooner (not mid-GC or
     /// mid-transfer), then the one with more free capacity (further from
     /// its FGC threshold), then the lower index for determinism.
-    pub fn choose_replica(
-        &mut self,
-        primary: usize,
-        replica: usize,
-        members: &[SsdSystem],
-        issue: SimTime,
-    ) -> usize {
-        self.choose_between(
-            primary,
-            &members[primary],
-            replica,
-            &members[replica],
-            issue,
-        )
-    }
-
-    /// [`choose_replica`](Self::choose_replica) over direct member
-    /// references, for callers (the parallel scheduler) whose members
-    /// live behind per-member locks instead of in one slice.
     pub fn choose_between(
         &mut self,
         primary: usize,

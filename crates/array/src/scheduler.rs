@@ -4,7 +4,7 @@ use crate::{
     ArrayDegraded, ArrayManager, ArrayReport, GcMode, MemberSched, Redundancy, StripeExtent,
     StripeMap,
 };
-use jitgc_core::system::{GcSignals, SsdSystem};
+use jitgc_core::system::{RunPerf, SsdSystem};
 use jitgc_nand::{Lpn, WearReport};
 use jitgc_sim::stats::LatencyRecorder;
 use jitgc_sim::SimTime;
@@ -633,15 +633,32 @@ impl ArrayScheduler {
         }
     }
 
-    /// Switches every member's quiescence fast-forward (see
-    /// [`SsdSystem::set_fast_forward`]; on by default). Byte-identical
-    /// reports either way — an A/B wall-clock switch. Works under either
-    /// driver and any worker-thread count: a skip only moves a
-    /// member's virtual clock to where the per-tick loop would have put
-    /// it, so `time_behind` ordering is unaffected.
+    /// Test hook: switches every member's quiescence fast-forward (see
+    /// [`SsdSystem::set_fast_forward`]; on by default) so the identity
+    /// tests can compare against the per-tick loop. Byte-identical
+    /// reports either way, under either driver and any worker-thread
+    /// count: a skip only moves a member's virtual clock to where the
+    /// per-tick loop would have put it, so `time_behind` ordering is
+    /// unaffected.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         for member in &mut self.members {
             member.set_fast_forward(enabled);
+        }
+    }
+
+    /// The array-wide wall-clock facts for the `--bench-json` perf
+    /// record: the members' summed phase profile and fast-forward
+    /// counters under the caller's stopwatch readings (see
+    /// [`SsdSystem::run_perf`]; every member shares one fast-forward
+    /// setting and profiling state).
+    #[must_use]
+    pub fn run_perf(&self, setup_secs: f64, run_secs: f64) -> RunPerf {
+        let first = self.members[0].run_perf(setup_secs, run_secs);
+        RunPerf {
+            profile: first.profile.map(|_| self.phase_profile()),
+            ticks_skipped: self.ticks_skipped(),
+            ff_spans: self.ff_spans(),
+            ..first
         }
     }
 
@@ -671,13 +688,6 @@ impl ArrayScheduler {
     #[must_use]
     pub fn members(&self) -> &[SsdSystem] {
         &self.members
-    }
-
-    /// Current JIT-GC telemetry of every member — what a host-side array
-    /// manager polls to decide routing and staggering.
-    #[must_use]
-    pub fn member_signals(&self) -> Vec<GcSignals> {
-        self.members.iter().map(SsdSystem::gc_signals).collect()
     }
 
     /// Runs the workload to exhaustion and reports.

@@ -9,10 +9,7 @@
 //! percentile grows.
 
 use jitgc_bench::{format_table, Experiment, PolicyKind};
-use jitgc_core::policy::JitGc;
-use jitgc_core::system::SsdSystem;
-use jitgc_sim::SimDuration;
-use jitgc_workload::{BenchmarkKind, WorkloadConfig};
+use jitgc_workload::BenchmarkKind;
 
 fn main() {
     let exp = Experiment::standard();
@@ -25,20 +22,11 @@ fn main() {
         let mut fgc = Vec::new();
         let mut waf = Vec::new();
         for &pct in &percentiles {
-            let mut system = exp.system.clone();
-            system.cdh_percentile = pct;
-            let wl_cfg = WorkloadConfig::builder()
-                .working_set_pages(system.ftl.user_pages() - system.ftl.op_pages() / 2)
-                .duration(SimDuration::from_secs(600))
-                .mean_iops(exp.mean_iops)
-                .burst_mean(exp.burst_mean)
-                .seed(exp.seed)
-                .build();
-            let policy = JitGc::from_system_config(&system);
-            // The policy's own direct predictor percentile comes through
-            // the system config; build via the harness for the manager.
-            let _ = PolicyKind::Jit;
-            let report = SsdSystem::new(system, Box::new(policy), benchmark.build(wl_cfg)).run();
+            // JIT-GC's direct predictor takes its percentile from the
+            // system config the cell is built on.
+            let mut cell = exp.clone();
+            cell.system.cdh_percentile = pct;
+            let report = cell.run(PolicyKind::Jit, benchmark);
             fgc.push((report.fgc_request_stalls + report.fgc_flush_stalls) as f64);
             waf.push(report.waf.expect("host writes happened"));
         }

@@ -1,13 +1,15 @@
-//! Micro-benchmarks for the hot paths of the simulator itself: FTL writes,
-//! GC collection, victim selection, page-cache operations, and the two
-//! predictors. These guard the simulator's own performance (a 600-second
-//! experiment replays millions of operations), not the paper's results.
+//! Micro-benchmarks of the two reference-versus-production pairs the
+//! repository's benchmark does not time: the buffered predictor's
+//! from-scratch scan against its incremental poll, and per-page host
+//! writes against `host_write_batch`, each at three scales. The
+//! production side of every hot path (FTL write, BGC, page cache,
+//! predictors) is timed by the layer probes of `benchmark/` (`jitgc-perf`).
 //!
 //! Dependency-free harness: each case runs a setup closure and a timed
 //! closure in batches until enough wall-clock has accumulated, then prints
 //! the per-iteration mean. Run with `cargo bench --bench micro`.
 
-use jitgc_core::predictor::{BufferedWritePredictor, DirectWritePredictor};
+use jitgc_core::predictor::BufferedWritePredictor;
 use jitgc_ftl::{Ftl, FtlConfig, GreedySelector, SipList};
 use jitgc_nand::Lpn;
 use jitgc_pagecache::{PageCache, PageCacheConfig};
@@ -38,125 +40,6 @@ where
     }
     let mean = spent.as_secs_f64() / iters as f64;
     println!("{name:<40} {:>12.3} µs/iter  ({iters} iters)", mean * 1e6);
-}
-
-fn test_ftl() -> Ftl {
-    Ftl::new(
-        FtlConfig::builder()
-            .user_pages(4_096)
-            .op_permille(150)
-            .pages_per_block(64)
-            .build(),
-        Box::new(GreedySelector),
-    )
-}
-
-fn bench_ftl_write() {
-    bench_batched("ftl_host_write_sequential", test_ftl, |ftl| {
-        for lpn in 0..4_096u64 {
-            ftl.host_write(Lpn(lpn), SimTime::ZERO).expect("in range");
-        }
-    });
-
-    bench_batched(
-        "ftl_host_write_with_gc_pressure",
-        || {
-            let mut ftl = test_ftl();
-            for lpn in 0..4_096u64 {
-                ftl.host_write(Lpn(lpn), SimTime::ZERO).expect("in range");
-            }
-            ftl
-        },
-        |ftl| {
-            let mut rng = SimRng::seed(7);
-            for _ in 0..4_096 {
-                let lpn = rng.range_u64(0, 4_096);
-                ftl.host_write(Lpn(lpn), SimTime::from_secs(1))
-                    .expect("in range");
-            }
-        },
-    );
-}
-
-fn bench_bgc() {
-    bench_batched(
-        "ftl_background_collect_block",
-        || {
-            let mut ftl = test_ftl();
-            let mut rng = SimRng::seed(3);
-            for _ in 0..12_000 {
-                let lpn = rng.range_u64(0, 4_096);
-                ftl.host_write(Lpn(lpn), SimTime::ZERO).expect("in range");
-            }
-            ftl
-        },
-        |ftl| {
-            ftl.background_collect(SimTime::from_secs(2), SimDuration::from_secs(1), None);
-        },
-    );
-}
-
-fn bench_pagecache() {
-    let config = PageCacheConfig::builder()
-        .capacity_pages(8_192)
-        .tau_expire(SimDuration::from_secs(3))
-        .build();
-    bench_batched(
-        "pagecache_write_flush_cycle",
-        || PageCache::new(config),
-        |cache| {
-            let mut rng = SimRng::seed(11);
-            for i in 0..4_096u64 {
-                cache.write(Lpn(rng.range_u64(0, 8_192)), SimTime::from_millis(i));
-            }
-            cache.flusher_tick(SimTime::from_secs(10));
-        },
-    );
-}
-
-fn bench_predictors() {
-    let config = PageCacheConfig::builder()
-        .capacity_pages(8_192)
-        .tau_expire(SimDuration::from_secs(3))
-        .build();
-    let mut cache = PageCache::new(config);
-    let mut rng = SimRng::seed(13);
-    for i in 0..4_096u64 {
-        cache.write(Lpn(rng.range_u64(0, 8_192)), SimTime::from_millis(i));
-    }
-    let predictor = BufferedWritePredictor::new(
-        SimDuration::from_millis(500),
-        SimDuration::from_secs(3),
-        ByteSize::kib(4),
-    );
-    bench_batched(
-        "buffered_predictor_scan_4k_dirty",
-        || (),
-        |()| {
-            black_box(predictor.predict(&cache, SimTime::from_secs(5)));
-        },
-    );
-
-    bench_batched(
-        "direct_predictor_observe_predict",
-        || {
-            (
-                DirectWritePredictor::new(
-                    SimDuration::from_millis(500),
-                    SimDuration::from_secs(3),
-                    0.8,
-                    256 * 1024,
-                ),
-                SimRng::seed(17),
-            )
-        },
-        |(pred, rng)| {
-            for _ in 0..64 {
-                pred.observe_interval(rng.range_u64(0, 16 << 20));
-                black_box(pred.predict());
-            }
-        },
-    );
 }
 
 /// Cache/device scales for the parameterized benches below: the default
@@ -233,10 +116,6 @@ fn bench_batch_write_scales() {
 }
 
 fn main() {
-    bench_ftl_write();
-    bench_bgc();
-    bench_pagecache();
-    bench_predictors();
     bench_predictor_poll_scales();
     bench_batch_write_scales();
 }

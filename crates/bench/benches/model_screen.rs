@@ -6,10 +6,10 @@
 //! Run with `cargo bench -p jitgc-bench --bench model_screen`. Numbers
 //! feed the `EXPERIMENTS.md` screening table.
 
-use jitgc_bench::{default_threads, expand_cells, run_grid, screen_cells, PolicyKind, SweepCell};
-use jitgc_core::system::{SimReport, SsdSystem, SystemConfig};
+use jitgc_bench::{default_threads, expand_cells, run_grid, screen_cells, Experiment, PolicyKind};
+use jitgc_core::system::SimReport;
 use jitgc_sim::SimDuration;
-use jitgc_workload::{BenchmarkKind, WorkloadConfig};
+use jitgc_workload::BenchmarkKind;
 use std::time::Instant;
 
 /// Per-cell simulated duration; override with `MODEL_SCREEN_SECONDS` to
@@ -21,9 +21,6 @@ fn cell_seconds() -> u64 {
         .unwrap_or(120)
 }
 
-const MEAN_IOPS: f64 = 250.0;
-const BURST_MEAN: f64 = 1_024.0;
-const SEED: u64 = 42;
 const KEEP_FRAC: f64 = 0.25;
 
 fn all_policies() -> Vec<PolicyKind> {
@@ -36,21 +33,6 @@ fn all_policies() -> Vec<PolicyKind> {
         PolicyKind::Jit,
         PolicyKind::JitNoSip,
     ]
-}
-
-/// Runs one sweep cell exactly the way `ssdsim`'s sweep path does.
-fn run_cell(base: &SystemConfig, cell: &SweepCell) -> SimReport {
-    let system = cell.system(base);
-    let wl = WorkloadConfig::builder()
-        .working_set_pages(system.ftl.user_pages() - system.ftl.op_pages() / 2)
-        .duration(SimDuration::from_secs(cell_seconds()))
-        .mean_iops(MEAN_IOPS)
-        .burst_mean(BURST_MEAN)
-        .seed(SEED)
-        .build();
-    let workload = cell.benchmark.build(wl);
-    let policy = cell.policy.build(&system);
-    SsdSystem::new(system, policy, workload).run()
 }
 
 /// Simulated-cost key used for the post-hoc Pareto check: lower WAF and
@@ -67,22 +49,33 @@ fn sim_dominates(a: (f64, f64), b: (f64, f64)) -> bool {
 }
 
 fn sweep(label: &str, op_values: &[Option<u64>]) {
-    let base = SystemConfig::default_sim();
+    // Cells are built by `SweepCell::build`, the builder `ssdsim`'s sweep
+    // path uses, on the standard experiment at the chosen length.
+    let base = Experiment {
+        duration: SimDuration::from_secs(cell_seconds()),
+        ..Experiment::standard()
+    };
     let (cells, _dupes) = expand_cells(&BenchmarkKind::all(), &all_policies(), op_values);
     let threads = default_threads();
 
     // Exhaustive: simulate everything.
     let start = Instant::now();
-    let exhaustive = run_grid(&cells, threads, |cell| run_cell(&base, cell));
+    let exhaustive = run_grid(&cells, threads, |cell| cell.build(&base).run());
     let exhaustive_secs = start.elapsed().as_secs_f64();
 
     // Screened: model every cell, simulate the kept ones.
     let start = Instant::now();
-    let plan = screen_cells(&base, &cells, MEAN_IOPS, BURST_MEAN, KEEP_FRAC);
+    let plan = screen_cells(
+        &base.system,
+        &cells,
+        base.mean_iops,
+        base.burst_mean,
+        KEEP_FRAC,
+    );
     let model_secs = start.elapsed().as_secs_f64();
     let kept: Vec<usize> = (0..cells.len()).filter(|&i| plan.keep[i]).collect();
     let start = Instant::now();
-    let _screened = run_grid(&kept, threads, |&i| run_cell(&base, &cells[i]));
+    let _screened = run_grid(&kept, threads, |&i| cells[i].build(&base).run());
     let screened_secs = start.elapsed().as_secs_f64() + model_secs;
 
     // Accuracy: which cells sit on the *simulated* per-benchmark Pareto

@@ -24,7 +24,7 @@ fn main() {
     for &fraction in &fractions {
         let make_workload = || {
             let cfg = WorkloadConfig::builder()
-                .working_set_pages(system.ftl.user_pages() - system.ftl.op_pages() / 2)
+                .working_set_pages(system.standard_working_set().unwrap())
                 .duration(SimDuration::from_secs(600))
                 .mean_iops(250.0)
                 .burst_mean(1_024.0)

@@ -22,7 +22,9 @@ fn main() {
     exp.duration = SimDuration::from_secs(secs);
     let system = exp.system.clone();
     let ws = if ws_16th >= 16 {
-        system.ftl.user_pages() - system.ftl.op_pages() / 2
+        system
+            .standard_working_set()
+            .expect("over-provisioning is below 200 %")
     } else {
         system.ftl.user_pages() * ws_16th / 16
     };

@@ -14,7 +14,8 @@
 //!                          than one the scenarios sweep like `--benchmark`
 //!                                                                (default jit-gc)
 //!   --op-sweep <p1,p2,…>   sweep over-provisioning values (permille of
-//!                          user capacity); each value rebuilds the device
+//!                          user capacity, below 2000: the working set is
+//!                          user − OP/2); each value rebuilds the device
 //!                          geometry                  (default: config's OP)
 //!   --screen <model>       pre-filter the sweep with the jitgc-model
 //!                          analytical screen: every cell is predicted
@@ -54,7 +55,10 @@
 //!   --bench-json <path>    also write a machine-readable perf record (host
 //!                          pages simulated per wall-clock second, per-phase
 //!                          timing) for tracking simulator throughput; the
-//!                          record schema is `ssdsim-bench/9` (array runs
+//!                          record schema is `ssdsim-bench/9`, the shared
+//!                          fields (throughput, phases, the quiescence
+//!                          fast-forward counters of DESIGN.md §15) come
+//!                          from the one `RunPerf::record` (array runs
 //!                          add an `array` section with scheduler telemetry
 //!                          — driver mode, epochs, steal counts — plus
 //!                          per-member entries with their own
@@ -80,21 +84,17 @@
 //!                          included (must not exceed the member count);
 //!                          reports are byte-identical for any value
 //!                                                              (default 1)
-//!   --fast-forward <on|off>
-//!                          quiescence fast-forward: skip provably idle
-//!                          flusher ticks in O(1) (DESIGN.md §15); reports
-//!                          are byte-identical either way, only wall time
-//!                          and the `ticks_skipped`/`ff_spans` bench-json
-//!                          counters change               (default on)
 //!   --queue-depth <N>      closed-loop application threads  (default: config)
 //! ```
 
-use jitgc_array::{ArrayConfig, ArrayReport, ArraySched, GcMode, Redundancy, SchedTelemetry};
+use jitgc_array::{ArrayConfig, ArrayReport, ArraySched, ArrayScheduler, GcMode, Redundancy};
 use jitgc_bench::{
-    default_threads, expand_cells, run_grid, run_grid_capped, screen_cells, PolicyKind, ScreenPlan,
-    SweepCell,
+    default_threads, expand_cells, run_grid, run_grid_capped, screen_cells, Experiment, PolicyKind,
+    ScreenPlan, SweepCell,
 };
-use jitgc_core::system::{ManagerPlacement, PhaseProfile, SsdSystem, SystemConfig, VictimKind};
+use jitgc_core::system::{
+    ManagerPlacement, RunPerf, RunTotals, SimReport, SystemConfig, VictimKind,
+};
 use jitgc_nand::FaultConfig;
 use jitgc_sim::json::{JsonValue, ObjectBuilder};
 use jitgc_sim::SimDuration;
@@ -134,7 +134,6 @@ struct Args {
     mirror: bool,
     gc_mode: GcMode,
     member_threads: usize,
-    fast_forward: bool,
     queue_depth: Option<u32>,
 }
 
@@ -172,7 +171,6 @@ impl Default for Args {
             mirror: false,
             gc_mode: GcMode::Staggered,
             member_threads: 1,
-            fast_forward: true,
             queue_depth: None,
         }
     }
@@ -193,7 +191,7 @@ fn usage() -> ! {
     eprintln!("              [--fault-erase F] [--fault-read F]");
     eprintln!("              [--array N] [--stripe-kb K] [--mirror]");
     eprintln!("              [--gc-mode staggered|unsync] [--member-threads N]");
-    eprintln!("              [--fast-forward on|off] [--queue-depth N]");
+    eprintln!("              [--queue-depth N]");
     eprintln!("see the module docs (`ssdsim.rs`) for value sets");
     std::process::exit(2)
 }
@@ -285,9 +283,11 @@ fn parse_args() -> Args {
             "--threads" => args.threads = value().parse().unwrap_or_else(|_| usage()),
             "--policy" => args.policies = parse_policies(&value()),
             "--op-sweep" => {
+                // Permille: a `u32` holds any meaningful value and keeps
+                // the geometry arithmetic downstream from overflowing.
                 args.op_sweep = value()
                     .split(',')
-                    .map(|p| p.parse().unwrap_or_else(|_| usage()))
+                    .map(|p| p.parse::<u32>().map_or_else(|_| usage(), u64::from))
                     .collect()
             }
             "--screen" => match value().as_str() {
@@ -368,16 +368,6 @@ fn parse_args() -> Args {
                     usage()
                 }
             }
-            "--fast-forward" => {
-                args.fast_forward = match value().as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        eprintln!("unknown fast-forward mode: {other}");
-                        usage()
-                    }
-                }
-            }
             "--queue-depth" => args.queue_depth = Some(value().parse().unwrap_or_else(|_| usage())),
             "--help" | "-h" => usage(),
             other => {
@@ -389,103 +379,71 @@ fn parse_args() -> Args {
     args
 }
 
-/// Wall-clock split of one run: device/workload construction versus
-/// stepping.
-#[derive(Clone, Copy)]
-struct Wall {
-    setup_secs: f64,
-    run_secs: f64,
+/// An output path that cannot be written is a bad argument like any
+/// other: one line on stderr and exit 2.
+fn written<T>(path: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(2)
+    })
 }
 
-/// Builds the `--bench-json` perf record: how fast the *simulator itself*
-/// ran, so successive commits can track the throughput trajectory.
-fn perf_record(
-    args: &Args,
-    report: &jitgc_core::system::SimReport,
-    wall: Wall,
-    profile: &PhaseProfile,
-    ticks_skipped: u64,
-    ff_spans: u64,
-) -> JsonValue {
-    let Wall {
-        setup_secs,
-        run_secs,
-    } = wall;
-    let wall_secs = setup_secs + run_secs;
-    let per_sec = |count: u64| -> f64 {
-        if run_secs > 0.0 {
-            count as f64 / run_secs
-        } else {
-            0.0
+/// Checks an output path before the simulation runs, so a typo costs no
+/// simulated hours. Creates the file if missing; never truncates.
+fn check_writable(path: &str) {
+    let probe = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path);
+    written(path, probe);
+}
+
+/// A lone record or report prints as an object, several as an array.
+fn one_or_many(mut values: Vec<JsonValue>) -> JsonValue {
+    if values.len() == 1 {
+        values.remove(0)
+    } else {
+        JsonValue::Array(values)
+    }
+}
+
+/// The standard working set of one cell's system, or exit 2 naming the
+/// flag that set an over-provisioning no working set survives.
+fn working_set_or_exit(args: &Args, system: &SystemConfig, op_permille: Option<u64>) -> u64 {
+    system.standard_working_set().unwrap_or_else(|e| {
+        match (op_permille, &args.config) {
+            (Some(p), _) => eprintln!("--op-sweep {p}: {e}"),
+            (None, Some(path)) => eprintln!("--config {path}: {e}"),
+            (None, None) => eprintln!("{e}"),
         }
-    };
-    // Per-phase wall-time breakdown of the run (the remainder is glue:
-    // workload generation and closed-loop scheduling).
-    let untracked = (run_secs - profile.accounted().as_secs_f64()).max(0.0);
-    ObjectBuilder::new()
-        .field("schema", "ssdsim-bench/9")
-        .field("benchmark", report.workload.as_str())
-        .field("policy", report.policy.as_str())
-        .field("victim", report.victim_policy.as_str())
-        .field("seed", args.seed)
-        .field("simulated_secs", report.duration_secs)
-        .field("ops", report.ops)
-        .field("host_pages_written", report.host_pages_written)
-        .field("nand_pages_programmed", report.nand_pages_programmed)
-        .field("wall_secs", wall_secs)
-        .field("setup_secs", setup_secs)
-        .field("run_secs", run_secs)
-        .field(
-            "host_pages_per_wall_sec",
-            per_sec(report.host_pages_written),
-        )
-        .field(
-            "nand_pages_per_wall_sec",
-            per_sec(report.nand_pages_programmed),
-        )
-        .field("ops_per_wall_sec", per_sec(report.ops))
+        std::process::exit(2)
+    })
+}
+
+/// The `--bench-json` perf record of a single-device run: how fast the
+/// *simulator itself* ran, so successive commits can track the throughput
+/// trajectory. [`RunPerf::record`] writes the shared fields.
+fn perf_record(seed: u64, report: &SimReport, perf: &RunPerf) -> JsonValue {
+    let degraded = report.degraded.as_ref();
+    perf.record(&RunTotals::of(report, seed), |record| {
         // Schema 4: end-of-life outcome of the run (all-healthy runs
         // report false / null so dashboards need no special-casing).
-        .field(
-            "read_only",
-            report.degraded.as_ref().is_some_and(|d| d.read_only),
-        )
-        .field(
-            "lifetime_host_bytes",
-            report.degraded.as_ref().and_then(|d| d.lifetime_host_bytes),
-        )
-        .field(
-            "retired_blocks",
-            report.degraded.as_ref().map_or(0, |d| d.retired_blocks),
-        )
-        .field(
-            "phase_request_execution_secs",
-            profile.request_execution.as_secs_f64(),
-        )
-        .field("phase_flush_secs", profile.flush.as_secs_f64())
-        .field("phase_predictor_secs", profile.predictor.as_secs_f64())
-        .field("phase_bgc_secs", profile.bgc.as_secs_f64())
-        .field("phase_reporting_secs", profile.reporting.as_secs_f64())
-        // Schema 5: the GC copy sub-phase (contained in the phases above,
-        // excluded from the untracked remainder computation).
-        .field("phase_gc_copy_secs", profile.gc_copy.as_secs_f64())
-        // Schema 9: the tick super-phase (wall time inside the periodic
-        // tick catch-up — contains flush/predictor work, excluded from
-        // the untracked remainder) and the quiescence fast-forward
-        // counters. Wall-clock facts; the deterministic report carries
-        // neither, which is what keeps it byte-identical FF on vs off.
-        .field("phase_tick_secs", profile.tick.as_secs_f64())
-        .field("fast_forward", args.fast_forward)
-        .field("ticks_skipped", ticks_skipped)
-        .field("ff_spans", ff_spans)
-        .field("phase_untracked_secs", untracked)
-        .build()
+        record
+            .field("read_only", degraded.is_some_and(|d| d.read_only))
+            .field(
+                "lifetime_host_bytes",
+                degraded.and_then(|d| d.lifetime_host_bytes),
+            )
+            .field("retired_blocks", degraded.map_or(0, |d| d.retired_blocks))
+    })
+    .build()
 }
 
-/// The `--bench-json` perf record of an array run (`ssdsim-bench/9`):
-/// the aggregate throughput fields of [`perf_record`] plus an `array`
-/// section with scheduler telemetry and one entry per member with its
-/// page counts, per-phase wall-clock breakdown, and straggler accounting.
+/// The `--bench-json` perf record of an array run: the shared fields of
+/// [`RunPerf::record`] over the array's totals, plus an `array` section
+/// with scheduler telemetry and one `member_perf` entry per member with
+/// its page counts, per-phase wall-clock breakdown, and straggler
+/// accounting.
 ///
 /// Steal counts and epoch totals are wall-clock artifacts (they vary run
 /// to run like `wall_secs` does), which is why they live here and not in
@@ -493,63 +451,39 @@ fn perf_record(
 fn array_perf_record(
     args: &Args,
     report: &ArrayReport,
-    wall: Wall,
-    profile: &PhaseProfile,
-    member_profiles: &[PhaseProfile],
-    telemetry: &SchedTelemetry,
-    ff: &FfCounters,
+    sim: &ArrayScheduler,
+    perf: &RunPerf,
 ) -> JsonValue {
-    let Wall {
-        setup_secs,
-        run_secs,
-    } = wall;
-    let wall_secs = setup_secs + run_secs;
-    let per_sec = |count: u64| -> f64 {
-        if run_secs > 0.0 {
-            count as f64 / run_secs
-        } else {
-            0.0
-        }
+    let telemetry = sim.sched_telemetry();
+    let sum = |pages: fn(&SimReport) -> u64| report.member_reports.iter().map(pages).sum();
+    let totals = RunTotals {
+        benchmark: &report.workload,
+        policy: &report.policy,
+        victim: Some(&report.member_reports[0].victim_policy),
+        seed: args.seed,
+        simulated_secs: report.duration_secs,
+        ops: report.ops,
+        host_pages_written: sum(|r| r.host_pages_written),
+        nand_pages_programmed: sum(|r| r.nand_pages_programmed),
     };
-    let host_pages: u64 = report
-        .member_reports
-        .iter()
-        .map(|r| r.host_pages_written)
-        .sum();
-    let nand_pages: u64 = report
-        .member_reports
-        .iter()
-        .map(|r| r.nand_pages_programmed)
-        .sum();
     let members: Vec<JsonValue> = report
         .member_reports
         .iter()
-        .zip(member_profiles)
+        .zip(sim.members())
         .enumerate()
-        .map(|(i, (r, p))| {
+        .map(|(i, (r, member))| {
             let sched = &report.member_sched[i];
-            ObjectBuilder::new()
+            let counts = ObjectBuilder::new()
                 .field("ops", r.ops)
                 .field("host_pages_written", r.host_pages_written)
                 .field("nand_pages_programmed", r.nand_pages_programmed)
-                .field("nand_erases", r.nand_erases)
-                // Schema 5: where this member's simulation time went.
-                .field(
-                    "phase_request_execution_secs",
-                    p.request_execution.as_secs_f64(),
-                )
-                .field("phase_flush_secs", p.flush.as_secs_f64())
-                .field("phase_predictor_secs", p.predictor.as_secs_f64())
-                .field("phase_bgc_secs", p.bgc.as_secs_f64())
-                .field("phase_reporting_secs", p.reporting.as_secs_f64())
-                .field("phase_gc_copy_secs", p.gc_copy.as_secs_f64())
-                // Schema 9: this member's tick super-phase and elided
-                // ticks.
-                .field("phase_tick_secs", p.tick.as_secs_f64())
-                .field(
-                    "ticks_skipped",
-                    ff.member_ticks.get(i).copied().unwrap_or(0),
-                )
+                .field("nand_erases", r.nand_erases);
+            // Schema 5: where this member's simulation time went; schema
+            // 9: its elided ticks.
+            member
+                .phase_profile()
+                .fields(counts)
+                .field("ticks_skipped", member.ticks_skipped())
                 // Schema 6: straggler accounting (simulated-time facts)
                 // and this member's steal count (a wall-clock fact).
                 .field("steps", sched.steps)
@@ -566,93 +500,41 @@ fn array_perf_record(
                 .build()
         })
         .collect();
-    let untracked = (run_secs - profile.accounted().as_secs_f64()).max(0.0);
-    ObjectBuilder::new()
-        .field("schema", "ssdsim-bench/9")
-        .field("benchmark", report.workload.as_str())
-        .field("policy", report.policy.as_str())
-        .field("victim", report.member_reports[0].victim_policy.as_str())
-        .field("seed", args.seed)
-        .field("simulated_secs", report.duration_secs)
-        .field("ops", report.ops)
-        .field("host_pages_written", host_pages)
-        .field("nand_pages_programmed", nand_pages)
-        .field("wall_secs", wall_secs)
-        .field("setup_secs", setup_secs)
-        .field("run_secs", run_secs)
-        .field("host_pages_per_wall_sec", per_sec(host_pages))
-        .field("nand_pages_per_wall_sec", per_sec(nand_pages))
-        .field("ops_per_wall_sec", per_sec(report.ops))
+    let degraded = report.degraded.as_ref();
+    perf.record(&totals, |record| {
         // Schema 4: volume-level end-of-life outcome.
-        .field(
-            "degraded_members",
-            report.degraded.as_ref().map_or(0, |d| d.degraded_members),
-        )
-        .field(
-            "recovered_pages",
-            report.degraded.as_ref().map_or(0, |d| d.recovered_pages),
-        )
-        .field(
-            "lost_pages",
-            report.degraded.as_ref().map_or(0, |d| d.lost_pages),
-        )
-        .field(
-            "phase_request_execution_secs",
-            profile.request_execution.as_secs_f64(),
-        )
-        .field("phase_flush_secs", profile.flush.as_secs_f64())
-        .field("phase_predictor_secs", profile.predictor.as_secs_f64())
-        .field("phase_bgc_secs", profile.bgc.as_secs_f64())
-        .field("phase_reporting_secs", profile.reporting.as_secs_f64())
-        .field("phase_gc_copy_secs", profile.gc_copy.as_secs_f64())
-        // Schema 9: tick super-phase plus the array-wide fast-forward
-        // counters (per-member counts live in `member_perf`).
-        .field("phase_tick_secs", profile.tick.as_secs_f64())
-        .field("fast_forward", args.fast_forward)
-        .field("ticks_skipped", ff.ticks_skipped)
-        .field("ff_spans", ff.ff_spans)
-        .field("phase_untracked_secs", untracked)
-        // Schema 5: the parallel-stepping width (1 = driver thread only).
-        .field("member_threads", args.member_threads as u64)
-        .field(
-            "array",
-            ObjectBuilder::new()
-                .field("members", report.members as u64)
-                .field("chunk_pages", report.chunk_pages)
-                .field("redundancy", report.redundancy.as_str())
-                .field("gc_mode", report.gc_mode.as_str())
-                .field("split_requests", report.split_requests)
-                .field("routed_reads", report.routed_reads)
-                // Schema 6: which driver stepped the members and how much
-                // work moved between workers (zero with one thread).
-                .field("array_sched", telemetry.sched.name())
-                .field("epochs", telemetry.epochs)
-                .field("steals", telemetry.steals)
-                .build(),
-        )
-        .field("member_perf", JsonValue::Array(members))
-        .build()
+        record
+            .field(
+                "degraded_members",
+                degraded.map_or(0, |d| d.degraded_members),
+            )
+            .field("recovered_pages", degraded.map_or(0, |d| d.recovered_pages))
+            .field("lost_pages", degraded.map_or(0, |d| d.lost_pages))
+    })
+    // Schema 5: the parallel-stepping width (1 = driver thread only).
+    .field("member_threads", args.member_threads as u64)
+    .field(
+        "array",
+        ObjectBuilder::new()
+            .field("members", report.members as u64)
+            .field("chunk_pages", report.chunk_pages)
+            .field("redundancy", report.redundancy.as_str())
+            .field("gc_mode", report.gc_mode.as_str())
+            .field("split_requests", report.split_requests)
+            .field("routed_reads", report.routed_reads)
+            // Schema 6: which driver stepped the members and how much
+            // work moved between workers (zero with one thread).
+            .field("array_sched", telemetry.sched.name())
+            .field("epochs", telemetry.epochs)
+            .field("steals", telemetry.steals)
+            .build(),
+    )
+    .field("member_perf", JsonValue::Array(members))
+    .build()
 }
 
-/// One simulated sweep cell's raw material: the report plus the wall-time
-/// split, phase profile, and fast-forward counters (`ticks_skipped`,
-/// `ff_spans`) the perf record is built from.
-type SingleRun = (
-    jitgc_core::system::SimReport,
-    f64,
-    f64,
-    PhaseProfile,
-    u64,
-    u64,
-);
-
-/// Quiescence fast-forward counters of an array run: the aggregate plus
-/// the per-member tick counts (index-aligned with `member_perf`).
-struct FfCounters {
-    ticks_skipped: u64,
-    ff_spans: u64,
-    member_ticks: Vec<u64>,
-}
+/// One simulated sweep cell: its report and how fast it ran.
+type CellRun = (SimReport, RunPerf);
 
 /// Serializes one cell's model prediction.
 fn model_json(pred: &jitgc_model::Prediction) -> JsonValue {
@@ -674,7 +556,7 @@ fn screened_bench_record(
     args: &Args,
     cells: &[SweepCell],
     plan: &ScreenPlan,
-    runs: &[Option<SingleRun>],
+    runs: &[Option<CellRun>],
     duplicates: usize,
     model_eval_secs: f64,
 ) -> JsonValue {
@@ -691,27 +573,14 @@ fn screened_bench_record(
                 .field("simulated", plan.keep[i])
                 .field("pareto", plan.pareto[i])
                 .field("model", model_json(&plan.predictions[i]));
-            if let Some((report, setup_secs, run_secs, profile, ticks, spans)) = &runs[i] {
-                b = b.field(
-                    "perf",
-                    perf_record(
-                        args,
-                        report,
-                        Wall {
-                            setup_secs: *setup_secs,
-                            run_secs: *run_secs,
-                        },
-                        profile,
-                        *ticks,
-                        *spans,
-                    ),
-                );
+            if let Some((report, perf)) = &runs[i] {
+                b = b.field("perf", perf_record(args.seed, report, perf));
             }
             b.build()
         })
         .collect();
     ObjectBuilder::new()
-        .field("schema", "ssdsim-bench/9")
+        .field("schema", RunPerf::SCHEMA)
         .field(
             "screening",
             ObjectBuilder::new()
@@ -735,7 +604,7 @@ fn print_sweep_table(
     system: &SystemConfig,
     cells: &[SweepCell],
     plan: Option<&ScreenPlan>,
-    runs: &[Option<SingleRun>],
+    runs: &[Option<CellRun>],
 ) {
     println!(
         "{:<12}{:<16}{:>6}{:>11}{:>10}{:>8}{:>10}{:>12}",
@@ -756,7 +625,7 @@ fn print_sweep_table(
         // Cell labels, not `report.policy`: ablation variants (e.g.
         // JIT-GC without SIP) self-report the base policy's name.
         match &runs[i] {
-            Some((report, ..)) => println!(
+            Some((report, _)) => println!(
                 "{:<12}{:<16}{:>6}{:>11}{:>10.0}{:>8}{:>10}{:>12}",
                 cell.benchmark.to_string(),
                 cell.policy.name(),
@@ -824,6 +693,10 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
         eprintln!("invalid array configuration: {message}");
         std::process::exit(2)
     }
+    let working_set = working_set_or_exit(args, system, None);
+    if let Some(path) = &args.bench_json {
+        check_writable(path);
+    }
     let columns = match redundancy {
         Redundancy::None => members as u64,
         Redundancy::Mirror => members as u64 / 2,
@@ -833,7 +706,7 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
     // this is exactly the single-device workload and the per-device
     // report is byte-identical to the non-array path.
     let workload_config = WorkloadConfig::builder()
-        .working_set_pages((system.ftl.user_pages() - system.ftl.op_pages() / 2) * columns)
+        .working_set_pages(working_set * columns)
         .duration(SimDuration::from_secs(args.seconds))
         .mean_iops(args.iops * columns as f64)
         .burst_mean(args.burst)
@@ -850,7 +723,7 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
     // Member stepping uses `member_threads` workers *inside* each run, so
     // cap the sweep width to keep the product within the machine.
     let config = &config;
-    let runs = run_grid_capped(
+    let (reports, records): (Vec<ArrayReport>, Vec<Option<JsonValue>>) = run_grid_capped(
         &args.benchmarks,
         threads,
         args.member_threads,
@@ -858,73 +731,31 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
             let setup_start = Instant::now();
             let workload = benchmark.build(workload_config);
             let mut sim = config.build(|cfg| policy.build(cfg), workload);
-            sim.set_fast_forward(args.fast_forward);
             if profile_phases {
                 sim.enable_phase_profiling();
             }
             let setup_secs = setup_start.elapsed().as_secs_f64();
             let run_start = Instant::now();
             let report = sim.run();
-            let run_secs = run_start.elapsed().as_secs_f64();
-            let member_profiles = sim.member_profiles();
-            let ff = FfCounters {
-                ticks_skipped: sim.ticks_skipped(),
-                ff_spans: sim.ff_spans(),
-                member_ticks: sim
-                    .members()
-                    .iter()
-                    .map(jitgc_core::system::SsdSystem::ticks_skipped)
-                    .collect(),
-            };
-            (
-                report,
-                setup_secs,
-                run_secs,
-                sim.phase_profile(),
-                member_profiles,
-                sim.sched_telemetry(),
-                ff,
-            )
+            let perf = sim.run_perf(setup_secs, run_start.elapsed().as_secs_f64());
+            // The record reads member profiles and scheduler telemetry
+            // off the array itself, so it is built before `sim` drops.
+            let record = profile_phases.then(|| array_perf_record(args, &report, &sim, &perf));
+            (report, record)
         },
-    );
+    )
+    .into_iter()
+    .unzip();
 
     if let Some(path) = &args.bench_json {
-        let records: Vec<JsonValue> = runs
-            .iter()
-            .map(
-                |(report, setup_secs, run_secs, profile, member_profiles, telemetry, ff)| {
-                    array_perf_record(
-                        args,
-                        report,
-                        Wall {
-                            setup_secs: *setup_secs,
-                            run_secs: *run_secs,
-                        },
-                        profile,
-                        member_profiles,
-                        telemetry,
-                        ff,
-                    )
-                },
-            )
-            .collect();
-        let text = if records.len() == 1 {
-            records[0].to_pretty()
-        } else {
-            JsonValue::Array(records).to_pretty()
-        };
-        std::fs::write(path, text).expect("write bench JSON");
+        let records = records.into_iter().flatten().collect();
+        written(path, std::fs::write(path, one_or_many(records).to_pretty()));
         eprintln!("wrote perf record to {path}");
     }
 
     if args.json {
-        let reports: Vec<JsonValue> = runs.iter().map(|(r, ..)| r.to_json()).collect();
-        let text = if reports.len() == 1 {
-            reports[0].to_pretty()
-        } else {
-            JsonValue::Array(reports).to_pretty()
-        };
-        println!("{text}");
+        let reports = reports.iter().map(ArrayReport::to_json).collect();
+        println!("{}", one_or_many(reports).to_pretty());
         return;
     }
 
@@ -933,7 +764,7 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
             "{:<12}{:>10}{:>8}{:>10}{:>10}{:>12}{:>12}",
             "benchmark", "IOPS", "WAF", "FGC", "BGC blk", "p99 µs", "p999 µs"
         );
-        for (report, ..) in &runs {
+        for report in &reports {
             println!(
                 "{:<12}{:>10.0}{:>8}{:>10}{:>10}{:>12}{:>12}",
                 report.workload,
@@ -947,7 +778,7 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
         }
         return;
     }
-    let (report, ..) = runs.into_iter().next().expect("one benchmark ran");
+    let report = reports.into_iter().next().expect("one benchmark ran");
     println!(
         "array           {} members, {} KiB chunks, {}, {}",
         report.members, args.stripe_kb, report.redundancy, report.gc_mode
@@ -1067,7 +898,7 @@ fn main() {
     }
 
     if let Some(path) = &args.dump_config {
-        std::fs::write(path, system.to_json().to_pretty()).expect("write config JSON");
+        written(path, std::fs::write(path, system.to_json().to_pretty()));
         eprintln!("wrote effective config to {path}");
         return;
     }
@@ -1096,14 +927,33 @@ fn main() {
         eprintln!("--timeline requires a single sweep cell");
         std::process::exit(2)
     }
+    for cell in &cells {
+        working_set_or_exit(&args, &cell.system(&system), cell.op_permille);
+    }
+    for path in args.bench_json.iter().chain(&args.timeline) {
+        check_writable(path);
+    }
+    let base = Experiment {
+        system,
+        duration: SimDuration::from_secs(args.seconds),
+        mean_iops: args.iops,
+        burst_mean: args.burst,
+        seed: args.seed,
+    };
 
     // Screening: predict every cell analytically and simulate only the
     // predicted Pareto frontier plus the keep-fraction fill; skipped
     // cells keep their predictions in the bench record.
     let screen_start = Instant::now();
-    let plan = args
-        .screen
-        .then(|| screen_cells(&system, &cells, args.iops, args.burst, args.screen_keep));
+    let plan = args.screen.then(|| {
+        screen_cells(
+            &base.system,
+            &cells,
+            args.iops,
+            args.burst,
+            args.screen_keep,
+        )
+    });
     let model_eval_secs = screen_start.elapsed().as_secs_f64();
     let keep: Vec<bool> = plan
         .as_ref()
@@ -1126,82 +976,38 @@ fn main() {
     // byte-identical to the same cell of an exhaustive sweep.
     let threads = if kept.len() == 1 { 1 } else { args.threads };
     let profile_phases = args.bench_json.is_some();
-    let fast_forward = args.fast_forward;
-    let system_ref = &system;
-    let cells_ref = &cells;
-    let seconds = args.seconds;
-    let (iops, burst, seed) = (args.iops, args.burst, args.seed);
     let results = run_grid(&kept, threads, |&i| {
-        let cell = cells_ref[i];
         let setup_start = Instant::now();
-        let cell_system = cell.system(system_ref);
-        let workload_config = WorkloadConfig::builder()
-            .working_set_pages(cell_system.ftl.user_pages() - cell_system.ftl.op_pages() / 2)
-            .duration(SimDuration::from_secs(seconds))
-            .mean_iops(iops)
-            .burst_mean(burst)
-            .seed(seed)
-            .build();
-        let workload = cell.benchmark.build(workload_config);
-        let policy = cell.policy.build(&cell_system);
-        let mut sim = SsdSystem::new(cell_system, policy, workload);
-        sim.set_fast_forward(fast_forward);
+        let mut sim = cells[i].build(&base);
         if profile_phases {
             sim.enable_phase_profiling();
         }
         let setup_secs = setup_start.elapsed().as_secs_f64();
         let run_start = Instant::now();
         let report = sim.run();
-        let run_secs = run_start.elapsed().as_secs_f64();
-        (
-            report,
-            setup_secs,
-            run_secs,
-            sim.phase_profile(),
-            sim.ticks_skipped(),
-            sim.ff_spans(),
-        )
+        let perf = sim.run_perf(setup_secs, run_start.elapsed().as_secs_f64());
+        (report, perf)
     });
     // Scatter the kept-cell results back into cell order; screened-out
     // cells stay `None`.
-    let mut runs: Vec<Option<SingleRun>> = (0..cells.len()).map(|_| None).collect();
+    let mut runs: Vec<Option<CellRun>> = (0..cells.len()).map(|_| None).collect();
     for (&slot, result) in kept.iter().zip(results) {
         runs[slot] = Some(result);
     }
 
     if let Some(path) = &args.bench_json {
-        let text = match &plan {
+        let record = match &plan {
             Some(plan) => {
                 screened_bench_record(&args, &cells, plan, &runs, duplicates, model_eval_secs)
-                    .to_pretty()
             }
-            None => {
-                let records: Vec<JsonValue> = runs
-                    .iter()
-                    .map(|run| {
-                        let (report, setup_secs, run_secs, profile, ticks, spans) =
-                            run.as_ref().expect("unscreened sweeps simulate every cell");
-                        perf_record(
-                            &args,
-                            report,
-                            Wall {
-                                setup_secs: *setup_secs,
-                                run_secs: *run_secs,
-                            },
-                            profile,
-                            *ticks,
-                            *spans,
-                        )
-                    })
-                    .collect();
-                if records.len() == 1 {
-                    records[0].to_pretty()
-                } else {
-                    JsonValue::Array(records).to_pretty()
-                }
-            }
+            None => one_or_many(
+                runs.iter()
+                    .flatten()
+                    .map(|(report, perf)| perf_record(args.seed, report, perf))
+                    .collect(),
+            ),
         };
-        std::fs::write(path, text).expect("write bench JSON");
+        written(path, std::fs::write(path, record.to_pretty()));
         eprintln!("wrote perf record to {path}");
     }
 
@@ -1212,7 +1018,7 @@ fn main() {
             let reports: Vec<JsonValue> = runs
                 .iter()
                 .flatten()
-                .map(|(report, ..)| report.to_json())
+                .map(|(report, _)| report.to_json())
                 .collect();
             println!("{}", JsonValue::Array(reports).to_pretty());
         } else if args.policies.len() == 1 && args.op_sweep.is_empty() && plan.is_none() {
@@ -1221,8 +1027,7 @@ fn main() {
                 "{:<12}{:>10}{:>8}{:>10}{:>10}{:>12}",
                 "benchmark", "IOPS", "WAF", "FGC", "BGC blk", "p99 µs"
             );
-            for run in runs.iter().flatten() {
-                let (report, ..) = run;
+            for (report, _) in runs.iter().flatten() {
                 println!(
                     "{:<12}{:>10.0}{:>8}{:>10}{:>10}{:>12}",
                     report.workload,
@@ -1234,11 +1039,11 @@ fn main() {
                 );
             }
         } else {
-            print_sweep_table(&system, &cells, plan.as_ref(), &runs);
+            print_sweep_table(&base.system, &cells, plan.as_ref(), &runs);
         }
         return;
     }
-    let (report, ..) = runs
+    let (report, _) = runs
         .into_iter()
         .next()
         .flatten()
@@ -1260,7 +1065,7 @@ fn main() {
                 s.waf
             ));
         }
-        std::fs::write(path, csv).expect("write timeline CSV");
+        written(path, std::fs::write(path, csv));
         eprintln!("wrote {} interval samples to {path}", report.timeline.len());
     }
 

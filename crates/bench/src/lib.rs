@@ -126,17 +126,26 @@ impl Experiment {
         }
     }
 
-    /// Runs one `(policy, benchmark)` cell and returns its report.
-    ///
-    /// The working set leaves exactly `0.5 × C_OP` of the logical space
-    /// unused, putting the paper's A-BGC (`C_resv = 1.5 × C_OP`) right at
-    /// its own feasibility bound `C_resv ≤ C_unused + C_OP`. The device is
-    /// aged (pre-filled) before measurement; see
+    /// Builds one `(policy, benchmark)` cell, ready to run: the benchmark
+    /// over the system's [standard working
+    /// set](SystemConfig::standard_working_set), the policy instantiated
+    /// for this system. `ssdsim`'s sweep, every figure/table bench and
+    /// [`run`](Self::run) construct their cells here. The device is aged
+    /// (pre-filled) at the start of the run when the system says so; see
     /// [`SystemConfig::default_sim`] for the scale model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the system leaves no working set (over-provisioning of
+    /// 200 % or more); CLIs check that when they parse their flags.
     #[must_use]
-    pub fn run(&self, policy: PolicyKind, benchmark: BenchmarkKind) -> SimReport {
+    pub fn build(&self, policy: PolicyKind, benchmark: BenchmarkKind) -> SsdSystem {
+        let working_set = self
+            .system
+            .standard_working_set()
+            .expect("the system leaves a working set");
         let wl_cfg = WorkloadConfig::builder()
-            .working_set_pages(self.system.ftl.user_pages() - self.system.ftl.op_pages() / 2)
+            .working_set_pages(working_set)
             .duration(self.duration)
             .mean_iops(self.mean_iops)
             .burst_mean(self.burst_mean)
@@ -144,7 +153,13 @@ impl Experiment {
             .build();
         let workload = benchmark.build(wl_cfg);
         let policy = policy.build(&self.system);
-        SsdSystem::new(self.system.clone(), policy, workload).run()
+        SsdSystem::new(self.system.clone(), policy, workload)
+    }
+
+    /// Runs one `(policy, benchmark)` cell and returns its report.
+    #[must_use]
+    pub fn run(&self, policy: PolicyKind, benchmark: BenchmarkKind) -> SimReport {
+        self.build(policy, benchmark).run()
     }
 }
 

@@ -16,8 +16,8 @@
 //! reports are byte-identical to the same cells of an unscreened run —
 //! screening changes which cells run, never what a run produces.
 
-use crate::PolicyKind;
-use jitgc_core::system::SystemConfig;
+use crate::{Experiment, PolicyKind};
+use jitgc_core::system::{SsdSystem, SystemConfig};
 use jitgc_model::{predict, PolicyModel, Prediction, WorkloadSpec};
 use jitgc_workload::BenchmarkKind;
 
@@ -46,6 +46,18 @@ impl SweepCell {
                 system
             }
         }
+    }
+
+    /// Builds this cell ready to run, the way every sweep driver does:
+    /// `base` on the cell's [`system`](Self::system), through
+    /// [`Experiment::build`].
+    #[must_use]
+    pub fn build(&self, base: &Experiment) -> SsdSystem {
+        Experiment {
+            system: self.system(&base.system),
+            ..base.clone()
+        }
+        .build(self.policy, self.benchmark)
     }
 }
 
@@ -273,6 +285,10 @@ mod tests {
         assert_eq!(system.ftl.op_permille(), 200);
         assert!(system.ftl.op_pages() > base.ftl.op_pages());
         assert_eq!(system.ftl.user_pages(), base.ftl.user_pages());
+        // The built cell runs on that system, not the base's.
+        let sim = cell.build(&Experiment::quick());
+        assert_eq!(sim.config().ftl.op_permille(), 200);
+        assert_eq!(sim.policy_name(), "JIT-GC");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Hostile `ssdsim` input is an error message and exit 2, never a panic:
-//! zero / negative / NaN rates die at parse time naming their flag, and
-//! the selector flags this CLI no longer has are plain unknown flags.
+//! zero / negative / NaN rates and over-provisioning that leaves no
+//! working set die at parse time naming their flag, an unwritable output
+//! path is reported before anything runs, and the selector flags this
+//! CLI no longer has are plain unknown flags.
 
 use std::process::Command;
 
 #[test]
 fn bad_flags_exit_2_with_a_message_naming_them() {
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 14] = [
         (&["--seconds", "0"], "--seconds"),
         (&["--iops", "0"], "--iops"),
         (&["--iops", "-5"], "--iops"),
@@ -20,6 +22,24 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         (
             &["--array", "4", "--array-sched", "barrier"],
             "unknown flag: --array-sched",
+        ),
+        (&["--fast-forward", "on"], "unknown flag: --fast-forward"),
+        // OP of 200 % leaves a working set of exactly zero pages; above
+        // it the subtraction used to wrap.
+        (&["--op-sweep", "2000"], "--op-sweep 2000"),
+        (&["--op-sweep", "70,2001"], "--op-sweep 2001"),
+        (&["--op-sweep", "5000"], "--op-sweep 5000"),
+        (
+            &["--bench-json", "/nonexistent-dir/perf.json"],
+            "cannot write /nonexistent-dir/perf.json",
+        ),
+        (
+            &["--array", "2", "--bench-json", "/nonexistent-dir/perf.json"],
+            "cannot write /nonexistent-dir/perf.json",
+        ),
+        (
+            &["--timeline", "/nonexistent-dir/timeline.csv"],
+            "cannot write /nonexistent-dir/timeline.csv",
         ),
     ];
     for (args, mention) in cases {

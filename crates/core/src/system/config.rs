@@ -268,6 +268,29 @@ impl SystemConfig {
         self.ftl.op_capacity()
     }
 
+    /// The standard experiment working set in pages: the logical space
+    /// minus half the over-provisioning, `C_user − 0.5 × C_OP`. Leaving
+    /// exactly `0.5 × C_OP` untouched puts the paper's A-BGC
+    /// (`C_resv = 1.5 × C_OP`) right on its own feasibility bound
+    /// `C_resv ≤ C_unused + C_OP`. This is the one definition every
+    /// driver, bench, test and example sizes its workload with.
+    ///
+    /// # Errors
+    ///
+    /// Over-provisioning of 200 % of the user capacity or more leaves no
+    /// working set; the message states the page counts.
+    pub fn standard_working_set(&self) -> Result<u64, String> {
+        let user = self.ftl.user_pages();
+        match user.checked_sub(self.ftl.op_pages() / 2) {
+            Some(pages) if pages > 0 => Ok(pages),
+            _ => Err(format!(
+                "over-provisioning of {} pages leaves no working set on {user} user pages \
+                 (the standard working set is user − OP/2, so OP must stay below 200 %)",
+                self.ftl.op_pages()
+            )),
+        }
+    }
+
     /// Serializes to the repository's JSON config format
     /// (`ssdsim --dump-config`).
     #[must_use]
@@ -363,6 +386,27 @@ mod tests {
             let (bw, gc_bw) = cfg.default_bandwidths();
             assert!(bw > 0.0 && gc_bw > 0.0);
             assert!(gc_bw < bw, "GC reclaims slower than plain writes");
+        }
+    }
+
+    #[test]
+    fn standard_working_set_is_user_minus_half_op_and_checked() {
+        for (cfg, pages) in [
+            (SystemConfig::small_for_tests(), 2_048 - 143 / 2),
+            (SystemConfig::default_sim(), 24_576 - 1_720 / 2),
+        ] {
+            assert_eq!(cfg.standard_working_set(), Ok(pages));
+        }
+        let with_op = |permille| {
+            let mut cfg = SystemConfig::small_for_tests();
+            cfg.ftl = cfg.ftl.to_builder().op_permille(permille).build();
+            cfg.standard_working_set()
+        };
+        assert_eq!(with_op(1_999), Ok(2_048 - 4_093 / 2));
+        // 200 % leaves exactly nothing, anything above would underflow.
+        for permille in [2_000, 2_001, 5_000] {
+            let err = with_op(permille).unwrap_err();
+            assert!(err.contains("leaves no working set"), "{err}");
         }
     }
 

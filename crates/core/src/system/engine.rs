@@ -3,7 +3,7 @@
 use super::interval_log::IntervalLog;
 use crate::policy::{GcPolicy, IntervalObservation};
 use crate::predictor::{AccuracyTracker, BufferedWritePredictor, DirectWritePredictor};
-use crate::system::{PhaseProfile, SimReport, SystemConfig};
+use crate::system::{PhaseProfile, RunPerf, SimReport, SystemConfig};
 use jitgc_ftl::{DegradeKind, Ftl, FtlError, SipList};
 use jitgc_nand::Lpn;
 use jitgc_pagecache::PageCache;
@@ -1106,13 +1106,31 @@ impl SsdSystem {
         &self.ftl
     }
 
-    /// Selects the tick-processing path: quiescence fast-forward
-    /// (default) or the pure per-tick loop. Observationally identical —
-    /// reports are byte-for-byte the same either way (debug builds
-    /// replay every skipped span and assert it); the switch exists for
-    /// A/B measurement and as the release-build oracle hook.
+    /// Test hook: selects the tick-processing path — the quiescence
+    /// fast-forward (the production path, on by default) or the pure
+    /// per-tick loop, the reference the identity tests compare it
+    /// against. Reports are byte-for-byte the same either way (debug
+    /// builds replay every skipped span and assert it). No CLI reaches
+    /// this.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
+    }
+
+    /// The wall-clock facts of this system's run so far, for the
+    /// `--bench-json` perf record: the caller's stopwatch readings plus
+    /// the engine's own fast-forward setting, counters and — when
+    /// [`enable_phase_profiling`](SsdSystem::enable_phase_profiling) was
+    /// called — phase profile.
+    #[must_use]
+    pub fn run_perf(&self, setup_secs: f64, run_secs: f64) -> RunPerf {
+        RunPerf {
+            setup_secs,
+            run_secs,
+            profile: self.profile_enabled.then(|| self.phase_profile()),
+            fast_forward: self.fast_forward,
+            ticks_skipped: self.ticks_skipped,
+            ff_spans: self.ff_spans,
+        }
     }
 
     /// Ticks skipped by the quiescence fast-forward so far. Zero with
@@ -1164,13 +1182,6 @@ impl SsdSystem {
     #[must_use]
     pub fn device_busy_until(&self) -> SimTime {
         self.device_busy_until
-    }
-
-    /// The name of the workload driving (or, under an external scheduler,
-    /// labelling) this system.
-    #[must_use]
-    pub fn workload_name(&self) -> &'static str {
-        self.workload.name()
     }
 
     /// The installed policy's name.

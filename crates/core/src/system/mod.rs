@@ -20,5 +20,5 @@ mod report;
 
 pub use config::{ManagerPlacement, SystemConfig, VictimKind};
 pub use engine::{GcSignals, SsdSystem};
-pub use profile::PhaseProfile;
+pub use profile::{PhaseProfile, RunPerf, RunTotals};
 pub use report::{DegradeEventRecord, DegradedReport, IntervalSample, SimReport};

@@ -104,7 +104,9 @@ impl WorkloadSpec {
     #[must_use]
     pub fn for_system(system: &SystemConfig, mean_iops: f64, burst_mean: f64) -> Self {
         WorkloadSpec {
-            working_set_pages: system.ftl.user_pages() - system.ftl.op_pages() / 2,
+            working_set_pages: system
+                .standard_working_set()
+                .expect("over-provisioning is below 200 %"),
             mean_iops,
             burst_mean,
         }

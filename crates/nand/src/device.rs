@@ -121,12 +121,6 @@ impl NandDevice {
         self
     }
 
-    /// The installed fault injector, if any.
-    #[must_use]
-    pub fn fault_model(&self) -> Option<&FaultModel> {
-        self.fault.as_ref()
-    }
-
     /// The device geometry.
     #[must_use]
     pub fn geometry(&self) -> &Geometry {

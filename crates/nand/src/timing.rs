@@ -102,22 +102,10 @@ impl NandTiming {
         )
     }
 
-    /// Raw array read time (before striping).
-    #[must_use]
-    pub fn raw_read_time(&self) -> SimDuration {
-        self.read
-    }
-
     /// Raw array program time (before striping).
     #[must_use]
     pub fn raw_program_time(&self) -> SimDuration {
         self.program
-    }
-
-    /// Raw block erase time (before striping).
-    #[must_use]
-    pub fn raw_erase_time(&self) -> SimDuration {
-        self.erase
     }
 
     /// Bus transfer time per page.

@@ -24,15 +24,14 @@
 //!   --no-backpressure      track tiers but never defer or shed
 //!   --worker-threads <N>   trace-generation workers; reports are
 //!                          byte-identical for any value        (default 1)
-//!   --fast-forward on|off  engine quiescence fast-forward; reports are
-//!                          byte-identical either way           (default on)
 //!   --small                use the small test device (default: default_sim)
 //!   --no-prefill           start from an erased device (default: aged)
 //!   --json                 emit the deterministic service report as JSON
 //!   --bench-json <path>    write a machine-readable perf record
-//!                          (`ssdsim-bench/9`: wall-time fields, the
-//!                          fast-forward counters and the full `service`
-//!                          block)
+//!                          (`ssdsim-bench/9`: the wall-time and
+//!                          fast-forward fields `ssdsim` writes, through
+//!                          the same `RunPerf::record`, and the full
+//!                          `service` block)
 //!   --listen <addr>        serve the wire protocol on a TCP address
 //!                          instead of running the in-process demo
 //!   --unix <path>          serve on a Unix socket (unix only)
@@ -45,12 +44,12 @@
 
 use std::time::Instant;
 
-use jitgc_core::system::SystemConfig;
+use jitgc_core::system::{RunPerf, RunTotals, SystemConfig};
 use jitgc_service::{
     run_closed_loop_counting, serve, Endpoint, PolicyChoice, Service, ServiceConfig, ServiceReport,
     TenantProfile, TenantSpec, TierThresholds,
 };
-use jitgc_sim::json::{JsonValue, ObjectBuilder};
+use jitgc_sim::json::JsonValue;
 use jitgc_sim::SimTime;
 
 struct Args {
@@ -63,7 +62,6 @@ struct Args {
     tiers: TierThresholds,
     backpressure: bool,
     worker_threads: usize,
-    fast_forward: bool,
     small: bool,
     prefill: bool,
     json: bool,
@@ -85,7 +83,6 @@ impl Default for Args {
             tiers: TierThresholds::default(),
             backpressure: true,
             worker_threads: 1,
-            fast_forward: true,
             small: false,
             prefill: true,
             json: false,
@@ -130,8 +127,7 @@ fn usage() -> ! {
     eprintln!("               [--dispatch-window N] [--tier-yellow F] [--tier-red F]");
     eprintln!("               [--tier-black F] [--tier-hysteresis F]");
     eprintln!("               [--no-backpressure] [--worker-threads N]");
-    eprintln!("               [--fast-forward on|off] [--small]");
-    eprintln!("               [--no-prefill] [--json] [--bench-json PATH]");
+    eprintln!("               [--small] [--no-prefill] [--json] [--bench-json PATH]");
     eprintln!("               [--listen ADDR | --unix PATH] [--sessions N]");
     eprintln!("see the module docs (`ssdsimd.rs`) for value sets");
     std::process::exit(2)
@@ -210,13 +206,6 @@ fn parse_args() -> Args {
             }
             "--no-backpressure" => args.backpressure = false,
             "--worker-threads" => args.worker_threads = value().parse().unwrap_or_else(|_| usage()),
-            "--fast-forward" => {
-                args.fast_forward = match value().as_str() {
-                    "on" => true,
-                    "off" => false,
-                    v => fail(format!("--fast-forward must be on|off, got `{v}`")),
-                }
-            }
             "--small" => args.small = true,
             "--no-prefill" => args.prefill = false,
             "--json" => args.json = true,
@@ -231,54 +220,27 @@ fn parse_args() -> Args {
     args
 }
 
-/// The `--bench-json` perf record: wall-clock throughput of the simulator,
-/// the quiescence fast-forward counters and the full deterministic
-/// `service` block (schema `ssdsim-bench/9`).
-fn perf_record(
-    args: &Args,
-    report: &ServiceReport,
-    ticks_skipped: u64,
-    ff_spans: u64,
-    setup_secs: f64,
-    run_secs: f64,
-) -> JsonValue {
-    let per_sec = |count: u64| -> f64 {
-        if run_secs > 0.0 {
-            count as f64 / run_secs
-        } else {
-            0.0
-        }
+/// The `--bench-json` perf record: the shared wall-clock fields of
+/// [`RunPerf::record`] over the device's totals, then the full
+/// deterministic `service` block (schema 8).
+fn perf_record(args: &Args, report: &ServiceReport, perf: &RunPerf) -> JsonValue {
+    let totals = RunTotals {
+        benchmark: "service",
+        victim: None,
+        simulated_secs: report.duration_us as f64 / 1e6,
+        ..RunTotals::of(&report.device, args.seed)
     };
-    ObjectBuilder::new()
-        .field("schema", "ssdsim-bench/9")
-        .field("benchmark", "service")
-        .field("policy", report.device.policy.as_str())
-        .field("seed", args.seed)
-        .field("simulated_secs", report.duration_us as f64 / 1e6)
-        .field("ops", report.device.ops)
-        .field("host_pages_written", report.device.host_pages_written)
-        .field("nand_pages_programmed", report.device.nand_pages_programmed)
-        .field("wall_secs", setup_secs + run_secs)
-        .field("setup_secs", setup_secs)
-        .field("run_secs", run_secs)
-        .field(
-            "host_pages_per_wall_sec",
-            per_sec(report.device.host_pages_written),
-        )
-        .field(
-            "nand_pages_per_wall_sec",
-            per_sec(report.device.nand_pages_programmed),
-        )
-        .field("ops_per_wall_sec", per_sec(report.device.ops))
-        .field("worker_threads", args.worker_threads as u64)
-        // Schema 9: the quiescence fast-forward telemetry (wall-clock
-        // only; the deterministic report carries neither counter).
-        .field("fast_forward", args.fast_forward)
-        .field("ticks_skipped", ticks_skipped)
-        .field("ff_spans", ff_spans)
-        // Schema 8: the multi-tenant service block (deterministic).
-        .field("service", report.to_json())
-        .build()
+    perf.record(&totals, |record| {
+        record.field("worker_threads", args.worker_threads as u64)
+    })
+    .field("service", report.to_json())
+    .build()
+}
+
+/// An output path that cannot be written is a bad argument like any
+/// other: one line on stderr and exit 2.
+fn written<T>(path: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")))
 }
 
 fn fmt_opt(v: Option<u64>) -> String {
@@ -349,7 +311,8 @@ fn main() {
         tiers: args.tiers,
         backpressure: args.backpressure,
         worker_threads: args.worker_threads,
-        fast_forward: args.fast_forward,
+        // A test hook, not a knob: the daemon always fast-forwards.
+        fast_forward: true,
         seconds: args.seconds,
         seed: args.seed,
         system,
@@ -360,6 +323,16 @@ fn main() {
     if args.listen.is_some() && args.unix.is_some() {
         fail("--listen and --unix are mutually exclusive".into());
     }
+    // Checked before the run so a typo costs no simulated minutes; creates
+    // the file if missing, never truncates.
+    if let Some(path) = &args.bench_json {
+        let probe = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path);
+        written(path, probe);
+    }
+    let fast_forward = cfg.fast_forward;
 
     let setup_start = Instant::now();
     let (report, ticks_skipped, ff_spans) = if args.listen.is_some() || args.unix.is_some() {
@@ -398,9 +371,18 @@ fn main() {
     if let Some(path) = &args.bench_json {
         // The whole wall time is `run` here; the service builds its
         // engine inside the run (prefill included in setup would need
-        // instrumentation the report does not carry).
-        let record = perf_record(&args, &report, ticks_skipped, ff_spans, 0.0, setup_plus_run);
-        std::fs::write(path, record.to_pretty()).expect("write bench JSON");
+        // instrumentation the report does not carry). It never profiles
+        // phases either.
+        let perf = RunPerf {
+            setup_secs: 0.0,
+            run_secs: setup_plus_run,
+            profile: None,
+            fast_forward,
+            ticks_skipped,
+            ff_spans,
+        };
+        let record = perf_record(&args, &report, &perf);
+        written(path, std::fs::write(path, record.to_pretty()));
         eprintln!("wrote perf record to {path}");
     }
     if args.json {

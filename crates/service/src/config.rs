@@ -116,9 +116,10 @@ pub struct ServiceConfig {
     /// of the in-process driver (≥ 1, ≤ tenant count). Reports are
     /// byte-identical for any value.
     pub worker_threads: usize,
-    /// Engine quiescence fast-forward (DESIGN.md §15; on by default).
-    /// Byte-identical reports either way — purely a wall-clock switch,
-    /// kept here so an A/B harness can flip it per run.
+    /// Test hook: the engine's quiescence fast-forward (DESIGN.md §15).
+    /// `true` everywhere outside the identity tests, which compare
+    /// against the per-tick loop; reports are byte-identical either way
+    /// and `ssdsimd` has no flag for it.
     pub fast_forward: bool,
     /// Simulated seconds each tenant's workload emits.
     pub seconds: u64,
@@ -181,8 +182,9 @@ impl ServiceConfig {
     /// non-positive, the SQ depth or dispatch window is zero, the tier
     /// thresholds are not strictly increasing within `(0, 1]`, the
     /// hysteresis is negative or at least the Yellow threshold, the
-    /// worker-thread count is zero or exceeds the tenant count, or the
-    /// tenants' combined working set does not fit the device.
+    /// worker-thread count is zero or exceeds the tenant count, the
+    /// device leaves no standard working set, or the roster splits it
+    /// into fewer than 64 pages per tenant.
     pub fn validate(&self) -> Result<(), String> {
         if self.tenants.is_empty() {
             return Err("the service needs at least one tenant".into());
@@ -240,8 +242,7 @@ impl ServiceConfig {
         if self.seconds == 0 {
             return Err("the run needs at least one simulated second".into());
         }
-        let usable = self.system.ftl.user_pages() - self.system.ftl.op_pages() / 2;
-        let per_tenant = usable / self.tenants.len() as u64;
+        let per_tenant = self.system.standard_working_set()? / self.tenants.len() as u64;
         if per_tenant < 64 {
             return Err(format!(
                 "{} tenants leave {per_tenant} pages each on this device; \
@@ -252,12 +253,20 @@ impl ServiceConfig {
         Ok(())
     }
 
-    /// Pages of logical space each tenant owns: the standard experiment
-    /// working set (user capacity minus half the over-provisioning) split
-    /// evenly across the roster.
+    /// Pages of logical space each tenant owns: the [standard working
+    /// set](SystemConfig::standard_working_set) split evenly across the
+    /// roster.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a device without a working set, which
+    /// [`validate`](Self::validate) rejects.
     #[must_use]
     pub fn pages_per_tenant(&self) -> u64 {
-        let usable = self.system.ftl.user_pages() - self.system.ftl.op_pages() / 2;
+        let usable = self
+            .system
+            .standard_working_set()
+            .expect("validate() checked the working set");
         usable / self.tenants.len() as u64
     }
 

@@ -251,19 +251,6 @@ pub struct Client<S: Read + Write> {
     stream: S,
 }
 
-impl Client<TcpStream> {
-    /// Connects over TCP.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the connect error.
-    pub fn connect_tcp(addr: std::net::SocketAddr) -> io::Result<Self> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
-    }
-}
-
 #[cfg(unix)]
 impl Client<UnixStream> {
     /// Connects over a Unix-domain socket.

@@ -69,12 +69,6 @@ impl ByteSize {
         self.0 / (1024 * 1024)
     }
 
-    /// The byte count in MiB as a float (reporting only).
-    #[must_use]
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
-
     /// `true` if zero bytes.
     #[must_use]
     pub const fn is_zero(self) -> bool {

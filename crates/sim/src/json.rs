@@ -114,17 +114,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a signed integer (negative literals or in-range
-    /// unsigned ones).
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            JsonValue::I64(v) => Some(v),
-            JsonValue::U64(v) => i64::try_from(v).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a float; integer literals convert.
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {

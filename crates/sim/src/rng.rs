@@ -47,12 +47,6 @@ impl SimRng {
         SimRng { state, seed }
     }
 
-    /// The seed this generator was constructed with.
-    #[must_use]
-    pub fn initial_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child generator; useful to give each workload
     /// stream its own stable stream regardless of how many samples siblings
     /// draw.
@@ -81,11 +75,6 @@ impl SimRng {
         s2 ^= t;
         self.state = [s0, s1, s2, s3.rotate_left(45)];
         result
-    }
-
-    /// The next raw 32-bit output (upper half of [`next_u64`](Self::next_u64)).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Fills `dest` with generator output.

@@ -60,8 +60,6 @@ pub use trace::{
     TraceWorkload,
 };
 
-use jitgc_nand::Lpn;
-
 /// A stream of I/O requests with think-time gaps.
 ///
 /// Generators are pull-based: [`next_request`](Workload::next_request)
@@ -84,11 +82,4 @@ pub trait Workload: Send {
 
     /// The number of logical pages this workload touches.
     fn working_set_pages(&self) -> u64;
-}
-
-/// Object-safe helper: largest LPN a workload may touch, for sizing the
-/// FTL's logical space.
-#[must_use]
-pub fn max_lpn_of(workload: &dyn Workload) -> Lpn {
-    Lpn(workload.working_set_pages().saturating_sub(1))
 }

@@ -34,7 +34,9 @@ fn main() {
     system.queue_depth = 8;
     // Start from steady state: prefill each member's extent so GC is live.
     system.prefill = true;
-    let per_member = system.ftl.user_pages() - system.ftl.op_pages() / 2;
+    let per_member = system
+        .standard_working_set()
+        .expect("over-provisioning is below 200 %");
     let workload = BenchmarkKind::Ycsb.build(
         WorkloadConfig::builder()
             .working_set_pages(per_member * MEMBERS as u64)

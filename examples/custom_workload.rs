@@ -105,7 +105,9 @@ impl Workload for VideoRecorder {
 
 fn main() {
     let system_config = SystemConfig::default_sim();
-    let working_set = system_config.ftl.user_pages() - system_config.ftl.op_pages() / 2;
+    let working_set = system_config
+        .standard_working_set()
+        .expect("over-provisioning is below 200 %");
     let workload = VideoRecorder::new(working_set, 60_000, 99);
     let policy = JitGc::from_system_config(&system_config);
     let report = SsdSystem::new(system_config, Box::new(policy), Box::new(workload)).run();

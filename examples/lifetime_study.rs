@@ -31,7 +31,11 @@ fn main() {
             _ => Box::new(JitGc::from_system_config(&system_config)),
         };
         let workload_config = WorkloadConfig::builder()
-            .working_set_pages(system_config.ftl.user_pages() - system_config.ftl.op_pages() / 2)
+            .working_set_pages(
+                system_config
+                    .standard_working_set()
+                    .expect("over-provisioning is below 200 %"),
+            )
             .duration(SimDuration::from_secs(300))
             .mean_iops(250.0)
             .burst_mean(1_024.0)

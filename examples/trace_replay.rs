@@ -18,7 +18,11 @@ use std::io::{BufRead, Write};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system_config = SystemConfig::default_sim();
     let workload_config = WorkloadConfig::builder()
-        .working_set_pages(system_config.ftl.user_pages() - system_config.ftl.op_pages() / 2)
+        .working_set_pages(
+            system_config
+                .standard_working_set()
+                .expect("over-provisioning is below 200 %"),
+        )
         .duration(SimDuration::from_secs(60))
         .mean_iops(250.0)
         .burst_mean(1_024.0)

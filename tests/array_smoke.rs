@@ -18,7 +18,7 @@ use jitgc_workload::{BenchmarkKind, Workload, WorkloadConfig};
 /// The standard experiment sizing, scaled by the column count so each
 /// member carries a standalone device's load.
 fn workload_for(system: &SystemConfig, columns: u64, seed: u64) -> Box<dyn Workload> {
-    let per_member = system.ftl.user_pages() - system.ftl.op_pages() / 2;
+    let per_member = system.standard_working_set().unwrap();
     BenchmarkKind::Ycsb.build(
         WorkloadConfig::builder()
             .working_set_pages(per_member * columns)

@@ -10,7 +10,7 @@ use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
 
 fn run(config: &SystemConfig, kind: BenchmarkKind, secs: u64) -> SimReport {
     let wl = WorkloadConfig::builder()
-        .working_set_pages(config.ftl.user_pages() - config.ftl.op_pages() / 2)
+        .working_set_pages(config.standard_working_set().unwrap())
         .duration(SimDuration::from_secs(secs))
         .mean_iops(250.0)
         .burst_mean(1_024.0)

@@ -13,7 +13,7 @@ use jitgc_repro::workload::{BenchmarkKind, Workload, WorkloadConfig};
 
 fn workload_for(config: &SystemConfig, secs: u64, seed: u64) -> Box<dyn Workload> {
     let wl = WorkloadConfig::builder()
-        .working_set_pages(config.ftl.user_pages() - config.ftl.op_pages() / 2)
+        .working_set_pages(config.standard_working_set().unwrap())
         .duration(SimDuration::from_secs(secs))
         .mean_iops(800.0)
         .burst_mean(256.0)
@@ -187,7 +187,7 @@ fn prefill_phase_is_excluded_from_wear_and_lifetime_reporting() {
     let mut config = SystemConfig::small_for_tests();
     config.prefill = true;
     let wl = WorkloadConfig::builder()
-        .working_set_pages(config.ftl.user_pages() - config.ftl.op_pages() / 2)
+        .working_set_pages(config.standard_working_set().unwrap())
         .duration(SimDuration::from_secs(1))
         .mean_iops(50.0)
         .seed(2)
@@ -201,7 +201,7 @@ fn prefill_phase_is_excluded_from_wear_and_lifetime_reporting() {
 
     // Prefill wrote the whole working set (~1 900 pages); a 1-second
     // 50-IOPS run cannot legitimately program even a tenth of that.
-    let ws = config.ftl.user_pages() - config.ftl.op_pages() / 2;
+    let ws = config.standard_working_set().unwrap();
     assert!(
         report.nand_pages_programmed < ws / 10,
         "prefill programs leaked into the report: {} pages",

@@ -14,7 +14,7 @@ fn run(
     seed: u64,
 ) -> SimReport {
     let wl = WorkloadConfig::builder()
-        .working_set_pages(config.ftl.user_pages() - config.ftl.op_pages() / 2)
+        .working_set_pages(config.standard_working_set().unwrap())
         .duration(SimDuration::from_secs(secs))
         .mean_iops(800.0)
         .burst_mean(256.0)

@@ -15,7 +15,7 @@ fn standard_run(policy: Box<dyn GcPolicy>, kind: BenchmarkKind) -> SimReport {
         c
     };
     let wl = WorkloadConfig::builder()
-        .working_set_pages(config.ftl.user_pages() - config.ftl.op_pages() / 2)
+        .working_set_pages(config.standard_working_set().unwrap())
         .duration(SimDuration::from_secs(300))
         .mean_iops(250.0)
         .burst_mean(1_024.0)

@@ -27,7 +27,7 @@ fn workload_for(
     secs: u64,
     iops: f64,
 ) -> Box<dyn Workload> {
-    let per_member = config.ftl.user_pages() - config.ftl.op_pages() / 2;
+    let per_member = config.standard_working_set().unwrap();
     BenchmarkKind::Ycsb.build(
         WorkloadConfig::builder()
             .working_set_pages(per_member * columns)

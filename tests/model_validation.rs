@@ -29,7 +29,7 @@ const BURST_MEAN: f64 = 1_024.0;
 /// conditions (No-BGC, FIFO victim, aged device, 1800 s).
 fn simulated_waf(system: &SystemConfig, benchmark: BenchmarkKind) -> f64 {
     let wl = WorkloadConfig::builder()
-        .working_set_pages(system.ftl.user_pages() - system.ftl.op_pages() / 2)
+        .working_set_pages(system.standard_working_set().unwrap())
         .duration(SimDuration::from_secs(1_800))
         .mean_iops(MEAN_IOPS)
         .burst_mean(BURST_MEAN)

@@ -16,7 +16,7 @@ fn aged_config() -> SystemConfig {
 
 fn run(config: &SystemConfig, policy: Box<dyn GcPolicy>, kind: BenchmarkKind) -> SimReport {
     let wl = WorkloadConfig::builder()
-        .working_set_pages(config.ftl.user_pages() - config.ftl.op_pages() / 2)
+        .working_set_pages(config.standard_working_set().unwrap())
         .duration(SimDuration::from_secs(120))
         .mean_iops(250.0)
         .burst_mean(1_024.0)

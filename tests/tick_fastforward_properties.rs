@@ -27,7 +27,7 @@ fn bursty_idle_workload(
     secs: u64,
     seed: u64,
 ) -> Box<dyn Workload> {
-    let per_member = system.ftl.user_pages() - system.ftl.op_pages() / 2;
+    let per_member = system.standard_working_set().unwrap();
     benchmark.build(
         WorkloadConfig::builder()
             .working_set_pages(per_member * columns)
