@@ -4,7 +4,7 @@ use crate::{
     ArrayDegraded, ArrayManager, ArrayReport, GcMode, MemberSched, Redundancy, StripeExtent,
     StripeMap,
 };
-use jitgc_core::system::{RunPerf, SsdSystem};
+use jitgc_core::system::{FfRefusals, RunPerf, SsdSystem};
 use jitgc_nand::{Lpn, WearReport};
 use jitgc_sim::stats::LatencyRecorder;
 use jitgc_sim::SimTime;
@@ -673,6 +673,17 @@ impl ArrayScheduler {
     #[must_use]
     pub fn ff_spans(&self) -> u64 {
         self.members.iter().map(SsdSystem::ff_spans).sum()
+    }
+
+    /// Idle ticks the members' fast-forwards refused, summed per gate
+    /// (see [`SsdSystem::ff_refusals`]).
+    #[must_use]
+    pub fn ff_refusals(&self) -> FfRefusals {
+        let mut total = FfRefusals::default();
+        for member in &self.members {
+            total += member.ff_refusals();
+        }
+        total
     }
 
     /// Per-member phase profiles, index-aligned with

@@ -184,6 +184,28 @@ mod tests {
     }
 
     #[test]
+    fn workers_building_zipf_samplers_concurrently_agree_with_serial() {
+        // Every cell builds its workload's sampler on whichever worker
+        // picks it up; the samplers share tables through one process-wide
+        // cache. More keys than the cache holds, so workers build, find
+        // and evict at once.
+        let cells: Vec<(u64, f64)> = (0..24)
+            .map(|i| (2_000 + i % 6, if i % 2 == 0 { 0.9 } else { 0.99 }))
+            .collect();
+        let draw = |&(n, s): &(u64, f64)| {
+            let zipf = jitgc_sim::Zipf::new(n, s);
+            let mut rng = jitgc_sim::SimRng::seed(n);
+            (0..200)
+                .map(|_| zipf.sample(&mut rng))
+                .collect::<Vec<u64>>()
+        };
+        let serial = run_grid(&cells, 1, draw);
+        for threads in [2, 4] {
+            assert_eq!(run_grid(&cells, threads, draw), serial, "{threads} threads");
+        }
+    }
+
+    #[test]
     fn empty_grid_is_fine() {
         let out: Vec<u64> = run_grid(&[], 4, |&x: &u64| x);
         assert!(out.is_empty());

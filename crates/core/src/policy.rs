@@ -71,16 +71,19 @@ pub trait GcPolicy: Send {
     /// The decision at the start of each write-back interval.
     fn on_interval(&mut self, obs: &IntervalObservation<'_>) -> PolicyDecision;
 
-    /// `true` when a zero-traffic [`on_interval`] call maps this policy
-    /// exactly onto itself *and* returns the same decision as the last
-    /// such call: given an observation with zero demands, zero
-    /// `device_bytes_last_interval`, and unchanged capacities, the policy
-    /// mutates no internal state and its decision does not depend on
-    /// `obs.now`. The engine's quiescence fast-forward may then skip the
-    /// call entirely across an idle span. Policies whose state drifts on
-    /// idle intervals (EWMAs, incomplete sliding windows) must answer
-    /// `false`; the conservative default is `false`, which only costs
-    /// performance, never correctness.
+    /// `true` when a repeated zero-traffic [`on_interval`] call maps this
+    /// policy exactly onto itself *and* returns the same decision as the
+    /// call before it: given an observation equal to the previous one but
+    /// for `now` — same capacities, same demands, zero
+    /// `device_bytes_last_interval` both times — the policy mutates no
+    /// internal state and its decision does not depend on `obs.now`. The
+    /// demands need not be zero: dirty data stranded below `τ_flush`
+    /// keeps a constant buffered demand in interval 1 through an idle
+    /// gap. The engine's quiescence fast-forward may then skip the call
+    /// entirely across an idle span. Policies whose state drifts on idle
+    /// intervals (EWMAs, incomplete sliding windows) must answer `false`;
+    /// the conservative default is `false`, which only costs performance,
+    /// never correctness.
     ///
     /// [`on_interval`]: Self::on_interval
     fn zero_traffic_fixed_point(&self) -> bool {

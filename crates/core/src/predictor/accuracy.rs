@@ -53,14 +53,21 @@ impl AccuracyTracker {
         self.scored += 1;
     }
 
-    /// Bulk form of [`record`](Self::record)`(0, 0)` × `n`: tallies `n`
-    /// intervals where neither side carried traffic. The quiescence
-    /// fast-forward uses this to account a whole idle span's worth of
-    /// matured zero-predictions in O(1) with a state byte-identical to
-    /// `n` individual calls (a zero/zero record only bumps the skip
-    /// counter — `sum` and `scored` are untouched).
-    pub fn skip_empty(&mut self, n: u64) {
-        self.skipped_empty += n;
+    /// Bulk form of [`record`](Self::record)`(predicted, 0)` × `n`: `n`
+    /// intervals that carried no traffic against one standing prediction.
+    /// The quiescence fast-forward uses this to account a whole idle
+    /// span's worth of matured predictions in O(1) with a state
+    /// bit-identical to `n` individual calls. A zero prediction is `n`
+    /// empty skips. A non-zero one is `n` total misses, each of which
+    /// scores `1 − predicted / predicted`: exactly `+0.0`, which leaves
+    /// the (never negative) `sum` bit for bit where it was, so only
+    /// `scored` moves.
+    pub fn record_idle(&mut self, predicted: u64, n: u64) {
+        if predicted == 0 {
+            self.skipped_empty += n;
+        } else {
+            self.scored += n;
+        }
     }
 
     /// Mean accuracy in `[0, 1]`, or `None` before the first informative
@@ -130,19 +137,41 @@ mod tests {
     }
 
     #[test]
-    fn bulk_skip_matches_individual_empty_records() {
+    fn bulk_idle_record_matches_individual_records_bit_for_bit() {
+        // A prefix whose sum has a non-trivial mantissa, then 1 000 idle
+        // intervals against a zero and against a non-zero prediction.
+        for predicted in [0u64, 1, 4_096, u64::MAX] {
+            let mut bulk = AccuracyTracker::new();
+            let mut looped = AccuracyTracker::new();
+            for acc in [&mut bulk, &mut looped] {
+                acc.record(100, 90);
+                acc.record(3, 7);
+                acc.record(0, 0);
+                acc.record(1_000_003, 999_983);
+            }
+            bulk.record_idle(predicted, 1_000);
+            for _ in 0..1_000 {
+                looped.record(predicted, 0);
+            }
+            assert_eq!(bulk, looped, "predicted {predicted}");
+            assert_eq!(bulk.sum.to_bits(), looped.sum.to_bits());
+            let (scored, skipped) = if predicted == 0 {
+                (3, 1_001)
+            } else {
+                (1_003, 1)
+            };
+            assert_eq!(bulk.scored_intervals(), scored);
+            assert_eq!(bulk.skipped_intervals(), skipped);
+        }
+        // From an empty tracker too: 0.0 + 0.0 keeps its sign.
         let mut bulk = AccuracyTracker::new();
         let mut looped = AccuracyTracker::new();
-        for acc in [&mut bulk, &mut looped] {
-            acc.record(100, 90);
+        bulk.record_idle(5, 3);
+        for _ in 0..3 {
+            looped.record(5, 0);
         }
-        bulk.skip_empty(1_000);
-        for _ in 0..1_000 {
-            looped.record(0, 0);
-        }
-        assert_eq!(bulk, looped);
-        assert_eq!(bulk.skipped_intervals(), 1_000);
-        assert_eq!(bulk.scored_intervals(), 1);
+        assert_eq!(bulk.sum.to_bits(), looped.sum.to_bits());
+        assert_eq!(bulk.mean_accuracy(), Some(0.0));
     }
 
     #[test]

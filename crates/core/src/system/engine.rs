@@ -3,7 +3,7 @@
 use super::interval_log::IntervalLog;
 use crate::policy::{GcPolicy, IntervalObservation};
 use crate::predictor::{AccuracyTracker, BufferedWritePredictor, DirectWritePredictor};
-use crate::system::{PhaseProfile, RunPerf, SimReport, SystemConfig};
+use crate::system::{FfGate, FfRefusals, PhaseProfile, RunPerf, SimReport, SystemConfig};
 use jitgc_ftl::{DegradeKind, Ftl, FtlError, SipList};
 use jitgc_nand::Lpn;
 use jitgc_pagecache::PageCache;
@@ -112,17 +112,23 @@ pub struct SsdSystem {
     pending_predictions: std::collections::VecDeque<(usize, u64)>,
 
     // Quiescence fast-forward (DESIGN.md §15). `last_tick_noop` is the
-    // dirty-flag core: the most recent tick verified itself a zero-traffic
-    // fixed point of `handle_tick`, and the capacity snapshot detects any
-    // FTL perturbation (BGC, trim, block retirement) since.
+    // dirty-flag core: the most recent tick verified itself a no-flow
+    // fixed point of `handle_tick`. The snapshots taken with it detect any
+    // perturbation since: of the FTL's capacity picture (BGC, trim, block
+    // retirement) and of the cache's dirty set (every buffered write bumps
+    // `writes`, and without one `dirty_count` can only fall).
     fast_forward: bool,
     last_tick_noop: bool,
-    /// The prediction that tick pushed (`None` or `Some(0)` when noop).
+    /// The prediction the most recent tick pushed; a skipped tick pushes
+    /// it again.
     last_tick_predicted: Option<u64>,
     noop_free_pages: u64,
     noop_reclaimable: ByteSize,
+    noop_cache_writes: u64,
+    noop_dirty_count: u64,
     ticks_skipped: u64,
     ff_spans: u64,
+    ff_refusals: FfRefusals,
 
     // Counters.
     ops: u64,
@@ -226,8 +232,11 @@ impl SsdSystem {
             last_tick_predicted: None,
             noop_free_pages: 0,
             noop_reclaimable: ByteSize::ZERO,
+            noop_cache_writes: 0,
+            noop_dirty_count: 0,
             ticks_skipped: 0,
             ff_spans: 0,
+            ff_refusals: FfRefusals::default(),
             ops: 0,
             reads: 0,
             buffered_writes: 0,
@@ -456,16 +465,21 @@ impl SsdSystem {
             // the first ticks of the gap), so the check runs before every
             // tick, not just once on entry. The first tick that verifies
             // skips the whole remainder in one bulk update.
-            if self.fast_forward && self.can_fast_forward() {
-                let span = t.saturating_since(self.next_tick);
-                let k = span.div_duration(self.config.flusher_period) + 1;
-                #[cfg(debug_assertions)]
-                self.fast_forward_checked(k, t);
-                #[cfg(not(debug_assertions))]
-                self.fast_forward_span(k);
-                self.ticks_skipped += k;
-                self.ff_spans += 1;
-                return;
+            if self.fast_forward {
+                match self.can_fast_forward() {
+                    Ok(()) => {
+                        let span = t.saturating_since(self.next_tick);
+                        let k = span.div_duration(self.config.flusher_period) + 1;
+                        #[cfg(debug_assertions)]
+                        self.fast_forward_checked(k, t);
+                        #[cfg(not(debug_assertions))]
+                        self.fast_forward_span(k);
+                        self.ticks_skipped += k;
+                        self.ff_spans += 1;
+                        return;
+                    }
+                    Err(gate) => self.ff_refusals.note(gate),
+                }
             }
             let tick = self.next_tick;
             self.run_bgc_in_gap(tick);
@@ -487,31 +501,44 @@ impl SsdSystem {
         }
     }
 
-    /// The quiescence check (DESIGN.md §15): `true` when the next tick —
+    /// The quiescence check (DESIGN.md §15a): `Ok` when the next tick —
     /// and by induction every tick until an external event — would map
-    /// the engine exactly onto its current state. Cheap dirty-flag and
-    /// counter comparisons come first; the O(window) predictor scans run
-    /// only once everything else has passed.
-    fn can_fast_forward(&self) -> bool {
-        // The most recent tick must have verified itself a no-op, and
-        // nothing may have perturbed the FTL's capacity picture since
-        // (BGC, trim, read-repair block retirement…).
-        if !self.last_tick_noop
-            || self.cache.dirty_count() > 0
-            || self.direct_bytes_interval != 0
-            || self.ftl.stats().host_pages_written != self.host_pages_at_tick
+    /// the engine exactly onto its current state, else the first gate
+    /// that refused. Cheap dirty-flag and counter comparisons come first;
+    /// the O(window) predictor scans run only once everything else has
+    /// passed.
+    fn can_fast_forward(&self) -> Result<(), FfGate> {
+        // The most recent tick must have verified itself a no-op…
+        if !self.last_tick_noop {
+            return Err(FfGate::TickNotNoop);
+        }
+        // …over the dirty set the cache still holds: any buffered write
+        // since bumps `writes` (a rewrite of a dirty page, which resets
+        // its age, bumps nothing else), and without one the dirty count
+        // can only fall (direct write over a dirty page).
+        if self.cache.stats().writes != self.noop_cache_writes
+            || self.cache.dirty_count() != self.noop_dirty_count
+        {
+            return Err(FfGate::CacheChanged);
+        }
+        if self.direct_bytes_interval != 0 {
+            return Err(FfGate::DirectBytes);
+        }
+        // Nothing may have perturbed the FTL's mapping or capacity
+        // picture since (BGC, trim, read-repair block retirement…).
+        if self.ftl.stats().host_pages_written != self.host_pages_at_tick
             || self.ftl.free_pages() != self.noop_free_pages
             || self.ftl.reclaimable_capacity() != self.noop_reclaimable
         {
-            return false;
+            return Err(FfGate::FtlMoved);
         }
         // Per-tick side effects the bulk update does not model.
         if self.config.record_timeline || self.config.wear_leveling {
-            return false;
+            return Err(FfGate::PerTickEffect);
         }
         // BGC must be at target, otherwise inter-tick gaps do real work.
         if self.ftl.free_pages() < self.target_free.as_u64() / self.page_size().as_u64() {
-            return false;
+            return Err(FfGate::BgcBelowTarget);
         }
         // The SG_IO cost folds into a closed form only when one tick's
         // commands fit within the period (Lindley recursion unrolling
@@ -519,11 +546,17 @@ impl SsdSystem {
         if self.sip_tick_cost_applies()
             && self.config.host_command_overhead.saturating_mul(4) > self.config.flusher_period
         {
-            return false;
+            return Err(FfGate::SgIoCost);
         }
-        // Predictor and policy must be exact self-maps on a zero
-        // interval (lazy O(window) scans).
-        self.direct_pred.at_zero_traffic_fixed_point() && self.policy.zero_traffic_fixed_point()
+        // Predictor and policy must be exact self-maps on a repeated
+        // zero-traffic interval (lazy O(window) scans).
+        if !self.direct_pred.at_zero_traffic_fixed_point() {
+            return Err(FfGate::DirectPredictor);
+        }
+        if !self.policy.zero_traffic_fixed_point() {
+            return Err(FfGate::Policy);
+        }
+        Ok(())
     }
 
     fn sip_tick_cost_applies(&self) -> bool {
@@ -539,9 +572,9 @@ impl SsdSystem {
     /// * pre-span pending predictions whose horizon closes inside the
     ///   span score against their exact windows (same FIFO order, same
     ///   `u64` sums, same float operations as the per-tick loop);
-    /// * in-span zero-predictions that mature within the span collapse
-    ///   to a bulk empty-skip; the last `min(k, N_wb)` survive into the
-    ///   queue;
+    /// * each skipped tick re-issues the verified prediction `R`; those
+    ///   that mature within the span score against an all-zero window in
+    ///   one bulk call, the last `min(k, N_wb)` survive into the queue;
     /// * the per-tick SG_IO device cost folds in closed form
     ///   `busy' = max(busy + k·c, T_k + c)` (valid because `c ≤ p` was
     ///   gated);
@@ -556,16 +589,16 @@ impl SsdSystem {
         let l0 = self.interval_actuals.len();
         self.interval_actuals.append_zeros(k as usize);
         let new_len = l0 + k as usize;
-        if self.last_tick_predicted == Some(0) {
-            // Each quiescent tick re-issues the verified zero prediction.
-            // One made at span tick t (logical index l0 + t) matures once
-            // the log reaches l0 + t + N_wb, i.e. still within the span
-            // iff t ≤ k − N_wb; those score as 0-vs-0 empty skips. The
-            // rest stay pending.
+        if let Some(predicted) = self.last_tick_predicted {
+            // Each quiescent tick re-issues the verified prediction. One
+            // made at span tick t (logical index l0 + t) matures once the
+            // log reaches l0 + t + N_wb, i.e. still within the span iff
+            // t ≤ k − N_wb; its window is all span zeros. The rest stay
+            // pending.
             let survivors = (k as usize).min(nwb);
-            self.accuracy.skip_empty(k - survivors as u64);
+            self.accuracy.record_idle(predicted, k - survivors as u64);
             for t in (k as usize - survivors + 1)..=(k as usize) {
-                self.pending_predictions.push_back((l0 + t, 0));
+                self.pending_predictions.push_back((l0 + t, predicted));
             }
         }
         // Score pre-span predictions maturing inside the span. They sit
@@ -592,9 +625,13 @@ impl SsdSystem {
     /// Debug-build oracle: computes the bulk span outcome, rolls it
     /// back, replays the span through the untouched per-tick path, and
     /// asserts the two end states are identical — the strongest form of
-    /// the repo's equivalence-oracle convention, run on every skip.
+    /// the repo's equivalence-oracle convention, run on every skip. The
+    /// replay must also leave the [`certificate`](Self::certificate)
+    /// where it found it: that is the no-flow argument itself, checked on
+    /// every span rather than trusted.
     #[cfg(debug_assertions)]
     fn fast_forward_checked(&mut self, k: u64, t: SimTime) {
+        let certified = self.certificate();
         let saved = (
             self.interval_actuals.clone(),
             self.pending_predictions.clone(),
@@ -633,6 +670,29 @@ impl SsdSystem {
             expected, replayed,
             "quiescence fast-forward diverged from the per-tick replay over {k} ticks"
         );
+        assert_eq!(
+            certified,
+            self.certificate(),
+            "{k} replayed ticks moved state the fast-forward certified as fixed"
+        );
+    }
+
+    /// What `can_fast_forward` certifies every skipped tick leaves alone,
+    /// beyond the fields the bulk update writes: the cache's dirty set and
+    /// counters, the demand snapshots, the FTL's capacity picture and the
+    /// tick verdict itself.
+    #[cfg(debug_assertions)]
+    fn certificate(&self) -> impl PartialEq + std::fmt::Debug {
+        (
+            self.cache.dirty_count(),
+            *self.cache.stats(),
+            self.last_buffered_demand,
+            self.last_direct_demand,
+            self.ftl.free_pages(),
+            self.ftl.reclaimable_capacity(),
+            self.last_tick_noop,
+            self.last_tick_predicted,
+        )
     }
 
     /// Drops interval-log entries below the oldest window any pending
@@ -789,28 +849,32 @@ impl SsdSystem {
             }
         }
 
-        // 8. Quiescence verdict (DESIGN.md §15). This tick was a
-        //    zero-traffic fixed point iff nothing flowed (empty flush
-        //    batch, no host or direct bytes), the post-flush cache is
-        //    clean (so the SIP list just installed — if any — was empty
-        //    and the buffered demand scan returned zero), both demand
-        //    totals are zero, and the policy reproduced its target with a
-        //    trivial prediction. Under those conditions — plus the
-        //    predictor/policy self-map checks and the capacity snapshot
-        //    below, verified again at skip time — the next zero-traffic
-        //    tick repeats this one exactly.
+        // 8. Quiescence verdict (DESIGN.md §15a). This tick was a no-flow
+        //    fixed point iff nothing flowed (empty flush batch, no host or
+        //    direct bytes), whatever is still dirty can never flush (at or
+        //    below `τ_flush`, so the AND-semantics flusher stays gated)
+        //    and has aged into the predictor's interval 1 (where the
+        //    clamp keeps it, so the next poll returns this demand and
+        //    installs this SIP list again), the direct demand is zero, and
+        //    the policy repeated the previous tick's target and
+        //    prediction. Under those conditions — plus the predictor /
+        //    policy self-map checks and the snapshots below, verified
+        //    again at skip time — the next zero-traffic tick repeats this
+        //    one exactly.
         self.last_tick_noop = batch_was_empty
             && actual_bytes == 0
             && entry_direct_bytes == 0
-            && self.cache.dirty_count() == 0
-            && self.last_buffered_demand == 0
+            && self.cache.dirty_count() <= self.cache.config().flush_threshold_pages()
+            && buffered_demand.total() == buffered_demand.interval(1)
             && self.last_direct_demand == 0
             && self.target_free == entry_target
-            && matches!(decision.predicted_next_interval, None | Some(0));
+            && decision.predicted_next_interval == self.last_tick_predicted;
         self.last_tick_predicted = decision.predicted_next_interval;
         if self.last_tick_noop {
             self.noop_free_pages = self.ftl.free_pages();
             self.noop_reclaimable = self.ftl.reclaimable_capacity();
+            self.noop_cache_writes = self.cache.stats().writes;
+            self.noop_dirty_count = self.cache.dirty_count();
         }
     }
 
@@ -1146,6 +1210,16 @@ impl SsdSystem {
     #[must_use]
     pub fn ff_spans(&self) -> u64 {
         self.ff_spans
+    }
+
+    /// Idle ticks the fast-forward refused so far, tallied by the first
+    /// gate of the quiescence check that failed — why a gap (or the first
+    /// ticks of it) ran through the per-tick loop. All zero with the
+    /// fast-forward off; like the skip counters, not part of
+    /// [`SimReport`].
+    #[must_use]
+    pub fn ff_refusals(&self) -> FfRefusals {
+        self.ff_refusals
     }
 
     /// Explicitly stored interval-log entries (the logical tick count

@@ -16,9 +16,11 @@ mod config;
 mod engine;
 mod interval_log;
 mod profile;
+mod refusal;
 mod report;
 
 pub use config::{ManagerPlacement, SystemConfig, VictimKind};
 pub use engine::{GcSignals, SsdSystem};
 pub use profile::{PhaseProfile, RunPerf, RunTotals};
+pub use refusal::{FfGate, FfRefusals};
 pub use report::{DegradeEventRecord, DegradedReport, IntervalSample, SimReport};

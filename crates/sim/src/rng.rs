@@ -1,6 +1,7 @@
 //! Seeded randomness and the Zipf sampler used by workload generators.
 
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// A deterministic random number generator for simulation runs.
 ///
@@ -160,6 +161,12 @@ impl fmt::Debug for SimRng {
 /// normalized harmonic CDF is precomputed in `O(n)` and sampled by binary
 /// search in `O(log n)`. Exponent `s = 0` degenerates to uniform.
 ///
+/// The table costs one `powf` per item, and every sweep cell, tenant and
+/// benchmark repetition asks for the same few `(n, s)`, so samplers share
+/// their tables through a small process-wide cache (see [`Zipf::new`]).
+/// A shared table is immutable: sample streams do not depend on whether
+/// the table was built or found.
+///
 /// # Example
 ///
 /// ```
@@ -172,11 +179,25 @@ impl fmt::Debug for SimRng {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
 
+/// Tables kept for sharing, most recently used last. Four covers the
+/// skews one process mixes (TPC-C 0.9, YCSB 0.99, a synthetic tenant or
+/// two) while bounding what the cache can pin to four tables.
+const TABLE_CACHE_ENTRIES: usize = 4;
+
+/// One cached table and its key: the domain size and the bits of the
+/// exponent.
+type CachedTable = (usize, u64, Arc<[f64]>);
+
+static TABLE_CACHE: Mutex<Vec<CachedTable>> = Mutex::new(Vec::new());
+
 impl Zipf {
-    /// Builds a sampler over `0..n` with skew exponent `s`.
+    /// Builds a sampler over `0..n` with skew exponent `s`, reusing the
+    /// table of an earlier sampler with the same `n` and `s` if the cache
+    /// still holds it. A miss builds the table under the cache lock, so
+    /// threads that ask for the same table at once build it once.
     ///
     /// # Panics
     ///
@@ -189,6 +210,33 @@ impl Zipf {
             "zipf exponent must be finite and non-negative, got {s}"
         );
         let n = usize::try_from(n).expect("zipf domain fits in usize");
+        let mut cache = TABLE_CACHE
+            .lock()
+            .expect("zipf table cache poisoned: a table build panicked");
+        let cdf = match cache
+            .iter()
+            .position(|&(cn, cs, _)| cn == n && cs == s.to_bits())
+        {
+            Some(hit) => {
+                let entry = cache.remove(hit);
+                let cdf = Arc::clone(&entry.2);
+                cache.push(entry);
+                cdf
+            }
+            None => {
+                let cdf = Self::table(n, s);
+                if cache.len() == TABLE_CACHE_ENTRIES {
+                    cache.remove(0);
+                }
+                cache.push((n, s.to_bits(), Arc::clone(&cdf)));
+                cdf
+            }
+        };
+        Zipf { cdf }
+    }
+
+    /// The normalized harmonic CDF over `1..=n`.
+    fn table(n: usize, s: f64) -> Arc<[f64]> {
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -199,7 +247,7 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        cdf.into()
     }
 
     /// Number of items in the domain.
@@ -369,6 +417,81 @@ mod tests {
         }
         assert_eq!(zipf.len(), 17);
         assert!(!zipf.is_empty());
+    }
+
+    /// Serializes the tests that count on what the process-wide table
+    /// cache holds; the other tests here add three keys between them, too
+    /// few to evict anything.
+    static CACHE_TESTS: Mutex<()> = Mutex::new(());
+
+    /// A sampler over a table built for it alone.
+    fn fresh(n: usize, s: f64) -> Zipf {
+        Zipf {
+            cdf: Zipf::table(n, s),
+        }
+    }
+
+    fn ranks(zipf: &Zipf, seed: u64, draws: usize) -> Vec<u64> {
+        let mut rng = SimRng::seed(seed);
+        (0..draws).map(|_| zipf.sample(&mut rng)).collect()
+    }
+
+    #[test]
+    fn zipf_shared_table_samples_like_a_fresh_one() {
+        let _cache = CACHE_TESTS.lock().unwrap();
+        let first = Zipf::new(24_576, 0.99);
+        let second = Zipf::new(24_576, 0.99);
+        assert!(Arc::ptr_eq(&first.cdf, &second.cdf), "second build missed");
+        let reference = ranks(&fresh(24_576, 0.99), 43, 100_000);
+        assert_eq!(ranks(&first, 43, 100_000), reference);
+        assert_eq!(ranks(&second.clone(), 43, 100_000), reference);
+        // The key is (n, bits of s): neighbours do not alias.
+        assert!(!Arc::ptr_eq(&first.cdf, &Zipf::new(24_576, 0.9).cdf));
+        assert!(!Arc::ptr_eq(&first.cdf, &Zipf::new(24_575, 0.99).cdf));
+    }
+
+    #[test]
+    fn zipf_cache_is_bounded_and_eviction_keeps_tables_correct() {
+        let _cache = CACHE_TESTS.lock().unwrap();
+        let held = Zipf::new(301, 0.7);
+        // Push the held table out and keep going: every sampler, built or
+        // found, matches a fresh table, and the cache never outgrows its
+        // bound.
+        for _round in 0..3 {
+            for n in 302..302 + 2 * TABLE_CACHE_ENTRIES {
+                let zipf = Zipf::new(n as u64, 0.7);
+                assert_eq!(ranks(&zipf, 47, 500), ranks(&fresh(n, 0.7), 47, 500));
+                assert!(TABLE_CACHE.lock().unwrap().len() <= TABLE_CACHE_ENTRIES);
+            }
+        }
+        // An evicted table lives on in its samplers and is rebuilt equal.
+        let rebuilt = Zipf::new(301, 0.7);
+        assert!(!Arc::ptr_eq(&held.cdf, &rebuilt.cdf), "301 was evicted");
+        assert_eq!(held.cdf, rebuilt.cdf);
+        assert_eq!(ranks(&held, 53, 500), ranks(&rebuilt, 53, 500));
+    }
+
+    #[test]
+    fn zipf_concurrent_builders_share_one_table() {
+        let _cache = CACHE_TESTS.lock().unwrap();
+        const THREADS: usize = 8;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let built: Vec<Zipf> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        Zipf::new(4_099, 0.95)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let reference = ranks(&fresh(4_099, 0.95), 59, 2_000);
+        for zipf in &built {
+            assert!(Arc::ptr_eq(&zipf.cdf, &built[0].cdf), "table built twice");
+            assert_eq!(ranks(zipf, 59, 2_000), reference);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use jitgc_array::{ArrayConfig, ArraySched, GcMode, Redundancy};
 use jitgc_bench::PolicyKind;
-use jitgc_core::system::{SsdSystem, SystemConfig};
+use jitgc_core::system::{FfGate, SsdSystem, SystemConfig};
 use jitgc_service::{run_closed_loop_counting, ServiceConfig, TenantProfile, TenantSpec};
 use jitgc_sim::SimDuration;
 use jitgc_workload::{BenchmarkKind, Workload, WorkloadConfig};
@@ -57,7 +57,9 @@ fn single_run(benchmark: BenchmarkKind, fast_forward: bool, seed: u64) -> (Strin
 
 /// The tentpole acceptance criterion, single-device: every benchmark
 /// flavor reports byte-identically with the fast-forward on and off, and
-/// the idle-heavy sizing actually exercises the skip path.
+/// the idle-heavy sizing actually exercises the skip path — also on the
+/// buffered-heavy mixes, whose bursts leave dirty data below `τ_flush`
+/// that no flusher wake-up ever writes back.
 #[test]
 fn single_device_reports_are_identical_ff_on_and_off_across_workloads() {
     let mut total_skipped = 0;
@@ -74,6 +76,14 @@ fn single_device_reports_are_identical_ff_on_and_off_across_workloads() {
             spans <= skipped,
             "{benchmark:?}: spans ({spans}) cannot exceed skipped ticks ({skipped})"
         );
+        let buffered_heavy = matches!(
+            benchmark,
+            BenchmarkKind::Ycsb | BenchmarkKind::Postmark | BenchmarkKind::Filebench
+        );
+        assert!(
+            !buffered_heavy || skipped > 0,
+            "{benchmark:?}: stranded dirty residue still blocks the skip"
+        );
         total_skipped += skipped;
     }
     assert!(
@@ -83,9 +93,65 @@ fn single_device_reports_are_identical_ff_on_and_off_across_workloads() {
     );
 }
 
+/// The benchmark's `diurnal_idle` shape: 500-request bursts ~10 000 s
+/// apart on an un-aged default device under JIT-GC, one simulated day.
+/// TPC-C's 0.1 % buffered writes and YCSB's 88 % both strand residue
+/// below `τ_flush`; each gap must cost the ~`N_wb` + 64 ticks in which
+/// the residue ages out and the direct predictor saturates, not the
+/// thousands it spans.
+#[test]
+fn diurnal_gaps_cost_their_warm_up_only() {
+    for benchmark in [BenchmarkKind::TpcC, BenchmarkKind::Ycsb] {
+        let mut system = SystemConfig::default_sim();
+        system.prefill = false;
+        let run = |fast_forward: bool| {
+            let workload = benchmark.build(
+                WorkloadConfig::builder()
+                    .working_set_pages(system.standard_working_set().unwrap())
+                    .duration(SimDuration::from_secs(86_400))
+                    .mean_iops(0.05)
+                    .burst_mean(500.0)
+                    .seed(29)
+                    .build(),
+            );
+            let mut sim = SsdSystem::new(system.clone(), PolicyKind::Jit.build(&system), workload);
+            sim.set_fast_forward(fast_forward);
+            let report = sim.run().to_json().to_pretty();
+            (report, sim)
+        };
+        let (on, sim) = run(true);
+        let (off, _) = run(false);
+        assert_eq!(on, off, "{benchmark:?}: fast-forward changed the report");
+
+        let period = system.flusher_period.as_micros();
+        let ticks = sim.virtual_clock().as_micros() / period - 1;
+        let run_one_by_one = ticks - sim.ticks_skipped();
+        let spans = sim.ff_spans();
+        assert!(spans >= 5, "{benchmark:?}: {spans} spans in a day of gaps");
+        let per_gap = system.nwb() as u64 + 64 + 8;
+        assert!(
+            run_one_by_one <= spans * per_gap,
+            "{benchmark:?}: {run_one_by_one} of {ticks} ticks ran in {spans} gaps: {}",
+            sim.ff_refusals()
+        );
+        // A settled gap is never refused on the cache's account: the one
+        // such refusal a span can be followed by is the burst ending it.
+        let refused = sim.ff_refusals();
+        assert!(
+            refused.count(FfGate::CacheChanged) <= spans,
+            "{benchmark:?}: {refused}"
+        );
+        assert_eq!(
+            refused.total(),
+            run_one_by_one,
+            "every tick that ran was refused by exactly one gate"
+        );
+    }
+}
+
 /// Runs one array scenario and returns the serialized report plus the
-/// aggregate skip counter.
-fn array_run(sched: ArraySched, member_threads: usize, fast_forward: bool) -> (String, u64) {
+/// aggregate skip and refusal counters.
+fn array_run(sched: ArraySched, member_threads: usize, fast_forward: bool) -> (String, u64, u64) {
     let system = SystemConfig::small_for_tests();
     let members = 4;
     let config = ArrayConfig {
@@ -101,42 +167,55 @@ fn array_run(sched: ArraySched, member_threads: usize, fast_forward: bool) -> (S
     let mut sim = config.build(|cfg| PolicyKind::Jit.build(cfg), workload);
     sim.set_fast_forward(fast_forward);
     let report = sim.run();
-    (report.to_json().to_pretty(), sim.ticks_skipped())
+    (
+        report.to_json().to_pretty(),
+        sim.ticks_skipped(),
+        sim.ff_refusals().total(),
+    )
 }
 
 /// The array acceptance criterion: byte-identical reports with the
 /// fast-forward on and off, under the serial reference and the quantum
 /// loop at both worker counts — and all four runs agree with each other
 /// (the fast-forward must not break the existing driver/thread-count
-/// identities either).
+/// identities either). The striped YCSB stream leaves dirty residue on
+/// every member, so every driver must skip over it, and by the same
+/// deterministic counts.
 #[test]
 fn array_reports_are_identical_ff_on_and_off_across_drivers() {
-    let (baseline, skipped_off) = array_run(ArraySched::Steal, 1, false);
+    let (baseline, skipped_off, refused_off) = array_run(ArraySched::Steal, 1, false);
     assert_eq!(skipped_off, 0, "off-run must never skip");
-    let mut engaged = 0;
+    assert_eq!(refused_off, 0, "off-run never asks");
+    let mut counters = Vec::new();
     for (sched, member_threads) in [
         (ArraySched::Serial, 1),
         (ArraySched::Steal, 1),
         (ArraySched::Steal, 4),
     ] {
-        let (on, skipped) = array_run(sched, member_threads, true);
+        let (on, skipped, refused) = array_run(sched, member_threads, true);
         assert_eq!(
             on, baseline,
             "{sched:?} x {member_threads} thread(s): fast-forward \
              changed the array report"
         );
-        engaged += skipped;
+        assert!(
+            skipped > 0 && refused > 0,
+            "{sched:?} x {member_threads} thread(s) never engaged the \
+             fast-forward — the identity proved nothing"
+        );
+        counters.push((skipped, refused));
     }
     assert!(
-        engaged > 0,
-        "no array run engaged the fast-forward — the identities proved nothing"
+        counters.iter().all(|c| *c == counters[0]),
+        "skip and refusal counters depend on the driver: {counters:?}"
     );
 }
 
 /// A tenant roster whose request streams leave long idle stretches:
-/// read-only tenants (nothing ever dirties the cache) trickling a few
-/// requests across a long run.
-fn idle_service_cfg(fast_forward: bool) -> ServiceConfig {
+/// two read-only tenants trickling a few requests across a long run and,
+/// with `logger`, a third whose rare buffered writes leave the cache
+/// dirty below `τ_flush` for the rest of the run.
+fn idle_service_cfg(fast_forward: bool, logger: bool) -> ServiceConfig {
     let mut cfg = ServiceConfig::small_for_tests();
     cfg.tenants = (0..2)
         .map(|i| TenantSpec {
@@ -147,6 +226,15 @@ fn idle_service_cfg(fast_forward: bool) -> ServiceConfig {
             concurrency: 1,
         })
         .collect();
+    if logger {
+        cfg.tenants.push(TenantSpec {
+            name: "logger".to_owned(),
+            weight: 1,
+            profile: TenantProfile::Mixed,
+            mean_iops: 0.002,
+            concurrency: 1,
+        });
+    }
     cfg.seconds = 2_000;
     cfg.system.prefill = false;
     cfg.fast_forward = fast_forward;
@@ -156,25 +244,32 @@ fn idle_service_cfg(fast_forward: bool) -> ServiceConfig {
 /// The service acceptance criterion: the deterministic service report is
 /// byte-identical with the engine fast-forward on and off, and an
 /// idle-heavy roster actually reaches quiescence behind the queue-pair
-/// frontend.
+/// frontend — with a clean cache and with a buffered-writing tenant's
+/// residue in it.
 #[test]
 fn service_reports_are_identical_ff_on_and_off() {
     let policy = |cfg: &ServiceConfig| PolicyKind::Jit.build(&cfg.system);
-    let on_cfg = idle_service_cfg(true);
-    let (on, skipped_on, spans_on) = run_closed_loop_counting(&on_cfg, policy(&on_cfg));
-    let off_cfg = idle_service_cfg(false);
-    let (off, skipped_off, _) = run_closed_loop_counting(&off_cfg, policy(&off_cfg));
-    assert_eq!(
-        on.to_json().to_pretty(),
-        off.to_json().to_pretty(),
-        "fast-forward changed the service report"
-    );
-    assert_eq!(skipped_off, 0, "off-run must never skip");
-    assert!(
-        skipped_on > 0 && spans_on > 0,
-        "the idle roster never engaged the fast-forward \
-         ({skipped_on} ticks in {spans_on} spans)"
-    );
+    for logger in [false, true] {
+        let on_cfg = idle_service_cfg(true, logger);
+        let (on, skipped_on, spans_on) = run_closed_loop_counting(&on_cfg, policy(&on_cfg));
+        let off_cfg = idle_service_cfg(false, logger);
+        let (off, skipped_off, _) = run_closed_loop_counting(&off_cfg, policy(&off_cfg));
+        assert_eq!(
+            on.to_json().to_pretty(),
+            off.to_json().to_pretty(),
+            "logger {logger}: fast-forward changed the service report"
+        );
+        assert_eq!(skipped_off, 0, "off-run must never skip");
+        assert!(
+            skipped_on > 0 && spans_on > 0,
+            "logger {logger}: the idle roster never engaged the \
+             fast-forward ({skipped_on} ticks in {spans_on} spans)"
+        );
+        if logger {
+            let logged = on.tenants.iter().find(|t| t.name == "logger").unwrap();
+            assert!(logged.completed > 0, "the logger never wrote");
+        }
+    }
 }
 
 /// The busy default mix must also be invariant (even though it rarely
