@@ -19,72 +19,10 @@ mod screen;
 pub use runner::{capped_sweep_width, default_threads, run_grid, run_grid_capped};
 pub use screen::{expand_cells, model_policy, screen_cells, ScreenPlan, SweepCell};
 
-use jitgc_core::policy::{AdpGc, GcPolicy, IdleGc, JitGc, NoBgc, ReservedCapacity};
+pub use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::{SimReport, SsdSystem, SystemConfig};
 use jitgc_sim::SimDuration;
 use jitgc_workload::{BenchmarkKind, WorkloadConfig};
-
-/// The policies compared across experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// No background GC at all.
-    NoBgc,
-    /// Fixed reserve `C_resv = permille/1000 × C_OP`; 500 is the paper's
-    /// L-BGC, 1500 its A-BGC.
-    ReservedPermille(u64),
-    /// The paper's adaptive device-internal baseline.
-    Adp,
-    /// Related-work baseline: idle-time-exploiting BGC (Park et al.,
-    /// the paper's reference [7]).
-    Idle,
-    /// The paper's contribution.
-    Jit,
-    /// JIT-GC with SIP victim filtering disabled (ablation).
-    JitNoSip,
-}
-
-impl PolicyKind {
-    /// Display name matching the paper's figures.
-    #[must_use]
-    pub fn name(self) -> String {
-        match self {
-            PolicyKind::NoBgc => "No-BGC".into(),
-            PolicyKind::ReservedPermille(500) => "L-BGC".into(),
-            PolicyKind::ReservedPermille(1_500) => "A-BGC".into(),
-            PolicyKind::ReservedPermille(p) => format!("{:.2}OP", p as f64 / 1000.0),
-            PolicyKind::Adp => "ADP-GC".into(),
-            PolicyKind::Idle => "IDLE-GC".into(),
-            PolicyKind::Jit => "JIT-GC".into(),
-            PolicyKind::JitNoSip => "JIT-GC (no SIP)".into(),
-        }
-    }
-
-    /// Instantiates the policy for the given system configuration.
-    #[must_use]
-    pub fn build(self, config: &SystemConfig) -> Box<dyn GcPolicy> {
-        let (bw, gc_bw) = config.default_bandwidths();
-        match self {
-            PolicyKind::NoBgc => Box::new(NoBgc),
-            PolicyKind::ReservedPermille(permille) => Box::new(ReservedCapacity::of_op_permille(
-                config.op_capacity(),
-                permille,
-            )),
-            PolicyKind::Adp => Box::new(AdpGc::new(
-                config.flusher_period,
-                config.tau_expire(),
-                config.cdh_percentile,
-                config.cdh_bin_bytes,
-                bw,
-                gc_bw,
-            )),
-            PolicyKind::Idle => Box::new(IdleGc::default()),
-            PolicyKind::Jit => Box::new(JitGc::from_system_config(config)),
-            PolicyKind::JitNoSip => {
-                Box::new(JitGc::from_system_config(config).without_sip_filtering())
-            }
-        }
-    }
-}
 
 /// Parameters of one experiment run.
 #[derive(Debug, Clone)]
@@ -191,29 +129,6 @@ pub fn format_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_names_match_paper() {
-        assert_eq!(PolicyKind::ReservedPermille(500).name(), "L-BGC");
-        assert_eq!(PolicyKind::ReservedPermille(1_500).name(), "A-BGC");
-        assert_eq!(PolicyKind::ReservedPermille(750).name(), "0.75OP");
-        assert_eq!(PolicyKind::Jit.name(), "JIT-GC");
-    }
-
-    #[test]
-    fn all_policies_build() {
-        let cfg = SystemConfig::small_for_tests();
-        for kind in [
-            PolicyKind::NoBgc,
-            PolicyKind::ReservedPermille(1_000),
-            PolicyKind::Adp,
-            PolicyKind::Jit,
-            PolicyKind::JitNoSip,
-        ] {
-            let p = kind.build(&cfg);
-            assert!(!p.name().is_empty());
-        }
-    }
 
     #[test]
     fn format_table_layout() {

@@ -14,6 +14,9 @@
 //! * [`JitGc`] — the paper's contribution: exploits the host-side
 //!   buffered-demand scan + direct-write CDH through the
 //!   [`JitGcManager`], and ships SIP lists to the FTL.
+//!
+//! [`PolicyKind`] names each of them and builds it for a system
+//! configuration: the one constructor both CLIs and every experiment use.
 
 use crate::manager::JitGcManager;
 use crate::predictor::{BufferedDemand, DirectDemand, DirectWritePredictor};
@@ -494,6 +497,73 @@ impl GcPolicy for JitGc {
     }
 }
 
+// ----------------------------------------------------------------------
+// The policy matrix
+// ----------------------------------------------------------------------
+
+/// The policies compared across experiments and selectable on both
+/// CLIs, each buildable for a system configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyKind {
+    /// No background GC at all.
+    NoBgc,
+    /// Fixed reserve `C_resv = permille/1000 × C_OP`; 500 is the paper's
+    /// L-BGC, 1500 its A-BGC.
+    ReservedPermille(u64),
+    /// The paper's adaptive device-internal baseline.
+    Adp,
+    /// Related-work baseline: idle-time-exploiting BGC (Park et al.,
+    /// the paper's reference [7]).
+    Idle,
+    /// The paper's contribution.
+    Jit,
+    /// JIT-GC with SIP victim filtering disabled (ablation).
+    JitNoSip,
+}
+
+impl PolicyKind {
+    /// Display name matching the paper's figures.
+    #[must_use]
+    pub fn name(self) -> String {
+        match self {
+            PolicyKind::NoBgc => "No-BGC".into(),
+            PolicyKind::ReservedPermille(500) => "L-BGC".into(),
+            PolicyKind::ReservedPermille(1_500) => "A-BGC".into(),
+            PolicyKind::ReservedPermille(p) => format!("{:.2}OP", p as f64 / 1000.0),
+            PolicyKind::Adp => "ADP-GC".into(),
+            PolicyKind::Idle => "IDLE-GC".into(),
+            PolicyKind::Jit => "JIT-GC".into(),
+            PolicyKind::JitNoSip => "JIT-GC (no SIP)".into(),
+        }
+    }
+
+    /// Instantiates the policy for the given system configuration.
+    #[must_use]
+    pub fn build(self, config: &crate::system::SystemConfig) -> Box<dyn GcPolicy> {
+        let (bw, gc_bw) = config.default_bandwidths();
+        match self {
+            PolicyKind::NoBgc => Box::new(NoBgc),
+            PolicyKind::ReservedPermille(permille) => Box::new(ReservedCapacity::of_op_permille(
+                config.op_capacity(),
+                permille,
+            )),
+            PolicyKind::Adp => Box::new(AdpGc::new(
+                config.flusher_period,
+                config.tau_expire(),
+                config.cdh_percentile,
+                config.cdh_bin_bytes,
+                bw,
+                gc_bw,
+            )),
+            PolicyKind::Idle => Box::new(IdleGc::default()),
+            PolicyKind::Jit => Box::new(JitGc::from_system_config(config)),
+            PolicyKind::JitNoSip => {
+                Box::new(JitGc::from_system_config(config).without_sip_filtering())
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,5 +778,28 @@ mod tests {
         assert!(jit.manager().write_bandwidth() > 40e6);
         jit.observe_gc(ByteSize::bytes(10 * MB), SimDuration::from_millis(50));
         assert!(jit.manager().gc_bandwidth() > 10e6);
+    }
+
+    #[test]
+    fn policy_names_match_paper() {
+        assert_eq!(PolicyKind::ReservedPermille(500).name(), "L-BGC");
+        assert_eq!(PolicyKind::ReservedPermille(1_500).name(), "A-BGC");
+        assert_eq!(PolicyKind::ReservedPermille(750).name(), "0.75OP");
+        assert_eq!(PolicyKind::Jit.name(), "JIT-GC");
+    }
+
+    #[test]
+    fn all_policies_build() {
+        let cfg = crate::system::SystemConfig::small_for_tests();
+        for kind in [
+            PolicyKind::NoBgc,
+            PolicyKind::ReservedPermille(1_000),
+            PolicyKind::Adp,
+            PolicyKind::Jit,
+            PolicyKind::JitNoSip,
+        ] {
+            let p = kind.build(&cfg);
+            assert!(!p.name().is_empty());
+        }
     }
 }

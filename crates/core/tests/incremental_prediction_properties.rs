@@ -1,6 +1,4 @@
-#![cfg(feature = "proptest")]
-
-//! Property-based equivalence of the incremental prediction pipeline.
+//! Equivalence of the incremental prediction pipeline.
 //!
 //! The buffered-write predictor has two ways to answer a poll: the
 //! reference full scan of the cache's dirty list
@@ -8,14 +6,15 @@
 //! fast path over the cache's dirty-age epoch counters plus the dirty-LPN
 //! bitmap ([`BufferedWritePredictor::predict_into`]). These properties
 //! drive arbitrary operation sequences through the cache and demand that
-//! both paths agree — demand vector and SIP list — at every poll.
+//! both paths agree — demand vector and SIP list — at every poll. Nothing
+//! else compares the two: `predict_into` carries no oracle of its own.
 
 use jitgc_core::predictor::BufferedWritePredictor;
 use jitgc_ftl::SipList;
 use jitgc_nand::Lpn;
 use jitgc_pagecache::{PageCache, PageCacheConfig};
+use jitgc_sim::check::{check, Gen};
 use jitgc_sim::{ByteSize, SimDuration, SimTime};
-use proptest::prelude::*;
 
 const CAPACITY: u64 = 48;
 const PERIOD_SECS: u64 = 5;
@@ -51,15 +50,15 @@ enum Op {
     Evict,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        5 => (0..96u64).prop_map(Op::Write),
-        2 => (0..96u64).prop_map(Op::Read),
-        2 => (0..96u64).prop_map(Op::Invalidate),
-        1 => Just(Op::Flush),
-        1 => Just(Op::Throttle),
-        1 => Just(Op::Evict),
-    ]
+fn any_op(g: &mut Gen) -> Op {
+    match g.weighted(&[5, 2, 2, 1, 1, 1]) {
+        0 => Op::Write(g.u64(0, 96)),
+        1 => Op::Read(g.u64(0, 96)),
+        2 => Op::Invalidate(g.u64(0, 96)),
+        3 => Op::Flush,
+        4 => Op::Throttle,
+        _ => Op::Evict,
+    }
 }
 
 /// Applies one op at `now`, mutating cache state the way the engine would.
@@ -89,44 +88,48 @@ fn apply(c: &mut PageCache, op: &Op, now: SimTime) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+/// The first period boundary after `millis`, where the engine's tick
+/// loop would poll.
+fn next_poll(millis: u64) -> SimTime {
+    SimTime::from_secs((millis / (PERIOD_SECS * 1_000) + 1) * PERIOD_SECS)
+}
 
-    /// After any operation sequence, a poll on a period boundary gives
-    /// the same demand vector and SIP list through the incremental path
-    /// as through the from-scratch scan.
-    #[test]
-    fn incremental_poll_matches_scan_after_arbitrary_ops(
-        ops in proptest::collection::vec(op_strategy(), 1..250),
-    ) {
-        let pred = predictor();
+/// After any operation sequence, a poll on a period boundary gives
+/// the same demand vector and SIP list through the incremental path
+/// as through the from-scratch scan — for the paper's relaxed predictor
+/// and for the strict-`τ_flush` ablation, whose gate both paths apply.
+#[test]
+fn incremental_poll_matches_scan_after_arbitrary_ops() {
+    check(0x19C8_0001, 192, |g| {
+        let mut pred = predictor();
+        if g.pick(&[false, true]) {
+            pred = pred.with_strict_tau_flush();
+        }
         let mut c = cache();
         let mut sip = SipList::new();
         let mut t = 0u64;
-        for (i, op) in ops.iter().enumerate() {
+        for (i, op) in g.vec(1, 250, any_op).iter().enumerate() {
             // Sub-period timestamps so writes land mid-interval too.
             t += 1 + (i as u64 % 3);
             apply(&mut c, op, SimTime::from_millis(t * 900));
 
-            // Poll at the next period boundary after the op, the way the
-            // engine's tick loop does.
-            let poll_num = (t * 900) / (PERIOD_SECS * 1_000) + 1;
-            let poll = SimTime::from_secs(poll_num * PERIOD_SECS);
+            let poll = next_poll(t * 900);
             let demand = pred.predict_into(&c, poll, &mut sip);
             let (scan_demand, scan_sip) = pred.predict_scan(&c, poll);
-            prop_assert_eq!(&demand, &scan_demand, "demand diverged at op {}", i);
-            prop_assert_eq!(&sip, &scan_sip, "SIP list diverged at op {}", i);
-            prop_assert_eq!(sip.len() as u64, c.dirty_count());
+            assert_eq!(demand, scan_demand, "demand diverged at op {i}");
+            assert_eq!(sip, scan_sip, "SIP list diverged at op {i}");
+            assert_eq!(sip.len() as u64, c.dirty_count());
         }
-    }
+    });
+}
 
-    /// Polls far in the future (every page expired) and polls straddling
-    /// many elapsed periods still agree between the two paths.
-    #[test]
-    fn incremental_poll_matches_scan_at_distant_boundaries(
-        writes in proptest::collection::vec((0..96u64, 0..200u64), 1..120),
-        periods_later in 1..100u64,
-    ) {
+/// Polls far in the future (every page expired) and polls straddling
+/// many elapsed periods still agree between the two paths.
+#[test]
+fn incremental_poll_matches_scan_at_distant_boundaries() {
+    check(0x19C8_0002, 192, |g| {
+        let periods_later = g.u64(1, 100);
+        let writes = g.vec(1, 120, |g| (g.u64(0, 96), g.u64(0, 200)));
         let pred = predictor();
         let mut c = cache();
         let mut latest = 0u64;
@@ -139,19 +142,17 @@ proptest! {
         let mut sip = SipList::new();
         let demand = pred.predict_into(&c, poll, &mut sip);
         let (scan_demand, scan_sip) = pred.predict_scan(&c, poll);
-        prop_assert_eq!(&demand, &scan_demand);
-        prop_assert_eq!(&sip, &scan_sip);
-    }
+        assert_eq!(demand, scan_demand);
+        assert_eq!(sip, scan_sip);
+    });
+}
 
-    /// A reused SIP list (ping-ponged across polls, as the engine does)
-    /// never leaks entries from a previous poll into the next.
-    #[test]
-    fn reused_sip_list_carries_no_ghosts(
-        rounds in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(), 1..40),
-            2..6,
-        ),
-    ) {
+/// A reused SIP list (ping-ponged across polls, as the engine does)
+/// never leaks entries from a previous poll into the next.
+#[test]
+fn reused_sip_list_carries_no_ghosts() {
+    check(0x19C8_0003, 192, |g| {
+        let rounds = g.vec(2, 6, |g| g.vec(1, 40, any_op));
         let pred = predictor();
         let mut c = cache();
         let mut sip = SipList::new();
@@ -161,11 +162,10 @@ proptest! {
                 t += 1;
                 apply(&mut c, op, SimTime::from_millis(t * 800));
             }
-            let poll_num = (t * 800) / (PERIOD_SECS * 1_000) + 1;
-            let poll = SimTime::from_secs(poll_num * PERIOD_SECS);
+            let poll = next_poll(t * 800);
             let _ = pred.predict_into(&c, poll, &mut sip);
             let (_, fresh) = pred.predict_scan(&c, poll);
-            prop_assert_eq!(&sip, &fresh, "stale entries survived the reuse");
+            assert_eq!(sip, fresh, "stale entries survived the reuse");
         }
-    }
+    });
 }

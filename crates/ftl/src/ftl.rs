@@ -1279,12 +1279,6 @@ impl Ftl {
         std::mem::replace(&mut self.sip, sip)
     }
 
-    /// [`install_sip_list`](Self::install_sip_list) discarding the
-    /// displaced list, for callers that build a fresh list each time.
-    pub fn set_sip_list(&mut self, sip: SipList) {
-        let _ = self.install_sip_list(sip);
-    }
-
     /// Enables or disables SIP-aware victim filtering (for the ablation
     /// study; the paper's JIT-GC has it on, ADP-GC has it off).
     pub fn set_sip_filter_enabled(&mut self, enabled: bool) {
@@ -1722,17 +1716,55 @@ mod tests {
             ftl.host_write(Lpn(lpn), t(0)).expect("in range");
         }
         let sip: SipList = (0..8u64).map(Lpn).collect();
-        ftl.set_sip_list(sip);
+        let _ = ftl.install_sip_list(sip);
         // Overwriting a SIP page removes it from the list.
         ftl.host_write(Lpn(0), t(1)).expect("in range");
         ftl.host_write(Lpn(999).min(Lpn(15)), t(1))
             .expect("in range");
         // Re-install to verify recomputation path too.
         let sip2: SipList = (0..4u64).map(Lpn).collect();
-        ftl.set_sip_list(sip2);
+        let _ = ftl.install_sip_list(sip2);
         // No panic and counts consistent: total sip_valid equals mapped SIP pages.
         let total: u32 = ftl.sip_counts.iter().sum();
         assert_eq!(total, 4);
+    }
+
+    /// Every block's SIP count is the number of listed LPNs mapped into
+    /// it, so the counts sum to the mapped LPNs still on the list.
+    fn assert_sip_counts_match_a_recount(ftl: &Ftl) {
+        let mut recount = vec![0u32; ftl.sip_counts.len()];
+        for lpn in ftl.sip.iter() {
+            if let Some(ppn) = ftl.mapping[lpn.0 as usize] {
+                recount[ftl.device.geometry().block_of(ppn).0 as usize] += 1;
+            }
+        }
+        assert_eq!(ftl.sip_counts, recount);
+    }
+
+    /// Installing any SIP list — mapped LPNs, unmapped ones, none — keeps
+    /// the per-block counts exact through GC migrations and through the
+    /// overwrites that take pages off the list.
+    #[test]
+    fn sip_counts_track_mapping() {
+        jitgc_sim::check::check(0x0F71_0004, 128, |g| {
+            let sip_lpns: std::collections::BTreeSet<u64> =
+                g.vec(0, 20, |g| g.u64(0, 64)).into_iter().collect();
+            let writes = g.vec(20, 100, |g| g.u64(0, 64));
+            let mut ftl = small_ftl();
+            for (i, &lpn) in writes.iter().enumerate() {
+                ftl.host_write(Lpn(lpn), SimTime::from_millis(i as u64))
+                    .expect("in range");
+            }
+            let _ = ftl.install_sip_list(sip_lpns.iter().map(|&l| Lpn(l)).collect());
+            assert_sip_counts_match_a_recount(&ftl);
+            ftl.background_collect(t(5), SimDuration::from_secs(1), None);
+            assert_sip_counts_match_a_recount(&ftl);
+            for &l in sip_lpns.iter().take(3) {
+                ftl.host_write(Lpn(l), t(6)).expect("in range");
+                assert!(!ftl.sip.contains(Lpn(l)), "an overwrite delists the page");
+            }
+            assert_sip_counts_match_a_recount(&ftl);
+        });
     }
 
     #[test]
@@ -1751,7 +1783,7 @@ mod tests {
             ftl.host_write(Lpn(lpn), t(1)).expect("in range");
         }
         let sip: SipList = [Lpn(4), Lpn(5), Lpn(6), Lpn(7)].into_iter().collect();
-        ftl.set_sip_list(sip);
+        let _ = ftl.install_sip_list(sip);
         let out =
             ftl.background_collect(t(2), SimDuration::from_secs(1), Some(ftl.free_pages() + 4));
         assert!(out.blocks_erased >= 1);
@@ -1775,7 +1807,7 @@ mod tests {
         for lpn in [0u64, 1, 2, 3, 8, 9, 10, 11] {
             ftl.host_write(Lpn(lpn), t(1)).expect("in range");
         }
-        ftl.set_sip_list([Lpn(4), Lpn(5), Lpn(6), Lpn(7)].into_iter().collect());
+        let _ = ftl.install_sip_list([Lpn(4), Lpn(5), Lpn(6), Lpn(7)].into_iter().collect());
         ftl.background_collect(t(2), SimDuration::from_secs(1), None);
         assert_eq!(ftl.stats().sip_eligible_selections, 0);
         assert_eq!(ftl.stats().sip_filtered_selections, 0);

@@ -1,13 +1,10 @@
-#![cfg(feature = "proptest")]
-
-//! Property-based tests of the wear-fault injector: a disabled fault
-//! model is perfectly inert, and an enabled one is a pure function of its
-//! seed.
+//! Property tests of the wear-fault injector: a disabled fault model is
+//! perfectly inert, and an enabled one is a pure function of its seed.
 
 use jitgc_ftl::{Ftl, FtlConfig, FtlError, GreedySelector, Lpn};
 use jitgc_nand::FaultConfig;
+use jitgc_sim::check::{check, Gen};
 use jitgc_sim::{SimDuration, SimTime};
-use proptest::prelude::*;
 
 const USER_PAGES: u64 = 64;
 
@@ -31,12 +28,12 @@ enum Op {
     Bgc(u64),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0..USER_PAGES).prop_map(Op::Write),
-        1 => (0..USER_PAGES).prop_map(Op::Trim),
-        1 => (1..50u64).prop_map(Op::Bgc),
-    ]
+fn any_op(g: &mut Gen) -> Op {
+    match g.weighted(&[4, 1, 1]) {
+        0 => Op::Write(g.u64(0, USER_PAGES)),
+        1 => Op::Trim(g.u64(0, USER_PAGES)),
+        _ => Op::Bgc(g.u64(1, 50)),
+    }
 }
 
 /// Drives one op sequence, tolerating the graceful-EOL error paths, and
@@ -72,45 +69,42 @@ fn drive(ftl: &mut Ftl, ops: &[Op]) -> (String, String, Vec<String>, u64, bool) 
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A fault model whose every rate is zero must not perturb anything:
-    /// the run is indistinguishable from one with no fault model at all,
-    /// op for op and counter for counter.
-    #[test]
-    fn zero_rate_fault_model_is_inert(
-        ops in proptest::collection::vec(op_strategy(), 1..300),
-        seed in 0..u64::MAX,
-    ) {
+/// A fault model whose every rate is zero must not perturb anything:
+/// the run is indistinguishable from one with no fault model at all,
+/// op for op and counter for counter.
+#[test]
+fn zero_rate_fault_model_is_inert() {
+    check(0xFA17_0001, 64, |g| {
+        let seed = g.any_u64();
+        let ops = g.vec(1, 300, any_op);
         let mut plain = ftl_with(None, 20);
         let mut zeroed = ftl_with(
-            Some(FaultConfig { seed, ..FaultConfig::default() }),
+            Some(FaultConfig {
+                seed,
+                ..FaultConfig::default()
+            }),
             20,
         );
-        prop_assert_eq!(drive(&mut plain, &ops), drive(&mut zeroed, &ops));
-    }
+        assert_eq!(drive(&mut plain, &ops), drive(&mut zeroed, &ops));
+    });
+}
 
-    /// The failure timeline is a pure function of the fault seed: same
-    /// seed ⇒ identical counters, degrade events, and end state; the run
-    /// must survive (no panic) whatever the rates are.
-    #[test]
-    fn fault_timeline_is_a_function_of_the_seed(
-        ops in proptest::collection::vec(op_strategy(), 1..300),
-        seed in 0..u64::MAX,
-        program_permille in 0..200u32,
-        erase_permille in 0..200u32,
-        read_permille in 0..200u32,
-    ) {
+/// The failure timeline is a pure function of the fault seed: same
+/// seed ⇒ identical counters, degrade events, and end state; the run
+/// must survive (no panic) whatever the rates are.
+#[test]
+fn fault_timeline_is_a_function_of_the_seed() {
+    check(0xFA17_0002, 64, |g| {
         let fault = FaultConfig {
-            seed,
-            program_rate: f64::from(program_permille) / 1_000.0,
-            erase_rate: f64::from(erase_permille) / 1_000.0,
-            read_rate: f64::from(read_permille) / 1_000.0,
+            seed: g.any_u64(),
+            program_rate: g.u64(0, 200) as f64 / 1_000.0,
+            erase_rate: g.u64(0, 200) as f64 / 1_000.0,
+            read_rate: g.u64(0, 200) as f64 / 1_000.0,
             wear_scale: 10,
         };
+        let ops = g.vec(1, 300, any_op);
         let mut a = ftl_with(Some(fault), 8);
         let mut b = ftl_with(Some(fault), 8);
-        prop_assert_eq!(drive(&mut a, &ops), drive(&mut b, &ops));
-    }
+        assert_eq!(drive(&mut a, &ops), drive(&mut b, &ops));
+    });
 }

@@ -15,6 +15,7 @@
 
 use jitgc_ftl::{BgcOutcome, Ftl, FtlConfig, GreedySelector, Lpn};
 use jitgc_nand::{FaultConfig, NandTiming};
+use jitgc_sim::check::check;
 use jitgc_sim::{SimDuration, SimRng, SimTime};
 
 const USER_PAGES: u64 = 64;
@@ -385,50 +386,53 @@ fn retirements_that_empty_the_pool_mid_victim() {
     );
 }
 
-/// The property of the `proptest`-gated `gc_bulk_properties.rs`, on
-/// seeded streams so it runs without the feature: for arbitrary op mixes
-/// (BGC budgets from a fraction of a page to several blocks) and
-/// arbitrary fault-rate corners, all the way to end of life, bulk and
-/// looped migration are indistinguishable.
+/// For arbitrary op mixes (BGC budgets from a fraction of a page to
+/// several blocks, with and without a free-page target) and arbitrary
+/// fault-rate corners, all the way to end of life, bulk and looped
+/// migration are indistinguishable.
 #[test]
 fn seeded_op_streams_at_random_fault_corners() {
-    for case in 0..64 {
-        let mut rng = SimRng::seed(0xB6C0 + case);
+    #[derive(Debug)]
+    enum Op {
+        Write(u64),
+        Trim(u64),
+        Bgc(SimDuration, Option<u64>),
+        WearLevel,
+    }
+    check(0xB6C0, 64, |g| {
         let fault = FaultConfig {
-            seed: rng.next_u64(),
-            program_rate: rng.range_u64(0, 200) as f64 / 1_000.0,
-            erase_rate: rng.range_u64(0, 200) as f64 / 1_000.0,
-            read_rate: rng.range_u64(0, 200) as f64 / 1_000.0,
+            seed: g.any_u64(),
+            program_rate: g.u64(0, 200) as f64 / 1_000.0,
+            erase_rate: g.u64(0, 200) as f64 / 1_000.0,
+            read_rate: g.u64(0, 200) as f64 / 1_000.0,
             wear_scale: 10,
         };
-        let steps = rng.range_u64(1, 300);
-        let op_seed = rng.next_u64();
-        assert_equivalent_with(Rig::new(Some(fault), 8), &format!("case {case}"), |ftl| {
-            let mut rng = SimRng::seed(op_seed);
-            let mut trace = Vec::with_capacity(steps as usize + 80);
-            for t in 1..=steps {
-                let now = SimTime::from_millis(t);
-                let entry = match rng.range_u64(0, 10) {
-                    0 => format!("{:?}", ftl.trim(Lpn(rng.range_u64(0, USER_PAGES)), now)),
-                    1 => {
-                        let budget = SimDuration::from_millis(rng.range_u64(1, 50));
-                        format!("{:?}", ftl.background_collect(now, budget, None))
-                    }
-                    2 => {
-                        let budget = SimDuration::from_micros(rng.range_u64(0, 2_000));
-                        let target = Some(rng.range_u64(0, 3 * PAGES_PER_BLOCK));
+        let ops = g.vec(1, 300, |g| match g.weighted(&[6, 1, 1, 1, 1]) {
+            0 => Op::Write(g.u64(0, USER_PAGES)),
+            1 => Op::Trim(g.u64(0, USER_PAGES)),
+            2 => Op::Bgc(SimDuration::from_millis(g.u64(1, 50)), None),
+            // Sub-page to few-page budgets: where the in-copy gate stops.
+            3 => Op::Bgc(
+                SimDuration::from_micros(g.u64(0, 2_000)),
+                Some(g.u64(0, 3 * PAGES_PER_BLOCK)),
+            ),
+            _ => Op::WearLevel,
+        });
+        assert_equivalent_with(Rig::new(Some(fault), 8), "random stream", |ftl| {
+            let mut trace = Vec::with_capacity(ops.len() + 80);
+            for (t, op) in ops.iter().enumerate() {
+                let now = SimTime::from_millis(t as u64 + 1);
+                trace.push(match *op {
+                    Op::Write(lpn) => format!("{:?}", ftl.host_write(Lpn(lpn), now)),
+                    Op::Trim(lpn) => format!("{:?}", ftl.trim(Lpn(lpn), now)),
+                    Op::Bgc(budget, target) => {
                         format!("{:?}", ftl.background_collect(now, budget, target))
                     }
-                    3 => format!("{:?}", ftl.wear_level(now)),
-                    _ => format!(
-                        "{:?}",
-                        ftl.host_write(Lpn(rng.range_u64(0, USER_PAGES)), now)
-                    ),
-                };
-                trace.push(entry);
+                    Op::WearLevel => format!("{:?}", ftl.wear_level(now)),
+                });
             }
             observe(ftl, &mut trace);
             trace
         });
-    }
+    });
 }

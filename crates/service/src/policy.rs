@@ -1,11 +1,7 @@
-//! GC-policy selection for the service CLI and examples.
-//!
-//! A deliberately small mirror of the bench harness's policy matrix so
-//! `ssdsimd` does not need a dependency on the experiment crate: the same
-//! `jitgc-core` constructors, addressed by the CLI names the rest of the
-//! repository uses.
+//! GC-policy selection for the service CLI and examples: the CLI names
+//! of `jitgc-core`'s policy matrix ([`PolicyKind`]), which builds them.
 
-use jitgc_core::policy::{AdpGc, GcPolicy, IdleGc, JitGc, NoBgc, ReservedCapacity};
+use jitgc_core::policy::{GcPolicy, PolicyKind};
 use jitgc_core::system::SystemConfig;
 
 /// Which background-GC policy the service's engine runs.
@@ -62,30 +58,16 @@ impl PolicyChoice {
     /// Instantiates the policy for the given system configuration.
     #[must_use]
     pub fn build(self, config: &SystemConfig) -> Box<dyn GcPolicy> {
-        let (bw, gc_bw) = config.default_bandwidths();
-        match self {
-            PolicyChoice::NoBgc => Box::new(NoBgc),
-            PolicyChoice::Lbgc => {
-                Box::new(ReservedCapacity::of_op_permille(config.op_capacity(), 500))
-            }
-            PolicyChoice::Abgc => Box::new(ReservedCapacity::of_op_permille(
-                config.op_capacity(),
-                1_500,
-            )),
-            PolicyChoice::Adp => Box::new(AdpGc::new(
-                config.flusher_period,
-                config.tau_expire(),
-                config.cdh_percentile,
-                config.cdh_bin_bytes,
-                bw,
-                gc_bw,
-            )),
-            PolicyChoice::Idle => Box::new(IdleGc::default()),
-            PolicyChoice::Jit => Box::new(JitGc::from_system_config(config)),
-            PolicyChoice::JitNoSip => {
-                Box::new(JitGc::from_system_config(config).without_sip_filtering())
-            }
-        }
+        let kind = match self {
+            PolicyChoice::NoBgc => PolicyKind::NoBgc,
+            PolicyChoice::Lbgc => PolicyKind::ReservedPermille(500),
+            PolicyChoice::Abgc => PolicyKind::ReservedPermille(1_500),
+            PolicyChoice::Adp => PolicyKind::Adp,
+            PolicyChoice::Idle => PolicyKind::Idle,
+            PolicyChoice::Jit => PolicyKind::Jit,
+            PolicyChoice::JitNoSip => PolicyKind::JitNoSip,
+        };
+        kind.build(config)
     }
 }
 

@@ -14,6 +14,8 @@
 //! * [`json`] — a dependency-free JSON tree, parser and printer backing the
 //!   simulator's machine-readable interfaces.
 //! * [`hash`] — the FxHash-style hasher used by hot-path hash maps.
+//! * [`check`] — the seeded property checker every crate's property tests
+//!   run on.
 //!
 //! # Example
 //!
@@ -31,6 +33,7 @@ mod bytes;
 mod rng;
 mod time;
 
+pub mod check;
 pub mod hash;
 pub mod json;
 pub mod stats;
