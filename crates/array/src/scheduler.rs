@@ -4,7 +4,7 @@ use crate::{
     ArrayDegraded, ArrayManager, ArrayReport, GcMode, MemberSched, Redundancy, StripeExtent,
     StripeMap,
 };
-use jitgc_core::system::{FfRefusals, RunPerf, SsdSystem};
+use jitgc_core::system::{ClosedLoop, FfRefusals, RunPerf, SsdSystem};
 use jitgc_nand::{Lpn, WearReport};
 use jitgc_sim::stats::LatencyRecorder;
 use jitgc_sim::SimTime;
@@ -474,10 +474,8 @@ pub struct ArrayScheduler {
     /// Which driver advances the members.
     sched: ArraySched,
 
-    // Closed-loop schedule state, mirroring the single-device engine.
-    thread_completion: Vec<SimTime>,
-    next_thread: usize,
-    schedule: SimTime,
+    /// The issue clock the single-device engine runs internally.
+    closed_loop: ClosedLoop,
 
     // Volume-level measurements.
     latencies: LatencyRecorder,
@@ -532,7 +530,7 @@ impl ArrayScheduler {
             stripe.members(),
             "member count disagrees with the stripe map"
         );
-        let queue_depth = members[0].config().queue_depth.max(1) as usize;
+        let closed_loop = ClosedLoop::new(members[0].config().queue_depth);
         let n = members.len();
         ArrayScheduler {
             manager: ArrayManager::new(gc_mode, n),
@@ -541,9 +539,7 @@ impl ArrayScheduler {
             workload,
             member_threads: 1,
             sched: ArraySched::Steal,
-            thread_completion: vec![SimTime::ZERO; queue_depth],
-            next_thread: 0,
-            schedule: SimTime::ZERO,
+            closed_loop,
             latencies: LatencyRecorder::new(),
             ops: 0,
             split_requests: 0,
@@ -724,15 +720,11 @@ impl ArrayScheduler {
             }
         }
         while let Some(req) = self.workload.next_request() {
-            let thread = self.next_thread;
-            self.next_thread = (self.next_thread + 1) % self.thread_completion.len();
-            let issue = self.thread_completion[thread] + req.gap;
-            self.schedule = self.schedule.max(issue);
+            let (thread, issue) = self.closed_loop.issue(req.gap);
             let outcome = self.dispatch(req, issue);
             self.commit_request(thread, issue, &outcome);
         }
-        let end = self.end_time();
-        self.build_report(end)
+        self.build_report(self.closed_loop.end())
     }
 
     /// The production loop, for any worker count: between the
@@ -749,7 +741,7 @@ impl ArrayScheduler {
         let threads = self.member_threads.min(self.members.len()).max(1);
         self.manager.apply_stagger(&mut self.members);
         let do_prefill = self.members[0].config().prefill;
-        let queue_depth = self.thread_completion.len();
+        let queue_depth = self.closed_loop.threads();
         let lanes: Vec<Mutex<Lane>> = std::mem::take(&mut self.members)
             .into_iter()
             .map(|system| Mutex::new(Lane::new(system)))
@@ -797,7 +789,7 @@ impl ArrayScheduler {
                     }
                     continue;
                 }
-                let horizon = self.schedule;
+                let horizon = self.closed_loop.latest_issue();
                 order_agenda(&mut table, &mut q.touched, &mut q.agenda_keys, horizon);
                 table.release();
                 queue.publish(&q.touched);
@@ -810,8 +802,7 @@ impl ArrayScheduler {
         for (i, lane) in lanes.into_iter().enumerate() {
             self.absorb_lane(i, lane.into_inner().expect("a member panicked"));
         }
-        let end = self.end_time();
-        self.build_report(end)
+        self.build_report(self.closed_loop.end())
     }
 
     /// Moves a finished lane's member and telemetry back into `self`.
@@ -870,12 +861,35 @@ impl ArrayScheduler {
         table: &mut LazyLanes<'_>,
         q: &mut QuantumState,
     ) {
-        let thread = self.next_thread;
-        self.next_thread = (self.next_thread + 1) % self.thread_completion.len();
-        let issue = self.thread_completion[thread] + req.gap;
-        self.schedule = self.schedule.max(issue);
+        let (thread, issue) = self.closed_loop.issue(req.gap);
         let req_idx = q.quantum.len();
         q.quantum.push((thread, issue));
+        self.for_each_sub(req, |this, primary, replica, sub| {
+            this.touch(primary, &mut q.touched);
+            table.lane(primary).queue.push((sub, issue));
+            // An unmirrored read's uncorrectable pages are lost (counted
+            // at merge); mirrored reads never reach this path.
+            q.subs.push((
+                req_idx,
+                primary,
+                req.kind == IoKind::Read && replica.is_none(),
+            ));
+            if let Some(replica) = replica {
+                this.touch(replica, &mut q.touched);
+                table.lane(replica).queue.push((sub, issue));
+                q.subs.push((req_idx, replica, false));
+            }
+        });
+    }
+
+    /// Splits `req` over the stripe and hands `each` one sub-request per
+    /// touched member, with the member holding it and its mirror replica,
+    /// if any. The one place a logical request becomes member requests.
+    fn for_each_sub(
+        &mut self,
+        req: IoRequest,
+        mut each: impl FnMut(&mut Self, usize, Option<usize>, IoRequest),
+    ) {
         self.sub_scratch.clear();
         self.stripe
             .split(req.lpn.0, req.pages, &mut self.sub_scratch);
@@ -891,20 +905,7 @@ impl ArrayScheduler {
                 lpn: Lpn(extent.member_lpn),
                 pages: extent.pages,
             };
-            self.touch(primary, &mut q.touched);
-            table.lane(primary).queue.push((sub, issue));
-            // An unmirrored read's uncorrectable pages are lost (counted
-            // at merge); mirrored reads never reach this path.
-            q.subs.push((
-                req_idx,
-                primary,
-                req.kind == IoKind::Read && replica.is_none(),
-            ));
-            if let Some(replica) = replica {
-                self.touch(replica, &mut q.touched);
-                table.lane(replica).queue.push((sub, issue));
-                q.subs.push((req_idx, replica, false));
-            }
+            each(self, primary, replica, sub);
         }
     }
 
@@ -952,7 +953,7 @@ impl ArrayScheduler {
     /// op count, and straggler attribution for the member that held the
     /// request back (multi-member requests only — see [`ReqOutcome`]).
     fn commit_request(&mut self, thread: usize, issue: SimTime, outcome: &ReqOutcome) {
-        self.thread_completion[thread] = outcome.completion;
+        self.closed_loop.complete(thread, outcome.completion);
         self.latencies
             .record(outcome.completion.saturating_since(issue));
         self.ops += 1;
@@ -971,109 +972,68 @@ impl ArrayScheduler {
     /// Serial-phase handler for a mirrored read: the replica choice reads
     /// both members' live GC signals, so it cannot overlap other work.
     fn dispatch_mirrored_read(&mut self, req: IoRequest, table: &mut LazyLanes<'_>) {
-        let thread = self.next_thread;
-        self.next_thread = (self.next_thread + 1) % self.thread_completion.len();
-        let issue = self.thread_completion[thread] + req.gap;
-        self.schedule = self.schedule.max(issue);
-        self.sub_scratch.clear();
-        self.stripe
-            .split(req.lpn.0, req.pages, &mut self.sub_scratch);
-        if self.sub_scratch.len() > 1 {
-            self.split_requests += 1;
-        }
+        let (thread, issue) = self.closed_loop.issue(req.gap);
         let mut outcome = ReqOutcome::new(issue);
-        for i in 0..self.sub_scratch.len() {
-            let extent = self.sub_scratch[i];
-            let (primary, replica) = self.stripe.devices_of(extent.column);
+        self.for_each_sub(req, |this, primary, replica, sub| {
             let replica = replica.expect("mirrored read dispatched without a replica");
-            let sub = IoRequest {
-                gap: req.gap,
-                kind: req.kind,
-                lpn: Lpn(extent.member_lpn),
-                pages: extent.pages,
-            };
             let (p, r) = table.pair(primary, replica);
             let routed = route_mirrored_sub(
-                &mut self.manager,
-                &mut self.retry_scratch,
-                &mut self.member_lag,
+                &mut this.manager,
+                &mut this.retry_scratch,
+                &mut this.member_lag,
                 (primary, &mut p.system),
                 (replica, &mut r.system),
                 sub,
                 issue,
             );
-            self.recovered_pages += routed.recovered_pages;
-            self.lost_pages += routed.lost_pages;
+            this.recovered_pages += routed.recovered_pages;
+            this.lost_pages += routed.lost_pages;
             outcome.observe(routed.device, routed.done, routed.fgc);
-        }
+        });
         self.commit_request(thread, issue, &outcome);
-    }
-
-    /// The run's end time: the last thread completion or scheduled issue.
-    fn end_time(&self) -> SimTime {
-        self.thread_completion
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            .max(self.schedule)
     }
 
     /// Splits one logical request, fans the sub-requests out to their
     /// members at `issue`, and returns the request's outcome (completion
     /// = the slowest sub-request's, plus straggler attribution).
     fn dispatch(&mut self, req: IoRequest, issue: SimTime) -> ReqOutcome {
-        self.sub_scratch.clear();
-        self.stripe
-            .split(req.lpn.0, req.pages, &mut self.sub_scratch);
-        if self.sub_scratch.len() > 1 {
-            self.split_requests += 1;
-        }
         let mut outcome = ReqOutcome::new(issue);
-        for i in 0..self.sub_scratch.len() {
-            let extent = self.sub_scratch[i];
-            let (primary, replica) = self.stripe.devices_of(extent.column);
-            let sub = IoRequest {
-                gap: req.gap,
-                kind: req.kind,
-                lpn: Lpn(extent.member_lpn),
-                pages: extent.pages,
-            };
+        self.for_each_sub(req, |this, primary, replica, sub| {
             match (req.kind, replica) {
                 (IoKind::Read, Some(replica)) => {
-                    let (p, r) = pair_mut(&mut self.members, primary, replica);
+                    let (p, r) = pair_mut(&mut this.members, primary, replica);
                     let routed = route_mirrored_sub(
-                        &mut self.manager,
-                        &mut self.retry_scratch,
-                        &mut self.member_lag,
+                        &mut this.manager,
+                        &mut this.retry_scratch,
+                        &mut this.member_lag,
                         (primary, p),
                         (replica, r),
                         sub,
                         issue,
                     );
-                    self.recovered_pages += routed.recovered_pages;
-                    self.lost_pages += routed.lost_pages;
+                    this.recovered_pages += routed.recovered_pages;
+                    this.lost_pages += routed.lost_pages;
                     outcome.observe(routed.device, routed.done, routed.fgc);
                 }
                 (IoKind::Read, None) => {
-                    let (done, fgc) = self.step_member(primary, sub, issue);
+                    let (done, fgc) = this.step_member(primary, sub, issue);
                     // No redundancy: every uncorrectable page is lost.
-                    self.lost_pages += self.members[primary].failed_read_lpns().len() as u64;
+                    this.lost_pages += this.members[primary].failed_read_lpns().len() as u64;
                     outcome.observe(primary, done, fgc);
                 }
                 (_, Some(replica)) => {
                     // Writes and trims must keep the replicas coherent.
-                    let (done, fgc) = self.step_member(primary, sub, issue);
+                    let (done, fgc) = this.step_member(primary, sub, issue);
                     outcome.observe(primary, done, fgc);
-                    let (done, fgc) = self.step_member(replica, sub, issue);
+                    let (done, fgc) = this.step_member(replica, sub, issue);
                     outcome.observe(replica, done, fgc);
                 }
                 (_, None) => {
-                    let (done, fgc) = self.step_member(primary, sub, issue);
+                    let (done, fgc) = this.step_member(primary, sub, issue);
                     outcome.observe(primary, done, fgc);
                 }
             }
-        }
+        });
         outcome
     }
 

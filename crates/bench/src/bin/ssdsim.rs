@@ -39,9 +39,9 @@
 //!                          blocks are retired and the device eventually
 //!                          degrades to read-only     (default: unlimited)
 //!   --fault-seed <N>       RNG seed of the wear-fault injector (default 1)
-//!   --fault-program <F>    program-failure rate coefficient; the per-op
-//!                          probability is F × erase_count / wear_scale
-//!                                                           (default 0)
+//!   --fault-program <F>    program-failure rate coefficient, finite and
+//!                          ≥ 0; the per-op probability is
+//!                          F × erase_count / wear_scale     (default 0)
 //!   --fault-erase <F>      erase-failure rate coefficient   (default 0)
 //!   --fault-read <F>       uncorrectable-read rate coefficient (default 0)
 //!                          (all three at 0 ⇒ no fault model is installed
@@ -273,6 +273,18 @@ fn parse_victim(v: &str) -> VictimKind {
     }
 }
 
+/// A `--fault-*` rate coefficient: finite and not negative. Zero is the
+/// default (no faults of that kind); a negative or NaN rate would
+/// silently install no fault model at all.
+fn parse_fault_rate(flag: &str, v: &str) -> f64 {
+    let rate: f64 = v.parse().unwrap_or_else(|_| usage());
+    if !(rate.is_finite() && rate >= 0.0) {
+        eprintln!("{flag} {rate}: a fault rate must be finite and not negative");
+        usage()
+    }
+    rate
+}
+
 fn parse_args() -> Args {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
@@ -340,9 +352,9 @@ fn parse_args() -> Args {
             "--in-device-manager" => args.in_device_manager = true,
             "--endurance" => args.endurance = Some(value().parse().unwrap_or_else(|_| usage())),
             "--fault-seed" => args.fault_seed = value().parse().unwrap_or_else(|_| usage()),
-            "--fault-program" => args.fault_program = value().parse().unwrap_or_else(|_| usage()),
-            "--fault-erase" => args.fault_erase = value().parse().unwrap_or_else(|_| usage()),
-            "--fault-read" => args.fault_read = value().parse().unwrap_or_else(|_| usage()),
+            "--fault-program" => args.fault_program = parse_fault_rate(&flag, &value()),
+            "--fault-erase" => args.fault_erase = parse_fault_rate(&flag, &value()),
+            "--fault-read" => args.fault_read = parse_fault_rate(&flag, &value()),
             "--timeline" => args.timeline = Some(value()),
             "--config" => args.config = Some(value()),
             "--dump-config" => args.dump_config = Some(value()),

@@ -1,6 +1,7 @@
 //! Hostile `ssdsim` input is an error message and exit 2, never a panic:
-//! zero / negative / NaN rates and over-provisioning that leaves no
-//! working set die at parse time naming their flag, an unwritable output
+//! zero / negative / NaN rates, fault rates that are negative or not
+//! finite, and over-provisioning that leaves no working set die at parse
+//! time naming their flag, an unwritable output
 //! path is reported before anything runs, and the selector flags this
 //! CLI no longer has are plain unknown flags.
 
@@ -9,12 +10,18 @@ use std::process::Command;
 #[test]
 fn bad_flags_exit_2_with_a_message_naming_them() {
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 17] = [
         (&["--seconds", "0"], "--seconds"),
         (&["--iops", "0"], "--iops"),
         (&["--iops", "-5"], "--iops"),
         (&["--iops", "nan"], "--iops"),
         (&["--burst", "0"], "--burst"),
+        // These three used to run to completion with no fault model
+        // installed (`-1` and NaN fail the `> 0` install test) or with an
+        // infinite per-op probability.
+        (&["--fault-program", "-1"], "--fault-program"),
+        (&["--fault-read", "nan"], "--fault-read"),
+        (&["--fault-erase", "inf"], "--fault-erase"),
         (
             &["--gc-migration", "looped"],
             "unknown flag: --gc-migration",

@@ -160,8 +160,7 @@ impl BufferedWritePredictor {
     ///
     /// When the cache's configured
     /// [`flusher_period`](jitgc_pagecache::PageCacheConfig::flusher_period)
-    /// matches this predictor's `p` and `t` falls on a period boundary —
-    /// the engine polls at exact multiples of `p`, so in practice always —
+    /// matches this predictor's `p` and `t` falls on a period boundary,
     /// the demand is read off the cache's incremental dirty-age epoch
     /// counters and the SIP list is a bulk snapshot of its dirty-LPN
     /// bitmap: O(distinct epochs + LPN-space words) instead of a walk
@@ -169,6 +168,15 @@ impl BufferedWritePredictor {
     /// ([`predict_scan`](Self::predict_scan)), which is bit-identical,
     /// just slower; `tests/incremental_prediction_properties.rs` holds the
     /// two to that over arbitrary cache histories.
+    ///
+    /// A standalone engine polls at exact multiples of `p` and always
+    /// takes the fast path. A `GcMode::Staggered` array does not:
+    /// `ArrayManager::apply_stagger` offsets member *i*'s tick phase by
+    /// `p·i/n`, so every member but 0 polls off-boundary and pays the
+    /// full scan on every tick — 63 of 64 members on the benchmark's
+    /// `array64_qd8`, where the predictor phase is 0.235 s of a 1.34 s
+    /// run (`BENCH_18.json`). Counting epochs from the member's own tick
+    /// phase would put them back on the fast path (ROADMAP item 4).
     ///
     /// Why the counters are exact: with `τ_expire = N_wb · p` (enforced
     /// by the constructor) and `t = m · p`, a page last updated at `u`

@@ -3,7 +3,9 @@
 use super::interval_log::IntervalLog;
 use crate::policy::{GcPolicy, IntervalObservation};
 use crate::predictor::{AccuracyTracker, BufferedWritePredictor, DirectWritePredictor};
-use crate::system::{FfGate, FfRefusals, PhaseProfile, RunPerf, SimReport, SystemConfig};
+use crate::system::{
+    ClosedLoop, FfGate, FfRefusals, PhaseProfile, RunPerf, SimReport, SystemConfig,
+};
 use jitgc_ftl::{DegradeKind, Ftl, FtlError, SipList};
 use jitgc_nand::Lpn;
 use jitgc_pagecache::PageCache;
@@ -87,11 +89,9 @@ pub struct SsdSystem {
 
     // Timeline.
     device_busy_until: SimTime,
-    schedule: SimTime,
-    /// Per application thread: when its previous request completed.
-    /// `queue_depth` threads share the workload stream round-robin.
-    thread_completion: Vec<SimTime>,
-    next_thread: usize,
+    /// The issue clock of [`run`](SsdSystem::run); an external scheduler
+    /// driving [`step`](SsdSystem::step) keeps its own.
+    closed_loop: ClosedLoop,
     next_tick: SimTime,
     /// BGC reclaims toward this free-capacity target during idle gaps.
     target_free: ByteSize,
@@ -216,9 +216,7 @@ impl SsdSystem {
             accuracy: AccuracyTracker::new(),
             latencies: LatencyRecorder::new(),
             device_busy_until: SimTime::ZERO,
-            schedule: SimTime::ZERO,
-            thread_completion: vec![SimTime::ZERO; config.queue_depth.max(1) as usize],
-            next_thread: 0,
+            closed_loop: ClosedLoop::new(config.queue_depth),
             next_tick,
             target_free: ByteSize::ZERO,
             last_buffered_demand: 0,
@@ -293,27 +291,11 @@ impl SsdSystem {
             self.prefill();
         }
         while let Some(req) = self.workload.next_request() {
-            // True closed loop: an application thread thinks for `gap`
-            // after its previous request completes, then issues the next
-            // one. Every stall therefore lengthens the run and lowers
-            // IOPS — exactly how the paper's benchmarks observe GC. With
-            // `queue_depth > 1`, several such threads share the stream
-            // round-robin and overlap at the device.
-            let thread = self.next_thread;
-            self.next_thread = (self.next_thread + 1) % self.thread_completion.len();
-            let issue = self.thread_completion[thread] + req.gap;
-            self.schedule = self.schedule.max(issue);
+            let (thread, issue) = self.closed_loop.issue(req.gap);
             let completion = self.step(req, issue);
-            self.thread_completion[thread] = completion;
+            self.closed_loop.complete(thread, completion);
         }
-        let end = self
-            .thread_completion
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            .max(self.schedule);
-        self.finalize(end)
+        self.finalize(self.closed_loop.end())
     }
 
     /// Issues one request at simulated time `issue` and returns its
@@ -470,9 +452,6 @@ impl SsdSystem {
                     Ok(()) => {
                         let span = t.saturating_since(self.next_tick);
                         let k = span.div_duration(self.config.flusher_period) + 1;
-                        #[cfg(debug_assertions)]
-                        self.fast_forward_checked(k, t);
-                        #[cfg(not(debug_assertions))]
                         self.fast_forward_span(k);
                         self.ticks_skipped += k;
                         self.ff_spans += 1;
@@ -481,19 +460,6 @@ impl SsdSystem {
                     Err(gate) => self.ff_refusals.note(gate),
                 }
             }
-            let tick = self.next_tick;
-            self.run_bgc_in_gap(tick);
-            self.handle_tick(tick);
-            self.next_tick = tick + self.config.flusher_period;
-        }
-    }
-
-    /// The plain per-tick path, with no fast-forward consideration: the
-    /// debug oracle replays skipped spans through this to prove the bulk
-    /// update exact.
-    #[cfg(debug_assertions)]
-    fn run_tick_loop(&mut self, t: SimTime) {
-        while self.next_tick <= t {
             let tick = self.next_tick;
             self.run_bgc_in_gap(tick);
             self.handle_tick(tick);
@@ -622,79 +588,6 @@ impl SsdSystem {
         self.next_tick = t_last + p;
     }
 
-    /// Debug-build oracle: computes the bulk span outcome, rolls it
-    /// back, replays the span through the untouched per-tick path, and
-    /// asserts the two end states are identical — the strongest form of
-    /// the repo's equivalence-oracle convention, run on every skip. The
-    /// replay must also leave the [`certificate`](Self::certificate)
-    /// where it found it: that is the no-flow argument itself, checked on
-    /// every span rather than trusted.
-    #[cfg(debug_assertions)]
-    fn fast_forward_checked(&mut self, k: u64, t: SimTime) {
-        let certified = self.certificate();
-        let saved = (
-            self.interval_actuals.clone(),
-            self.pending_predictions.clone(),
-            self.accuracy,
-            self.device_busy_until,
-            self.next_tick,
-            self.target_free,
-        );
-        self.fast_forward_span(k);
-        let expected = (
-            self.interval_actuals.clone(),
-            self.pending_predictions.clone(),
-            self.accuracy,
-            self.device_busy_until,
-            self.next_tick,
-            self.target_free,
-        );
-        (
-            self.interval_actuals,
-            self.pending_predictions,
-            self.accuracy,
-            self.device_busy_until,
-            self.next_tick,
-            self.target_free,
-        ) = saved;
-        self.run_tick_loop(t);
-        let replayed = (
-            self.interval_actuals.clone(),
-            self.pending_predictions.clone(),
-            self.accuracy,
-            self.device_busy_until,
-            self.next_tick,
-            self.target_free,
-        );
-        assert_eq!(
-            expected, replayed,
-            "quiescence fast-forward diverged from the per-tick replay over {k} ticks"
-        );
-        assert_eq!(
-            certified,
-            self.certificate(),
-            "{k} replayed ticks moved state the fast-forward certified as fixed"
-        );
-    }
-
-    /// What `can_fast_forward` certifies every skipped tick leaves alone,
-    /// beyond the fields the bulk update writes: the cache's dirty set and
-    /// counters, the demand snapshots, the FTL's capacity picture and the
-    /// tick verdict itself.
-    #[cfg(debug_assertions)]
-    fn certificate(&self) -> impl PartialEq + std::fmt::Debug {
-        (
-            self.cache.dirty_count(),
-            *self.cache.stats(),
-            self.last_buffered_demand,
-            self.last_direct_demand,
-            self.ftl.free_pages(),
-            self.ftl.reclaimable_capacity(),
-            self.last_tick_noop,
-            self.last_tick_predicted,
-        )
-    }
-
     /// Drops interval-log entries below the oldest window any pending
     /// prediction can still score against (satellite of DESIGN.md §15:
     /// bounded memory on endurance runs).
@@ -717,7 +610,7 @@ impl SsdSystem {
         let batch = self.cache.flusher_tick(now);
         let batch_was_empty = batch.lpns.is_empty();
         if !batch.lpns.is_empty() {
-            match self.ftl.flush_batch(&batch.lpns, now) {
+            match self.ftl.host_write_batch(&batch.lpns, now) {
                 Ok(out) => {
                     if out.fgc_writes > 0 {
                         self.fgc_flush_stalls += 1;
@@ -1173,9 +1066,8 @@ impl SsdSystem {
     /// Test hook: selects the tick-processing path — the quiescence
     /// fast-forward (the production path, on by default) or the pure
     /// per-tick loop, the reference the identity tests compare it
-    /// against. Reports are byte-for-byte the same either way (debug
-    /// builds replay every skipped span and assert it). No CLI reaches
-    /// this.
+    /// against. Reports are byte-for-byte the same either way. No CLI
+    /// reaches this.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
@@ -1575,9 +1467,7 @@ mod tests {
         assert!(on.ff_spans() > 0);
         assert_eq!(off.ticks_skipped(), 0, "switch off ⇒ pure per-tick loop");
         assert_eq!(off.ff_spans(), 0);
-        // Byte-identical reports across the switch (in this debug build
-        // every skipped span was additionally replayed and asserted by
-        // the oracle inside `fast_forward_checked`).
+        // Byte-identical reports across the switch.
         assert_eq!(
             serde_json_like(&report_on),
             serde_json_like(&report_off),

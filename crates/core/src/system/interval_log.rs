@@ -22,13 +22,13 @@
 //! value first materializes the tail, so the representation is a pure
 //! function of the logical content (given the same compaction calls) —
 //! the per-tick path and the fast-forward bulk path converge on
-//! identical structures, which lets the debug replay oracle compare them
-//! with plain `==`.
+//! identical structures, which the unit tests below compare with plain
+//! `==`.
 
 /// The per-interval device-traffic log: logically `Vec<u64>` with one
 /// entry per elapsed flusher tick, physically a compacted window plus a
 /// run-length-encoded zero tail.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct IntervalLog {
     /// Logical index of `vals[0]`; everything below was compacted away.
     base: usize,

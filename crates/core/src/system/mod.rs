@@ -12,6 +12,7 @@
 //! so foreground-GC stalls propagate into IOPS exactly as on a real
 //! system.
 
+mod closed_loop;
 mod config;
 mod engine;
 mod interval_log;
@@ -19,6 +20,7 @@ mod profile;
 mod refusal;
 mod report;
 
+pub use closed_loop::ClosedLoop;
 pub use config::{ManagerPlacement, SystemConfig, VictimKind};
 pub use engine::{GcSignals, SsdSystem};
 pub use profile::{PhaseProfile, RunPerf, RunTotals};

@@ -4,16 +4,19 @@
 //! everything that can break the certificate between two idle ticks is
 //! seen by the gate that names it.
 //!
-//! Every script runs on two engines, fast-forward on and off, and their
-//! final reports must be identical. This is a debug build, so on top of
-//! that the engine replays every skipped span through the per-tick loop
-//! and asserts both the bulk update and the certificate itself
-//! (`fast_forward_checked`).
+//! Every script runs on two engines, fast-forward on and off. After every
+//! step — that is, at the end of every skipped span — the two must agree
+//! on everything a span writes (clock, device timeline) and on everything
+//! the certificate says it leaves alone (cache, FTL, demand and target
+//! signals), and at the end on the report. The engine itself replays
+//! nothing, in any build profile; `skipped_spans_match_the_per_tick_loop`
+//! is the net under `fast_forward_span`, over generated scripts.
 
-use jitgc_core::policy::JitGc;
+use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::{FfGate, ManagerPlacement, SsdSystem, SystemConfig};
 use jitgc_nand::Lpn;
 use jitgc_pagecache::PageCacheConfig;
+use jitgc_sim::check::check;
 use jitgc_sim::{SimDuration, SimTime};
 use jitgc_workload::{IoKind, IoRequest, NullWorkload, WriteMix};
 
@@ -24,14 +27,10 @@ struct Twin {
 }
 
 impl Twin {
-    fn new(config: &SystemConfig) -> Twin {
+    fn new(config: &SystemConfig, policy: PolicyKind) -> Twin {
         let build = |fast_forward: bool| {
             let stub = NullWorkload::new("script", config.ftl.user_pages(), WriteMix::new(0.5));
-            let mut sim = SsdSystem::new(
-                config.clone(),
-                Box::new(JitGc::from_system_config(config)),
-                Box::new(stub),
-            );
+            let mut sim = SsdSystem::new(config.clone(), policy.build(config), Box::new(stub));
             sim.set_fast_forward(fast_forward);
             sim
         };
@@ -52,11 +51,35 @@ impl Twin {
         let done_on = self.on.step(req, at);
         let done_off = self.off.step(req, at);
         assert_eq!(done_on, done_off, "{kind} at {at:?} completed apart");
+        self.assert_in_step(at);
     }
 
     fn idle_until(&mut self, t: SimTime) {
         self.on.advance_to(t);
         self.off.advance_to(t);
+        self.assert_in_step(t);
+    }
+
+    /// Both engines stand in the same state: what a skipped span writes
+    /// and what it certified as untouched.
+    fn assert_in_step(&self, at: SimTime) {
+        let state = |sim: &SsdSystem| {
+            format!(
+                "clock {:?} busy {:?} {:?} cache {:?} dirty {} ftl {:?} free {}",
+                sim.virtual_clock(),
+                sim.device_busy_until(),
+                sim.gc_signals(),
+                sim.cache().stats(),
+                sim.cache().dirty_count(),
+                sim.ftl().stats(),
+                sim.ftl().free_pages(),
+            )
+        };
+        assert_eq!(
+            state(&self.on),
+            state(&self.off),
+            "fast-forward on / off stand apart at {at:?}"
+        );
     }
 
     /// Ticks the fast-forwarding engine ran one by one so far.
@@ -73,6 +96,10 @@ impl Twin {
             format!("{on:?}"),
             format!("{off:?}"),
             "fast-forward changed the report"
+        );
+        assert_eq!(
+            self.on.interval_log_materialized_len(),
+            self.off.interval_log_materialized_len()
         );
         assert_eq!(self.off.ticks_skipped(), 0);
         assert_eq!(self.off.ff_refusals().total(), 0);
@@ -96,7 +123,7 @@ fn settle_ticks(config: &SystemConfig) -> u64 {
 /// direct page so a later trim finds something mapped; then idle until
 /// the fast-forward has engaged.
 fn settled(config: &SystemConfig) -> Twin {
-    let mut twin = Twin::new(config);
+    let mut twin = Twin::new(config, PolicyKind::Jit);
     twin.request(secs(1), IoKind::DirectWrite, 900, 1);
     twin.request(secs(1), IoKind::BufferedWrite, 10, 3);
     twin.idle_until(secs(2_000));
@@ -249,11 +276,10 @@ fn strict_tau_flush_and_an_in_device_manager_skip_over_residue_too() {
     }
 }
 
-#[test]
-fn residue_at_the_threshold_strands_and_one_page_above_it_flushes() {
-    // `small_for_tests` throttles writers below its flush threshold, so a
-    // residue above the threshold cannot form there; this cache flushes
-    // above 10 % dirty and throttles above 20 %.
+/// `small_for_tests` throttles writers below its flush threshold, so a
+/// residue above the threshold cannot form there; this cache flushes
+/// above 10 % dirty and throttles above 20 %.
+fn residue_config() -> SystemConfig {
     let mut config = SystemConfig::small_for_tests();
     config.cache = PageCacheConfig::builder()
         .capacity_pages(2_048)
@@ -262,15 +288,26 @@ fn residue_at_the_threshold_strands_and_one_page_above_it_flushes() {
         .tau_flush_permille(100)
         .throttle_permille(200)
         .build();
+    config
+}
+
+/// Writes `pages` buffered pages from LPN 0 up at `at`, 64 to a request.
+fn strand(twin: &mut Twin, at: SimTime, pages: u64) {
+    let mut lpn = 0;
+    while lpn < pages {
+        let extent = (pages - lpn).min(64);
+        twin.request(at, IoKind::BufferedWrite, lpn, extent as u32);
+        lpn += extent;
+    }
+}
+
+#[test]
+fn residue_at_the_threshold_strands_and_one_page_above_it_flushes() {
+    let config = residue_config();
     let threshold = config.cache.flush_threshold_pages();
     for (pages, stranded) in [(threshold, threshold), (threshold + 1, 0)] {
-        let mut twin = Twin::new(&config);
-        let mut lpn = 0;
-        while lpn < pages {
-            let extent = (pages - lpn).min(64);
-            twin.request(secs(1), IoKind::BufferedWrite, lpn, extent as u32);
-            lpn += extent;
-        }
+        let mut twin = Twin::new(&config, PolicyKind::Jit);
+        strand(&mut twin, secs(1), pages);
         twin.idle_until(secs(3_000));
         assert_eq!(twin.on.cache().dirty_count(), stranded, "{pages} pages");
         assert_eq!(
@@ -282,4 +319,76 @@ fn residue_at_the_threshold_strands_and_one_page_above_it_flushes() {
         assert!(twin.ticks_run() <= settle_ticks(&config) + config.nwb() as u64);
         twin.finish(secs(3_000));
     }
+}
+
+/// Generated scripts — any request kind anywhere, buffered bursts that
+/// leave a residue below, at and above the flush threshold, and gaps
+/// log-uniform from a microsecond to two days, so spans of zero to
+/// ~35 000 ticks end on whatever the script does next — over every
+/// policy, strict and AND-semantics `τ_flush`, host and in-device manager,
+/// an aged or an erased device. [`Twin`] compares the engines after every
+/// step and at the end. 96 cases of up to 48 steps.
+#[test]
+fn skipped_spans_match_the_per_tick_loop() {
+    const POLICIES: [PolicyKind; 7] = [
+        PolicyKind::NoBgc,
+        PolicyKind::ReservedPermille(500),
+        PolicyKind::ReservedPermille(1_500),
+        PolicyKind::Adp,
+        PolicyKind::Idle,
+        PolicyKind::Jit,
+        PolicyKind::JitNoSip,
+    ];
+    const KINDS: [IoKind; 4] = [
+        IoKind::Read,
+        IoKind::BufferedWrite,
+        IoKind::DirectWrite,
+        IoKind::Trim,
+    ];
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Request(IoKind, u64, u32),
+        /// `advance_to` without a request.
+        Idle,
+        /// A buffered burst of this many pages from LPN 0 up.
+        Strand(u64),
+    }
+    check(0xFF5A_0001, 96, |g| {
+        let mut config = residue_config();
+        let policy = g.pick(&POLICIES);
+        config.strict_tau_flush = g.u64(0, 2) == 1;
+        config.manager_placement = g.pick(&[ManagerPlacement::Host, ManagerPlacement::Device]);
+        let aged = g.u64(0, 2) == 1;
+        let threshold = config.cache.flush_threshold_pages();
+        let user_pages = config.ftl.user_pages();
+        let script = g.vec(1, 48, |g| {
+            let gap = SimDuration::from_micros(g.f64(0.0, 37.4).exp2() as u64);
+            let step = match g.weighted(&[2, 4, 2, 1, 2, 2]) {
+                4 => Step::Idle,
+                5 => Step::Strand(g.pick(&[3, threshold, threshold + 1, threshold + 100])),
+                kind => {
+                    let pages = g.u64(1, 65);
+                    let lpn = g.u64(0, user_pages - pages + 1);
+                    Step::Request(KINDS[kind], lpn, pages as u32)
+                }
+            };
+            (gap, step)
+        });
+
+        let mut twin = Twin::new(&config, policy);
+        if aged {
+            twin.on.prefill();
+            twin.off.prefill();
+        }
+        let mut at = secs(1);
+        for &(gap, step) in &script {
+            at += gap;
+            match step {
+                Step::Request(kind, lpn, pages) => twin.request(at, kind, lpn, pages),
+                Step::Idle => twin.idle_until(at),
+                Step::Strand(pages) => strand(&mut twin, at, pages),
+            }
+        }
+        twin.finish(at);
+    });
 }

@@ -154,9 +154,9 @@ pub struct Ftl {
     /// surviving replica).
     failed_reads: Vec<Lpn>,
     /// GC migration uses the batched
-    /// [`copy_pages`](NandDevice::copy_pages) path when set (the default);
-    /// tests clear it to run the per-page reference. Both produce
-    /// byte-identical state — debug builds assert it on every migration.
+    /// [`copy_pages_within`](NandDevice::copy_pages_within) path when set
+    /// (the default); tests clear it to run the per-page reference. Both
+    /// produce byte-identical state.
     bulk_gc: bool,
     /// Scratch for the bulk path's victim snapshot, reused across
     /// collections so the steady state allocates nothing.
@@ -468,22 +468,6 @@ impl Ftl {
         Ok(out)
     }
 
-    /// Writes back a flusher batch (dirty pages, oldest first). The write
-    /// path is exactly [`host_write_batch`](Self::host_write_batch); the
-    /// separate entry point keeps the flusher's call site honest about
-    /// intent and gives the profile a distinct frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`host_write_batch`](Self::host_write_batch).
-    pub fn flush_batch(
-        &mut self,
-        lpns: &[Lpn],
-        now: SimTime,
-    ) -> Result<BatchWriteOutcome, FtlError> {
-        self.host_write_batch(lpns, now)
-    }
-
     // ------------------------------------------------------------------
     // Garbage collection
     // ------------------------------------------------------------------
@@ -578,9 +562,7 @@ impl Ftl {
     /// and its cost is not charged.
     ///
     /// This is the only dispatch site between the batched production path
-    /// and the per-page reference ([`set_bulk_gc`](Self::set_bulk_gc)), and
-    /// in debug builds every batched call is replayed through the
-    /// reference on a cloned shadow FTL.
+    /// and the per-page reference ([`set_bulk_gc`](Self::set_bulk_gc)).
     fn migrate(
         &mut self,
         victim: BlockId,
@@ -593,8 +575,6 @@ impl Ftl {
             self.active_user != Some(victim) && self.active_gc != Some(victim),
             "victim must not be an active block"
         );
-        #[cfg(debug_assertions)]
-        let shadow = self.bulk_gc.then(|| (self.oracle_shadow(), *outcome));
         let t0 = self.gc_copy_enabled.then(std::time::Instant::now);
         let result = if self.bulk_gc {
             self.migrate_bulk(victim, now, budget, outcome)
@@ -603,15 +583,6 @@ impl Ftl {
         };
         if let Some(t0) = t0 {
             self.gc_copy_wall += t0.elapsed();
-        }
-        #[cfg(debug_assertions)]
-        if let Some((mut shadow, mut expected)) = shadow {
-            let expected_result = shadow.migrate_per_page(victim, now, budget, &mut expected);
-            self.assert_matches_oracle(
-                &shadow,
-                &(&expected_result, expected),
-                &(&result, *outcome),
-            );
         }
         result
     }
@@ -741,8 +712,9 @@ impl Ftl {
     /// it is the cheapest source of a free block.
     fn foreground_collect(&mut self, now: SimTime) -> Result<BgcOutcome, FtlError> {
         let mut outcome = BgcOutcome::default();
-        if let Some(victim) = self.gc_in_progress.take() {
+        if let Some(victim) = self.gc_in_progress {
             let (duration, migrated) = self.collect_block(victim, now)?;
+            self.gc_in_progress = None;
             outcome.duration += duration;
             outcome.blocks_erased += 1;
             outcome.pages_migrated += migrated;
@@ -751,13 +723,28 @@ impl Ftl {
             let victim = self
                 .select_victim(now, false)
                 .ok_or(FtlError::NoReclaimableSpace)?;
-            self.victim_index.remove(victim);
-            let (duration, migrated) = self.collect_block(victim, now)?;
+            let (duration, migrated) = self.collect_candidate(victim, now)?;
             outcome.duration += duration;
             outcome.blocks_erased += 1;
             outcome.pages_migrated += migrated;
         }
         Ok(outcome)
+    }
+
+    /// Takes `victim` out of the candidate index and collects it. A
+    /// collection that gives up half way (no GC scratch block left) puts
+    /// the block back, so what it still holds stays reclaimable.
+    fn collect_candidate(
+        &mut self,
+        victim: BlockId,
+        now: SimTime,
+    ) -> Result<(SimDuration, u64), FtlError> {
+        self.victim_index.remove(victim);
+        let collected = self.collect_block(victim, now);
+        if collected.is_err() {
+            self.seal(victim);
+        }
+        collected
     }
 
     /// Migrates every remaining valid page out of `victim` and erases it
@@ -874,104 +861,6 @@ impl Ftl {
                 Ok(self.config.timing().page_read_cost())
             }
             Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Clones the full FTL state (fault-model RNG position included) into
-    /// a shadow instance pinned to the per-page path, so a batched migration
-    /// can be replayed and compared field-for-field.
-    #[cfg(debug_assertions)]
-    fn oracle_shadow(&self) -> Ftl {
-        Ftl {
-            config: self.config.clone(),
-            device: self.device.clone(),
-            mapping: self.mapping.clone(),
-            free_blocks: self.free_blocks.clone(),
-            is_free: self.is_free.clone(),
-            active_user: self.active_user,
-            active_hot: self.active_hot,
-            active_gc: self.active_gc,
-            gc_in_progress: self.gc_in_progress,
-            lpn_last_write: self.lpn_last_write.clone(),
-            is_retired: self.is_retired.clone(),
-            last_write: self.last_write.clone(),
-            sip: self.sip.clone(),
-            sip_counts: self.sip_counts.clone(),
-            sip_filter_enabled: self.sip_filter_enabled,
-            // Migration never consults the selector, so the shadow
-            // does not need a clone of the (non-Clone) installed one.
-            selector: Box::new(crate::GreedySelector),
-            victim_index: self.victim_index.clone(),
-            read_only: self.read_only,
-            retired_pages: self.retired_pages,
-            degrade_events: self.degrade_events.clone(),
-            failed_reads: self.failed_reads.clone(),
-            bulk_gc: false,
-            gc_snapshot: Vec::new(),
-            gc_dst_scratch: Vec::new(),
-            gc_copy_enabled: false,
-            gc_copy_wall: std::time::Duration::ZERO,
-            stats: self.stats,
-        }
-    }
-
-    /// Field-for-field comparison of a batched migration's result against
-    /// the shadow replay of the per-page loop.
-    #[cfg(debug_assertions)]
-    fn assert_matches_oracle<R: std::fmt::Debug>(&self, shadow: &Ftl, expected: &R, actual: &R) {
-        assert_eq!(
-            format!("{actual:?}"),
-            format!("{expected:?}"),
-            "bulk GC result diverged from per-page loop"
-        );
-        assert_eq!(self.stats, shadow.stats, "FTL stats diverged");
-        assert_eq!(
-            self.device.stats(),
-            shadow.device.stats(),
-            "device op stats diverged"
-        );
-        assert_eq!(
-            self.device.total_valid_pages(),
-            shadow.device.total_valid_pages()
-        );
-        assert_eq!(
-            self.device.total_invalid_pages(),
-            shadow.device.total_invalid_pages()
-        );
-        assert_eq!(
-            self.device.total_free_pages(),
-            shadow.device.total_free_pages()
-        );
-        assert_eq!(self.free_blocks, shadow.free_blocks, "free pool diverged");
-        assert_eq!(self.is_free, shadow.is_free);
-        assert_eq!(self.active_user, shadow.active_user);
-        assert_eq!(self.active_hot, shadow.active_hot);
-        assert_eq!(self.active_gc, shadow.active_gc);
-        assert_eq!(self.gc_in_progress, shadow.gc_in_progress);
-        assert_eq!(self.read_only, shadow.read_only);
-        assert_eq!(self.retired_pages, shadow.retired_pages);
-        assert_eq!(self.is_retired, shadow.is_retired);
-        assert_eq!(self.degrade_events, shadow.degrade_events);
-        assert_eq!(self.last_write, shadow.last_write, "recency diverged");
-        assert_eq!(self.sip_counts, shadow.sip_counts, "SIP counts diverged");
-        let mine: Vec<_> = self.victim_index.iter_ids().collect();
-        let theirs: Vec<_> = shadow.victim_index.iter_ids().collect();
-        assert_eq!(mine, theirs, "victim index diverged");
-        for b in self.device.geometry().block_ids() {
-            let (a, e) = (self.device.block(b), shadow.device.block(b));
-            assert_eq!(a.erase_count(), e.erase_count(), "wear diverged on {b}");
-            assert_eq!(a.next_free_offset(), e.next_free_offset());
-            assert_eq!(a.valid_pages(), e.valid_pages(), "valid diverged on {b}");
-            assert_eq!(a.invalid_pages(), e.invalid_pages());
-        }
-        // Only pages named in the snapshot can have remapped; checking
-        // exactly those keeps the oracle O(blocks + migrated pages)
-        // instead of O(user pages).
-        for &(_, lpn) in &self.gc_snapshot {
-            assert_eq!(
-                self.mapping[lpn.0 as usize], shadow.mapping[lpn.0 as usize],
-                "mapping diverged for {lpn:?}"
-            );
         }
     }
 
@@ -1095,8 +984,6 @@ impl Ftl {
     /// fraction exceeds the configured threshold are avoided; if that
     /// filter would leave no candidate, the unfiltered choice is used.
     fn select_victim(&mut self, now: SimTime, background: bool) -> Option<BlockId> {
-        #[cfg(debug_assertions)]
-        self.debug_validate_victim_index();
         let unfiltered = self.run_selector(now, None)?;
         if !background || !self.sip_filter_enabled || self.sip.is_empty() {
             return Some(unfiltered);
@@ -1170,39 +1057,6 @@ impl Ftl {
         }
     }
 
-    /// Debug-build cross-check: the incrementally maintained victim index
-    /// must agree — membership and valid counts — with a full device scan
-    /// over the candidate filter it replaces. Runs on every victim
-    /// selection and wear-leveling pass in tests.
-    #[cfg(debug_assertions)]
-    fn debug_validate_victim_index(&self) {
-        let expected: Vec<(BlockId, u32)> = self
-            .device
-            .geometry()
-            .block_ids()
-            .filter(|b| {
-                !self.is_free[b.0 as usize]
-                    && !self.is_retired[b.0 as usize]
-                    && self.active_user != Some(*b)
-                    && self.active_hot != Some(*b)
-                    && self.active_gc != Some(*b)
-                    && self.gc_in_progress != Some(*b)
-            })
-            .map(|b| (b, self.device.block(b).valid_pages()))
-            .collect();
-        let actual: Vec<(BlockId, u32)> = self.victim_index.iter_ids().collect();
-        assert_eq!(
-            actual, expected,
-            "victim index diverged from the full candidate scan"
-        );
-        for &(b, _) in &actual {
-            debug_assert!(
-                self.device.block(b).is_full(),
-                "tracked candidate {b} is not sealed"
-            );
-        }
-    }
-
     // ------------------------------------------------------------------
     // Wear leveling
     // ------------------------------------------------------------------
@@ -1217,8 +1071,6 @@ impl Ftl {
             return Ok(WearLevelOutcome::default());
         }
         // Coldest sealed candidate: minimum erase count.
-        #[cfg(debug_assertions)]
-        self.debug_validate_victim_index();
         let Some((coldest, _)) = self
             .victim_index
             .iter_ids()
@@ -1245,8 +1097,7 @@ impl Ftl {
                 }
             }
         }
-        self.victim_index.remove(coldest);
-        let (duration, moved) = self.collect_block(coldest, now)?;
+        let (duration, moved) = self.collect_candidate(coldest, now)?;
         self.stats.wear_level_migrations += moved;
         self.stats.wear_level_blocks += 1;
         Ok(WearLevelOutcome {
@@ -1396,17 +1247,9 @@ impl Ftl {
     /// reference loop instead of the batched production path (`true`, the
     /// default). Both produce byte-identical simulation state, background
     /// GC stopping on the same page under the same budget; the hook exists
-    /// so release-build equivalence tests can run the reference (debug
-    /// builds replay it on every migration anyway). No driver exposes it.
+    /// so the equivalence tests can run the reference. No driver exposes it.
     pub fn set_bulk_gc(&mut self, enabled: bool) {
         self.bulk_gc = enabled;
-    }
-
-    /// `true` when GC migration — full-block collections and background
-    /// GC — uses the batched [`copy_pages`](NandDevice::copy_pages) path.
-    #[must_use]
-    pub fn bulk_gc(&self) -> bool {
-        self.bulk_gc
     }
 
     /// Starts wall-clock accounting of GC copy work — the page migration
@@ -1764,6 +1607,88 @@ mod tests {
                 assert!(!ftl.sip.contains(Lpn(l)), "an overwrite delists the page");
             }
             assert_sip_counts_match_a_recount(&ftl);
+        });
+    }
+
+    /// The incrementally maintained victim index agrees — membership and
+    /// valid counts — with the full device scan over the candidate filter
+    /// it replaces, and every tracked candidate is sealed.
+    fn assert_victim_index_matches_a_full_scan(ftl: &Ftl) {
+        let expected: Vec<(BlockId, u32)> = ftl
+            .device
+            .geometry()
+            .block_ids()
+            .filter(|b| {
+                !ftl.is_free[b.0 as usize]
+                    && !ftl.is_retired[b.0 as usize]
+                    && ftl.active_user != Some(*b)
+                    && ftl.active_hot != Some(*b)
+                    && ftl.active_gc != Some(*b)
+                    && ftl.gc_in_progress != Some(*b)
+            })
+            .map(|b| (b, ftl.device.block(b).valid_pages()))
+            .collect();
+        let actual: Vec<(BlockId, u32)> = ftl.victim_index.iter_ids().collect();
+        assert_eq!(
+            actual, expected,
+            "victim index diverged from the full candidate scan"
+        );
+        for &(b, _) in &actual {
+            assert!(
+                ftl.device.block(b).is_full(),
+                "tracked candidate {b} is not sealed"
+            );
+        }
+    }
+
+    /// After every op of a write / trim / budgeted-BGC / wear-leveling
+    /// stream — with and without hot/cold streams, an endurance limit and
+    /// injected faults, through retirements and into read-only mode — the
+    /// victim index is exactly the candidate set. 256 cases of up to 400
+    /// ops.
+    #[test]
+    fn victim_index_tracks_the_full_candidate_scan() {
+        jitgc_sim::check::check(0x0F71_0005, 256, |g| {
+            let mut builder = FtlConfig::builder()
+                .user_pages(64)
+                .op_permille(g.pick(&[250, 500]))
+                .pages_per_block(8)
+                .gc_reserve_blocks(2)
+                .wear_level_threshold(2);
+            if g.u64(0, 2) == 1 {
+                builder = builder.hot_cold_streams(SimDuration::from_millis(g.u64(1, 40)));
+            }
+            if g.u64(0, 2) == 1 {
+                builder = builder.endurance_limit(g.u64(3, 12));
+            }
+            if g.u64(0, 2) == 1 {
+                builder = builder.fault(jitgc_nand::FaultConfig {
+                    seed: g.any_u64(),
+                    program_rate: g.f64(0.0, 0.2),
+                    erase_rate: g.f64(0.0, 0.2),
+                    read_rate: g.f64(0.0, 0.2),
+                    wear_scale: 10,
+                });
+            }
+            let mut ftl = Ftl::new(builder.build(), Box::new(GreedySelector));
+            let ops = g.vec(1, 400, |g| (g.weighted(&[8, 2, 2, 1]), g.u64(0, 64)));
+            for (i, &(op, arg)) in ops.iter().enumerate() {
+                let now = SimTime::from_millis(i as u64);
+                // A worn-out device refuses writes and trims: still an op.
+                match op {
+                    0 => drop(ftl.host_write(Lpn(arg), now)),
+                    1 => drop(ftl.trim(Lpn(arg), now)),
+                    // A fraction of a page to two blocks' worth of budget,
+                    // so victims stay half collected between calls.
+                    2 => drop(ftl.background_collect(
+                        now,
+                        SimDuration::from_micros(arg * 400),
+                        (arg % 2 == 0).then_some(arg),
+                    )),
+                    _ => drop(ftl.wear_level(now)),
+                }
+                assert_victim_index_matches_a_full_scan(&ftl);
+            }
         });
     }
 

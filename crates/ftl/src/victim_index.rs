@@ -25,8 +25,9 @@
 //!
 //! Membership invariant: a block is tracked **iff** it is a GC candidate —
 //! sealed (hence full), not free, not retired, not any active write
-//! target, and not the in-progress background victim. `Ftl` checks this
-//! against a full device scan in debug builds on every selection.
+//! target, and not the in-progress background victim. `ftl.rs`'s unit
+//! tests check this against a full device scan after every operation of
+//! generated streams (`victim_index_tracks_the_full_candidate_scan`).
 
 use jitgc_nand::BlockId;
 
@@ -34,7 +35,7 @@ use jitgc_nand::BlockId;
 const UNTRACKED: u32 = u32::MAX;
 
 /// Bucketed candidate index; see the [module docs](self).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct VictimIndex {
     /// `buckets[v]` holds every tracked block with exactly `v` valid
     /// pages, in arbitrary order (maintained by `swap_remove`).

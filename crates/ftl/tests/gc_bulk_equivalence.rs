@@ -6,20 +6,38 @@
 //! (`set_bulk_gc(false)`) with wear-dependent fault injection active, and
 //! require the full observable trace to match: every op result, final
 //! stats, device stats, the degrade-event timeline, retirements, and the
-//! complete logical-to-physical mapping.
+//! complete logical-to-physical mapping, every block's wear, write pointer
+//! and valid / invalid counts, and the reclaimable capacity.
 //!
-//! (Debug builds additionally replay *every* bulk collection and every
-//! bulk background-GC migration step against the looped oracle inside the
-//! FTL itself; this suite checks the same equivalence end to end through
-//! the public API, in release builds too.)
+//! What is private to the FTL (free-pool order, victim index, per-block
+//! recency and SIP counts) decides which victim the *next* collection
+//! picks and which block the next write opens, so a divergence there
+//! surfaces in the ops that follow: every stream runs on past each
+//! migration. The same suite passes in debug and release builds; nothing
+//! inside the FTL replays a migration.
 
-use jitgc_ftl::{BgcOutcome, Ftl, FtlConfig, GreedySelector, Lpn};
+use jitgc_ftl::{
+    BgcOutcome, CostBenefitSelector, FifoSelector, Ftl, FtlConfig, GreedySelector, Lpn,
+    RandomSelector, VictimSelector,
+};
 use jitgc_nand::{FaultConfig, NandTiming};
 use jitgc_sim::check::check;
 use jitgc_sim::{SimDuration, SimRng, SimTime};
 
 const USER_PAGES: u64 = 64;
 const PAGES_PER_BLOCK: u64 = 8;
+
+type Selector = fn() -> Box<dyn VictimSelector>;
+
+/// Greedy reads valid counts only; cost-benefit and FIFO read each
+/// block's recency, and the random selector's draws depend on the order
+/// and size of every candidate set it has seen.
+const SELECTORS: [Selector; 4] = [
+    || Box::new(GreedySelector),
+    || Box::new(CostBenefitSelector),
+    || Box::new(FifoSelector),
+    || Box::new(RandomSelector::new(7)),
+];
 
 /// The device a test runs on, built twice: once per migration path.
 #[derive(Clone, Copy)]
@@ -28,6 +46,7 @@ struct Rig {
     endurance: u64,
     op_permille: u64,
     gc_reserve_blocks: u32,
+    selector: Selector,
 }
 
 impl Rig {
@@ -37,6 +56,7 @@ impl Rig {
             endurance,
             op_permille: 250,
             gc_reserve_blocks: 2,
+            selector: SELECTORS[0],
         }
     }
 
@@ -50,7 +70,7 @@ impl Rig {
         if let Some(fault) = self.fault {
             builder = builder.fault(fault);
         }
-        let mut ftl = Ftl::new(builder.build(), Box::new(GreedySelector));
+        let mut ftl = Ftl::new(builder.build(), (self.selector)());
         ftl.set_bulk_gc(bulk);
         ftl
     }
@@ -66,13 +86,25 @@ fn observe(ftl: &Ftl, trace: &mut Vec<String>) {
     trace.push(format!("{:?}", ftl.device().stats()));
     trace.push(format!("{:?}", ftl.degrade_events()));
     trace.push(format!(
-        "retired={} read_only={} free={}",
+        "retired={} read_only={} free={} reclaimable={}",
         ftl.retired_pages(),
         ftl.read_only(),
-        ftl.free_pages()
+        ftl.free_pages(),
+        ftl.reclaimable_capacity().as_u64()
     ));
     for lpn in 0..USER_PAGES {
         trace.push(format!("{:?}", ftl.lookup(Lpn(lpn))));
+    }
+    let device = ftl.device();
+    for id in device.geometry().block_ids() {
+        let block = device.block(id);
+        trace.push(format!(
+            "{id}: erases={} next_free={:?} valid={} invalid={}",
+            block.erase_count(),
+            block.next_free_offset(),
+            block.valid_pages(),
+            block.invalid_pages()
+        ));
     }
 }
 
@@ -387,9 +419,11 @@ fn retirements_that_empty_the_pool_mid_victim() {
 }
 
 /// For arbitrary op mixes (BGC budgets from a fraction of a page to
-/// several blocks, with and without a free-page target) and arbitrary
-/// fault-rate corners, all the way to end of life, bulk and looped
-/// migration are indistinguishable.
+/// several blocks, with and without a free-page target, between SIP-list
+/// installs that steer the filtered victim choice), any victim selector
+/// and arbitrary fault-rate corners, all the way to end of life, bulk and looped
+/// migration are indistinguishable — after every op, not only at the end
+/// of the stream. 64 cases of up to 300 ops.
 #[test]
 fn seeded_op_streams_at_random_fault_corners() {
     #[derive(Debug)]
@@ -398,6 +432,7 @@ fn seeded_op_streams_at_random_fault_corners() {
         Trim(u64),
         Bgc(SimDuration, Option<u64>),
         WearLevel,
+        InstallSip(Vec<u64>),
     }
     check(0xB6C0, 64, |g| {
         let fault = FaultConfig {
@@ -407,7 +442,11 @@ fn seeded_op_streams_at_random_fault_corners() {
             read_rate: g.u64(0, 200) as f64 / 1_000.0,
             wear_scale: 10,
         };
-        let ops = g.vec(1, 300, |g| match g.weighted(&[6, 1, 1, 1, 1]) {
+        let rig = Rig {
+            selector: g.pick(&SELECTORS),
+            ..Rig::new(Some(fault), 8)
+        };
+        let ops = g.vec(1, 300, |g| match g.weighted(&[6, 1, 1, 1, 1, 1]) {
             0 => Op::Write(g.u64(0, USER_PAGES)),
             1 => Op::Trim(g.u64(0, USER_PAGES)),
             2 => Op::Bgc(SimDuration::from_millis(g.u64(1, 50)), None),
@@ -416,22 +455,29 @@ fn seeded_op_streams_at_random_fault_corners() {
                 SimDuration::from_micros(g.u64(0, 2_000)),
                 Some(g.u64(0, 3 * PAGES_PER_BLOCK)),
             ),
-            _ => Op::WearLevel,
+            4 => Op::WearLevel,
+            _ => Op::InstallSip(g.vec(0, 24, |g| g.u64(0, USER_PAGES))),
         });
-        assert_equivalent_with(Rig::new(Some(fault), 8), "random stream", |ftl| {
-            let mut trace = Vec::with_capacity(ops.len() + 80);
+        assert_equivalent_with(rig, "random stream", |ftl| {
+            let mut trace = Vec::new();
             for (t, op) in ops.iter().enumerate() {
                 let now = SimTime::from_millis(t as u64 + 1);
-                trace.push(match *op {
-                    Op::Write(lpn) => format!("{:?}", ftl.host_write(Lpn(lpn), now)),
-                    Op::Trim(lpn) => format!("{:?}", ftl.trim(Lpn(lpn), now)),
+                trace.push(match op {
+                    Op::Write(lpn) => format!("{:?}", ftl.host_write(Lpn(*lpn), now)),
+                    Op::Trim(lpn) => format!("{:?}", ftl.trim(Lpn(*lpn), now)),
                     Op::Bgc(budget, target) => {
-                        format!("{:?}", ftl.background_collect(now, budget, target))
+                        format!("{:?}", ftl.background_collect(now, *budget, *target))
                     }
                     Op::WearLevel => format!("{:?}", ftl.wear_level(now)),
+                    Op::InstallSip(lpns) => {
+                        let displaced =
+                            ftl.install_sip_list(lpns.iter().map(|&lpn| Lpn(lpn)).collect());
+                        format!("sip: displaced {}", displaced.len())
+                    }
                 });
+                // Any op can migrate (a write through foreground GC).
+                observe(ftl, &mut trace);
             }
-            observe(ftl, &mut trace);
             trace
         });
     });

@@ -5,10 +5,9 @@
 //! same run with it off, at every driver level — the single-device
 //! engine, the array scheduler under both drivers and worker-thread
 //! counts, and the multi-tenant service. These tests pin that contract on
-//! seeded idle-heavy workloads; debug builds additionally replay every
-//! skipped span through the per-tick loop inside the engine itself (the
-//! oracle in `fast_forward_checked`), so each skip below is doubly
-//! verified.
+//! seeded idle-heavy workloads, whole run against whole run; the
+//! span-by-span comparison of the two engines is
+//! `crates/core/tests/fast_forward_certificate.rs`.
 
 use jitgc_array::{ArrayConfig, ArraySched, GcMode, Redundancy};
 use jitgc_bench::PolicyKind;
