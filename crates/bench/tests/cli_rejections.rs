@@ -1,16 +1,35 @@
 //! Hostile `ssdsim` input is an error message and exit 2, never a panic:
 //! zero / negative / NaN rates, fault rates that are negative or not
 //! finite, and over-provisioning that leaves no working set die at parse
-//! time naming their flag, an unwritable output
+//! time naming their flag, a `--config` whose device would not fit the
+//! 32-bit page tables names `ftl.user_pages`, an unwritable output
 //! path is reported before anything runs, and the selector flags this
 //! CLI no longer has are plain unknown flags.
 
 use std::process::Command;
 
+/// Dumps the default configuration, rewrites `ftl.user_pages` in it, and
+/// returns the path of the result.
+fn config_with_user_pages(pages: u64) -> String {
+    let path = format!("{}/user-pages-{pages}.json", env!("CARGO_TARGET_TMPDIR"));
+    let dumped = Command::new(env!("CARGO_BIN_EXE_ssdsim"))
+        .args(["--dump-config", &path])
+        .output()
+        .expect("ssdsim runs");
+    assert!(dumped.status.success());
+    let config = std::fs::read_to_string(&path).expect("config was dumped");
+    let default_pages = "\"user_pages\": 24576";
+    assert!(config.contains(default_pages), "{config}");
+    let rewritten = config.replace(default_pages, &format!("\"user_pages\": {pages}"));
+    std::fs::write(&path, rewritten).expect("config is writable");
+    path
+}
+
 #[test]
 fn bad_flags_exit_2_with_a_message_naming_them() {
+    let huge_config = config_with_user_pages(1 << 33);
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 17] = [
+    let cases: [(&[&str], &str); 18] = [
         (&["--seconds", "0"], "--seconds"),
         (&["--iops", "0"], "--iops"),
         (&["--iops", "-5"], "--iops"),
@@ -48,6 +67,9 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
             &["--timeline", "/nonexistent-dir/timeline.csv"],
             "cannot write /nonexistent-dir/timeline.csv",
         ),
+        // 2^33 user pages used to abort allocating a 66 GB mapping table
+        // (and 2^40 to panic on `block count fits u32`).
+        (&["--config", &huge_config], "`ftl.user_pages`"),
     ];
     for (args, mention) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_ssdsim"))

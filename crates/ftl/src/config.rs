@@ -4,6 +4,11 @@ use jitgc_nand::{FaultConfig, Geometry, NandTiming};
 use jitgc_sim::json::{JsonError, JsonValue, ObjectBuilder};
 use jitgc_sim::{ByteSize, SimDuration};
 
+/// A device must have fewer physical pages than this: the FTL's map and
+/// the device's per-page tables hold 32-bit entries with `u32::MAX` as
+/// "none" (see [`NandDevice::new`](jitgc_nand::NandDevice::new)).
+const MAX_PHYSICAL_PAGES: u64 = u32::MAX as u64;
+
 /// Static configuration of an [`Ftl`](crate::Ftl).
 ///
 /// The physical geometry is **derived**: the device gets enough blocks to
@@ -236,6 +241,14 @@ impl FtlConfig {
             Some(fault) if fault.is_null() => {}
             Some(fault) => builder = builder.fault(FaultConfig::from_json(fault)?),
         }
+        // Zero settings are `build`'s to reject.
+        if builder.pages_per_block > 0 && builder.blocks().is_none() {
+            return Err(JsonError::new(format!(
+                "`ftl.user_pages` of {} (plus over-provisioning and the GC reserve) needs \
+                 {MAX_PHYSICAL_PAGES} physical pages or more; the page tables hold 32-bit entries",
+                builder.user_pages
+            )));
+        }
         Ok(builder.build())
     }
 
@@ -403,12 +416,39 @@ impl FtlConfigBuilder {
         self
     }
 
+    /// The user capacity in pages.
+    fn user_page_count(&self) -> u64 {
+        if self.user_pages_is_bytes {
+            self.user_pages.div_ceil(self.page_size_bytes)
+        } else {
+            self.user_pages
+        }
+    }
+
+    /// Blocks of the derived geometry — user pages and over-provisioning
+    /// in whole blocks, plus the GC reserve — or `None` when that device
+    /// would have [`MAX_PHYSICAL_PAGES`] or more. Pages per block and page
+    /// size must be non-zero.
+    fn blocks(&self) -> Option<u32> {
+        let per_block = u64::from(self.pages_per_block);
+        let user_pages = self.user_page_count();
+        let op_pages =
+            u64::try_from(u128::from(user_pages) * u128::from(self.op_permille) / 1000).ok()?;
+        let blocks = user_pages
+            .checked_add(op_pages)?
+            .div_ceil(per_block)
+            .checked_add(u64::from(self.gc_reserve_blocks))?;
+        let fits = blocks.checked_mul(per_block)? < MAX_PHYSICAL_PAGES;
+        u32::try_from(blocks).ok().filter(|_| fits)
+    }
+
     /// Finalizes the configuration, deriving the physical geometry.
     ///
     /// # Panics
     ///
     /// Panics if user pages, pages per block, page size, or the GC reserve
-    /// is zero.
+    /// is zero, or if the device would have [`u32::MAX`] physical pages or
+    /// more (the per-page tables hold 32-bit entries).
     #[must_use]
     pub fn build(self) -> FtlConfig {
         assert!(self.pages_per_block > 0, "pages per block must be non-zero");
@@ -417,16 +457,11 @@ impl FtlConfigBuilder {
             self.gc_reserve_blocks >= 1,
             "gc reserve must be at least one block"
         );
-        let user_pages = if self.user_pages_is_bytes {
-            self.user_pages.div_ceil(self.page_size_bytes)
-        } else {
-            self.user_pages
-        };
+        let user_pages = self.user_page_count();
         assert!(user_pages > 0, "user capacity must be non-zero");
-        let op_pages = user_pages * self.op_permille / 1000;
-        let data_blocks = (user_pages + op_pages).div_ceil(u64::from(self.pages_per_block));
-        let blocks =
-            u32::try_from(data_blocks).expect("block count fits u32") + self.gc_reserve_blocks;
+        let blocks = self.blocks().unwrap_or_else(|| {
+            panic!("device must have fewer than {MAX_PHYSICAL_PAGES} physical pages")
+        });
         let geometry = Geometry::builder()
             .blocks(blocks)
             .pages_per_block(self.pages_per_block)
@@ -598,6 +633,37 @@ mod tests {
         assert_eq!(c.op_permille(), 70);
         assert_eq!(c.gc_reserve_blocks(), 2);
         assert!(c.geometry().total_pages() > c.user_pages() + c.op_pages());
+    }
+
+    #[test]
+    fn json_rejects_a_device_too_large_for_the_page_tables() {
+        let with_user_pages = |pages: u64| {
+            let JsonValue::Object(mut fields) = FtlConfig::builder().build().to_json() else {
+                panic!("config dumps as an object");
+            };
+            for (key, value) in &mut fields {
+                if key == "user_pages" {
+                    *value = JsonValue::from(pages);
+                }
+            }
+            FtlConfig::from_json(&JsonValue::Object(fields))
+        };
+        // 2^33 used to die allocating 66 GB, 2^40 on `block count fits u32`.
+        for pages in [1 << 33, 1 << 40, u64::MAX] {
+            let err = with_user_pages(pages).expect_err("does not fit");
+            assert!(err.to_string().contains("`ftl.user_pages`"), "{err}");
+        }
+        // The largest user space whose device still fits: 7 % OP, whole
+        // blocks, two reserve blocks.
+        let fits = with_user_pages(4_013_900_000).expect("fits");
+        assert!(fits.geometry().total_pages() < MAX_PHYSICAL_PAGES);
+        assert!(with_user_pages(4_014_100_000).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 4294967295 physical pages")]
+    fn oversized_device_panics_in_the_builder() {
+        let _ = FtlConfig::builder().user_pages(1 << 33).build();
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The page-mapping FTL proper.
 
+use crate::mapping::Mapping;
 use crate::victim_index::VictimIndex;
 use crate::{BlockInfo, FtlConfig, FtlError, FtlStats, SipList, VictimSelector};
 use jitgc_nand::{BlockId, FaultModel, Lpn, NandDevice, NandError, Ppn};
@@ -115,7 +116,7 @@ pub struct WearLevelOutcome {
 pub struct Ftl {
     config: FtlConfig,
     device: NandDevice,
-    mapping: Vec<Option<Ppn>>,
+    mapping: Mapping,
     free_blocks: Vec<BlockId>,
     is_free: Vec<bool>,
     active_user: Option<BlockId>,
@@ -184,7 +185,7 @@ impl Ftl {
         }
         let blocks = config.geometry().blocks();
         Ftl {
-            mapping: vec![None; config.user_pages() as usize],
+            mapping: Mapping::new(config.user_pages()),
             free_blocks: config.geometry().block_ids().collect(),
             is_free: vec![true; blocks as usize],
             active_user: None,
@@ -248,7 +249,7 @@ impl Ftl {
         let mut active = self.ensure_writable_block(hot, now)?;
 
         // Out-of-place update: retire the previous copy.
-        if let Some(old) = self.mapping[lpn.0 as usize] {
+        if let Some(old) = self.mapping.get(lpn) {
             self.device.invalidate(old)?;
             let b = self.device.geometry().block_of(old);
             self.victim_index.on_invalidate(b);
@@ -285,7 +286,7 @@ impl Ftl {
                 Err(e) => return Err(e.into()),
             }
         };
-        self.mapping[lpn.0 as usize] = Some(ppn);
+        self.mapping.set(lpn, ppn);
         self.last_write[active.0 as usize] = now;
         if let Some(times) = self.lpn_last_write.as_mut() {
             times[lpn.0 as usize] = now;
@@ -349,7 +350,7 @@ impl Ftl {
     /// [`FtlError::LpnUnmapped`] when the page has never been written.
     pub fn host_read(&mut self, lpn: Lpn, _now: SimTime) -> Result<ReadOutcome, FtlError> {
         self.check_lpn(lpn)?;
-        let ppn = self.mapping[lpn.0 as usize].ok_or(FtlError::LpnUnmapped { lpn })?;
+        let ppn = self.mapping.get(lpn).ok_or(FtlError::LpnUnmapped { lpn })?;
         let duration = match self.device.read(ppn) {
             Ok(d) => d,
             Err(e @ NandError::ReadFailed { .. }) => {
@@ -377,7 +378,7 @@ impl Ftl {
         if self.read_only {
             return Err(FtlError::ReadOnly);
         }
-        if let Some(old) = self.mapping[lpn.0 as usize].take() {
+        if let Some(old) = self.mapping.take(lpn) {
             self.device.invalidate(old)?;
             let b = self.device.geometry().block_of(old);
             self.victim_index.on_invalidate(b);
@@ -445,7 +446,7 @@ impl Ftl {
         let mut out = BatchReadOutcome::default();
         self.failed_reads.clear();
         for &lpn in lpns {
-            match self.mapping[lpn.0 as usize] {
+            match self.mapping.get(lpn) {
                 Some(ppn) => match self.device.read(ppn) {
                     Ok(took) => {
                         out.duration += took;
@@ -697,7 +698,7 @@ impl Ftl {
             !self.victim_index.is_tracked(victim),
             "migrating pages out of a block still tracked as a candidate"
         );
-        self.mapping[lpn.0 as usize] = Some(new_ppn);
+        self.mapping.set(lpn, new_ppn);
         self.last_write[gc_block.0 as usize] = now;
         if self.sip.contains(lpn) {
             self.sip_counts[victim.0 as usize] =
@@ -826,7 +827,7 @@ impl Ftl {
             );
             for (k, &new_ppn) in dsts.iter().enumerate() {
                 let lpn = snapshot[idx + k].1;
-                self.mapping[lpn.0 as usize] = Some(new_ppn);
+                self.mapping.set(lpn, new_ppn);
                 if self.sip.contains(lpn) {
                     self.sip_counts[victim.0 as usize] =
                         self.sip_counts[victim.0 as usize].saturating_sub(1);
@@ -1122,8 +1123,8 @@ impl Ftl {
     pub fn install_sip_list(&mut self, sip: SipList) -> SipList {
         self.sip_counts.fill(0);
         for lpn in sip.iter() {
-            if let Some(Some(ppn)) = self.mapping.get(lpn.0 as usize) {
-                let b = self.device.geometry().block_of(*ppn);
+            if let Some(ppn) = self.mapping.get(lpn) {
+                let b = self.device.geometry().block_of(ppn);
                 self.sip_counts[b.0 as usize] += 1;
             }
         }
@@ -1233,7 +1234,7 @@ impl Ftl {
     /// [`FtlError::LpnOutOfRange`] for a bad address.
     pub fn lookup(&self, lpn: Lpn) -> Result<Option<Ppn>, FtlError> {
         self.check_lpn(lpn)?;
-        Ok(self.mapping[lpn.0 as usize])
+        Ok(self.mapping.get(lpn))
     }
 
     /// The name of the installed victim-selection policy.
@@ -1292,7 +1293,7 @@ impl Ftl {
         };
         // Never-written pages are cold by definition (mapping check, not a
         // timestamp sentinel — a legitimate write at t = 0 must count).
-        if self.mapping[lpn.0 as usize].is_none() {
+        if self.mapping.get(lpn).is_none() {
             return false;
         }
         now.saturating_since(times[lpn.0 as usize]) <= self.config.hot_window()
@@ -1577,7 +1578,7 @@ mod tests {
     fn assert_sip_counts_match_a_recount(ftl: &Ftl) {
         let mut recount = vec![0u32; ftl.sip_counts.len()];
         for lpn in ftl.sip.iter() {
-            if let Some(ppn) = ftl.mapping[lpn.0 as usize] {
+            if let Some(ppn) = ftl.mapping.get(lpn) {
                 recount[ftl.device.geometry().block_of(ppn).0 as usize] += 1;
             }
         }

@@ -48,6 +48,7 @@
 mod config;
 mod error;
 mod ftl;
+mod mapping;
 mod sip;
 mod stats;
 mod victim;

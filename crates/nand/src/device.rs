@@ -1,5 +1,6 @@
 //! The whole-device NAND model.
 
+use crate::block::{PageTables, NO_LPN};
 use crate::{
     Block, BlockId, FaultModel, Geometry, Lpn, NandError, NandStats, NandTiming, PageState, Ppn,
     WearReport,
@@ -40,8 +41,8 @@ pub struct CopyOutcome {
     pub pending_cost: SimDuration,
 }
 
-/// A NAND flash device: a flat array of erase blocks plus a timing model
-/// and operation/wear counters.
+/// A NAND flash device: flat per-page tables for every erase block plus a
+/// timing model and operation/wear counters.
 ///
 /// Each operation returns the simulated time it consumed, so the caller
 /// (the FTL) owns the device timeline. The device itself is purely
@@ -68,7 +69,7 @@ pub struct CopyOutcome {
 pub struct NandDevice {
     geometry: Geometry,
     timing: NandTiming,
-    blocks: Vec<Block>,
+    tables: PageTables,
     stats: NandStats,
     endurance_limit: Option<u64>,
     /// Wear-dependent fault injector; `None` (the default) performs no
@@ -83,18 +84,27 @@ pub struct NandDevice {
     free_total: u64,
 }
 
+/// A physical page address split once, in `u32`, after its range check.
+#[derive(Clone, Copy)]
+struct PageAt {
+    block: u32,
+    offset: u32,
+}
+
 impl NandDevice {
     /// Creates an erased device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has `u32::MAX` pages or more: the per-page
+    /// tables, and the FTL's map onto them, hold 32-bit entries.
     #[must_use]
     pub fn new(geometry: Geometry, timing: NandTiming) -> Self {
-        let blocks = (0..geometry.blocks())
-            .map(|_| Block::new(geometry.pages_per_block()))
-            .collect();
         NandDevice {
             free_total: geometry.total_pages(),
+            tables: PageTables::new(geometry.blocks(), geometry.pages_per_block()),
             geometry,
             timing,
-            blocks,
             stats: NandStats::default(),
             endurance_limit: None,
             fault: None,
@@ -145,25 +155,32 @@ impl NandDevice {
         self.stats = NandStats::default();
     }
 
-    /// Read-only access to a block.
+    /// Read-only view of a block.
     ///
     /// # Panics
     ///
     /// Panics if `block` is out of range.
     #[must_use]
-    pub fn block(&self, block: BlockId) -> &Block {
-        &self.blocks[block.0 as usize]
+    pub fn block(&self, block: BlockId) -> Block<'_> {
+        self.tables.block(block.0)
     }
 
-    fn check_ppn(&self, ppn: Ppn) -> Result<(), NandError> {
-        if self.geometry.contains(ppn) {
-            Ok(())
-        } else {
-            Err(NandError::PpnOutOfRange {
+    /// The one range check of a page address, and its block/offset split.
+    fn locate(&self, ppn: Ppn) -> Result<PageAt, NandError> {
+        if !self.geometry.contains(ppn) {
+            return Err(NandError::PpnOutOfRange {
                 ppn,
                 total_pages: self.geometry.total_pages(),
-            })
+            });
         }
+        // In range, and `PageTables::new` refused a device whose page
+        // count does not fit `u32`.
+        let page = ppn.0 as u32;
+        let per_block = self.geometry.pages_per_block();
+        Ok(PageAt {
+            block: page / per_block,
+            offset: page % per_block,
+        })
     }
 
     fn check_block(&self, block: BlockId) -> Result<(), NandError> {
@@ -177,6 +194,14 @@ impl NandDevice {
         }
     }
 
+    /// The OOB entry recording `lpn`.
+    fn oob_entry(lpn: Lpn) -> Result<u32, NandError> {
+        match u32::try_from(lpn.0) {
+            Ok(entry) if entry != NO_LPN => Ok(entry),
+            _ => Err(NandError::LpnTooLarge { lpn }),
+        }
+    }
+
     /// Reads one page, returning the simulated cost.
     ///
     /// # Errors
@@ -187,13 +212,12 @@ impl NandDevice {
     /// or [`NandError::ReadFailed`] when the fault injector fires — the
     /// transfer time is still charged; only ECC came back defeated.
     pub fn read(&mut self, ppn: Ppn) -> Result<SimDuration, NandError> {
-        self.check_ppn(ppn)?;
-        let block = self.geometry.block_of(ppn);
-        let offset = self.geometry.page_offset(ppn);
-        if self.blocks[block.0 as usize].page_state(offset) == PageState::Free {
+        let at = self.locate(ppn)?;
+        let block = self.tables.block(at.block);
+        if at.offset >= block.write_ptr() {
             return Err(NandError::ReadUnwrittenPage { ppn });
         }
-        let worn = self.blocks[block.0 as usize].erase_count();
+        let worn = block.erase_count();
         if let Some(fault) = &mut self.fault {
             if fault.read_fails(worn) {
                 self.stats.read_failures += 1;
@@ -213,6 +237,8 @@ impl NandDevice {
     /// # Errors
     ///
     /// [`NandError::PpnOutOfRange`] for a bad address,
+    /// [`NandError::LpnTooLarge`] for an `lpn` a 32-bit OOB entry cannot
+    /// record,
     /// [`NandError::ProgramProgrammedPage`] on erase-before-write violation,
     /// [`NandError::ProgramOutOfOrder`] when `ppn` is not the block's
     /// next sequential page, or [`NandError::ProgramFailed`] when the
@@ -220,45 +246,33 @@ impl NandDevice {
     /// and immediately invalid, unusable until the next erase), so a
     /// retrying FTL makes progress instead of hammering the same page.
     pub fn program(&mut self, ppn: Ppn, lpn: Lpn) -> Result<SimDuration, NandError> {
-        self.check_ppn(ppn)?;
-        let block_id = self.geometry.block_of(ppn);
-        let offset = self.geometry.page_offset(ppn);
-        let block = &mut self.blocks[block_id.0 as usize];
-        match block.next_free_offset() {
-            None => Err(NandError::ProgramProgrammedPage { ppn }),
-            Some(expected) if expected != offset => {
-                if offset < expected {
-                    Err(NandError::ProgramProgrammedPage { ppn })
-                } else {
-                    Err(NandError::ProgramOutOfOrder {
-                        ppn,
-                        expected_offset: expected,
-                    })
-                }
-            }
-            Some(_) => {
-                let worn = block.erase_count();
-                if let Some(fault) = &mut self.fault {
-                    if fault.program_fails(worn) {
-                        block.program_next(lpn).expect("offset checked free");
-                        block.invalidate(offset).expect("just programmed");
-                        self.free_total -= 1;
-                        self.invalid_total += 1;
-                        self.stats.program_failures += 1;
-                        self.stats.program_time += self.timing.page_program_cost();
-                        return Err(NandError::ProgramFailed { ppn });
-                    }
-                }
-                let block = &mut self.blocks[block_id.0 as usize];
-                block.program_next(lpn).expect("offset checked free");
-                self.free_total -= 1;
-                self.valid_total += 1;
-                let cost = self.timing.page_program_cost();
-                self.stats.programs += 1;
-                self.stats.program_time += cost;
-                Ok(cost)
-            }
+        let at = self.locate(ppn)?;
+        let entry = Self::oob_entry(lpn)?;
+        let block = self.tables.block(at.block);
+        let expected = block.write_ptr();
+        if at.offset < expected {
+            return Err(NandError::ProgramProgrammedPage { ppn });
         }
+        if at.offset > expected {
+            return Err(NandError::ProgramOutOfOrder {
+                ppn,
+                expected_offset: expected,
+            });
+        }
+        let worn = block.erase_count();
+        let failed = self.fault.as_mut().is_some_and(|f| f.program_fails(worn));
+        self.tables.program_next(at.block, entry, !failed);
+        self.free_total -= 1;
+        let cost = self.timing.page_program_cost();
+        self.stats.program_time += cost;
+        if failed {
+            self.invalid_total += 1;
+            self.stats.program_failures += 1;
+            return Err(NandError::ProgramFailed { ppn });
+        }
+        self.valid_total += 1;
+        self.stats.programs += 1;
+        Ok(cost)
     }
 
     /// Erases one block, returning the simulated cost.
@@ -271,12 +285,13 @@ impl NandDevice {
     /// fires — the block keeps its page states and should be retired.
     pub fn erase(&mut self, block: BlockId) -> Result<SimDuration, NandError> {
         self.check_block(block)?;
+        let before = self.tables.block(block.0);
+        let worn = before.erase_count();
         if let Some(limit) = self.endurance_limit {
-            if self.blocks[block.0 as usize].erase_count() >= limit {
+            if worn >= limit {
                 return Err(NandError::BlockWornOut { block, limit });
             }
         }
-        let worn = self.blocks[block.0 as usize].erase_count();
         if let Some(fault) = &mut self.fault {
             if fault.erase_fails(worn) {
                 self.stats.erase_failures += 1;
@@ -284,11 +299,10 @@ impl NandDevice {
                 return Err(NandError::EraseFailed { block });
             }
         }
-        let b = &mut self.blocks[block.0 as usize];
-        self.valid_total -= u64::from(b.valid_pages());
-        self.invalid_total -= u64::from(b.invalid_pages());
-        self.free_total += u64::from(b.pages()) - u64::from(b.free_pages());
-        b.erase();
+        self.valid_total -= u64::from(before.valid_pages());
+        self.invalid_total -= u64::from(before.invalid_pages());
+        self.free_total += u64::from(before.write_ptr());
+        self.tables.erase(block.0);
         let cost = self.timing.block_erase_cost();
         self.stats.erases += 1;
         self.stats.erase_time += cost;
@@ -302,12 +316,15 @@ impl NandDevice {
     /// [`NandError::PpnOutOfRange`] for a bad address, or
     /// [`NandError::InvalidateNonValidPage`] unless the page is valid.
     pub fn invalidate(&mut self, ppn: Ppn) -> Result<(), NandError> {
-        self.check_ppn(ppn)?;
-        let block = self.geometry.block_of(ppn);
-        let offset = self.geometry.page_offset(ppn);
-        self.blocks[block.0 as usize]
-            .invalidate(offset)
-            .map_err(|_| NandError::InvalidateNonValidPage { ppn })?;
+        let at = self.locate(ppn)?;
+        self.invalidate_at(at, ppn)
+    }
+
+    /// [`invalidate`](Self::invalidate) of an address already split.
+    fn invalidate_at(&mut self, at: PageAt, ppn: Ppn) -> Result<(), NandError> {
+        if !self.tables.invalidate(at.block, at.offset) {
+            return Err(NandError::InvalidateNonValidPage { ppn });
+        }
         self.valid_total -= 1;
         self.invalid_total += 1;
         self.stats.invalidations += 1;
@@ -342,7 +359,8 @@ impl NandDevice {
     /// # Errors
     ///
     /// [`NandError::BlockOutOfRange`] / [`NandError::PpnOutOfRange`] for
-    /// bad addresses, [`NandError::ReadUnwrittenPage`] when a source page
+    /// bad addresses, [`NandError::LpnTooLarge`] for an LPN an OOB entry
+    /// cannot record, [`NandError::ReadUnwrittenPage`] when a source page
     /// holds no data, or [`NandError::InvalidateNonValidPage`] when a
     /// source page is not valid — all indicate caller bugs, as in the
     /// per-page loop.
@@ -387,23 +405,25 @@ impl NandDevice {
         let migrate_cost = self.timing.page_migrate_cost();
         let read_cost = self.timing.page_read_cost();
         let program_cost = self.timing.page_program_cost();
+        let per_block = self.geometry.pages_per_block();
+        let dst_first_page = u64::from(dst.0) * u64::from(per_block);
         // No erase can happen mid-copy, so both wear inputs to the fault
         // probabilities are constants fetched once per call.
-        let dst_worn = self.blocks[dst.0 as usize].erase_count();
+        let dst_worn = self.tables.block(dst.0).erase_count();
 
         for (idx, &(src, lpn)) in srcs.iter().enumerate() {
             let page_start = out.duration;
+            let caller_read_it = idx == 0 && first_read_done;
+            if !caller_read_it && room.is_some_and(|room| out.duration + migrate_cost > room) {
+                return Ok(out);
+            }
+            let src_at = self.locate(src)?;
+            let entry = Self::oob_entry(lpn)?;
             // Source read. The caller may have read the first page itself
             // (GC reads before it knows whether a destination exists).
-            if idx > 0 || !first_read_done {
-                if room.is_some_and(|room| out.duration + migrate_cost > room) {
-                    return Ok(out);
-                }
-                self.check_ppn(src)?;
-                let src_block = self.geometry.block_of(src);
-                let src_offset = self.geometry.page_offset(src);
-                let block = &self.blocks[src_block.0 as usize];
-                if block.page_state(src_offset) == PageState::Free {
+            if !caller_read_it {
+                let block = self.tables.block(src_at.block);
+                if src_at.offset >= block.write_ptr() {
                     return Err(NandError::ReadUnwrittenPage { ppn: src });
                 }
                 let src_worn = block.erase_count();
@@ -420,45 +440,36 @@ impl NandDevice {
 
             // Program into the destination, retrying past consumed pages.
             let new_ppn = loop {
-                let Some(dst_offset) = self.blocks[dst.0 as usize].next_free_offset() else {
+                if self.tables.block(dst.0).is_full() {
                     // Destination full with this page's read already done:
                     // hand back to the caller for a fresh destination.
                     out.pending_read = true;
                     out.pending_cost = out.duration - page_start;
                     return Ok(out);
-                };
+                }
                 let failed = self
                     .fault
                     .as_mut()
                     .is_some_and(|f| f.program_fails(dst_worn));
-                let block = &mut self.blocks[dst.0 as usize];
-                block.program_next(lpn).expect("offset checked free");
+                // A failed program consumes the page — programmed and
+                // immediately invalid — so the retry makes progress.
+                let dst_offset = self.tables.program_next(dst.0, entry, !failed);
                 self.stats.program_time += program_cost;
                 out.duration += program_cost;
                 self.free_total -= 1;
                 if failed {
-                    // The page is consumed — programmed and immediately
-                    // invalid — so the retry makes progress.
-                    block.invalidate(dst_offset).expect("just programmed");
                     self.invalid_total += 1;
                     self.stats.program_failures += 1;
                     out.program_retries += 1;
                 } else {
                     self.valid_total += 1;
                     self.stats.programs += 1;
-                    break self.geometry.ppn(dst, dst_offset);
+                    break Ppn(dst_first_page + u64::from(dst_offset));
                 }
             };
 
             // Retire the source copy.
-            let src_block = self.geometry.block_of(src);
-            let src_offset = self.geometry.page_offset(src);
-            self.blocks[src_block.0 as usize]
-                .invalidate(src_offset)
-                .map_err(|_| NandError::InvalidateNonValidPage { ppn: src })?;
-            self.valid_total -= 1;
-            self.invalid_total += 1;
-            self.stats.invalidations += 1;
+            self.invalidate_at(src_at, src)?;
             dst_ppns.push(new_ppn);
             out.copied += 1;
         }
@@ -473,8 +484,7 @@ impl NandDevice {
     #[must_use]
     pub fn page_state(&self, ppn: Ppn) -> PageState {
         let block = self.geometry.block_of(ppn);
-        let offset = self.geometry.page_offset(ppn);
-        self.blocks[block.0 as usize].page_state(offset)
+        self.block(block).page_state(self.geometry.page_offset(ppn))
     }
 
     /// OOB-recorded owner of the page at `ppn`.
@@ -485,22 +495,18 @@ impl NandDevice {
     #[must_use]
     pub fn page_lpn(&self, ppn: Ppn) -> Option<Lpn> {
         let block = self.geometry.block_of(ppn);
-        let offset = self.geometry.page_offset(ppn);
-        self.blocks[block.0 as usize].page_lpn(offset)
+        self.block(block).page_lpn(self.geometry.page_offset(ppn))
     }
 
     /// Total valid pages across the device. O(1): read from the
     /// incrementally maintained tally (debug builds re-derive it from the
-    /// block array and assert agreement).
+    /// block headers and assert agreement).
     #[must_use]
     pub fn total_valid_pages(&self) -> u64 {
         debug_assert_eq!(
             self.valid_total,
-            self.blocks
-                .iter()
-                .map(|b| u64::from(b.valid_pages()))
-                .sum::<u64>(),
-            "valid-page tally diverged from the block array"
+            self.tables.recount().0,
+            "valid-page tally diverged from the block headers"
         );
         self.valid_total
     }
@@ -511,11 +517,8 @@ impl NandDevice {
     pub fn total_invalid_pages(&self) -> u64 {
         debug_assert_eq!(
             self.invalid_total,
-            self.blocks
-                .iter()
-                .map(|b| u64::from(b.invalid_pages()))
-                .sum::<u64>(),
-            "invalid-page tally diverged from the block array"
+            self.tables.recount().1,
+            "invalid-page tally diverged from the block headers"
         );
         self.invalid_total
     }
@@ -526,11 +529,8 @@ impl NandDevice {
     pub fn total_free_pages(&self) -> u64 {
         debug_assert_eq!(
             self.free_total,
-            self.blocks
-                .iter()
-                .map(|b| u64::from(b.free_pages()))
-                .sum::<u64>(),
-            "free-page tally diverged from the block array"
+            self.tables.recount().2,
+            "free-page tally diverged from the block headers"
         );
         self.free_total
     }
@@ -538,7 +538,7 @@ impl NandDevice {
     /// The wear distribution across blocks.
     #[must_use]
     pub fn wear_report(&self) -> WearReport {
-        WearReport::from_counts(self.blocks.iter().map(Block::erase_count))
+        WearReport::from_counts(self.tables.erase_counts())
     }
 }
 

@@ -1,6 +1,6 @@
 //! Error type for NAND device operations.
 
-use crate::{BlockId, Ppn};
+use crate::{BlockId, Lpn, Ppn};
 use std::error::Error;
 use std::fmt;
 
@@ -24,6 +24,12 @@ pub enum NandError {
         block: BlockId,
         /// Total blocks on the device.
         total_blocks: u32,
+    },
+    /// The logical page number does not fit the 32-bit OOB entry that
+    /// would record it (`u32::MAX` itself is the "no LPN" entry).
+    LpnTooLarge {
+        /// The offending logical page.
+        lpn: Lpn,
     },
     /// Attempted to program a page that is already programmed since the
     /// last erase (the erase-before-write constraint).
@@ -89,6 +95,9 @@ impl fmt::Display for NandError {
                 total_blocks,
             } => {
                 write!(f, "block {block} outside device of {total_blocks} blocks")
+            }
+            NandError::LpnTooLarge { lpn } => {
+                write!(f, "logical page {lpn} does not fit a 32-bit OOB entry")
             }
             NandError::ProgramProgrammedPage { ppn } => {
                 write!(f, "program of already-programmed page {ppn} without erase")
@@ -159,6 +168,7 @@ mod tests {
                 block: BlockId(1),
                 total_blocks: 2,
             },
+            NandError::LpnTooLarge { lpn: Lpn(1 << 32) },
             NandError::ProgramProgrammedPage { ppn: Ppn(1) },
             NandError::ProgramOutOfOrder {
                 ppn: Ppn(1),

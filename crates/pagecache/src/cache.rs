@@ -5,9 +5,12 @@
 //! The cache used to keep a `HashMap<Lpn, Entry>` plus two `BTreeSet`
 //! orderings (dirty-by-age, clean-by-recency). Every write and every
 //! flusher step paid two tree updates with pointer-heavy node traffic.
-//! It is now a **flat slab**: one `Vec<Slot>` holding every cached page,
-//! an [`FxHashMap`] from `Lpn` to slot index, and two intrusive doubly
-//! linked lists threaded through the slots with `u32` indices:
+//! It is now a **flat slab**: one `Vec<Slot>` of 32-byte slots holding
+//! every cached page, a direct index from LPN to slot (`Vec<u32>`, one
+//! entry per LPN up to the largest the cache has been handed, grown on
+//! demand like the dirty bitmap below — no hashing on any path), and two
+//! intrusive doubly linked lists threaded through the slots with `u32`
+//! indices:
 //!
 //! * the **dirty list**, oldest first by `(last_update, seq)` — the
 //!   flusher pops from its head, and [`PageCache::dirty_pages`] walks it
@@ -21,6 +24,15 @@
 //! monotone (overlapping requests at queue depth > 1). Freed slots are
 //! recycled through a free list threaded over the same `next` links, so
 //! the slab never exceeds the configured capacity.
+//!
+//! A direct index is sound because the LPN space is dense and small: the
+//! generators, trace replay and the stripe map keep every LPN inside the
+//! working set, the FTL refuses anything beyond its user space, and the
+//! index costs 4 bytes per LPN of that space — less than a hash bucket
+//! per *cached* page did. An LPN of `u32::MAX` or above is refused
+//! outright ([`PageCache::write`] and [`PageCache::read`] panic): it
+//! could never reach the 32-bit FTL below, and indexing by it would
+//! allocate gigabytes.
 //!
 //! # Dirty-age epoch counters
 //!
@@ -65,13 +77,21 @@ const NIL: u32 = u32::MAX;
 /// or (when unoccupied) the free list, which reuses `next`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    lpn: Lpn,
+    /// The cached page's LPN, which [`PageCache::alloc_slot`] checked
+    /// fits.
+    lpn: u32,
     dirty: bool,
     last_update: SimTime,
     /// Sequence number breaking age ties deterministically.
     seq: u64,
     prev: u32,
     next: u32,
+}
+
+impl Slot {
+    fn lpn(&self) -> Lpn {
+        Lpn(u64::from(self.lpn))
+    }
 }
 
 /// A bounded write-back page cache with Linux-flusher semantics.
@@ -82,7 +102,10 @@ struct Slot {
 pub struct PageCache {
     config: PageCacheConfig,
     slots: Vec<Slot>,
-    slot_of: FxHashMap<Lpn, u32>,
+    /// Slot of every LPN up to the largest seen, `NIL` when not cached.
+    slot_of: Vec<u32>,
+    /// Cached pages: the entries of `slot_of` that are not `NIL`.
+    cached: usize,
     /// Head of the free-slot list (threaded through `next`).
     free_head: u32,
     /// Dirty pages, oldest first by `(last_update, seq)`.
@@ -113,7 +136,8 @@ impl PageCache {
         PageCache {
             config,
             slots: Vec::new(),
-            slot_of: FxHashMap::default(),
+            slot_of: Vec::new(),
+            cached: 0,
             free_head: NIL,
             dirty_head: NIL,
             dirty_tail: NIL,
@@ -143,13 +167,13 @@ impl PageCache {
     /// Number of cached pages (dirty + clean).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slot_of.len()
+        self.cached
     }
 
     /// `true` when nothing is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slot_of.is_empty()
+        self.cached == 0
     }
 
     /// Number of dirty pages.
@@ -161,15 +185,14 @@ impl PageCache {
     /// `true` if `lpn` is cached (dirty or clean).
     #[must_use]
     pub fn contains(&self, lpn: Lpn) -> bool {
-        self.slot_of.contains_key(&lpn)
+        self.slot_index(lpn).is_some()
     }
 
     /// `true` if `lpn` is cached dirty.
     #[must_use]
     pub fn is_dirty(&self, lpn: Lpn) -> bool {
-        self.slot_of
-            .get(&lpn)
-            .is_some_and(|&i| self.slots[i as usize].dirty)
+        self.slot_index(lpn)
+            .is_some_and(|i| self.slots[i as usize].dirty)
     }
 
     /// A buffered write: marks `lpn` dirty with age zero. Rewriting an
@@ -178,14 +201,18 @@ impl PageCache {
     ///
     /// Returns the dirty pages (if any) that had to be force-written-back
     /// to make room.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` is `u32::MAX` or above (see the module docs).
     pub fn write(&mut self, lpn: Lpn, now: SimTime) -> WriteEffect {
         self.stats.writes += 1;
         let mut effect = WriteEffect::default();
-        let idx = if let Some(&i) = self.slot_of.get(&lpn) {
+        let idx = if let Some(i) = self.slot_index(lpn) {
             self.unlink(i);
             i
         } else {
-            if self.slot_of.len() as u64 >= self.config.capacity_pages() {
+            if self.cached as u64 >= self.config.capacity_pages() {
                 if let Some(victim) = self.evict_one() {
                     effect.forced_writebacks.push(victim);
                 }
@@ -205,8 +232,12 @@ impl PageCache {
 
     /// A buffered read: returns `true` on a cache hit. On a miss the page
     /// is assumed fetched from the device and cached clean.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` is `u32::MAX` or above (see the module docs).
     pub fn read(&mut self, lpn: Lpn, _now: SimTime) -> bool {
-        if let Some(&i) = self.slot_of.get(&lpn) {
+        if let Some(i) = self.slot_index(lpn) {
             self.stats.read_hits += 1;
             if !self.slots[i as usize].dirty {
                 // Refresh LRU position: move to the most-recent tail.
@@ -221,7 +252,7 @@ impl PageCache {
             true
         } else {
             self.stats.read_misses += 1;
-            if self.slot_of.len() as u64 >= self.config.capacity_pages() {
+            if self.cached as u64 >= self.config.capacity_pages() {
                 // Reads never force dirty writebacks; if everything is
                 // dirty the fetched page simply is not cached.
                 if self.clean_head == NIL {
@@ -271,7 +302,7 @@ impl PageCache {
             if now.saturating_since(slot.last_update) < self.config.tau_expire() {
                 break;
             }
-            let lpn = slot.lpn;
+            let lpn = slot.lpn();
             self.mark_clean(head);
             batch.lpns.push(lpn);
             batch.expired += 1;
@@ -294,7 +325,7 @@ impl PageCache {
         )
         .map(move |i| {
             let slot = &self.slots[i as usize];
-            (slot.lpn, slot.last_update)
+            (slot.lpn(), slot.last_update)
         })
     }
 
@@ -329,7 +360,7 @@ impl PageCache {
         while self.dirty_len > floor {
             let head = self.dirty_head;
             debug_assert_ne!(head, NIL, "dirty_len over floor with empty list");
-            let lpn = self.slots[head as usize].lpn;
+            let lpn = self.slots[head as usize].lpn();
             self.mark_clean(head);
             out.push(lpn);
         }
@@ -343,7 +374,7 @@ impl PageCache {
     ///
     /// Returns `true` if the page was cached.
     pub fn invalidate(&mut self, lpn: Lpn) -> bool {
-        let Some(i) = self.slot_of.remove(&lpn) else {
+        let Some(i) = self.slot_index(lpn) else {
             return false;
         };
         self.unlink(i);
@@ -392,9 +423,24 @@ impl PageCache {
     // Slab plumbing
     // ------------------------------------------------------------------
 
+    /// The slot caching `lpn`, if any.
+    fn slot_index(&self, lpn: Lpn) -> Option<u32> {
+        let idx = *self.slot_of.get(usize::try_from(lpn.0).ok()?)?;
+        (idx != NIL).then_some(idx)
+    }
+
     /// Takes a slot for `lpn` off the free list (or grows the slab) and
-    /// registers it in the index. The slot's list links are left NIL.
+    /// registers it in the index, growing that to reach `lpn`. The slot's
+    /// list links are left NIL.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` is `u32::MAX` or above.
     fn alloc_slot(&mut self, lpn: Lpn) -> u32 {
+        let lpn = u32::try_from(lpn.0)
+            .ok()
+            .filter(|&lpn| lpn != NIL)
+            .unwrap_or_else(|| panic!("{lpn} is beyond the 32-bit LPN space the cache indexes"));
         let idx = if self.free_head != NIL {
             let idx = self.free_head;
             self.free_head = self.slots[idx as usize].next;
@@ -415,13 +461,20 @@ impl PageCache {
         slot.lpn = lpn;
         slot.prev = NIL;
         slot.next = NIL;
-        self.slot_of.insert(lpn, idx);
+        if lpn as usize >= self.slot_of.len() {
+            self.slot_of.resize(lpn as usize + 1, NIL);
+        }
+        self.slot_of[lpn as usize] = idx;
+        self.cached += 1;
         idx
     }
 
-    /// Returns an unlinked slot to the free list.
+    /// Takes an unlinked slot out of the index and returns it to the free
+    /// list.
     fn free_slot(&mut self, idx: u32) {
         let slot = &mut self.slots[idx as usize];
+        self.slot_of[slot.lpn as usize] = NIL;
+        self.cached -= 1;
         slot.prev = NIL;
         slot.next = self.free_head;
         self.free_head = idx;
@@ -432,7 +485,7 @@ impl PageCache {
         if self.slots[idx as usize].dirty {
             let (lpn, at) = {
                 let slot = &self.slots[idx as usize];
-                (slot.lpn, slot.last_update)
+                (slot.lpn(), slot.last_update)
             };
             Self::detach(
                 &mut self.slots,
@@ -458,7 +511,7 @@ impl PageCache {
         debug_assert!(self.slots[idx as usize].dirty);
         let (lpn, at) = {
             let slot = &self.slots[idx as usize];
-            (slot.lpn, slot.last_update)
+            (slot.lpn(), slot.last_update)
         };
         Self::detach(
             &mut self.slots,
@@ -484,7 +537,7 @@ impl PageCache {
     fn dirty_insert_sorted(&mut self, idx: u32) {
         let (lpn, key) = {
             let slot = &self.slots[idx as usize];
-            (slot.lpn, (slot.last_update, slot.seq))
+            (slot.lpn(), (slot.last_update, slot.seq))
         };
         self.dirty_track_add(lpn, key.0);
         let mut after = self.dirty_tail;
@@ -510,20 +563,18 @@ impl PageCache {
     fn evict_one(&mut self) -> Option<Lpn> {
         if self.clean_head != NIL {
             let idx = self.clean_head;
-            let lpn = self.slots[idx as usize].lpn;
             Self::detach(
                 &mut self.slots,
                 &mut self.clean_head,
                 &mut self.clean_tail,
                 idx,
             );
-            self.slot_of.remove(&lpn);
             self.free_slot(idx);
             self.stats.clean_evictions += 1;
             None
         } else if self.dirty_head != NIL {
             let idx = self.dirty_head;
-            let lpn = self.slots[idx as usize].lpn;
+            let lpn = self.slots[idx as usize].lpn();
             let at = self.slots[idx as usize].last_update;
             Self::detach(
                 &mut self.slots,
@@ -533,7 +584,6 @@ impl PageCache {
             );
             self.dirty_len -= 1;
             self.dirty_track_remove(lpn, at);
-            self.slot_of.remove(&lpn);
             self.free_slot(idx);
             self.stats.forced_writebacks += 1;
             Some(lpn)
@@ -619,6 +669,29 @@ mod tests {
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
+    }
+
+    #[test]
+    fn a_slot_is_32_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 32-bit LPN space")]
+    fn an_lpn_the_ftl_could_never_map_is_refused() {
+        cache(8).write(Lpn(u64::from(u32::MAX)), t(0));
+    }
+
+    #[test]
+    fn lookups_of_unseen_lpns_miss() {
+        let mut c = cache(8);
+        c.write(Lpn(3), t(0));
+        for lpn in [Lpn(4), Lpn(1 << 20), Lpn(u64::MAX)] {
+            assert!(!c.contains(lpn));
+            assert!(!c.is_dirty(lpn));
+            assert!(!c.invalidate(lpn));
+        }
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

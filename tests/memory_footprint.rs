@@ -1,0 +1,120 @@
+//! The simulator's heap footprint per physical flash page, counted — not
+//! timed — by an allocator that tallies live bytes.
+//!
+//! This file is its own test binary with a single `#[test]`, so no
+//! sibling test thread allocates while it counts. Every table the device,
+//! the FTL and the page cache keep is a flat vector whose size follows
+//! from the configuration and the request stream, so the numbers repeat
+//! exactly: 8.6 B per physical page for a new `default_sim` system, 25.1 B
+//! once it has run, and 8.2 B for a new system at the benchmark's 16x
+//! scale. DESIGN.md §8g has the byte table the bounds below come from.
+
+use jitgc_repro::core::policy::JitGc;
+use jitgc_repro::core::system::{SsdSystem, SystemConfig};
+use jitgc_repro::pagecache::PageCacheConfig;
+use jitgc_repro::sim::SimDuration;
+use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, tallying the bytes currently allocated.
+struct Counting;
+
+/// A statistic only: it publishes no other data, so `Relaxed` suffices.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// `GlobalAlloc`'s contract; the tally beside it touches no allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System::alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System::alloc_zeroed`'s own.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System::dealloc`'s own.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System::realloc`'s own.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// A JIT-GC system on `config` under 30 simulated seconds of Tiobench at
+/// 250 IOPS over the standard working set, and the bytes building it
+/// allocated.
+fn build(config: &SystemConfig) -> (SsdSystem, usize) {
+    let workload = WorkloadConfig::builder()
+        .working_set_pages(config.standard_working_set().expect("default OP"))
+        .duration(SimDuration::from_secs(30))
+        .mean_iops(250.0)
+        .seed(42)
+        .build();
+    let before = LIVE.load(Ordering::Relaxed);
+    let system = SsdSystem::new(
+        config.clone(),
+        Box::new(JitGc::from_system_config(config)),
+        BenchmarkKind::Tiobench.build(workload),
+    );
+    (system, before)
+}
+
+fn bytes_per_page(before: usize, config: &SystemConfig) -> f64 {
+    let live = LIVE.load(Ordering::Relaxed) - before;
+    live as f64 / config.ftl.geometry().total_pages() as f64
+}
+
+#[test]
+fn heap_bytes_per_physical_page_stay_bounded() {
+    // One array member of `array64_qd8`: freshly built, then prefilled and
+    // run.
+    let config = SystemConfig::default_sim();
+    let (mut system, before) = build(&config);
+    let built = bytes_per_page(before, &config);
+    assert!(
+        built <= 12.0,
+        "a new default_sim system holds {built:.1} B per physical page"
+    );
+    let report = system.run();
+    assert!(report.ops > 5_000, "the run did real work");
+    drop(report);
+    let ran = bytes_per_page(before, &config);
+    assert!(
+        ran <= 32.0,
+        "a running default_sim system holds {ran:.1} B per physical page"
+    );
+    drop(system);
+
+    // The benchmark's 16x cell: 393 216 user pages, 131 072-page cache.
+    let mut scaled = SystemConfig::default_sim();
+    scaled.ftl = scaled.ftl.to_builder().user_pages(393_216).build();
+    scaled.cache = PageCacheConfig::builder()
+        .capacity_pages(131_072)
+        .tau_expire(scaled.cache.tau_expire())
+        .tau_flush_permille(scaled.cache.tau_flush_permille())
+        .throttle_permille(scaled.cache.throttle_permille())
+        .flusher_period(scaled.cache.flusher_period())
+        .build();
+    let (system, before) = build(&scaled);
+    let built = bytes_per_page(before, &scaled);
+    assert!(
+        built <= 12.0,
+        "a new 16x system holds {built:.1} B per physical page"
+    );
+    drop(system);
+}
