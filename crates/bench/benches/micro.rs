@@ -66,7 +66,8 @@ fn bench_predictor_poll_scales() {
             SimDuration::from_secs(3),
             ByteSize::kib(4),
         );
-        // A period boundary, so `predict_into` takes the fast path.
+        // A wake-up of the cache's flusher clock: `predict_into` accepts
+        // no other instant.
         let poll = SimTime::from_secs(5);
         bench_batched(
             &format!("buffered_predict_scan_{tag}"),

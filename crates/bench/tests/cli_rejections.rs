@@ -2,34 +2,53 @@
 //! zero / negative / NaN rates, fault rates that are negative or not
 //! finite, and over-provisioning that leaves no working set die at parse
 //! time naming their flag, a `--config` whose device would not fit the
-//! 32-bit page tables names `ftl.user_pages`, an unwritable output
+//! 32-bit page tables names `ftl.user_pages`, one whose flusher clock
+//! cannot tick names `flusher_period_us` / `cache.tau_expire_us`, an
+//! unwritable output
 //! path is reported before anything runs, and the selector flags this
 //! CLI no longer has are plain unknown flags.
 
 use std::process::Command;
 
-/// Dumps the default configuration, rewrites `ftl.user_pages` in it, and
-/// returns the path of the result.
-fn config_with_user_pages(pages: u64) -> String {
-    let path = format!("{}/user-pages-{pages}.json", env!("CARGO_TARGET_TMPDIR"));
+/// Dumps the default configuration to `<name>.json`, replaces the one
+/// occurrence of `from` in it by `to`, and returns the path of the result.
+fn config_with(name: &str, from: &str, to: &str) -> String {
+    let path = format!("{}/{name}.json", env!("CARGO_TARGET_TMPDIR"));
     let dumped = Command::new(env!("CARGO_BIN_EXE_ssdsim"))
         .args(["--dump-config", &path])
         .output()
         .expect("ssdsim runs");
     assert!(dumped.status.success());
     let config = std::fs::read_to_string(&path).expect("config was dumped");
-    let default_pages = "\"user_pages\": 24576";
-    assert!(config.contains(default_pages), "{config}");
-    let rewritten = config.replace(default_pages, &format!("\"user_pages\": {pages}"));
-    std::fs::write(&path, rewritten).expect("config is writable");
+    assert_eq!(config.matches(from).count(), 1, "{from:?} in {config}");
+    std::fs::write(&path, config.replace(from, to)).expect("config is writable");
     path
 }
 
 #[test]
 fn bad_flags_exit_2_with_a_message_naming_them() {
-    let huge_config = config_with_user_pages(1 << 33);
+    let huge_config = config_with(
+        "user-pages-2-33",
+        "\"user_pages\": 24576",
+        "\"user_pages\": 8589934592",
+    );
+    // The flusher clock: top-level keys sit two spaces deep in the dump,
+    // the cache's four.
+    let period = "\n  \"flusher_period_us\": 500000";
+    let zero_period = config_with("period-0", period, "\n  \"flusher_period_us\": 0");
+    let long_period = config_with("period-7s", period, "\n  \"flusher_period_us\": 7000000");
+    let ragged_tau = config_with(
+        "tau-3100ms",
+        "\"tau_expire_us\": 3000000",
+        "\"tau_expire_us\": 3100000",
+    );
+    let zero_cache_period = config_with(
+        "cache-period-0",
+        "\n    \"flusher_period_us\": 500000",
+        "\n    \"flusher_period_us\": 0",
+    );
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 18] = [
+    let cases: [(&[&str], &str); 22] = [
         (&["--seconds", "0"], "--seconds"),
         (&["--iops", "0"], "--iops"),
         (&["--iops", "-5"], "--iops"),
@@ -70,6 +89,27 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         // 2^33 user pages used to abort allocating a 66 GB mapping table
         // (and 2^40 to panic on `block count fits u32`).
         (&["--config", &huge_config], "`ftl.user_pages`"),
+        // The flusher clock's preconditions used to be three constructor
+        // panics (exit 101): a period of zero, a τ_expire that is not a
+        // whole number of periods, a period longer than τ_expire.
+        (
+            &["--config", &zero_period],
+            "`flusher_period_us` must be greater than zero",
+        ),
+        (
+            &["--config", &ragged_tau],
+            "`cache.tau_expire_us` of 3100000",
+        ),
+        (
+            &["--config", &long_period],
+            "multiple of `flusher_period_us` (7000000)",
+        ),
+        // The engine replaces the cache's own period by the one above; a
+        // zero there is rejected all the same, not ignored.
+        (
+            &["--config", &zero_cache_period],
+            "`cache.flusher_period_us`",
+        ),
     ];
     for (args, mention) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_ssdsim"))

@@ -94,6 +94,12 @@ impl AccuracyTracker {
     pub fn skipped_intervals(&self) -> u64 {
         self.skipped_empty
     }
+
+    /// The accumulated sum's bit pattern, for bit-exactness properties.
+    #[cfg(test)]
+    pub(crate) fn sum_bits(&self) -> u64 {
+        self.sum.to_bits()
+    }
 }
 
 #[cfg(test)]

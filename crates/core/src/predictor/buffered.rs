@@ -1,4 +1,11 @@
 //! The buffered-write demand predictor (paper Sec. 3.2.1).
+//!
+//! One poll, on one clock: the page cache owns the flusher's wake-up grid
+//! (period and phase) and counts its dirty pages by the wake-up that
+//! sees each first; [`BufferedWritePredictor::predict_into`] reads those
+//! counters at a wake-up and refuses any other instant.
+//! [`BufferedWritePredictor::predict_scan`] walks the dirty list instead
+//! and is the reference the property tests hold the poll to.
 
 use jitgc_ftl::SipList;
 use jitgc_pagecache::PageCache;
@@ -53,8 +60,8 @@ impl BufferedDemand {
     }
 }
 
-/// Predicts future buffered write-back traffic by scanning dirty pages in
-/// the page cache (paper Sec. 3.2.1, Fig. 4).
+/// Predicts future buffered write-back traffic from the ages of the dirty
+/// pages in the page cache (paper Sec. 3.2.1, Fig. 4).
 ///
 /// A dirty page last updated at `u` expires at `u + τ_expire` and is
 /// flushed at the first flusher wake-up at or after that instant; invoked
@@ -71,7 +78,7 @@ impl BufferedDemand {
 /// ([`BufferedWritePredictor::with_strict_tau_flush`]) checks the
 /// condition instead and exists for the ablation bench.
 ///
-/// The same scan produces the **SIP list**: every dirty page's logical
+/// The same poll produces the **SIP list**: every dirty page's logical
 /// address, whose on-flash copy is about to become garbage.
 ///
 /// # Example
@@ -146,8 +153,8 @@ impl BufferedWritePredictor {
     /// returns the per-interval demand bound plus the SIP list.
     ///
     /// Equivalent to [`predict_into`](Self::predict_into) with a fresh
-    /// SIP list; prefer `predict_into` on a hot path so the list's
-    /// backing storage is reused across polls.
+    /// SIP list, panics included; prefer `predict_into` on a hot path so
+    /// the list's backing storage is reused across polls.
     #[must_use]
     pub fn predict(&self, cache: &PageCache, t: SimTime) -> (BufferedDemand, SipList) {
         let mut sip = SipList::new();
@@ -155,53 +162,61 @@ impl BufferedWritePredictor {
         (demand, sip)
     }
 
-    /// Polls `cache` at time `t`, refilling `sip` in place and returning
-    /// the per-interval demand bound.
+    /// Polls `cache` at the flusher wake-up `t`, refilling `sip` in place
+    /// and returning the per-interval demand bound.
     ///
-    /// When the cache's configured
+    /// The cache owns the flusher clock — wake-up `m` is at `φ + m·p`,
+    /// its [`flusher_phase`](PageCache::flusher_phase) and
     /// [`flusher_period`](jitgc_pagecache::PageCacheConfig::flusher_period)
-    /// matches this predictor's `p` and `t` falls on a period boundary,
-    /// the demand is read off the cache's incremental dirty-age epoch
-    /// counters and the SIP list is a bulk snapshot of its dirty-LPN
-    /// bitmap: O(distinct epochs + LPN-space words) instead of a walk
-    /// over every dirty page. Any mismatch falls back to the full scan
-    /// ([`predict_scan`](Self::predict_scan)), which is bit-identical,
-    /// just slower; `tests/incremental_prediction_properties.rs` holds the
-    /// two to that over arbitrary cache histories.
-    ///
-    /// A standalone engine polls at exact multiples of `p` and always
-    /// takes the fast path. A `GcMode::Staggered` array does not:
-    /// `ArrayManager::apply_stagger` offsets member *i*'s tick phase by
-    /// `p·i/n`, so every member but 0 polls off-boundary and pays the
-    /// full scan on every tick — 63 of 64 members on the benchmark's
-    /// `array64_qd8`, where the predictor phase is 0.235 s of a 1.34 s
-    /// run (`BENCH_18.json`). Counting epochs from the member's own tick
-    /// phase would put them back on the fast path (ROADMAP item 4).
+    /// — and keeps its dirty pages counted by the wake-up that sees each
+    /// first, `e = ⌈(u − φ) / p⌉`. The demand is read off those counters
+    /// and the SIP list is a bulk snapshot of the cache's dirty-LPN
+    /// bitmap: O(distinct epochs + LPN-space words), no walk over the
+    /// dirty pages. A standalone engine polls at multiples of `p`
+    /// (`φ = 0`), a staggered array member at its own offset, which
+    /// `SsdSystem::offset_tick_phase` hands to the cache; both read the
+    /// same counters.
     ///
     /// Why the counters are exact: with `τ_expire = N_wb · p` (enforced
-    /// by the constructor) and `t = m · p`, a page last updated at `u`
-    /// with epoch `e = ⌈u / p⌉` satisfies
-    /// `⌈(u + τ_expire − t) / p⌉ = e + N_wb − m` whenever the numerator
-    /// is positive, and both sides clamp to interval 1 when it is not —
-    /// so pages sharing an epoch share a write-back interval.
+    /// by the constructor) and `t = φ + m·p`,
+    /// `(u + τ_expire − t) / p = (u − φ) / p + N_wb − m`, and an integer
+    /// moves through a ceiling, so
+    /// `⌈(u + τ_expire − t) / p⌉ = e + N_wb − m` whenever the left side
+    /// is positive and both sides clamp to interval 1 when it is not —
+    /// pages sharing an epoch share a write-back interval. Off the grid
+    /// `N_wb − (t − φ) / p` is no integer, the pages of one epoch split
+    /// over two intervals, and the counters cannot say how: that poll is
+    /// refused, and [`predict_scan`](Self::predict_scan) answers it from
+    /// the dirty list instead.
+    /// `tests/incremental_prediction_properties.rs` holds the two to each
+    /// other over arbitrary cache histories and phases.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming both clocks, if the cache's flusher period is not
+    /// this predictor's `p` or `t` is not one of the cache's wake-ups.
     #[must_use]
     pub fn predict_into(&self, cache: &PageCache, t: SimTime, sip: &mut SipList) -> BufferedDemand {
-        let p_us = self.p.as_micros();
-        let fast = cache.config().flusher_period() == self.p && t.as_micros().is_multiple_of(p_us);
-        if !fast {
-            return self.scan_into(cache, t, sip);
-        }
+        let (t_us, p_us) = (t.as_micros(), self.p.as_micros());
+        let phase_us = cache.flusher_phase().as_micros();
+        assert!(
+            cache.config().flusher_period() == self.p
+                && t_us >= phase_us
+                && (t_us - phase_us).is_multiple_of(p_us),
+            "poll at {t_us} µs by a predictor of period {p_us} µs is off the cache's \
+             flusher clock (period {} µs, phase {phase_us} µs); predict_scan answers at \
+             any instant",
+            cache.config().flusher_period().as_micros(),
+        );
+        let m = (t_us - phase_us) / p_us;
 
         let nwb = self.horizon();
         let mut demand = vec![0u64; nwb];
         // The SIP list always contains every dirty page — whenever it does
         // get flushed, the on-flash copy dies.
         sip.assign_words(cache.dirty_lpn_words(), cache.dirty_count() as usize);
-        let gated =
-            self.strict_tau_flush && cache.dirty_count() <= cache.config().flush_threshold_pages();
-        if !gated {
+        if !self.gated(cache) {
             let page_bytes = self.page_size.as_u64();
-            let m = t.as_micros() / p_us;
             for (e, n) in cache.dirty_epochs() {
                 let k = (e + nwb as u64).saturating_sub(m).clamp(1, nwb as u64) as usize;
                 demand[k - 1] += n * page_bytes;
@@ -212,9 +227,16 @@ impl BufferedWritePredictor {
         }
     }
 
-    /// The reference implementation: a full walk over the cache's dirty
-    /// list. Kept public as the oracle of the property tests;
-    /// [`predict_into`](Self::predict_into) must match it bit for bit.
+    /// Strict model only: `τ_flush` currently blocks all write-back.
+    fn gated(&self, cache: &PageCache) -> bool {
+        self.strict_tau_flush && cache.dirty_count() <= cache.config().flush_threshold_pages()
+    }
+
+    /// The reference: a full walk over the cache's dirty list, at any
+    /// instant `t` and whatever the cache's flusher clock. Public as the
+    /// oracle of the property tests —
+    /// [`predict_into`](Self::predict_into) must match it bit for bit at
+    /// every poll it accepts — and as the answer to a poll it refuses.
     #[must_use]
     pub fn predict_scan(&self, cache: &PageCache, t: SimTime) -> (BufferedDemand, SipList) {
         let mut sip = SipList::new();
@@ -229,12 +251,10 @@ impl BufferedWritePredictor {
         sip.clear();
         let page_bytes = self.page_size.as_u64();
 
-        let gated =
-            self.strict_tau_flush && cache.dirty_count() <= cache.config().flush_threshold_pages();
+        let gated = self.gated(cache);
         for (lpn, last_update) in cache.dirty_pages() {
             sip.insert(lpn);
             if gated {
-                // Strict model: τ_flush currently blocks all write-back.
                 continue;
             }
             let expiry = last_update.saturating_add(self.tau_expire);
@@ -426,21 +446,26 @@ mod tests {
     }
 
     #[test]
-    fn off_boundary_poll_falls_back_to_scan() {
+    #[should_panic(
+        expected = "poll at 5000000 µs by a predictor of period 5000000 µs is off the cache's \
+                    flusher clock (period 5000000 µs, phase 2000000 µs)"
+    )]
+    fn off_grid_poll_is_refused_naming_both_clocks() {
         let pred = predictor();
         let mut cache = big_cache();
+        cache.set_flusher_phase(SimDuration::from_secs(2));
         write_mib(&mut cache, 0, 10, 2);
-        // 7 s is not a multiple of p = 5 s: the fast path must not engage,
-        // and the result must still equal the reference scan.
-        let t = SimTime::from_secs(7);
-        let (scan_d, scan_sip) = pred.predict_scan(&cache, t);
-        let (d, sip) = pred.predict(&cache, t);
-        assert_eq!(d, scan_d);
-        assert_eq!(sip, scan_sip);
+        // The cache wakes at 2 s, 7 s, 12 s…: its epochs cannot answer a
+        // poll at 5 s, and the scan is not silently run in its place.
+        let _ = pred.predict(&cache, SimTime::from_secs(5));
     }
 
     #[test]
-    fn mismatched_cache_period_falls_back_to_scan() {
+    #[should_panic(
+        expected = "poll at 15000000 µs by a predictor of period 5000000 µs is off the cache's \
+                    flusher clock (period 3000000 µs, phase 0 µs)"
+    )]
+    fn poll_of_a_cache_on_another_period_is_refused_naming_both_clocks() {
         let pred = predictor(); // p = 5 s
         let mut cache = PageCache::new(
             PageCacheConfig::builder()
@@ -451,12 +476,9 @@ mod tests {
                 .build(),
         );
         cache.write(Lpn(0), SimTime::from_secs(1));
-        let t = SimTime::from_secs(5);
-        let (scan_d, scan_sip) = pred.predict_scan(&cache, t);
-        let (d, sip) = pred.predict(&cache, t);
-        assert_eq!(d, scan_d);
-        assert_eq!(sip, scan_sip);
-        assert_eq!(d.interval(6), MIB);
+        // 15 s is a wake-up of both clocks; the periods still disagree on
+        // what an epoch is.
+        let _ = pred.predict(&cache, SimTime::from_secs(15));
     }
 
     #[test]

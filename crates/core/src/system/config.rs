@@ -327,7 +327,12 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
+    /// Returns a [`JsonError`] on missing or mistyped fields, and when the
+    /// flusher clock cannot tick: `flusher_period_us` must be greater than
+    /// zero and `cache.tau_expire_us` a positive multiple of it (the
+    /// paper's `τ_expire = N_wb · p`). `cache.flusher_period_us` is
+    /// replaced by `flusher_period_us` when the system is built; a zero
+    /// there is rejected all the same.
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         let micros = |key: &str| -> Result<SimDuration, JsonError> {
             v.req(key)?
@@ -345,10 +350,26 @@ impl SystemConfig {
             Some("device") => ManagerPlacement::Device,
             _ => return Err(JsonError::new("`manager_placement` must be host|device")),
         };
+        let ftl = FtlConfig::from_json(v.req("ftl")?)?;
+        let cache = PageCacheConfig::from_json(v.req("cache")?)?;
+        let flusher_period = micros("flusher_period_us")?;
+        if flusher_period.is_zero() {
+            return Err(JsonError::new(
+                "`flusher_period_us` must be greater than zero",
+            ));
+        }
+        let tau_us = cache.tau_expire().as_micros();
+        if !tau_us.is_multiple_of(flusher_period.as_micros()) {
+            return Err(JsonError::new(format!(
+                "`cache.tau_expire_us` of {tau_us} must be a positive multiple of \
+                 `flusher_period_us` ({})",
+                flusher_period.as_micros()
+            )));
+        }
         Ok(SystemConfig {
-            ftl: FtlConfig::from_json(v.req("ftl")?)?,
-            cache: PageCacheConfig::from_json(v.req("cache")?)?,
-            flusher_period: micros("flusher_period_us")?,
+            ftl,
+            cache,
+            flusher_period,
             cache_op_time: micros("cache_op_time_us")?,
             host_command_overhead: micros("host_command_overhead_us")?,
             cdh_percentile: v

@@ -1,6 +1,6 @@
 //! The simulation engine proper.
 
-use super::interval_log::IntervalLog;
+use super::scorer::HorizonScorer;
 use crate::policy::{GcPolicy, IntervalObservation};
 use crate::predictor::{AccuracyTracker, BufferedWritePredictor, DirectWritePredictor};
 use crate::system::{
@@ -102,14 +102,9 @@ pub struct SsdSystem {
     // Interval accounting.
     direct_bytes_interval: u64,
     host_pages_at_tick: u64,
-    /// Per-interval device write traffic (bytes), one logical entry per
-    /// past tick — compacted below the oldest pending prediction and
-    /// run-length encoded across idle spans, so it stays bounded on
-    /// endurance runs.
-    interval_actuals: IntervalLog,
-    /// Horizon predictions awaiting scoring: (tick index they were made
-    /// at, predicted bytes over the following `N_wb` intervals).
-    pending_predictions: std::collections::VecDeque<(usize, u64)>,
+    /// Scores each horizon prediction against the device write traffic
+    /// of the `N_wb` intervals after it.
+    scorer: HorizonScorer,
 
     // Quiescence fast-forward (DESIGN.md §15). `last_tick_noop` is the
     // dirty-flag core: the most recent tick verified itself a no-flow
@@ -185,12 +180,14 @@ impl SsdSystem {
         let mut ftl = Ftl::new(config.ftl.clone(), config.victim.build());
         ftl.set_sip_filter_enabled(policy.uses_sip());
         // The engine ticks the flusher every `config.flusher_period`, so
-        // tell the cache that period: its dirty-age epoch counters then
-        // line up with the predictor's poll times and `predict_into` can
-        // take the O(1)-per-bucket fast path instead of scanning the
-        // dirty list (the result is identical either way).
+        // that is the period of the cache's flusher clock: its dirty-age
+        // epoch counters are what `predict_into` reads at every tick.
         config.cache = config.cache.with_flusher_period(config.flusher_period);
-        let cache = PageCache::new(config.cache);
+        let mut cache = PageCache::new(config.cache);
+        // Every LPN a request may carry is below the FTL's user space:
+        // with that said the cache's LPN-indexed tables are sized once,
+        // the same for every order the addresses may arrive in.
+        cache.expect_lpns(config.ftl.user_pages());
         let mut buffered_pred = BufferedWritePredictor::new(
             config.flusher_period,
             config.tau_expire(),
@@ -223,8 +220,7 @@ impl SsdSystem {
             last_direct_demand: 0,
             direct_bytes_interval: 0,
             host_pages_at_tick: 0,
-            interval_actuals: IntervalLog::new(),
-            pending_predictions: std::collections::VecDeque::new(),
+            scorer: HorizonScorer::default(),
             fast_forward: true,
             last_tick_noop: false,
             last_tick_predicted: None,
@@ -343,10 +339,15 @@ impl SsdSystem {
     /// system's periodic host work (flush, predictor polls, policy
     /// decisions and therefore BGC target updates) relative to peers that
     /// keep the default phase. Call before the first request; the array
-    /// layer uses this to de-correlate member GC activity.
+    /// layer uses this to de-correlate member GC activity. The still-clean
+    /// page cache is told the new phase: it owns the flusher clock the
+    /// buffered-write predictor polls on.
     pub fn offset_tick_phase(&mut self, offset: SimDuration) {
         assert_eq!(self.ops, 0, "tick phase must be set before any request");
         self.next_tick += offset;
+        let p_us = self.config.flusher_period.as_micros();
+        self.cache
+            .set_flusher_phase(SimDuration::from_micros(self.next_tick.as_micros() % p_us));
     }
 
     /// Current JIT-GC telemetry for array-level coordination.
@@ -533,14 +534,10 @@ impl SsdSystem {
     /// Applies the net effect of `k` consecutive quiescent ticks in
     /// O(`N_wb`) instead of O(`k`):
     ///
-    /// * `k` zero entries join the interval log (O(1), run-length
-    ///   encoded);
-    /// * pre-span pending predictions whose horizon closes inside the
-    ///   span score against their exact windows (same FIFO order, same
-    ///   `u64` sums, same float operations as the per-tick loop);
-    /// * each skipped tick re-issues the verified prediction `R`; those
-    ///   that mature within the span score against an all-zero window in
-    ///   one bulk call, the last `min(k, N_wb)` survive into the queue;
+    /// * `k` intervals close without traffic, each re-issuing the
+    ///   verified prediction `R` ([`HorizonScorer::skip_idle`]: same FIFO
+    ///   order, same `u64` sums, same float operations as the per-tick
+    ///   loop);
     /// * the per-tick SG_IO device cost folds in closed form
     ///   `busy' = max(busy + k·c, T_k + c)` (valid because `c ≤ p` was
     ///   gated);
@@ -551,52 +548,18 @@ impl SsdSystem {
     /// what `can_fast_forward` certified.
     fn fast_forward_span(&mut self, k: u64) {
         let p = self.config.flusher_period;
-        let nwb = self.config.nwb();
-        let l0 = self.interval_actuals.len();
-        self.interval_actuals.append_zeros(k as usize);
-        let new_len = l0 + k as usize;
-        if let Some(predicted) = self.last_tick_predicted {
-            // Each quiescent tick re-issues the verified prediction. One
-            // made at span tick t (logical index l0 + t) matures once the
-            // log reaches l0 + t + N_wb, i.e. still within the span iff
-            // t ≤ k − N_wb; its window is all span zeros. The rest stay
-            // pending.
-            let survivors = (k as usize).min(nwb);
-            self.accuracy.record_idle(predicted, k - survivors as u64);
-            for t in (k as usize - survivors + 1)..=(k as usize) {
-                self.pending_predictions.push_back((l0 + t, predicted));
-            }
-        }
-        // Score pre-span predictions maturing inside the span. They sit
-        // ahead of any in-span survivor in the FIFO queue and mature
-        // strictly earlier (their made_at is smaller), so this loop pops
-        // in exactly the order the per-tick path would.
-        while let Some(&(made_at, predicted)) = self.pending_predictions.front() {
-            if new_len < made_at + nwb {
-                break;
-            }
-            let actual = self.interval_actuals.sum_range(made_at, made_at + nwb);
-            self.accuracy.record(predicted, actual);
-            self.pending_predictions.pop_front();
-        }
-        self.compact_interval_log();
+        self.scorer.skip_idle(
+            k,
+            self.last_tick_predicted,
+            self.config.nwb(),
+            &mut self.accuracy,
+        );
         let t_last = self.next_tick + p.saturating_mul(k - 1);
         if self.sip_tick_cost_applies() {
             let c = self.config.host_command_overhead.saturating_mul(4);
             self.device_busy_until = (self.device_busy_until + c.saturating_mul(k)).max(t_last + c);
         }
         self.next_tick = t_last + p;
-    }
-
-    /// Drops interval-log entries below the oldest window any pending
-    /// prediction can still score against (satellite of DESIGN.md §15:
-    /// bounded memory on endurance runs).
-    fn compact_interval_log(&mut self) {
-        let floor = self
-            .pending_predictions
-            .front()
-            .map_or(self.interval_actuals.len(), |&(made_at, _)| made_at);
-        self.interval_actuals.compact(floor);
     }
 
     fn handle_tick(&mut self, now: SimTime) {
@@ -634,24 +597,12 @@ impl SsdSystem {
 
         // 2. Account the device traffic of the interval that just closed
         //    (post-flush to post-flush) and score any prediction whose
-        //    full horizon has now elapsed. Predictions are scored over the
-        //    whole `N_wb`-interval horizon — that is the quantity the
-        //    reservation is sized from (`C_req`), so it is the error that
-        //    translates into mis-reservation.
+        //    full horizon has now elapsed.
         let host_pages_now = self.ftl.stats().host_pages_written;
         let actual_bytes = (host_pages_now - self.host_pages_at_tick) * self.page_size().as_u64();
         self.host_pages_at_tick = host_pages_now;
-        self.interval_actuals.push(actual_bytes);
-        let nwb = self.config.nwb();
-        while let Some(&(made_at, predicted)) = self.pending_predictions.front() {
-            if self.interval_actuals.len() < made_at + nwb {
-                break;
-            }
-            let actual = self.interval_actuals.sum_range(made_at, made_at + nwb);
-            self.accuracy.record(predicted, actual);
-            self.pending_predictions.pop_front();
-        }
-        self.compact_interval_log();
+        self.scorer
+            .close_interval(actual_bytes, self.config.nwb(), &mut self.accuracy);
 
         // 3. Kernel-side predictors (paper Sec. 3.2). The SIP list is a
         //    scratch buffer ping-ponged with the FTL (step 5), so the
@@ -684,8 +635,7 @@ impl SsdSystem {
         // for nothing ("useless BGC operations").
         self.target_free = decision.target_free.min(self.ftl.reclaimable_capacity());
         if let Some(predicted) = decision.predicted_next_interval {
-            self.pending_predictions
-                .push_back((self.interval_actuals.len(), predicted));
+            self.scorer.issue(predicted);
         }
 
         // 5. Ship the SIP list to the FTL. With the manager in the host
@@ -1114,13 +1064,13 @@ impl SsdSystem {
         self.ff_refusals
     }
 
-    /// Explicitly stored interval-log entries (the logical tick count
-    /// keeps growing; this must stay bounded — asserted by the memory
-    /// regression tests).
+    /// Predictions still waiting for their horizon to close: at most
+    /// `N_wb`, however long the run (asserted by the memory regression
+    /// tests — the engine keeps nothing else per elapsed tick).
     #[doc(hidden)]
     #[must_use]
-    pub fn interval_log_materialized_len(&self) -> usize {
-        self.interval_actuals.materialized_len()
+    pub fn pending_predictions_len(&self) -> usize {
+        self.scorer.pending_len()
     }
 
     /// LPNs of the most recent request whose flash read came back
@@ -1502,12 +1452,12 @@ mod tests {
     }
 
     #[test]
-    fn interval_log_stays_bounded_on_long_runs() {
-        // The predicting policy keeps a pending queue, so the log must
-        // retain at most ~N_wb scored entries plus the open horizon —
-        // never one entry per elapsed tick (satellite: unbounded-growth
-        // fix). 2000 s at a 5 s period is 400 ticks; the bound is far
-        // below that and independent of run length.
+    fn pending_predictions_stay_bounded_on_long_runs() {
+        // The only per-tick history the engine keeps is the queue of
+        // predictions whose horizon is still open: at most N_wb of them,
+        // never one entry per elapsed tick. 2000 s at a 5 s period is 400
+        // ticks; the bound is far below that and independent of run
+        // length.
         let cfg = SystemConfig::small_for_tests();
         for (policy, label) in [
             (
@@ -1517,13 +1467,13 @@ mod tests {
             (Box::new(NoBgc) as Box<dyn GcPolicy>, "No-BGC"),
         ] {
             let mut sys = bursty_idle_system(policy, 2_000, 7);
-            sys.set_fast_forward(false); // worst case: every tick materializes
+            sys.set_fast_forward(false); // worst case: every tick issues
             let _ = sys.run();
-            let bound = 2 * cfg.nwb() + 2;
             assert!(
-                sys.interval_log_materialized_len() <= bound,
-                "{label}: {} materialized entries > bound {bound}",
-                sys.interval_log_materialized_len()
+                sys.pending_predictions_len() <= cfg.nwb(),
+                "{label}: {} pending predictions > N_wb {}",
+                sys.pending_predictions_len(),
+                cfg.nwb()
             );
         }
     }

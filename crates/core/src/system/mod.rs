@@ -15,10 +15,10 @@
 mod closed_loop;
 mod config;
 mod engine;
-mod interval_log;
 mod profile;
 mod refusal;
 mod report;
+mod scorer;
 
 pub use closed_loop::ClosedLoop;
 pub use config::{ManagerPlacement, SystemConfig, VictimKind};

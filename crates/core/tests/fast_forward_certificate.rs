@@ -98,8 +98,8 @@ impl Twin {
             "fast-forward changed the report"
         );
         assert_eq!(
-            self.on.interval_log_materialized_len(),
-            self.off.interval_log_materialized_len()
+            self.on.pending_predictions_len(),
+            self.off.pending_predictions_len()
         );
         assert_eq!(self.off.ticks_skipped(), 0);
         assert_eq!(self.off.ff_refusals().total(), 0);

@@ -1,27 +1,44 @@
-//! Equivalence of the incremental prediction pipeline.
+//! The incremental prediction pipeline against its reference.
 //!
-//! The buffered-write predictor has two ways to answer a poll: the
-//! reference full scan of the cache's dirty list
-//! ([`BufferedWritePredictor::predict_scan`]) and the O(1)-per-bucket
-//! fast path over the cache's dirty-age epoch counters plus the dirty-LPN
-//! bitmap ([`BufferedWritePredictor::predict_into`]). These properties
-//! drive arbitrary operation sequences through the cache and demand that
-//! both paths agree — demand vector and SIP list — at every poll. Nothing
-//! else compares the two: `predict_into` carries no oracle of its own.
+//! The engine's poll ([`BufferedWritePredictor::predict_into`]) reads the
+//! cache's dirty-age epoch counters plus the dirty-LPN bitmap and is only
+//! defined on the cache's flusher clock — wake-ups `φ + m·p`. The
+//! reference ([`BufferedWritePredictor::predict_scan`]) walks the dirty
+//! list and answers at any instant. These properties draw the phase `φ`,
+//! drive arbitrary operation sequences through the cache — writes before
+//! the first wake-up included — and demand that both agree, demand vector
+//! and SIP list, at every wake-up polled. Nothing else compares the two:
+//! `predict_into` carries no oracle of its own.
 
+use jitgc_core::policy::PolicyKind;
 use jitgc_core::predictor::BufferedWritePredictor;
+use jitgc_core::system::{ClosedLoop, SsdSystem, SystemConfig};
 use jitgc_ftl::SipList;
 use jitgc_nand::Lpn;
 use jitgc_pagecache::{PageCache, PageCacheConfig};
 use jitgc_sim::check::{check, Gen};
 use jitgc_sim::{ByteSize, SimDuration, SimTime};
+use jitgc_workload::{BenchmarkKind, NullWorkload, WorkloadConfig, WriteMix};
 
 const CAPACITY: u64 = 48;
 const PERIOD_SECS: u64 = 5;
 const TAU_SECS: u64 = 30;
 
-fn cache() -> PageCache {
-    PageCache::new(
+const PERIOD_US: u64 = PERIOD_SECS * 1_000_000;
+
+/// A flusher phase: none, the two extremes, or anything in between.
+fn any_phase(g: &mut Gen) -> u64 {
+    match g.weighted(&[1, 1, 1, 3]) {
+        0 => 0,
+        1 => 1,
+        2 => PERIOD_US - 1,
+        _ => g.u64(0, PERIOD_US),
+    }
+}
+
+/// A clean cache whose flusher wakes at `phase_us + m·p`.
+fn cache(phase_us: u64) -> PageCache {
+    let mut cache = PageCache::new(
         PageCacheConfig::builder()
             .capacity_pages(CAPACITY)
             .tau_expire(SimDuration::from_secs(TAU_SECS))
@@ -29,7 +46,9 @@ fn cache() -> PageCache {
             .throttle_permille(500)
             .flusher_period(SimDuration::from_secs(PERIOD_SECS))
             .build(),
-    )
+    );
+    cache.set_flusher_phase(SimDuration::from_micros(phase_us));
+    cache
 }
 
 fn predictor() -> BufferedWritePredictor {
@@ -88,16 +107,22 @@ fn apply(c: &mut PageCache, op: &Op, now: SimTime) {
     }
 }
 
-/// The first period boundary after `millis`, where the engine's tick
-/// loop would poll.
-fn next_poll(millis: u64) -> SimTime {
-    SimTime::from_secs((millis / (PERIOD_SECS * 1_000) + 1) * PERIOD_SECS)
+/// The first wake-up of the clock `phase_us + m·p` strictly after
+/// `millis`, where the engine's tick loop would poll. A time before the
+/// phase polls wake-up 0, at the phase itself.
+fn next_poll(millis: u64, phase_us: u64) -> SimTime {
+    let m = match (millis * 1_000).checked_sub(phase_us) {
+        Some(since) => since / PERIOD_US + 1,
+        None => 0,
+    };
+    SimTime::from_micros(phase_us + m * PERIOD_US)
 }
 
-/// After any operation sequence, a poll on a period boundary gives
-/// the same demand vector and SIP list through the incremental path
-/// as through the from-scratch scan — for the paper's relaxed predictor
-/// and for the strict-`τ_flush` ablation, whose gate both paths apply.
+/// After any operation sequence, a poll on the cache's flusher clock —
+/// whatever its phase — gives the same demand vector and SIP list from
+/// the epoch counters as from the from-scratch scan, for the paper's
+/// relaxed predictor and for the strict-`τ_flush` ablation, whose gate
+/// both apply.
 #[test]
 fn incremental_poll_matches_scan_after_arbitrary_ops() {
     check(0x19C8_0001, 192, |g| {
@@ -105,15 +130,17 @@ fn incremental_poll_matches_scan_after_arbitrary_ops() {
         if g.pick(&[false, true]) {
             pred = pred.with_strict_tau_flush();
         }
-        let mut c = cache();
+        let phase_us = any_phase(g);
+        let mut c = cache(phase_us);
         let mut sip = SipList::new();
         let mut t = 0u64;
         for (i, op) in g.vec(1, 250, any_op).iter().enumerate() {
-            // Sub-period timestamps so writes land mid-interval too.
+            // Sub-period timestamps so writes land mid-interval too, the
+            // first of them before any phase above 2.7 s.
             t += 1 + (i as u64 % 3);
             apply(&mut c, op, SimTime::from_millis(t * 900));
 
-            let poll = next_poll(t * 900);
+            let poll = next_poll(t * 900, phase_us);
             let demand = pred.predict_into(&c, poll, &mut sip);
             let (scan_demand, scan_sip) = pred.predict_scan(&c, poll);
             assert_eq!(demand, scan_demand, "demand diverged at op {i}");
@@ -124,21 +151,22 @@ fn incremental_poll_matches_scan_after_arbitrary_ops() {
 }
 
 /// Polls far in the future (every page expired) and polls straddling
-/// many elapsed periods still agree between the two paths.
+/// many elapsed periods still agree with the scan.
 #[test]
 fn incremental_poll_matches_scan_at_distant_boundaries() {
     check(0x19C8_0002, 192, |g| {
         let periods_later = g.u64(1, 100);
         let writes = g.vec(1, 120, |g| (g.u64(0, 96), g.u64(0, 200)));
+        let phase_us = any_phase(g);
         let pred = predictor();
-        let mut c = cache();
+        let mut c = cache(phase_us);
         let mut latest = 0u64;
         for (lpn, at) in &writes {
             let _ = c.write(Lpn(*lpn), SimTime::from_millis(*at * 700));
             latest = latest.max(*at * 700);
         }
-        let first_boundary = latest / (PERIOD_SECS * 1_000) + 1;
-        let poll = SimTime::from_secs((first_boundary + periods_later) * PERIOD_SECS);
+        let poll =
+            next_poll(latest, phase_us) + SimDuration::from_micros(periods_later * PERIOD_US);
         let mut sip = SipList::new();
         let demand = pred.predict_into(&c, poll, &mut sip);
         let (scan_demand, scan_sip) = pred.predict_scan(&c, poll);
@@ -153,8 +181,9 @@ fn incremental_poll_matches_scan_at_distant_boundaries() {
 fn reused_sip_list_carries_no_ghosts() {
     check(0x19C8_0003, 192, |g| {
         let rounds = g.vec(2, 6, |g| g.vec(1, 40, any_op));
+        let phase_us = any_phase(g);
         let pred = predictor();
-        let mut c = cache();
+        let mut c = cache(phase_us);
         let mut sip = SipList::new();
         let mut t = 0u64;
         for ops in &rounds {
@@ -162,10 +191,64 @@ fn reused_sip_list_carries_no_ghosts() {
                 t += 1;
                 apply(&mut c, op, SimTime::from_millis(t * 800));
             }
-            let poll = next_poll(t * 800);
+            let poll = next_poll(t * 800, phase_us);
             let _ = pred.predict_into(&c, poll, &mut sip);
             let (_, fresh) = pred.predict_scan(&c, poll);
             assert_eq!(sip, fresh, "stale entries survived the reuse");
         }
     });
+}
+
+/// The stagger, proven on the counters: an engine whose tick phase is
+/// offset the way `ArrayManager::apply_stagger` offsets members 1 and 3
+/// of four hands that phase to its cache, so after every request of 30
+/// simulated seconds of YCSB a poll at the member's last wake-up reads
+/// off the epoch counters exactly what the dirty-list scan finds.
+#[test]
+fn staggered_member_polls_its_own_clock() {
+    let config = SystemConfig::default_sim();
+    let p = config.flusher_period;
+    let pred =
+        BufferedWritePredictor::new(p, config.tau_expire(), config.ftl.geometry().page_size());
+    for member in [1u64, 3] {
+        let offset = SimDuration::from_micros(p.as_micros() * member / 4);
+        let stub = NullWorkload::new("driven", config.ftl.user_pages(), WriteMix::new(0.5));
+        let mut sim = SsdSystem::new(
+            config.clone(),
+            PolicyKind::Jit.build(&config),
+            Box::new(stub),
+        );
+        sim.offset_tick_phase(offset);
+        sim.prefill();
+        assert_eq!(sim.cache().flusher_phase(), offset);
+
+        let mut workload = BenchmarkKind::Ycsb.build(
+            WorkloadConfig::builder()
+                .working_set_pages(config.standard_working_set().unwrap())
+                .duration(SimDuration::from_secs(30))
+                .mean_iops(1_000.0)
+                .seed(24)
+                .build(),
+        );
+        let mut clock = ClosedLoop::new(1);
+        let mut sip = SipList::new();
+        let mut polled_dirty = false;
+        while let Some(req) = workload.next_request() {
+            let (thread, issue) = clock.issue(req.gap);
+            let done = sim.step(req, issue);
+            clock.complete(thread, done);
+
+            let last_wake_up = sim.virtual_clock() - p;
+            let demand = pred.predict_into(sim.cache(), last_wake_up, &mut sip);
+            let (scan_demand, scan_sip) = pred.predict_scan(sim.cache(), last_wake_up);
+            assert_eq!(demand, scan_demand, "member {member} at {last_wake_up}");
+            assert_eq!(sip, scan_sip, "member {member} at {last_wake_up}");
+            polled_dirty |= demand.total() > 0;
+        }
+        assert!(
+            polled_dirty,
+            "member {member}: the cache never held a dirty page"
+        );
+        assert!(sim.virtual_clock() > SimTime::from_secs(29));
+    }
 }

@@ -33,7 +33,9 @@ fn predictor() -> BufferedWritePredictor {
 #[test]
 fn buffered_demand_accounts_every_dirty_page() {
     check(0x93ED_0001, 128, |g| {
-        let scan_at = g.u64(60, 120);
+        // A wake-up of the cache's 5 s flusher clock: the only place a
+        // poll is defined.
+        let scan_at = g.u64(12, 24) * 5;
         let writes = g.vec(1, 200, |g| (g.u64(0, 500), g.u64(0, 60)));
         let mut cache = big_cache();
         for (lpn, at) in &writes {

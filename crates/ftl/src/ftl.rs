@@ -1116,9 +1116,9 @@ impl Ftl {
     /// host-side predictor, replacing the previous one. Per-block SIP
     /// counts are recomputed from the current mapping.
     ///
-    /// Returns the displaced list so the caller can
-    /// [`clear`](SipList::clear) and refill it on the next poll — the
-    /// engine ping-pongs two bitmaps this way and the steady state
+    /// Returns the displaced list so the caller can refill it on the next
+    /// poll ([`assign_words`](SipList::assign_words) reuses its storage)
+    /// — the engine ping-pongs two bitmaps this way and the steady state
     /// allocates nothing.
     pub fn install_sip_list(&mut self, sip: SipList) -> SipList {
         self.sip_counts.fill(0);

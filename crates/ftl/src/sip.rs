@@ -12,14 +12,12 @@ use jitgc_nand::Lpn;
 ///
 /// # Representation
 ///
-/// The predictor refills this set on every poll, so the representation is
-/// an *epoch-tagged bitmap* over the logical page space rather than a
-/// hash set: one bit per LPN (`Vec<u64>` words) plus a per-word generation
-/// stamp. [`clear`](SipList::clear) just bumps the generation counter —
-/// O(1) — and a stale stamp makes a word read as all-zeros, so words are
-/// lazily re-zeroed the first time they are touched in a new generation.
-/// Membership tests from the victim scorer are a shift and a mask with no
-/// hashing, and the backing storage is reused across polls.
+/// A plain bitmap over the logical page space: one bit per LPN in
+/// `Vec<u64>` words, grown on demand. The predictor replaces the whole
+/// set on every poll with one bulk copy of the page cache's dirty-LPN
+/// bitmap ([`assign_words`](SipList::assign_words)), membership tests
+/// from the victim scorer are a shift and a mask with no hashing, and the
+/// backing storage is reused across polls.
 ///
 /// # Example
 ///
@@ -31,27 +29,11 @@ use jitgc_nand::Lpn;
 /// assert!(sip.contains(Lpn(5)));
 /// assert_eq!(sip.len(), 2);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct SipList {
-    /// Bit `i` of `words[w]` set (while `stamps[w] == generation`) means
-    /// `Lpn(w * 64 + i)` is on the list.
+    /// Bit `i` of `words[w]` set means `Lpn(w * 64 + i)` is on the list.
     words: Vec<u64>,
-    /// Generation tag per word; a stale stamp reads as an all-zero word.
-    stamps: Vec<u32>,
-    generation: u32,
     len: usize,
-}
-
-impl Default for SipList {
-    fn default() -> Self {
-        SipList {
-            words: Vec::new(),
-            stamps: Vec::new(),
-            // Starts above the all-zero stamps so untouched words are stale.
-            generation: 1,
-            len: 0,
-        }
-    }
 }
 
 impl SipList {
@@ -61,45 +43,28 @@ impl SipList {
         SipList::default()
     }
 
-    /// The word with stale-generation masking applied (0 out of range).
-    fn effective_word(&self, w: usize) -> u64 {
-        if w < self.words.len() && self.stamps[w] == self.generation {
-            self.words[w]
-        } else {
-            0
-        }
-    }
-
-    /// Grows the backing storage to cover word index `w`, then returns a
-    /// mutable reference to the word, re-zeroing it if its stamp is stale.
-    fn word_mut(&mut self, w: usize) -> &mut u64 {
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-            self.stamps.resize(w + 1, 0);
-        }
-        if self.stamps[w] != self.generation {
-            self.stamps[w] = self.generation;
-            self.words[w] = 0;
-        }
-        &mut self.words[w]
+    /// Word `w` of the bitmap (0 past the backing storage).
+    fn word(&self, w: usize) -> u64 {
+        self.words.get(w).copied().unwrap_or(0)
     }
 
     /// `true` if `lpn` is expected to be invalidated soon.
     #[must_use]
     pub fn contains(&self, lpn: Lpn) -> bool {
         let (w, bit) = (lpn.0 / 64, lpn.0 % 64);
-        self.effective_word(w as usize) & (1 << bit) != 0
+        self.word(w as usize) & (1 << bit) != 0
     }
 
     /// Adds a logical page; returns `false` if it was already present.
     pub fn insert(&mut self, lpn: Lpn) -> bool {
-        let (w, bit) = (lpn.0 / 64, lpn.0 % 64);
-        let word = self.word_mut(w as usize);
-        let mask = 1 << bit;
-        if *word & mask != 0 {
+        let (w, mask) = ((lpn.0 / 64) as usize, 1 << (lpn.0 % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        if self.words[w] & mask != 0 {
             return false;
         }
-        *word |= mask;
+        self.words[w] |= mask;
         self.len += 1;
         true
     }
@@ -107,11 +72,11 @@ impl SipList {
     /// Removes a logical page (e.g. once the overwrite actually landed);
     /// returns `true` if it was present.
     pub fn remove(&mut self, lpn: Lpn) -> bool {
-        let (w, bit) = (lpn.0 / 64, lpn.0 % 64);
-        if self.effective_word(w as usize) & (1 << bit) == 0 {
+        let (w, mask) = ((lpn.0 / 64) as usize, 1 << (lpn.0 % 64));
+        if self.word(w) & mask == 0 {
             return false;
         }
-        *self.word_mut(w as usize) &= !(1 << bit);
+        self.words[w] &= !mask;
         self.len -= 1;
         true
     }
@@ -131,7 +96,7 @@ impl SipList {
     /// Iterates the listed logical pages in ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = Lpn> + '_ {
         (0..self.words.len()).flat_map(move |w| {
-            let mut bits = self.effective_word(w);
+            let mut bits = self.word(w);
             std::iter::from_fn(move || {
                 if bits == 0 {
                     return None;
@@ -149,11 +114,8 @@ impl SipList {
     /// inserts — this is how the predictor turns the page cache's
     /// dirty-LPN bitmap into the poll's SIP list.
     pub fn assign_words(&mut self, words: &[u64], len: usize) {
-        self.clear();
         self.words.clear();
         self.words.extend_from_slice(words);
-        self.stamps.clear();
-        self.stamps.resize(words.len(), self.generation);
         self.len = len;
         debug_assert_eq!(
             self.words
@@ -165,29 +127,21 @@ impl SipList {
         );
     }
 
-    /// Removes every entry in O(1) by bumping the generation; the backing
-    /// words are lazily re-zeroed on next touch.
+    /// Removes every entry, keeping the backing storage.
     pub fn clear(&mut self) {
+        self.words.fill(0);
         self.len = 0;
-        if self.generation == u32::MAX {
-            // Generation wrap: a stamp from 2^32 clears ago could alias the
-            // new generation, so eagerly reset every stamp once.
-            self.stamps.fill(0);
-            self.generation = 1;
-        } else {
-            self.generation += 1;
-        }
     }
 }
 
 impl PartialEq for SipList {
-    /// Set equality: generation tags and backing capacity are ignored.
+    /// Set equality: backing capacity is ignored.
     fn eq(&self, other: &Self) -> bool {
         if self.len != other.len {
             return false;
         }
         let words = self.words.len().max(other.words.len());
-        (0..words).all(|w| self.effective_word(w) == other.effective_word(w))
+        (0..words).all(|w| self.word(w) == other.word(w))
     }
 }
 
@@ -277,6 +231,7 @@ mod tests {
             assert_eq!(sip.len(), 200);
             assert!(!sip.contains(Lpn(601 + round)));
             sip.clear();
+            assert_eq!(sip, SipList::new(), "a word survived the clear");
         }
         assert!(!sip.contains(Lpn(3)));
     }
@@ -285,7 +240,7 @@ mod tests {
     fn equality_is_set_semantics() {
         let a: SipList = [Lpn(1), Lpn(200)].into_iter().collect();
         // Same contents via a different history: extra inserts + clears grow
-        // the backing storage and advance the generation.
+        // the backing storage.
         let mut b = SipList::new();
         b.insert(Lpn(4_096));
         b.clear();
@@ -307,18 +262,5 @@ mod tests {
         // Matches the same set built by per-LPN inserts.
         let by_insert: SipList = [Lpn(0), Lpn(2), Lpn(191)].into_iter().collect();
         assert_eq!(sip, by_insert);
-    }
-
-    #[test]
-    fn generation_wrap_resets_stamps() {
-        let mut sip = SipList::new();
-        sip.insert(Lpn(5));
-        sip.generation = u32::MAX;
-        sip.stamps[0] = u32::MAX; // simulate a word touched at the last generation
-        sip.words[0] = 1 << 5;
-        sip.clear();
-        assert_eq!(sip.generation, 1);
-        assert!(!sip.contains(Lpn(5)));
-        assert!(sip.insert(Lpn(5)));
     }
 }

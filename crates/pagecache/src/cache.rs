@@ -2,15 +2,10 @@
 //!
 //! # Data layout
 //!
-//! The cache used to keep a `HashMap<Lpn, Entry>` plus two `BTreeSet`
-//! orderings (dirty-by-age, clean-by-recency). Every write and every
-//! flusher step paid two tree updates with pointer-heavy node traffic.
-//! It is now a **flat slab**: one `Vec<Slot>` of 32-byte slots holding
+//! The cache is a **flat slab**: one `Vec<Slot>` of 32-byte slots holding
 //! every cached page, a direct index from LPN to slot (`Vec<u32>`, one
-//! entry per LPN up to the largest the cache has been handed, grown on
-//! demand like the dirty bitmap below — no hashing on any path), and two
-//! intrusive doubly linked lists threaded through the slots with `u32`
-//! indices:
+//! entry per LPN — no hashing on any path), and two intrusive doubly
+//! linked lists threaded through the slots with `u32` indices:
 //!
 //! * the **dirty list**, oldest first by `(last_update, seq)` — the
 //!   flusher pops from its head, and [`PageCache::dirty_pages`] walks it
@@ -34,21 +29,37 @@
 //! could never reach the 32-bit FTL below, and indexing by it would
 //! allocate gigabytes.
 //!
-//! # Dirty-age epoch counters
+//! The index and the dirty bitmap are allocated when the first page is
+//! cached. An embedder that knows its LPN space says so
+//! ([`PageCache::expect_lpns`]) and both are sized for it there and then;
+//! otherwise they reach the largest LPN handed in so far and regrow, by
+//! doubling, whenever a higher one arrives — which makes their capacity,
+//! and where the allocator puts each regrowth, depend on the order the
+//! addresses happen to come in (1.5 – 3 MB for the same 393 216-LPN run,
+//! DESIGN.md §8g).
 //!
-//! On top of the dirty list the cache maintains a histogram of dirty
-//! pages bucketed by *flusher epoch*: `e = ⌈last_update / p⌉` with `p`
-//! the configured [`flusher_period`](PageCacheConfig::flusher_period).
-//! Every dirty-list insert/remove adjusts one counter, so the
-//! buffered-write predictor can read per-write-back-interval demand in
-//! O(distinct epochs) instead of walking every dirty page
+//! # The flusher clock and the dirty-age epoch counters
+//!
+//! The cache owns the flusher's wake-up grid: wake-up `m` is at
+//! `φ + m·p`, with `p` the configured
+//! [`flusher_period`](PageCacheConfig::flusher_period) and `φ < p` the
+//! [`flusher_phase`](PageCache::flusher_phase) (zero unless
+//! [`set_flusher_phase`](PageCache::set_flusher_phase) moved it before
+//! the first write). It holds no clock of its own — the caller still
+//! says when "now" is — but the grid decides how dirty pages are
+//! bucketed: a page's *epoch* is the wake-up that sees it first,
+//! `e = ⌈(last_update − φ) / p⌉` (0 for a write before `φ`). Every
+//! dirty-list insert/remove adjusts one counter of a small ordered map,
+//! so the buffered-write predictor reads per-write-back-interval demand
+//! in O(distinct epochs) instead of walking every dirty page
 //! ([`dirty_epochs`](PageCache::dirty_epochs)). Pages sharing an epoch
-//! share a write-back interval at every poll that is a multiple of `p`,
-//! which is exactly when the engine polls.
+//! share a write-back interval at every poll on the grid, which is the
+//! only place the predictor's `predict_into` accepts one.
 
 use crate::{PageCacheConfig, PageCacheStats};
 use jitgc_nand::Lpn;
-use jitgc_sim::{FxHashMap, SimTime};
+use jitgc_sim::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// What a buffered write did to the cache.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -97,12 +108,13 @@ impl Slot {
 /// A bounded write-back page cache with Linux-flusher semantics.
 ///
 /// See the [crate documentation](crate) for the model. All mutating
-/// operations take the current simulated time; the cache holds no clock.
+/// operations take the current simulated time; the cache keeps none, only
+/// the flusher's wake-up grid (module docs).
 #[derive(Debug)]
 pub struct PageCache {
     config: PageCacheConfig,
     slots: Vec<Slot>,
-    /// Slot of every LPN up to the largest seen, `NIL` when not cached.
+    /// Slot of every LPN expected or seen, `NIL` when not cached.
     slot_of: Vec<u32>,
     /// Cached pages: the entries of `slot_of` that are not `NIL`.
     cached: usize,
@@ -116,15 +128,20 @@ pub struct PageCache {
     clean_head: u32,
     clean_tail: u32,
     next_seq: u64,
-    /// Dirty pages per flusher epoch `⌈last_update / p⌉`; zero counts are
-    /// removed so iteration touches only live buckets.
-    dirty_epochs: FxHashMap<u64, u64>,
-    /// Cached `flusher_period` in microseconds (epoch divisor).
+    /// Dirty pages per flusher epoch `⌈(last_update − φ) / p⌉`; zero
+    /// counts are removed so iteration touches only live buckets (at most
+    /// `N_wb` + 1 of them, plus residue stranded below `τ_flush`).
+    dirty_epochs: BTreeMap<u64, u64>,
+    /// The flusher clock in microseconds: period `p` and phase `φ < p`.
     period_us: u64,
+    phase_us: u64,
     /// Bitmap of dirty LPNs (bit `l % 64` of word `l / 64`), maintained in
     /// lock-step with the dirty list so the predictor can snapshot the SIP
     /// set with one `memcpy` instead of walking the list.
     dirty_bits: Vec<u64>,
+    /// LPNs the embedder said to expect ([`PageCache::expect_lpns`]):
+    /// `slot_of` and `dirty_bits` never grow to less.
+    expected_lpns: usize,
     stats: PageCacheStats,
 }
 
@@ -145,9 +162,11 @@ impl PageCache {
             clean_head: NIL,
             clean_tail: NIL,
             next_seq: 0,
-            dirty_epochs: FxHashMap::default(),
+            dirty_epochs: BTreeMap::new(),
             period_us,
+            phase_us: 0,
             dirty_bits: Vec::new(),
+            expected_lpns: 0,
             stats: PageCacheStats::default(),
         }
     }
@@ -156,6 +175,45 @@ impl PageCache {
     #[must_use]
     pub fn config(&self) -> &PageCacheConfig {
         &self.config
+    }
+
+    /// The flusher clock's phase `φ`: wake-up `m` is at `φ + m·p`.
+    #[must_use]
+    pub fn flusher_phase(&self) -> SimDuration {
+        SimDuration::from_micros(self.phase_us)
+    }
+
+    /// Says that the pages to come have LPNs below `lpns`, so the
+    /// LPN-indexed tables are sized for all of them when the first page
+    /// is cached instead of regrowing as higher addresses arrive (module
+    /// docs). Only allocation changes: a cache told nothing, too little
+    /// or too much behaves the same, and an LPN at or above `lpns` is
+    /// still accepted.
+    pub fn expect_lpns(&mut self, lpns: u64) {
+        // `alloc_slot` refuses an LPN of `NIL` or above.
+        self.expected_lpns = lpns.min(u64::from(NIL)) as usize;
+    }
+
+    /// Moves the flusher clock's phase, for an embedding simulator whose
+    /// wake-ups are offset from multiples of the period (a staggered
+    /// array member). The epoch counters are bucketed by this grid, so it
+    /// can only move while there is nothing to re-bucket.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache holds a dirty page, or if `phase` is not
+    /// shorter than the flusher period.
+    pub fn set_flusher_phase(&mut self, phase: SimDuration) {
+        assert_eq!(
+            self.dirty_len, 0,
+            "the flusher phase can only move while no page is dirty"
+        );
+        assert!(
+            phase.as_micros() < self.period_us,
+            "flusher phase {phase} must be shorter than the period {}",
+            self.config.flusher_period()
+        );
+        self.phase_us = phase.as_micros();
     }
 
     /// Cache statistics.
@@ -329,10 +387,10 @@ impl PageCache {
         })
     }
 
-    /// Iterates the dirty-age histogram as `(epoch, pages)` pairs, where
-    /// `epoch = ⌈last_update / flusher_period⌉` in whole periods.
-    /// Iteration order is unspecified; consumers must combine buckets
-    /// order-independently (the predictor's demand sums are additive).
+    /// Iterates the dirty-age histogram as `(epoch, pages)` pairs, oldest
+    /// epoch first, where the epoch is the index of the first flusher
+    /// wake-up at or after the page's last update:
+    /// `⌈(last_update − φ) / p⌉`, 0 for an update before `φ`.
     pub fn dirty_epochs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.dirty_epochs.iter().map(|(&e, &n)| (e, n))
     }
@@ -386,9 +444,13 @@ impl PageCache {
     // Dirty-age epoch counters and dirty-LPN bitmap
     // ------------------------------------------------------------------
 
-    /// Flusher epoch of a dirty timestamp: `⌈t / p⌉` in whole periods.
+    /// Flusher epoch of a dirty timestamp: the first wake-up `φ + e·p`
+    /// at or after it. `φ < p`, so saturating below `φ` is the exact
+    /// ceiling there too.
     fn epoch_of(&self, at: SimTime) -> u64 {
-        at.as_micros().div_ceil(self.period_us)
+        at.as_micros()
+            .saturating_sub(self.phase_us)
+            .div_ceil(self.period_us)
     }
 
     /// Records `lpn` entering the dirty list with timestamp `at`.
@@ -397,7 +459,8 @@ impl PageCache {
         *self.dirty_epochs.entry(e).or_insert(0) += 1;
         let w = (lpn.0 / 64) as usize;
         if w >= self.dirty_bits.len() {
-            self.dirty_bits.resize(w + 1, 0);
+            let words = self.expected_lpns.div_ceil(64).max(w + 1);
+            self.dirty_bits.resize(words, 0);
         }
         debug_assert_eq!(self.dirty_bits[w] & (1 << (lpn.0 % 64)), 0);
         self.dirty_bits[w] |= 1 << (lpn.0 % 64);
@@ -462,7 +525,8 @@ impl PageCache {
         slot.prev = NIL;
         slot.next = NIL;
         if lpn as usize >= self.slot_of.len() {
-            self.slot_of.resize(lpn as usize + 1, NIL);
+            let lpns = self.expected_lpns.max(lpn as usize + 1);
+            self.slot_of.resize(lpns, NIL);
         }
         self.slot_of[lpn as usize] = idx;
         self.cached += 1;
@@ -483,18 +547,7 @@ impl PageCache {
     /// Unlinks `idx` from whichever list (dirty or clean) it is on.
     fn unlink(&mut self, idx: u32) {
         if self.slots[idx as usize].dirty {
-            let (lpn, at) = {
-                let slot = &self.slots[idx as usize];
-                (slot.lpn(), slot.last_update)
-            };
-            Self::detach(
-                &mut self.slots,
-                &mut self.dirty_head,
-                &mut self.dirty_tail,
-                idx,
-            );
-            self.dirty_len -= 1;
-            self.dirty_track_remove(lpn, at);
+            self.dirty_detach(idx);
         } else {
             Self::detach(
                 &mut self.slots,
@@ -505,14 +558,11 @@ impl PageCache {
         }
     }
 
-    /// Moves the dirty slot `idx` (currently at the dirty head) onto the
-    /// clean list's MRU tail.
-    fn mark_clean(&mut self, idx: u32) {
-        debug_assert!(self.slots[idx as usize].dirty);
-        let (lpn, at) = {
-            let slot = &self.slots[idx as usize];
-            (slot.lpn(), slot.last_update)
-        };
+    /// Takes the dirty slot `idx` off the dirty list and out of the epoch
+    /// counters and the dirty bitmap.
+    fn dirty_detach(&mut self, idx: u32) {
+        let slot = &self.slots[idx as usize];
+        let (lpn, at) = (slot.lpn(), slot.last_update);
         Self::detach(
             &mut self.slots,
             &mut self.dirty_head,
@@ -521,6 +571,13 @@ impl PageCache {
         );
         self.dirty_len -= 1;
         self.dirty_track_remove(lpn, at);
+    }
+
+    /// Moves the dirty slot `idx` (currently at the dirty head) onto the
+    /// clean list's MRU tail.
+    fn mark_clean(&mut self, idx: u32) {
+        debug_assert!(self.slots[idx as usize].dirty);
+        self.dirty_detach(idx);
         self.slots[idx as usize].dirty = false;
         Self::link_tail(
             &mut self.slots,
@@ -575,15 +632,7 @@ impl PageCache {
         } else if self.dirty_head != NIL {
             let idx = self.dirty_head;
             let lpn = self.slots[idx as usize].lpn();
-            let at = self.slots[idx as usize].last_update;
-            Self::detach(
-                &mut self.slots,
-                &mut self.dirty_head,
-                &mut self.dirty_tail,
-                idx,
-            );
-            self.dirty_len -= 1;
-            self.dirty_track_remove(lpn, at);
+            self.dirty_detach(idx);
             self.free_slot(idx);
             self.stats.forced_writebacks += 1;
             Some(lpn)
@@ -680,6 +729,30 @@ mod tests {
     #[should_panic(expected = "beyond the 32-bit LPN space")]
     fn an_lpn_the_ftl_could_never_map_is_refused() {
         cache(8).write(Lpn(u64::from(u32::MAX)), t(0));
+    }
+
+    #[test]
+    fn expected_lpns_size_the_tables_once() {
+        let mut c = cache(8);
+        c.expect_lpns(1_000);
+        assert!(c.slot_of.is_empty() && c.dirty_bits.is_empty());
+        // Whichever address comes first, the first page sizes both, and
+        // no later one below the expectation regrows them.
+        for lpn in [700, 3, 999] {
+            c.write(Lpn(lpn), t(0));
+            assert_eq!(c.slot_of.len(), 1_000);
+            assert_eq!(c.slot_of.capacity(), 1_000);
+            assert_eq!(c.dirty_lpn_words().len(), 1_000_usize.div_ceil(64));
+        }
+        // The expectation is no limit: a higher LPN regrows them.
+        c.write(Lpn(2_000), t(0));
+        assert!(c.is_dirty(Lpn(2_000)) && c.is_dirty(Lpn(3)));
+        assert_eq!(c.slot_of.len(), 2_001);
+
+        // Told nothing, the tables follow the addresses.
+        let mut c = cache(8);
+        c.write(Lpn(700), t(0));
+        assert_eq!(c.slot_of.len(), 701);
     }
 
     #[test]
@@ -910,8 +983,43 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "the flusher phase can only move while no page is dirty")]
+    fn moving_the_phase_under_a_dirty_page_panics() {
+        let mut c = cache(8);
+        c.write(Lpn(1), t(0));
+        c.set_flusher_phase(SimDuration::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be shorter than the period")]
+    fn a_phase_of_a_whole_period_panics() {
+        let mut c = cache(8);
+        let p = c.config().flusher_period();
+        c.set_flusher_phase(p);
+    }
+
+    #[test]
+    fn epoch_is_the_first_wake_up_at_or_after_the_write() {
+        let mut c = cache(8);
+        c.set_flusher_phase(SimDuration::from_secs(2)); // wakes at 2, 7, 12…
+        assert_eq!(c.flusher_phase(), SimDuration::from_secs(2));
+        for (lpn, at_secs) in [(0, 0), (1, 2), (2, 3), (3, 7), (4, 8)] {
+            c.write(Lpn(lpn), t(at_secs));
+        }
+        let epochs: Vec<(u64, u64)> = c.dirty_epochs().collect();
+        assert_eq!(epochs, vec![(0, 2), (1, 2), (2, 1)]);
+    }
+
+    #[test]
     fn epoch_counters_match_dirty_scan_under_churn() {
+        for phase_us in [0, 1, 1_300_000, 4_999_999] {
+            epoch_counters_match_dirty_scan(phase_us);
+        }
+    }
+
+    fn epoch_counters_match_dirty_scan(phase_us: u64) {
         let mut c = cache(6);
+        c.set_flusher_phase(SimDuration::from_micros(phase_us));
         let p_us = c.config().flusher_period().as_micros();
         for step in 0..400u64 {
             let lpn = Lpn(step % 11);
@@ -933,7 +1041,11 @@ mod tests {
             }
             let mut scanned: std::collections::BTreeMap<u64, u64> = Default::default();
             for (_, at) in c.dirty_pages() {
-                *scanned.entry(at.as_micros().div_ceil(p_us)).or_insert(0) += 1;
+                // The first wake-up `phase + e·p` at or after `at`.
+                let e = (0..)
+                    .find(|e| phase_us + e * p_us >= at.as_micros())
+                    .unwrap();
+                *scanned.entry(e).or_insert(0) += 1;
             }
             let mut counted: std::collections::BTreeMap<u64, u64> = Default::default();
             for (e, n) in c.dirty_epochs() {

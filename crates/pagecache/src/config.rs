@@ -74,19 +74,19 @@ impl PageCacheConfig {
         self.capacity_pages * self.throttle_permille / 1000
     }
 
-    /// The flusher wake-up period `p` the cache assumes when bucketing
-    /// dirty pages by age for the predictor's incremental demand counters.
-    /// Must match the engine's flusher period for the O(1) poll path to
-    /// engage; a mismatch only costs speed (the predictor falls back to
-    /// the full dirty-list scan), never correctness.
+    /// The flusher wake-up period `p`: with the cache's
+    /// [`flusher_phase`](crate::PageCache::flusher_phase) it is the grid
+    /// the cache buckets dirty pages on for the predictor's demand
+    /// counters. A predictor of another period cannot read those
+    /// counters and refuses to poll the cache.
     #[must_use]
     pub fn flusher_period(&self) -> SimDuration {
         self.flusher_period
     }
 
     /// A copy of this configuration with the flusher period replaced —
-    /// how an embedding simulator aligns the cache's age buckets with its
-    /// own tick period without re-spelling the whole builder chain.
+    /// how an embedding simulator hands the cache its own tick period
+    /// without re-spelling the whole builder chain.
     ///
     /// # Panics
     ///
@@ -114,7 +114,11 @@ impl PageCacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
+    /// Returns a [`JsonError`] on missing or mistyped fields, and on a
+    /// `flusher_period_us` of zero (named `cache.flusher_period_us`, its
+    /// path in a system configuration): the engine replaces the cache's
+    /// period by its own, but a zero is no period and is rejected rather
+    /// than silently ignored.
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         let u64_field = |key: &str| -> Result<u64, JsonError> {
             v.req(key)?
@@ -129,6 +133,11 @@ impl PageCacheConfig {
         // Older config files predate the flusher-period field; keep them
         // loading with the builder default.
         if let Some(us) = v.get("flusher_period_us").and_then(JsonValue::as_u64) {
+            if us == 0 {
+                return Err(JsonError::new(
+                    "`cache.flusher_period_us` must be greater than zero",
+                ));
+            }
             builder = builder.flusher_period(SimDuration::from_micros(us));
         }
         Ok(builder.build())

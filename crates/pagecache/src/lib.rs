@@ -15,8 +15,11 @@
 //!   predictor's relaxation of condition 2 over-estimates by at most
 //!   `τ_flush`.
 //! * The flusher runs every `p` seconds (default 5 s) — driven by the
-//!   caller via [`PageCache::flusher_tick`]; the cache itself holds no
-//!   clock.
+//!   caller via [`PageCache::flusher_tick`]. The cache keeps no time of
+//!   its own, but it owns the wake-up grid — period
+//!   ([`PageCacheConfig::flusher_period`]) and phase
+//!   ([`PageCache::flusher_phase`]) — that its dirty-age counters are
+//!   bucketed on and the predictor polls on.
 //!
 //! The cache also exposes [`PageCache::dirty_pages`], the dirty-age scan
 //! the predictor performs, in deterministic oldest-first order.

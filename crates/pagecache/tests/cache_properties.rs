@@ -275,7 +275,8 @@ impl Model {
 
 /// 128 cases × up to 400 ops, LPNs drawn from `[0, 64)`, from around
 /// `4 × capacity` and from around `2^20` — so the LPN → slot index grows
-/// in the middle of a stream, twice — with clocks that sometimes run
+/// in the middle of a stream, twice, unless the drawn
+/// `expect_lpns` sized it first — with clocks that sometimes run
 /// backwards: after **every** op the cache and the hash-map model agree
 /// on what the op returned (the read verdict; the forced, flushed and
 /// throttled write-back sequences, in order), on `len` and `dirty_count`,
@@ -312,6 +313,14 @@ fn direct_index_agrees_with_a_hash_map_model() {
         probes.dedup();
 
         let mut c = cache();
+        // An expected LPN space — none, too small, the working set, past
+        // the far band — moves allocations and nothing the model sees.
+        match g.weighted(&[2, 1, 1, 1]) {
+            0 => {}
+            1 => c.expect_lpns(g.u64(0, 64)),
+            2 => c.expect_lpns(4 * CAPACITY),
+            _ => c.expect_lpns((1 << 20) + 8),
+        }
         let config = *c.config();
         let mut model = Model::default();
         let mut clock = 100u64;

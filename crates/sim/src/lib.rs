@@ -13,7 +13,6 @@
 //!   latency statistics.
 //! * [`json`] — a dependency-free JSON tree, parser and printer backing the
 //!   simulator's machine-readable interfaces.
-//! * [`hash`] — the FxHash-style hasher used by hot-path hash maps.
 //! * [`check`] — the seeded property checker every crate's property tests
 //!   run on.
 //!
@@ -34,12 +33,10 @@ mod rng;
 mod time;
 
 pub mod check;
-pub mod hash;
 pub mod json;
 pub mod stats;
 
 pub use bytes::ByteSize;
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use json::{JsonError, JsonValue, ObjectBuilder};
 pub use rng::{SimRng, Zipf};
 pub use time::{SimDuration, SimTime};

@@ -5,15 +5,22 @@
 //! sibling test thread allocates while it counts. Every table the device,
 //! the FTL and the page cache keep is a flat vector whose size follows
 //! from the configuration and the request stream, so the numbers repeat
-//! exactly: 8.6 B per physical page for a new `default_sim` system, 25.1 B
+//! exactly: 8.6 B per physical page for a new `default_sim` system, 22.8 B
 //! once it has run, and 8.2 B for a new system at the benchmark's 16x
 //! scale. DESIGN.md §8g has the byte table the bounds below come from.
+//!
+//! "Follows from the request stream" means its shape, not its addresses:
+//! the same stream rotated through the working set must leave the same
+//! footprint, or the process's peak RSS swings with wherever the first
+//! requests happen to land (by 1.5 MB of 19 at the 16x scale while the
+//! cache's LPN index still grew towards the largest address seen).
 
 use jitgc_repro::core::policy::JitGc;
 use jitgc_repro::core::system::{SsdSystem, SystemConfig};
+use jitgc_repro::nand::Lpn;
 use jitgc_repro::pagecache::PageCacheConfig;
 use jitgc_repro::sim::SimDuration;
-use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
+use jitgc_repro::workload::{BenchmarkKind, IoRequest, Workload, WorkloadConfig, WriteMix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -55,10 +62,40 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// A workload with every request moved `offset` pages up its working
+/// set, wrapping around: the same requests at other addresses.
+struct Rotated {
+    inner: Box<dyn Workload>,
+    offset: u64,
+}
+
+impl Workload for Rotated {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn next_request(&mut self) -> Option<IoRequest> {
+        let mut request = self.inner.next_request()?;
+        let pages = self.inner.working_set_pages();
+        // An extent that would run off the end is pulled back inside.
+        let last_start = pages.saturating_sub(u64::from(request.pages));
+        request.lpn = Lpn(((request.lpn.0 + self.offset) % pages).min(last_start));
+        Some(request)
+    }
+
+    fn write_mix(&self) -> WriteMix {
+        self.inner.write_mix()
+    }
+
+    fn working_set_pages(&self) -> u64 {
+        self.inner.working_set_pages()
+    }
+}
+
 /// A JIT-GC system on `config` under 30 simulated seconds of Tiobench at
-/// 250 IOPS over the standard working set, and the bytes building it
-/// allocated.
-fn build(config: &SystemConfig) -> (SsdSystem, usize) {
+/// 250 IOPS over the standard working set, rotated by `offset` pages, and
+/// the bytes allocated before it was built.
+fn build(config: &SystemConfig, offset: u64) -> (SsdSystem, usize) {
     let workload = WorkloadConfig::builder()
         .working_set_pages(config.standard_working_set().expect("default OP"))
         .duration(SimDuration::from_secs(30))
@@ -69,7 +106,10 @@ fn build(config: &SystemConfig) -> (SsdSystem, usize) {
     let system = SsdSystem::new(
         config.clone(),
         Box::new(JitGc::from_system_config(config)),
-        BenchmarkKind::Tiobench.build(workload),
+        Box::new(Rotated {
+            inner: BenchmarkKind::Tiobench.build(workload),
+            offset,
+        }),
     );
     (system, before)
 }
@@ -84,7 +124,7 @@ fn heap_bytes_per_physical_page_stay_bounded() {
     // One array member of `array64_qd8`: freshly built, then prefilled and
     // run.
     let config = SystemConfig::default_sim();
-    let (mut system, before) = build(&config);
+    let (mut system, before) = build(&config, 0);
     let built = bytes_per_page(before, &config);
     assert!(
         built <= 12.0,
@@ -100,6 +140,21 @@ fn heap_bytes_per_physical_page_stay_bounded() {
     );
     drop(system);
 
+    // The same run at other addresses holds the same bytes: the request
+    // latencies move with the GC victims, and a histogram bucket with
+    // them, but no table's size does.
+    let working_set = config.standard_working_set().expect("default OP");
+    for fifth in 1..5 {
+        let (mut system, before) = build(&config, working_set * fifth / 5);
+        drop(system.run());
+        let rotated = bytes_per_page(before, &config);
+        assert!(
+            (rotated - ran).abs() <= 0.25,
+            "rotated by {fifth}/5 of the working set the run holds {rotated:.2} B per physical \
+             page, unrotated {ran:.2}"
+        );
+    }
+
     // The benchmark's 16x cell: 393 216 user pages, 131 072-page cache.
     let mut scaled = SystemConfig::default_sim();
     scaled.ftl = scaled.ftl.to_builder().user_pages(393_216).build();
@@ -110,7 +165,7 @@ fn heap_bytes_per_physical_page_stay_bounded() {
         .throttle_permille(scaled.cache.throttle_permille())
         .flusher_period(scaled.cache.flusher_period())
         .build();
-    let (system, before) = build(&scaled);
+    let (system, before) = build(&scaled, 0);
     let built = bytes_per_page(before, &scaled);
     assert!(
         built <= 12.0,

@@ -290,23 +290,21 @@ fn service_default_mix_report_ignores_the_switch() {
     assert_eq!(mk(true), mk(false));
 }
 
-/// The satellite regression: the interval log stays bounded on long runs
-/// (it used to grow one entry per tick forever), through the facade and
-/// with the fast-forward in play.
+/// The memory regression: nothing grows with the tick count on long runs
+/// — the queue of predictions still awaiting their horizon is all the
+/// per-tick history there is — through the facade and with the
+/// fast-forward in play.
 #[test]
-fn interval_log_stays_bounded_through_the_facade() {
+fn pending_predictions_stay_bounded_through_the_facade() {
     let system = SystemConfig::small_for_tests();
     let nwb = system.nwb();
     let workload = bursty_idle_workload(&system, BenchmarkKind::Ycsb, 1, 2_000, 13);
     let policy = PolicyKind::Jit.build(&system);
     let mut sim = SsdSystem::new(system, policy, workload);
     let _ = sim.run();
-    // One live horizon of entries plus the slack of the tick that scores
-    // before compacting.
-    let bound = 2 * nwb + 2;
     assert!(
-        sim.interval_log_materialized_len() <= bound,
-        "interval log kept {} materialized entries (bound {bound})",
-        sim.interval_log_materialized_len()
+        sim.pending_predictions_len() <= nwb,
+        "{} predictions pending (N_wb {nwb})",
+        sim.pending_predictions_len()
     );
 }
