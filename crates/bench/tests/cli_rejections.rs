@@ -3,7 +3,8 @@
 //! finite, and over-provisioning that leaves no working set die at parse
 //! time naming their flag, a `--config` whose device would not fit the
 //! 32-bit page tables names `ftl.user_pages`, one whose flusher clock
-//! cannot tick names `flusher_period_us` / `cache.tau_expire_us`, an
+//! cannot tick names `flusher_period_us` / `cache.tau_expire_us`, one with
+//! a zero the config builders would panic on names that key, an
 //! unwritable output
 //! path is reported before anything runs, and the selector flags this
 //! CLI no longer has are plain unknown flags.
@@ -47,8 +48,19 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         "\n    \"flusher_period_us\": 500000",
         "\n    \"flusher_period_us\": 0",
     );
+    // The dumped line with its value replaced by zero.
+    let zeroed = |line: &str| {
+        let (field, _) = line.split_once(": ").expect("a dumped line");
+        config_with(&field.replace('"', ""), line, &format!("{field}: 0"))
+    };
+    let zero_capacity = zeroed("\"capacity_pages\": 8192");
+    let zero_tau = zeroed("\"tau_expire_us\": 3000000");
+    let zero_pages_per_block = zeroed("\"pages_per_block\": 128");
+    let zero_page_size = zeroed("\"page_size_bytes\": 4096");
+    let zero_reserve = zeroed("\"gc_reserve_blocks\": 2");
+    let zero_user_pages = zeroed("\"user_pages\": 24576");
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 22] = [
+    let cases: [(&[&str], &str); 28] = [
         (&["--seconds", "0"], "--seconds"),
         (&["--iops", "0"], "--iops"),
         (&["--iops", "-5"], "--iops"),
@@ -109,6 +121,32 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         (
             &["--config", &zero_cache_period],
             "`cache.flusher_period_us`",
+        ),
+        // Zeros the config builders assert against used to be panics
+        // (exit 101) in `PageCacheConfig` / `FtlConfig::build`.
+        (
+            &["--config", &zero_capacity],
+            "`cache.capacity_pages` must be greater than zero",
+        ),
+        (
+            &["--config", &zero_tau],
+            "`cache.tau_expire_us` must be greater than zero",
+        ),
+        (
+            &["--config", &zero_pages_per_block],
+            "`ftl.pages_per_block` must be greater than zero",
+        ),
+        (
+            &["--config", &zero_page_size],
+            "`ftl.page_size_bytes` must be greater than zero",
+        ),
+        (
+            &["--config", &zero_reserve],
+            "`ftl.gc_reserve_blocks` must be greater than zero",
+        ),
+        (
+            &["--config", &zero_user_pages],
+            "`ftl.user_pages` must be greater than zero",
         ),
     ];
     for (args, mention) in cases {

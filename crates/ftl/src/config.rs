@@ -201,24 +201,37 @@ impl FtlConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
+    /// Returns a [`JsonError`] on missing or mistyped fields, on a
+    /// `user_pages`, `pages_per_block`, `page_size_bytes` or
+    /// `gc_reserve_blocks` of zero (the zeros
+    /// [`build`](FtlConfigBuilder::build) would panic on), and on a device
+    /// of [`u32::MAX`] physical pages or more; each error names its key by
+    /// its path in a system configuration (`ftl.…`).
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         let u64_field = |key: &str| -> Result<u64, JsonError> {
             v.req(key)?
                 .as_u64()
                 .ok_or_else(|| JsonError::new(format!("`{key}` must be an integer")))
         };
-        let u32_field = |key: &str| -> Result<u32, JsonError> {
-            u64_field(key)?
+        let positive = |key: &str| -> Result<u64, JsonError> {
+            match u64_field(key)? {
+                0 => Err(JsonError::new(format!(
+                    "`ftl.{key}` must be greater than zero"
+                ))),
+                value => Ok(value),
+            }
+        };
+        let positive_u32 = |key: &str| -> Result<u32, JsonError> {
+            positive(key)?
                 .try_into()
                 .map_err(|_| JsonError::new(format!("`{key}` out of range")))
         };
         let mut builder = FtlConfig::builder()
-            .user_pages(u64_field("user_pages")?)
+            .user_pages(positive("user_pages")?)
             .op_permille(u64_field("op_permille")?)
-            .pages_per_block(u32_field("pages_per_block")?)
-            .page_size_bytes(u64_field("page_size_bytes")?)
-            .gc_reserve_blocks(u32_field("gc_reserve_blocks")?)
+            .pages_per_block(positive_u32("pages_per_block")?)
+            .page_size_bytes(positive("page_size_bytes")?)
+            .gc_reserve_blocks(positive_u32("gc_reserve_blocks")?)
             .sip_filter_threshold_permille(u64_field("sip_filter_threshold_permille")?)
             .wear_level_threshold(u64_field("wear_level_threshold")?)
             .timing(NandTiming::from_json(v.req("timing")?)?);
@@ -241,8 +254,7 @@ impl FtlConfig {
             Some(fault) if fault.is_null() => {}
             Some(fault) => builder = builder.fault(FaultConfig::from_json(fault)?),
         }
-        // Zero settings are `build`'s to reject.
-        if builder.pages_per_block > 0 && builder.blocks().is_none() {
+        if builder.blocks().is_none() {
             return Err(JsonError::new(format!(
                 "`ftl.user_pages` of {} (plus over-provisioning and the GC reserve) needs \
                  {MAX_PHYSICAL_PAGES} physical pages or more; the page tables hold 32-bit entries",
@@ -658,6 +670,32 @@ mod tests {
         let fits = with_user_pages(4_013_900_000).expect("fits");
         assert!(fits.geometry().total_pages() < MAX_PHYSICAL_PAGES);
         assert!(with_user_pages(4_014_100_000).is_err());
+    }
+
+    #[test]
+    fn json_zeros_the_builder_panics_on_are_errors_naming_the_key() {
+        for key in [
+            "user_pages",
+            "pages_per_block",
+            "page_size_bytes",
+            "gc_reserve_blocks",
+        ] {
+            let JsonValue::Object(mut fields) = FtlConfig::builder().build().to_json() else {
+                panic!("config dumps as an object");
+            };
+            for (k, value) in &mut fields {
+                if k == key {
+                    *value = JsonValue::from(0u64);
+                }
+            }
+            let err =
+                FtlConfig::from_json(&JsonValue::Object(fields)).expect_err("a zero is refused");
+            assert!(
+                err.to_string()
+                    .contains(&format!("`ftl.{key}` must be greater than zero")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -115,19 +115,28 @@ impl PageCacheConfig {
     /// # Errors
     ///
     /// Returns a [`JsonError`] on missing or mistyped fields, and on a
-    /// `flusher_period_us` of zero (named `cache.flusher_period_us`, its
-    /// path in a system configuration): the engine replaces the cache's
-    /// period by its own, but a zero is no period and is rejected rather
-    /// than silently ignored.
+    /// `capacity_pages`, `tau_expire_us` or `flusher_period_us` of zero,
+    /// named by their path in a system configuration (`cache.…`) — the
+    /// zeros [`build`](PageCacheConfigBuilder::build) would panic on. The
+    /// engine replaces the cache's period by its own, but a zero is no
+    /// period and is rejected rather than silently ignored.
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         let u64_field = |key: &str| -> Result<u64, JsonError> {
             v.req(key)?
                 .as_u64()
                 .ok_or_else(|| JsonError::new(format!("`{key}` must be an integer")))
         };
+        let positive = |key: &str| -> Result<u64, JsonError> {
+            match u64_field(key)? {
+                0 => Err(JsonError::new(format!(
+                    "`cache.{key}` must be greater than zero"
+                ))),
+                value => Ok(value),
+            }
+        };
         let mut builder = PageCacheConfig::builder()
-            .capacity_pages(u64_field("capacity_pages")?)
-            .tau_expire(SimDuration::from_micros(u64_field("tau_expire_us")?))
+            .capacity_pages(positive("capacity_pages")?)
+            .tau_expire(SimDuration::from_micros(positive("tau_expire_us")?))
             .tau_flush_permille(u64_field("tau_flush_permille")?)
             .throttle_permille(u64_field("throttle_permille")?);
         // Older config files predate the flusher-period field; keep them
@@ -287,6 +296,27 @@ mod tests {
             .build();
         assert_eq!(c.throttle_threshold_pages(), 300);
         assert_eq!(c.throttle_permille(), 300);
+    }
+
+    #[test]
+    fn json_zeros_the_builder_panics_on_are_errors_naming_the_key() {
+        for key in ["capacity_pages", "tau_expire_us", "flusher_period_us"] {
+            let JsonValue::Object(mut fields) = PageCacheConfig::builder().build().to_json() else {
+                panic!("config dumps as an object");
+            };
+            for (k, value) in &mut fields {
+                if k == key {
+                    *value = JsonValue::from(0u64);
+                }
+            }
+            let err = PageCacheConfig::from_json(&JsonValue::Object(fields))
+                .expect_err("a zero is refused");
+            assert!(
+                err.to_string()
+                    .contains(&format!("`cache.{key}` must be greater than zero")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

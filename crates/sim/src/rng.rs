@@ -157,9 +157,22 @@ impl fmt::Debug for SimRng {
 /// soon-to-be-invalidated pages, the phenomenon JIT-GC's SIP filtering
 /// exploits, so the sampler's fidelity matters for reproducing Table 3.
 ///
-/// Sampling uses the classic rejection-inversion-free approximation: the
-/// normalized harmonic CDF is precomputed in `O(n)` and sampled by binary
-/// search in `O(log n)`. Exponent `s = 0` degenerates to uniform.
+/// Sampling is inversion of the normalized harmonic CDF, precomputed in
+/// `O(n)`: a draw takes one 53-bit uniform `u = bits · 2⁻⁵³` and returns
+/// the first rank whose CDF is `≥ u`. Exponent `s = 0` degenerates to
+/// uniform.
+///
+/// A guide table (Chen & Asau's cutpoints) makes a draw `O(1)` expected
+/// instead of a binary search over the whole CDF. For `m`, the largest
+/// power of two `≤ max(1, n/2)`, `guide[j]` is the first rank whose CDF
+/// is `≥ j/m`, for `j` in `0..=m`. A draw's bucket is `j = ⌊u·m⌋`, the top
+/// `log₂ m` of its 53 bits; its rank lies in `guide[j]..=guide[j + 1]`
+/// (every CDF value before `guide[j]` is below `j/m ≤ u`, the one at
+/// `guide[j + 1]` is at least `(j + 1)/m > u`), so an empty bucket is the
+/// answer and any other is searched over its own few entries. Because
+/// `m` is a power of two, `j/m` and the bucket are exact and the rank is
+/// the full table's for every one of the 2⁵³ inputs. The guide costs at
+/// most 2 bytes per item, a quarter of the CDF's 8.
 ///
 /// The table costs one `powf` per item, and every sweep cell, tenant and
 /// benchmark repetition asks for the same few `(n, s)`, so samplers share
@@ -179,7 +192,20 @@ impl fmt::Debug for SimRng {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Arc<[f64]>,
+    table: Arc<ZipfTable>,
+}
+
+/// The CDF of one `(n, s)` and its guide table.
+#[derive(Debug)]
+struct ZipfTable {
+    /// `cdf[k]` = P(rank ≤ k); the last entry is exactly 1.
+    cdf: Box<[f64]>,
+    /// `m + 1` cutpoints: `guide[j]` is the first rank whose CDF is
+    /// `≥ j/m`.
+    guide: Box<[u32]>,
+    /// `53 − log₂ m`: a draw's 53 bits shifted right by this are its
+    /// bucket `⌊u·m⌋`.
+    shift: u32,
 }
 
 /// Tables kept for sharing, most recently used last. Four covers the
@@ -189,7 +215,7 @@ const TABLE_CACHE_ENTRIES: usize = 4;
 
 /// One cached table and its key: the domain size and the bits of the
 /// exponent.
-type CachedTable = (usize, u64, Arc<[f64]>);
+type CachedTable = (usize, u64, Arc<ZipfTable>);
 
 static TABLE_CACHE: Mutex<Vec<CachedTable>> = Mutex::new(Vec::new());
 
@@ -201,10 +227,16 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `s` is negative or not finite.
+    /// Panics if `n == 0`, if `n > u32::MAX` (the guide table holds
+    /// 32-bit ranks; such a CDF alone would take 32 GiB), or if `s` is
+    /// negative or not finite.
     #[must_use]
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0, "zipf domain must be non-empty");
+        assert!(
+            n <= u64::from(u32::MAX),
+            "zipf domain of {n} items exceeds u32::MAX"
+        );
         assert!(
             s.is_finite() && s >= 0.0,
             "zipf exponent must be finite and non-negative, got {s}"
@@ -213,30 +245,50 @@ impl Zipf {
         let mut cache = TABLE_CACHE
             .lock()
             .expect("zipf table cache poisoned: a table build panicked");
-        let cdf = match cache
+        let table = match cache
             .iter()
             .position(|&(cn, cs, _)| cn == n && cs == s.to_bits())
         {
             Some(hit) => {
                 let entry = cache.remove(hit);
-                let cdf = Arc::clone(&entry.2);
+                let table = Arc::clone(&entry.2);
                 cache.push(entry);
-                cdf
+                table
             }
             None => {
-                let cdf = Self::table(n, s);
+                let table = Arc::new(ZipfTable::new(n, s));
                 if cache.len() == TABLE_CACHE_ENTRIES {
                     cache.remove(0);
                 }
-                cache.push((n, s.to_bits(), Arc::clone(&cdf)));
-                cdf
+                cache.push((n, s.to_bits(), Arc::clone(&table)));
+                table
             }
         };
-        Zipf { cdf }
+        Zipf { table }
     }
 
-    /// The normalized harmonic CDF over `1..=n`.
-    fn table(n: usize, s: f64) -> Arc<[f64]> {
+    /// Number of items in the domain.
+    #[must_use]
+    pub fn len(&self) -> u64 {
+        self.table.cdf.len() as u64
+    }
+
+    /// Always `false`: [`new`](Self::new) refuses an empty domain.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.table.cdf.is_empty()
+    }
+
+    /// Draws a rank in `0..len()`; rank 0 is the most popular. Takes one
+    /// [`SimRng::next_u64`], as [`SimRng::unit_f64`] does.
+    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+        self.table.rank_of(rng.next_u64() >> 11)
+    }
+}
+
+impl ZipfTable {
+    /// The normalized harmonic CDF over `1..=n` and its guide.
+    fn new(n: usize, s: f64) -> Self {
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -247,27 +299,40 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        cdf.into()
+        let cdf = cdf.into_boxed_slice();
+
+        let log_m = (n / 2).max(1).ilog2();
+        let m = 1usize << log_m;
+        // One merge pass: both the cutpoints `j/m` and the CDF ascend.
+        let mut guide = Vec::with_capacity(m + 1);
+        let mut rank = 0;
+        for j in 0..=m {
+            let cut = j as f64 / m as f64;
+            while rank < n && cdf[rank] < cut {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        ZipfTable {
+            cdf,
+            guide: guide.into_boxed_slice(),
+            shift: 53 - log_m,
+        }
     }
 
-    /// Number of items in the domain.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.cdf.len() as u64
-    }
-
-    /// `true` if the domain is a single item.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Draws a rank in `0..len()`; rank 0 is the most popular.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        let u = rng.unit_f64();
-        // partition_point returns the first index whose cdf >= u.
-        let idx = self.cdf.partition_point(|&c| c < u);
-        idx.min(self.cdf.len() - 1) as u64
+    /// The rank of the uniform `bits · 2⁻⁵³`, `bits < 2⁵³`: the first
+    /// index whose CDF is `≥ u`, searched inside its bucket only.
+    fn rank_of(&self, bits: u64) -> u64 {
+        let u = bits as f64 * (1.0 / (1u64 << 53) as f64);
+        let j = (bits >> self.shift) as usize;
+        let lo = self.guide[j] as usize;
+        let hi = self.guide[j + 1] as usize;
+        let rank = if lo == hi {
+            lo
+        } else {
+            lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+        };
+        rank.min(self.cdf.len() - 1) as u64
     }
 }
 
@@ -419,15 +484,87 @@ mod tests {
         assert!(!zipf.is_empty());
     }
 
+    /// The reference draw: the first index of the whole CDF that is
+    /// `≥ u`, clamped to the last rank.
+    fn full_table_rank(table: &ZipfTable, bits: u64) -> u64 {
+        let u = bits as f64 * (1.0 / (1u64 << 53) as f64);
+        let idx = table.cdf.partition_point(|&c| c < u);
+        idx.min(table.cdf.len() - 1) as u64
+    }
+
+    /// 64 cases. The largest domains (2²⁰ + 1 items, 2¹⁹ buckets) cost
+    /// the most: a table build and a million edge draws each.
+    #[test]
+    fn guide_table_ranks_equal_the_full_table_search() {
+        crate::check::check(0x6A1D_E7AB, 64, |g| {
+            let n = match g.u64(0, 3) {
+                0 => g.pick(&[1, 2, 3]),
+                1 => (1u64 << g.u64(1, 21)) + g.pick(&[0, 1]) - g.pick(&[0, 1]),
+                _ => (2f64.powf(g.f64(0.0, 20.0)) as u64).max(1),
+            };
+            let s = match g.usize(0, 7) {
+                6 => g.f64(0.0, 2.0),
+                k => [0.0, 0.5, 0.9, 0.99, 1.0, 1.5][k],
+            };
+            let table = ZipfTable::new(n as usize, s);
+            let m = table.guide.len() as u64 - 1;
+            assert!(m.is_power_of_two() && m <= (n / 2).max(1) && 2 * m > n / 2);
+            assert_eq!(1u64 << (53 - table.shift), m, "n {n}");
+            // Both sides of every bucket edge, both ends of the unit
+            // interval, then random draws.
+            let mut inputs = vec![0, (1 << 53) - 1];
+            for j in 1..m {
+                inputs.extend([(j << table.shift) - 1, j << table.shift]);
+            }
+            inputs.extend((0..4_096).map(|_| g.any_u64() >> 11));
+            for bits in inputs {
+                assert_eq!(
+                    table.rank_of(bits),
+                    full_table_rank(&table, bits),
+                    "n {n}, s {s}, bits {bits:#x}"
+                );
+            }
+        });
+    }
+
+    /// The fig7 16× cells' working set: `user_pages − op_pages/2` of the
+    /// 393 216-user-page device at 7 % over-provisioning.
+    const FIG7_16X_WORKING_SET: u64 = 393_216 - 393_216 * 70 / 1_000 / 2;
+
+    #[test]
+    fn fig7_request_streams_are_pinned() {
+        let _cache = CACHE_TESTS.lock().unwrap();
+        // FNV-1a over the first 100 000 ranks at seed 42. The constants
+        // were recorded with the full-table binary search, before the
+        // guide table: every YCSB (0.99) and TPC-C (0.9) request stream
+        // of the fig7 cells is the one it drew.
+        let digest = |s: f64| {
+            let zipf = Zipf::new(FIG7_16X_WORKING_SET, s);
+            let mut rng = SimRng::seed(42);
+            (0..100_000).fold(0xCBF2_9CE4_8422_2325_u64, |h, _| {
+                (h ^ zipf.sample(&mut rng)).wrapping_mul(0x0100_0000_01B3)
+            })
+        };
+        assert_eq!(FIG7_16X_WORKING_SET, 379_454);
+        assert_eq!(digest(0.99), 0xBC18_ECC2_C086_46D9);
+        assert_eq!(digest(0.9), 0xE9E0_D225_08AC_7995);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn zipf_rejects_a_domain_beyond_u32() {
+        let _ = Zipf::new(u64::from(u32::MAX) + 1, 1.0);
+    }
+
     /// Serializes the tests that count on what the process-wide table
-    /// cache holds; the other tests here add three keys between them, too
-    /// few to evict anything.
+    /// cache holds, and the pin, which adds two keys; the other tests here
+    /// add three keys between them, too few to evict anything.
     static CACHE_TESTS: Mutex<()> = Mutex::new(());
 
     /// A sampler over a table built for it alone.
     fn fresh(n: usize, s: f64) -> Zipf {
         Zipf {
-            cdf: Zipf::table(n, s),
+            table: Arc::new(ZipfTable::new(n, s)),
         }
     }
 
@@ -441,13 +578,16 @@ mod tests {
         let _cache = CACHE_TESTS.lock().unwrap();
         let first = Zipf::new(24_576, 0.99);
         let second = Zipf::new(24_576, 0.99);
-        assert!(Arc::ptr_eq(&first.cdf, &second.cdf), "second build missed");
+        assert!(
+            Arc::ptr_eq(&first.table, &second.table),
+            "second build missed"
+        );
         let reference = ranks(&fresh(24_576, 0.99), 43, 100_000);
         assert_eq!(ranks(&first, 43, 100_000), reference);
         assert_eq!(ranks(&second.clone(), 43, 100_000), reference);
         // The key is (n, bits of s): neighbours do not alias.
-        assert!(!Arc::ptr_eq(&first.cdf, &Zipf::new(24_576, 0.9).cdf));
-        assert!(!Arc::ptr_eq(&first.cdf, &Zipf::new(24_575, 0.99).cdf));
+        assert!(!Arc::ptr_eq(&first.table, &Zipf::new(24_576, 0.9).table));
+        assert!(!Arc::ptr_eq(&first.table, &Zipf::new(24_575, 0.99).table));
     }
 
     #[test]
@@ -466,8 +606,9 @@ mod tests {
         }
         // An evicted table lives on in its samplers and is rebuilt equal.
         let rebuilt = Zipf::new(301, 0.7);
-        assert!(!Arc::ptr_eq(&held.cdf, &rebuilt.cdf), "301 was evicted");
-        assert_eq!(held.cdf, rebuilt.cdf);
+        assert!(!Arc::ptr_eq(&held.table, &rebuilt.table), "301 was evicted");
+        assert_eq!(held.table.cdf, rebuilt.table.cdf);
+        assert_eq!(held.table.guide, rebuilt.table.guide);
         assert_eq!(ranks(&held, 53, 500), ranks(&rebuilt, 53, 500));
     }
 
@@ -489,7 +630,10 @@ mod tests {
         });
         let reference = ranks(&fresh(4_099, 0.95), 59, 2_000);
         for zipf in &built {
-            assert!(Arc::ptr_eq(&zipf.cdf, &built[0].cdf), "table built twice");
+            assert!(
+                Arc::ptr_eq(&zipf.table, &built[0].table),
+                "table built twice"
+            );
             assert_eq!(ranks(zipf, 59, 2_000), reference);
         }
     }
