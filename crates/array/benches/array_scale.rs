@@ -8,7 +8,7 @@
 //! relative to the unsynchronized array, without moving WAF — the
 //! coordination lever is *when* members collect, not *how much*.
 
-use jitgc_array::{ArrayConfig, ArraySched, GcMode, Redundancy};
+use jitgc_array::{ArrayConfig, GcMode, Redundancy};
 use jitgc_bench::{default_threads, format_table, run_grid, Experiment, PolicyKind};
 use jitgc_sim::SimDuration;
 use jitgc_workload::{BenchmarkKind, WorkloadConfig};
@@ -57,8 +57,6 @@ fn main() {
             chunk_pages: CHUNK_PAGES,
             redundancy: Redundancy::None,
             gc_mode: mode,
-            sched: ArraySched::Steal,
-            member_threads: 1,
             system: system.clone(),
         };
         config.build(|cfg| policy.build(cfg), workload).run()

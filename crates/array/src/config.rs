@@ -1,6 +1,6 @@
 //! Array construction.
 
-use crate::{ArraySched, ArrayScheduler, GcMode, Redundancy, StripeMap};
+use crate::{ArrayScheduler, GcMode, Redundancy, StripeMap};
 use jitgc_core::policy::GcPolicy;
 use jitgc_core::system::{SsdSystem, SystemConfig};
 use jitgc_workload::{NullWorkload, Workload};
@@ -22,31 +22,21 @@ pub struct ArrayConfig {
     pub redundancy: Redundancy,
     /// BGC coordination across members.
     pub gc_mode: GcMode,
-    /// Which driver advances the members: `Steal` everywhere outside
-    /// tests; `Serial` is the request-at-a-time reference (one thread
-    /// only). Reports are byte-identical for either.
-    pub sched: ArraySched,
-    /// Threads stepping members, the driver included (1 spawns nothing;
-    /// must not exceed the member count). Reports are byte-identical for
-    /// any value.
-    pub member_threads: usize,
     /// Per-member system configuration (identical for every member
     /// unless [`build_with`](ArrayConfig::build_with) tweaks it).
     pub system: SystemConfig,
 }
 
 impl ArrayConfig {
-    /// Checks the geometry and threading knobs, returning a
-    /// human-readable error for the CLI to print instead of a panic deep
-    /// in the scheduler. [`build`](ArrayConfig::build) asserts this.
+    /// Checks the geometry, returning a human-readable error for the CLI
+    /// to print instead of a panic deep in the scheduler.
+    /// [`build`](ArrayConfig::build) asserts this.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending knob when the member
-    /// count is zero, the chunk is zero pages, mirroring gets an odd
-    /// member count, the member-thread count is zero or exceeds the
-    /// member count, or the serial reference driver is asked for more
-    /// than one thread.
+    /// count is zero, the chunk is zero pages, or mirroring gets an odd
+    /// member count.
     pub fn validate(&self) -> Result<(), String> {
         if self.members == 0 {
             return Err("an array needs at least one member".into());
@@ -58,23 +48,6 @@ impl ArrayConfig {
             return Err(format!(
                 "mirroring pairs members, so the member count must be even (got {})",
                 self.members
-            ));
-        }
-        if self.member_threads == 0 {
-            return Err("member stepping needs at least one thread".into());
-        }
-        if self.member_threads > self.members {
-            return Err(format!(
-                "{} member threads exceed the {} members; extra workers would never \
-                 find work",
-                self.member_threads, self.members
-            ));
-        }
-        if self.sched == ArraySched::Serial && self.member_threads > 1 {
-            return Err(format!(
-                "the serial reference driver steps on one thread; {} member threads need \
-                 the steal driver",
-                self.member_threads
             ));
         }
         Ok(())
@@ -173,10 +146,7 @@ impl ArrayConfig {
                 Box::new(stub),
             ));
         }
-        let mut scheduler = ArrayScheduler::new(members, stripe, self.gc_mode, workload);
-        scheduler.set_member_threads(self.member_threads);
-        scheduler.set_sched(self.sched);
-        scheduler
+        ArrayScheduler::new(members, stripe, self.gc_mode, workload)
     }
 }
 
@@ -185,47 +155,30 @@ mod tests {
     use super::*;
     use jitgc_core::system::SystemConfig;
 
-    fn config(members: usize, redundancy: Redundancy, member_threads: usize) -> ArrayConfig {
+    fn config(members: usize, redundancy: Redundancy) -> ArrayConfig {
         ArrayConfig {
             members,
             chunk_pages: 16,
             redundancy,
             gc_mode: GcMode::Staggered,
-            sched: ArraySched::Steal,
-            member_threads,
             system: SystemConfig::small_for_tests(),
         }
     }
 
     #[test]
     fn validate_accepts_rack_scale_configs() {
-        assert_eq!(config(1, Redundancy::None, 1).validate(), Ok(()));
-        assert_eq!(config(64, Redundancy::Mirror, 8).validate(), Ok(()));
-        assert_eq!(config(256, Redundancy::None, 256).validate(), Ok(()));
+        assert_eq!(config(1, Redundancy::None).validate(), Ok(()));
+        assert_eq!(config(64, Redundancy::Mirror).validate(), Ok(()));
+        assert_eq!(config(256, Redundancy::None).validate(), Ok(()));
     }
 
     #[test]
     fn validate_names_the_offending_knob() {
         let err = |c: ArrayConfig| c.validate().unwrap_err();
-        assert!(err(config(0, Redundancy::None, 1)).contains("at least one member"));
-        let mut zero_chunk = config(2, Redundancy::None, 1);
+        assert!(err(config(0, Redundancy::None)).contains("at least one member"));
+        let mut zero_chunk = config(2, Redundancy::None);
         zero_chunk.chunk_pages = 0;
         assert!(err(zero_chunk).contains("at least one page"));
-        assert!(err(config(3, Redundancy::Mirror, 1)).contains("even"));
-        assert!(err(config(4, Redundancy::None, 0)).contains("at least one thread"));
-        assert!(err(config(4, Redundancy::None, 5)).contains("exceed"));
-    }
-
-    #[test]
-    fn validate_rejects_a_threaded_serial_reference() {
-        let mut serial = config(4, Redundancy::None, 1);
-        serial.sched = ArraySched::Serial;
-        assert_eq!(serial.validate(), Ok(()));
-        serial.member_threads = 2;
-        let message = serial.validate().unwrap_err();
-        assert!(
-            message.contains("serial") && message.contains("2 member threads"),
-            "{message}"
-        );
+        assert!(err(config(3, Redundancy::Mirror)).contains("even"));
     }
 }

@@ -12,12 +12,8 @@
 //! * [`ArrayScheduler`] — the closed-loop engine: advances members in
 //!   virtual-time lockstep through the core engine's stepping API, fans
 //!   each logical request out as one sub-request per touched member, and
-//!   completes it when the slowest member does. One work-stealing
-//!   quantum loop ([`ArraySched::Steal`], scales to hundreds of members)
-//!   steps the members on any number of threads; the request-at-a-time
-//!   loop ([`ArraySched::Serial`]) is the reference tests compare it
-//!   against — reports are byte-identical either way, for any thread
-//!   count.
+//!   completes it when the slowest member does — one request at a time,
+//!   on the calling thread.
 //! * [`ArrayManager`] — the coordination brain: staggers member flusher
 //!   phases ([`GcMode::Staggered`]) so background-GC windows de-correlate
 //!   instead of stalling every stripe column at once, and steers mirrored
@@ -46,8 +42,6 @@
 //!     chunk_pages: 16,
 //!     redundancy: Redundancy::None,
 //!     gc_mode: GcMode::Staggered,
-//!     sched: jitgc_array::ArraySched::Steal,
-//!     member_threads: 1,
 //!     system: system.clone(),
 //! };
 //! let workload = BenchmarkKind::Ycsb.build(
@@ -74,5 +68,7 @@ mod stripe;
 pub use config::ArrayConfig;
 pub use manager::{ArrayManager, GcMode};
 pub use report::{ArrayDegraded, ArrayReport, MemberSched};
-pub use scheduler::{ArraySched, ArrayScheduler, SchedTelemetry};
+pub use scheduler::ArrayScheduler;
+#[doc(hidden)]
+pub use scheduler::{ArraySched, SchedTelemetry};
 pub use stripe::{Redundancy, StripeExtent, StripeMap};

@@ -70,10 +70,7 @@ pub struct ArrayReport {
 
     /// Per-member scheduler accounting, index-aligned with
     /// `member_reports`. Every field is a function of the simulated
-    /// timeline only — identical for any `--member-threads` count and
-    /// under the serial reference driver — so it lives in the deterministic
-    /// report; wall-clock artifacts (steal counts, epochs) are in
-    /// `SchedTelemetry` instead.
+    /// timeline only, so it lives in the deterministic report.
     pub member_sched: Vec<MemberSched>,
     /// The untouched per-member reports.
     pub member_reports: Vec<SimReport>,

@@ -1,7 +1,7 @@
 //! Array-level invariants: single-member equivalence, aggregate
 //! consistency, determinism, and mirrored-write coherence.
 
-use jitgc_array::{ArrayConfig, ArrayReport, ArraySched, GcMode, Redundancy};
+use jitgc_array::{ArrayConfig, ArrayReport, GcMode, Redundancy};
 use jitgc_bench::{run_grid, PolicyKind};
 use jitgc_core::system::{SsdSystem, SystemConfig};
 use jitgc_sim::SimDuration;
@@ -33,8 +33,6 @@ fn array_report(members: usize, redundancy: Redundancy, gc_mode: GcMode, seed: u
         chunk_pages: 16,
         redundancy,
         gc_mode,
-        sched: ArraySched::Steal,
-        member_threads: 1,
         system: system.clone(),
     };
     config

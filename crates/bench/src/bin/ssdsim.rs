@@ -55,15 +55,14 @@
 //!   --bench-json <path>    also write a machine-readable perf record (host
 //!                          pages simulated per wall-clock second, per-phase
 //!                          timing) for tracking simulator throughput; the
-//!                          record schema is `ssdsim-bench/9`, the shared
+//!                          record schema is `ssdsim-bench/10`, the shared
 //!                          fields (throughput, phases, the quiescence
 //!                          fast-forward counters of DESIGN.md §15) come
 //!                          from the one `RunPerf::record` (array runs
-//!                          add an `array` section with scheduler telemetry
-//!                          — driver mode, epochs, steal counts — plus
-//!                          per-member entries with their own
-//!                          `phase_*_secs` breakdowns and straggler
-//!                          accounting; screened sweeps write a wrapper
+//!                          add an `array` section with the layout and
+//!                          routing counters, plus per-member entries
+//!                          with their own `phase_*_secs` breakdowns and
+//!                          straggler accounting; screened sweeps write a wrapper
 //!                          object with a `screening` stats section and a
 //!                          `cells` array carrying every cell's model
 //!                          prediction plus, for simulated cells, the
@@ -79,18 +78,13 @@
 //!   --gc-mode <staggered|unsync>
 //!                          stagger member flusher/BGC phases or leave them
 //!                          aligned                          (default staggered)
-//!   --member-threads <N>   threads stepping array members through the
-//!                          work-stealing quantum loop, the driver thread
-//!                          included (must not exceed the member count);
-//!                          reports are byte-identical for any value
-//!                                                              (default 1)
 //!   --queue-depth <N>      closed-loop application threads  (default: config)
 //! ```
 
-use jitgc_array::{ArrayConfig, ArrayReport, ArraySched, ArrayScheduler, GcMode, Redundancy};
+use jitgc_array::{ArrayConfig, ArrayReport, ArrayScheduler, GcMode, Redundancy};
 use jitgc_bench::{
-    default_threads, expand_cells, run_grid, run_grid_capped, screen_cells, Experiment, PolicyKind,
-    ScreenPlan, SweepCell,
+    default_threads, expand_cells, run_grid, screen_cells, Experiment, PolicyKind, ScreenPlan,
+    SweepCell,
 };
 use jitgc_core::system::{
     ManagerPlacement, RunPerf, RunTotals, SimReport, SystemConfig, VictimKind,
@@ -133,7 +127,6 @@ struct Args {
     stripe_kb: u64,
     mirror: bool,
     gc_mode: GcMode,
-    member_threads: usize,
     queue_depth: Option<u32>,
 }
 
@@ -170,7 +163,6 @@ impl Default for Args {
             stripe_kb: 64,
             mirror: false,
             gc_mode: GcMode::Staggered,
-            member_threads: 1,
             queue_depth: None,
         }
     }
@@ -190,8 +182,7 @@ fn usage() -> ! {
     eprintln!("              [--endurance N] [--fault-seed N] [--fault-program F]");
     eprintln!("              [--fault-erase F] [--fault-read F]");
     eprintln!("              [--array N] [--stripe-kb K] [--mirror]");
-    eprintln!("              [--gc-mode staggered|unsync] [--member-threads N]");
-    eprintln!("              [--queue-depth N]");
+    eprintln!("              [--gc-mode staggered|unsync] [--queue-depth N]");
     eprintln!("see the module docs (`ssdsim.rs`) for value sets");
     std::process::exit(2)
 }
@@ -373,13 +364,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--member-threads" => {
-                args.member_threads = value().parse().unwrap_or_else(|_| usage());
-                if args.member_threads == 0 {
-                    eprintln!("--member-threads must be at least 1");
-                    usage()
-                }
-            }
             "--queue-depth" => args.queue_depth = Some(value().parse().unwrap_or_else(|_| usage())),
             "--help" | "-h" => usage(),
             other => {
@@ -453,20 +437,15 @@ fn perf_record(seed: u64, report: &SimReport, perf: &RunPerf) -> JsonValue {
 
 /// The `--bench-json` perf record of an array run: the shared fields of
 /// [`RunPerf::record`] over the array's totals, plus an `array` section
-/// with scheduler telemetry and one `member_perf` entry per member with
-/// its page counts, per-phase wall-clock breakdown, and straggler
-/// accounting.
-///
-/// Steal counts and epoch totals are wall-clock artifacts (they vary run
-/// to run like `wall_secs` does), which is why they live here and not in
-/// the deterministic `--json` report.
+/// with the layout and routing counters and one `member_perf` entry per
+/// member with its page counts, per-phase wall-clock breakdown, and
+/// straggler accounting.
 fn array_perf_record(
     args: &Args,
     report: &ArrayReport,
     sim: &ArrayScheduler,
     perf: &RunPerf,
 ) -> JsonValue {
-    let telemetry = sim.sched_telemetry();
     let sum = |pages: fn(&SimReport) -> u64| report.member_reports.iter().map(pages).sum();
     let totals = RunTotals {
         benchmark: &report.workload,
@@ -496,8 +475,7 @@ fn array_perf_record(
                 .phase_profile()
                 .fields(counts)
                 .field("ticks_skipped", member.ticks_skipped())
-                // Schema 6: straggler accounting (simulated-time facts)
-                // and this member's steal count (a wall-clock fact).
+                // Schema 6: straggler accounting (simulated-time facts).
                 .field("steps", sched.steps)
                 .field("lag_mean_us", sched.lag_mean_us)
                 .field("lag_p99_us", sched.lag_p99_us)
@@ -505,10 +483,6 @@ fn array_perf_record(
                 .field("straggler_requests", sched.straggler_requests)
                 .field("straggler_fgc_requests", sched.straggler_fgc_requests)
                 .field("straggler_time_us", sched.straggler_time_us)
-                .field(
-                    "steal_count",
-                    telemetry.steal_counts.get(i).copied().unwrap_or(0),
-                )
                 .build()
         })
         .collect();
@@ -523,8 +497,6 @@ fn array_perf_record(
             .field("recovered_pages", degraded.map_or(0, |d| d.recovered_pages))
             .field("lost_pages", degraded.map_or(0, |d| d.lost_pages))
     })
-    // Schema 5: the parallel-stepping width (1 = driver thread only).
-    .field("member_threads", args.member_threads as u64)
     .field(
         "array",
         ObjectBuilder::new()
@@ -534,11 +506,6 @@ fn array_perf_record(
             .field("gc_mode", report.gc_mode.as_str())
             .field("split_requests", report.split_requests)
             .field("routed_reads", report.routed_reads)
-            // Schema 6: which driver stepped the members and how much
-            // work moved between workers (zero with one thread).
-            .field("array_sched", telemetry.sched.name())
-            .field("epochs", telemetry.epochs)
-            .field("steals", telemetry.steals)
             .build(),
     )
     .field("member_perf", JsonValue::Array(members))
@@ -695,12 +662,10 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
         chunk_pages,
         redundancy,
         gc_mode: args.gc_mode,
-        sched: ArraySched::Steal,
-        member_threads: args.member_threads,
         system: system.clone(),
     };
-    // Geometry and threading errors surface here as CLI diagnostics, not
-    // as panics deep in the scheduler.
+    // Geometry errors surface here as CLI diagnostics, not as panics deep
+    // in the scheduler.
     if let Err(message) = config.validate() {
         eprintln!("invalid array configuration: {message}");
         std::process::exit(2)
@@ -732,14 +697,9 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
         args.threads
     };
     let profile_phases = args.bench_json.is_some();
-    // Member stepping uses `member_threads` workers *inside* each run, so
-    // cap the sweep width to keep the product within the machine.
     let config = &config;
-    let (reports, records): (Vec<ArrayReport>, Vec<Option<JsonValue>>) = run_grid_capped(
-        &args.benchmarks,
-        threads,
-        args.member_threads,
-        |&benchmark| {
+    let (reports, records): (Vec<ArrayReport>, Vec<Option<JsonValue>>) =
+        run_grid(&args.benchmarks, threads, |&benchmark| {
             let setup_start = Instant::now();
             let workload = benchmark.build(workload_config);
             let mut sim = config.build(|cfg| policy.build(cfg), workload);
@@ -750,14 +710,13 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
             let run_start = Instant::now();
             let report = sim.run();
             let perf = sim.run_perf(setup_secs, run_start.elapsed().as_secs_f64());
-            // The record reads member profiles and scheduler telemetry
-            // off the array itself, so it is built before `sim` drops.
+            // The record reads member profiles off the array itself, so
+            // it is built before `sim` drops.
             let record = profile_phases.then(|| array_perf_record(args, &report, &sim, &perf));
             (report, record)
-        },
-    )
-    .into_iter()
-    .unzip();
+        })
+        .into_iter()
+        .unzip();
 
     if let Some(path) = &args.bench_json {
         let records = records.into_iter().flatten().collect();
@@ -794,11 +753,6 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
     println!(
         "array           {} members, {} KiB chunks, {}, {}",
         report.members, args.stripe_kb, report.redundancy, report.gc_mode
-    );
-    println!(
-        "scheduler       {}, {} member thread(s)",
-        config.sched.name(),
-        args.member_threads
     );
     println!("policy          {}", report.policy);
     println!("workload        {}", report.workload);

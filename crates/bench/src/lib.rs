@@ -16,7 +16,7 @@
 mod runner;
 mod screen;
 
-pub use runner::{capped_sweep_width, default_threads, run_grid, run_grid_capped};
+pub use runner::{default_threads, run_grid};
 pub use screen::{expand_cells, model_policy, screen_cells, ScreenPlan, SweepCell};
 
 pub use jitgc_core::policy::PolicyKind;

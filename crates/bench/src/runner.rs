@@ -44,71 +44,6 @@ where
     R: Send,
     F: Fn(&C) -> R + Sync,
 {
-    run_grid_inner(configs, n_threads, run)
-}
-
-/// [`run_grid`] for scenarios that are themselves multi-threaded — array
-/// runs stepping members on `threads_per_run` workers each. The sweep
-/// width is capped so `sweep threads × threads-per-run` never exceeds
-/// [`available_parallelism`](std::thread::available_parallelism):
-/// without the cap a `--benchmark all --array 8 --member-threads 4`
-/// sweep would put dozens of compute-bound threads on a handful of
-/// cores and thrash instead of speeding up.
-///
-/// `threads_per_run` must be the *actual* per-run thread count — a
-/// serial `--member-threads 1` run costs one thread and does not shrink
-/// the sweep at all (`0` is treated as the same serial case). A cap
-/// below the requested width is logged to stderr exactly once for the
-/// whole sweep, not per run. Results are unaffected — every scenario
-/// (and every member step schedule inside it) is deterministic for any
-/// thread count.
-pub fn run_grid_capped<C, R, F>(
-    configs: &[C],
-    n_threads: usize,
-    threads_per_run: usize,
-    run: F,
-) -> Vec<R>
-where
-    C: Sync,
-    R: Send,
-    F: Fn(&C) -> R + Sync,
-{
-    let cores = default_threads();
-    let width = capped_sweep_width(n_threads, configs.len(), threads_per_run, cores);
-    let requested = n_threads.min(configs.len()).max(1);
-    if width < requested {
-        eprintln!(
-            "run_grid: capping sweep width {requested} -> {width} \
-             ({} member threads per run, {cores} cores)",
-            threads_per_run.max(1)
-        );
-    }
-    run_grid_inner(configs, width, run)
-}
-
-/// The sweep width [`run_grid_capped`] actually uses: the requested
-/// width, clamped to the number of runs, then to however many whole
-/// runs of `threads_per_run` threads fit in `cores` (always at least
-/// one — a single run may legitimately use every core by itself).
-#[must_use]
-pub fn capped_sweep_width(
-    requested: usize,
-    runs: usize,
-    threads_per_run: usize,
-    cores: usize,
-) -> usize {
-    // 0 and 1 both mean the serial path: the run costs one thread.
-    let per_run = threads_per_run.max(1);
-    let cap = (cores / per_run).max(1);
-    requested.min(runs).max(1).min(cap)
-}
-
-fn run_grid_inner<C, R, F>(configs: &[C], n_threads: usize, run: F) -> Vec<R>
-where
-    C: Sync,
-    R: Send,
-    F: Fn(&C) -> R + Sync,
-{
     let n_threads = n_threads.min(configs.len()).max(1);
     if n_threads == 1 {
         return configs.iter().map(run).collect();
@@ -221,28 +156,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn serial_runs_never_shrink_the_sweep() {
-        // --member-threads 1 costs one thread per run: the full width
-        // fits, and the degenerate 0 input means the same serial case.
-        assert_eq!(capped_sweep_width(8, 8, 1, 8), 8);
-        assert_eq!(capped_sweep_width(8, 8, 0, 8), 8);
-    }
-
-    #[test]
-    fn parallel_runs_cap_the_sweep_to_whole_runs() {
-        // 8 cores / 4 member threads -> 2 runs at a time.
-        assert_eq!(capped_sweep_width(6, 6, 4, 8), 2);
-        // A run wider than the machine still proceeds, one at a time.
-        assert_eq!(capped_sweep_width(6, 6, 16, 8), 1);
-    }
-
-    #[test]
-    fn cap_never_exceeds_the_run_count_or_drops_to_zero() {
-        assert_eq!(capped_sweep_width(8, 3, 1, 8), 3);
-        assert_eq!(capped_sweep_width(0, 0, 1, 8), 1);
-        assert_eq!(capped_sweep_width(4, 4, 2, 1), 1);
     }
 }

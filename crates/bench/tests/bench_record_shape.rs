@@ -84,7 +84,7 @@ fn bench_record_key_paths_are_pinned() {
     assert_eq!(keys(&single), single_keys());
     assert_eq!(
         single.get("schema").and_then(JsonValue::as_str),
-        Some("ssdsim-bench/9")
+        Some("ssdsim-bench/10")
     );
     assert_eq!(
         single.get("fast_forward").and_then(JsonValue::as_bool),
@@ -109,12 +109,7 @@ fn bench_record_key_paths_are_pinned() {
             &["degraded_members", "recovered_pages", "lost_pages"],
             PHASES,
             FAST_FORWARD,
-            &[
-                "phase_untracked_secs",
-                "member_threads",
-                "array",
-                "member_perf"
-            ],
+            &["phase_untracked_secs", "array", "member_perf"],
         ])
     );
     assert_eq!(
@@ -126,9 +121,6 @@ fn bench_record_key_paths_are_pinned() {
             "gc_mode",
             "split_requests",
             "routed_reads",
-            "array_sched",
-            "epochs",
-            "steals",
         ]
     );
     let members = array
@@ -156,7 +148,6 @@ fn bench_record_key_paths_are_pinned() {
                     "straggler_requests",
                     "straggler_fgc_requests",
                     "straggler_time_us",
-                    "steal_count",
                 ],
             ])
         );
@@ -178,7 +169,7 @@ fn bench_record_key_paths_are_pinned() {
     assert_eq!(keys(&screened), ["schema", "screening", "cells"]);
     assert_eq!(
         screened.get("schema").and_then(JsonValue::as_str),
-        Some("ssdsim-bench/9")
+        Some("ssdsim-bench/10")
     );
     assert_eq!(
         keys(screened.get("screening").expect("screening section")),

@@ -4,10 +4,10 @@
 //! time naming their flag, a `--config` whose device would not fit the
 //! 32-bit page tables names `ftl.user_pages`, one whose flusher clock
 //! cannot tick names `flusher_period_us` / `cache.tau_expire_us`, one with
-//! a zero the config builders would panic on names that key, an
-//! unwritable output
-//! path is reported before anything runs, and the selector flags this
-//! CLI no longer has are plain unknown flags.
+//! a zero the config builders would panic on names that key, and so do a
+//! CDH percentile outside `(0, 1]`, a zero CDH bin and a zero queue depth;
+//! an unwritable output path is reported before anything runs, and the
+//! selector flags this CLI no longer has are plain unknown flags.
 
 use std::process::Command;
 
@@ -59,8 +59,15 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
     let zero_page_size = zeroed("\"page_size_bytes\": 4096");
     let zero_reserve = zeroed("\"gc_reserve_blocks\": 2");
     let zero_user_pages = zeroed("\"user_pages\": 24576");
+    let wide_percentile = config_with(
+        "cdh-percentile-1.5",
+        "\"cdh_percentile\": 0.8",
+        "\"cdh_percentile\": 1.5",
+    );
+    let zero_cdh_bin = zeroed("\"cdh_bin_bytes\": 262144");
+    let zero_queue_depth = zeroed("\"queue_depth\": 1");
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 28] = [
+    let cases: [(&[&str], &str); 32] = [
         (&["--seconds", "0"], "--seconds"),
         (&["--iops", "0"], "--iops"),
         (&["--iops", "-5"], "--iops"),
@@ -81,6 +88,10 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
             "unknown flag: --array-sched",
         ),
         (&["--fast-forward", "on"], "unknown flag: --fast-forward"),
+        (
+            &["--array", "4", "--member-threads", "2"],
+            "unknown flag: --member-threads",
+        ),
         // OP of 200 % leaves a working set of exactly zero pages; above
         // it the subtraction used to wrap.
         (&["--op-sweep", "2000"], "--op-sweep 2000"),
@@ -147,6 +158,21 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         (
             &["--config", &zero_user_pages],
             "`ftl.user_pages` must be greater than zero",
+        ),
+        // The direct-write predictor's constructor asserted the first two
+        // (exit 101); a zero queue depth was accepted although
+        // `--queue-depth 0` is refused.
+        (
+            &["--config", &wide_percentile],
+            "`cdh_percentile` of 1.5 must be in (0, 1]",
+        ),
+        (
+            &["--config", &zero_cdh_bin],
+            "`cdh_bin_bytes` must be greater than zero",
+        ),
+        (
+            &["--config", &zero_queue_depth],
+            "`queue_depth` must be greater than zero",
         ),
     ];
     for (args, mention) in cases {

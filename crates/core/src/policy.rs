@@ -60,7 +60,7 @@ pub struct PolicyDecision {
 /// Strategy for scheduling background garbage collection.
 ///
 /// `Send` so a whole [`SsdSystem`](crate::system::SsdSystem) — policy
-/// included — can be stepped on an array worker thread.
+/// included — can move to another thread (a service run by `serve`).
 pub trait GcPolicy: Send {
     /// Display name ("L-BGC", "A-BGC", "ADP-GC", "JIT-GC", …).
     fn name(&self) -> &'static str;

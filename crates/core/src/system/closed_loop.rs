@@ -9,9 +9,9 @@ use jitgc_sim::{SimDuration, SimTime};
 /// request completed, then issues the next one — so every stall lengthens
 /// the run and lowers IOPS, exactly how the paper's benchmarks observe GC,
 /// and with more than one thread requests overlap at the device.
-/// [`SsdSystem::run`](super::SsdSystem::run) and the array scheduler's
-/// drivers keep the same clock, which is why a one-member array issues
-/// the exact request sequence of the standalone engine.
+/// [`SsdSystem::run`](super::SsdSystem::run) and the array scheduler
+/// keep the same clock, which is why a one-member array issues the exact
+/// request sequence of the standalone engine.
 #[derive(Debug)]
 pub struct ClosedLoop {
     /// Per application thread: when its previous request completed.
@@ -32,12 +32,6 @@ impl ClosedLoop {
         }
     }
 
-    /// How many application threads share the stream.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.thread_completion.len()
-    }
-
     /// Deals the next request to its thread: returns the thread and the
     /// time it issues the request, `gap` after its previous completion.
     pub fn issue(&mut self, gap: SimDuration) -> (usize, SimTime) {
@@ -51,12 +45,6 @@ impl ClosedLoop {
     /// Records that `thread`'s outstanding request completed at `at`.
     pub fn complete(&mut self, thread: usize, at: SimTime) {
         self.thread_completion[thread] = at;
-    }
-
-    /// The latest issue time dealt so far.
-    #[must_use]
-    pub fn latest_issue(&self) -> SimTime {
-        self.latest_issue
     }
 
     /// The run's end time: the last completion or issue, whichever is
@@ -84,7 +72,6 @@ mod tests {
         clock.complete(1, SimTime::from_micros(40));
         assert_eq!(clock.issue(gap), (0, SimTime::from_micros(510)));
         assert_eq!(clock.issue(gap), (1, SimTime::from_micros(50)));
-        assert_eq!(clock.latest_issue(), SimTime::from_micros(510));
         // Thread 0's request is still outstanding: the run ends no earlier
         // than its issue.
         assert_eq!(clock.end(), SimTime::from_micros(510));
@@ -95,7 +82,6 @@ mod tests {
     #[test]
     fn a_zero_queue_depth_is_one_thread() {
         let mut clock = ClosedLoop::new(0);
-        assert_eq!(clock.threads(), 1);
         assert_eq!(clock.issue(SimDuration::ZERO).0, 0);
         assert_eq!(clock.issue(SimDuration::ZERO).0, 0);
         assert_eq!(clock.end(), SimTime::ZERO);

@@ -332,7 +332,9 @@ impl SystemConfig {
     /// zero and `cache.tau_expire_us` a positive multiple of it (the
     /// paper's `τ_expire = N_wb · p`). `cache.flusher_period_us` is
     /// replaced by `flusher_period_us` when the system is built; a zero
-    /// there is rejected all the same.
+    /// there is rejected all the same. The direct-write predictor needs
+    /// `cdh_percentile` in `(0, 1]` and a `cdh_bin_bytes` above zero, and
+    /// the closed loop at least one application thread (`queue_depth`).
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         let micros = |key: &str| -> Result<SimDuration, JsonError> {
             v.req(key)?
@@ -366,27 +368,41 @@ impl SystemConfig {
                 flusher_period.as_micros()
             )));
         }
+        let cdh_percentile = v
+            .req("cdh_percentile")?
+            .as_f64()
+            .ok_or_else(|| JsonError::new("`cdh_percentile` must be a number"))?;
+        if !(cdh_percentile > 0.0 && cdh_percentile <= 1.0) {
+            return Err(JsonError::new(format!(
+                "`cdh_percentile` of {cdh_percentile} must be in (0, 1]"
+            )));
+        }
+        let cdh_bin_bytes = v
+            .req("cdh_bin_bytes")?
+            .as_u64()
+            .ok_or_else(|| JsonError::new("`cdh_bin_bytes` must be an integer"))?;
+        if cdh_bin_bytes == 0 {
+            return Err(JsonError::new("`cdh_bin_bytes` must be greater than zero"));
+        }
+        let queue_depth = v
+            .req("queue_depth")?
+            .as_u64()
+            .and_then(|q| u32::try_from(q).ok())
+            .ok_or_else(|| JsonError::new("`queue_depth` must be an integer"))?;
+        if queue_depth == 0 {
+            return Err(JsonError::new("`queue_depth` must be greater than zero"));
+        }
         Ok(SystemConfig {
             ftl,
             cache,
             flusher_period,
             cache_op_time: micros("cache_op_time_us")?,
             host_command_overhead: micros("host_command_overhead_us")?,
-            cdh_percentile: v
-                .req("cdh_percentile")?
-                .as_f64()
-                .ok_or_else(|| JsonError::new("`cdh_percentile` must be a number"))?,
-            cdh_bin_bytes: v
-                .req("cdh_bin_bytes")?
-                .as_u64()
-                .ok_or_else(|| JsonError::new("`cdh_bin_bytes` must be an integer"))?,
+            cdh_percentile,
+            cdh_bin_bytes,
             victim: VictimKind::from_json(v.req("victim")?)?,
             manager_placement,
-            queue_depth: v
-                .req("queue_depth")?
-                .as_u64()
-                .and_then(|q| u32::try_from(q).ok())
-                .ok_or_else(|| JsonError::new("`queue_depth` must be an integer"))?,
+            queue_depth,
             strict_tau_flush: bool_field("strict_tau_flush")?,
             wear_leveling: bool_field("wear_leveling")?,
             prefill: bool_field("prefill")?,

@@ -161,9 +161,10 @@ pub struct SsdSystem {
     profile: PhaseProfile,
 }
 
-// Whole systems move across array worker threads between scheduling
-// quanta; keep the guarantee compile-time so a non-`Send` field (or trait
-// object bound) fails here and not deep inside the scheduler.
+// A whole system moves to another thread inside a `Service` that `serve`
+// runs on its own thread while a client talks to it; keep the guarantee
+// compile-time so a non-`Send` field (or trait object bound) fails here
+// and not at that call site.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<SsdSystem>()
@@ -372,17 +373,6 @@ impl SsdSystem {
     #[must_use]
     pub fn virtual_clock(&self) -> SimTime {
         self.next_tick
-    }
-
-    /// How far this member's clock trails `horizon` — the span of
-    /// periodic work it still has to chew through before it can execute
-    /// a request issued at the horizon. O(1): an external scheduler
-    /// calls this per member per quantum to order work laggiest-first,
-    /// so it must not touch FTL state. Zero when the member is already
-    /// at or past the horizon.
-    #[must_use]
-    pub fn time_behind(&self, horizon: SimTime) -> SimDuration {
-        horizon.saturating_since(self.next_tick)
     }
 
     /// Cumulative foreground-GC invocations so far. Sampling this around

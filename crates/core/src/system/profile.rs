@@ -137,7 +137,7 @@ pub struct RunPerf {
 impl RunPerf {
     /// The perf-record schema tag, for wrappers (the screened sweep) that
     /// carry it outside a [`record`](Self::record).
-    pub const SCHEMA: &'static str = "ssdsim-bench/9";
+    pub const SCHEMA: &'static str = "ssdsim-bench/10";
 
     /// Starts a [`SCHEMA`](Self::SCHEMA) perf record with every field the drivers
     /// share: identity and totals, wall time and throughput, the phase

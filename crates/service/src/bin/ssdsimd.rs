@@ -28,7 +28,7 @@
 //!   --no-prefill           start from an erased device (default: aged)
 //!   --json                 emit the deterministic service report as JSON
 //!   --bench-json <path>    write a machine-readable perf record
-//!                          (`ssdsim-bench/9`: the wall-time and
+//!                          (`ssdsim-bench/10`: the wall-time and
 //!                          fast-forward fields `ssdsim` writes, through
 //!                          the same `RunPerf::record`, and the full
 //!                          `service` block)

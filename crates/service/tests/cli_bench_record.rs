@@ -68,7 +68,7 @@ fn bench_record_key_paths_are_pinned() {
     );
     assert_eq!(
         record.get("schema").and_then(JsonValue::as_str),
-        Some("ssdsim-bench/9")
+        Some("ssdsim-bench/10")
     );
     assert_eq!(
         record.get("benchmark").and_then(JsonValue::as_str),

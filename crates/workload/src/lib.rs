@@ -68,8 +68,8 @@ pub use trace::{
 /// gap is a *minimum* spacing — a closed-loop schedule, not an open-loop
 /// timestamp).
 ///
-/// `Send` so a system holding its workload can be stepped on an array
-/// worker thread.
+/// `Send` so a system holding its workload can move to another thread
+/// (a service run by `serve`).
 pub trait Workload: Send {
     /// The benchmark's display name.
     fn name(&self) -> &'static str;

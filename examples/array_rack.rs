@@ -1,6 +1,5 @@
 //! Rack-scale array demo: 64 striped members, one of them a degraded
-//! slow part, stepped by the deterministic work-stealing scheduler on
-//! four worker threads.
+//! slow part.
 //!
 //! A striped request completes when its **slowest** sub-request does, so
 //! one lagging device sets the whole volume's tail. The per-member
@@ -9,15 +8,13 @@
 //! (`straggler_requests`), how much later than the runner-up it finished
 //! (`straggler_time_us` — the member's *exclusive* tail contribution no
 //! other device can hide), and whether that step ran foreground GC
-//! (`straggler_fgc_requests`). The steal counts come from the scheduler
-//! telemetry instead — they are wall-clock artifacts, deliberately kept
-//! out of the deterministic report.
+//! (`straggler_fgc_requests`).
 //!
 //! ```sh
 //! cargo run --release --example array_rack
 //! ```
 
-use jitgc_repro::array::{ArrayConfig, ArraySched, GcMode, Redundancy};
+use jitgc_repro::array::{ArrayConfig, GcMode, Redundancy};
 use jitgc_repro::core::policy::JitGc;
 use jitgc_repro::core::system::SystemConfig;
 use jitgc_repro::nand::NandTiming;
@@ -26,11 +23,10 @@ use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
 
 const MEMBERS: usize = 64;
 const STRAGGLER: usize = 37;
-const MEMBER_THREADS: usize = 4;
 
 fn main() {
     let mut system = SystemConfig::small_for_tests();
-    // Deep queue: long quanta give the worker threads real batches.
+    // Deep queue: eight requests in flight overlap on the members.
     system.queue_depth = 8;
     // Start from steady state: prefill each member's extent so GC is live.
     system.prefill = true;
@@ -51,8 +47,6 @@ fn main() {
         chunk_pages: 4,
         redundancy: Redundancy::None,
         gc_mode: GcMode::Staggered,
-        sched: ArraySched::Steal,
-        member_threads: MEMBER_THREADS,
         system,
     };
     // One member is a degraded part: slow dense flash with most of its
@@ -82,25 +76,14 @@ fn main() {
         },
     );
     let report = sim.run();
-    let telemetry = sim.sched_telemetry();
 
-    println!(
-        "{} members, {} straggling, {} scheduler on {} threads",
-        report.members,
-        STRAGGLER,
-        telemetry.sched.name(),
-        telemetry.member_threads
-    );
+    println!("{} members, member {} degraded", report.members, STRAGGLER);
     println!(
         "volume latency  mean {} / p99 {} / p999 {} / max {} µs",
         report.latency_mean_us,
         report.latency_p99_us,
         report.latency_p999_us,
         report.latency_max_us
-    );
-    println!(
-        "scheduler       {} epochs, {} steals (wall-clock artifact — varies run to run)",
-        telemetry.epochs, telemetry.steals
     );
 
     let mut by_time: Vec<(usize, _)> = report.member_sched.iter().enumerate().collect();

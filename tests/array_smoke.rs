@@ -9,7 +9,7 @@
 //! * aggregate counters are exactly the member sums;
 //! * array sweeps are thread-count independent, like every other sweep.
 
-use jitgc_array::{ArrayConfig, ArrayReport, ArraySched, GcMode, Redundancy};
+use jitgc_array::{ArrayConfig, ArrayReport, GcMode, Redundancy};
 use jitgc_bench::{run_grid, PolicyKind};
 use jitgc_core::system::{SsdSystem, SystemConfig};
 use jitgc_sim::SimDuration;
@@ -30,15 +30,13 @@ fn workload_for(system: &SystemConfig, columns: u64, seed: u64) -> Box<dyn Workl
     )
 }
 
-fn array_report_with(members: usize, gc_mode: GcMode, sched: ArraySched, seed: u64) -> ArrayReport {
+fn array_report(members: usize, gc_mode: GcMode, seed: u64) -> ArrayReport {
     let system = SystemConfig::small_for_tests();
     let config = ArrayConfig {
         members,
         chunk_pages: 16,
         redundancy: Redundancy::None,
         gc_mode,
-        sched,
-        member_threads: 1,
         system: system.clone(),
     };
     config
@@ -47,10 +45,6 @@ fn array_report_with(members: usize, gc_mode: GcMode, sched: ArraySched, seed: u
             workload_for(&system, members as u64, seed),
         )
         .run()
-}
-
-fn array_report(members: usize, gc_mode: GcMode, seed: u64) -> ArrayReport {
-    array_report_with(members, gc_mode, ArraySched::Steal, seed)
 }
 
 /// `--array 1` acceptance criterion: the single member's report is
@@ -75,14 +69,6 @@ fn one_member_array_is_the_standalone_engine() {
     );
     assert_eq!(array.ops, single.ops);
     assert_eq!(array.split_requests, 0);
-
-    // The quantum loop degenerates to the reference's schedule at N = 1.
-    let serial = array_report_with(1, GcMode::Staggered, ArraySched::Serial, 42);
-    assert_eq!(
-        serial.to_json().to_pretty(),
-        array.to_json().to_pretty(),
-        "serial reference and steal driver diverged on a 1-member array"
-    );
 }
 
 /// Aggregate counters are the member sums; derived aggregates agree.

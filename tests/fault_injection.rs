@@ -4,7 +4,7 @@
 //! to ship — with every fault knob at zero, nothing anywhere in the
 //! pipeline changes.
 
-use jitgc_repro::array::{ArrayConfig, ArraySched, GcMode, Redundancy};
+use jitgc_repro::array::{ArrayConfig, GcMode, Redundancy};
 use jitgc_repro::core::policy::{GcPolicy, JitGc, NoBgc};
 use jitgc_repro::core::system::{SimReport, SsdSystem, SystemConfig};
 use jitgc_repro::nand::FaultConfig;
@@ -82,8 +82,6 @@ fn zero_rate_fault_model_is_byte_identical_to_none() {
             chunk_pages: 16,
             redundancy: Redundancy::Mirror,
             gc_mode: GcMode::Staggered,
-            sched: ArraySched::Steal,
-            member_threads: 1,
             system: system.clone(),
         }
         .build(jit, workload_for(system, 15, 21))
@@ -226,8 +224,6 @@ fn one_member_array_preserves_the_fault_stream() {
         chunk_pages: 16,
         redundancy: Redundancy::None,
         gc_mode: GcMode::Staggered,
-        sched: ArraySched::Steal,
-        member_threads: 1,
         system: config.clone(),
     }
     .build(jit, workload_for(&config, 20, 5))
@@ -265,8 +261,6 @@ fn mirror_recovers_uncorrectable_reads_from_the_surviving_replica() {
         chunk_pages: 16,
         redundancy: Redundancy::Mirror,
         gc_mode: GcMode::Staggered,
-        sched: ArraySched::Steal,
-        member_threads: 1,
         system: config.clone(),
     }
     .build(jit, workload_for(&config, 40, 13))

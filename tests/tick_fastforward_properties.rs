@@ -3,15 +3,16 @@
 //! The fast-forward is a pure wall-clock optimization: a run with it on
 //! must produce a report **byte-identical** (as serialized JSON) to the
 //! same run with it off, at every driver level — the single-device
-//! engine, the array scheduler under both drivers and worker-thread
-//! counts, and the multi-tenant service. These tests pin that contract on
-//! seeded idle-heavy workloads, whole run against whole run; the
+//! engine, the array scheduler (striped, and mirrored at rack scale with
+//! faults armed) and the multi-tenant service. These tests pin that
+//! contract on seeded idle-heavy workloads, whole run against whole run; the
 //! span-by-span comparison of the two engines is
 //! `crates/core/tests/fast_forward_certificate.rs`.
 
-use jitgc_array::{ArrayConfig, ArraySched, GcMode, Redundancy};
+use jitgc_array::{ArrayConfig, ArrayReport, GcMode, Redundancy};
 use jitgc_bench::PolicyKind;
 use jitgc_core::system::{FfGate, SsdSystem, SystemConfig};
+use jitgc_nand::FaultConfig;
 use jitgc_service::{run_closed_loop_counting, ServiceConfig, TenantProfile, TenantSpec};
 use jitgc_sim::SimDuration;
 use jitgc_workload::{BenchmarkKind, Workload, WorkloadConfig};
@@ -148,66 +149,81 @@ fn diurnal_gaps_cost_their_warm_up_only() {
     }
 }
 
-/// Runs one array scenario and returns the serialized report plus the
-/// aggregate skip and refusal counters.
-fn array_run(sched: ArraySched, member_threads: usize, fast_forward: bool) -> (String, u64, u64) {
-    let system = SystemConfig::small_for_tests();
-    let members = 4;
-    let config = ArrayConfig {
-        members,
-        chunk_pages: 16,
-        redundancy: Redundancy::None,
-        gc_mode: GcMode::Staggered,
-        sched,
-        member_threads,
-        system: system.clone(),
+/// Runs one array scenario over an idle-heavy YCSB stream and returns
+/// the report plus the aggregate skip and refusal counters.
+fn array_run(config: &ArrayConfig, seed: u64, fast_forward: bool) -> (ArrayReport, u64, u64) {
+    let columns = match config.redundancy {
+        Redundancy::None => config.members,
+        Redundancy::Mirror => config.members / 2,
     };
-    let workload = bursty_idle_workload(&system, BenchmarkKind::Ycsb, members as u64, 1_500, 11);
+    let workload = bursty_idle_workload(
+        &config.system,
+        BenchmarkKind::Ycsb,
+        columns as u64,
+        1_500,
+        seed,
+    );
     let mut sim = config.build(|cfg| PolicyKind::Jit.build(cfg), workload);
     sim.set_fast_forward(fast_forward);
     let report = sim.run();
-    (
-        report.to_json().to_pretty(),
-        sim.ticks_skipped(),
-        sim.ff_refusals().total(),
-    )
+    (report, sim.ticks_skipped(), sim.ff_refusals().total())
 }
 
 /// The array acceptance criterion: byte-identical reports with the
-/// fast-forward on and off, under the serial reference and the quantum
-/// loop at both worker counts — and all four runs agree with each other
-/// (the fast-forward must not break the existing driver/thread-count
-/// identities either). The striped YCSB stream leaves dirty residue on
-/// every member, so every driver must skip over it, and by the same
-/// deterministic counts.
+/// fast-forward on and off, on four striped members and at rack scale —
+/// 64 aged, mirrored members with the wear-fault injector armed and eight
+/// requests in flight, so replica routing reads both members' live GC
+/// signals and every fault draw's position in a member's stream shows in
+/// the report. The YCSB stream leaves dirty residue on every member, so
+/// both arrays must skip over it.
 #[test]
 fn array_reports_are_identical_ff_on_and_off_across_drivers() {
-    let (baseline, skipped_off, refused_off) = array_run(ArraySched::Steal, 1, false);
-    assert_eq!(skipped_off, 0, "off-run must never skip");
-    assert_eq!(refused_off, 0, "off-run never asks");
-    let mut counters = Vec::new();
-    for (sched, member_threads) in [
-        (ArraySched::Serial, 1),
-        (ArraySched::Steal, 1),
-        (ArraySched::Steal, 4),
-    ] {
-        let (on, skipped, refused) = array_run(sched, member_threads, true);
+    let striped = ArrayConfig {
+        members: 4,
+        chunk_pages: 16,
+        redundancy: Redundancy::None,
+        gc_mode: GcMode::Staggered,
+        system: SystemConfig::small_for_tests(),
+    };
+    let mut rack = ArrayConfig {
+        members: 64,
+        redundancy: Redundancy::Mirror,
+        ..striped.clone()
+    };
+    rack.system.queue_depth = 8;
+    rack.system.prefill = true;
+    rack.system.ftl = rack
+        .system
+        .ftl
+        .to_builder()
+        .endurance_limit(60)
+        .fault(FaultConfig {
+            seed: 9,
+            program_rate: 0.05,
+            erase_rate: 0.05,
+            read_rate: 0.02,
+            wear_scale: 40,
+        })
+        .build();
+    for (name, config, seed) in [("4 striped", &striped, 11), ("64 mirrored", &rack, 5)] {
+        let (off, skipped_off, refused_off) = array_run(config, seed, false);
+        assert_eq!(skipped_off, 0, "{name}: off-run must never skip");
+        assert_eq!(refused_off, 0, "{name}: off-run never asks");
+        let (on, skipped, refused) = array_run(config, seed, true);
         assert_eq!(
-            on, baseline,
-            "{sched:?} x {member_threads} thread(s): fast-forward \
-             changed the array report"
+            on.to_json().to_pretty(),
+            off.to_json().to_pretty(),
+            "{name}: fast-forward changed the array report"
         );
         assert!(
             skipped > 0 && refused > 0,
-            "{sched:?} x {member_threads} thread(s) never engaged the \
-             fast-forward — the identity proved nothing"
+            "{name} never engaged the fast-forward — the identity proved nothing"
         );
-        counters.push((skipped, refused));
+        assert!(
+            config.redundancy == Redundancy::None || (on.routed_reads > 0 && on.degraded.is_some()),
+            "{name}: no read was routed or no fault drawn"
+        );
     }
-    assert!(
-        counters.iter().all(|c| *c == counters[0]),
-        "skip and refusal counters depend on the driver: {counters:?}"
-    );
 }
 
 /// A tenant roster whose request streams leave long idle stretches:
