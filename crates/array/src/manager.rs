@@ -37,31 +37,22 @@ impl GcMode {
 /// levers: shifting flusher phases before the run starts, and choosing
 /// which replica serves a mirrored read.
 /// Every structure in here is O(members) and every per-request update is
-/// O(1): routing a read touches two counters, never a scan — the manager
+/// O(1): routing a read touches one counter, never a scan — the manager
 /// costs the same per request at 256 members as at 4.
 #[derive(Debug)]
 pub struct ArrayManager {
     mode: GcMode,
     /// Reads steered to a replica other than the primary.
     routed_reads: u64,
-    /// Mirrored reads where both replicas looked equally good.
-    tied_reads: u64,
-    /// Mirrored reads each member served, index-aligned with the
-    /// members. Deterministic (the routing choice is a pure function of
-    /// the simulated timeline), so safe to expose anywhere.
-    served_reads: Vec<u64>,
 }
 
 impl ArrayManager {
-    /// Creates a manager with the given staggering mode for an array of
-    /// `members` devices.
+    /// Creates a manager with the given staggering mode.
     #[must_use]
-    pub fn new(mode: GcMode, members: usize) -> Self {
+    pub fn new(mode: GcMode) -> Self {
         ArrayManager {
             mode,
             routed_reads: 0,
-            tied_reads: 0,
-            served_reads: vec![0; members],
         }
     }
 
@@ -76,20 +67,6 @@ impl ArrayManager {
     #[must_use]
     pub fn routed_reads(&self) -> u64 {
         self.routed_reads
-    }
-
-    /// Mirrored reads where the replicas were indistinguishable and the
-    /// primary won by index.
-    #[must_use]
-    pub fn tied_reads(&self) -> u64 {
-        self.tied_reads
-    }
-
-    /// Mirrored reads each member served, index-aligned with the
-    /// members. Striped columns (no replica choice) stay at zero.
-    #[must_use]
-    pub fn served_reads(&self) -> &[u64] {
-        &self.served_reads
     }
 
     /// Applies the staggering policy to fresh members. Must run before
@@ -130,16 +107,12 @@ impl ArrayManager {
             std::cmp::Ordering::Equal => match a.free_capacity.cmp(&b.free_capacity) {
                 std::cmp::Ordering::Greater => primary,
                 std::cmp::Ordering::Less => replica,
-                std::cmp::Ordering::Equal => {
-                    self.tied_reads += 1;
-                    primary.min(replica)
-                }
+                std::cmp::Ordering::Equal => primary.min(replica),
             },
         };
         if chosen != primary {
             self.routed_reads += 1;
         }
-        self.served_reads[chosen] += 1;
         chosen
     }
 
@@ -161,10 +134,8 @@ mod tests {
 
     #[test]
     fn new_manager_has_no_routing_history() {
-        let manager = ArrayManager::new(GcMode::Staggered, 4);
+        let manager = ArrayManager::new(GcMode::Staggered);
         assert_eq!(manager.routed_reads(), 0);
-        assert_eq!(manager.tied_reads(), 0);
-        assert_eq!(manager.served_reads(), &[0, 0, 0, 0]);
         assert_eq!(manager.mode(), GcMode::Staggered);
     }
 }

@@ -221,7 +221,7 @@ impl ArrayScheduler {
         let closed_loop = ClosedLoop::new(members[0].config().queue_depth);
         let n = members.len();
         ArrayScheduler {
-            manager: ArrayManager::new(gc_mode, n),
+            manager: ArrayManager::new(gc_mode),
             members,
             stripe,
             workload,

@@ -3,8 +3,8 @@
 //!
 //! Each `[[bench]]` target in this crate (with `harness = false`) is one
 //! experiment; this library holds the pieces they share: the policy
-//! matrix, the standard experiment configuration, the runner, and table
-//! formatting.
+//! matrix, the standard experiment configuration, the sweep screen, and
+//! table formatting. The grid runner is `jitgc-sim`'s, re-exported here.
 //!
 //! Run everything with `cargo bench -p jitgc-bench`, or a single
 //! experiment with e.g.
@@ -13,11 +13,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod runner;
 mod screen;
 
-pub use runner::{default_threads, run_grid};
-pub use screen::{expand_cells, model_policy, screen_cells, ScreenPlan, SweepCell};
+pub use jitgc_sim::{default_threads, run_grid};
+pub use screen::{expand_cells, screen_cells, ScreenPlan, SweepCell};
 
 pub use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::{SimReport, SsdSystem, SystemConfig};
@@ -55,15 +54,6 @@ impl Experiment {
         }
     }
 
-    /// A faster configuration for smoke tests (same shape, shorter run).
-    #[must_use]
-    pub fn quick() -> Self {
-        Experiment {
-            duration: SimDuration::from_secs(120),
-            ..Experiment::standard()
-        }
-    }
-
     /// Builds one `(policy, benchmark)` cell, ready to run: the benchmark
     /// over the system's [standard working
     /// set](SystemConfig::standard_working_set), the policy instantiated
@@ -98,6 +88,19 @@ impl Experiment {
     #[must_use]
     pub fn run(&self, policy: PolicyKind, benchmark: BenchmarkKind) -> SimReport {
         self.build(policy, benchmark).run()
+    }
+
+    /// Runs every `(policy, benchmark)` cell on up to `n_threads` threads;
+    /// `results[i]` belongs to `cells[i]` regardless of thread count.
+    #[must_use]
+    pub fn run_cells(
+        &self,
+        cells: &[(PolicyKind, BenchmarkKind)],
+        n_threads: usize,
+    ) -> Vec<SimReport> {
+        run_grid(cells, n_threads, |&(policy, benchmark)| {
+            self.run(policy, benchmark)
+        })
     }
 }
 

@@ -18,7 +18,7 @@
 
 use crate::{Experiment, PolicyKind};
 use jitgc_core::system::{SsdSystem, SystemConfig};
-use jitgc_model::{predict, PolicyModel, Prediction, WorkloadSpec};
+use jitgc_model::{predict, Prediction, WorkloadSpec};
 use jitgc_workload::BenchmarkKind;
 
 /// One cell of a CLI sweep: a GC policy × a benchmark × an optional
@@ -93,19 +93,6 @@ pub fn expand_cells(
     (cells, dropped)
 }
 
-/// Maps the harness policy to the model's view of it.
-#[must_use]
-pub fn model_policy(kind: PolicyKind) -> PolicyModel {
-    match kind {
-        PolicyKind::NoBgc => PolicyModel::NoBgc,
-        PolicyKind::ReservedPermille(permille) => PolicyModel::Reserved { permille },
-        PolicyKind::Adp => PolicyModel::Adp,
-        PolicyKind::Idle => PolicyModel::Idle,
-        PolicyKind::Jit => PolicyModel::Jit { sip: true },
-        PolicyKind::JitNoSip => PolicyModel::Jit { sip: false },
-    }
-}
-
 /// The screening verdict for a sweep: per-cell model predictions, the
 /// predicted Pareto membership, and which cells to actually simulate.
 #[derive(Debug, Clone)]
@@ -165,7 +152,7 @@ pub fn screen_cells(
         .map(|cell| {
             let system = cell.system(base);
             let spec = WorkloadSpec::for_system(&system, mean_iops, burst_mean);
-            predict(&system, model_policy(cell.policy), cell.benchmark, &spec)
+            predict(&system, cell.policy, cell.benchmark, &spec)
         })
         .collect();
 
@@ -286,9 +273,8 @@ mod tests {
         assert!(system.ftl.op_pages() > base.ftl.op_pages());
         assert_eq!(system.ftl.user_pages(), base.ftl.user_pages());
         // The built cell runs on that system, not the base's.
-        let sim = cell.build(&Experiment::quick());
+        let sim = cell.build(&Experiment::standard());
         assert_eq!(sim.config().ftl.op_permille(), 200);
-        assert_eq!(sim.policy_name(), "JIT-GC");
     }
 
     #[test]

@@ -156,15 +156,6 @@ pub struct ReservedCapacity {
 }
 
 impl ReservedCapacity {
-    /// A policy holding exactly `cresv` in reserve.
-    #[must_use]
-    pub fn new(cresv: ByteSize) -> Self {
-        ReservedCapacity {
-            cresv,
-            label: "C-BGC",
-        }
-    }
-
     /// The paper's lazy baseline: `C_resv = 0.5 × C_OP`.
     #[must_use]
     pub fn lazy(op_capacity: ByteSize) -> Self {
@@ -431,12 +422,6 @@ impl JitGc {
     pub fn without_sip_filtering(mut self) -> Self {
         self.sip_filtering = false;
         self
-    }
-
-    /// Read-only access to the manager (for inspection in tests/benches).
-    #[must_use]
-    pub fn manager(&self) -> &JitGcManager {
-        &self.manager
     }
 }
 
@@ -775,9 +760,9 @@ mod tests {
     fn bandwidth_feedback_reaches_managers() {
         let mut jit = JitGc::new(SimDuration::from_secs(30), 40e6, 10e6);
         jit.observe_write(ByteSize::bytes(10 * MB), SimDuration::from_millis(50));
-        assert!(jit.manager().write_bandwidth() > 40e6);
+        assert!(jit.manager.write_bandwidth() > 40e6);
         jit.observe_gc(ByteSize::bytes(10 * MB), SimDuration::from_millis(50));
-        assert!(jit.manager().gc_bandwidth() > 10e6);
+        assert!(jit.manager.gc_bandwidth() > 10e6);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 pub struct AccuracyTracker {
     sum: f64,
     scored: u64,
-    skipped_empty: u64,
 }
 
 impl AccuracyTracker {
@@ -45,7 +44,6 @@ impl AccuracyTracker {
     pub fn record(&mut self, predicted: u64, actual: u64) {
         let max = predicted.max(actual);
         if max == 0 {
-            self.skipped_empty += 1;
             return;
         }
         let diff = predicted.abs_diff(actual);
@@ -58,14 +56,12 @@ impl AccuracyTracker {
     /// The quiescence fast-forward uses this to account a whole idle
     /// span's worth of matured predictions in O(1) with a state
     /// bit-identical to `n` individual calls. A zero prediction is `n`
-    /// empty skips. A non-zero one is `n` total misses, each of which
-    /// scores `1 − predicted / predicted`: exactly `+0.0`, which leaves
-    /// the (never negative) `sum` bit for bit where it was, so only
-    /// `scored` moves.
+    /// empty skips, which change nothing. A non-zero one is `n` total
+    /// misses, each of which scores `1 − predicted / predicted`: exactly
+    /// `+0.0`, which leaves the (never negative) `sum` bit for bit where
+    /// it was, so only `scored` moves.
     pub fn record_idle(&mut self, predicted: u64, n: u64) {
-        if predicted == 0 {
-            self.skipped_empty += n;
-        } else {
+        if predicted != 0 {
             self.scored += n;
         }
     }
@@ -81,18 +77,6 @@ impl AccuracyTracker {
     #[must_use]
     pub fn mean_accuracy_percent(&self) -> Option<f64> {
         self.mean_accuracy().map(|a| a * 100.0)
-    }
-
-    /// Number of scored (informative) intervals.
-    #[must_use]
-    pub fn scored_intervals(&self) -> u64 {
-        self.scored
-    }
-
-    /// Number of intervals skipped because both sides were zero.
-    #[must_use]
-    pub fn skipped_intervals(&self) -> u64 {
-        self.skipped_empty
     }
 
     /// The accumulated sum's bit pattern, for bit-exactness properties.
@@ -135,11 +119,10 @@ mod tests {
     fn empty_intervals_are_skipped() {
         let mut acc = AccuracyTracker::new();
         acc.record(0, 0);
-        assert_eq!(acc.mean_accuracy(), None);
-        assert_eq!(acc.skipped_intervals(), 1);
+        assert_eq!(acc, AccuracyTracker::new());
         acc.record(10, 10);
         assert_eq!(acc.mean_accuracy(), Some(1.0));
-        assert_eq!(acc.scored_intervals(), 1);
+        assert_eq!(acc.scored, 1);
     }
 
     #[test]
@@ -161,13 +144,8 @@ mod tests {
             }
             assert_eq!(bulk, looped, "predicted {predicted}");
             assert_eq!(bulk.sum.to_bits(), looped.sum.to_bits());
-            let (scored, skipped) = if predicted == 0 {
-                (3, 1_001)
-            } else {
-                (1_003, 1)
-            };
-            assert_eq!(bulk.scored_intervals(), scored);
-            assert_eq!(bulk.skipped_intervals(), skipped);
+            let scored = if predicted == 0 { 3 } else { 1_003 };
+            assert_eq!(bulk.scored, scored);
         }
         // From an empty tracker too: 0.0 + 0.0 keeps its sign.
         let mut bulk = AccuracyTracker::new();

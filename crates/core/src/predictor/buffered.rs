@@ -3,9 +3,9 @@
 //! One poll, on one clock: the page cache owns the flusher's wake-up grid
 //! (period and phase) and counts its dirty pages by the wake-up that
 //! sees each first; [`BufferedWritePredictor::predict_into`] reads those
-//! counters at a wake-up and refuses any other instant.
-//! [`BufferedWritePredictor::predict_scan`] walks the dirty list instead
-//! and is the reference the property tests hold the poll to.
+//! counters at a wake-up and refuses any other instant. The reference
+//! the poll is held to — a walk over the dirty list — lives in
+//! `tests/incremental_prediction_properties.rs`.
 
 use jitgc_ftl::SipList;
 use jitgc_pagecache::PageCache;
@@ -186,10 +186,9 @@ impl BufferedWritePredictor {
     /// pages sharing an epoch share a write-back interval. Off the grid
     /// `N_wb − (t − φ) / p` is no integer, the pages of one epoch split
     /// over two intervals, and the counters cannot say how: that poll is
-    /// refused, and [`predict_scan`](Self::predict_scan) answers it from
-    /// the dirty list instead.
-    /// `tests/incremental_prediction_properties.rs` holds the two to each
-    /// other over arbitrary cache histories and phases.
+    /// refused. `tests/incremental_prediction_properties.rs` holds the
+    /// counters to a walk over the dirty list, over arbitrary cache
+    /// histories and phases.
     ///
     /// # Panics
     ///
@@ -204,8 +203,7 @@ impl BufferedWritePredictor {
                 && t_us >= phase_us
                 && (t_us - phase_us).is_multiple_of(p_us),
             "poll at {t_us} µs by a predictor of period {p_us} µs is off the cache's \
-             flusher clock (period {} µs, phase {phase_us} µs); predict_scan answers at \
-             any instant",
+             flusher clock (period {} µs, phase {phase_us} µs)",
             cache.config().flusher_period().as_micros(),
         );
         let m = (t_us - phase_us) / p_us;
@@ -230,42 +228,6 @@ impl BufferedWritePredictor {
     /// Strict model only: `τ_flush` currently blocks all write-back.
     fn gated(&self, cache: &PageCache) -> bool {
         self.strict_tau_flush && cache.dirty_count() <= cache.config().flush_threshold_pages()
-    }
-
-    /// The reference: a full walk over the cache's dirty list, at any
-    /// instant `t` and whatever the cache's flusher clock. Public as the
-    /// oracle of the property tests —
-    /// [`predict_into`](Self::predict_into) must match it bit for bit at
-    /// every poll it accepts — and as the answer to a poll it refuses.
-    #[must_use]
-    pub fn predict_scan(&self, cache: &PageCache, t: SimTime) -> (BufferedDemand, SipList) {
-        let mut sip = SipList::new();
-        let demand = self.scan_into(cache, t, &mut sip);
-        (demand, sip)
-    }
-
-    /// [`predict_scan`](Self::predict_scan) body, refilling `sip` in place.
-    fn scan_into(&self, cache: &PageCache, t: SimTime, sip: &mut SipList) -> BufferedDemand {
-        let nwb = self.horizon();
-        let mut demand = vec![0u64; nwb];
-        sip.clear();
-        let page_bytes = self.page_size.as_u64();
-
-        let gated = self.gated(cache);
-        for (lpn, last_update) in cache.dirty_pages() {
-            sip.insert(lpn);
-            if gated {
-                continue;
-            }
-            let expiry = last_update.saturating_add(self.tau_expire);
-            let remaining = expiry.saturating_since(t);
-            // ⌈remaining / p⌉, clamped into [1, N_wb].
-            let k = (remaining.as_micros().div_ceil(self.p.as_micros()) as usize).clamp(1, nwb);
-            demand[k - 1] += page_bytes;
-        }
-        BufferedDemand {
-            per_interval: demand,
-        }
     }
 }
 
@@ -425,24 +387,6 @@ mod tests {
         let (ds, _) = strict.predict(&cache, t);
         assert_eq!(dr, ds);
         assert_eq!(ds.interval(6), 5 * MIB);
-    }
-
-    #[test]
-    fn incremental_poll_matches_scan_at_period_boundaries() {
-        let pred = predictor();
-        let mut cache = big_cache();
-        write_mib(&mut cache, 0, 20, 1);
-        write_mib(&mut cache, 100, 20, 3);
-        write_mib(&mut cache, 200, 5, 8);
-        cache.flusher_tick(SimTime::from_secs(35));
-        for t_secs in [5u64, 10, 15, 35, 40, 100] {
-            let t = SimTime::from_secs(t_secs);
-            let (scan_d, scan_sip) = pred.predict_scan(&cache, t);
-            let mut sip = SipList::new();
-            let d = pred.predict_into(&cache, t, &mut sip);
-            assert_eq!(d, scan_d, "demand at t={t_secs}s");
-            assert_eq!(sip, scan_sip, "sip at t={t_secs}s");
-        }
     }
 
     #[test]

@@ -115,18 +115,6 @@ impl DirectWritePredictor {
         }
     }
 
-    /// The prediction horizon `N_wb`.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.nwb
-    }
-
-    /// The configured CDH percentile.
-    #[must_use]
-    pub fn percentile(&self) -> f64 {
-        self.percentile
-    }
-
     /// Feeds the direct-write byte count of the just-finished write-back
     /// interval; once `N_wb` intervals have accumulated, each call also
     /// records the sliding `τ_expire`-window total into the CDH.

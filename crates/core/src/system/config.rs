@@ -256,12 +256,6 @@ impl SystemConfig {
         (bw, gc_bw)
     }
 
-    /// The user capacity `C_user` in bytes.
-    #[must_use]
-    pub fn user_capacity(&self) -> ByteSize {
-        self.ftl.user_capacity()
-    }
-
     /// The over-provisioning capacity `C_OP` in bytes.
     #[must_use]
     pub fn op_capacity(&self) -> ByteSize {
@@ -419,7 +413,7 @@ mod tests {
     fn presets_are_coherent() {
         for cfg in [SystemConfig::small_for_tests(), SystemConfig::default_sim()] {
             assert_eq!(cfg.nwb(), 6);
-            assert!(cfg.op_capacity() < cfg.user_capacity());
+            assert!(cfg.op_capacity() < cfg.ftl.user_capacity());
             let (bw, gc_bw) = cfg.default_bandwidths();
             assert!(bw > 0.0 && gc_bw > 0.0);
             assert!(gc_bw < bw, "GC reclaims slower than plain writes");

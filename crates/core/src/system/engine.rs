@@ -1089,12 +1089,6 @@ impl SsdSystem {
     pub fn device_busy_until(&self) -> SimTime {
         self.device_busy_until
     }
-
-    /// The installed policy's name.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
 }
 
 #[cfg(test)]
@@ -1278,7 +1272,7 @@ mod tests {
             Box::new(NoBgc),
             BenchmarkKind::Ycsb.build(wl_cfg),
         );
-        assert_eq!(system.policy_name(), "No-BGC");
+        assert_eq!(system.policy.name(), "No-BGC");
         assert_eq!(system.ftl().config().user_pages(), config.ftl.user_pages());
         assert!(system.cache().is_empty());
     }

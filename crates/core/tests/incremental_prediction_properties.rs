@@ -3,11 +3,11 @@
 //! The engine's poll ([`BufferedWritePredictor::predict_into`]) reads the
 //! cache's dirty-age epoch counters plus the dirty-LPN bitmap and is only
 //! defined on the cache's flusher clock — wake-ups `φ + m·p`. The
-//! reference ([`BufferedWritePredictor::predict_scan`]) walks the dirty
-//! list and answers at any instant. These properties draw the phase `φ`,
-//! drive arbitrary operation sequences through the cache — writes before
-//! the first wake-up included — and demand that both agree, demand vector
-//! and SIP list, at every wake-up polled. Nothing else compares the two:
+//! reference ([`Scan`], below) walks the dirty list and answers at any
+//! instant. These properties draw the phase `φ`, drive arbitrary
+//! operation sequences through the cache — writes before the first
+//! wake-up included — and demand that both agree, demand vector and SIP
+//! list, at every wake-up polled. Nothing else compares the two:
 //! `predict_into` carries no oracle of its own.
 
 use jitgc_core::policy::PolicyKind;
@@ -57,6 +57,53 @@ fn predictor() -> BufferedWritePredictor {
         SimDuration::from_secs(TAU_SECS),
         ByteSize::kib(4),
     )
+}
+
+/// The reference the poll is held to: a walk over the cache's dirty list
+/// (paper Sec. 3.2.1, Fig. 4) that answers at any instant `t`, whatever
+/// the cache's flusher clock. A dirty page last updated at `u` flushes
+/// at the first wake-up at or after `u + τ_expire`, so it adds one page
+/// to interval `⌈(u + τ_expire − t) / p⌉`, clamped into `[1, N_wb]`;
+/// every dirty page joins the SIP list. The strict-`τ_flush` ablation
+/// forecasts no write-back while the dirty total is at or below
+/// `τ_flush`.
+struct Scan {
+    p: SimDuration,
+    tau_expire: SimDuration,
+    page_bytes: u64,
+    strict: bool,
+}
+
+impl Scan {
+    /// The reference for [`predictor`], strict or relaxed.
+    fn of_predictor(strict: bool) -> Scan {
+        Scan {
+            p: SimDuration::from_secs(PERIOD_SECS),
+            tau_expire: SimDuration::from_secs(TAU_SECS),
+            page_bytes: ByteSize::kib(4).as_u64(),
+            strict,
+        }
+    }
+
+    /// Per-interval demand in bytes, `D¹` first, and the SIP list.
+    fn predict(&self, cache: &PageCache, t: SimTime) -> (Vec<u64>, SipList) {
+        let nwb = self.tau_expire.div_duration(self.p) as usize;
+        let mut demand = vec![0u64; nwb];
+        let mut sip = SipList::new();
+        let gated = self.strict && cache.dirty_count() <= cache.config().flush_threshold_pages();
+        for (lpn, last_update) in cache.dirty_pages() {
+            sip.insert(lpn);
+            if gated {
+                continue;
+            }
+            let remaining = last_update
+                .saturating_add(self.tau_expire)
+                .saturating_since(t);
+            let k = (remaining.as_micros().div_ceil(self.p.as_micros()) as usize).clamp(1, nwb);
+            demand[k - 1] += self.page_bytes;
+        }
+        (demand, sip)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -127,9 +174,11 @@ fn next_poll(millis: u64, phase_us: u64) -> SimTime {
 fn incremental_poll_matches_scan_after_arbitrary_ops() {
     check(0x19C8_0001, 192, |g| {
         let mut pred = predictor();
-        if g.pick(&[false, true]) {
+        let strict = g.pick(&[false, true]);
+        if strict {
             pred = pred.with_strict_tau_flush();
         }
+        let scan = Scan::of_predictor(strict);
         let phase_us = any_phase(g);
         let mut c = cache(phase_us);
         let mut sip = SipList::new();
@@ -142,8 +191,8 @@ fn incremental_poll_matches_scan_after_arbitrary_ops() {
 
             let poll = next_poll(t * 900, phase_us);
             let demand = pred.predict_into(&c, poll, &mut sip);
-            let (scan_demand, scan_sip) = pred.predict_scan(&c, poll);
-            assert_eq!(demand, scan_demand, "demand diverged at op {i}");
+            let (scan_demand, scan_sip) = scan.predict(&c, poll);
+            assert_eq!(demand.as_slice(), scan_demand, "demand diverged at op {i}");
             assert_eq!(sip, scan_sip, "SIP list diverged at op {i}");
             assert_eq!(sip.len() as u64, c.dirty_count());
         }
@@ -169,8 +218,8 @@ fn incremental_poll_matches_scan_at_distant_boundaries() {
             next_poll(latest, phase_us) + SimDuration::from_micros(periods_later * PERIOD_US);
         let mut sip = SipList::new();
         let demand = pred.predict_into(&c, poll, &mut sip);
-        let (scan_demand, scan_sip) = pred.predict_scan(&c, poll);
-        assert_eq!(demand, scan_demand);
+        let (scan_demand, scan_sip) = Scan::of_predictor(false).predict(&c, poll);
+        assert_eq!(demand.as_slice(), scan_demand);
         assert_eq!(sip, scan_sip);
     });
 }
@@ -193,7 +242,7 @@ fn reused_sip_list_carries_no_ghosts() {
             }
             let poll = next_poll(t * 800, phase_us);
             let _ = pred.predict_into(&c, poll, &mut sip);
-            let (_, fresh) = pred.predict_scan(&c, poll);
+            let (_, fresh) = Scan::of_predictor(false).predict(&c, poll);
             assert_eq!(sip, fresh, "stale entries survived the reuse");
         }
     });
@@ -208,8 +257,14 @@ fn reused_sip_list_carries_no_ghosts() {
 fn staggered_member_polls_its_own_clock() {
     let config = SystemConfig::default_sim();
     let p = config.flusher_period;
-    let pred =
-        BufferedWritePredictor::new(p, config.tau_expire(), config.ftl.geometry().page_size());
+    let page_size = config.ftl.geometry().page_size();
+    let pred = BufferedWritePredictor::new(p, config.tau_expire(), page_size);
+    let scan = Scan {
+        p,
+        tau_expire: config.tau_expire(),
+        page_bytes: page_size.as_u64(),
+        strict: false,
+    };
     for member in [1u64, 3] {
         let offset = SimDuration::from_micros(p.as_micros() * member / 4);
         let stub = NullWorkload::new("driven", config.ftl.user_pages(), WriteMix::new(0.5));
@@ -240,8 +295,12 @@ fn staggered_member_polls_its_own_clock() {
 
             let last_wake_up = sim.virtual_clock() - p;
             let demand = pred.predict_into(sim.cache(), last_wake_up, &mut sip);
-            let (scan_demand, scan_sip) = pred.predict_scan(sim.cache(), last_wake_up);
-            assert_eq!(demand, scan_demand, "member {member} at {last_wake_up}");
+            let (scan_demand, scan_sip) = scan.predict(sim.cache(), last_wake_up);
+            assert_eq!(
+                demand.as_slice(),
+                scan_demand,
+                "member {member} at {last_wake_up}"
+            );
             assert_eq!(sip, scan_sip, "member {member} at {last_wake_up}");
             polled_dirty |= demand.total() > 0;
         }
@@ -250,5 +309,45 @@ fn staggered_member_polls_its_own_clock() {
             "member {member}: the cache never held a dirty page"
         );
         assert!(sim.virtual_clock() > SimTime::from_secs(29));
+    }
+}
+
+/// The paper's Fig. 4 writes — A (20 MiB at 1 s), B (20 MiB at 3 s) —
+/// plus 5 MiB at 8 s and a flusher pass at 35 s: polls at wake-ups
+/// before, at and long after the pass agree with the walk.
+#[test]
+fn incremental_poll_matches_scan_at_period_boundaries() {
+    let (p, tau) = (
+        SimDuration::from_secs(PERIOD_SECS),
+        SimDuration::from_secs(TAU_SECS),
+    );
+    // 1 MiB pages, so sizes read directly in MiB; pressure never fires.
+    let pred = BufferedWritePredictor::new(p, tau, ByteSize::mib(1));
+    let scan = Scan {
+        p,
+        tau_expire: tau,
+        page_bytes: ByteSize::mib(1).as_u64(),
+        strict: false,
+    };
+    let mut cache = PageCache::new(
+        PageCacheConfig::builder()
+            .capacity_pages(100_000)
+            .tau_expire(tau)
+            .tau_flush_permille(1_000)
+            .build(),
+    );
+    for (start, mib, at_secs) in [(0u64, 20u64, 1u64), (100, 20, 3), (200, 5, 8)] {
+        for i in 0..mib {
+            let _ = cache.write(Lpn(start + i), SimTime::from_secs(at_secs));
+        }
+    }
+    let _ = cache.flusher_tick(SimTime::from_secs(35));
+    for t_secs in [5u64, 10, 15, 35, 40, 100] {
+        let t = SimTime::from_secs(t_secs);
+        let (scan_demand, scan_sip) = scan.predict(&cache, t);
+        let mut sip = SipList::new();
+        let demand = pred.predict_into(&cache, t, &mut sip);
+        assert_eq!(demand.as_slice(), scan_demand, "demand at t={t_secs}s");
+        assert_eq!(sip, scan_sip, "sip at t={t_secs}s");
     }
 }

@@ -14,11 +14,6 @@ pub enum FtlError {
         /// Size of the logical space.
         user_pages: u64,
     },
-    /// The logical page has never been written (read of an unmapped LPN).
-    LpnUnmapped {
-        /// The offending logical page.
-        lpn: Lpn,
-    },
     /// Garbage collection cannot free any space: every reclaimable block is
     /// fully valid. With correctly sized over-provisioning this is
     /// unreachable; it indicates a misconfiguration (OP ≈ 0) or an FTL bug.
@@ -40,7 +35,6 @@ impl fmt::Display for FtlError {
                     "logical page {lpn} outside user space of {user_pages} pages"
                 )
             }
-            FtlError::LpnUnmapped { lpn } => write!(f, "logical page {lpn} has never been written"),
             FtlError::NoReclaimableSpace => {
                 write!(f, "garbage collection found no reclaimable block")
             }
@@ -80,9 +74,6 @@ mod tests {
         }
         .to_string()
         .contains("L9"));
-        assert!(FtlError::LpnUnmapped { lpn: Lpn(3) }
-            .to_string()
-            .contains("never been written"));
         assert!(FtlError::NoReclaimableSpace
             .to_string()
             .contains("no reclaimable"));

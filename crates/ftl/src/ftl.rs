@@ -44,13 +44,6 @@ pub struct WriteOutcome {
     pub erased_blocks: u64,
 }
 
-/// Result of one host page read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadOutcome {
-    /// Device time consumed.
-    pub duration: SimDuration,
-}
-
 /// Result of a batched host write ([`Ftl::host_write_batch`]).
 ///
 /// Durations and page counts are sums over the batch; `fgc_writes` keeps
@@ -340,27 +333,6 @@ impl Ftl {
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// Reads one logical page.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::LpnOutOfRange`] for a bad address, or
-    /// [`FtlError::LpnUnmapped`] when the page has never been written.
-    pub fn host_read(&mut self, lpn: Lpn, _now: SimTime) -> Result<ReadOutcome, FtlError> {
-        self.check_lpn(lpn)?;
-        let ppn = self.mapping.get(lpn).ok_or(FtlError::LpnUnmapped { lpn })?;
-        let duration = match self.device.read(ppn) {
-            Ok(d) => d,
-            Err(e @ NandError::ReadFailed { .. }) => {
-                self.stats.host_read_failures += 1;
-                return Err(e.into());
-            }
-            Err(e) => return Err(e.into()),
-        };
-        self.stats.host_pages_read += 1;
-        Ok(ReadOutcome { duration })
     }
 
     /// TRIMs one logical page: the mapping is dropped and the flash copy
@@ -1137,12 +1109,6 @@ impl Ftl {
         self.sip_filter_enabled = enabled;
     }
 
-    /// `true` when SIP-aware victim filtering is active.
-    #[must_use]
-    pub fn sip_filter_enabled(&self) -> bool {
-        self.sip_filter_enabled
-    }
-
     // ------------------------------------------------------------------
     // Space accounting and accessors
     // ------------------------------------------------------------------
@@ -1404,19 +1370,20 @@ mod tests {
     fn write_then_read_round_trips() {
         let mut ftl = small_ftl();
         ftl.host_write(Lpn(5), t(0)).expect("in range");
-        let read = ftl.host_read(Lpn(5), t(1)).expect("mapped");
+        let read = ftl.host_read_batch(&[Lpn(5)], t(1)).expect("in range");
         assert!(read.duration.as_micros() > 0);
+        assert_eq!((read.unmapped, read.failed), (0, 0));
         assert_eq!(ftl.stats().host_pages_written, 1);
         assert_eq!(ftl.stats().host_pages_read, 1);
     }
 
     #[test]
-    fn read_unmapped_fails() {
+    fn read_of_unmapped_page_is_tallied_not_read() {
         let mut ftl = small_ftl();
-        assert!(matches!(
-            ftl.host_read(Lpn(5), t(0)),
-            Err(FtlError::LpnUnmapped { .. })
-        ));
+        let read = ftl.host_read_batch(&[Lpn(5)], t(0)).expect("in range");
+        assert_eq!(read.unmapped, 1);
+        assert_eq!(read.duration, SimDuration::ZERO);
+        assert_eq!(ftl.stats().host_pages_read, 0);
     }
 
     #[test]
@@ -1427,7 +1394,7 @@ mod tests {
             Err(FtlError::LpnOutOfRange { .. })
         ));
         assert!(matches!(
-            ftl.host_read(Lpn(1000), t(0)),
+            ftl.host_read_batch(&[Lpn(1000)], t(0)),
             Err(FtlError::LpnOutOfRange { .. })
         ));
         assert!(matches!(
@@ -1544,10 +1511,8 @@ mod tests {
         ftl.trim(Lpn(9), t(1)).expect("in range");
         assert_eq!(ftl.lookup(Lpn(9)).expect("in range"), None);
         assert_eq!(ftl.device().total_valid_pages(), 0);
-        assert!(matches!(
-            ftl.host_read(Lpn(9), t(2)),
-            Err(FtlError::LpnUnmapped { .. })
-        ));
+        let read = ftl.host_read_batch(&[Lpn(9)], t(2)).expect("in range");
+        assert_eq!(read.unmapped, 1);
         // Trimming again is a no-op.
         ftl.trim(Lpn(9), t(3)).expect("in range");
         assert_eq!(ftl.stats().trims, 2);
@@ -1726,7 +1691,7 @@ mod tests {
     fn sip_filter_disabled_means_no_filtering() {
         let mut ftl = small_ftl();
         ftl.set_sip_filter_enabled(false);
-        assert!(!ftl.sip_filter_enabled());
+        assert!(!ftl.sip_filter_enabled);
         for lpn in 0..16u64 {
             ftl.host_write(Lpn(lpn), t(0)).expect("in range");
         }
@@ -1865,7 +1830,8 @@ mod tests {
         for lpn in 0..16u64 {
             ftl.host_write(Lpn(lpn), t(round + 1))
                 .expect("still serving");
-            assert!(ftl.host_read(Lpn(lpn), t(round + 1)).is_ok());
+            let read = ftl.host_read_batch(&[Lpn(lpn)], t(round + 1));
+            assert_eq!(read.map(|r| (r.unmapped, r.failed)), Ok((0, 0)));
         }
         // Accounting: retired blocks are neither free nor candidates, and
         // every mapped page is still exactly once valid.
@@ -1926,11 +1892,9 @@ mod tests {
         let mut looped_dur = SimDuration::ZERO;
         let mut looped_unmapped = 0u64;
         for &lpn in &lpns {
-            match ftl.host_read(lpn, t(1)) {
-                Ok(r) => looped_dur += r.duration,
-                Err(FtlError::LpnUnmapped { .. }) => looped_unmapped += 1,
-                Err(e) => panic!("unexpected: {e}"),
-            }
+            let r = ftl.host_read_batch(&[lpn], t(1)).expect("ok");
+            looped_dur += r.duration;
+            looped_unmapped += r.unmapped;
         }
         let out = ftl.host_read_batch(&lpns, t(1)).expect("ok");
         assert_eq!(out.duration, looped_dur);
@@ -2070,7 +2034,8 @@ mod tests {
             Err(FtlError::ReadOnly)
         ));
         // Reads of surviving data still work.
-        assert!(ftl.host_read(Lpn(0), t(rounds)).is_ok());
+        let read = ftl.host_read_batch(&[Lpn(0)], t(rounds));
+        assert_eq!(read.map(|r| (r.unmapped, r.failed)), Ok((0, 0)));
         // BGC refuses to churn a dead device.
         let bgc = ftl.background_collect(t(rounds), SimDuration::from_secs(1), None);
         assert_eq!(bgc, BgcOutcome::default());
@@ -2109,9 +2074,8 @@ mod tests {
         let run = |seed: u64| {
             let mut ftl = Ftl::new(faulty_config(seed), Box::new(GreedySelector));
             let rounds = hammer_until(&mut ftl, 300, |_| false);
-            for lpn in 0..16u64 {
-                let _ = ftl.host_read(Lpn(lpn), t(rounds));
-            }
+            let lpns: Vec<Lpn> = (0..16u64).map(Lpn).collect();
+            ftl.host_read_batch(&lpns, t(rounds)).expect("in range");
             (
                 *ftl.stats(),
                 ftl.degrade_events().to_vec(),

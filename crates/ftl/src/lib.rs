@@ -57,7 +57,7 @@ mod victim_index;
 pub use config::{FtlConfig, FtlConfigBuilder};
 pub use error::FtlError;
 pub use ftl::{
-    BatchReadOutcome, BatchWriteOutcome, BgcOutcome, DegradeEvent, DegradeKind, Ftl, ReadOutcome,
+    BatchReadOutcome, BatchWriteOutcome, BgcOutcome, DegradeEvent, DegradeKind, Ftl,
     WearLevelOutcome, WriteOutcome,
 };
 pub use sip::SipList;

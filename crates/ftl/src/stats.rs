@@ -74,12 +74,6 @@ impl FtlStats {
         (self.sip_eligible_selections > 0)
             .then(|| self.sip_filtered_selections as f64 / self.sip_eligible_selections as f64)
     }
-
-    /// Total blocks erased by GC (foreground + background).
-    #[must_use]
-    pub fn gc_blocks(&self) -> u64 {
-        self.fgc_blocks + self.bgc_blocks
-    }
 }
 
 #[cfg(test)]
@@ -106,15 +100,5 @@ mod tests {
         };
         assert_eq!(s.sip_filtered_fraction(), Some(0.15));
         assert_eq!(FtlStats::default().sip_filtered_fraction(), None);
-    }
-
-    #[test]
-    fn gc_blocks_sums() {
-        let s = FtlStats {
-            fgc_blocks: 3,
-            bgc_blocks: 7,
-            ..FtlStats::default()
-        };
-        assert_eq!(s.gc_blocks(), 10);
     }
 }

@@ -3,7 +3,7 @@
 //! (The SIP-count property lives with the unit tests in `src/ftl.rs`,
 //! where the per-block counts are visible.)
 
-use jitgc_ftl::{Ftl, FtlConfig, FtlError, GreedySelector, Lpn};
+use jitgc_ftl::{Ftl, FtlConfig, GreedySelector, Lpn};
 use jitgc_sim::check::{check, Gen};
 use jitgc_sim::{SimDuration, SimTime};
 
@@ -65,20 +65,25 @@ fn mapping_stays_consistent() {
                 Op::Bgc(_) => {}
             }
         }
-        // Every shadow-live LPN is mapped and readable; dead ones are not.
+        // Every shadow-live LPN is mapped and readable; dead ones read as
+        // unmapped, for the host to zero-fill.
         let mut mapped = 0u64;
         for (lpn, &live) in shadow.iter().enumerate() {
             let lookup = ftl.lookup(Lpn(lpn as u64)).expect("in range");
             assert_eq!(lookup.is_some(), live, "lpn {lpn} mapping mismatch");
-            let read = ftl.host_read(Lpn(lpn as u64), SimTime::from_secs(99));
-            if live {
-                mapped += 1;
-                assert!(read.is_ok());
-            } else {
-                let unmapped = matches!(read, Err(FtlError::LpnUnmapped { .. }));
-                assert!(unmapped, "lpn {lpn} should be unmapped, got {read:?}");
-            }
+            let read = ftl
+                .host_read_batch(&[Lpn(lpn as u64)], SimTime::from_secs(99))
+                .expect("in range");
+            mapped += u64::from(live);
+            assert_eq!(read.unmapped, u64::from(!live), "lpn {lpn}: {read:?}");
+            assert_eq!(read.failed, 0, "lpn {lpn}: {read:?}");
         }
+        // One whole-space batch tallies the same split.
+        let all: Vec<Lpn> = (0..USER_PAGES).map(Lpn).collect();
+        let read = ftl
+            .host_read_batch(&all, SimTime::from_secs(99))
+            .expect("in range");
+        assert_eq!(read.unmapped, USER_PAGES - mapped);
         // Exactly one valid flash page per mapped LPN.
         assert_eq!(ftl.device().total_valid_pages(), mapped);
     });

@@ -30,12 +30,13 @@
 //!
 //! ```
 //! use jitgc_core::system::SystemConfig;
-//! use jitgc_model::{predict, PolicyModel, WorkloadSpec};
+//! use jitgc_core::policy::PolicyKind;
+//! use jitgc_model::{predict, WorkloadSpec};
 //! use jitgc_workload::BenchmarkKind;
 //!
 //! let system = SystemConfig::default_sim();
 //! let spec = WorkloadSpec::for_system(&system, 250.0, 1024.0);
-//! let p = predict(&system, PolicyModel::Jit { sip: true }, BenchmarkKind::Ycsb, &spec);
+//! let p = predict(&system, PolicyKind::Jit, BenchmarkKind::Ycsb, &spec);
 //! assert!(p.feasible && p.waf >= 1.0);
 //! ```
 
@@ -48,6 +49,7 @@ mod solver;
 pub use lowering::{lower_profile, Combo};
 pub use solver::{births, effective_survival, live_pages, solve_cycle, survival, CycleSolution};
 
+use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::SystemConfig;
 use jitgc_workload::BenchmarkKind;
 
@@ -56,34 +58,6 @@ use jitgc_workload::BenchmarkKind;
 /// at 1, real WAF diverges). Finite so predictions stay JSON-safe and
 /// sort after every feasible cell.
 pub const INFEASIBLE_WAF: f64 = 1e12;
-
-/// The GC policy, as the model sees it: how much capacity it withholds
-/// and whether SIP deferral applies. [`PolicyKind`] in `jitgc-bench`
-/// maps onto this 1:1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyModel {
-    /// Foreground-only GC: no reserve beyond the GC scratch blocks.
-    NoBgc,
-    /// Background GC holding `permille/1000 × C_OP` free (500 = L-BGC,
-    /// 1500 = A-BGC).
-    Reserved {
-        /// Reserve size in permille of the over-provisioned capacity.
-        permille: u64,
-    },
-    /// Idle-time BGC (Park et al.): modeled as holding half the OP free,
-    /// between L-BGC and nothing — it collects when idle but enforces no
-    /// target.
-    Idle,
-    /// The paper's adaptive device-internal baseline: modeled like
-    /// demand-driven reservation without SIP deferral.
-    Adp,
-    /// JIT-GC: reserves one prediction horizon of write demand; with
-    /// `sip`, soon-to-die buffered pages are deferred out of GC copies.
-    Jit {
-        /// Whether SIP victim filtering is enabled.
-        sip: bool,
-    },
-}
 
 /// The workload-shape knobs the model needs beyond the benchmark kind.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,10 +117,18 @@ pub struct Prediction {
 
 /// Predicts WAF, lifetime, and the stall proxy for one configuration
 /// cell. Pure: same inputs, same outputs, no simulation state.
+///
+/// The model sees a policy as the capacity it withholds from the data
+/// rotation and whether SIP deferral applies: No-BGC holds no reserve
+/// beyond the GC scratch blocks, a fixed reserve `permille/1000 × C_OP`,
+/// idle-time BGC half the OP (it collects when idle but enforces no
+/// target), ADP-GC and JIT-GC one prediction horizon of device writes,
+/// and only JIT-GC with SIP defers soon-to-die buffered pages out of GC
+/// copies.
 #[must_use]
 pub fn predict(
     system: &SystemConfig,
-    policy: PolicyModel,
+    policy: PolicyKind,
     benchmark: BenchmarkKind,
     spec: &WorkloadSpec,
 ) -> Prediction {
@@ -167,16 +149,18 @@ pub fn predict(
     let op_pages = ftl.op_pages() as f64;
     let tau = system.tau_expire().as_secs_f64();
     let reserve_pages = match policy {
-        PolicyModel::NoBgc => 0.0,
-        PolicyModel::Reserved { permille } => permille as f64 / 1000.0 * op_pages,
-        PolicyModel::Idle => 0.5 * op_pages,
+        PolicyKind::NoBgc => 0.0,
+        PolicyKind::ReservedPermille(permille) => permille as f64 / 1000.0 * op_pages,
+        PolicyKind::Idle => 0.5 * op_pages,
         // Demand-driven policies hold one prediction horizon of device
         // writes, clamped to A-BGC's feasibility ceiling.
-        PolicyModel::Adp | PolicyModel::Jit { .. } => (device_write_rate * tau).min(1.5 * op_pages),
+        PolicyKind::Adp | PolicyKind::Jit | PolicyKind::JitNoSip => {
+            (device_write_rate * tau).min(1.5 * op_pages)
+        }
     };
     let t_pages = ftl.data_pages() as f64 - reserve_pages;
     let sip_horizon = match policy {
-        PolicyModel::Jit { sip: true } => tau,
+        PolicyKind::Jit => tau,
         _ => 0.0,
     };
 
@@ -204,7 +188,7 @@ pub fn predict(
     let debt = (waf - 1.0).max(0.0) * device_write_rate * page_size / gc_bw;
     let burst_pages = (spec.burst_mean * profile.write_pages_per_request).max(1.0);
     let surprise_burst = match policy {
-        PolicyModel::Jit { .. } => {
+        PolicyKind::Jit | PolicyKind::JitNoSip => {
             (burst_pages * (1.0 - profile.buffered_fraction())).max(0.02 * burst_pages)
         }
         _ => burst_pages,
@@ -241,13 +225,13 @@ mod tests {
         let s = spec(&system);
         for benchmark in BenchmarkKind::all() {
             for policy in [
-                PolicyModel::NoBgc,
-                PolicyModel::Reserved { permille: 500 },
-                PolicyModel::Reserved { permille: 1_500 },
-                PolicyModel::Idle,
-                PolicyModel::Adp,
-                PolicyModel::Jit { sip: true },
-                PolicyModel::Jit { sip: false },
+                PolicyKind::NoBgc,
+                PolicyKind::ReservedPermille(500),
+                PolicyKind::ReservedPermille(1_500),
+                PolicyKind::Idle,
+                PolicyKind::Adp,
+                PolicyKind::Jit,
+                PolicyKind::JitNoSip,
             ] {
                 let p = predict(&system, policy, benchmark, &s);
                 assert!(p.waf.is_finite());
@@ -265,13 +249,13 @@ mod tests {
         let s = spec(&system);
         let l = predict(
             &system,
-            PolicyModel::Reserved { permille: 500 },
+            PolicyKind::ReservedPermille(500),
             BenchmarkKind::Ycsb,
             &s,
         );
         let a = predict(
             &system,
-            PolicyModel::Reserved { permille: 1_500 },
+            PolicyKind::ReservedPermille(1_500),
             BenchmarkKind::Ycsb,
             &s,
         );
@@ -294,13 +278,13 @@ mod tests {
         let s = spec(&system);
         let small = predict(
             &system,
-            PolicyModel::Reserved { permille: 250 },
+            PolicyKind::ReservedPermille(250),
             BenchmarkKind::Ycsb,
             &s,
         );
         let large = predict(
             &system,
-            PolicyModel::Reserved { permille: 750 },
+            PolicyKind::ReservedPermille(750),
             BenchmarkKind::Ycsb,
             &s,
         );
@@ -317,32 +301,12 @@ mod tests {
     fn sip_helps_buffered_workloads() {
         let system = SystemConfig::default_sim();
         let s = spec(&system);
-        let with = predict(
-            &system,
-            PolicyModel::Jit { sip: true },
-            BenchmarkKind::Ycsb,
-            &s,
-        );
-        let without = predict(
-            &system,
-            PolicyModel::Jit { sip: false },
-            BenchmarkKind::Ycsb,
-            &s,
-        );
+        let with = predict(&system, PolicyKind::Jit, BenchmarkKind::Ycsb, &s);
+        let without = predict(&system, PolicyKind::JitNoSip, BenchmarkKind::Ycsb, &s);
         assert!(with.waf < without.waf);
         // TPC-C is 99.9 % direct: SIP has nothing to predict.
-        let t_with = predict(
-            &system,
-            PolicyModel::Jit { sip: true },
-            BenchmarkKind::TpcC,
-            &s,
-        );
-        let t_without = predict(
-            &system,
-            PolicyModel::Jit { sip: false },
-            BenchmarkKind::TpcC,
-            &s,
-        );
+        let t_with = predict(&system, PolicyKind::Jit, BenchmarkKind::TpcC, &s);
+        let t_without = predict(&system, PolicyKind::JitNoSip, BenchmarkKind::TpcC, &s);
         assert!((t_with.waf - t_without.waf).abs() / t_without.waf < 0.01);
     }
 
@@ -351,19 +315,9 @@ mod tests {
         let mut system = SystemConfig::default_sim();
         system.ftl = system.ftl.to_builder().endurance_limit(1_000).build();
         let s = spec(&system);
-        let one = predict(
-            &system,
-            PolicyModel::Jit { sip: true },
-            BenchmarkKind::Ycsb,
-            &s,
-        );
+        let one = predict(&system, PolicyKind::Jit, BenchmarkKind::Ycsb, &s);
         system.ftl = system.ftl.to_builder().endurance_limit(3_000).build();
-        let three = predict(
-            &system,
-            PolicyModel::Jit { sip: true },
-            BenchmarkKind::Ycsb,
-            &s,
-        );
+        let three = predict(&system, PolicyKind::Jit, BenchmarkKind::Ycsb, &s);
         let (l1, l3) = (
             one.lifetime_host_bytes.expect("endurance set"),
             three.lifetime_host_bytes.expect("endurance set"),
@@ -379,7 +333,7 @@ mod tests {
         let system = SystemConfig::default_sim();
         let p = predict(
             &system,
-            PolicyModel::NoBgc,
+            PolicyKind::NoBgc,
             BenchmarkKind::TpcC,
             &spec(&system),
         );
@@ -392,7 +346,7 @@ mod tests {
         // Demand a reserve so large the working set no longer fits.
         let p = predict(
             &system,
-            PolicyModel::Reserved { permille: 2_000 },
+            PolicyKind::ReservedPermille(2_000),
             BenchmarkKind::Ycsb,
             &spec(&system),
         );
@@ -408,7 +362,7 @@ mod tests {
         let system = SystemConfig::default_sim();
         let p = predict(
             &system,
-            PolicyModel::Jit { sip: true },
+            PolicyKind::Jit,
             BenchmarkKind::Ycsb,
             &spec(&system),
         );
@@ -424,7 +378,7 @@ mod tests {
         let system = SystemConfig::default_sim();
         let p = predict(
             &system,
-            PolicyModel::Reserved { permille: 500 },
+            PolicyKind::ReservedPermille(500),
             BenchmarkKind::Bonnie,
             &spec(&system),
         );

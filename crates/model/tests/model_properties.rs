@@ -1,8 +1,8 @@
 //! Property tests of the analytical model's invariants.
 
-use jitgc_core::policy::NoBgc;
+use jitgc_core::policy::{NoBgc, PolicyKind};
 use jitgc_core::system::{SsdSystem, SystemConfig, VictimKind};
-use jitgc_model::{predict, solve_cycle, Combo, PolicyModel, WorkloadSpec};
+use jitgc_model::{predict, solve_cycle, Combo, WorkloadSpec};
 use jitgc_sim::check::{check, Gen};
 use jitgc_sim::SimDuration;
 use jitgc_workload::{BenchmarkKind, WorkloadConfig};
@@ -14,16 +14,14 @@ fn system_with_op(op_permille: u64) -> SystemConfig {
     system
 }
 
-fn any_policy(g: &mut Gen) -> PolicyModel {
+fn any_policy(g: &mut Gen) -> PolicyKind {
     match g.u64(0, 6) {
-        0 => PolicyModel::NoBgc,
-        1 => PolicyModel::Reserved {
-            permille: g.u64(100, 2000),
-        },
-        2 => PolicyModel::Idle,
-        3 => PolicyModel::Adp,
-        4 => PolicyModel::Jit { sip: true },
-        _ => PolicyModel::Jit { sip: false },
+        0 => PolicyKind::NoBgc,
+        1 => PolicyKind::ReservedPermille(g.u64(100, 2000)),
+        2 => PolicyKind::Idle,
+        3 => PolicyKind::Adp,
+        4 => PolicyKind::Jit,
+        _ => PolicyKind::JitNoSip,
     }
 }
 
@@ -68,9 +66,9 @@ fn waf_monotone_in_the_space_over_provisioning_leaves() {
         let room_grew = hi.ftl.data_pages() as f64 - p_hi.reserve_pages
             >= lo.ftl.data_pages() as f64 - p_lo.reserve_pages;
         let reserve_within_op = match policy {
-            PolicyModel::NoBgc | PolicyModel::Idle => true,
-            PolicyModel::Reserved { permille } => permille <= 1_000,
-            PolicyModel::Adp | PolicyModel::Jit { .. } => false,
+            PolicyKind::NoBgc | PolicyKind::Idle => true,
+            PolicyKind::ReservedPermille(permille) => permille <= 1_000,
+            PolicyKind::Adp | PolicyKind::Jit | PolicyKind::JitNoSip => false,
         };
         assert!(
             room_grew || !reserve_within_op,
@@ -110,8 +108,8 @@ fn lifetime_monotone_in_endurance() {
             .endurance_limit(endurance * factor)
             .build();
         let spec = WorkloadSpec::for_system(&lo, 500.0, 512.0);
-        let p_lo = predict(&lo, PolicyModel::NoBgc, benchmark, &spec);
-        let p_hi = predict(&hi, PolicyModel::NoBgc, benchmark, &spec);
+        let p_lo = predict(&lo, PolicyKind::NoBgc, benchmark, &spec);
+        let p_hi = predict(&hi, PolicyKind::NoBgc, benchmark, &spec);
         let l_lo = p_lo.lifetime_host_bytes.expect("endurance is set");
         let l_hi = p_hi.lifetime_host_bytes.expect("endurance is set");
         assert!(
@@ -179,7 +177,7 @@ fn small_scale_model_tracks_simulator() {
     let mut system = SystemConfig::small_for_tests();
     system.victim = VictimKind::Fifo;
     let spec = WorkloadSpec::for_system(&system, 500.0, 64.0);
-    let model = predict(&system, PolicyModel::NoBgc, BenchmarkKind::Ycsb, &spec);
+    let model = predict(&system, PolicyKind::NoBgc, BenchmarkKind::Ycsb, &spec);
     check(0x30DE_0005, 64, |g| {
         let seed = g.u64(0, 500);
         let wl = WorkloadConfig::builder()

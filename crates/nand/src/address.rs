@@ -20,30 +20,6 @@ pub struct Ppn(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockId(pub u32);
 
-impl Lpn {
-    /// The raw index.
-    #[must_use]
-    pub const fn index(self) -> u64 {
-        self.0
-    }
-}
-
-impl Ppn {
-    /// The raw index.
-    #[must_use]
-    pub const fn index(self) -> u64 {
-        self.0
-    }
-}
-
-impl BlockId {
-    /// The raw index.
-    #[must_use]
-    pub const fn index(self) -> u32 {
-        self.0
-    }
-}
-
 impl fmt::Display for Lpn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "L{}", self.0)
@@ -93,10 +69,10 @@ mod tests {
 
     #[test]
     fn newtypes_are_distinct_types() {
-        // Compile-time property; here we just exercise the accessors.
-        assert_eq!(Lpn::from(9).index(), 9);
-        assert_eq!(Ppn::from(9).index(), 9);
-        assert_eq!(BlockId::from(9).index(), 9);
+        // Compile-time property; here we just exercise the conversions.
+        assert_eq!(Lpn::from(9), Lpn(9));
+        assert_eq!(Ppn::from(9), Ppn(9));
+        assert_eq!(BlockId::from(9), BlockId(9));
     }
 
     #[test]

@@ -119,12 +119,6 @@ impl FaultModel {
         }
     }
 
-    /// The configuration this injector was built from.
-    #[must_use]
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// Fault probability for a class whose rate is `rate`, on a block
     /// with `erase_count` erases.
     fn probability(&self, rate: f64, erase_count: u64) -> f64 {

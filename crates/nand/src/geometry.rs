@@ -68,18 +68,6 @@ impl Geometry {
         self.blocks as u64 * self.pages_per_block as u64
     }
 
-    /// Total raw capacity in bytes.
-    #[must_use]
-    pub fn total_capacity(&self) -> ByteSize {
-        self.page_size * self.total_pages()
-    }
-
-    /// Capacity of a single erase block.
-    #[must_use]
-    pub fn block_capacity(&self) -> ByteSize {
-        self.page_size * u64::from(self.pages_per_block)
-    }
-
     /// The block containing `ppn`.
     ///
     /// # Panics
@@ -144,7 +132,7 @@ impl Geometry {
 ///     .pages_per_block(128)
 ///     .page_size_bytes(4096)
 ///     .build();
-/// assert_eq!(g.total_capacity(), ByteSize::mib(64));
+/// assert_eq!(g.blocks(), 128); // 64 MiB / (128 × 4 KiB)
 /// ```
 #[derive(Debug, Clone)]
 pub struct GeometryBuilder {
@@ -199,13 +187,6 @@ impl GeometryBuilder {
         self
     }
 
-    /// Sets the page size (default 4 KiB).
-    #[must_use]
-    pub fn page_size(mut self, size: ByteSize) -> Self {
-        self.page_size = size;
-        self
-    }
-
     /// Finalizes the geometry.
     ///
     /// # Panics
@@ -249,8 +230,7 @@ mod tests {
     fn derived_capacities() {
         let g = small();
         assert_eq!(g.total_pages(), 32);
-        assert_eq!(g.total_capacity(), ByteSize::kib(128));
-        assert_eq!(g.block_capacity(), ByteSize::kib(32));
+        assert_eq!(g.page_size() * g.total_pages(), ByteSize::kib(128));
     }
 
     #[test]

@@ -25,10 +25,11 @@ use jitgc_sim::{ByteSize, SimDuration};
 ///
 /// ```
 /// use jitgc_nand::NandTiming;
+/// use jitgc_sim::SimDuration;
 ///
 /// let t = NandTiming::mlc_20nm();
-/// // Effective program cost is raw cost / parallelism.
-/// assert!(t.page_program_cost() < t.raw_program_time());
+/// // Effective program cost: (1.3 ms program + 10 µs transfer) / 8 dies.
+/// assert_eq!(t.page_program_cost(), SimDuration::from_micros(163));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NandTiming {
@@ -100,24 +101,6 @@ impl NandTiming {
             SimDuration::from_micros(10),
             8,
         )
-    }
-
-    /// Raw array program time (before striping).
-    #[must_use]
-    pub fn raw_program_time(&self) -> SimDuration {
-        self.program
-    }
-
-    /// Bus transfer time per page.
-    #[must_use]
-    pub fn transfer_per_page(&self) -> SimDuration {
-        self.transfer_per_page
-    }
-
-    /// Striping factor.
-    #[must_use]
-    pub fn parallelism(&self) -> u32 {
-        self.parallelism
     }
 
     /// Effective cost of reading one page, amortized over striping.
@@ -220,11 +203,11 @@ mod tests {
     #[test]
     fn presets_match_paper_numbers() {
         assert_eq!(
-            NandTiming::legacy_130nm().raw_program_time(),
+            NandTiming::legacy_130nm().program,
             SimDuration::from_micros(200)
         );
         assert_eq!(
-            NandTiming::dense_25nm().raw_program_time(),
+            NandTiming::dense_25nm().program,
             SimDuration::from_micros(2_300)
         );
     }

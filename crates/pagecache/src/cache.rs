@@ -943,11 +943,10 @@ mod tests {
         c.write(Lpn(1), t(1));
         c.write(Lpn(2), t(2)); // forced
         c.flusher_tick(t(40)); // expiry flushes
-        assert_eq!(
-            c.stats().total_writebacks(),
-            c.stats().forced_writebacks + c.stats().flushed_expired
-        );
-        assert!(c.stats().total_writebacks() >= 2);
+        let s = c.stats();
+        assert_eq!(s.throttled_writebacks, 0);
+        assert!(s.forced_writebacks >= 1 && s.flushed_expired >= 1);
+        assert!(s.forced_writebacks + s.flushed_expired >= 2);
     }
 
     #[test]

@@ -23,12 +23,6 @@ pub struct PageCacheStats {
 }
 
 impl PageCacheStats {
-    /// Total dirty pages written back to the device by any path.
-    #[must_use]
-    pub fn total_writebacks(&self) -> u64 {
-        self.flushed_expired + self.forced_writebacks + self.throttled_writebacks
-    }
-
     /// Read hit ratio, or `None` before the first read.
     #[must_use]
     pub fn hit_ratio(&self) -> Option<f64> {
@@ -50,7 +44,6 @@ mod tests {
             read_misses: 1,
             ..PageCacheStats::default()
         };
-        assert_eq!(s.total_writebacks(), 10);
         assert_eq!(s.hit_ratio(), Some(0.9));
     }
 

@@ -358,7 +358,8 @@ fn main() {
         };
         let sessions = args.sessions.unwrap_or(cfg.tenants.len());
         let seconds = cfg.seconds;
-        let service = Service::new(cfg, args.policy.build(&args_system(&args)));
+        let policy = args.policy.build(&cfg.system);
+        let service = Service::new(cfg, policy);
         let mut service = serve(endpoint, service, sessions)
             .unwrap_or_else(|e| fail(format!("serve failed: {e}")));
         let report = service.finalize(SimTime::from_secs(seconds));
@@ -390,16 +391,4 @@ fn main() {
     } else {
         print_table(&report);
     }
-}
-
-/// The system config for serve mode (rebuilt because `cfg` moved into the
-/// service).
-fn args_system(args: &Args) -> SystemConfig {
-    let mut system = if args.small {
-        SystemConfig::small_for_tests()
-    } else {
-        SystemConfig::default_sim()
-    };
-    system.prefill = args.prefill;
-    system
 }

@@ -11,19 +11,17 @@
 //! # Determinism across worker threads
 //!
 //! `worker_threads` parallelism is confined to *trace generation*: each
-//! tenant's request stream depends only on its own seed, so workers grab
-//! tenant indices from an atomic counter, synthesize each stream
-//! independently, and the results are scattered back by index. Everything
-//! that involves the shared engine — submission, arbitration, stepping,
-//! accounting — runs serially on the calling thread in one discrete-event
-//! loop. The report is therefore byte-identical for any worker count.
+//! tenant's request stream depends only on its own seed, so the streams
+//! are one [`run_grid`] over the tenant indices, returned in tenant order.
+//! Everything that involves the shared engine — submission, arbitration,
+//! stepping, accounting — runs serially on the calling thread in one
+//! discrete-event loop. The report is therefore byte-identical for any
+//! worker count.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 use jitgc_core::policy::GcPolicy;
-use jitgc_sim::SimTime;
+use jitgc_sim::{run_grid, SimTime};
 use jitgc_workload::{IoRequest, Synthetic, Workload, WorkloadConfig};
 
 use crate::config::{ServiceConfig, TenantProfile};
@@ -67,29 +65,8 @@ fn generate_trace(cfg: &ServiceConfig, tenant: usize) -> Vec<IoRequest> {
 /// Generates every tenant's trace, fanning the independent streams out
 /// over `cfg.worker_threads` workers.
 fn generate_traces(cfg: &ServiceConfig) -> Vec<Vec<IoRequest>> {
-    let n = cfg.tenants.len();
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|s| {
-        for _ in 0..cfg.worker_threads.min(n) {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                tx.send((i, generate_trace(cfg, i)))
-                    .expect("collector alive");
-            });
-        }
-    });
-    drop(tx);
-    let mut traces: Vec<Vec<IoRequest>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, trace) in rx {
-        traces[i] = trace;
-    }
-    traces
+    let tenants: Vec<usize> = (0..cfg.tenants.len()).collect();
+    run_grid(&tenants, cfg.worker_threads, |&i| generate_trace(cfg, i))
 }
 
 /// One tenant's closed-loop driving state.

@@ -266,11 +266,6 @@ impl Client<UnixStream> {
 }
 
 impl<S: Read + Write> Client<S> {
-    /// Wraps an already-connected stream.
-    pub fn new(stream: S) -> Self {
-        Client { stream }
-    }
-
     /// Opens the session as tenant `name`; returns the assigned index.
     ///
     /// # Errors

@@ -31,17 +31,6 @@ pub enum CompletionStatus {
     Busy,
 }
 
-impl CompletionStatus {
-    /// Display name, as reported in JSON and on the wire.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            CompletionStatus::Done => "done",
-            CompletionStatus::Busy => "busy",
-        }
-    }
-}
-
 /// One entry in a tenant's completion queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {

@@ -418,12 +418,6 @@ impl Service {
         self.tenants[tenant].cq.drain(..).collect()
     }
 
-    /// Lets the engine's background machinery (ticks, BGC) run up to `t`
-    /// without dispatching host work.
-    pub fn advance_to(&mut self, t: SimTime) {
-        self.engine.advance_to(t);
-    }
-
     /// Closes the run at virtual time `end` and assembles the service
     /// report (per-tenant accounting + tier timeline + device report).
     #[must_use]

@@ -85,12 +85,6 @@ impl TierPolicy {
         self.current
     }
 
-    /// The configured thresholds.
-    #[must_use]
-    pub fn thresholds(&self) -> TierThresholds {
-        self.thresholds
-    }
-
     fn entry(&self, tier: Tier) -> f64 {
         match tier {
             Tier::Green => 0.0,

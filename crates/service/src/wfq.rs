@@ -92,12 +92,6 @@ impl WfqArbiter {
         self.served_bytes[tenant]
     }
 
-    /// The current virtual clock (diagnostic).
-    #[must_use]
-    pub fn virtual_time(&self) -> u128 {
-        self.virtual_time
-    }
-
     /// This tenant's configured weight as a fraction of the roster total.
     #[must_use]
     pub fn weight_share(&self, tenant: usize) -> f64 {

@@ -57,33 +57,10 @@ impl ByteSize {
         self.0
     }
 
-    /// The byte count in whole KiB (truncating).
-    #[must_use]
-    pub const fn as_kib(self) -> u64 {
-        self.0 / 1024
-    }
-
-    /// The byte count in whole MiB (truncating).
-    #[must_use]
-    pub const fn as_mib(self) -> u64 {
-        self.0 / (1024 * 1024)
-    }
-
     /// `true` if zero bytes.
     #[must_use]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// How many `page_size`-sized pages this size spans, rounding up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_size` is zero.
-    #[must_use]
-    pub fn div_ceil_pages(self, page_size: ByteSize) -> u64 {
-        assert!(!page_size.is_zero(), "page size must be non-zero");
-        self.0.div_ceil(page_size.0)
     }
 
     /// Scales by `permille`/1000 using integer arithmetic, e.g.
@@ -100,26 +77,6 @@ impl ByteSize {
     #[must_use]
     pub fn saturating_sub(self, other: ByteSize) -> ByteSize {
         ByteSize(self.0.saturating_sub(other.0))
-    }
-
-    /// The smaller of two sizes.
-    #[must_use]
-    pub fn min(self, other: ByteSize) -> ByteSize {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The larger of two sizes.
-    #[must_use]
-    pub fn max(self, other: ByteSize) -> ByteSize {
-        if self >= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -200,8 +157,8 @@ mod tests {
     #[test]
     fn unit_constructors() {
         assert_eq!(ByteSize::kib(1).as_u64(), 1024);
-        assert_eq!(ByteSize::mib(1).as_kib(), 1024);
-        assert_eq!(ByteSize::gib(1).as_mib(), 1024);
+        assert_eq!(ByteSize::mib(1), ByteSize::kib(1024));
+        assert_eq!(ByteSize::gib(1), ByteSize::mib(1024));
     }
 
     #[test]
@@ -235,20 +192,6 @@ mod tests {
             ByteSize::bytes(1001).scale_permille(500),
             ByteSize::bytes(500)
         );
-    }
-
-    #[test]
-    fn div_ceil_pages() {
-        let page = ByteSize::kib(4);
-        assert_eq!(ByteSize::kib(8).div_ceil_pages(page), 2);
-        assert_eq!(ByteSize::kib(9).div_ceil_pages(page), 3);
-        assert_eq!(ByteSize::ZERO.div_ceil_pages(page), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "page size must be non-zero")]
-    fn div_ceil_pages_zero_page() {
-        let _ = ByteSize::kib(8).div_ceil_pages(ByteSize::ZERO);
     }
 
     #[test]

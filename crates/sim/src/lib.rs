@@ -15,6 +15,8 @@
 //!   simulator's machine-readable interfaces.
 //! * [`check`] — the seeded property checker every crate's property tests
 //!   run on.
+//! * [`run_grid`] — the one thread fan-out: independent scenarios on a
+//!   worker pool, results in input order whatever the thread count.
 //!
 //! # Example
 //!
@@ -30,6 +32,7 @@
 
 mod bytes;
 mod rng;
+mod runner;
 mod time;
 
 pub mod check;
@@ -39,4 +42,5 @@ pub mod stats;
 pub use bytes::ByteSize;
 pub use json::{JsonError, JsonValue, ObjectBuilder};
 pub use rng::{SimRng, Zipf};
+pub use runner::{default_threads, run_grid};
 pub use time::{SimDuration, SimTime};

@@ -78,14 +78,6 @@ impl SimRng {
         result
     }
 
-    /// Fills `dest` with generator output.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let word = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
-    }
-
     /// A uniform `u64` in `[lo, hi)`.
     ///
     /// # Panics
@@ -267,19 +259,7 @@ impl Zipf {
         Zipf { table }
     }
 
-    /// Number of items in the domain.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.table.cdf.len() as u64
-    }
-
-    /// Always `false`: [`new`](Self::new) refuses an empty domain.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.table.cdf.is_empty()
-    }
-
-    /// Draws a rank in `0..len()`; rank 0 is the most popular. Takes one
+    /// Draws a rank in `0..n`; rank 0 is the most popular. Takes one
     /// [`SimRng::next_u64`], as [`SimRng::unit_f64`] does.
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         self.table.rank_of(rng.next_u64() >> 11)
@@ -337,7 +317,7 @@ impl ZipfTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -401,17 +381,6 @@ mod tests {
             let u = rng.unit_f64();
             assert!((0.0..1.0).contains(&u), "sample {u}");
         }
-    }
-
-    #[test]
-    fn fill_bytes_handles_partial_words() {
-        let mut a = SimRng::seed(29);
-        let mut b = SimRng::seed(29);
-        let mut buf = [0u8; 13];
-        a.fill_bytes(&mut buf);
-        // The first 8 bytes are the little-endian first word.
-        assert_eq!(&buf[..8], &b.next_u64().to_le_bytes());
-        assert_ne!(buf, [0u8; 13]);
     }
 
     #[test]
@@ -480,8 +449,7 @@ mod tests {
         for _ in 0..5_000 {
             assert!(zipf.sample(&mut rng) < 17);
         }
-        assert_eq!(zipf.len(), 17);
-        assert!(!zipf.is_empty());
+        assert_eq!(zipf.table.cdf.len(), 17);
     }
 
     /// The reference draw: the first index of the whole CDF that is
@@ -557,9 +525,10 @@ mod tests {
     }
 
     /// Serializes the tests that count on what the process-wide table
-    /// cache holds, and the pin, which adds two keys; the other tests here
-    /// add three keys between them, too few to evict anything.
-    static CACHE_TESTS: Mutex<()> = Mutex::new(());
+    /// cache holds, the pin, which adds two keys, and `run_grid`'s
+    /// concurrent builders, which add twelve; the other tests here add
+    /// three keys between them, too few to evict anything.
+    pub(crate) static CACHE_TESTS: Mutex<()> = Mutex::new(());
 
     /// A sampler over a table built for it alone.
     fn fresh(n: usize, s: f64) -> Zipf {

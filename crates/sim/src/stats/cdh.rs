@@ -76,24 +76,6 @@ impl Cdh {
         self.histogram.quantile_upper_edge(fraction)
     }
 
-    /// Number of observations currently in the window.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.recent.len()
-    }
-
-    /// `true` before the first observation.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.recent.is_empty()
-    }
-
-    /// The most recent observation, if any.
-    #[must_use]
-    pub fn last_observation(&self) -> Option<u64> {
-        self.recent.back().copied()
-    }
-
     /// `true` when the sliding window is full and every retained
     /// observation equals `bytes`. In that state a further
     /// [`observe`](Self::observe)`(bytes)` is an exact no-op — it evicts
@@ -103,12 +85,6 @@ impl Cdh {
     #[must_use]
     pub fn window_full_of(&self, bytes: u64) -> bool {
         self.recent.len() == self.window && self.recent.iter().all(|&b| b == bytes)
-    }
-
-    /// Read-only view of the underlying histogram (for reporting).
-    #[must_use]
-    pub fn histogram(&self) -> &Histogram {
-        &self.histogram
     }
 }
 
@@ -135,8 +111,7 @@ mod tests {
     fn empty_cdh_reserves_nothing() {
         let cdh = Cdh::new(MIB, 8);
         assert_eq!(cdh.reserve_for(0.8), None);
-        assert!(cdh.is_empty());
-        assert_eq!(cdh.last_observation(), None);
+        assert!(cdh.recent.is_empty());
     }
 
     #[test]
@@ -153,16 +128,7 @@ mod tests {
             cdh.observe(10);
         }
         assert_eq!(cdh.reserve_for(0.8), Some(10));
-        assert_eq!(cdh.len(), 3);
-    }
-
-    #[test]
-    fn last_observation_tracks() {
-        let mut cdh = Cdh::new(10, 4);
-        cdh.observe(42);
-        cdh.observe(7);
-        assert_eq!(cdh.last_observation(), Some(7));
-        assert_eq!(cdh.len(), 2);
+        assert_eq!(cdh.recent.len(), 3);
     }
 
     #[test]
@@ -205,11 +171,19 @@ mod tests {
         for _ in 0..4 {
             cdh.observe(0);
         }
-        let before = (cdh.len(), cdh.reserve_for(0.8), cdh.histogram().total());
+        let before = (
+            cdh.recent.len(),
+            cdh.reserve_for(0.8),
+            cdh.histogram.total(),
+        );
         cdh.observe(0);
         assert_eq!(
             before,
-            (cdh.len(), cdh.reserve_for(0.8), cdh.histogram().total())
+            (
+                cdh.recent.len(),
+                cdh.reserve_for(0.8),
+                cdh.histogram.total()
+            )
         );
     }
 
@@ -218,6 +192,6 @@ mod tests {
         let mut cdh = Cdh::new(10, 8);
         cdh.observe(15);
         cdh.observe(25);
-        assert_eq!(cdh.histogram().total(), 2);
+        assert_eq!(cdh.histogram.total(), 2);
     }
 }

@@ -65,11 +65,6 @@ impl Ewma {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
-
-    /// Discards all state, as if freshly constructed.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 #[cfg(test)]
@@ -116,14 +111,6 @@ mod tests {
     fn value_or_default() {
         let e = Ewma::new(0.3);
         assert_eq!(e.value_or(7.0), 7.0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut e = Ewma::new(0.3);
-        e.update(5.0);
-        e.reset();
-        assert_eq!(e.value(), None);
     }
 
     #[test]

@@ -46,12 +46,6 @@ impl Histogram {
         }
     }
 
-    /// The configured bin width.
-    #[must_use]
-    pub fn bin_width(&self) -> u64 {
-        self.bin_width
-    }
-
     /// The bin index that `value` falls into.
     #[must_use]
     pub fn bin_index(&self, value: u64) -> usize {
@@ -104,18 +98,6 @@ impl Histogram {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// `true` when no samples are recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Number of allocated bins (the highest populated bin + 1).
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.counts.len()
     }
 
     /// Iterates `(bin_upper_edge, count)` over all allocated bins.
@@ -176,7 +158,6 @@ mod tests {
         assert_eq!(h.bin_count(1), 2);
         assert_eq!(h.bin_count(2), 1);
         assert_eq!(h.total(), 3);
-        assert!(!h.is_empty());
     }
 
     #[test]
@@ -239,7 +220,6 @@ mod tests {
         h.record(8);
         let v: Vec<(u64, u64)> = h.iter().collect();
         assert_eq!(v, vec![(0, 0), (5, 1), (10, 1)]);
-        assert_eq!(h.num_bins(), 3);
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub struct LatencyRecorder {
     total: u64,
     sum_micros: u128,
     max_micros: u64,
-    min_micros: u64,
 }
 
 impl LatencyRecorder {
@@ -49,7 +48,6 @@ impl LatencyRecorder {
             total: 0,
             sum_micros: 0,
             max_micros: 0,
-            min_micros: u64::MAX,
         }
     }
 
@@ -82,19 +80,12 @@ impl LatencyRecorder {
         self.total += 1;
         self.sum_micros += u128::from(us);
         self.max_micros = self.max_micros.max(us);
-        self.min_micros = self.min_micros.min(us);
     }
 
     /// Number of recorded samples.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.total
-    }
-
-    /// `true` before the first sample.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
     }
 
     /// Mean latency, or `None` before the first sample.
@@ -119,16 +110,6 @@ impl LatencyRecorder {
         }
     }
 
-    /// Smallest recorded sample (exact), or `None` before the first sample.
-    #[must_use]
-    pub fn min(&self) -> Option<SimDuration> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(SimDuration::from_micros(self.min_micros))
-        }
-    }
-
     /// The latency at quantile `q` (clamped to `[0, 1]`), within the
     /// recorder's ≤ 6.25 % bucket quantization, or `None` before the first
     /// sample.
@@ -150,17 +131,6 @@ impl LatencyRecorder {
         }
         Some(SimDuration::from_micros(self.max_micros))
     }
-
-    /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_micros += other.sum_micros;
-        self.max_micros = self.max_micros.max(other.max_micros);
-        self.min_micros = self.min_micros.min(other.min_micros);
-    }
 }
 
 impl Default for LatencyRecorder {
@@ -180,10 +150,9 @@ mod tests {
     #[test]
     fn empty_recorder() {
         let lat = LatencyRecorder::new();
-        assert!(lat.is_empty());
+        assert_eq!(lat.count(), 0);
         assert_eq!(lat.mean(), None);
         assert_eq!(lat.max(), None);
-        assert_eq!(lat.min(), None);
         assert_eq!(lat.percentile(0.5), None);
     }
 
@@ -193,7 +162,6 @@ mod tests {
         for v in 0..16 {
             lat.record(us(v));
         }
-        assert_eq!(lat.min(), Some(us(0)));
         assert_eq!(lat.max(), Some(us(15)));
         assert_eq!(lat.percentile(0.0), Some(us(0)));
         assert_eq!(lat.percentile(1.0), Some(us(15)));
@@ -238,18 +206,6 @@ mod tests {
             let rel = (rep - v) as f64 / v as f64;
             assert!(rel <= 0.0625 + 1e-9, "v={v} rep={rep} rel={rel}");
         }
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record(us(10));
-        b.record(us(1_000));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(us(10)));
-        assert_eq!(a.max(), Some(us(1_000)));
     }
 
     #[test]

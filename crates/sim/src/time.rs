@@ -32,7 +32,8 @@ pub struct SimTime(u64);
 ///
 /// Durations support addition, subtraction (saturating via
 /// [`SimDuration::saturating_sub`] or panicking via `-`), scaling by integer
-/// factors, and conversion to/from seconds, milliseconds and microseconds.
+/// factors, construction from seconds, milliseconds and microseconds, and
+/// conversion to microseconds and fractional seconds.
 ///
 /// # Example
 ///
@@ -78,12 +79,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole seconds since simulation start (truncating).
-    #[must_use]
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds since simulation start as a float (for reporting only; never
     /// used in simulation arithmetic).
     #[must_use]
@@ -102,26 +97,6 @@ impl SimTime {
     #[must_use]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
-    }
-
-    /// The later of two instants.
-    #[must_use]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two instants.
-    #[must_use]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -172,18 +147,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The duration in whole milliseconds (truncating).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// The duration in whole seconds (truncating).
-    #[must_use]
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// The duration in seconds as a float (for reporting and rate math).
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
@@ -202,36 +165,10 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
-    /// Addition clamped at [`SimDuration::MAX`].
-    #[must_use]
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(other.0))
-    }
-
     /// Multiplication clamped at [`SimDuration::MAX`].
     #[must_use]
     pub fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
-    }
-
-    /// The larger of two durations.
-    #[must_use]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    #[must_use]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 
     /// How many whole times `other` fits into `self`; `u64::MAX` when
@@ -348,8 +285,8 @@ mod tests {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimTime::from_micros(3).as_micros(), 3);
-        assert_eq!(SimDuration::from_secs(2).as_millis(), 2_000);
-        assert_eq!(SimDuration::from_millis(2_500).as_secs(), 2);
+        assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2_000));
+        assert_eq!(SimDuration::from_millis(2_500).as_micros(), 2_500_000);
     }
 
     #[test]
@@ -382,7 +319,6 @@ mod tests {
         let big = SimDuration::from_secs(2);
         assert_eq!(small.saturating_sub(big), SimDuration::ZERO);
         assert_eq!(big.saturating_sub(small), SimDuration::from_secs(1));
-        assert_eq!(SimDuration::MAX.saturating_add(small), SimDuration::MAX);
         assert_eq!(SimDuration::MAX.saturating_mul(2), SimDuration::MAX);
     }
 

@@ -55,10 +55,7 @@ pub use measure::{measure_write_mix, MeasuredMix};
 pub use profile::{AccessPattern, WriteProfile, WriteStream};
 pub use request::{IoKind, IoRequest, WriteMix};
 pub use stub::NullWorkload;
-pub use trace::{
-    demux_trace, merge_traces, parse_msr_trace, record_trace, ParseTraceError, TraceRecord,
-    TraceWorkload,
-};
+pub use trace::{parse_msr_trace, record_trace, ParseTraceError, TraceRecord, TraceWorkload};
 
 /// A stream of I/O requests with think-time gaps.
 ///

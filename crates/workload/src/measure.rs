@@ -25,13 +25,6 @@ impl MeasuredMix {
         let total = self.buffered_pages + self.direct_pages;
         (total > 0).then(|| self.buffered_pages as f64 / total as f64)
     }
-
-    /// Measured direct fraction of write pages, or `None` if the workload
-    /// wrote nothing.
-    #[must_use]
-    pub fn direct_fraction(&self) -> Option<f64> {
-        self.buffered_fraction().map(|b| 1.0 - b)
-    }
 }
 
 /// Drains up to `max_requests` from `workload` and tallies pages by kind.
@@ -121,6 +114,5 @@ mod tests {
     #[test]
     fn empty_mix_has_no_fraction() {
         assert_eq!(MeasuredMix::default().buffered_fraction(), None);
-        assert_eq!(MeasuredMix::default().direct_fraction(), None);
     }
 }

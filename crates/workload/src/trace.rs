@@ -108,155 +108,6 @@ pub fn record_trace(workload: &mut dyn Workload, max_requests: u64) -> Vec<Trace
     out
 }
 
-/// Splits one trace into per-device traces under an LPN routing function.
-///
-/// `route` maps a global logical page to `(device, member_lpn)` — for a
-/// striped array, the arithmetic of its stripe map. Each record's extent
-/// is broken into maximal runs of pages that land on the same device at
-/// consecutive member LPNs; every run becomes one record in that device's
-/// trace. Think-time gaps are rebased per device so that each sub-trace
-/// preserves the *absolute* arrival times of the original (gaps are
-/// deltas between consecutive arrivals **on that device**). Runs split
-/// from one record arrive at the same absolute time, so all but the first
-/// on a device carry a zero gap.
-///
-/// [`merge_traces`] is the inverse.
-///
-/// # Panics
-///
-/// Panics if `devices` is zero or `route` returns a device index out of
-/// range.
-pub fn demux_trace<F>(
-    records: &[TraceRecord],
-    devices: usize,
-    mut route: F,
-) -> Vec<Vec<TraceRecord>>
-where
-    F: FnMut(u64) -> (usize, u64),
-{
-    assert!(devices > 0, "cannot demux onto zero devices");
-    let mut out: Vec<Vec<TraceRecord>> = vec![Vec::new(); devices];
-    let mut last_arrival = vec![0u64; devices];
-    let mut now = 0u64;
-    for rec in records {
-        now += rec.gap_us;
-        // (device, member start, run length) of the run being grown.
-        let mut run: Option<(usize, u64, u32)> = None;
-        let mut emit = |d: usize, start: u64, pages: u32| {
-            assert!(d < devices, "route sent page to device {d} of {devices}");
-            out[d].push(TraceRecord {
-                gap_us: now - last_arrival[d],
-                kind: rec.kind,
-                lpn: start,
-                pages,
-            });
-            last_arrival[d] = now;
-        };
-        for page in rec.lpn..rec.lpn + u64::from(rec.pages) {
-            let (d, m) = route(page);
-            run = Some(match run {
-                Some((rd, rm, rl)) if rd == d && m == rm + u64::from(rl) => (rd, rm, rl + 1),
-                Some((rd, rm, rl)) => {
-                    emit(rd, rm, rl);
-                    (d, m, 1)
-                }
-                None => (d, m, 1),
-            });
-        }
-        if let Some((d, m, l)) = run {
-            emit(d, m, l);
-        }
-    }
-    out
-}
-
-/// Fixed ordering of [`IoKind`]s for deterministic merge output.
-fn kind_rank(kind: IoKind) -> usize {
-    match kind {
-        IoKind::Read => 0,
-        IoKind::BufferedWrite => 1,
-        IoKind::DirectWrite => 2,
-        IoKind::Trim => 3,
-    }
-}
-
-/// Re-interleaves per-device traces into one global trace — the inverse
-/// of [`demux_trace`].
-///
-/// `unroute` maps `(device, member_lpn)` back to the global logical page.
-/// Sub-records are ordered by their absolute arrival time; records that
-/// arrived together (runs split off one original record) have their pages
-/// translated back to global LPNs and re-fused into maximal contiguous
-/// extents, one output record per extent.
-///
-/// `merge_traces(demux_trace(t, n, route), unroute)` reproduces `t`
-/// exactly whenever `route`/`unroute` are inverse bijections and no two
-/// records of `t` share an arrival time (distinct cumulative gaps); with
-/// shared arrival times the page sets still match but same-time records
-/// of the same kind coalesce.
-pub fn merge_traces<F>(traces: &[Vec<TraceRecord>], mut unroute: F) -> Vec<TraceRecord>
-where
-    F: FnMut(usize, u64) -> u64,
-{
-    // Flatten to (arrival time, device, index-on-device) so a stable sort
-    // yields chronological order with a deterministic tie-break.
-    let mut events: Vec<(u64, usize, usize)> = Vec::new();
-    for (d, trace) in traces.iter().enumerate() {
-        let mut now = 0u64;
-        for (i, rec) in trace.iter().enumerate() {
-            now += rec.gap_us;
-            events.push((now, d, i));
-        }
-    }
-    events.sort_unstable();
-
-    let mut out: Vec<TraceRecord> = Vec::new();
-    let mut prev_time = 0u64;
-    let mut group = 0;
-    while group < events.len() {
-        let time = events[group].0;
-        let mut group_end = group;
-        while group_end < events.len() && events[group_end].0 == time {
-            group_end += 1;
-        }
-        // Translate every page that arrived at `time` back to global LPNs,
-        // bucketed by kind, then fuse each bucket into contiguous extents.
-        let mut pages_by_kind: [Vec<u64>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-        let mut kinds: [Option<IoKind>; 4] = [None; 4];
-        for &(_, d, i) in &events[group..group_end] {
-            let rec = &traces[d][i];
-            kinds[kind_rank(rec.kind)] = Some(rec.kind);
-            let bucket = &mut pages_by_kind[kind_rank(rec.kind)];
-            for m in rec.lpn..rec.lpn + u64::from(rec.pages) {
-                bucket.push(unroute(d, m));
-            }
-        }
-        let mut gap = time - prev_time;
-        for (bucket, kind) in pages_by_kind.iter_mut().zip(kinds) {
-            let Some(kind) = kind else { continue };
-            bucket.sort_unstable();
-            let mut start = 0;
-            while start < bucket.len() {
-                let mut end = start + 1;
-                while end < bucket.len() && bucket[end] == bucket[end - 1] + 1 {
-                    end += 1;
-                }
-                out.push(TraceRecord {
-                    gap_us: gap,
-                    kind,
-                    lpn: bucket[start],
-                    pages: u32::try_from(end - start).expect("extent fits u32"),
-                });
-                gap = 0; // later extents of the same arrival carry no gap
-                start = end;
-            }
-        }
-        prev_time = time;
-        group = group_end;
-    }
-    out
-}
-
 /// An error while parsing an external trace format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseTraceError {
@@ -445,23 +296,6 @@ impl TraceWorkload {
         self.working_set_pages = pages;
         self
     }
-
-    /// Number of records in the trace.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` for an empty trace.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Rewinds the replay cursor to the beginning.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 impl Workload for TraceWorkload {
@@ -505,21 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn rewind_restarts() {
-        let trace = vec![TraceRecord {
-            gap_us: 5,
-            kind: IoKind::Read,
-            lpn: 3,
-            pages: 2,
-        }];
-        let mut w = TraceWorkload::new("t", trace);
-        let first = w.next_request().expect("one record");
-        assert_eq!(w.next_request(), None);
-        w.rewind();
-        assert_eq!(w.next_request(), Some(first));
-    }
-
-    #[test]
     fn derives_working_set_and_mix() {
         let trace = vec![
             TraceRecord {
@@ -539,8 +358,7 @@ mod tests {
         assert_eq!(w.working_set_pages(), 92);
         let frac = w.write_mix().buffered_fraction;
         assert!((frac - 4.0 / 6.0).abs() < 1e-12);
-        assert_eq!(w.len(), 2);
-        assert!(!w.is_empty());
+        assert_eq!(w.records.len(), 2);
     }
 
     #[test]
@@ -636,128 +454,7 @@ mod tests {
     #[test]
     fn empty_trace_defaults() {
         let w = TraceWorkload::new("empty", Vec::new());
-        assert!(w.is_empty());
+        assert!(w.records.is_empty());
         assert_eq!(w.working_set_pages(), 1);
-    }
-
-    /// RAID-0 routing over `n` devices with `chunk`-page chunks — the
-    /// same arithmetic as the array crate's stripe map, kept here so the
-    /// demux tests stand alone.
-    fn raid0(chunk: u64, n: u64) -> (impl Fn(u64) -> (usize, u64), impl Fn(usize, u64) -> u64) {
-        let route = move |lpn: u64| {
-            let stripe = lpn / chunk;
-            ((stripe % n) as usize, (stripe / n) * chunk + lpn % chunk)
-        };
-        let unroute = move |d: usize, m: u64| ((m / chunk) * n + d as u64) * chunk + m % chunk;
-        (route, unroute)
-    }
-
-    #[test]
-    fn demux_splits_extents_and_rebases_gaps() {
-        let (route, _) = raid0(2, 2);
-        // One 8-page write at t=10 spans both devices twice; a read at
-        // t=25 touches only device 1 (pages 6..8 → stripe 3).
-        let records = vec![
-            TraceRecord {
-                gap_us: 10,
-                kind: IoKind::BufferedWrite,
-                lpn: 0,
-                pages: 8,
-            },
-            TraceRecord {
-                gap_us: 15,
-                kind: IoKind::Read,
-                lpn: 6,
-                pages: 2,
-            },
-        ];
-        let split = demux_trace(&records, 2, route);
-        // Device 0: stripes 0 and 2 → member pages 0..2 and 2..4, both at
-        // t=10 (the second run carries a zero gap).
-        assert_eq!(split[0].len(), 2);
-        assert_eq!(
-            (split[0][0].lpn, split[0][0].pages, split[0][0].gap_us),
-            (0, 2, 10)
-        );
-        assert_eq!(
-            (split[0][1].lpn, split[0][1].pages, split[0][1].gap_us),
-            (2, 2, 0)
-        );
-        // Device 1: the write's stripes 1 and 3, then the read at t=25 —
-        // a gap of 15 µs after its previous arrival at t=10.
-        assert_eq!(split[1].len(), 3);
-        assert_eq!(split[1][2].kind, IoKind::Read);
-        assert_eq!(
-            (split[1][2].lpn, split[1][2].pages, split[1][2].gap_us),
-            (2, 2, 15)
-        );
-    }
-
-    #[test]
-    fn demux_merge_identity_all_kinds() {
-        let (route, unroute) = raid0(4, 3);
-        // Strictly increasing arrival times, all four kinds, extents that
-        // cross chunk and stripe boundaries.
-        let records = vec![
-            TraceRecord {
-                gap_us: 1,
-                kind: IoKind::BufferedWrite,
-                lpn: 2,
-                pages: 9,
-            },
-            TraceRecord {
-                gap_us: 7,
-                kind: IoKind::Read,
-                lpn: 30,
-                pages: 1,
-            },
-            TraceRecord {
-                gap_us: 3,
-                kind: IoKind::DirectWrite,
-                lpn: 11,
-                pages: 14,
-            },
-            TraceRecord {
-                gap_us: 20,
-                kind: IoKind::Trim,
-                lpn: 0,
-                pages: 24,
-            },
-        ];
-        let split = demux_trace(&records, 3, route);
-        assert_eq!(merge_traces(&split, unroute), records);
-        // Page conservation: every device page maps back into the
-        // original extents.
-        let total: u64 = split.iter().flatten().map(|r| u64::from(r.pages)).sum();
-        let original: u64 = records.iter().map(|r| u64::from(r.pages)).sum();
-        assert_eq!(total, original);
-    }
-
-    #[test]
-    fn single_device_demux_is_identity() {
-        let records = vec![
-            TraceRecord {
-                gap_us: 5,
-                kind: IoKind::DirectWrite,
-                lpn: 17,
-                pages: 40,
-            },
-            TraceRecord {
-                gap_us: 0,
-                kind: IoKind::Trim,
-                lpn: 99,
-                pages: 1,
-            },
-        ];
-        let split = demux_trace(&records, 1, |lpn| (0, lpn));
-        assert_eq!(split.len(), 1);
-        assert_eq!(split[0], records);
-        assert_eq!(merge_traces(&split, |_, m| m), records);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero devices")]
-    fn demux_rejects_zero_devices() {
-        let _ = demux_trace(&[], 0, |lpn| (0, lpn));
     }
 }

@@ -15,9 +15,9 @@
 //! not run-to-run noise.
 
 use jitgc_bench::{default_threads, run_grid};
-use jitgc_repro::core::policy::NoBgc;
+use jitgc_repro::core::policy::{NoBgc, PolicyKind};
 use jitgc_repro::core::system::{SsdSystem, SystemConfig, VictimKind};
-use jitgc_repro::model::{predict, PolicyModel, WorkloadSpec};
+use jitgc_repro::model::{predict, WorkloadSpec};
 use jitgc_repro::sim::SimDuration;
 use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
 use std::sync::OnceLock;
@@ -41,7 +41,7 @@ fn simulated_waf(system: &SystemConfig, benchmark: BenchmarkKind) -> f64 {
 
 fn model_waf(system: &SystemConfig, benchmark: BenchmarkKind) -> f64 {
     let spec = WorkloadSpec::for_system(system, MEAN_IOPS, BURST_MEAN);
-    let prediction = predict(system, PolicyModel::NoBgc, benchmark, &spec);
+    let prediction = predict(system, PolicyKind::NoBgc, benchmark, &spec);
     assert!(
         prediction.feasible,
         "{benchmark}: control cell must be feasible"
