@@ -95,6 +95,8 @@ pub struct SsdSystem {
     next_tick: SimTime,
     /// BGC reclaims toward this free-capacity target during idle gaps.
     target_free: ByteSize,
+    /// `target_free` in whole pages, worked out where it is set.
+    target_free_pages: u64,
     /// Total predicted demands at the last poll (for [`GcSignals`]).
     last_buffered_demand: u64,
     last_direct_demand: u64,
@@ -124,6 +126,9 @@ pub struct SsdSystem {
     ticks_skipped: u64,
     ff_spans: u64,
     ff_refusals: FfRefusals,
+
+    /// Set by [`prefill`](SsdSystem::prefill), which ages a device once.
+    prefilled: bool,
 
     // Counters.
     ops: u64,
@@ -217,6 +222,7 @@ impl SsdSystem {
             closed_loop: ClosedLoop::new(config.queue_depth),
             next_tick,
             target_free: ByteSize::ZERO,
+            target_free_pages: 0,
             last_buffered_demand: 0,
             last_direct_demand: 0,
             direct_bytes_interval: 0,
@@ -232,6 +238,7 @@ impl SsdSystem {
             ticks_skipped: 0,
             ff_spans: 0,
             ff_refusals: FfRefusals::default(),
+            prefilled: false,
             ops: 0,
             reads: 0,
             buffered_writes: 0,
@@ -393,9 +400,21 @@ impl SsdSystem {
     /// [`run`](SsdSystem::run) calls this itself when
     /// [`SystemConfig::prefill`] is set; external schedulers driving the
     /// engine via [`step`](SsdSystem::step) must call it once up front.
+    ///
+    /// # Panics
+    ///
+    /// Panics after the first request or on a second call — the fill
+    /// would rewrite a device mid-run and zero its counters — and when
+    /// the working set does not fit the FTL's 32-bit LPNs.
     pub fn prefill(&mut self) {
+        assert_eq!(self.ops, 0, "the device must be aged before any request");
+        assert!(!self.prefilled, "the device is already aged");
+        self.prefilled = true;
         let ws = self.workload.working_set_pages();
-        let mut lpns: Vec<u64> = (0..ws).collect();
+        let ws = u32::try_from(ws).unwrap_or_else(|_| {
+            panic!("a working set of {ws} pages exceeds the FTL's 32-bit LPN space")
+        });
+        let mut lpns: Vec<u32> = (0..ws).collect();
         let mut rng = jitgc_sim::SimRng::seed(0xA6ED);
         for i in (1..lpns.len()).rev() {
             let j = rng.range_u64(0, i as u64 + 1) as usize;
@@ -403,7 +422,7 @@ impl SsdSystem {
         }
         for lpn in lpns {
             self.ftl
-                .host_write(jitgc_nand::Lpn(lpn), SimTime::ZERO)
+                .host_write(Lpn(u64::from(lpn)), SimTime::ZERO)
                 .expect("prefill stays within user space");
         }
         self.ftl.reset_counters();
@@ -494,7 +513,7 @@ impl SsdSystem {
             return Err(FfGate::PerTickEffect);
         }
         // BGC must be at target, otherwise inter-tick gaps do real work.
-        if self.ftl.free_pages() < self.target_free.as_u64() / self.page_size().as_u64() {
+        if self.ftl.free_pages() < self.target_free_pages {
             return Err(FfGate::BgcBelowTarget);
         }
         // The SG_IO cost folds into a closed form only when one tick's
@@ -624,6 +643,7 @@ impl SsdSystem {
         // physically reclaimable would make BGC erase fully-valid blocks
         // for nothing ("useless BGC operations").
         self.target_free = decision.target_free.min(self.ftl.reclaimable_capacity());
+        self.target_free_pages = self.target_free.as_u64() / self.page_size().as_u64();
         if let Some(predicted) = decision.predicted_next_interval {
             self.scorer.issue(predicted);
         }
@@ -656,7 +676,7 @@ impl SsdSystem {
             self.timeline.push(crate::system::IntervalSample {
                 t_secs: now.as_secs_f64(),
                 free_pages: self.ftl.free_pages(),
-                target_pages: self.target_free.as_u64() / page,
+                target_pages: self.target_free_pages,
                 host_pages_interval: actual_bytes / page,
                 fgc_cumulative: self.ftl.stats().fgc_invocations,
                 bgc_blocks_cumulative: self.ftl.stats().bgc_blocks,
@@ -762,15 +782,14 @@ impl SsdSystem {
         if self.device_busy_until >= t {
             return;
         }
-        let target_pages = self.target_free.as_u64() / self.page_size().as_u64();
-        if self.ftl.free_pages() >= target_pages {
+        if self.ftl.free_pages() >= self.target_free_pages {
             return;
         }
         let gap_start = self.device_busy_until;
         let budget = t.saturating_since(gap_start);
         let outcome = self
             .ftl
-            .background_collect(gap_start, budget, Some(target_pages));
+            .background_collect(gap_start, budget, Some(self.target_free_pages));
         if outcome.blocks_erased > 0 {
             self.device_busy_until = gap_start + outcome.duration;
             self.policy
@@ -1292,6 +1311,91 @@ mod tests {
         // measured phase, yet the device holds at least the working set.
         assert!(report.host_pages_written < ws + report.ops * 4);
         assert!(system.ftl().device().total_valid_pages() >= ws);
+    }
+
+    /// A system over a request-less stand-in for a `ws`-page workload.
+    fn stub_system(config: SystemConfig, ws: u64) -> SsdSystem {
+        let stub =
+            jitgc_workload::NullWorkload::new("aged", ws, jitgc_workload::WriteMix::new(0.5));
+        SsdSystem::new(config, Box::new(NoBgc), Box::new(stub))
+    }
+
+    #[test]
+    #[should_panic(expected = "already aged")]
+    fn prefill_ages_a_device_once() {
+        let mut system = stub_system(SystemConfig::small_for_tests(), 1_024);
+        system.prefill();
+        system.prefill();
+    }
+
+    #[test]
+    #[should_panic(expected = "before any request")]
+    fn prefill_refuses_a_device_in_use() {
+        let mut system = stub_system(SystemConfig::small_for_tests(), 1_024);
+        let req = IoRequest {
+            gap: SimDuration::ZERO,
+            kind: IoKind::Read,
+            lpn: Lpn(0),
+            pages: 1,
+        };
+        system.step(req, SimTime::ZERO);
+        system.prefill();
+    }
+
+    #[test]
+    #[should_panic(expected = "a working set of 4294967296 pages")]
+    fn prefill_names_a_working_set_beyond_32_bit_lpns() {
+        let ws = u64::from(u32::MAX) + 1;
+        stub_system(SystemConfig::small_for_tests(), ws).prefill();
+    }
+
+    /// FNV-1a over the aged device: every LPN's mapping, every block's
+    /// (write pointer, valid pages, erase count), the GC candidates in
+    /// selection order and the next 8 blocks the free pool hands out, on
+    /// the default and the 16× device, with hot/cold streams off and on.
+    /// The constants were recorded with the linear free-pool scans and
+    /// the 64-bit aging permutation: the ordered pool and the 32-bit one
+    /// age every device into the state they did.
+    #[test]
+    fn aged_device_state_is_pinned() {
+        let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0100_0000_01B3);
+        let digest = |user_pages: u64, hot_cold: bool| {
+            let mut config = SystemConfig::default_sim();
+            let mut ftl = config.ftl.to_builder().user_pages(user_pages);
+            if hot_cold {
+                ftl = ftl.hot_cold_streams(SimDuration::from_secs(5));
+            }
+            config.ftl = ftl.build();
+            let ws = config.standard_working_set().expect("7 % OP");
+            let mut system = stub_system(config, ws);
+            system.prefill();
+            let ftl = system.ftl();
+            let mut h = 0xCBF2_9CE4_8422_2325_u64;
+            for lpn in 0..user_pages {
+                let ppn = ftl.lookup(Lpn(lpn)).expect("in range");
+                h = fnv(h, ppn.map_or(u64::MAX, |p| p.0));
+            }
+            for b in ftl.config().geometry().block_ids() {
+                let block = ftl.device().block(b);
+                h = fnv(h, u64::from(block.pages() - block.free_pages()));
+                h = fnv(h, u64::from(block.valid_pages()));
+                h = fnv(h, block.erase_count());
+            }
+            for b in ftl.victim_candidates() {
+                h = fnv(h, u64::from(b.0));
+            }
+            for b in ftl.free_blocks().take(8) {
+                h = fnv(h, u64::from(b.0));
+            }
+            h
+        };
+        // Every aging write is a first write, hence cold: hot/cold streams
+        // leave the aged state as it is.
+        let default_pages = SystemConfig::default_sim().ftl.user_pages();
+        assert_eq!(digest(default_pages, false), 0x509F_70F4_A36A_0663);
+        assert_eq!(digest(default_pages, true), 0x509F_70F4_A36A_0663);
+        assert_eq!(digest(393_216, false), 0xCC59_3283_A845_5A66);
+        assert_eq!(digest(393_216, true), 0xCC59_3283_A845_5A66);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The page-mapping FTL proper.
 
+use crate::free_pool::FreePool;
 use crate::mapping::Mapping;
 use crate::victim_index::VictimIndex;
 use crate::{BlockInfo, FtlConfig, FtlError, FtlStats, SipList, VictimSelector};
@@ -110,8 +111,7 @@ pub struct Ftl {
     config: FtlConfig,
     device: NandDevice,
     mapping: Mapping,
-    free_blocks: Vec<BlockId>,
-    is_free: Vec<bool>,
+    free_blocks: FreePool,
     active_user: Option<BlockId>,
     /// Second user stream for hot pages when hot/cold separation is on.
     active_hot: Option<BlockId>,
@@ -179,8 +179,7 @@ impl Ftl {
         let blocks = config.geometry().blocks();
         Ftl {
             mapping: Mapping::new(config.user_pages()),
-            free_blocks: config.geometry().block_ids().collect(),
-            is_free: vec![true; blocks as usize],
+            free_blocks: FreePool::unworn(blocks),
             active_user: None,
             active_hot: None,
             active_gc: None,
@@ -470,6 +469,13 @@ impl Ftl {
         }
         let migrate_cost = self.config.timing().page_migrate_cost();
         let erase_cost = self.config.timing().block_erase_cost();
+        // A victim in progress is resumed before anything else, and a
+        // budget that affords neither its next page nor its erase does
+        // nothing to it. Without one, the selection below still runs for
+        // its side effects (selector draws, SIP counters).
+        if self.gc_in_progress.is_some() && budget < migrate_cost.min(erase_cost) {
+            return outcome;
+        }
         'outer: loop {
             if let Some(target) = target_free_pages {
                 if self.gc_in_progress.is_none() && self.free_pages() >= target {
@@ -543,7 +549,7 @@ impl Ftl {
         budget: Option<SimDuration>,
         outcome: &mut BgcOutcome,
     ) -> Result<(), FtlError> {
-        debug_assert!(!self.is_free[victim.0 as usize], "victim must be in use");
+        debug_assert!(!self.is_free(victim), "victim must be in use");
         debug_assert!(
             self.active_user != Some(victim) && self.active_gc != Some(victim),
             "victim must not be an active block"
@@ -849,8 +855,8 @@ impl Ftl {
         match self.device.erase(victim) {
             Ok(took) => {
                 self.sip_counts[victim.0 as usize] = 0;
-                self.free_blocks.push(victim);
-                self.is_free[victim.0 as usize] = true;
+                self.free_blocks
+                    .release(victim, self.device.block(victim).erase_count());
                 Some(took)
             }
             Err(NandError::BlockWornOut { .. } | NandError::EraseFailed { .. }) => {
@@ -1052,19 +1058,13 @@ impl Ftl {
             return Ok(WearLevelOutcome::default());
         };
         // Steer the relocation into the most-worn free block by making it
-        // the active GC block for this pass.
-        if let Some(hot_idx) = (0..self.free_blocks.len()).max_by_key(|&i| {
-            let b = self.free_blocks[i];
-            (self.device.block(b).erase_count(), b)
-        }) {
-            // Only retarget when no GC block is currently open.
-            if self.active_gc.is_none()
-                || self
-                    .active_gc
-                    .is_some_and(|b| self.device.block(b).next_free_offset().is_none())
-            {
-                let hot = self.free_blocks.swap_remove(hot_idx);
-                self.is_free[hot.0 as usize] = false;
+        // the active GC block for this pass — only when no GC block is
+        // currently open.
+        if self
+            .active_gc
+            .is_none_or(|b| self.device.block(b).next_free_offset().is_none())
+        {
+            if let Some(hot) = self.free_blocks.take_most_worn() {
                 if let Some(full) = self.active_gc.replace(hot) {
                     self.seal(full);
                 }
@@ -1209,6 +1209,22 @@ impl Ftl {
         self.selector.name()
     }
 
+    /// Test hook for the aged-state pins: the free blocks in the order
+    /// the next block openings take them, least worn first.
+    #[doc(hidden)]
+    pub fn free_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.free_blocks.iter()
+    }
+
+    /// Test hook for the aged-state pins: the GC candidates bucket by
+    /// bucket, fewest valid pages first, each bucket in the order victim
+    /// selection visits it.
+    #[doc(hidden)]
+    pub fn victim_candidates(&self) -> impl Iterator<Item = BlockId> + '_ {
+        (0..=self.victim_index.pages_per_block())
+            .flat_map(|valid| self.victim_index.bucket(valid).iter().copied())
+    }
+
     /// Test hook: `false` pins every GC migration — foreground GC, wear
     /// leveling and budgeted background GC alike — to the per-page
     /// reference loop instead of the batched production path (`true`, the
@@ -1293,7 +1309,8 @@ impl Ftl {
             return Ok(active.expect("checked present"));
         }
         let block = self
-            .allocate_least_worn()
+            .free_blocks
+            .take_least_worn()
             .ok_or(FtlError::NoReclaimableSpace)?;
         let sealed = if hot {
             self.active_hot.replace(block)
@@ -1313,7 +1330,8 @@ impl Ftl {
         };
         if needs {
             let block = self
-                .allocate_least_worn()
+                .free_blocks
+                .take_least_worn()
                 .ok_or(FtlError::NoReclaimableSpace)?;
             if let Some(full) = self.active_gc.replace(block) {
                 self.seal(full);
@@ -1332,14 +1350,10 @@ impl Ftl {
             .insert(block, self.device.block(block).valid_pages());
     }
 
-    fn allocate_least_worn(&mut self) -> Option<BlockId> {
-        let idx = (0..self.free_blocks.len()).min_by_key(|&i| {
-            let b = self.free_blocks[i];
-            (self.device.block(b).erase_count(), b)
-        })?;
-        let block = self.free_blocks.swap_remove(idx);
-        self.is_free[block.0 as usize] = false;
-        Some(block)
+    /// `true` when `block` sits in the free pool.
+    fn is_free(&self, block: BlockId) -> bool {
+        self.free_blocks
+            .contains(block, self.device.block(block).erase_count())
     }
 }
 
@@ -1471,6 +1485,47 @@ mod tests {
         assert!(out.duration <= tiny);
     }
 
+    /// A visit whose budget affords neither the next page nor the erase
+    /// of the victim in progress leaves everything as it found it.
+    #[test]
+    fn sub_page_budget_leaves_the_victim_in_progress_untouched() {
+        let mut ftl = small_ftl();
+        for lpn in 0..64u64 {
+            ftl.host_write(Lpn(lpn), t(0)).expect("in range");
+        }
+        for lpn in (0..64u64).step_by(2) {
+            ftl.host_write(Lpn(lpn), t(1)).expect("in range");
+        }
+        // One page's worth: the greedy victim keeps half its pages valid,
+        // so it stays in progress.
+        let timing = *ftl.config().timing();
+        let out = ftl.background_collect(t(2), timing.page_migrate_cost(), None);
+        assert_eq!((out.pages_migrated, out.blocks_erased), (1, 0));
+        let victim = ftl.gc_in_progress.expect("victim left half collected");
+
+        let snapshot = |ftl: &Ftl| {
+            let dev = ftl.device();
+            (
+                *ftl.stats(),
+                ftl.victim_index.iter_ids().collect::<Vec<_>>(),
+                ftl.victim_candidates().collect::<Vec<_>>(),
+                *dev.stats(),
+                dev.total_valid_pages(),
+                dev.total_invalid_pages(),
+                dev.total_free_pages(),
+            )
+        };
+        let before = snapshot(&ftl);
+        let budget = timing
+            .page_migrate_cost()
+            .min(timing.block_erase_cost())
+            .saturating_sub(SimDuration::from_micros(1));
+        let out = ftl.background_collect(t(3), budget, None);
+        assert_eq!(out, BgcOutcome::default());
+        assert_eq!(ftl.gc_in_progress, Some(victim));
+        assert_eq!(snapshot(&ftl), before);
+    }
+
     #[test]
     fn bgc_stops_at_target() {
         let mut ftl = small_ftl();
@@ -1585,7 +1640,7 @@ mod tests {
             .geometry()
             .block_ids()
             .filter(|b| {
-                !ftl.is_free[b.0 as usize]
+                !ftl.is_free(*b)
                     && !ftl.is_retired[b.0 as usize]
                     && ftl.active_user != Some(*b)
                     && ftl.active_hot != Some(*b)

@@ -47,6 +47,7 @@
 
 mod config;
 mod error;
+mod free_pool;
 mod ftl;
 mod mapping;
 mod sip;
