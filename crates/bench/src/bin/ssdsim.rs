@@ -55,7 +55,7 @@
 //!   --bench-json <path>    also write a machine-readable perf record (host
 //!                          pages simulated per wall-clock second, per-phase
 //!                          timing) for tracking simulator throughput; the
-//!                          record schema is `ssdsim-bench/10`, the shared
+//!                          record schema is `ssdsim-bench/11`, the shared
 //!                          fields (throughput, phases, the quiescence
 //!                          fast-forward counters of DESIGN.md §15) come
 //!                          from the one `RunPerf::record` (array runs

@@ -84,7 +84,7 @@ fn bench_record_key_paths_are_pinned() {
     assert_eq!(keys(&single), single_keys());
     assert_eq!(
         single.get("schema").and_then(JsonValue::as_str),
-        Some("ssdsim-bench/10")
+        Some("ssdsim-bench/11")
     );
     assert_eq!(
         single.get("fast_forward").and_then(JsonValue::as_bool),
@@ -169,7 +169,7 @@ fn bench_record_key_paths_are_pinned() {
     assert_eq!(keys(&screened), ["schema", "screening", "cells"]);
     assert_eq!(
         screened.get("schema").and_then(JsonValue::as_str),
-        Some("ssdsim-bench/10")
+        Some("ssdsim-bench/11")
     );
     assert_eq!(
         keys(screened.get("screening").expect("screening section")),

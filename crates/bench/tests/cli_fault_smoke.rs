@@ -1,6 +1,6 @@
 //! End-to-end CLI smoke tests of the fault-injection and end-of-life
 //! flags: a short run all the way to read-only mode, the
-//! `ssdsim-bench/10` perf-record schema, and the byte-identity of
+//! `ssdsim-bench/11` perf-record schema, and the byte-identity of
 //! fault-free output. These double as the CI fault smoke step.
 
 use jitgc_sim::json::JsonValue;
@@ -68,7 +68,7 @@ fn endurance_run_reaches_read_only_and_reports_schema_7() {
     let record = JsonValue::parse(&record_text).expect("bench record is valid JSON");
     assert_eq!(
         record.get("schema").and_then(JsonValue::as_str),
-        Some("ssdsim-bench/10"),
+        Some("ssdsim-bench/11"),
         "perf record must carry the bumped schema"
     );
     assert!(

@@ -1,5 +1,5 @@
 //! End-to-end CLI smoke tests of the model-screening sweep path: the
-//! `ssdsim-bench/10` screened record shape, the ≤ keep-fraction cell
+//! `ssdsim-bench/11` screened record shape, the ≤ keep-fraction cell
 //! budget, and — the load-bearing guarantee — that screening only
 //! changes *which* cells are simulated, never what a simulated cell
 //! reports: every simulated cell of a screened sweep byte-matches the
@@ -62,8 +62,8 @@ fn screened_sweep_reports_schema_7_and_byte_matches_exhaustive_cells() {
     let record = JsonValue::parse(&record_text).expect("bench JSON parses");
     assert_eq!(
         record.get("schema").and_then(JsonValue::as_str),
-        Some("ssdsim-bench/10"),
-        "screened record must carry the ssdsim-bench/10 schema"
+        Some("ssdsim-bench/11"),
+        "screened record must carry the ssdsim-bench/11 schema"
     );
     let screening = record.get("screening").expect("screening section present");
     for field in [

@@ -22,13 +22,11 @@
 //!   --tier-black <F>       Black entry threshold              (default 0.90)
 //!   --tier-hysteresis <F>  margin below entry to leave a tier (default 0.05)
 //!   --no-backpressure      track tiers but never defer or shed
-//!   --worker-threads <N>   trace-generation workers; reports are
-//!                          byte-identical for any value        (default 1)
 //!   --small                use the small test device (default: default_sim)
 //!   --no-prefill           start from an erased device (default: aged)
 //!   --json                 emit the deterministic service report as JSON
 //!   --bench-json <path>    write a machine-readable perf record
-//!                          (`ssdsim-bench/10`: the wall-time and
+//!                          (`ssdsim-bench/11`: the wall-time and
 //!                          fast-forward fields `ssdsim` writes, through
 //!                          the same `RunPerf::record`, and the full
 //!                          `service` block)
@@ -61,7 +59,6 @@ struct Args {
     dispatch_window: usize,
     tiers: TierThresholds,
     backpressure: bool,
-    worker_threads: usize,
     small: bool,
     prefill: bool,
     json: bool,
@@ -82,7 +79,6 @@ impl Default for Args {
             dispatch_window: 32,
             tiers: TierThresholds::default(),
             backpressure: true,
-            worker_threads: 1,
             small: false,
             prefill: true,
             json: false,
@@ -126,8 +122,8 @@ fn usage() -> ! {
     eprintln!("               [--seconds N] [--seed N] [--sq-depth N]");
     eprintln!("               [--dispatch-window N] [--tier-yellow F] [--tier-red F]");
     eprintln!("               [--tier-black F] [--tier-hysteresis F]");
-    eprintln!("               [--no-backpressure] [--worker-threads N]");
-    eprintln!("               [--small] [--no-prefill] [--json] [--bench-json PATH]");
+    eprintln!("               [--no-backpressure] [--small] [--no-prefill]");
+    eprintln!("               [--json] [--bench-json PATH]");
     eprintln!("               [--listen ADDR | --unix PATH] [--sessions N]");
     eprintln!("see the module docs (`ssdsimd.rs`) for value sets");
     std::process::exit(2)
@@ -205,7 +201,6 @@ fn parse_args() -> Args {
                 args.tiers.hysteresis = value().parse().unwrap_or_else(|_| usage())
             }
             "--no-backpressure" => args.backpressure = false,
-            "--worker-threads" => args.worker_threads = value().parse().unwrap_or_else(|_| usage()),
             "--small" => args.small = true,
             "--no-prefill" => args.prefill = false,
             "--json" => args.json = true,
@@ -222,7 +217,7 @@ fn parse_args() -> Args {
 
 /// The `--bench-json` perf record: the shared wall-clock fields of
 /// [`RunPerf::record`] over the device's totals, then the full
-/// deterministic `service` block (schema 8).
+/// deterministic `service` block.
 fn perf_record(args: &Args, report: &ServiceReport, perf: &RunPerf) -> JsonValue {
     let totals = RunTotals {
         benchmark: "service",
@@ -230,11 +225,9 @@ fn perf_record(args: &Args, report: &ServiceReport, perf: &RunPerf) -> JsonValue
         simulated_secs: report.duration_us as f64 / 1e6,
         ..RunTotals::of(&report.device, args.seed)
     };
-    perf.record(&totals, |record| {
-        record.field("worker_threads", args.worker_threads as u64)
-    })
-    .field("service", report.to_json())
-    .build()
+    perf.record(&totals, |record| record)
+        .field("service", report.to_json())
+        .build()
 }
 
 /// An output path that cannot be written is a bad argument like any
@@ -310,7 +303,7 @@ fn main() {
         dispatch_window: args.dispatch_window,
         tiers: args.tiers,
         backpressure: args.backpressure,
-        worker_threads: args.worker_threads,
+        worker_threads: 1,
         // A test hook, not a knob: the daemon always fast-forwards.
         fast_forward: true,
         seconds: args.seconds,

@@ -112,9 +112,10 @@ pub struct ServiceConfig {
     /// Master switch: with backpressure off the tier policy still tracks
     /// pressure (for the report) but never defers or sheds.
     pub backpressure: bool,
-    /// Worker threads for the parallel per-tenant trace-generation phase
-    /// of the in-process driver (≥ 1, ≤ tenant count). Reports are
-    /// byte-identical for any value.
+    /// Accepted and ignored: the in-process driver streams every tenant's
+    /// requests on the calling thread and has no workers. Kept only so
+    /// that struct literals written against the older API still build.
+    #[doc(hidden)]
     pub worker_threads: usize,
     /// Test hook: the engine's quiescence fast-forward (DESIGN.md §15).
     /// `true` everywhere outside the identity tests, which compare
@@ -181,10 +182,9 @@ impl ServiceConfig {
     /// is empty, any weight is zero, any concurrency or arrival rate is
     /// non-positive, the SQ depth or dispatch window is zero, the tier
     /// thresholds are not strictly increasing within `(0, 1]`, the
-    /// hysteresis is negative or at least the Yellow threshold, the
-    /// worker-thread count is zero or exceeds the tenant count, the
-    /// device leaves no standard working set, or the roster splits it
-    /// into fewer than 64 pages per tenant.
+    /// hysteresis is negative or at least the Yellow threshold, the run
+    /// has no simulated second, the device leaves no standard working
+    /// set, or the roster splits it into fewer than 64 pages per tenant.
     pub fn validate(&self) -> Result<(), String> {
         if self.tenants.is_empty() {
             return Err("the service needs at least one tenant".into());
@@ -227,16 +227,6 @@ impl ServiceConfig {
             return Err(format!(
                 "tier hysteresis {} must be non-negative and below the Yellow threshold {}",
                 t.hysteresis, t.yellow
-            ));
-        }
-        if self.worker_threads == 0 {
-            return Err("trace generation needs at least one worker thread".into());
-        }
-        if self.worker_threads > self.tenants.len() {
-            return Err(format!(
-                "{} worker threads exceed the {} tenants; extra workers would never find work",
-                self.worker_threads,
-                self.tenants.len()
             ));
         }
         if self.seconds == 0 {
@@ -304,8 +294,6 @@ mod tests {
         assert!(err(&|c| c.tiers.red = 0.4).contains("strictly increasing"));
         assert!(err(&|c| c.tiers.black = 1.5).contains("strictly increasing"));
         assert!(err(&|c| c.tiers.hysteresis = 0.6).contains("hysteresis"));
-        assert!(err(&|c| c.worker_threads = 0).contains("worker thread"));
-        assert!(err(&|c| c.worker_threads = 9).contains("exceed"));
         assert!(err(&|c| c.seconds = 0).contains("simulated second"));
     }
 

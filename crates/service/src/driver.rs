@@ -8,20 +8,20 @@
 //! previous request's think-time gap and no earlier than its own previous
 //! completion.
 //!
-//! # Determinism across worker threads
+//! # Constant memory
 //!
-//! `worker_threads` parallelism is confined to *trace generation*: each
-//! tenant's request stream depends only on its own seed, so the streams
-//! are one [`run_grid`] over the tenant indices, returned in tenant order.
-//! Everything that involves the shared engine — submission, arbitration,
-//! stepping, accounting — runs serially on the calling thread in one
-//! discrete-event loop. The report is therefore byte-identical for any
-//! worker count.
-
-use std::collections::HashMap;
+//! Each tenant's requests are pulled from its generator one ahead of
+//! submission, never materialised: a stream depends only on its tenant's
+//! seed, so pulling lazily yields the same requests in the same order as
+//! generating the whole trace up front. The loop's memory is therefore
+//! O(tenants + concurrency), whatever `seconds × IOPS` is. Ids are dense
+//! per tenant and slots are dealt round-robin from 0, one per submission,
+//! so a completion's slot is `id % concurrency` and no outstanding-request
+//! map is kept. Everything runs serially on the calling thread in one
+//! discrete-event loop.
 
 use jitgc_core::policy::GcPolicy;
-use jitgc_sim::{run_grid, SimTime};
+use jitgc_sim::SimTime;
 use jitgc_workload::{IoRequest, Synthetic, Workload, WorkloadConfig};
 
 use crate::config::{ServiceConfig, TenantProfile};
@@ -31,8 +31,8 @@ use crate::service::Service;
 /// Odd 64-bit constant (golden-ratio based) decorrelating tenant seeds.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Synthesizes tenant `tenant`'s full request stream.
-fn generate_trace(cfg: &ServiceConfig, tenant: usize) -> Vec<IoRequest> {
+/// Tenant `tenant`'s request generator.
+fn tenant_workload(cfg: &ServiceConfig, tenant: usize) -> Synthetic {
     let spec = &cfg.tenants[tenant];
     let wl_cfg = WorkloadConfig::builder()
         .working_set_pages(cfg.pages_per_tenant())
@@ -54,39 +54,36 @@ fn generate_trace(cfg: &ServiceConfig, tenant: usize) -> Vec<IoRequest> {
             .buffered_fraction(0.7)
             .pages(1, 8),
     };
-    let mut workload = builder.build(wl_cfg);
-    let mut trace = Vec::new();
-    while let Some(req) = workload.next_request() {
-        trace.push(req);
-    }
-    trace
-}
-
-/// Generates every tenant's trace, fanning the independent streams out
-/// over `cfg.worker_threads` workers.
-fn generate_traces(cfg: &ServiceConfig) -> Vec<Vec<IoRequest>> {
-    let tenants: Vec<usize> = (0..cfg.tenants.len()).collect();
-    run_grid(&tenants, cfg.worker_threads, |&i| generate_trace(cfg, i))
+    builder.build(wl_cfg)
 }
 
 /// One tenant's closed-loop driving state.
 struct TenantLoop {
-    trace: Vec<IoRequest>,
-    cursor: usize,
+    workload: Synthetic,
+    /// The stream's next request, pulled one ahead (`None` once it ends).
+    next: Option<IoRequest>,
     prev_submit: SimTime,
     /// Per application thread: when it is free to submit again
     /// (`None` while its request is outstanding).
     slots: Vec<Option<SimTime>>,
     next_slot: usize,
-    /// Outstanding request id → the slot waiting on it.
-    pending: HashMap<u64, usize>,
 }
 
 impl TenantLoop {
+    fn new(mut workload: Synthetic, concurrency: u32) -> Self {
+        TenantLoop {
+            next: workload.next_request(),
+            workload,
+            prev_submit: SimTime::ZERO,
+            slots: vec![Some(SimTime::ZERO); concurrency as usize],
+            next_slot: 0,
+        }
+    }
+
     /// When this tenant submits next, if its stream has requests left and
     /// the round-robin slot is free.
     fn next_instant(&self) -> Option<SimTime> {
-        let req = self.trace.get(self.cursor)?;
+        let req = self.next.as_ref()?;
         let free = self.slots[self.next_slot]?;
         Some((self.prev_submit + req.gap).max(free))
     }
@@ -119,20 +116,13 @@ pub fn run_closed_loop_counting(
     if let Err(message) = cfg.validate() {
         panic!("invalid service config: {message}");
     }
-    let traces = generate_traces(cfg);
-    let mut service = Service::new(cfg.clone(), policy);
-    let mut loops: Vec<TenantLoop> = traces
-        .into_iter()
-        .zip(&cfg.tenants)
-        .map(|(trace, spec)| TenantLoop {
-            trace,
-            cursor: 0,
-            prev_submit: SimTime::ZERO,
-            slots: vec![Some(SimTime::ZERO); spec.concurrency as usize],
-            next_slot: 0,
-            pending: HashMap::new(),
-        })
+    let mut loops: Vec<TenantLoop> = cfg
+        .tenants
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| TenantLoop::new(tenant_workload(cfg, i), spec.concurrency))
         .collect();
+    let mut service = Service::new(cfg.clone(), policy);
     let mut now = SimTime::ZERO;
     let mut last_completion = SimTime::ZERO;
     loop {
@@ -151,24 +141,27 @@ pub fn run_closed_loop_counting(
         service.release_window(now);
         for (tenant, l) in loops.iter_mut().enumerate() {
             while matches!(l.next_instant(), Some(t) if t <= now) {
-                let req = l.trace[l.cursor];
-                l.cursor += 1;
+                let req = std::mem::replace(&mut l.next, l.workload.next_request())
+                    .expect("next_instant saw a request");
                 l.prev_submit = now;
                 let slot = l.next_slot;
                 l.next_slot = (slot + 1) % l.slots.len();
                 l.slots[slot] = None;
                 let outcome = service.submit(tenant, req.kind, req.lpn.0, req.pages, now);
-                l.pending.insert(outcome.id(), slot);
+                debug_assert_eq!(outcome.id() % l.slots.len() as u64, slot as u64);
             }
         }
         service.pump(now);
         for (tenant, l) in loops.iter_mut().enumerate() {
+            let threads = l.slots.len() as u64;
             for c in service.take_completions(tenant) {
-                let slot = l
-                    .pending
-                    .remove(&c.id)
-                    .expect("completion matches an outstanding request");
-                l.slots[slot] = Some(c.completed_at);
+                let slot = &mut l.slots[(c.id % threads) as usize];
+                assert!(
+                    slot.is_none(),
+                    "completion {} of tenant {tenant} finds its slot idle",
+                    c.id
+                );
+                *slot = Some(c.completed_at);
                 last_completion = last_completion.max(c.completed_at);
             }
         }
@@ -188,15 +181,6 @@ mod tests {
         cfg.seconds = 5;
         cfg.system.prefill = false;
         cfg
-    }
-
-    #[test]
-    fn traces_are_independent_of_worker_count() {
-        let mut one = quick_cfg();
-        one.worker_threads = 1;
-        let mut all = quick_cfg();
-        all.worker_threads = all.tenants.len();
-        assert_eq!(generate_traces(&one), generate_traces(&all));
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! shedding confines the damage to the tenant causing it.
 //!
 //! Everything is deterministic in virtual time: the in-process
-//! closed-loop driver ([`run_closed_loop`]) produces byte-identical
-//! reports for any `worker_threads` count, because worker threads only
-//! pre-generate independent per-tenant request traces — all scheduling is
-//! serial.
+//! closed-loop driver ([`run_closed_loop`]) runs serially on the calling
+//! thread, pulling each tenant's requests from its own seeded generator as
+//! it submits them, so equal configurations give byte-identical reports
+//! in memory that does not grow with the run's length.
 //!
 //! # Example
 //!

@@ -170,7 +170,7 @@ impl ServiceReport {
     }
 
     /// Serializes the full service report. Deliberately excludes every
-    /// knob that must not affect results (worker threads, wall time), so
+    /// fact that must not affect results (wall time), so
     /// equal configurations produce byte-identical output.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {

@@ -17,6 +17,7 @@
 //! weight.
 
 use std::cmp::Reverse;
+use std::collections::vec_deque::Drain;
 use std::collections::{BinaryHeap, VecDeque};
 
 use jitgc_core::policy::GcPolicy;
@@ -327,39 +328,38 @@ impl Service {
     /// candidate exists. Returns the chosen tenant.
     fn arbitrate(&mut self) -> Option<usize> {
         let deferring = self.cfg.backpressure && self.tier.current() >= Tier::Yellow;
-        let heads: Vec<(usize, IoKind, u64)> = self
-            .tenants
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| {
-                t.sq.front()
-                    .map(|s| (i, s.kind, u64::from(s.pages) * self.page_bytes))
-            })
-            .collect();
-        let eligible: Vec<(usize, u64)> = heads
-            .iter()
-            .filter(|(i, kind, _)| !(deferring && self.low_weight[*i] && kind.is_write()))
-            .map(|&(i, _, cost)| (i, cost))
-            .collect();
-        if eligible.is_empty() {
-            // Everything runnable is deferred: serve it anyway rather than
-            // deadlock — Yellow slows low-weight writers, never stops them.
-            return self
-                .arbiter
-                .pick(heads.iter().map(|&(i, _, cost)| (i, cost)));
+        let low_weight = &self.low_weight;
+        let held_back = |tenant: usize, head: &Submission| {
+            deferring && low_weight[tenant] && head.kind.is_write()
+        };
+        let (mut eligible, mut held) = (0, 0);
+        for (i, t) in self.tenants.iter().enumerate() {
+            match t.sq.front() {
+                Some(head) if held_back(i, head) => held += 1,
+                Some(_) => eligible += 1,
+                None => {}
+            }
         }
-        if deferring && eligible.len() < heads.len() {
-            for &(i, _, _) in &heads {
-                if eligible.iter().all(|&(e, _)| e != i) {
-                    let head = self.tenants[i].sq.front_mut().expect("head exists");
-                    if !head.deferred {
+        // Everything runnable held back: serve it anyway rather than
+        // deadlock — Yellow slows low-weight writers, never stops them.
+        let serve_all = eligible == 0;
+        if !serve_all && held > 0 {
+            for (i, t) in self.tenants.iter_mut().enumerate() {
+                match t.sq.front_mut() {
+                    Some(head) if held_back(i, head) && !head.deferred => {
                         head.deferred = true;
-                        self.tenants[i].deferred += 1;
+                        t.deferred += 1;
                     }
+                    _ => {}
                 }
             }
         }
-        self.arbiter.pick(eligible.into_iter())
+        let page_bytes = self.page_bytes;
+        self.arbiter
+            .pick(self.tenants.iter().enumerate().filter_map(|(i, t)| {
+                let head = t.sq.front()?;
+                (serve_all || !held_back(i, head)).then(|| (i, u64::from(head.pages) * page_bytes))
+            }))
     }
 
     /// Dispatches queued submissions to the engine while the dispatch
@@ -413,9 +413,10 @@ impl Service {
         dispatched
     }
 
-    /// Drains tenant `tenant`'s completion queue.
-    pub fn take_completions(&mut self, tenant: usize) -> Vec<Completion> {
-        self.tenants[tenant].cq.drain(..).collect()
+    /// Drains tenant `tenant`'s completion queue, oldest first. Dropping
+    /// the iterator early still empties the queue.
+    pub fn take_completions(&mut self, tenant: usize) -> Drain<'_, Completion> {
+        self.tenants[tenant].cq.drain(..)
     }
 
     /// Closes the run at virtual time `end` and assembles the service
@@ -510,7 +511,7 @@ mod tests {
         let out = svc.submit(1, IoKind::Read, 0, 1, now);
         assert!(matches!(out, SubmitOutcome::Accepted(0)));
         assert_eq!(svc.pump(now), 1);
-        let done = svc.take_completions(1);
+        let done: Vec<Completion> = svc.take_completions(1).collect();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].status, CompletionStatus::Done);
         assert!(done[0].completed_at >= now);
@@ -540,8 +541,7 @@ mod tests {
                 .unwrap_or(now + SimDuration::from_millis(1));
         }
         assert_eq!(total, depth + 3);
-        let done = svc.take_completions(0);
-        let ids: Vec<u64> = done.iter().map(|c| c.id).collect();
+        let ids: Vec<u64> = svc.take_completions(0).map(|c| c.id).collect();
         assert_eq!(ids, (0..depth as u64 + 3).collect::<Vec<_>>());
     }
 
@@ -558,9 +558,36 @@ mod tests {
         assert!(matches!(shed, SubmitOutcome::Shed(_)));
         let read = svc.submit(1, IoKind::Read, 0, 1, now);
         assert!(matches!(read, SubmitOutcome::Accepted(_)));
-        let done = svc.take_completions(1);
+        let done: Vec<Completion> = svc.take_completions(1).collect();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].status, CompletionStatus::Busy);
+    }
+
+    #[test]
+    fn yellow_serves_other_heads_before_a_cheaper_low_weight_write() {
+        let mut cfg = ServiceConfig::small_for_tests();
+        cfg.system.prefill = false;
+        cfg.dispatch_window = 1;
+        let mut svc = Service::new(cfg, policy());
+        let now = SimTime::from_millis(1);
+        // Nine 32-page reads fill the reader's SQ past half: Yellow. Each
+        // costs it 8 pages of virtual time; the writer's 1-page write
+        // costs 1, so WFQ alone would dispatch the write first.
+        for i in 0..9 {
+            let _ = svc.submit(1, IoKind::Read, i * 32, 32, now);
+        }
+        let write = svc.submit(0, IoKind::DirectWrite, 0, 1, now);
+        assert!(matches!(write, SubmitOutcome::Accepted(_)));
+        assert_eq!(svc.tier(), Tier::Yellow);
+        assert_eq!(svc.pump(now), 1);
+        assert_eq!(
+            svc.take_completions(0).count(),
+            0,
+            "the write was held back"
+        );
+        assert_eq!(svc.take_completions(1).count(), 1);
+        let report = svc.finalize(SimTime::from_secs(1));
+        assert_eq!(report.tenants[0].deferred, 1);
     }
 
     #[test]

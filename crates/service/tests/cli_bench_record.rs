@@ -2,9 +2,9 @@
 //! of the shared fields `RunPerf::record` writes for every driver (the
 //! `ssdsim` shapes are pinned by
 //! `crates/bench/tests/bench_record_shape.rs`), minus the ones the daemon
-//! never carried (`victim`, the phase breakdown), plus its own
-//! `worker_threads` and `service` block. Also the daemon's two newest
-//! exit-2 paths: the retired `--fast-forward` flag and an unwritable
+//! never carried (`victim`, the phase breakdown), plus its own `service`
+//! block. Also the daemon's newest exit-2 paths: the retired
+//! `--fast-forward` and `--worker-threads` flags and an unwritable
 //! `--bench-json` path, reported before the run.
 
 use jitgc_sim::json::JsonValue;
@@ -59,7 +59,6 @@ fn bench_record_key_paths_are_pinned() {
             "host_pages_per_wall_sec",
             "nand_pages_per_wall_sec",
             "ops_per_wall_sec",
-            "worker_threads",
             "fast_forward",
             "ticks_skipped",
             "ff_spans",
@@ -68,7 +67,7 @@ fn bench_record_key_paths_are_pinned() {
     );
     assert_eq!(
         record.get("schema").and_then(JsonValue::as_str),
-        Some("ssdsim-bench/10")
+        Some("ssdsim-bench/11")
     );
     assert_eq!(
         record.get("benchmark").and_then(JsonValue::as_str),
@@ -88,8 +87,9 @@ fn bench_record_key_paths_are_pinned() {
 
 #[test]
 fn retired_flag_and_unwritable_record_exit_2() {
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 3] = [
         (&["--fast-forward", "on"], "unknown flag: --fast-forward"),
+        (&["--worker-threads", "2"], "unknown flag: --worker-threads"),
         (
             &["--small", "--bench-json", "/nonexistent-dir/perf.json"],
             "cannot write /nonexistent-dir/perf.json",

@@ -1,6 +1,7 @@
-//! End-to-end smoke tests for the multi-tenant service: determinism
-//! across worker-thread counts, backpressure shedding, accounting
-//! invariants, and the wire protocol over a Unix socket.
+//! End-to-end smoke tests for the multi-tenant service: determinism per
+//! seed, backpressure shedding, accounting invariants, and the wire
+//! protocol over a Unix socket. The closed loop's identity with the
+//! materialising reference is `service_properties.rs`'s.
 
 use jitgc_service::{run_closed_loop, PolicyChoice, Service, ServiceConfig, SubmitOutcome, Tier};
 use jitgc_workload::IoKind;
@@ -15,16 +16,6 @@ fn quick() -> ServiceConfig {
 
 fn run(cfg: &ServiceConfig) -> jitgc_service::ServiceReport {
     run_closed_loop(cfg, PolicyChoice::Jit.build(&cfg.system))
-}
-
-#[test]
-fn report_is_byte_identical_across_worker_thread_counts() {
-    let mut cfg = quick();
-    cfg.worker_threads = 1;
-    let one = run(&cfg).to_json().to_pretty();
-    cfg.worker_threads = cfg.tenants.len();
-    let many = run(&cfg).to_json().to_pretty();
-    assert_eq!(one, many, "worker threads changed the report");
 }
 
 #[test]
