@@ -22,8 +22,8 @@ fn main() {
         ..Experiment::standard()
     };
     let policies = [
-        PolicyKind::ReservedPermille(500),
-        PolicyKind::ReservedPermille(1_500),
+        PolicyKind::L_BGC,
+        PolicyKind::A_BGC,
         PolicyKind::Adp,
         PolicyKind::Jit,
     ];

@@ -18,13 +18,22 @@ pub enum GcMode {
 }
 
 impl GcMode {
-    /// Short display name (used in reports and CLI parsing).
+    /// Short display name, used in reports and read back by
+    /// [`from_name`](Self::from_name) for the CLI's `--gc-mode`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             GcMode::Unsynchronized => "unsync",
             GcMode::Staggered => "staggered",
         }
+    }
+
+    /// The mode a [`name`](Self::name) names.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        [GcMode::Unsynchronized, GcMode::Staggered]
+            .into_iter()
+            .find(|mode| mode.name() == name)
     }
 }
 
@@ -130,6 +139,10 @@ mod tests {
     fn mode_names() {
         assert_eq!(GcMode::Unsynchronized.name(), "unsync");
         assert_eq!(GcMode::Staggered.name(), "staggered");
+        for mode in [GcMode::Unsynchronized, GcMode::Staggered] {
+            assert_eq!(GcMode::from_name(mode.name()), Some(mode));
+        }
+        assert_eq!(GcMode::from_name("synced"), None);
     }
 
     #[test]

@@ -12,7 +12,8 @@ pub enum Redundancy {
 }
 
 impl Redundancy {
-    /// Short display name (used in reports and CLI parsing).
+    /// Short display name, used in reports. The CLI has no spelling for
+    /// it: `--mirror` selects [`Redundancy::Mirror`].
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

@@ -31,7 +31,7 @@ fn main() {
             .timing(timing)
             .build();
         let no_bgc = exp.run(PolicyKind::NoBgc, BenchmarkKind::TpcC);
-        let aggressive = exp.run(PolicyKind::ReservedPermille(1_500), BenchmarkKind::TpcC);
+        let aggressive = exp.run(PolicyKind::A_BGC, BenchmarkKind::TpcC);
         rows.push((
             name.to_owned(),
             vec![

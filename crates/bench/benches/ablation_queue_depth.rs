@@ -31,8 +31,8 @@ fn main() {
             // Each thread sustains the baseline per-thread rate, so total
             // offered load grows with concurrency — the realistic scaling.
             exp.mean_iops = 250.0 * f64::from(depth);
-            let lazy = exp.run(PolicyKind::ReservedPermille(500), benchmark);
-            let aggressive = exp.run(PolicyKind::ReservedPermille(1_500), benchmark);
+            let lazy = exp.run(PolicyKind::L_BGC, benchmark);
+            let aggressive = exp.run(PolicyKind::A_BGC, benchmark);
             gaps.push((aggressive.iops / lazy.iops - 1.0) * 100.0);
         }
         gap_rows.push((benchmark.name().to_owned(), gaps));

@@ -10,8 +10,8 @@ fn main() {
     let exp = Experiment::standard();
     let policies = [
         PolicyKind::NoBgc,
-        PolicyKind::ReservedPermille(500),
-        PolicyKind::ReservedPermille(1_500),
+        PolicyKind::L_BGC,
+        PolicyKind::A_BGC,
         PolicyKind::Idle,
         PolicyKind::Adp,
         PolicyKind::JitNoSip,

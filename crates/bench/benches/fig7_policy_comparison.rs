@@ -14,8 +14,8 @@ use jitgc_workload::BenchmarkKind;
 fn main() {
     let exp = Experiment::standard();
     let policies = [
-        PolicyKind::ReservedPermille(500),
-        PolicyKind::ReservedPermille(1_500),
+        PolicyKind::L_BGC,
+        PolicyKind::A_BGC,
         PolicyKind::Adp,
         PolicyKind::Jit,
     ];

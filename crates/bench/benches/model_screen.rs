@@ -23,18 +23,6 @@ fn cell_seconds() -> u64 {
 
 const KEEP_FRAC: f64 = 0.25;
 
-fn all_policies() -> Vec<PolicyKind> {
-    vec![
-        PolicyKind::NoBgc,
-        PolicyKind::ReservedPermille(500),
-        PolicyKind::ReservedPermille(1_500),
-        PolicyKind::Adp,
-        PolicyKind::Idle,
-        PolicyKind::Jit,
-        PolicyKind::JitNoSip,
-    ]
-}
-
 /// Simulated-cost key used for the post-hoc Pareto check: lower WAF and
 /// fewer foreground stalls are better (mirrors the model's objectives,
 /// on simulated metrics).
@@ -55,7 +43,7 @@ fn sweep(label: &str, op_values: &[Option<u64>]) {
         duration: SimDuration::from_secs(cell_seconds()),
         ..Experiment::standard()
     };
-    let (cells, _dupes) = expand_cells(&BenchmarkKind::all(), &all_policies(), op_values);
+    let (cells, _dupes) = expand_cells(&BenchmarkKind::all(), &PolicyKind::STANDARD, op_values);
     let threads = default_threads();
 
     // Exhaustive: simulate everything.

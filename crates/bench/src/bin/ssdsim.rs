@@ -78,7 +78,8 @@
 //!   --gc-mode <staggered|unsync>
 //!                          stagger member flusher/BGC phases or leave them
 //!                          aligned                          (default staggered)
-//!   --queue-depth <N>      closed-loop application threads  (default: config)
+//!   --queue-depth <N>      closed-loop application threads, 1 to 65536
+//!                                                           (default: config)
 //! ```
 
 use jitgc_array::{ArrayConfig, ArrayReport, ArrayScheduler, GcMode, Redundancy};
@@ -87,7 +88,7 @@ use jitgc_bench::{
     SweepCell,
 };
 use jitgc_core::system::{
-    ManagerPlacement, RunPerf, RunTotals, SimReport, SystemConfig, VictimKind,
+    ClosedLoop, ManagerPlacement, RunPerf, RunTotals, SimReport, SystemConfig, VictimKind,
 };
 use jitgc_nand::FaultConfig;
 use jitgc_sim::json::{JsonValue, ObjectBuilder};
@@ -209,31 +210,18 @@ fn parse_benchmarks(v: &str) -> Vec<BenchmarkKind> {
     v.split(',').map(parse_benchmark).collect()
 }
 
-/// The standard policy matrix `--policy all` expands to: every baseline
-/// the paper compares plus the SIP ablation.
-fn all_policies() -> Vec<PolicyKind> {
-    vec![
-        PolicyKind::NoBgc,
-        PolicyKind::ReservedPermille(500),
-        PolicyKind::ReservedPermille(1_500),
-        PolicyKind::Adp,
-        PolicyKind::Idle,
-        PolicyKind::Jit,
-        PolicyKind::JitNoSip,
-    ]
-}
-
+/// `all` is the standard policy matrix, [`PolicyKind::STANDARD`].
 fn parse_policies(v: &str) -> Vec<PolicyKind> {
     if v == "all" {
-        return all_policies();
+        return PolicyKind::STANDARD.to_vec();
     }
     v.split(',').map(parse_policy).collect()
 }
 
 fn parse_policy(v: &str) -> PolicyKind {
     match v {
-        "l-bgc" => PolicyKind::ReservedPermille(500),
-        "a-bgc" => PolicyKind::ReservedPermille(1_500),
+        "l-bgc" => PolicyKind::L_BGC,
+        "a-bgc" => PolicyKind::A_BGC,
         "adp-gc" => PolicyKind::Adp,
         "idle-gc" => PolicyKind::Idle,
         "jit-gc" => PolicyKind::Jit,
@@ -250,17 +238,15 @@ fn parse_policy(v: &str) -> PolicyKind {
 }
 
 fn parse_victim(v: &str) -> VictimKind {
-    match v {
-        "greedy" => VictimKind::Greedy,
-        "cost-benefit" => VictimKind::CostBenefit,
-        "fifo" => VictimKind::Fifo,
-        other => match other.strip_prefix("random:") {
-            Some(s) => VictimKind::Random(s.parse().unwrap_or_else(|_| usage())),
-            None => {
-                eprintln!("unknown victim policy: {other}");
-                usage()
-            }
-        },
+    if let Some(kind) = VictimKind::from_name(v) {
+        return kind;
+    }
+    match v.strip_prefix("random:") {
+        Some(s) => VictimKind::Random(s.parse().unwrap_or_else(|_| usage())),
+        None => {
+            eprintln!("unknown victim policy: {v}");
+            usage()
+        }
     }
 }
 
@@ -355,14 +341,11 @@ fn parse_args() -> Args {
             "--stripe-kb" => args.stripe_kb = value().parse().unwrap_or_else(|_| usage()),
             "--mirror" => args.mirror = true,
             "--gc-mode" => {
-                args.gc_mode = match value().as_str() {
-                    "staggered" => GcMode::Staggered,
-                    "unsync" => GcMode::Unsynchronized,
-                    other => {
-                        eprintln!("unknown gc mode: {other}");
-                        usage()
-                    }
-                }
+                let v = value();
+                args.gc_mode = GcMode::from_name(&v).unwrap_or_else(|| {
+                    eprintln!("unknown gc mode: {v}");
+                    usage()
+                })
             }
             "--queue-depth" => args.queue_depth = Some(value().parse().unwrap_or_else(|_| usage())),
             "--help" | "-h" => usage(),
@@ -827,6 +810,13 @@ fn main() {
     if let Some(qd) = args.queue_depth {
         if qd == 0 {
             eprintln!("--queue-depth must be at least 1");
+            std::process::exit(2)
+        }
+        if qd > ClosedLoop::MAX_THREADS {
+            eprintln!(
+                "--queue-depth {qd}: at most {} application threads (the deepest NVMe I/O queue)",
+                ClosedLoop::MAX_THREADS
+            );
             std::process::exit(2)
         }
         system.queue_depth = qd;

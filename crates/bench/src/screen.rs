@@ -219,18 +219,6 @@ pub fn screen_cells(
 mod tests {
     use super::*;
 
-    fn all_policies() -> Vec<PolicyKind> {
-        vec![
-            PolicyKind::NoBgc,
-            PolicyKind::ReservedPermille(500),
-            PolicyKind::ReservedPermille(1_500),
-            PolicyKind::Adp,
-            PolicyKind::Idle,
-            PolicyKind::Jit,
-            PolicyKind::JitNoSip,
-        ]
-    }
-
     #[test]
     fn expansion_is_the_ordered_cross_product() {
         let (cells, dropped) = expand_cells(
@@ -249,11 +237,7 @@ mod tests {
     fn duplicate_cells_are_dropped_and_counted() {
         let (cells, dropped) = expand_cells(
             &[BenchmarkKind::Ycsb],
-            &[
-                PolicyKind::ReservedPermille(500),
-                PolicyKind::ReservedPermille(500),
-                PolicyKind::Jit,
-            ],
+            &[PolicyKind::L_BGC, PolicyKind::L_BGC, PolicyKind::Jit],
             &[None],
         );
         assert_eq!(cells.len(), 2);
@@ -282,7 +266,7 @@ mod tests {
         let base = SystemConfig::default_sim();
         let (cells, _) = expand_cells(
             &[BenchmarkKind::Ycsb, BenchmarkKind::Bonnie],
-            &all_policies(),
+            &PolicyKind::STANDARD,
             &[None],
         );
         let plan = screen_cells(&base, &cells, 250.0, 1024.0, 0.25);
@@ -300,7 +284,7 @@ mod tests {
         let base = SystemConfig::default_sim();
         let (cells, _) = expand_cells(
             BenchmarkKind::all().as_ref(),
-            &all_policies(),
+            &PolicyKind::STANDARD,
             &[None, Some(140), Some(200)],
         );
         let plan = screen_cells(&base, &cells, 250.0, 1024.0, 0.25);
@@ -338,7 +322,11 @@ mod tests {
     #[test]
     fn screening_is_deterministic() {
         let base = SystemConfig::default_sim();
-        let (cells, _) = expand_cells(BenchmarkKind::all().as_ref(), &all_policies(), &[None]);
+        let (cells, _) = expand_cells(
+            BenchmarkKind::all().as_ref(),
+            &PolicyKind::STANDARD,
+            &[None],
+        );
         let a = screen_cells(&base, &cells, 250.0, 1024.0, 0.25);
         let b = screen_cells(&base, &cells, 250.0, 1024.0, 0.25);
         assert_eq!(a.keep, b.keep);

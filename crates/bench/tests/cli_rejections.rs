@@ -5,7 +5,8 @@
 //! 32-bit page tables names `ftl.user_pages`, one whose flusher clock
 //! cannot tick names `flusher_period_us` / `cache.tau_expire_us`, one with
 //! a zero the config builders would panic on names that key, and so do a
-//! CDH percentile outside `(0, 1]`, a zero CDH bin and a zero queue depth;
+//! CDH percentile outside `(0, 1]`, a zero CDH bin and a queue depth of
+//! zero or above 65 536, on the command line or in a `--config`;
 //! an unwritable output path is reported before anything runs, and the
 //! selector flags this CLI no longer has are plain unknown flags.
 
@@ -66,8 +67,13 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
     );
     let zero_cdh_bin = zeroed("\"cdh_bin_bytes\": 262144");
     let zero_queue_depth = zeroed("\"queue_depth\": 1");
+    let huge_queue_depth = config_with(
+        "queue-depth-2-32",
+        "\"queue_depth\": 1",
+        "\"queue_depth\": 4294967295",
+    );
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 32] = [
+    let cases: [(&[&str], &str); 34] = [
         (&["--seconds", "0"], "--seconds"),
         (&["--iops", "0"], "--iops"),
         (&["--iops", "-5"], "--iops"),
@@ -173,6 +179,14 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         (
             &["--config", &zero_queue_depth],
             "`queue_depth` must be greater than zero",
+        ),
+        // One application thread per request in flight: beyond the
+        // deepest NVMe queue these aborted (exit 134) allocating 34 GB
+        // of per-thread clocks.
+        (&["--queue-depth", "4294967295"], "--queue-depth 4294967295"),
+        (
+            &["--config", &huge_queue_depth],
+            "`queue_depth` of 4294967295 must be at most 65536",
         ),
     ];
     for (args, mention) in cases {

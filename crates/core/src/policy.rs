@@ -17,10 +17,31 @@
 //!
 //! [`PolicyKind`] names each of them and builds it for a system
 //! configuration: the one constructor both CLIs and every experiment use.
+//! [`PolicyKind::STANDARD`] is the paper's policy matrix plus IDLE-GC and
+//! the SIP ablation; this module is the only place it is written down.
 
 use crate::manager::JitGcManager;
 use crate::predictor::{BufferedDemand, DirectDemand, DirectWritePredictor};
 use jitgc_sim::{ByteSize, SimDuration, SimTime};
+
+/// The paper's lazy reserve, L-BGC's `C_resv = 0.5 × C_OP`, in permille of
+/// `C_OP`. IDLE-GC holds it outside idle phases.
+pub const LAZY_RESERVE_PERMILLE: u64 = 500;
+
+/// The paper's aggressive reserve, A-BGC's `C_resv = 1.5 × C_OP`, in
+/// permille of `C_OP`: the top of the paper's design space, so IDLE-GC
+/// holds it in idle phases and ADP-GC and JIT-GC cap their targets at it.
+pub const AGGRESSIVE_RESERVE_PERMILLE: u64 = 1_500;
+
+/// The paper's name for a fixed reserve of `permille` ‰ of `C_OP`, if it
+/// is one of its two baselines.
+fn baseline_name(permille: u64) -> Option<&'static str> {
+    match permille {
+        LAZY_RESERVE_PERMILLE => Some("L-BGC"),
+        AGGRESSIVE_RESERVE_PERMILLE => Some("A-BGC"),
+        _ => None,
+    }
+}
 
 /// Everything a policy may look at when deciding (one write-back
 /// interval's worth of state).
@@ -141,13 +162,18 @@ impl GcPolicy for NoBgc {
 /// # Example
 ///
 /// ```
-/// use jitgc_core::policy::{GcPolicy, ReservedCapacity};
+/// use jitgc_core::policy::{
+///     GcPolicy, ReservedCapacity, AGGRESSIVE_RESERVE_PERMILLE, LAZY_RESERVE_PERMILLE,
+/// };
 /// use jitgc_sim::ByteSize;
 ///
 /// let op = ByteSize::gib(16);
-/// assert_eq!(ReservedCapacity::lazy(op).reserved(), ByteSize::gib(8));
-/// assert_eq!(ReservedCapacity::aggressive(op).reserved(), ByteSize::gib(24));
-/// assert_eq!(ReservedCapacity::lazy(op).name(), "L-BGC");
+/// let lazy = ReservedCapacity::of_op_permille(op, LAZY_RESERVE_PERMILLE);
+/// let aggressive = ReservedCapacity::of_op_permille(op, AGGRESSIVE_RESERVE_PERMILLE);
+/// assert_eq!(lazy.reserved(), ByteSize::gib(8));
+/// assert_eq!(aggressive.reserved(), ByteSize::gib(24));
+/// assert_eq!(lazy.name(), "L-BGC");
+/// assert_eq!(ReservedCapacity::of_op_permille(op, 750).name(), "C-BGC");
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ReservedCapacity {
@@ -156,35 +182,14 @@ pub struct ReservedCapacity {
 }
 
 impl ReservedCapacity {
-    /// The paper's lazy baseline: `C_resv = 0.5 × C_OP`.
-    #[must_use]
-    pub fn lazy(op_capacity: ByteSize) -> Self {
-        ReservedCapacity {
-            cresv: op_capacity.scale_permille(500),
-            label: "L-BGC",
-        }
-    }
-
-    /// The paper's aggressive baseline: `C_resv = 1.5 × C_OP`.
-    #[must_use]
-    pub fn aggressive(op_capacity: ByteSize) -> Self {
-        ReservedCapacity {
-            cresv: op_capacity.scale_permille(1_500),
-            label: "A-BGC",
-        }
-    }
-
-    /// A sweep point: `C_resv = permille/1000 × C_OP` (Fig. 2 uses 500,
-    /// 750, 1000, 1250, 1500).
+    /// `C_resv = permille/1000 × C_OP`, named after the paper's baseline
+    /// at [`LAZY_RESERVE_PERMILLE`] and [`AGGRESSIVE_RESERVE_PERMILLE`]
+    /// and "C-BGC" elsewhere (Fig. 2 sweeps 500, 750, 1000, 1250, 1500).
     #[must_use]
     pub fn of_op_permille(op_capacity: ByteSize, permille: u64) -> Self {
         ReservedCapacity {
             cresv: op_capacity.scale_permille(permille),
-            label: match permille {
-                500 => "L-BGC",
-                1_500 => "A-BGC",
-                _ => "C-BGC",
-            },
+            label: baseline_name(permille).unwrap_or("C-BGC"),
         }
     }
 
@@ -226,8 +231,8 @@ impl GcPolicy for ReservedCapacity {
 /// per-interval write volume, compared against its own long-term level.
 /// When the recent level falls below `idle_fraction` of the long-term
 /// level the device is deemed entering an idle phase and the policy
-/// reserves aggressively (`1.5 × C_OP`); otherwise it holds only the lazy
-/// reserve (`0.5 × C_OP`).
+/// reserves aggressively (A-BGC's `1.5 × C_OP`); otherwise it holds only
+/// the lazy reserve (L-BGC's `0.5 × C_OP`).
 ///
 /// Unlike [`JitGc`] this predicts *opportunity* (when GC is cheap), not
 /// *demand* (how much space is needed) — the distinction the paper draws
@@ -284,11 +289,11 @@ impl GcPolicy for IdleGc {
         let long_term = self.slow.value_or(0.0);
         let idle_expected =
             long_term > 0.0 && self.fast.value_or(0.0) < long_term * self.idle_fraction;
-        let target = if idle_expected {
-            obs.op_capacity.scale_permille(1_500)
+        let target = obs.op_capacity.scale_permille(if idle_expected {
+            AGGRESSIVE_RESERVE_PERMILLE
         } else {
-            obs.op_capacity.scale_permille(500)
-        };
+            LAZY_RESERVE_PERMILLE
+        });
         PolicyDecision {
             target_free: target,
             predicted_next_interval: None,
@@ -357,7 +362,7 @@ impl GcPolicy for AdpGc {
         // the aggressive end of the paper's design space (1.5 × C_OP):
         // beyond that, BGC erases blocks for marginal gain — the "useless
         // BGC operations" the paper's C_resv restriction exists to avoid.
-        let cap = obs.op_capacity.scale_permille(1_500);
+        let cap = obs.op_capacity.scale_permille(AGGRESSIVE_RESERVE_PERMILLE);
         let reserve = ByteSize::bytes(demand.total()).min(cap);
         PolicyDecision {
             target_free: reserve.max(obs.free_capacity + decision.reclaim).min(cap),
@@ -458,7 +463,7 @@ impl GcPolicy for JitGc {
         );
         // Like ADP-GC, the reserve is capped at the aggressive end of the
         // paper's design space (1.5 × C_OP).
-        let cap = obs.op_capacity.scale_permille(1_500);
+        let cap = obs.op_capacity.scale_permille(AGGRESSIVE_RESERVE_PERMILLE);
         PolicyDecision {
             target_free: floor.max(obs.free_capacity + decision.reclaim).min(cap),
             predicted_next_interval: Some(obs.buffered_demand.total() + obs.direct_demand.total()),
@@ -492,8 +497,8 @@ impl GcPolicy for JitGc {
 pub enum PolicyKind {
     /// No background GC at all.
     NoBgc,
-    /// Fixed reserve `C_resv = permille/1000 × C_OP`; 500 is the paper's
-    /// L-BGC, 1500 its A-BGC.
+    /// Fixed reserve `C_resv = permille/1000 × C_OP`;
+    /// [`PolicyKind::L_BGC`] and [`PolicyKind::A_BGC`] are the paper's two.
     ReservedPermille(u64),
     /// The paper's adaptive device-internal baseline.
     Adp,
@@ -507,14 +512,32 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
+    /// The paper's lazy baseline, L-BGC: `C_resv = 0.5 × C_OP`.
+    pub const L_BGC: PolicyKind = PolicyKind::ReservedPermille(LAZY_RESERVE_PERMILLE);
+
+    /// The paper's aggressive baseline, A-BGC: `C_resv = 1.5 × C_OP`.
+    pub const A_BGC: PolicyKind = PolicyKind::ReservedPermille(AGGRESSIVE_RESERVE_PERMILLE);
+
+    /// The standard policy matrix, in the order `ssdsim --policy all` runs
+    /// and lists it: the paper's four (L-BGC, A-BGC, ADP-GC, JIT-GC) plus
+    /// No-BGC, IDLE-GC and the SIP ablation.
+    pub const STANDARD: [PolicyKind; 7] = [
+        PolicyKind::NoBgc,
+        PolicyKind::L_BGC,
+        PolicyKind::A_BGC,
+        PolicyKind::Adp,
+        PolicyKind::Idle,
+        PolicyKind::Jit,
+        PolicyKind::JitNoSip,
+    ];
+
     /// Display name matching the paper's figures.
     #[must_use]
     pub fn name(self) -> String {
         match self {
             PolicyKind::NoBgc => "No-BGC".into(),
-            PolicyKind::ReservedPermille(500) => "L-BGC".into(),
-            PolicyKind::ReservedPermille(1_500) => "A-BGC".into(),
-            PolicyKind::ReservedPermille(p) => format!("{:.2}OP", p as f64 / 1000.0),
+            PolicyKind::ReservedPermille(p) => baseline_name(p)
+                .map_or_else(|| format!("{:.2}OP", p as f64 / 1000.0), str::to_owned),
             PolicyKind::Adp => "ADP-GC".into(),
             PolicyKind::Idle => "IDLE-GC".into(),
             PolicyKind::Jit => "JIT-GC".into(),
@@ -597,8 +620,8 @@ mod tests {
         let b = BufferedDemand::zero(6);
         let d = zero_direct();
         let op = ByteSize::bytes(100 * MB);
-        let mut lazy = ReservedCapacity::lazy(op);
-        let mut aggressive = ReservedCapacity::aggressive(op);
+        let mut lazy = ReservedCapacity::of_op_permille(op, LAZY_RESERVE_PERMILLE);
+        let mut aggressive = ReservedCapacity::of_op_permille(op, AGGRESSIVE_RESERVE_PERMILLE);
         let lazy_t = lazy.on_interval(&obs(10, &b, &d, 0)).target_free;
         let agg_t = aggressive.on_interval(&obs(10, &b, &d, 0)).target_free;
         assert_eq!(lazy_t, ByteSize::bytes(50 * MB));
@@ -720,7 +743,9 @@ mod tests {
     fn zero_traffic_fixed_points_match_policy_statefulness() {
         let op = ByteSize::bytes(100 * MB);
         assert!(NoBgc.zero_traffic_fixed_point());
-        assert!(ReservedCapacity::lazy(op).zero_traffic_fixed_point());
+        assert!(
+            ReservedCapacity::of_op_permille(op, LAZY_RESERVE_PERMILLE).zero_traffic_fixed_point()
+        );
         assert!(JitGc::new(SimDuration::from_secs(30), 40e6, 10e6).zero_traffic_fixed_point());
         assert!(
             !IdleGc::default().zero_traffic_fixed_point(),
@@ -767,8 +792,10 @@ mod tests {
 
     #[test]
     fn policy_names_match_paper() {
-        assert_eq!(PolicyKind::ReservedPermille(500).name(), "L-BGC");
-        assert_eq!(PolicyKind::ReservedPermille(1_500).name(), "A-BGC");
+        assert_eq!(PolicyKind::L_BGC, PolicyKind::ReservedPermille(500));
+        assert_eq!(PolicyKind::A_BGC, PolicyKind::ReservedPermille(1_500));
+        assert_eq!(PolicyKind::L_BGC.name(), "L-BGC");
+        assert_eq!(PolicyKind::A_BGC.name(), "A-BGC");
         assert_eq!(PolicyKind::ReservedPermille(750).name(), "0.75OP");
         assert_eq!(PolicyKind::Jit.name(), "JIT-GC");
     }
@@ -776,15 +803,17 @@ mod tests {
     #[test]
     fn all_policies_build() {
         let cfg = crate::system::SystemConfig::small_for_tests();
-        for kind in [
-            PolicyKind::NoBgc,
-            PolicyKind::ReservedPermille(1_000),
-            PolicyKind::Adp,
-            PolicyKind::Jit,
-            PolicyKind::JitNoSip,
-        ] {
+        for kind in PolicyKind::STANDARD {
             let p = kind.build(&cfg);
             assert!(!p.name().is_empty());
+            // The built policy carries the kind's name, bar the ablation's
+            // suffix: the SIP-less JIT-GC reports itself as JIT-GC.
+            assert!(kind.name().starts_with(p.name()), "{kind:?}");
+            assert_eq!(p.uses_sip(), kind == PolicyKind::Jit, "{kind:?}");
         }
+        assert_eq!(
+            PolicyKind::ReservedPermille(1_000).build(&cfg).name(),
+            "C-BGC"
+        );
     }
 }

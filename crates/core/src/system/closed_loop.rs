@@ -21,6 +21,12 @@ pub struct ClosedLoop {
 }
 
 impl ClosedLoop {
+    /// The most application threads a closed loop takes: 65 536, the
+    /// deepest NVMe I/O queue (MQES is a 16-bit, zero-based field), so
+    /// the most requests a host can have in flight at one device. Every
+    /// input that sets a thread count is checked against it.
+    pub const MAX_THREADS: u32 = 65_536;
+
     /// A clock for `queue_depth` application threads (at least one), all
     /// idle at time zero.
     #[must_use]

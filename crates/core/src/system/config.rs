@@ -7,6 +7,8 @@ use jitgc_pagecache::PageCacheConfig;
 use jitgc_sim::json::{JsonError, JsonValue, ObjectBuilder};
 use jitgc_sim::{ByteSize, SimDuration};
 
+use super::ClosedLoop;
+
 /// Where the JIT-GC manager runs (paper Fig. 3).
 ///
 /// The paper's *ideal* implementation (Fig. 3(a)) executes the manager in
@@ -51,16 +53,39 @@ impl VictimKind {
         }
     }
 
+    /// The name of a seedless selector: its `--victim` value and its JSON
+    /// form. `None` for [`Random`](VictimKind::Random), whose forms carry
+    /// the seed (`random:<seed>` on the CLI, `{"random": <seed>}` in JSON).
+    #[must_use]
+    pub fn name(self) -> Option<&'static str> {
+        match self {
+            VictimKind::Greedy => Some("greedy"),
+            VictimKind::CostBenefit => Some("cost-benefit"),
+            VictimKind::Fifo => Some("fifo"),
+            VictimKind::Random(_) => None,
+        }
+    }
+
+    /// The seedless selector a [`name`](Self::name) names.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        [
+            VictimKind::Greedy,
+            VictimKind::CostBenefit,
+            VictimKind::Fifo,
+        ]
+        .into_iter()
+        .find(|kind| kind.name() == Some(name))
+    }
+
     /// Serializes to the repository's JSON config format.
     #[must_use]
     pub fn to_json(self) -> JsonValue {
         match self {
-            VictimKind::Greedy => JsonValue::from("greedy"),
-            VictimKind::CostBenefit => JsonValue::from("cost-benefit"),
-            VictimKind::Fifo => JsonValue::from("fifo"),
             VictimKind::Random(seed) => ObjectBuilder::new()
                 .field("random", JsonValue::U64(seed))
                 .build(),
+            _ => JsonValue::from(self.name().expect("a seedless selector has a name")),
         }
     }
 
@@ -71,12 +96,8 @@ impl VictimKind {
     /// Returns a [`JsonError`] for unknown policy names.
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         if let Some(name) = v.as_str() {
-            return match name {
-                "greedy" => Ok(VictimKind::Greedy),
-                "cost-benefit" => Ok(VictimKind::CostBenefit),
-                "fifo" => Ok(VictimKind::Fifo),
-                other => Err(JsonError::new(format!("unknown victim policy `{other}`"))),
-            };
+            return VictimKind::from_name(name)
+                .ok_or_else(|| JsonError::new(format!("unknown victim policy `{name}`")));
         }
         let seed = v
             .req("random")?
@@ -116,7 +137,8 @@ pub struct SystemConfig {
     /// Requests are dealt round-robin; each thread issues its next request
     /// a think-time after its own previous completion, all sharing the one
     /// device queue. Higher depths raise utilization and make every
-    /// foreground-GC stall block more work.
+    /// foreground-GC stall block more work. At most
+    /// [`ClosedLoop::MAX_THREADS`].
     pub queue_depth: u32,
     /// Use the strict `τ_flush` model in the buffered predictor
     /// (ablation; the paper relaxes it).
@@ -328,7 +350,8 @@ impl SystemConfig {
     /// replaced by `flusher_period_us` when the system is built; a zero
     /// there is rejected all the same. The direct-write predictor needs
     /// `cdh_percentile` in `(0, 1]` and a `cdh_bin_bytes` above zero, and
-    /// the closed loop at least one application thread (`queue_depth`).
+    /// the closed loop at least one application thread and at most
+    /// [`ClosedLoop::MAX_THREADS`] (`queue_depth`).
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         let micros = |key: &str| -> Result<SimDuration, JsonError> {
             v.req(key)?
@@ -385,6 +408,12 @@ impl SystemConfig {
             .ok_or_else(|| JsonError::new("`queue_depth` must be an integer"))?;
         if queue_depth == 0 {
             return Err(JsonError::new("`queue_depth` must be greater than zero"));
+        }
+        if queue_depth > ClosedLoop::MAX_THREADS {
+            return Err(JsonError::new(format!(
+                "`queue_depth` of {queue_depth} must be at most {} (the deepest NVMe I/O queue)",
+                ClosedLoop::MAX_THREADS
+            )));
         }
         Ok(SystemConfig {
             ftl,
@@ -488,7 +517,12 @@ mod tests {
             VictimKind::Random(7),
         ] {
             assert_eq!(VictimKind::from_json(&kind.to_json()).unwrap(), kind);
+            if let Some(name) = kind.name() {
+                assert_eq!(VictimKind::from_name(name), Some(kind));
+            }
         }
+        assert_eq!(VictimKind::Random(7).name(), None);
+        assert_eq!(VictimKind::from_name("lru"), None);
         assert!(VictimKind::from_json(&JsonValue::from("lru")).is_err());
     }
 

@@ -183,8 +183,7 @@ impl SsdSystem {
         policy: Box<dyn GcPolicy>,
         workload: Box<dyn Workload>,
     ) -> Self {
-        let mut ftl = Ftl::new(config.ftl.clone(), config.victim.build());
-        ftl.set_sip_filter_enabled(policy.uses_sip());
+        let ftl = Ftl::new(config.ftl.clone(), config.victim.build());
         // The engine ticks the flusher every `config.flusher_period`, so
         // that is the period of the cache's flusher clock: its dirty-age
         // epoch counters are what `predict_into` reads at every tick.
@@ -1113,7 +1112,7 @@ impl SsdSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{AdpGc, JitGc, NoBgc, ReservedCapacity};
+    use crate::policy::{JitGc, NoBgc, PolicyKind};
     use jitgc_workload::{BenchmarkKind, WorkloadConfig};
 
     fn run(policy: Box<dyn GcPolicy>, kind: BenchmarkKind, secs: u64, seed: u64) -> SimReport {
@@ -1126,18 +1125,6 @@ mod tests {
             .build();
         let workload = kind.build(wl_cfg);
         SsdSystem::new(config, policy, workload).run()
-    }
-
-    fn adp(config: &SystemConfig) -> AdpGc {
-        let (bw, gc) = config.default_bandwidths();
-        AdpGc::new(
-            config.flusher_period,
-            config.tau_expire(),
-            config.cdh_percentile,
-            config.cdh_bin_bytes,
-            bw,
-            gc,
-        )
     }
 
     #[test]
@@ -1196,18 +1183,8 @@ mod tests {
     #[test]
     fn aggressive_policy_reduces_fgc_stalls() {
         let cfg = SystemConfig::small_for_tests();
-        let lazy = run(
-            Box::new(ReservedCapacity::lazy(cfg.op_capacity())),
-            BenchmarkKind::Ycsb,
-            60,
-            5,
-        );
-        let aggressive = run(
-            Box::new(ReservedCapacity::aggressive(cfg.op_capacity())),
-            BenchmarkKind::Ycsb,
-            60,
-            5,
-        );
+        let lazy = run(PolicyKind::L_BGC.build(&cfg), BenchmarkKind::Ycsb, 60, 5);
+        let aggressive = run(PolicyKind::A_BGC.build(&cfg), BenchmarkKind::Ycsb, 60, 5);
         let lazy_stalls = lazy.fgc_request_stalls + lazy.fgc_flush_stalls;
         let agg_stalls = aggressive.fgc_request_stalls + aggressive.fgc_flush_stalls;
         assert!(
@@ -1231,21 +1208,31 @@ mod tests {
             .expect("JIT-GC predicts every interval");
         assert!(acc > 15.0, "accuracy {acc}");
         assert!(report.bgc_blocks > 0, "JIT-GC should reclaim in background");
+        assert!(
+            report.sip_filtered_fraction.is_some(),
+            "JIT-GC filters by SIP"
+        );
     }
 
     #[test]
     fn adp_reports_prediction_accuracy() {
         let cfg = SystemConfig::small_for_tests();
-        let report = run(Box::new(adp(&cfg)), BenchmarkKind::Ycsb, 60, 7);
+        let report = run(PolicyKind::Adp.build(&cfg), BenchmarkKind::Ycsb, 60, 7);
         assert!(report.prediction_accuracy_percent.is_some());
         assert!(report.sip_filtered_fraction.is_none(), "ADP has no SIP");
+        // The engine installs a SIP list only for a policy that uses SIP,
+        // and the FTL filters victims only against an installed list: the
+        // SIP-less JIT-GC filters none on the run where JIT-GC does.
+        let no_sip = run(PolicyKind::JitNoSip.build(&cfg), BenchmarkKind::Ycsb, 60, 7);
+        assert!(no_sip.prediction_accuracy_percent.is_some());
+        assert!(no_sip.sip_filtered_fraction.is_none(), "JIT-GC without SIP");
     }
 
     #[test]
     fn reserved_policies_do_not_predict() {
         let cfg = SystemConfig::small_for_tests();
         let report = run(
-            Box::new(ReservedCapacity::lazy(cfg.op_capacity())),
+            PolicyKind::L_BGC.build(&cfg),
             BenchmarkKind::Filebench,
             30,
             2,
@@ -1524,8 +1511,8 @@ mod tests {
         let cfg = SystemConfig::small_for_tests();
         let policies: Vec<Box<dyn GcPolicy>> = vec![
             Box::new(NoBgc),
-            Box::new(ReservedCapacity::lazy(cfg.op_capacity())),
-            Box::new(adp(&cfg)),
+            PolicyKind::L_BGC.build(&cfg),
+            PolicyKind::Adp.build(&cfg),
             Box::new(JitGc::from_system_config(&cfg)),
         ];
         for policy in policies {

@@ -330,15 +330,6 @@ fn residue_at_the_threshold_strands_and_one_page_above_it_flushes() {
 /// step and at the end. 96 cases of up to 48 steps.
 #[test]
 fn skipped_spans_match_the_per_tick_loop() {
-    const POLICIES: [PolicyKind; 7] = [
-        PolicyKind::NoBgc,
-        PolicyKind::ReservedPermille(500),
-        PolicyKind::ReservedPermille(1_500),
-        PolicyKind::Adp,
-        PolicyKind::Idle,
-        PolicyKind::Jit,
-        PolicyKind::JitNoSip,
-    ];
     const KINDS: [IoKind; 4] = [
         IoKind::Read,
         IoKind::BufferedWrite,
@@ -355,7 +346,7 @@ fn skipped_spans_match_the_per_tick_loop() {
     }
     check(0xFF5A_0001, 96, |g| {
         let mut config = residue_config();
-        let policy = g.pick(&POLICIES);
+        let policy = g.pick(&PolicyKind::STANDARD);
         config.strict_tau_flush = g.u64(0, 2) == 1;
         config.manager_placement = g.pick(&[ManagerPlacement::Host, ManagerPlacement::Device]);
         let aged = g.u64(0, 2) == 1;

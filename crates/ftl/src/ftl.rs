@@ -127,7 +127,6 @@ pub struct Ftl {
     last_write: Vec<SimTime>,
     sip: SipList,
     sip_counts: Vec<u32>,
-    sip_filter_enabled: bool,
     selector: Box<dyn VictimSelector>,
     /// Bucketed candidate index updated O(1) on seal/invalidate/erase;
     /// tracks exactly the blocks victim selection may choose from.
@@ -191,7 +190,6 @@ impl Ftl {
             last_write: vec![SimTime::ZERO; blocks as usize],
             sip: SipList::new(),
             sip_counts: vec![0; blocks as usize],
-            sip_filter_enabled: true,
             selector,
             victim_index: VictimIndex::new(blocks, config.geometry().pages_per_block()),
             read_only: false,
@@ -959,12 +957,13 @@ impl Ftl {
     }
 
     /// Chooses the next GC victim. For background GC with a non-empty SIP
-    /// list and filtering enabled, candidates whose soon-to-be-invalidated
-    /// fraction exceeds the configured threshold are avoided; if that
-    /// filter would leave no candidate, the unfiltered choice is used.
+    /// list, candidates whose soon-to-be-invalidated fraction exceeds the
+    /// configured threshold are avoided; if that filter would leave no
+    /// candidate, the unfiltered choice is used. A policy without SIP
+    /// never installs a list, so it never filters.
     fn select_victim(&mut self, now: SimTime, background: bool) -> Option<BlockId> {
         let unfiltered = self.run_selector(now, None)?;
-        if !background || !self.sip_filter_enabled || self.sip.is_empty() {
+        if !background || self.sip.is_empty() {
             return Some(unfiltered);
         }
 
@@ -1101,12 +1100,6 @@ impl Ftl {
             }
         }
         std::mem::replace(&mut self.sip, sip)
-    }
-
-    /// Enables or disables SIP-aware victim filtering (for the ablation
-    /// study; the paper's JIT-GC has it on, ADP-GC has it off).
-    pub fn set_sip_filter_enabled(&mut self, enabled: bool) {
-        self.sip_filter_enabled = enabled;
     }
 
     // ------------------------------------------------------------------
@@ -1740,23 +1733,6 @@ mod tests {
         // The redirected victim held the four live non-SIP pages, which
         // were migrated; the SIP'd pages (4..8) stayed put.
         assert_eq!(ftl.stats().gc_pages_migrated, 4);
-    }
-
-    #[test]
-    fn sip_filter_disabled_means_no_filtering() {
-        let mut ftl = small_ftl();
-        ftl.set_sip_filter_enabled(false);
-        assert!(!ftl.sip_filter_enabled);
-        for lpn in 0..16u64 {
-            ftl.host_write(Lpn(lpn), t(0)).expect("in range");
-        }
-        for lpn in [0u64, 1, 2, 3, 8, 9, 10, 11] {
-            ftl.host_write(Lpn(lpn), t(1)).expect("in range");
-        }
-        let _ = ftl.install_sip_list([Lpn(4), Lpn(5), Lpn(6), Lpn(7)].into_iter().collect());
-        ftl.background_collect(t(2), SimDuration::from_secs(1), None);
-        assert_eq!(ftl.stats().sip_eligible_selections, 0);
-        assert_eq!(ftl.stats().sip_filtered_selections, 0);
     }
 
     #[test]

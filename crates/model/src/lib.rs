@@ -49,7 +49,7 @@ mod solver;
 pub use lowering::{lower_profile, Combo};
 pub use solver::{births, effective_survival, live_pages, solve_cycle, survival, CycleSolution};
 
-use jitgc_core::policy::PolicyKind;
+use jitgc_core::policy::{PolicyKind, AGGRESSIVE_RESERVE_PERMILLE, LAZY_RESERVE_PERMILLE};
 use jitgc_core::system::SystemConfig;
 use jitgc_workload::BenchmarkKind;
 
@@ -148,14 +148,15 @@ pub fn predict(
     let ftl = &system.ftl;
     let op_pages = ftl.op_pages() as f64;
     let tau = system.tau_expire().as_secs_f64();
+    let of_op = |permille: u64| permille as f64 / 1000.0 * op_pages;
     let reserve_pages = match policy {
         PolicyKind::NoBgc => 0.0,
-        PolicyKind::ReservedPermille(permille) => permille as f64 / 1000.0 * op_pages,
-        PolicyKind::Idle => 0.5 * op_pages,
+        PolicyKind::ReservedPermille(permille) => of_op(permille),
+        PolicyKind::Idle => of_op(LAZY_RESERVE_PERMILLE),
         // Demand-driven policies hold one prediction horizon of device
         // writes, clamped to A-BGC's feasibility ceiling.
         PolicyKind::Adp | PolicyKind::Jit | PolicyKind::JitNoSip => {
-            (device_write_rate * tau).min(1.5 * op_pages)
+            (device_write_rate * tau).min(of_op(AGGRESSIVE_RESERVE_PERMILLE))
         }
     };
     let t_pages = ftl.data_pages() as f64 - reserve_pages;
@@ -224,15 +225,7 @@ mod tests {
         let system = SystemConfig::default_sim();
         let s = spec(&system);
         for benchmark in BenchmarkKind::all() {
-            for policy in [
-                PolicyKind::NoBgc,
-                PolicyKind::ReservedPermille(500),
-                PolicyKind::ReservedPermille(1_500),
-                PolicyKind::Idle,
-                PolicyKind::Adp,
-                PolicyKind::Jit,
-                PolicyKind::JitNoSip,
-            ] {
+            for policy in PolicyKind::STANDARD {
                 let p = predict(&system, policy, benchmark, &s);
                 assert!(p.waf.is_finite());
                 assert!(p.waf >= 1.0, "{benchmark}/{policy:?}: WAF {}", p.waf);
@@ -247,18 +240,8 @@ mod tests {
     fn bigger_reserve_raises_waf() {
         let system = SystemConfig::default_sim();
         let s = spec(&system);
-        let l = predict(
-            &system,
-            PolicyKind::ReservedPermille(500),
-            BenchmarkKind::Ycsb,
-            &s,
-        );
-        let a = predict(
-            &system,
-            PolicyKind::ReservedPermille(1_500),
-            BenchmarkKind::Ycsb,
-            &s,
-        );
+        let l = predict(&system, PolicyKind::L_BGC, BenchmarkKind::Ycsb, &s);
+        let a = predict(&system, PolicyKind::A_BGC, BenchmarkKind::Ycsb, &s);
         assert!(
             a.waf > l.waf,
             "A-BGC {} must cost more than L-BGC {}",
@@ -378,7 +361,7 @@ mod tests {
         let system = SystemConfig::default_sim();
         let p = predict(
             &system,
-            PolicyKind::ReservedPermille(500),
+            PolicyKind::L_BGC,
             BenchmarkKind::Bonnie,
             &spec(&system),
         );

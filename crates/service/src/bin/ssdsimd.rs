@@ -9,6 +9,7 @@
 //!                          reader|writer|mixed, weight a positive
 //!                          integer, iops the mean closed-loop arrival
 //!                          rate, conc the application threads
+//!                          (1 to 65536)
 //!                          (default writer:writer:1:1200:8,
 //!                                   reader:reader:4:400:2,
 //!                                   mixed:mixed:2:400:2)
@@ -42,9 +43,10 @@
 
 use std::time::Instant;
 
+use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::{RunPerf, RunTotals, SystemConfig};
 use jitgc_service::{
-    run_closed_loop_counting, serve, Endpoint, PolicyChoice, Service, ServiceConfig, ServiceReport,
+    run_closed_loop_counting, serve, Endpoint, Service, ServiceConfig, ServiceReport,
     TenantProfile, TenantSpec, TierThresholds,
 };
 use jitgc_sim::json::JsonValue;
@@ -52,7 +54,7 @@ use jitgc_sim::SimTime;
 
 struct Args {
     tenants: Vec<TenantSpec>,
-    policy: PolicyChoice,
+    policy: PolicyKind,
     seconds: u64,
     seed: u64,
     sq_depth: usize,
@@ -71,8 +73,8 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         Args {
-            tenants: default_tenants(),
-            policy: PolicyChoice::Jit,
+            tenants: ServiceConfig::default_tenants(),
+            policy: PolicyKind::Jit,
             seconds: 60,
             seed: 42,
             sq_depth: 64,
@@ -88,32 +90,6 @@ impl Default for Args {
             sessions: None,
         }
     }
-}
-
-fn default_tenants() -> Vec<TenantSpec> {
-    vec![
-        TenantSpec {
-            name: "writer".into(),
-            weight: 1,
-            profile: TenantProfile::Writer,
-            mean_iops: 1_200.0,
-            concurrency: 8,
-        },
-        TenantSpec {
-            name: "reader".into(),
-            weight: 4,
-            profile: TenantProfile::Reader,
-            mean_iops: 400.0,
-            concurrency: 2,
-        },
-        TenantSpec {
-            name: "mixed".into(),
-            weight: 2,
-            profile: TenantProfile::Mixed,
-            mean_iops: 400.0,
-            concurrency: 2,
-        },
-    ]
 }
 
 fn usage() -> ! {
@@ -132,6 +108,20 @@ fn usage() -> ! {
 fn fail(message: String) -> ! {
     eprintln!("{message}");
     std::process::exit(2)
+}
+
+/// Maps a `--policy` value onto the policy it selects.
+fn parse_policy(v: &str) -> PolicyKind {
+    match v {
+        "none" => PolicyKind::NoBgc,
+        "lbgc" => PolicyKind::L_BGC,
+        "abgc" => PolicyKind::A_BGC,
+        "adp" => PolicyKind::Adp,
+        "idle" => PolicyKind::Idle,
+        "jit" => PolicyKind::Jit,
+        "jit-nosip" => PolicyKind::JitNoSip,
+        _ => fail(format!("unknown policy: {v}")),
+    }
 }
 
 /// Parses one `name:profile:weight:iops:conc` tenant token, naming the
@@ -183,11 +173,7 @@ fn parse_args() -> Args {
         let mut value = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
             "--tenants" => args.tenants = value().split(',').map(parse_tenant).collect(),
-            "--policy" => {
-                let v = value();
-                args.policy =
-                    PolicyChoice::parse(&v).unwrap_or_else(|| fail(format!("unknown policy: {v}")));
-            }
+            "--policy" => args.policy = parse_policy(&value()),
             "--seconds" => args.seconds = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
             "--sq-depth" => args.sq_depth = value().parse().unwrap_or_else(|_| usage()),

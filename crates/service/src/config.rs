@@ -1,6 +1,6 @@
 //! Service configuration and named-knob validation.
 
-use jitgc_core::system::SystemConfig;
+use jitgc_core::system::{ClosedLoop, SystemConfig};
 
 /// The I/O personality a tenant's closed-loop driver generates.
 ///
@@ -131,35 +131,36 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A small three-tenant configuration for tests and examples: one hot
-    /// writer, one latency-sensitive reader, one mixed tenant, on the
-    /// `small_for_tests` device.
+    /// The default three-tenant roster (`ssdsimd` without `--tenants`):
+    /// one hot writer (weight 1, 1 200 IOPS, 8 threads), one
+    /// latency-sensitive reader (weight 4, 400 IOPS, 2 threads) and one
+    /// mixed tenant (weight 2, 400 IOPS, 2 threads), each named after its
+    /// profile.
+    #[must_use]
+    pub fn default_tenants() -> Vec<TenantSpec> {
+        [
+            (TenantProfile::Writer, 1, 1_200.0, 8),
+            (TenantProfile::Reader, 4, 400.0, 2),
+            (TenantProfile::Mixed, 2, 400.0, 2),
+        ]
+        .into_iter()
+        .map(|(profile, weight, mean_iops, concurrency)| TenantSpec {
+            name: profile.name().into(),
+            weight,
+            profile,
+            mean_iops,
+            concurrency,
+        })
+        .collect()
+    }
+
+    /// A small configuration for tests and examples: the
+    /// [default roster](Self::default_tenants) on the `small_for_tests`
+    /// device.
     #[must_use]
     pub fn small_for_tests() -> Self {
         ServiceConfig {
-            tenants: vec![
-                TenantSpec {
-                    name: "writer".into(),
-                    weight: 1,
-                    profile: TenantProfile::Writer,
-                    mean_iops: 1_200.0,
-                    concurrency: 8,
-                },
-                TenantSpec {
-                    name: "reader".into(),
-                    weight: 4,
-                    profile: TenantProfile::Reader,
-                    mean_iops: 400.0,
-                    concurrency: 2,
-                },
-                TenantSpec {
-                    name: "mixed".into(),
-                    weight: 2,
-                    profile: TenantProfile::Mixed,
-                    mean_iops: 400.0,
-                    concurrency: 2,
-                },
-            ],
+            tenants: ServiceConfig::default_tenants(),
             sq_depth: 16,
             dispatch_window: 8,
             tiers: TierThresholds::default(),
@@ -180,8 +181,9 @@ impl ServiceConfig {
     ///
     /// Returns a message naming the offending knob when the tenant list
     /// is empty, any weight is zero, any concurrency or arrival rate is
-    /// non-positive, the SQ depth or dispatch window is zero, the tier
-    /// thresholds are not strictly increasing within `(0, 1]`, the
+    /// non-positive, a concurrency exceeds [`ClosedLoop::MAX_THREADS`],
+    /// the SQ depth or dispatch window is zero, the tier thresholds are
+    /// not strictly increasing within `(0, 1]`, the
     /// hysteresis is negative or at least the Yellow threshold, the run
     /// has no simulated second, the device leaves no standard working
     /// set, or the roster splits it into fewer than 64 pages per tenant.
@@ -200,6 +202,16 @@ impl ServiceConfig {
                 return Err(format!(
                     "tenant {} ({}) has concurrency 0; a closed loop needs at least one thread",
                     i, t.name
+                ));
+            }
+            if t.concurrency > ClosedLoop::MAX_THREADS {
+                return Err(format!(
+                    "tenant {} ({}) has concurrency {}; a closed loop takes at most {} threads \
+                     (the deepest NVMe I/O queue)",
+                    i,
+                    t.name,
+                    t.concurrency,
+                    ClosedLoop::MAX_THREADS
                 ));
             }
             if t.mean_iops.is_nan() || t.mean_iops <= 0.0 {
@@ -288,6 +300,10 @@ mod tests {
         assert!(err(&|c| c.tenants.clear()).contains("at least one tenant"));
         assert!(err(&|c| c.tenants[0].weight = 0).contains("weight 0"));
         assert!(err(&|c| c.tenants[1].concurrency = 0).contains("concurrency 0"));
+        assert!(err(&|c| c.tenants[1].concurrency = 65_537).contains("concurrency 65537"));
+        let mut deepest = ServiceConfig::small_for_tests();
+        deepest.tenants[1].concurrency = ClosedLoop::MAX_THREADS;
+        assert_eq!(deepest.validate(), Ok(()));
         assert!(err(&|c| c.tenants[2].mean_iops = 0.0).contains("mean IOPS"));
         assert!(err(&|c| c.sq_depth = 0).contains("submission-queue depth"));
         assert!(err(&|c| c.dispatch_window = 0).contains("dispatch window"));

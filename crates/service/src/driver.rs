@@ -3,10 +3,12 @@
 //! [`run_closed_loop`] stands up a [`Service`] and drives the configured
 //! tenant mix against it entirely in virtual time. Each tenant runs
 //! `concurrency` closed-loop application threads sharing one request
-//! stream round-robin (the same model the engine uses for its own
-//! `queue_depth`): a thread submits its next request no earlier than the
-//! previous request's think-time gap and no earlier than its own previous
-//! completion.
+//! stream round-robin: the next request is submitted at the later of the
+//! tenant's previous submission plus the request's think-time gap and the
+//! moment its thread's previous request completed. That is not the
+//! engine's own `queue_depth` clock
+//! ([`ClosedLoop`](jitgc_core::system::ClosedLoop)), where a thread issues
+//! its next request `gap` after its own previous completion.
 //!
 //! # Constant memory
 //!

@@ -15,6 +15,10 @@
 //! latency-sensitive reader pays in p999, while JIT-GC plus tiered
 //! shedding confines the damage to the tenant causing it.
 //!
+//! The engine's GC policy is a [`PolicyKind`] of `jitgc-core`, built for
+//! the service's device; `ssdsimd --policy` spells the seven of
+//! [`PolicyKind::STANDARD`] `none|lbgc|abgc|adp|idle|jit|jit-nosip`.
+//!
 //! Everything is deterministic in virtual time: the in-process
 //! closed-loop driver ([`run_closed_loop`]) runs serially on the calling
 //! thread, pulling each tenant's requests from its own seeded generator as
@@ -24,16 +28,19 @@
 //! # Example
 //!
 //! ```
-//! use jitgc_service::{run_closed_loop, PolicyChoice, ServiceConfig};
+//! use jitgc_core::policy::PolicyKind;
+//! use jitgc_service::{run_closed_loop, ServiceConfig};
 //!
 //! let mut cfg = ServiceConfig::small_for_tests();
 //! cfg.seconds = 2;
 //! cfg.system.prefill = false;
-//! let report = run_closed_loop(&cfg, PolicyChoice::Jit.build(&cfg.system));
+//! let report = run_closed_loop(&cfg, PolicyKind::Jit.build(&cfg.system));
 //! assert_eq!(report.tenants.len(), 3);
 //! ```
 //!
 //! [`SsdSystem`]: jitgc_core::system::SsdSystem
+//! [`PolicyKind`]: jitgc_core::policy::PolicyKind
+//! [`PolicyKind::STANDARD`]: jitgc_core::policy::PolicyKind::STANDARD
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +48,6 @@
 mod config;
 mod driver;
 mod net;
-mod policy;
 mod proto;
 mod queue;
 mod report;
@@ -52,10 +58,14 @@ mod wfq;
 pub use config::{ServiceConfig, TenantProfile, TenantSpec, TierThresholds};
 pub use driver::{run_closed_loop, run_closed_loop_counting};
 pub use net::{serve, Client, Endpoint};
-pub use policy::PolicyChoice;
 pub use proto::{read_frame, write_frame, Frame};
 pub use queue::{Completion, CompletionStatus, Submission, SubmitOutcome};
 pub use report::{ServiceReport, TenantReport, TierReport};
 pub use service::Service;
 pub use tier::{Tier, TierPolicy};
 pub use wfq::WfqArbiter;
+
+/// The old name of [`PolicyKind`](jitgc_core::policy::PolicyKind), kept
+/// only for callers written against it.
+#[doc(hidden)]
+pub use jitgc_core::policy::PolicyKind as PolicyChoice;

@@ -4,8 +4,9 @@
 //! `crates/bench/tests/bench_record_shape.rs`), minus the ones the daemon
 //! never carried (`victim`, the phase breakdown), plus its own `service`
 //! block. Also the daemon's newest exit-2 paths: the retired
-//! `--fast-forward` and `--worker-threads` flags and an unwritable
-//! `--bench-json` path, reported before the run.
+//! `--fast-forward` and `--worker-threads` flags, an unwritable
+//! `--bench-json` path, reported before the run, and a tenant with more
+//! closed-loop threads than the deepest NVMe queue.
 
 use jitgc_sim::json::JsonValue;
 use std::process::Command;
@@ -87,12 +88,17 @@ fn bench_record_key_paths_are_pinned() {
 
 #[test]
 fn retired_flag_and_unwritable_record_exit_2() {
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (&["--fast-forward", "on"], "unknown flag: --fast-forward"),
         (&["--worker-threads", "2"], "unknown flag: --worker-threads"),
         (
             &["--small", "--bench-json", "/nonexistent-dir/perf.json"],
             "cannot write /nonexistent-dir/perf.json",
+        ),
+        // Used to abort (exit 134) allocating 68 GB of thread slots.
+        (
+            &["--tenants", "w:writer:1:100:4294967295"],
+            "tenant 0 (w) has concurrency 4294967295",
         ),
     ];
     for (args, mention) in cases {

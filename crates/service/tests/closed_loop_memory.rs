@@ -18,7 +18,8 @@
 //! timeline's bytes only: its 16-byte entries, three times over (the
 //! service's list at up to double capacity, then the report's copy).
 
-use jitgc_service::{run_closed_loop, PolicyChoice, ServiceConfig};
+use jitgc_core::policy::PolicyKind;
+use jitgc_service::{run_closed_loop, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -71,7 +72,7 @@ static ALLOCATOR: Counting = Counting;
 /// The peak live heap of one `run_closed_loop` of the small test roster
 /// under `policy` over `seconds` simulated seconds, above what was live
 /// before it, and the length of the report's tier timeline.
-fn peak_bytes(policy: PolicyChoice, seconds: u64) -> (usize, usize) {
+fn peak_bytes(policy: PolicyKind, seconds: u64) -> (usize, usize) {
     let mut cfg = ServiceConfig::small_for_tests();
     cfg.seconds = seconds;
     let before = LIVE.load(Ordering::Relaxed);
@@ -89,8 +90,8 @@ fn peak_bytes(policy: PolicyChoice, seconds: u64) -> (usize, usize) {
 
 #[test]
 fn closed_loop_peak_heap_does_not_grow_with_the_run() {
-    let (short, _) = peak_bytes(PolicyChoice::NoBgc, 30);
-    let (long, transitions) = peak_bytes(PolicyChoice::NoBgc, 300);
+    let (short, _) = peak_bytes(PolicyKind::NoBgc, 30);
+    let (long, transitions) = peak_bytes(PolicyKind::NoBgc, 300);
     assert_eq!(transitions, 1, "without GC debt the roster stays Green");
     let ratio = long as f64 / short as f64;
     assert!(
@@ -98,8 +99,8 @@ fn closed_loop_peak_heap_does_not_grow_with_the_run() {
         "the closed loop peaked at {short} B over 30 s and {long} B over 300 s ({ratio:.2}x)"
     );
 
-    let (short, short_transitions) = peak_bytes(PolicyChoice::Jit, 30);
-    let (long, long_transitions) = peak_bytes(PolicyChoice::Jit, 300);
+    let (short, short_transitions) = peak_bytes(PolicyKind::Jit, 30);
+    let (long, long_transitions) = peak_bytes(PolicyKind::Jit, 300);
     let timeline = 3 * 16 * (long_transitions - short_transitions);
     assert!(
         long as f64 <= short as f64 * 1.05 + timeline as f64,

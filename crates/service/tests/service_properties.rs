@@ -13,8 +13,9 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 
+use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::SystemConfig;
-use jitgc_service::{run_closed_loop, PolicyChoice, Service, ServiceReport};
+use jitgc_service::{run_closed_loop, Service, ServiceReport};
 use jitgc_service::{ServiceConfig, TenantProfile, TenantSpec, TierThresholds};
 use jitgc_service::{Tier, TierPolicy, WfqArbiter};
 use jitgc_sim::check::check;
@@ -202,7 +203,7 @@ fn reference_trace(cfg: &ServiceConfig, tenant: usize) -> Vec<IoRequest> {
 /// application thread waiting on it. Also returns how many completions
 /// arrived below an id their tenant had already seen complete — a shed
 /// answered before an earlier accepted request.
-fn reference_closed_loop(cfg: &ServiceConfig, policy: PolicyChoice) -> (ServiceReport, u64) {
+fn reference_closed_loop(cfg: &ServiceConfig, policy: PolicyKind) -> (ServiceReport, u64) {
     struct TenantLoop {
         trace: Vec<IoRequest>,
         cursor: usize,
@@ -320,7 +321,7 @@ fn streaming_closed_loop_matches_the_materialising_reference() {
             seed: g.any_u64(),
             system,
         };
-        let policy = g.pick(&PolicyChoice::ALL);
+        let policy = g.pick(&PolicyKind::STANDARD);
         let (reference, overtakes) = reference_closed_loop(&cfg, policy);
         let streamed = run_closed_loop(&cfg, policy.build(&cfg.system));
         let (want, got) = (
@@ -397,7 +398,7 @@ fn service_reports_are_pinned() {
     let hashes: Vec<String> = cases
         .iter()
         .map(|cfg| {
-            let report = run_closed_loop(cfg, PolicyChoice::Jit.build(&cfg.system));
+            let report = run_closed_loop(cfg, PolicyKind::Jit.build(&cfg.system));
             format!("{:#018x}", fnv(&report.to_json().to_pretty()))
         })
         .collect();

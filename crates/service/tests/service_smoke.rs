@@ -3,7 +3,8 @@
 //! protocol over a Unix socket. The closed loop's identity with the
 //! materialising reference is `service_properties.rs`'s.
 
-use jitgc_service::{run_closed_loop, PolicyChoice, Service, ServiceConfig, SubmitOutcome, Tier};
+use jitgc_core::policy::PolicyKind;
+use jitgc_service::{run_closed_loop, Service, ServiceConfig, SubmitOutcome, Tier};
 use jitgc_workload::IoKind;
 
 /// A fast configuration: short run, no prefill aging.
@@ -15,7 +16,7 @@ fn quick() -> ServiceConfig {
 }
 
 fn run(cfg: &ServiceConfig) -> jitgc_service::ServiceReport {
-    run_closed_loop(cfg, PolicyChoice::Jit.build(&cfg.system))
+    run_closed_loop(cfg, PolicyKind::Jit.build(&cfg.system))
 }
 
 #[test]
@@ -95,7 +96,7 @@ fn wire_protocol_round_trips_over_a_unix_socket() {
         std::env::temp_dir().join(format!("jitgc-service-smoke-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind unix socket");
-    let service = Service::new(cfg, PolicyChoice::Jit.build(&quick().system));
+    let service = Service::new(cfg, PolicyKind::Jit.build(&quick().system));
 
     let client_path = path.clone();
     let client = std::thread::spawn(move || {
@@ -128,7 +129,7 @@ fn wire_protocol_round_trips_over_a_unix_socket() {
 fn black_tier_is_reachable_and_recovers() {
     let mut cfg = quick();
     cfg.sq_depth = 4;
-    let mut svc = Service::new(cfg, PolicyChoice::Jit.build(&quick().system));
+    let mut svc = Service::new(cfg, PolicyKind::Jit.build(&quick().system));
     let now = jitgc_sim::SimTime::from_millis(1);
     for i in 0..64 {
         let _ = svc.submit(0, IoKind::Read, i, 1, now);

@@ -10,7 +10,7 @@
 //! cargo run --release --example lifetime_study
 //! ```
 
-use jitgc_repro::core::policy::{GcPolicy, JitGc, ReservedCapacity};
+use jitgc_repro::core::policy::PolicyKind;
 use jitgc_repro::core::system::{SsdSystem, SystemConfig};
 use jitgc_repro::sim::SimDuration;
 use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
@@ -24,12 +24,8 @@ fn main() {
         "{:<10}{:>8}{:>12}{:>12}{:>12}{:>14}{:>20}",
         "policy", "WAF", "erases", "max wear", "wear σ", "IOPS", "projected life (h)"
     );
-    for name in ["lazy", "aggressive", "jit"] {
-        let policy: Box<dyn GcPolicy> = match name {
-            "lazy" => Box::new(ReservedCapacity::lazy(system_config.op_capacity())),
-            "aggressive" => Box::new(ReservedCapacity::aggressive(system_config.op_capacity())),
-            _ => Box::new(JitGc::from_system_config(&system_config)),
-        };
+    for kind in [PolicyKind::L_BGC, PolicyKind::A_BGC, PolicyKind::Jit] {
+        let policy = kind.build(&system_config);
         let workload_config = WorkloadConfig::builder()
             .working_set_pages(
                 system_config

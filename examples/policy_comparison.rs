@@ -5,7 +5,7 @@
 //! cargo run --release --example policy_comparison [ycsb|postmark|filebench|bonnie|tiobench|tpcc]
 //! ```
 
-use jitgc_repro::core::policy::{AdpGc, GcPolicy, JitGc, ReservedCapacity};
+use jitgc_repro::core::policy::PolicyKind;
 use jitgc_repro::core::system::{SsdSystem, SystemConfig};
 use jitgc_repro::sim::SimDuration;
 use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
@@ -24,20 +24,11 @@ fn benchmark_from_arg() -> BenchmarkKind {
 fn main() {
     let benchmark = benchmark_from_arg();
     let system_config = SystemConfig::default_sim();
-    let (bw, gc_bw) = system_config.default_bandwidths();
-
-    let policies: Vec<Box<dyn GcPolicy>> = vec![
-        Box::new(ReservedCapacity::lazy(system_config.op_capacity())),
-        Box::new(ReservedCapacity::aggressive(system_config.op_capacity())),
-        Box::new(AdpGc::new(
-            system_config.flusher_period,
-            system_config.tau_expire(),
-            system_config.cdh_percentile,
-            system_config.cdh_bin_bytes,
-            bw,
-            gc_bw,
-        )),
-        Box::new(JitGc::from_system_config(&system_config)),
+    let policies = [
+        PolicyKind::L_BGC,
+        PolicyKind::A_BGC,
+        PolicyKind::Adp,
+        PolicyKind::Jit,
     ];
 
     println!("benchmark: {benchmark}");
@@ -58,7 +49,12 @@ fn main() {
             .seed(42)
             .build();
         let workload = benchmark.build(workload_config);
-        let report = SsdSystem::new(system_config.clone(), policy, workload).run();
+        let report = SsdSystem::new(
+            system_config.clone(),
+            policy.build(&system_config),
+            workload,
+        )
+        .run();
         println!(
             "{:<10}{:>10.0}{:>10.3}{:>12}{:>12}{:>12}",
             report.policy,

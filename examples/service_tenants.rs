@@ -11,9 +11,10 @@
 //! cargo run --release --example service_tenants [seconds]
 //! ```
 
-use jitgc_repro::service::{run_closed_loop, PolicyChoice, ServiceConfig, ServiceReport};
+use jitgc_repro::core::policy::PolicyKind;
+use jitgc_repro::service::{run_closed_loop, ServiceConfig, ServiceReport};
 
-fn cell(policy: PolicyChoice, backpressure: bool, seconds: u64) -> ServiceReport {
+fn cell(policy: PolicyKind, backpressure: bool, seconds: u64) -> ServiceReport {
     let mut cfg = ServiceConfig::small_for_tests();
     cfg.seconds = seconds;
     cfg.backpressure = backpressure;
@@ -40,7 +41,7 @@ fn main() {
         "device WAF",
         "red+blk s"
     );
-    for policy in [PolicyChoice::Lbgc, PolicyChoice::Jit] {
+    for policy in [PolicyKind::L_BGC, PolicyKind::Jit] {
         for backpressure in [false, true] {
             let report = cell(policy, backpressure, seconds);
             let reader = report.tenant("reader").expect("reader in roster");

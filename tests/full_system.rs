@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full workload → page cache → FTL → NAND
 //! pipeline under every policy.
 
-use jitgc_repro::core::policy::{AdpGc, GcPolicy, JitGc, NoBgc, ReservedCapacity};
+use jitgc_repro::core::policy::{GcPolicy, PolicyKind};
 use jitgc_repro::core::system::{SimReport, SsdSystem, SystemConfig};
 use jitgc_repro::sim::SimDuration;
 use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
@@ -23,29 +23,25 @@ fn run(
     SsdSystem::new(config.clone(), policy, kind.build(wl)).run()
 }
 
-fn all_policies(config: &SystemConfig) -> Vec<Box<dyn GcPolicy>> {
-    let (bw, gc_bw) = config.default_bandwidths();
-    vec![
-        Box::new(NoBgc),
-        Box::new(ReservedCapacity::lazy(config.op_capacity())),
-        Box::new(ReservedCapacity::aggressive(config.op_capacity())),
-        Box::new(AdpGc::new(
-            config.flusher_period,
-            config.tau_expire(),
-            config.cdh_percentile,
-            config.cdh_bin_bytes,
-            bw,
-            gc_bw,
-        )),
-        Box::new(JitGc::from_system_config(config)),
+/// No-BGC and the paper's Fig. 7 four.
+fn policies(config: &SystemConfig) -> Vec<Box<dyn GcPolicy>> {
+    [
+        PolicyKind::NoBgc,
+        PolicyKind::L_BGC,
+        PolicyKind::A_BGC,
+        PolicyKind::Adp,
+        PolicyKind::Jit,
     ]
+    .into_iter()
+    .map(|kind| kind.build(config))
+    .collect()
 }
 
 #[test]
 fn every_policy_runs_every_benchmark() {
     let config = SystemConfig::small_for_tests();
     for kind in BenchmarkKind::all() {
-        for policy in all_policies(&config) {
+        for policy in policies(&config) {
             let name = policy.name();
             let report = run(&config, policy, kind, 10, 3);
             assert!(report.ops > 500, "{name}/{kind}: only {} ops", report.ops);
@@ -73,7 +69,7 @@ fn aged_device_runs_and_reports_higher_waf() {
     let mut config = SystemConfig::small_for_tests();
     let fresh = run(
         &config,
-        Box::new(JitGc::from_system_config(&config)),
+        PolicyKind::Jit.build(&config),
         BenchmarkKind::Ycsb,
         20,
         5,
@@ -81,7 +77,7 @@ fn aged_device_runs_and_reports_higher_waf() {
     config.prefill = true;
     let aged = run(
         &config,
-        Box::new(JitGc::from_system_config(&config)),
+        PolicyKind::Jit.build(&config),
         BenchmarkKind::Ycsb,
         20,
         5,
@@ -102,7 +98,7 @@ fn cross_policy_runs_share_workload_stream() {
     // All policies must see the *same* request stream: the workload is
     // deterministic in its seed, independent of policy behaviour.
     let config = SystemConfig::small_for_tests();
-    let reports: Vec<SimReport> = all_policies(&config)
+    let reports: Vec<SimReport> = policies(&config)
         .into_iter()
         .map(|p| run(&config, p, BenchmarkKind::Postmark, 15, 9))
         .collect();
@@ -133,7 +129,7 @@ fn wear_leveling_can_be_enabled_end_to_end() {
         .build();
     let report = run(
         &config,
-        Box::new(ReservedCapacity::aggressive(config.op_capacity())),
+        PolicyKind::A_BGC.build(&config),
         BenchmarkKind::Ycsb,
         30,
         7,
@@ -150,7 +146,13 @@ fn latency_tail_reflects_fgc() {
     let config = SystemConfig::small_for_tests();
     let mut cfg = config.clone();
     cfg.prefill = true;
-    let report = run(&cfg, Box::new(NoBgc), BenchmarkKind::TpcC, 30, 13);
+    let report = run(
+        &cfg,
+        PolicyKind::NoBgc.build(&cfg),
+        BenchmarkKind::TpcC,
+        30,
+        13,
+    );
     assert!(report.fgc_request_stalls > 0, "No-BGC must stall");
     assert!(
         report.latency_max_us > report.latency_p50_us * 10,

@@ -3,7 +3,7 @@
 //! deterministic elsewhere; these bands catch *semantic* drift (a broken
 //! predictor, a mis-wired policy) while tolerating benign re-tuning.
 
-use jitgc_repro::core::policy::{GcPolicy, JitGc, ReservedCapacity};
+use jitgc_repro::core::policy::{GcPolicy, JitGc, PolicyKind};
 use jitgc_repro::core::system::{SimReport, SsdSystem, SystemConfig};
 use jitgc_repro::sim::SimDuration;
 use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
@@ -58,10 +58,7 @@ fn golden_ycsb_jit() {
 #[test]
 fn golden_ycsb_aggressive_waf_band() {
     let config = SystemConfig::default_sim();
-    let r = standard_run(
-        Box::new(ReservedCapacity::aggressive(config.op_capacity())),
-        BenchmarkKind::Ycsb,
-    );
+    let r = standard_run(PolicyKind::A_BGC.build(&config), BenchmarkKind::Ycsb);
     assert_band(
         "YCSB/A-BGC WAF",
         r.waf.expect("host writes happened"),
@@ -73,10 +70,7 @@ fn golden_ycsb_aggressive_waf_band() {
 #[test]
 fn golden_tpcc_lazy_stalls_band() {
     let config = SystemConfig::default_sim();
-    let lazy = standard_run(
-        Box::new(ReservedCapacity::lazy(config.op_capacity())),
-        BenchmarkKind::TpcC,
-    );
+    let lazy = standard_run(PolicyKind::L_BGC.build(&config), BenchmarkKind::TpcC);
     assert_band(
         "TPC-C/L-BGC stall count",
         lazy.fgc_request_stalls as f64,
@@ -95,10 +89,7 @@ fn golden_tpcc_lazy_stalls_band() {
 fn golden_bonnie_waf_near_one() {
     // Bonnie++'s sequential sweeps are the FTL's best case.
     let config = SystemConfig::default_sim();
-    let r = standard_run(
-        Box::new(ReservedCapacity::lazy(config.op_capacity())),
-        BenchmarkKind::Bonnie,
-    );
+    let r = standard_run(PolicyKind::L_BGC.build(&config), BenchmarkKind::Bonnie);
     assert_band(
         "Bonnie/L-BGC WAF",
         r.waf.expect("host writes happened"),

@@ -73,15 +73,7 @@ fn check_invariants(report: &SimReport, system: &SystemConfig, label: &str) {
 #[test]
 fn counter_invariants_hold_across_policies() {
     let exp = small_experiment();
-    for policy in [
-        PolicyKind::NoBgc,
-        PolicyKind::ReservedPermille(500),
-        PolicyKind::ReservedPermille(1_500),
-        PolicyKind::Adp,
-        PolicyKind::Idle,
-        PolicyKind::Jit,
-        PolicyKind::JitNoSip,
-    ] {
+    for policy in PolicyKind::STANDARD {
         let report = exp.run(policy, BenchmarkKind::Ycsb);
         let label = report.policy.clone();
         check_invariants(&report, &exp.system, &label);
@@ -100,18 +92,15 @@ fn counter_invariants_hold_across_benchmarks() {
 #[test]
 fn sweep_reports_are_identical_serial_and_threaded() {
     let exp = small_experiment();
-    let cells: Vec<(PolicyKind, BenchmarkKind)> = [
-        PolicyKind::ReservedPermille(500),
-        PolicyKind::Adp,
-        PolicyKind::Jit,
-    ]
-    .into_iter()
-    .flat_map(|p| {
-        [BenchmarkKind::Ycsb, BenchmarkKind::TpcC]
+    let cells: Vec<(PolicyKind, BenchmarkKind)> =
+        [PolicyKind::L_BGC, PolicyKind::Adp, PolicyKind::Jit]
             .into_iter()
-            .map(move |b| (p, b))
-    })
-    .collect();
+            .flat_map(|p| {
+                [BenchmarkKind::Ycsb, BenchmarkKind::TpcC]
+                    .into_iter()
+                    .map(move |b| (p, b))
+            })
+            .collect();
 
     let serial = exp.run_cells(&cells, 1);
     for threads in [2, 4] {

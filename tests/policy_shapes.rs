@@ -3,7 +3,7 @@
 //! The full-scale numbers live in the bench targets; here each claim is
 //! checked with comfortable margins so the suite stays fast and stable.
 
-use jitgc_repro::core::policy::{AdpGc, GcPolicy, JitGc, ReservedCapacity};
+use jitgc_repro::core::policy::PolicyKind;
 use jitgc_repro::core::system::{SimReport, SsdSystem, SystemConfig};
 use jitgc_repro::sim::SimDuration;
 use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
@@ -14,7 +14,7 @@ fn aged_config() -> SystemConfig {
     config
 }
 
-fn run(config: &SystemConfig, policy: Box<dyn GcPolicy>, kind: BenchmarkKind) -> SimReport {
+fn run(config: &SystemConfig, policy: PolicyKind, kind: BenchmarkKind) -> SimReport {
     let wl = WorkloadConfig::builder()
         .working_set_pages(config.standard_working_set().unwrap())
         .duration(SimDuration::from_secs(120))
@@ -22,26 +22,7 @@ fn run(config: &SystemConfig, policy: Box<dyn GcPolicy>, kind: BenchmarkKind) ->
         .burst_mean(1_024.0)
         .seed(42)
         .build();
-    SsdSystem::new(config.clone(), policy, kind.build(wl)).run()
-}
-
-fn reserved(config: &SystemConfig, permille: u64) -> Box<dyn GcPolicy> {
-    Box::new(ReservedCapacity::of_op_permille(
-        config.op_capacity(),
-        permille,
-    ))
-}
-
-fn adp(config: &SystemConfig) -> Box<dyn GcPolicy> {
-    let (bw, gc_bw) = config.default_bandwidths();
-    Box::new(AdpGc::new(
-        config.flusher_period,
-        config.tau_expire(),
-        config.cdh_percentile,
-        config.cdh_bin_bytes,
-        bw,
-        gc_bw,
-    ))
+    SsdSystem::new(config.clone(), policy.build(config), kind.build(wl)).run()
 }
 
 /// Fig. 2's tradeoff: a larger reserve buys fewer foreground stalls at the
@@ -49,8 +30,8 @@ fn adp(config: &SystemConfig) -> Box<dyn GcPolicy> {
 #[test]
 fn fig2_shape_reserve_trades_stalls_for_waf() {
     let config = aged_config();
-    let lazy = run(&config, reserved(&config, 500), BenchmarkKind::TpcC);
-    let aggressive = run(&config, reserved(&config, 1_500), BenchmarkKind::TpcC);
+    let lazy = run(&config, PolicyKind::L_BGC, BenchmarkKind::TpcC);
+    let aggressive = run(&config, PolicyKind::A_BGC, BenchmarkKind::TpcC);
     assert!(
         lazy.fgc_request_stalls > aggressive.fgc_request_stalls * 2,
         "lazy {} vs aggressive {} stalls",
@@ -76,12 +57,8 @@ fn fig2_shape_reserve_trades_stalls_for_waf() {
 #[test]
 fn fig7_shape_jit_iops_near_aggressive() {
     let config = aged_config();
-    let jit = run(
-        &config,
-        Box::new(JitGc::from_system_config(&config)),
-        BenchmarkKind::Ycsb,
-    );
-    let aggressive = run(&config, reserved(&config, 1_500), BenchmarkKind::Ycsb);
+    let jit = run(&config, PolicyKind::Jit, BenchmarkKind::Ycsb);
+    let aggressive = run(&config, PolicyKind::A_BGC, BenchmarkKind::Ycsb);
     assert!(
         jit.iops > aggressive.iops * 0.95,
         "JIT {} vs A-BGC {} IOPS",
@@ -95,13 +72,9 @@ fn fig7_shape_jit_iops_near_aggressive() {
 #[test]
 fn fig7_shape_jit_waf_near_lazy() {
     let config = aged_config();
-    let jit = run(
-        &config,
-        Box::new(JitGc::from_system_config(&config)),
-        BenchmarkKind::Ycsb,
-    );
-    let lazy = run(&config, reserved(&config, 500), BenchmarkKind::Ycsb);
-    let aggressive = run(&config, reserved(&config, 1_500), BenchmarkKind::Ycsb);
+    let jit = run(&config, PolicyKind::Jit, BenchmarkKind::Ycsb);
+    let lazy = run(&config, PolicyKind::L_BGC, BenchmarkKind::Ycsb);
+    let aggressive = run(&config, PolicyKind::A_BGC, BenchmarkKind::Ycsb);
     assert!(
         jit.waf.expect("host writes happened") < lazy.waf.expect("host writes happened") * 1.35,
         "JIT WAF {} should sit near L-BGC's {}",
@@ -122,12 +95,8 @@ fn fig7_shape_jit_waf_near_lazy() {
 #[test]
 fn jit_beats_adp_on_waf_for_buffered_workloads() {
     let config = aged_config();
-    let jit = run(
-        &config,
-        Box::new(JitGc::from_system_config(&config)),
-        BenchmarkKind::Ycsb,
-    );
-    let adp_report = run(&config, adp(&config), BenchmarkKind::Ycsb);
+    let jit = run(&config, PolicyKind::Jit, BenchmarkKind::Ycsb);
+    let adp_report = run(&config, PolicyKind::Adp, BenchmarkKind::Ycsb);
     assert!(
         jit.waf.expect("host writes happened") < adp_report.waf.expect("host writes happened"),
         "JIT WAF {} vs ADP WAF {}",
@@ -141,12 +110,8 @@ fn jit_beats_adp_on_waf_for_buffered_workloads() {
 #[test]
 fn table2_shape_jit_predicts_better_for_buffered() {
     let config = aged_config();
-    let jit = run(
-        &config,
-        Box::new(JitGc::from_system_config(&config)),
-        BenchmarkKind::Ycsb,
-    );
-    let adp_report = run(&config, adp(&config), BenchmarkKind::Ycsb);
+    let jit = run(&config, PolicyKind::Jit, BenchmarkKind::Ycsb);
+    let adp_report = run(&config, PolicyKind::Adp, BenchmarkKind::Ycsb);
     let jit_acc = jit.prediction_accuracy_percent.expect("JIT predicts");
     let adp_acc = adp_report
         .prediction_accuracy_percent
@@ -162,16 +127,8 @@ fn table2_shape_jit_predicts_better_for_buffered() {
 #[test]
 fn table3_shape_sip_rate_follows_buffered_share() {
     let config = aged_config();
-    let ycsb = run(
-        &config,
-        Box::new(JitGc::from_system_config(&config)),
-        BenchmarkKind::Ycsb,
-    );
-    let tpcc = run(
-        &config,
-        Box::new(JitGc::from_system_config(&config)),
-        BenchmarkKind::TpcC,
-    );
+    let ycsb = run(&config, PolicyKind::Jit, BenchmarkKind::Ycsb);
+    let tpcc = run(&config, PolicyKind::Jit, BenchmarkKind::TpcC);
     let ycsb_sip = ycsb.sip_filtered_fraction.unwrap_or(0.0);
     let tpcc_sip = tpcc.sip_filtered_fraction.unwrap_or(0.0);
     assert!(
@@ -189,16 +146,8 @@ fn table3_shape_sip_rate_follows_buffered_share() {
 #[test]
 fn experiments_are_reproducible() {
     let config = aged_config();
-    let a = run(
-        &config,
-        Box::new(JitGc::from_system_config(&config)),
-        BenchmarkKind::Tiobench,
-    );
-    let b = run(
-        &config,
-        Box::new(JitGc::from_system_config(&config)),
-        BenchmarkKind::Tiobench,
-    );
+    let a = run(&config, PolicyKind::Jit, BenchmarkKind::Tiobench);
+    let b = run(&config, PolicyKind::Jit, BenchmarkKind::Tiobench);
     assert_eq!(a.ops, b.ops);
     assert_eq!(
         a.waf.expect("host writes happened"),
