@@ -35,8 +35,9 @@ impl ArrayConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending knob when the member
-    /// count is zero, the chunk is zero pages, or mirroring gets an odd
-    /// member count.
+    /// count is zero, the chunk is zero pages, mirroring gets an odd
+    /// member count, or the member configuration breaks
+    /// [`SystemConfig::validate`].
     pub fn validate(&self) -> Result<(), String> {
         if self.members == 0 {
             return Err("an array needs at least one member".into());
@@ -50,7 +51,7 @@ impl ArrayConfig {
                 self.members
             ));
         }
-        Ok(())
+        self.system.validate()
     }
 
     /// Builds the array and its scheduler around `workload`.
@@ -180,5 +181,8 @@ mod tests {
         zero_chunk.chunk_pages = 0;
         assert!(err(zero_chunk).contains("at least one page"));
         assert!(err(config(3, Redundancy::Mirror)).contains("even"));
+        let mut no_threads = config(2, Redundancy::None);
+        no_threads.system.queue_depth = 0;
+        assert!(err(no_threads).contains("`queue_depth` must be greater than zero"));
     }
 }

@@ -93,9 +93,9 @@ impl ArrayManager {
     }
 
     /// Picks which of two mirrored replicas should serve a read issued at
-    /// `issue`, returning the chosen device index. Takes direct member
-    /// references because the scheduler's members live behind
-    /// per-member locks, not in one slice.
+    /// `issue`, returning the chosen device index. Each replica comes as
+    /// its device index and its system, which the scheduler reads out of
+    /// its one member slice.
     ///
     /// Preference order: the device that frees up sooner (not mid-GC or
     /// mid-transfer), then the one with more free capacity (further from

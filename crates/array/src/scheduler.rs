@@ -257,14 +257,7 @@ impl ArrayScheduler {
     pub fn phase_profile(&self) -> jitgc_core::system::PhaseProfile {
         let mut total = jitgc_core::system::PhaseProfile::default();
         for m in &self.members {
-            let p = m.phase_profile();
-            total.request_execution += p.request_execution;
-            total.flush += p.flush;
-            total.predictor += p.predictor;
-            total.bgc += p.bgc;
-            total.reporting += p.reporting;
-            total.gc_copy += p.gc_copy;
-            total.tick += p.tick;
+            total += m.phase_profile();
         }
         total
     }

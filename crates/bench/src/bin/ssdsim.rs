@@ -93,7 +93,7 @@ use jitgc_core::system::{
 use jitgc_nand::FaultConfig;
 use jitgc_sim::json::{JsonValue, ObjectBuilder};
 use jitgc_sim::SimDuration;
-use jitgc_workload::{BenchmarkKind, WorkloadConfig};
+use jitgc_workload::{ArrivalError, BenchmarkKind, WorkloadConfig, WorkloadConfigBuilder};
 use std::time::Instant;
 
 #[derive(Debug)]
@@ -128,7 +128,7 @@ struct Args {
     stripe_kb: u64,
     mirror: bool,
     gc_mode: GcMode,
-    queue_depth: Option<u32>,
+    queue_depth: Option<u64>,
 }
 
 impl Default for Args {
@@ -250,16 +250,45 @@ fn parse_victim(v: &str) -> VictimKind {
     }
 }
 
-/// A `--fault-*` rate coefficient: finite and not negative. Zero is the
-/// default (no faults of that kind); a negative or NaN rate would
-/// silently install no fault model at all.
+/// A `--fault-*` rate coefficient, held to [`FaultConfig::check_rate`].
 fn parse_fault_rate(flag: &str, v: &str) -> f64 {
     let rate: f64 = v.parse().unwrap_or_else(|_| usage());
-    if !(rate.is_finite() && rate >= 0.0) {
-        eprintln!("{flag} {rate}: a fault rate must be finite and not negative");
+    if let Err(rule) = FaultConfig::check_rate(rate) {
+        eprintln!("{flag} {rate}: {rule}");
         usage()
     }
     rate
+}
+
+/// The workload's arrival knobs as `--seconds`, `--iops` and `--burst`
+/// set them, the rate spread over `columns` stripe columns (1 on one
+/// device).
+fn arrival(args: &Args, columns: u64) -> WorkloadConfigBuilder {
+    WorkloadConfig::builder()
+        .duration(SimDuration::from_secs(args.seconds))
+        .mean_iops(args.iops * columns as f64)
+        .burst_mean(args.burst)
+}
+
+/// Holds the arrival flags to the workload's rule
+/// ([`WorkloadConfigBuilder::check_arrival`]); a breach names the flags
+/// it came from and exits 2.
+fn check_arrival(args: &Args, columns: u64) {
+    let Err(rule) = arrival(args, columns).check_arrival() else {
+        return;
+    };
+    let iops = if columns == 1 {
+        format!("--iops {:?}", args.iops)
+    } else {
+        format!("--iops {:?} on {columns} stripe columns", args.iops)
+    };
+    match rule {
+        ArrivalError::Duration => eprintln!("--seconds {}: {rule}", args.seconds),
+        ArrivalError::MeanIops => eprintln!("{iops}: {rule}"),
+        ArrivalError::BurstMean => eprintln!("--burst {:?}: {rule}", args.burst),
+        ArrivalError::IdleGap => eprintln!("{iops} --burst {:?}: {rule}", args.burst),
+    }
+    usage()
 }
 
 fn parse_args() -> Args {
@@ -293,33 +322,9 @@ fn parse_args() -> Args {
                     usage()
                 }
             }
-            "--seconds" => {
-                args.seconds = value().parse().unwrap_or_else(|_| usage());
-                if args.seconds == 0 {
-                    eprintln!("--seconds 0: the run needs at least one simulated second");
-                    usage()
-                }
-            }
-            "--iops" => {
-                args.iops = value().parse().unwrap_or_else(|_| usage());
-                if !(args.iops.is_finite() && args.iops > 0.0) {
-                    eprintln!(
-                        "--iops {}: the mean IOPS must be positive and finite",
-                        args.iops
-                    );
-                    usage()
-                }
-            }
-            "--burst" => {
-                args.burst = value().parse().unwrap_or_else(|_| usage());
-                if !(args.burst.is_finite() && args.burst >= 1.0) {
-                    eprintln!(
-                        "--burst {}: the mean burst length must be at least 1",
-                        args.burst
-                    );
-                    usage()
-                }
-            }
+            "--seconds" => args.seconds = value().parse().unwrap_or_else(|_| usage()),
+            "--iops" => args.iops = value().parse().unwrap_or_else(|_| usage()),
+            "--burst" => args.burst = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
             "--victim" => args.victim = parse_victim(&value()),
             "--no-prefill" => args.prefill = false,
@@ -355,6 +360,7 @@ fn parse_args() -> Args {
             }
         }
     }
+    check_arrival(&args, 1);
     args
 }
 
@@ -665,11 +671,9 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
     // carries the load a standalone device would; with one plain member
     // this is exactly the single-device workload and the per-device
     // report is byte-identical to the non-array path.
-    let workload_config = WorkloadConfig::builder()
+    check_arrival(args, columns);
+    let workload_config = arrival(args, columns)
         .working_set_pages(working_set * columns)
-        .duration(SimDuration::from_secs(args.seconds))
-        .mean_iops(args.iops * columns as f64)
-        .burst_mean(args.burst)
         .seed(args.seed)
         .build();
 
@@ -808,18 +812,10 @@ fn main() {
     system.strict_tau_flush = args.strict_tau_flush;
     system.wear_leveling = args.wear_leveling;
     if let Some(qd) = args.queue_depth {
-        if qd == 0 {
-            eprintln!("--queue-depth must be at least 1");
+        system.queue_depth = ClosedLoop::check_threads(qd).unwrap_or_else(|rule| {
+            eprintln!("--queue-depth {qd}: the thread count {rule}");
             std::process::exit(2)
-        }
-        if qd > ClosedLoop::MAX_THREADS {
-            eprintln!(
-                "--queue-depth {qd}: at most {} application threads (the deepest NVMe I/O queue)",
-                ClosedLoop::MAX_THREADS
-            );
-            std::process::exit(2)
-        }
-        system.queue_depth = qd;
+        });
     }
     if args.in_device_manager {
         system.manager_placement = ManagerPlacement::Device;

@@ -3,10 +3,12 @@
 //! finite, and over-provisioning that leaves no working set die at parse
 //! time naming their flag, a `--config` whose device would not fit the
 //! 32-bit page tables names `ftl.user_pages`, one whose flusher clock
-//! cannot tick names `flusher_period_us` / `cache.tau_expire_us`, one with
-//! a zero the config builders would panic on names that key, and so do a
-//! CDH percentile outside `(0, 1]`, a zero CDH bin and a queue depth of
-//! zero or above 65 536, on the command line or in a `--config`;
+//! cannot tick names `flusher_period_us` / `cache.tau_expire_us`, one whose
+//! cache keeps another flusher period names both period keys, one with a
+//! zero the config builders would panic on names that key, and so do a
+//! CDH percentile outside `(0, 1]`, a zero CDH bin, a queue depth of zero
+//! or above 65 536 and a fault rate that is negative or not finite, on the
+//! command line or in a `--config`;
 //! an unwritable output path is reported before anything runs, and the
 //! selector flags this CLI no longer has are plain unknown flags.
 
@@ -49,6 +51,26 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         "\n    \"flusher_period_us\": 500000",
         "\n    \"flusher_period_us\": 0",
     );
+    // The cache's flusher on another clock than the engine's tick: 1 s
+    // against the top level's 0.5 s.
+    let split_period = config_with(
+        "cache-period-1s",
+        "\n    \"flusher_period_us\": 500000",
+        "\n    \"flusher_period_us\": 1000000",
+    );
+    // The dump has no `fault` section; this one installs a program rate.
+    let fault_rate = |name: &str, rate: &str| {
+        config_with(
+            name,
+            "\"endurance_limit\": null",
+            &format!(
+                "\"endurance_limit\": 40, \"fault\": {{\"seed\": 9, \"program_rate\": {rate}, \
+                 \"erase_rate\": 0.5, \"read_rate\": 0, \"wear_scale\": 40}}"
+            ),
+        )
+    };
+    let negative_fault = fault_rate("fault-program-neg", "-0.5");
+    let infinite_fault = fault_rate("fault-program-inf", "1e999");
     // The dumped line with its value replaced by zero.
     let zeroed = |line: &str| {
         let (field, _) = line.split_once(": ").expect("a dumped line");
@@ -73,7 +95,7 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         "\"queue_depth\": 4294967295",
     );
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 34] = [
+    let cases: [(&[&str], &str); 37] = [
         (&["--seconds", "0"], "--seconds"),
         (&["--iops", "0"], "--iops"),
         (&["--iops", "-5"], "--iops"),
@@ -133,11 +155,27 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
             &["--config", &long_period],
             "multiple of `flusher_period_us` (7000000)",
         ),
-        // The engine replaces the cache's own period by the one above; a
-        // zero there is rejected all the same, not ignored.
+        // The cache's flusher and the engine's tick are one clock: a
+        // cache period of zero cannot tick, and one that differs from the
+        // top level's used to be overwritten by it, silently.
         (
             &["--config", &zero_cache_period],
             "`cache.flusher_period_us`",
+        ),
+        (
+            &["--config", &split_period],
+            "`cache.flusher_period_us` of 1000000 must equal `flusher_period_us` (500000)",
+        ),
+        // `--fault-program -1` was refused while these ran: the negative
+        // rate fault-free, the infinite one failing every program on a
+        // worn block.
+        (
+            &["--config", &negative_fault],
+            "`ftl.fault.program_rate` of -0.5: a fault rate must be finite and not negative",
+        ),
+        (
+            &["--config", &infinite_fault],
+            "`ftl.fault.program_rate` of inf",
         ),
         // Zeros the config builders assert against used to be panics
         // (exit 101) in `PageCacheConfig` / `FtlConfig::build`.

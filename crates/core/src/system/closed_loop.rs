@@ -27,6 +27,26 @@ impl ClosedLoop {
     /// input that sets a thread count is checked against it.
     pub const MAX_THREADS: u32 = 65_536;
 
+    /// The range rule on a thread count, whichever input sets it: at
+    /// least one thread and at most [`MAX_THREADS`](Self::MAX_THREADS).
+    /// The wording follows the knob's name, which each caller puts first
+    /// (`` `queue_depth` ``, `--queue-depth 0: the thread count`, a
+    /// tenant's concurrency).
+    ///
+    /// # Errors
+    ///
+    /// Returns the rule's wording; a count above the bound is named in it.
+    pub fn check_threads(threads: u64) -> Result<u32, String> {
+        match u32::try_from(threads) {
+            Ok(0) => Err("must be greater than zero".into()),
+            Ok(n) if n <= Self::MAX_THREADS => Ok(n),
+            _ => Err(format!(
+                "of {threads} must be at most {} (the deepest NVMe I/O queue)",
+                Self::MAX_THREADS
+            )),
+        }
+    }
+
     /// A clock for `queue_depth` application threads (at least one), all
     /// idle at time zero.
     #[must_use]
@@ -91,5 +111,22 @@ mod tests {
         assert_eq!(clock.issue(SimDuration::ZERO).0, 0);
         assert_eq!(clock.issue(SimDuration::ZERO).0, 0);
         assert_eq!(clock.end(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn thread_counts_run_from_one_to_the_deepest_queue() {
+        assert_eq!(ClosedLoop::check_threads(1), Ok(1));
+        assert_eq!(ClosedLoop::check_threads(65_536), Ok(65_536));
+        assert_eq!(
+            ClosedLoop::check_threads(0),
+            Err("must be greater than zero".into())
+        );
+        for too_many in [65_537, u64::from(u32::MAX), u64::MAX] {
+            let err = ClosedLoop::check_threads(too_many).unwrap_err();
+            assert!(
+                err.starts_with(&format!("of {too_many} must be at most 65536")),
+                "{err}"
+            );
+        }
     }
 }

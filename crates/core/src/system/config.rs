@@ -3,6 +3,7 @@
 use jitgc_ftl::{
     CostBenefitSelector, FifoSelector, FtlConfig, GreedySelector, RandomSelector, VictimSelector,
 };
+use jitgc_nand::NandTiming;
 use jitgc_pagecache::PageCacheConfig;
 use jitgc_sim::json::{JsonError, JsonValue, ObjectBuilder};
 use jitgc_sim::{ByteSize, SimDuration};
@@ -99,11 +100,7 @@ impl VictimKind {
             return VictimKind::from_name(name)
                 .ok_or_else(|| JsonError::new(format!("unknown victim policy `{name}`")));
         }
-        let seed = v
-            .req("random")?
-            .as_u64()
-            .ok_or_else(|| JsonError::new("`random` seed must be an integer"))?;
-        Ok(VictimKind::Random(seed))
+        Ok(VictimKind::Random(v.req_u64("random")?))
     }
 }
 
@@ -338,99 +335,119 @@ impl SystemConfig {
             .build()
     }
 
-    /// Parses the format written by [`to_json`](Self::to_json)
-    /// (`ssdsim --config`).
+    /// Checks the system-level range rules, naming the offending key as
+    /// a `--config` file spells it. `from_json` applies them to every
+    /// file; `ServiceConfig::validate` and `ArrayConfig::validate` apply
+    /// them to configurations built in code.
+    ///
+    /// The flusher clock must tick: `flusher_period_us` above zero,
+    /// `cache.tau_expire_us` a positive multiple of it (the paper's
+    /// `τ_expire = N_wb · p`) and `cache.flusher_period_us` equal to it
+    /// (the cache's flusher and the engine's tick are one clock). The
+    /// direct-write predictor needs `cdh_percentile` in `(0, 1]` and a
+    /// `cdh_bin_bytes` above zero, and `queue_depth` obeys
+    /// [`ClosedLoop::check_threads`]. No operation, host-side
+    /// (`cache_op_time_us`, `host_command_overhead_us`) or NAND
+    /// ([`NandTiming::check`]), takes more than
+    /// [`NandTiming::MAX_OP_TIME`].
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on missing or mistyped fields, and when the
-    /// flusher clock cannot tick: `flusher_period_us` must be greater than
-    /// zero and `cache.tau_expire_us` a positive multiple of it (the
-    /// paper's `τ_expire = N_wb · p`). `cache.flusher_period_us` is
-    /// replaced by `flusher_period_us` when the system is built; a zero
-    /// there is rejected all the same. The direct-write predictor needs
-    /// `cdh_percentile` in `(0, 1]` and a `cdh_bin_bytes` above zero, and
-    /// the closed loop at least one application thread and at most
-    /// [`ClosedLoop::MAX_THREADS`] (`queue_depth`).
+    /// Returns the first broken rule's message.
+    pub fn validate(&self) -> Result<(), String> {
+        let p_us = Self::check_flusher_period(self.flusher_period)?.as_micros();
+        let tau_us = self.tau_expire().as_micros();
+        if !tau_us.is_multiple_of(p_us) {
+            return Err(format!(
+                "`cache.tau_expire_us` of {tau_us} must be a positive multiple of \
+                 `flusher_period_us` ({p_us})"
+            ));
+        }
+        let cache_p_us = self.cache.flusher_period().as_micros();
+        if cache_p_us != p_us {
+            return Err(format!(
+                "`cache.flusher_period_us` of {cache_p_us} must equal `flusher_period_us` \
+                 ({p_us}): the cache's flusher and the engine's tick share one clock"
+            ));
+        }
+        let percentile = self.cdh_percentile;
+        if !(percentile > 0.0 && percentile <= 1.0) {
+            return Err(format!(
+                "`cdh_percentile` of {percentile} must be in (0, 1]"
+            ));
+        }
+        if self.cdh_bin_bytes == 0 {
+            return Err("`cdh_bin_bytes` must be greater than zero".into());
+        }
+        ClosedLoop::check_threads(self.queue_depth.into())
+            .map_err(|rule| format!("`queue_depth` {rule}"))?;
+        for (key, time) in [
+            ("cache_op_time_us", self.cache_op_time),
+            ("host_command_overhead_us", self.host_command_overhead),
+        ] {
+            if time > NandTiming::MAX_OP_TIME {
+                return Err(format!(
+                    "`{key}` of {} must be at most {} (one second per operation)",
+                    time.as_micros(),
+                    NandTiming::MAX_OP_TIME.as_micros()
+                ));
+            }
+        }
+        self.ftl.timing().check()
+    }
+
+    /// The first rule of [`validate`](Self::validate): a flusher that
+    /// never waits cannot tick.
+    fn check_flusher_period(p: SimDuration) -> Result<SimDuration, String> {
+        if p.is_zero() {
+            Err("`flusher_period_us` must be greater than zero".into())
+        } else {
+            Ok(p)
+        }
+    }
+
+    /// Parses the format written by [`to_json`](Self::to_json)
+    /// (`ssdsim --config`): every key is read by type, then the whole
+    /// configuration passes [`validate`](Self::validate). A `cache` without
+    /// `flusher_period_us` (files older than the field) takes the
+    /// top-level `flusher_period_us`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] on missing or mistyped fields, on the cache
+    /// and FTL rules of [`PageCacheConfig::from_json`] and
+    /// [`FtlConfig::from_json`], and on a broken
+    /// [`validate`](Self::validate) rule.
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let micros = |key: &str| -> Result<SimDuration, JsonError> {
-            v.req(key)?
-                .as_u64()
-                .map(SimDuration::from_micros)
-                .ok_or_else(|| JsonError::new(format!("`{key}` must be an integer")))
-        };
-        let bool_field = |key: &str| -> Result<bool, JsonError> {
-            v.req(key)?
-                .as_bool()
-                .ok_or_else(|| JsonError::new(format!("`{key}` must be a bool")))
-        };
         let manager_placement = match v.req("manager_placement")?.as_str() {
             Some("host") => ManagerPlacement::Host,
             Some("device") => ManagerPlacement::Device,
             _ => return Err(JsonError::new("`manager_placement` must be host|device")),
         };
-        let ftl = FtlConfig::from_json(v.req("ftl")?)?;
-        let cache = PageCacheConfig::from_json(v.req("cache")?)?;
-        let flusher_period = micros("flusher_period_us")?;
-        if flusher_period.is_zero() {
-            return Err(JsonError::new(
-                "`flusher_period_us` must be greater than zero",
-            ));
-        }
-        let tau_us = cache.tau_expire().as_micros();
-        if !tau_us.is_multiple_of(flusher_period.as_micros()) {
-            return Err(JsonError::new(format!(
-                "`cache.tau_expire_us` of {tau_us} must be a positive multiple of \
-                 `flusher_period_us` ({})",
-                flusher_period.as_micros()
-            )));
-        }
-        let cdh_percentile = v
-            .req("cdh_percentile")?
-            .as_f64()
-            .ok_or_else(|| JsonError::new("`cdh_percentile` must be a number"))?;
-        if !(cdh_percentile > 0.0 && cdh_percentile <= 1.0) {
-            return Err(JsonError::new(format!(
-                "`cdh_percentile` of {cdh_percentile} must be in (0, 1]"
-            )));
-        }
-        let cdh_bin_bytes = v
-            .req("cdh_bin_bytes")?
-            .as_u64()
-            .ok_or_else(|| JsonError::new("`cdh_bin_bytes` must be an integer"))?;
-        if cdh_bin_bytes == 0 {
-            return Err(JsonError::new("`cdh_bin_bytes` must be greater than zero"));
-        }
-        let queue_depth = v
-            .req("queue_depth")?
-            .as_u64()
-            .and_then(|q| u32::try_from(q).ok())
-            .ok_or_else(|| JsonError::new("`queue_depth` must be an integer"))?;
-        if queue_depth == 0 {
-            return Err(JsonError::new("`queue_depth` must be greater than zero"));
-        }
-        if queue_depth > ClosedLoop::MAX_THREADS {
-            return Err(JsonError::new(format!(
-                "`queue_depth` of {queue_depth} must be at most {} (the deepest NVMe I/O queue)",
-                ClosedLoop::MAX_THREADS
-            )));
-        }
-        Ok(SystemConfig {
-            ftl,
-            cache,
+        // Checked before the cache is built: a cache without its own
+        // period takes this one, and no cache runs on a zero period.
+        let flusher_period =
+            Self::check_flusher_period(SimDuration::from_micros(v.req_u64("flusher_period_us")?))
+                .map_err(JsonError::new)?;
+        let config = SystemConfig {
+            ftl: FtlConfig::from_json(v.req("ftl")?)?,
+            cache: PageCacheConfig::from_json(v.req("cache")?, flusher_period)?,
             flusher_period,
-            cache_op_time: micros("cache_op_time_us")?,
-            host_command_overhead: micros("host_command_overhead_us")?,
-            cdh_percentile,
-            cdh_bin_bytes,
+            cache_op_time: SimDuration::from_micros(v.req_u64("cache_op_time_us")?),
+            host_command_overhead: SimDuration::from_micros(v.req_u64("host_command_overhead_us")?),
+            cdh_percentile: v.req_f64("cdh_percentile")?,
+            cdh_bin_bytes: v.req_u64("cdh_bin_bytes")?,
             victim: VictimKind::from_json(v.req("victim")?)?,
             manager_placement,
-            queue_depth,
-            strict_tau_flush: bool_field("strict_tau_flush")?,
-            wear_leveling: bool_field("wear_leveling")?,
-            prefill: bool_field("prefill")?,
-            record_timeline: bool_field("record_timeline")?,
-        })
+            queue_depth: u32::try_from(v.req_u64("queue_depth")?)
+                .map_err(|_| JsonError::new("`queue_depth` must be an integer"))?,
+            strict_tau_flush: v.req_bool("strict_tau_flush")?,
+            wear_leveling: v.req_bool("wear_leveling")?,
+            prefill: v.req_bool("prefill")?,
+            record_timeline: v.req_bool("record_timeline")?,
+        };
+        config.validate().map_err(JsonError::new)?;
+        Ok(config)
     }
 }
 

@@ -177,17 +177,27 @@ const _: () = {
 
 impl SsdSystem {
     /// Builds a system from its three parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache's flusher period is not `config.flusher_period`
+    /// ([`SystemConfig::validate`] names that and every other broken
+    /// rule).
     #[must_use]
     pub fn new(
-        mut config: SystemConfig,
+        config: SystemConfig,
         policy: Box<dyn GcPolicy>,
         workload: Box<dyn Workload>,
     ) -> Self {
-        let ftl = Ftl::new(config.ftl.clone(), config.victim.build());
         // The engine ticks the flusher every `config.flusher_period`, so
         // that is the period of the cache's flusher clock: its dirty-age
         // epoch counters are what `predict_into` reads at every tick.
-        config.cache = config.cache.with_flusher_period(config.flusher_period);
+        assert_eq!(
+            config.cache.flusher_period(),
+            config.flusher_period,
+            "the cache's flusher period must be the engine's tick period"
+        );
+        let ftl = Ftl::new(config.ftl.clone(), config.victim.build());
         let mut cache = PageCache::new(config.cache);
         // Every LPN a request may carry is below the FTL's user space:
         // with that said the cache's LPN-indexed tables are sized once,

@@ -73,6 +73,29 @@ impl PhaseProfile {
     }
 }
 
+/// Phase by phase — how an array totals its members. The destructuring
+/// makes a phase added to the struct but not to the sum a compile error.
+impl std::ops::AddAssign for PhaseProfile {
+    fn add_assign(&mut self, other: PhaseProfile) {
+        let PhaseProfile {
+            request_execution,
+            flush,
+            predictor,
+            bgc,
+            reporting,
+            gc_copy,
+            tick,
+        } = other;
+        self.request_execution += request_execution;
+        self.flush += flush;
+        self.predictor += predictor;
+        self.bgc += bgc;
+        self.reporting += reporting;
+        self.gc_copy += gc_copy;
+        self.tick += tick;
+    }
+}
+
 /// What one run simulated: the identity and volume fields that open its
 /// perf record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -199,5 +222,38 @@ impl RunPerf {
             record = record.field("phase_untracked_secs", untracked);
         }
         record
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn add_assign_sums_every_phase() {
+        let ms = Duration::from_millis;
+        let p = PhaseProfile {
+            request_execution: ms(1),
+            flush: ms(2),
+            predictor: ms(3),
+            bgc: ms(4),
+            reporting: ms(5),
+            gc_copy: ms(6),
+            tick: ms(7),
+        };
+        let mut total = p;
+        total += p;
+        assert_eq!(
+            total,
+            PhaseProfile {
+                request_execution: ms(2),
+                flush: ms(4),
+                predictor: ms(6),
+                bgc: ms(8),
+                reporting: ms(10),
+                gc_copy: ms(12),
+                tick: ms(14),
+            }
+        );
     }
 }

@@ -1,0 +1,163 @@
+//! Every number a `--config` file carries obeys one rule, and
+//! `SystemConfig::from_json` is where a file meets it: a configuration it
+//! accepts builds an `SsdSystem` and runs, one it rejects is an error
+//! that names a key. The property mutates one numeric key of the dumped
+//! `default_sim` configuration at a time — to zero, one, the largest
+//! integer, a negative and a non-integer — and holds both halves. The
+//! system-level rules themselves are `SystemConfig::validate`'s.
+
+use jitgc_core::policy::PolicyKind;
+use jitgc_core::system::{SsdSystem, SystemConfig};
+use jitgc_sim::check::check;
+use jitgc_sim::json::JsonValue;
+use jitgc_sim::SimDuration;
+use jitgc_workload::{BenchmarkKind, WorkloadConfig};
+
+/// Cases the property runs: about four per (key, mutation) pair of the
+/// 24 numeric keys and five mutations.
+const CASES: u32 = 480;
+
+/// The dotted path of every numeric leaf under `v`.
+fn numeric_paths(v: &JsonValue, prefix: &str, out: &mut Vec<String>) {
+    match v {
+        JsonValue::Object(fields) => {
+            for (key, value) in fields {
+                let path = if prefix.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{prefix}.{key}")
+                };
+                numeric_paths(value, &path, out);
+            }
+        }
+        JsonValue::U64(_) | JsonValue::I64(_) | JsonValue::F64(_) => out.push(prefix.into()),
+        _ => {}
+    }
+}
+
+/// `v` with the leaf at the dotted `path` replaced by `value`.
+fn with_leaf(v: &JsonValue, path: &str, value: &JsonValue) -> JsonValue {
+    let (head, rest) = path
+        .split_once('.')
+        .map_or((path, None), |(h, r)| (h, Some(r)));
+    let JsonValue::Object(fields) = v else {
+        panic!("`{path}` runs through a non-object");
+    };
+    JsonValue::Object(
+        fields
+            .iter()
+            .map(|(key, child)| {
+                let child = match (key == head, rest) {
+                    (false, _) => child.clone(),
+                    (true, None) => value.clone(),
+                    (true, Some(rest)) => with_leaf(child, rest, value),
+                };
+                (key.clone(), child)
+            })
+            .collect(),
+    )
+}
+
+/// Builds the system `ssdsim` would build from `config` and runs one
+/// simulated second of YCSB on it at the CLI's default rate.
+fn run_one_second(config: SystemConfig) {
+    let working_set = match config.standard_working_set() {
+        Ok(pages) => pages,
+        // The CLI refuses the run with this message (and exit 2).
+        Err(e) => return assert!(e.contains("leaves no working set"), "{e}"),
+    };
+    let workload = BenchmarkKind::Ycsb.build(
+        WorkloadConfig::builder()
+            .working_set_pages(working_set)
+            .duration(SimDuration::from_secs(1))
+            .mean_iops(250.0)
+            .burst_mean(1_024.0)
+            .seed(42)
+            .build(),
+    );
+    let policy = PolicyKind::Jit.build(&config);
+    let mut system = SsdSystem::new(config, policy, workload);
+    let report = system.run();
+    assert!(report.duration_secs > 0.0);
+}
+
+#[test]
+fn one_mutated_number_is_either_run_or_rejected_by_name() {
+    let dumped = SystemConfig::default_sim().to_json();
+    let mut paths = Vec::new();
+    numeric_paths(&dumped, "", &mut paths);
+    assert_eq!(paths.len(), 24, "{paths:?}");
+    let leaves: Vec<&str> = paths
+        .iter()
+        .map(|p| p.rsplit('.').next().expect("a path has a leaf"))
+        .collect();
+    let mutations = [
+        JsonValue::U64(0),
+        JsonValue::U64(1),
+        JsonValue::U64(u64::MAX),
+        JsonValue::I64(-1),
+        JsonValue::F64(0.5),
+    ];
+    check(0xC0_4F16, CASES, |g| {
+        let path = &paths[g.usize(0, paths.len())];
+        let value = g.pick(&mutations);
+        let mutated = with_leaf(&dumped, path, &value);
+        match SystemConfig::from_json(&mutated) {
+            Ok(config) => run_one_second(config),
+            Err(e) => {
+                let message = e.to_string();
+                let named =
+                    message.split('`').skip(1).step_by(2).any(|quoted| {
+                        paths.iter().any(|p| p == quoted) || leaves.contains(&quoted)
+                    });
+                assert!(named, "`{path}` = {value:?}: {message} names no key");
+            }
+        }
+    });
+}
+
+#[test]
+fn validate_holds_the_system_rules() {
+    for cfg in [SystemConfig::small_for_tests(), SystemConfig::default_sim()] {
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+    let err = |mutate: &dyn Fn(&mut SystemConfig)| {
+        let mut cfg = SystemConfig::default_sim();
+        mutate(&mut cfg);
+        cfg.validate().unwrap_err()
+    };
+    assert!(err(&|c| c.flusher_period = SimDuration::ZERO)
+        .contains("`flusher_period_us` must be greater than zero"));
+    assert!(err(&|c| c.flusher_period = SimDuration::from_millis(700))
+        .contains("`cache.tau_expire_us` of 3000000 must be a positive multiple"));
+    let split = err(&|c| c.flusher_period = SimDuration::from_millis(250));
+    assert!(
+        split.contains(
+            "`cache.flusher_period_us` of 500000 must equal `flusher_period_us` (250000)"
+        ),
+        "{split}"
+    );
+    assert!(err(&|c| c.cdh_percentile = f64::NAN).contains("`cdh_percentile` of NaN"));
+    assert!(err(&|c| c.cdh_bin_bytes = 0).contains("`cdh_bin_bytes`"));
+    assert!(err(&|c| c.queue_depth = 0).contains("`queue_depth` must be greater than zero"));
+    assert!(
+        err(&|c| c.queue_depth = 65_537).contains("`queue_depth` of 65537 must be at most 65536")
+    );
+}
+
+#[test]
+fn a_cache_without_its_own_period_takes_the_systems() {
+    let cfg = SystemConfig::default_sim();
+    let JsonValue::Object(mut fields) = cfg.to_json() else {
+        panic!("config dumps as an object");
+    };
+    for (key, value) in &mut fields {
+        if key == "cache" {
+            if let JsonValue::Object(cache) = value {
+                cache.retain(|(k, _)| k != "flusher_period_us");
+            }
+        }
+    }
+    let back = SystemConfig::from_json(&JsonValue::Object(fields)).expect("parse");
+    assert_eq!(back.cache, cfg.cache);
+}

@@ -9,6 +9,11 @@ use jitgc_sim::{ByteSize, SimDuration};
 /// "none" (see [`NandDevice::new`](jitgc_nand::NandDevice::new)).
 const MAX_PHYSICAL_PAGES: u64 = u32::MAX as u64;
 
+/// The largest page a configuration may give the device: 1 MiB, 64 times
+/// the largest NAND page in production. Byte counts (capacities, the
+/// direct-write histogram, bandwidth) multiply it by page counts.
+const MAX_PAGE_BYTES: u64 = 1 << 20;
+
 /// Static configuration of an [`Ftl`](crate::Ftl).
 ///
 /// The physical geometry is **derived**: the device gets enough blocks to
@@ -204,50 +209,34 @@ impl FtlConfig {
     /// Returns a [`JsonError`] on missing or mistyped fields, on a
     /// `user_pages`, `pages_per_block`, `page_size_bytes` or
     /// `gc_reserve_blocks` of zero (the zeros
-    /// [`build`](FtlConfigBuilder::build) would panic on), and on a device
-    /// of [`u32::MAX`] physical pages or more; each error names its key by
-    /// its path in a system configuration (`ftl.…`).
+    /// [`build`](FtlConfigBuilder::build) would panic on), on a page
+    /// above 1 MiB, and on a device of [`u32::MAX`] physical pages or
+    /// more; each error names its key by its path in a system
+    /// configuration (`ftl.…`).
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let u64_field = |key: &str| -> Result<u64, JsonError> {
-            v.req(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::new(format!("`{key}` must be an integer")))
-        };
-        let positive = |key: &str| -> Result<u64, JsonError> {
-            match u64_field(key)? {
-                0 => Err(JsonError::new(format!(
-                    "`ftl.{key}` must be greater than zero"
-                ))),
-                value => Ok(value),
-            }
-        };
-        let positive_u32 = |key: &str| -> Result<u32, JsonError> {
-            positive(key)?
-                .try_into()
-                .map_err(|_| JsonError::new(format!("`{key}` out of range")))
-        };
-        let mut builder = FtlConfig::builder()
-            .user_pages(positive("user_pages")?)
-            .op_permille(u64_field("op_permille")?)
-            .pages_per_block(positive_u32("pages_per_block")?)
-            .page_size_bytes(positive("page_size_bytes")?)
-            .gc_reserve_blocks(positive_u32("gc_reserve_blocks")?)
-            .sip_filter_threshold_permille(u64_field("sip_filter_threshold_permille")?)
-            .wear_level_threshold(u64_field("wear_level_threshold")?)
-            .timing(NandTiming::from_json(v.req("timing")?)?);
-        if v.req("hot_cold_streams")?.as_bool().unwrap_or(false) {
-            builder =
-                builder.hot_cold_streams(SimDuration::from_micros(u64_field("hot_window_us")?));
+        let page_size_bytes = positive(v, "page_size_bytes")?;
+        if page_size_bytes > MAX_PAGE_BYTES {
+            return Err(JsonError::new(format!(
+                "`ftl.page_size_bytes` of {page_size_bytes} must be at most {MAX_PAGE_BYTES}"
+            )));
         }
-        match v.get("endurance_limit") {
-            None => {}
-            Some(limit) if limit.is_null() => {}
-            Some(limit) => {
-                let cycles = limit
-                    .as_u64()
-                    .ok_or_else(|| JsonError::new("`endurance_limit` must be an integer"))?;
-                builder = builder.endurance_limit(cycles);
-            }
+        let mut builder = FtlConfig::builder()
+            .user_pages(positive(v, "user_pages")?)
+            .op_permille(v.req_u64("op_permille")?)
+            .pages_per_block(positive_u32(v, "pages_per_block")?)
+            .page_size_bytes(page_size_bytes)
+            .gc_reserve_blocks(positive_u32(v, "gc_reserve_blocks")?)
+            .sip_filter_threshold_permille(v.req_u64("sip_filter_threshold_permille")?)
+            .wear_level_threshold(v.req_u64("wear_level_threshold")?)
+            .timing(NandTiming::from_json(v.req("timing")?)?);
+        if v.req_bool("hot_cold_streams")? {
+            builder =
+                builder.hot_cold_streams(SimDuration::from_micros(v.req_u64("hot_window_us")?));
+        }
+        if v.get("endurance_limit")
+            .is_some_and(|limit| !limit.is_null())
+        {
+            builder = builder.endurance_limit(v.req_u64("endurance_limit")?);
         }
         match v.get("fault") {
             None => {}
@@ -290,6 +279,24 @@ impl FtlConfig {
         }
         builder
     }
+}
+
+/// The required key `key` of an FTL config, which must be above zero:
+/// [`FtlConfigBuilder::build`] panics on a zero.
+fn positive(v: &JsonValue, key: &str) -> Result<u64, JsonError> {
+    match v.req_u64(key)? {
+        0 => Err(JsonError::new(format!(
+            "`ftl.{key}` must be greater than zero"
+        ))),
+        value => Ok(value),
+    }
+}
+
+/// [`positive`], for a key the geometry holds in 32 bits.
+fn positive_u32(v: &JsonValue, key: &str) -> Result<u32, JsonError> {
+    positive(v, key)?
+        .try_into()
+        .map_err(|_| JsonError::new(format!("`{key}` out of range")))
 }
 
 /// Builder for [`FtlConfig`].

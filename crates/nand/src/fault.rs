@@ -69,29 +69,46 @@ impl FaultConfig {
             .build()
     }
 
+    /// The range rule on a `*_rate`: finite and not negative. Zero is
+    /// the default (no faults of that class); a negative or NaN rate would
+    /// silently install no fault class at all, an infinite one fail every
+    /// operation on a worn block. Callers prefix the knob they read.
+    ///
+    /// # Errors
+    ///
+    /// Returns the rule's wording when `rate` breaks it.
+    pub fn check_rate(rate: f64) -> Result<(), &'static str> {
+        if rate.is_finite() && rate >= 0.0 {
+            Ok(())
+        } else {
+            Err("a fault rate must be finite and not negative")
+        }
+    }
+
     /// Parses the format written by [`to_json`](Self::to_json).
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on missing or mistyped fields.
+    /// Returns a [`JsonError`] on missing or mistyped fields, and on a
+    /// rate that breaks [`check_rate`](Self::check_rate), named by its
+    /// path in a system configuration (`ftl.fault.…`).
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let u64_field = |key: &str| -> Result<u64, JsonError> {
-            v.req(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::new(format!("`{key}` must be an integer")))
+        let config = FaultConfig {
+            seed: v.req_u64("seed")?,
+            program_rate: v.req_f64("program_rate")?,
+            erase_rate: v.req_f64("erase_rate")?,
+            read_rate: v.req_f64("read_rate")?,
+            wear_scale: v.req_u64("wear_scale")?,
         };
-        let f64_field = |key: &str| -> Result<f64, JsonError> {
-            v.req(key)?
-                .as_f64()
-                .ok_or_else(|| JsonError::new(format!("`{key}` must be a number")))
-        };
-        Ok(FaultConfig {
-            seed: u64_field("seed")?,
-            program_rate: f64_field("program_rate")?,
-            erase_rate: f64_field("erase_rate")?,
-            read_rate: f64_field("read_rate")?,
-            wear_scale: u64_field("wear_scale")?,
-        })
+        for (key, rate) in [
+            ("program_rate", config.program_rate),
+            ("erase_rate", config.erase_rate),
+            ("read_rate", config.read_rate),
+        ] {
+            Self::check_rate(rate)
+                .map_err(|rule| JsonError::new(format!("`ftl.fault.{key}` of {rate}: {rule}")))?;
+        }
+        Ok(config)
     }
 }
 
@@ -221,5 +238,23 @@ mod tests {
         };
         let back = FaultConfig::from_json(&c.to_json()).expect("parse");
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn json_rates_obey_the_flag_rule() {
+        for (text, rate) in [("-0.5", "-0.5"), ("1e999", "inf")] {
+            let json = format!(
+                r#"{{"seed": 1, "program_rate": {text}, "erase_rate": 0, "read_rate": 0, "wear_scale": 9}}"#
+            );
+            let err = FaultConfig::from_json(&JsonValue::parse(&json).unwrap()).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!(
+                    "`ftl.fault.program_rate` of {rate}: a fault rate must be finite and not negative"
+                )),
+                "{err}"
+            );
+        }
+        assert_eq!(FaultConfig::check_rate(0.0), Ok(()));
+        assert!(FaultConfig::check_rate(f64::NAN).is_err());
     }
 }

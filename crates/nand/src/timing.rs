@@ -41,6 +41,12 @@ pub struct NandTiming {
 }
 
 impl NandTiming {
+    /// The longest time a configuration may give one operation, NAND or
+    /// host-side: one second, hundreds of times the slowest erase. It
+    /// keeps a run's sums of operation times far from the end of the
+    /// 64-bit microsecond clock.
+    pub const MAX_OP_TIME: SimDuration = SimDuration::from_secs(1);
+
     /// Builds a custom timing model.
     ///
     /// # Panics
@@ -154,29 +160,48 @@ impl NandTiming {
             .build()
     }
 
-    /// Parses the format written by [`to_json`](Self::to_json).
+    /// The range rule on the operation times: none above
+    /// [`MAX_OP_TIME`](Self::MAX_OP_TIME). A system configuration checks
+    /// it in its `validate`, naming the key by its path there
+    /// (`ftl.timing.…`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first time that breaks the rule.
+    pub fn check(&self) -> Result<(), String> {
+        for (key, time) in [
+            ("read_us", self.read),
+            ("program_us", self.program),
+            ("erase_us", self.erase),
+            ("transfer_per_page_us", self.transfer_per_page),
+        ] {
+            if time > Self::MAX_OP_TIME {
+                return Err(format!(
+                    "`ftl.timing.{key}` of {} must be at most {} (one second per operation)",
+                    time.as_micros(),
+                    Self::MAX_OP_TIME.as_micros()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Parses the format written by [`to_json`](Self::to_json); the times'
+    /// range is [`check`](Self::check)'s.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] on missing or mistyped fields.
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let micros = |key: &str| -> Result<SimDuration, JsonError> {
-            v.req(key)?
-                .as_u64()
-                .map(SimDuration::from_micros)
-                .ok_or_else(|| JsonError::new(format!("`{key}` must be an integer")))
-        };
-        let parallelism = v
-            .req("parallelism")?
-            .as_u64()
-            .and_then(|p| u32::try_from(p).ok())
+        let parallelism = u32::try_from(v.req_u64("parallelism")?)
+            .ok()
             .filter(|&p| p > 0)
             .ok_or_else(|| JsonError::new("`parallelism` must be a positive integer"))?;
         Ok(NandTiming::new(
-            micros("read_us")?,
-            micros("program_us")?,
-            micros("erase_us")?,
-            micros("transfer_per_page_us")?,
+            SimDuration::from_micros(v.req_u64("read_us")?),
+            SimDuration::from_micros(v.req_u64("program_us")?),
+            SimDuration::from_micros(v.req_u64("erase_us")?),
+            SimDuration::from_micros(v.req_u64("transfer_per_page_us")?),
             parallelism,
         ))
     }

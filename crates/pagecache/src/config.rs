@@ -56,7 +56,7 @@ impl PageCacheConfig {
     /// write-back (the flusher's second condition).
     #[must_use]
     pub fn flush_threshold_pages(&self) -> u64 {
-        self.capacity_pages * self.tau_flush_permille / 1000
+        permille_of(self.capacity_pages, self.tau_flush_permille)
     }
 
     /// Hard dirty limit in permille of capacity (Linux's `dirty_ratio`).
@@ -71,7 +71,7 @@ impl PageCacheConfig {
     /// GC-stalled flush path into application-visible stalls.
     #[must_use]
     pub fn throttle_threshold_pages(&self) -> u64 {
-        self.capacity_pages * self.throttle_permille / 1000
+        permille_of(self.capacity_pages, self.throttle_permille)
     }
 
     /// The flusher wake-up period `p`: with the cache's
@@ -82,20 +82,6 @@ impl PageCacheConfig {
     #[must_use]
     pub fn flusher_period(&self) -> SimDuration {
         self.flusher_period
-    }
-
-    /// A copy of this configuration with the flusher period replaced —
-    /// how an embedding simulator hands the cache its own tick period
-    /// without re-spelling the whole builder chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is zero.
-    #[must_use]
-    pub fn with_flusher_period(mut self, p: SimDuration) -> Self {
-        assert!(!p.is_zero(), "flusher_period must be non-zero");
-        self.flusher_period = p;
-        self
     }
 
     /// Serializes to the repository's JSON config format.
@@ -112,44 +98,46 @@ impl PageCacheConfig {
 
     /// Parses the format written by [`to_json`](Self::to_json).
     ///
+    /// `flusher_period_us` may be absent (files older than the field);
+    /// the cache then takes `flusher_period`, the clock of the system
+    /// that embeds it. Whether a present one agrees with that clock is
+    /// the system's rule, not the cache's.
+    ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] on missing or mistyped fields, and on a
     /// `capacity_pages`, `tau_expire_us` or `flusher_period_us` of zero,
     /// named by their path in a system configuration (`cache.…`) — the
-    /// zeros [`build`](PageCacheConfigBuilder::build) would panic on. The
-    /// engine replaces the cache's period by its own, but a zero is no
-    /// period and is rejected rather than silently ignored.
-    pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let u64_field = |key: &str| -> Result<u64, JsonError> {
-            v.req(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::new(format!("`{key}` must be an integer")))
+    /// zeros [`build`](PageCacheConfigBuilder::build) would panic on.
+    pub fn from_json(v: &JsonValue, flusher_period: SimDuration) -> Result<Self, JsonError> {
+        let flusher_period = match v.get("flusher_period_us") {
+            Some(_) => SimDuration::from_micros(positive(v, "flusher_period_us")?),
+            None => flusher_period,
         };
-        let positive = |key: &str| -> Result<u64, JsonError> {
-            match u64_field(key)? {
-                0 => Err(JsonError::new(format!(
-                    "`cache.{key}` must be greater than zero"
-                ))),
-                value => Ok(value),
-            }
-        };
-        let mut builder = PageCacheConfig::builder()
-            .capacity_pages(positive("capacity_pages")?)
-            .tau_expire(SimDuration::from_micros(positive("tau_expire_us")?))
-            .tau_flush_permille(u64_field("tau_flush_permille")?)
-            .throttle_permille(u64_field("throttle_permille")?);
-        // Older config files predate the flusher-period field; keep them
-        // loading with the builder default.
-        if let Some(us) = v.get("flusher_period_us").and_then(JsonValue::as_u64) {
-            if us == 0 {
-                return Err(JsonError::new(
-                    "`cache.flusher_period_us` must be greater than zero",
-                ));
-            }
-            builder = builder.flusher_period(SimDuration::from_micros(us));
-        }
-        Ok(builder.build())
+        Ok(PageCacheConfig::builder()
+            .capacity_pages(positive(v, "capacity_pages")?)
+            .tau_expire(SimDuration::from_micros(positive(v, "tau_expire_us")?))
+            .tau_flush_permille(v.req_u64("tau_flush_permille")?)
+            .throttle_permille(v.req_u64("throttle_permille")?)
+            .flusher_period(flusher_period)
+            .build())
+    }
+}
+
+/// `permille`/1000 of `pages`, without overflow: a threshold above 1000 ‰
+/// is one the cache never reaches, however large.
+fn permille_of(pages: u64, permille: u64) -> u64 {
+    u64::try_from(u128::from(pages) * u128::from(permille) / 1000).unwrap_or(u64::MAX)
+}
+
+/// The required key `key` of a cache config, which must be above zero:
+/// [`PageCacheConfigBuilder::build`] panics on a zero.
+fn positive(v: &JsonValue, key: &str) -> Result<u64, JsonError> {
+    match v.req_u64(key)? {
+        0 => Err(JsonError::new(format!(
+            "`cache.{key}` must be greater than zero"
+        ))),
+        value => Ok(value),
     }
 }
 
@@ -255,18 +243,23 @@ mod tests {
             .throttle_permille(350)
             .flusher_period(SimDuration::from_millis(750))
             .build();
-        let back = PageCacheConfig::from_json(&c.to_json()).expect("parse");
-        assert_eq!(back, c);
+        let back =
+            PageCacheConfig::from_json(&c.to_json(), SimDuration::from_secs(1)).expect("parse");
+        assert_eq!(back, c, "a present period is the file's own");
     }
 
     #[test]
     fn json_without_flusher_period_uses_default() {
-        let c = PageCacheConfig::builder().build();
+        // Files older than the field: the cache takes the period of the
+        // system that embeds it.
+        let c = PageCacheConfig::builder()
+            .flusher_period(SimDuration::from_millis(500))
+            .build();
         let mut v = c.to_json();
         if let JsonValue::Object(fields) = &mut v {
             fields.retain(|(k, _)| k != "flusher_period_us");
         }
-        let back = PageCacheConfig::from_json(&v).expect("parse");
+        let back = PageCacheConfig::from_json(&v, SimDuration::from_millis(500)).expect("parse");
         assert_eq!(back, c);
     }
 
@@ -309,8 +302,9 @@ mod tests {
                     *value = JsonValue::from(0u64);
                 }
             }
-            let err = PageCacheConfig::from_json(&JsonValue::Object(fields))
-                .expect_err("a zero is refused");
+            let err =
+                PageCacheConfig::from_json(&JsonValue::Object(fields), SimDuration::from_secs(5))
+                    .expect_err("a zero is refused");
             assert!(
                 err.to_string()
                     .contains(&format!("`cache.{key}` must be greater than zero")),

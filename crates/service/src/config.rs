@@ -1,6 +1,8 @@
 //! Service configuration and named-knob validation.
 
 use jitgc_core::system::{ClosedLoop, SystemConfig};
+use jitgc_sim::SimDuration;
+use jitgc_workload::{ArrivalError, WorkloadConfig, WorkloadConfigBuilder};
 
 /// The I/O personality a tenant's closed-loop driver generates.
 ///
@@ -180,12 +182,14 @@ impl ServiceConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending knob when the tenant list
-    /// is empty, any weight is zero, any concurrency or arrival rate is
-    /// non-positive, a concurrency exceeds [`ClosedLoop::MAX_THREADS`],
-    /// the SQ depth or dispatch window is zero, the tier thresholds are
-    /// not strictly increasing within `(0, 1]`, the
-    /// hysteresis is negative or at least the Yellow threshold, the run
-    /// has no simulated second, the device leaves no standard working
+    /// is empty, any weight is zero, a concurrency breaks
+    /// [`ClosedLoop::check_threads`], a tenant's arrival knobs break
+    /// [`WorkloadConfigBuilder::check_arrival`] (the run has no simulated
+    /// second, or a rate is not positive and finite or leaves idle gaps
+    /// past the clock), the SQ depth or dispatch window is zero, the tier
+    /// thresholds are not strictly increasing within `(0, 1]`, the
+    /// hysteresis is negative or at least the Yellow threshold, the device
+    /// breaks [`SystemConfig::validate`] or leaves no standard working
     /// set, or the roster splits it into fewer than 64 pages per tenant.
     pub fn validate(&self) -> Result<(), String> {
         if self.tenants.is_empty() {
@@ -198,27 +202,21 @@ impl ServiceConfig {
                     i, t.name
                 ));
             }
-            if t.concurrency == 0 {
-                return Err(format!(
-                    "tenant {} ({}) has concurrency 0; a closed loop needs at least one thread",
-                    i, t.name
-                ));
-            }
-            if t.concurrency > ClosedLoop::MAX_THREADS {
-                return Err(format!(
-                    "tenant {} ({}) has concurrency {}; a closed loop takes at most {} threads \
-                     (the deepest NVMe I/O queue)",
-                    i,
-                    t.name,
-                    t.concurrency,
-                    ClosedLoop::MAX_THREADS
-                ));
-            }
-            if t.mean_iops.is_nan() || t.mean_iops <= 0.0 {
-                return Err(format!(
-                    "tenant {} ({}) has non-positive mean IOPS {}",
-                    i, t.name, t.mean_iops
-                ));
+            ClosedLoop::check_threads(t.concurrency.into()).map_err(|rule| {
+                format!(
+                    "tenant {i} ({}) has concurrency {}; the thread count {rule}",
+                    t.name, t.concurrency
+                )
+            })?;
+            match self.tenant_workload(i).check_arrival() {
+                Ok(()) => {}
+                Err(ArrivalError::Duration) => return Err(ArrivalError::Duration.to_string()),
+                Err(rule) => {
+                    return Err(format!(
+                        "tenant {i} ({}) has mean IOPS {:?}: {rule}",
+                        t.name, t.mean_iops
+                    ))
+                }
             }
         }
         if self.sq_depth == 0 {
@@ -241,9 +239,7 @@ impl ServiceConfig {
                 t.hysteresis, t.yellow
             ));
         }
-        if self.seconds == 0 {
-            return Err("the run needs at least one simulated second".into());
-        }
+        self.system.validate()?;
         let per_tenant = self.system.standard_working_set()? / self.tenants.len() as u64;
         if per_tenant < 64 {
             return Err(format!(
@@ -253,6 +249,16 @@ impl ServiceConfig {
             ));
         }
         Ok(())
+    }
+
+    /// Tenant `tenant`'s arrival knobs: its mean rate over the run's
+    /// seconds, at the generators' default burst length. The driver adds
+    /// the working set and the seed; [`validate`](Self::validate) checks
+    /// what this sets.
+    pub(crate) fn tenant_workload(&self, tenant: usize) -> WorkloadConfigBuilder {
+        WorkloadConfig::builder()
+            .duration(SimDuration::from_secs(self.seconds))
+            .mean_iops(self.tenants[tenant].mean_iops)
     }
 
     /// Pages of logical space each tenant owns: the [standard working
@@ -305,6 +311,9 @@ mod tests {
         deepest.tenants[1].concurrency = ClosedLoop::MAX_THREADS;
         assert_eq!(deepest.validate(), Ok(()));
         assert!(err(&|c| c.tenants[2].mean_iops = 0.0).contains("mean IOPS"));
+        assert!(err(&|c| c.tenants[2].mean_iops = f64::INFINITY).contains("mean IOPS inf"));
+        assert!(err(&|c| c.tenants[2].mean_iops = 1e-300).contains("mean idle gap"));
+        assert!(err(&|c| c.system.cdh_bin_bytes = 0).contains("`cdh_bin_bytes`"));
         assert!(err(&|c| c.sq_depth = 0).contains("submission-queue depth"));
         assert!(err(&|c| c.dispatch_window = 0).contains("dispatch window"));
         assert!(err(&|c| c.tiers.red = 0.4).contains("strictly increasing"));

@@ -24,7 +24,7 @@
 
 use jitgc_core::policy::GcPolicy;
 use jitgc_sim::SimTime;
-use jitgc_workload::{IoRequest, Synthetic, Workload, WorkloadConfig};
+use jitgc_workload::{IoRequest, Synthetic, Workload};
 
 use crate::config::{ServiceConfig, TenantProfile};
 use crate::report::ServiceReport;
@@ -35,17 +35,15 @@ const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Tenant `tenant`'s request generator.
 fn tenant_workload(cfg: &ServiceConfig, tenant: usize) -> Synthetic {
-    let spec = &cfg.tenants[tenant];
-    let wl_cfg = WorkloadConfig::builder()
+    let wl_cfg = cfg
+        .tenant_workload(tenant)
         .working_set_pages(cfg.pages_per_tenant())
-        .duration(jitgc_sim::SimDuration::from_secs(cfg.seconds))
-        .mean_iops(spec.mean_iops)
         .seed(
             cfg.seed
                 .wrapping_add((tenant as u64).wrapping_mul(SEED_STRIDE)),
         )
         .build();
-    let builder = match spec.profile {
+    let builder = match cfg.tenants[tenant].profile {
         TenantProfile::Reader => Synthetic::builder().read_fraction(1.0).pages(1, 4),
         TenantProfile::Writer => Synthetic::builder()
             .read_fraction(0.0)

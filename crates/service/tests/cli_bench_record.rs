@@ -88,7 +88,7 @@ fn bench_record_key_paths_are_pinned() {
 
 #[test]
 fn retired_flag_and_unwritable_record_exit_2() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["--fast-forward", "on"], "unknown flag: --fast-forward"),
         (&["--worker-threads", "2"], "unknown flag: --worker-threads"),
         (
@@ -99,6 +99,32 @@ fn retired_flag_and_unwritable_record_exit_2() {
         (
             &["--tenants", "w:writer:1:100:4294967295"],
             "tenant 0 (w) has concurrency 4294967295",
+        ),
+        // Used to panic (exit 101) building the tenant's workload: the
+        // rate check refused NaN and zero but not infinity.
+        (
+            &[
+                "--small",
+                "--seconds",
+                "1",
+                "--no-prefill",
+                "--tenants",
+                "w:writer:1:inf:4",
+            ],
+            "tenant 0 (w) has mean IOPS inf",
+        ),
+        // Used to panic (exit 101) on a wrapped clock: the first drawn
+        // gap saturated near `u64::MAX` µs.
+        (
+            &[
+                "--small",
+                "--seconds",
+                "1",
+                "--no-prefill",
+                "--tenants",
+                "w:writer:1:1e-300:1",
+            ],
+            "tenant 0 (w) has mean IOPS 1e-300",
         ),
     ];
     for (args, mention) in cases {

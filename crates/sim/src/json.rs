@@ -105,6 +105,42 @@ impl JsonValue {
             .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))
     }
 
+    /// Reads a required non-negative integer key.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] naming the key when it is absent or not a
+    /// non-negative integer.
+    pub fn req_u64(&self, key: &str) -> Result<u64, JsonError> {
+        self.req(key)?
+            .as_u64()
+            .ok_or_else(|| JsonError::new(format!("`{key}` must be an integer")))
+    }
+
+    /// Reads a required number key; integer literals convert.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] naming the key when it is absent or not a
+    /// number.
+    pub fn req_f64(&self, key: &str) -> Result<f64, JsonError> {
+        self.req(key)?
+            .as_f64()
+            .ok_or_else(|| JsonError::new(format!("`{key}` must be a number")))
+    }
+
+    /// Reads a required bool key.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] naming the key when it is absent or not a
+    /// bool.
+    pub fn req_bool(&self, key: &str) -> Result<bool, JsonError> {
+        self.req(key)?
+            .as_bool()
+            .ok_or_else(|| JsonError::new(format!("`{key}` must be a bool")))
+    }
+
     /// The value as an unsigned integer, if it is one.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
@@ -613,6 +649,21 @@ mod tests {
         let v = JsonValue::parse("18446744073709551615").unwrap();
         assert_eq!(v.as_u64(), Some(u64::MAX));
         assert_eq!(v.to_compact(), "18446744073709551615");
+    }
+
+    #[test]
+    fn typed_readers_name_the_key() {
+        let v = JsonValue::parse(r#"{"n": 7, "x": 0.5, "b": true, "neg": -1}"#).unwrap();
+        assert_eq!(v.req_u64("n"), Ok(7));
+        assert_eq!(v.req_f64("x"), Ok(0.5));
+        assert_eq!(v.req_f64("n"), Ok(7.0));
+        assert_eq!(v.req_bool("b"), Ok(true));
+        let err = |r: Result<(), JsonError>| r.unwrap_err().to_string();
+        assert!(err(v.req_u64("neg").map(drop)).contains("`neg` must be an integer"));
+        assert!(err(v.req_u64("x").map(drop)).contains("`x` must be an integer"));
+        assert!(err(v.req_f64("b").map(drop)).contains("`b` must be a number"));
+        assert!(err(v.req_bool("n").map(drop)).contains("`n` must be a bool"));
+        assert!(err(v.req_u64("absent").map(drop)).contains("missing field `absent`"));
     }
 
     #[test]

@@ -183,16 +183,22 @@ impl SimDuration {
     }
 }
 
+/// Advancing the clock past [`SimTime::MAX`] panics in every build
+/// profile: a wrapped clock would put the later event before the earlier
+/// one and every check downstream would see a lie.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        match self.0.checked_add(rhs.0) {
+            Some(t) => SimTime(t),
+            None => panic!("the simulated clock overflows: {self} + {rhs}"),
+        }
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -296,6 +302,15 @@ mod tests {
         assert_eq!(t + d, SimTime::from_secs(14));
         assert_eq!((t + d) - t, d);
         assert_eq!(t - d, SimTime::from_secs(6));
+        let mut at = SimTime::MAX - d;
+        at += d;
+        assert_eq!(at, SimTime::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "the simulated clock overflows")]
+    fn advancing_past_the_last_instant_panics_instead_of_wrapping() {
+        let _ = SimTime::MAX + SimDuration::from_micros(1);
     }
 
     #[test]

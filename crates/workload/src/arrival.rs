@@ -1,6 +1,43 @@
 //! Bursty arrival-process model.
 
+use std::fmt;
+
 use jitgc_sim::{SimDuration, SimRng};
+
+/// Which arrival knob breaks the range rule of
+/// [`WorkloadConfigBuilder::check_arrival`](crate::WorkloadConfigBuilder::check_arrival).
+///
+/// It displays as the rule's wording; each caller puts the knob it read
+/// in front (`--iops 0: …`, `tenant 0 (w) has mean IOPS 0: …`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArrivalError {
+    /// The duration is zero.
+    Duration,
+    /// The mean rate is zero, negative, NaN or infinite.
+    MeanIops,
+    /// The mean burst length is below 1 or not finite.
+    BurstMean,
+    /// Rate and burst length leave a mean idle gap so long that a drawn
+    /// gap could run the simulated clock past its end.
+    IdleGap,
+}
+
+impl fmt::Display for ArrivalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ArrivalError::Duration => "the run needs at least one simulated second",
+            ArrivalError::MeanIops => "the mean iops must be positive and finite",
+            ArrivalError::BurstMean => "the mean burst length must be at least 1",
+            ArrivalError::IdleGap => {
+                "the mean idle gap, mean burst length × 10^6 / mean iops µs, must be at \
+                 most 2^52 µs (about 142 years): a longer one can draw a gap past the end \
+                 of the simulated clock"
+            }
+        })
+    }
+}
+
+impl std::error::Error for ArrivalError {}
 
 /// Generates think-time gaps forming bursts separated by idle periods.
 ///
@@ -41,19 +78,40 @@ impl ArrivalProcess {
     /// Default intra-burst gap mean: 50 µs (queue-depth-ish pipelining).
     const INTRA_MEAN_US: f64 = 50.0;
 
+    /// The longest mean idle gap the rate rule admits, 2^52 µs. A draw
+    /// is at most ~708 means (`-ln` of the smallest positive `f64`), so
+    /// no single gap reaches 2^62 µs and a run's clock stays far from
+    /// `u64::MAX`.
+    const MAX_IDLE_MEAN_US: f64 = (1u64 << 52) as f64;
+
+    /// The rate half of the arrival rule: `iops` positive and finite,
+    /// `burst_mean` finite and at least 1, and the mean idle gap
+    /// `burst_mean × 10^6 / iops` µs at most 2^52 µs.
+    pub(crate) fn check(iops: f64, burst_mean: f64) -> Result<(), ArrivalError> {
+        if !(iops.is_finite() && iops > 0.0) {
+            Err(ArrivalError::MeanIops)
+        } else if !(burst_mean.is_finite() && burst_mean >= 1.0) {
+            Err(ArrivalError::BurstMean)
+        } else if burst_mean * 1e6 / iops > Self::MAX_IDLE_MEAN_US {
+            Err(ArrivalError::IdleGap)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Creates a process targeting `iops` requests/second with mean burst
     /// length `burst_mean`.
     ///
     /// # Panics
     ///
-    /// Panics unless `iops > 0` and `burst_mean ≥ 1`.
+    /// Panics, with the rule's wording, unless `iops > 0`, `burst_mean ≥
+    /// 1` and the mean idle gap fits the clock (see
+    /// [`ArrivalError::IdleGap`]).
     #[must_use]
     pub fn new(iops: f64, burst_mean: f64) -> Self {
-        assert!(iops.is_finite() && iops > 0.0, "iops must be positive");
-        assert!(
-            burst_mean.is_finite() && burst_mean >= 1.0,
-            "burst mean must be at least 1"
-        );
+        if let Err(rule) = Self::check(iops, burst_mean) {
+            panic!("{rule}");
+        }
         let mean_gap = 1e6 / iops;
         let intra = Self::INTRA_MEAN_US.min(mean_gap);
         let idle = (burst_mean * mean_gap - (burst_mean - 1.0) * intra).max(intra);
@@ -134,5 +192,25 @@ mod tests {
     #[should_panic(expected = "iops must be positive")]
     fn zero_iops_panics() {
         let _ = ArrivalProcess::new(0.0, 4.0);
+    }
+
+    #[test]
+    fn the_idle_gap_bound_keeps_every_draw_on_the_clock() {
+        assert_eq!(ArrivalProcess::check(0.05, 500.0), Ok(()));
+        // 2^52 µs between bursts is the longest mean the rule admits.
+        let slowest = 1e6 / ArrivalProcess::MAX_IDLE_MEAN_US;
+        assert_eq!(ArrivalProcess::check(slowest, 1.0), Ok(()));
+        assert_eq!(
+            ArrivalProcess::check(slowest / 2.0, 1.0),
+            Err(ArrivalError::IdleGap)
+        );
+        assert_eq!(
+            ArrivalProcess::check(1.0, 1e300),
+            Err(ArrivalError::IdleGap)
+        );
+        // The largest draw `exp_micros` can make at the bound stays
+        // below 2^62 µs.
+        let largest = -f64::MIN_POSITIVE.ln() * ArrivalProcess::MAX_IDLE_MEAN_US;
+        assert!(largest < (1u64 << 62) as f64, "{largest}");
     }
 }

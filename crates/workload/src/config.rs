@@ -2,6 +2,8 @@
 
 use jitgc_sim::SimDuration;
 
+use crate::arrival::{ArrivalError, ArrivalProcess};
+
 /// Parameters shared by every benchmark generator.
 ///
 /// The paper sets the working set to half the device's user capacity and
@@ -130,24 +132,36 @@ impl WorkloadConfigBuilder {
         self
     }
 
+    /// The range rule on the arrival knobs, whichever input sets them
+    /// (`ssdsim --seconds/--iops/--burst`, a service tenant, code): the
+    /// duration is above zero, the mean IOPS positive and finite, the
+    /// mean burst length finite and at least 1, and the mean idle gap
+    /// between bursts short enough that no drawn gap runs the simulated
+    /// clock past its end (see [`ArrivalError::IdleGap`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first knob that breaks the rule.
+    pub fn check_arrival(&self) -> Result<(), ArrivalError> {
+        if self.duration.is_zero() {
+            return Err(ArrivalError::Duration);
+        }
+        ArrivalProcess::check(self.mean_iops, self.burst_mean)
+    }
+
     /// Finalizes the configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the working set is empty, the duration is zero, or the
-    /// rate/burst parameters are not positive finite numbers.
+    /// Panics if the working set is empty or
+    /// [`check_arrival`](Self::check_arrival) fails, with the rule's
+    /// wording.
     #[must_use]
     pub fn build(self) -> WorkloadConfig {
         assert!(self.working_set_pages > 0, "working set must be non-empty");
-        assert!(!self.duration.is_zero(), "duration must be non-zero");
-        assert!(
-            self.mean_iops.is_finite() && self.mean_iops > 0.0,
-            "mean iops must be positive and finite"
-        );
-        assert!(
-            self.burst_mean.is_finite() && self.burst_mean >= 1.0,
-            "mean burst length must be at least 1"
-        );
+        if let Err(rule) = self.check_arrival() {
+            panic!("{rule}");
+        }
         WorkloadConfig {
             working_set_pages: self.working_set_pages,
             duration: self.duration,
@@ -215,6 +229,26 @@ mod tests {
     #[should_panic(expected = "working set must be non-empty")]
     fn zero_working_set_panics() {
         let _ = WorkloadConfig::builder().working_set_pages(0).build();
+    }
+
+    #[test]
+    fn check_arrival_names_the_knob() {
+        let check = |secs, iops, burst| {
+            WorkloadConfig::builder()
+                .duration(SimDuration::from_secs(secs))
+                .mean_iops(iops)
+                .burst_mean(burst)
+                .check_arrival()
+        };
+        assert_eq!(check(1, 0.05, 500.0), Ok(()));
+        assert_eq!(check(0, 1.0, 1.0), Err(ArrivalError::Duration));
+        for iops in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(check(1, iops, 1.0), Err(ArrivalError::MeanIops));
+        }
+        for burst in [0.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(check(1, 1.0, burst), Err(ArrivalError::BurstMean));
+        }
+        assert_eq!(check(1, 1e-300, 1.0), Err(ArrivalError::IdleGap));
     }
 
     #[test]

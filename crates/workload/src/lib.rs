@@ -45,7 +45,7 @@ mod trace;
 
 mod generators;
 
-pub use arrival::ArrivalProcess;
+pub use arrival::{ArrivalError, ArrivalProcess};
 pub use benchmark::BenchmarkKind;
 pub use config::{WorkloadConfig, WorkloadConfigBuilder};
 pub use generators::{

@@ -56,20 +56,11 @@ impl TraceRecord {
             _ => return Err(JsonError::new("`kind` must be a known IoKind name")),
         };
         Ok(TraceRecord {
-            gap_us: v
-                .req("gap_us")?
-                .as_u64()
-                .ok_or_else(|| JsonError::new("`gap_us` must be an integer"))?,
+            gap_us: v.req_u64("gap_us")?,
             kind,
-            lpn: v
-                .req("lpn")?
-                .as_u64()
-                .ok_or_else(|| JsonError::new("`lpn` must be an integer"))?,
-            pages: v
-                .req("pages")?
-                .as_u64()
-                .and_then(|p| u32::try_from(p).ok())
-                .ok_or_else(|| JsonError::new("`pages` must be an integer"))?,
+            lpn: v.req_u64("lpn")?,
+            pages: u32::try_from(v.req_u64("pages")?)
+                .map_err(|_| JsonError::new("`pages` out of range"))?,
         })
     }
 }
