@@ -25,7 +25,8 @@
 //!                          keep their model predictions in --bench-json
 //!   --screen-keep <F>      fraction of each benchmark's cells the screen
 //!                          fills up to beyond the frontier  (default 0.25)
-//!   --seconds <N>          simulated duration, ≥ 1     (default 300)
+//!   --seconds <N>          simulated duration, 1 ..= 2^62 µs
+//!                          (4611686018427 s)           (default 300)
 //!   --iops <F>             mean arrival rate, > 0      (default 250)
 //!   --burst <F>            mean burst length, ≥ 1      (default 1024)
 //!   --seed <N>             RNG seed                    (default 42)
@@ -265,7 +266,7 @@ fn parse_fault_rate(flag: &str, v: &str) -> f64 {
 /// device).
 fn arrival(args: &Args, columns: u64) -> WorkloadConfigBuilder {
     WorkloadConfig::builder()
-        .duration(SimDuration::from_secs(args.seconds))
+        .seconds(args.seconds)
         .mean_iops(args.iops * columns as f64)
         .burst_mean(args.burst)
 }
@@ -283,7 +284,9 @@ fn check_arrival(args: &Args, columns: u64) {
         format!("--iops {:?} on {columns} stripe columns", args.iops)
     };
     match rule {
-        ArrivalError::Duration => eprintln!("--seconds {}: {rule}", args.seconds),
+        ArrivalError::Duration | ArrivalError::TooLong => {
+            eprintln!("--seconds {}: {rule}", args.seconds)
+        }
         ArrivalError::MeanIops => eprintln!("{iops}: {rule}"),
         ArrivalError::BurstMean => eprintln!("--burst {:?}: {rule}", args.burst),
         ArrivalError::IdleGap => eprintln!("{iops} --burst {:?}: {rule}", args.burst),

@@ -95,8 +95,16 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         "\"queue_depth\": 4294967295",
     );
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 37] = [
+    let cases: [(&[&str], &str); 39] = [
         (&["--seconds", "0"], "--seconds"),
+        // The first used to run until killed: 2e13 s wrapped the
+        // microsecond conversion in a release build. The second is one
+        // second past the longest run the arrival rule admits, 2^62 µs.
+        (
+            &["--seconds", "20000000000000", "--json"],
+            "--seconds 20000000000000: ",
+        ),
+        (&["--seconds", "4611686018428"], "--seconds 4611686018428: "),
         (&["--iops", "0"], "--iops"),
         (&["--iops", "-5"], "--iops"),
         (&["--iops", "nan"], "--iops"),

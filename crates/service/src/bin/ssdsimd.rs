@@ -14,7 +14,8 @@
 //!                                   reader:reader:4:400:2,
 //!                                   mixed:mixed:2:400:2)
 //!   --policy <none|lbgc|abgc|adp|idle|jit|jit-nosip>  (default jit)
-//!   --seconds <N>          simulated seconds per tenant stream (default 60)
+//!   --seconds <N>          simulated seconds per tenant stream (default 60),
+//!                          1 ..= 2^62 µs (4611686018427 s)
 //!   --seed <N>             base RNG seed                      (default 42)
 //!   --sq-depth <N>         per-tenant submission-queue depth  (default 64)
 //!   --dispatch-window <N>  device-side in-flight request cap  (default 32)

@@ -1,7 +1,6 @@
 //! Service configuration and named-knob validation.
 
 use jitgc_core::system::{ClosedLoop, SystemConfig};
-use jitgc_sim::SimDuration;
 use jitgc_workload::{ArrivalError, WorkloadConfig, WorkloadConfigBuilder};
 
 /// The I/O personality a tenant's closed-loop driver generates.
@@ -211,6 +210,9 @@ impl ServiceConfig {
             match self.tenant_workload(i).check_arrival() {
                 Ok(()) => {}
                 Err(ArrivalError::Duration) => return Err(ArrivalError::Duration.to_string()),
+                Err(rule @ ArrivalError::TooLong) => {
+                    return Err(format!("seconds {}: {rule}", self.seconds))
+                }
                 Err(rule) => {
                     return Err(format!(
                         "tenant {i} ({}) has mean IOPS {:?}: {rule}",
@@ -257,7 +259,7 @@ impl ServiceConfig {
     /// what this sets.
     pub(crate) fn tenant_workload(&self, tenant: usize) -> WorkloadConfigBuilder {
         WorkloadConfig::builder()
-            .duration(SimDuration::from_secs(self.seconds))
+            .seconds(self.seconds)
             .mean_iops(self.tenants[tenant].mean_iops)
     }
 
@@ -320,6 +322,7 @@ mod tests {
         assert!(err(&|c| c.tiers.black = 1.5).contains("strictly increasing"));
         assert!(err(&|c| c.tiers.hysteresis = 0.6).contains("hysteresis"));
         assert!(err(&|c| c.seconds = 0).contains("simulated second"));
+        assert!(err(&|c| c.seconds = 20_000_000_000_000).starts_with("seconds 20000000000000: "));
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn bench_record_key_paths_are_pinned() {
 
 #[test]
 fn retired_flag_and_unwritable_record_exit_2() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["--fast-forward", "on"], "unknown flag: --fast-forward"),
         (&["--worker-threads", "2"], "unknown flag: --worker-threads"),
         (
@@ -125,6 +125,12 @@ fn retired_flag_and_unwritable_record_exit_2() {
                 "w:writer:1:1e-300:1",
             ],
             "tenant 0 (w) has mean IOPS 1e-300",
+        ),
+        // Used to panic (exit 101) converting the seconds, or wrap them
+        // in a release build.
+        (
+            &["--small", "--seconds", "20000000000000"],
+            "seconds 20000000000000: ",
         ),
     ];
     for (args, mention) in cases {

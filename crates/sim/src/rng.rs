@@ -161,12 +161,20 @@ impl fmt::Debug for SimRng {
 /// `log₂ m` of its 53 bits; its rank lies in `guide[j]..=guide[j + 1]`
 /// (every CDF value before `guide[j]` is below `j/m ≤ u`, the one at
 /// `guide[j + 1]` is at least `(j + 1)/m > u`), so an empty bucket is the
-/// answer and any other is searched over its own few entries. Because
-/// `m` is a power of two, `j/m` and the bucket are exact and the rank is
-/// the full table's for every one of the 2⁵³ inputs. The guide costs at
-/// most 2 bytes per item, a quarter of the CDF's 8.
+/// answer and any other is searched over its own few entries.
 ///
-/// The table costs one `powf` per item, and every sweep cell, tenant and
+/// The table keeps no `f64` per rank. Rank `k`'s CDF is stored as the low
+/// 16 bits of `Q_k = ⌊cdf_k · 2^(log₂m + 16)⌋`; its high bits are `k`'s
+/// bucket, which the guide already fixes. A draw's key is the next 16 of
+/// its bits, `R = ⌊u · 2^(log₂m + 16)⌋`, and because scaling by a power of
+/// two is exact, `Q_k < R` means `cdf_k < u` and `Q_k > R` means
+/// `cdf_k > u`. Only a tie `Q_k = R` needs the CDF itself, which a cold
+/// path re-sums bit for bit from a checkpoint of the running sum kept
+/// every 64 ranks. The rank is the full table's for every one of the 2⁵³
+/// inputs, at about 3.5 bytes per item (2 for the key, at most 2 for the
+/// guide, 1/8 for the checkpoints) where the CDF alone took 8.
+///
+/// The table costs two `powf` per item, and every sweep cell, tenant and
 /// benchmark repetition asks for the same few `(n, s)`, so samplers share
 /// their tables through a small process-wide cache (see [`Zipf::new`]).
 /// A shared table is immutable: sample streams do not depend on whether
@@ -187,18 +195,36 @@ pub struct Zipf {
     table: Arc<ZipfTable>,
 }
 
-/// The CDF of one `(n, s)` and its guide table.
+/// The CDF of one `(n, s)` as 16-bit keys inside the buckets of its guide
+/// table.
 #[derive(Debug)]
 struct ZipfTable {
-    /// `cdf[k]` = P(rank ≤ k); the last entry is exactly 1.
-    cdf: Box<[f64]>,
+    /// `keys[k]` is the low [`KEY_BITS`] bits of `Q_k = ⌊cdf_k ·
+    /// 2^(log₂m + 16)⌋`, where `cdf_k` = P(rank ≤ k); the bits above them
+    /// are `k`'s bucket.
+    keys: Box<[u16]>,
     /// `m + 1` cutpoints: `guide[j]` is the first rank whose CDF is
     /// `≥ j/m`.
     guide: Box<[u32]>,
+    /// `checkpoints[c]` is the running sum of the first `64·c` terms
+    /// `1/kˢ`, unnormalized, as the build added them.
+    checkpoints: Box<[f64]>,
+    /// The sum of all `n` terms: `cdf_k` is the running sum through `k`
+    /// divided by it.
+    total: f64,
+    /// The skew exponent.
+    s: f64,
     /// `53 − log₂ m`: a draw's 53 bits shifted right by this are its
     /// bucket `⌊u·m⌋`.
     shift: u32,
 }
+
+/// The bits of a rank's CDF kept below its bucket.
+const KEY_BITS: u32 = 16;
+
+/// Ranks between two checkpoints of the running sum: the most terms the
+/// tie path adds to recover one CDF value.
+const CHECKPOINT_EVERY: usize = 64;
 
 /// Tables kept for sharing, most recently used last. Four covers the
 /// skews one process mixes (TPC-C 0.9, YCSB 0.99, a synthetic tenant or
@@ -220,8 +246,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0`, if `n > u32::MAX` (the guide table holds
-    /// 32-bit ranks; such a CDF alone would take 32 GiB), or if `s` is
-    /// negative or not finite.
+    /// 32-bit ranks), or if `s` is negative or not finite.
     #[must_use]
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0, "zipf domain must be non-empty");
@@ -266,53 +291,117 @@ impl Zipf {
     }
 }
 
+/// Rank `rank`'s term of the harmonic sum, `1/(rank + 1)ˢ`. The build and
+/// the tie path both add these, so a re-summed CDF value is the built one.
+fn term(rank: usize, s: f64) -> f64 {
+    1.0 / ((rank + 1) as f64).powf(s)
+}
+
+/// The first index in `lo..hi` at which `below` turns false, given that it
+/// is true up to some index and false from there on; `hi` if it never
+/// does. Asks `below` at most `⌈log₂(hi − lo + 1)⌉` times.
+fn bisect(mut lo: usize, mut hi: usize, mut below: impl FnMut(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 impl ZipfTable {
-    /// The normalized harmonic CDF over `1..=n` and its guide.
+    /// The normalized harmonic CDF over `1..=n` as keys, its guide and the
+    /// checkpoints of its running sum. Two passes over the terms: the
+    /// first finds the total, the second normalizes each running sum on
+    /// the fly, so no per-item `f64` is ever allocated.
     fn new(n: usize, s: f64) -> Self {
-        let mut cdf = Vec::with_capacity(n);
+        let mut checkpoints = Vec::with_capacity(n.div_ceil(CHECKPOINT_EVERY));
         let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
+        for rank in 0..n {
+            if rank % CHECKPOINT_EVERY == 0 {
+                checkpoints.push(acc);
+            }
+            acc += term(rank, s);
         }
         let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        let cdf = cdf.into_boxed_slice();
 
         let log_m = (n / 2).max(1).ilog2();
         let m = 1usize << log_m;
-        // One merge pass: both the cutpoints `j/m` and the CDF ascend.
+        let scale = (1u64 << (log_m + KEY_BITS)) as f64;
+        let mut keys = Vec::with_capacity(n);
         let mut guide = Vec::with_capacity(m + 1);
-        let mut rank = 0;
-        for j in 0..=m {
-            let cut = j as f64 / m as f64;
-            while rank < n && cdf[rank] < cut {
-                rank += 1;
+        let mut acc = 0.0;
+        for rank in 0..n {
+            acc += term(rank, s);
+            let q = (acc / total * scale) as u64;
+            keys.push(q as u16);
+            // `q`'s bucket `⌊cdf·m⌋` is `≥ j` exactly when the CDF is
+            // `≥ j/m`: this rank is the cutpoint of every bucket up to it
+            // not yet cut. The last CDF is exactly 1, bucket `m`.
+            while guide.len() <= (q >> KEY_BITS) as usize {
+                guide.push(rank as u32);
             }
-            guide.push(rank as u32);
         }
+        debug_assert_eq!(guide.len(), m + 1);
         ZipfTable {
-            cdf,
+            keys: keys.into_boxed_slice(),
             guide: guide.into_boxed_slice(),
+            checkpoints: checkpoints.into_boxed_slice(),
+            total,
+            s,
             shift: 53 - log_m,
         }
     }
 
     /// The rank of the uniform `bits · 2⁻⁵³`, `bits < 2⁵³`: the first
-    /// index whose CDF is `≥ u`, searched inside its bucket only.
+    /// index whose CDF is `≥ u`, searched on keys inside its bucket only.
+    /// With no key equal to the draw's, the search's insertion point is
+    /// the first key above it and the answer; an equal key is a tie.
+    /// `guide[j + 1]` is at most `n − 1` (the last CDF is exactly 1), so
+    /// the rank is always in the domain.
     fn rank_of(&self, bits: u64) -> u64 {
-        let u = bits as f64 * (1.0 / (1u64 << 53) as f64);
         let j = (bits >> self.shift) as usize;
         let lo = self.guide[j] as usize;
         let hi = self.guide[j + 1] as usize;
-        let rank = if lo == hi {
-            lo
-        } else {
-            lo + self.cdf[lo..hi].partition_point(|&c| c < u)
-        };
-        rank.min(self.cdf.len() - 1) as u64
+        if lo == hi {
+            return lo as u64;
+        }
+        let key = (bits >> (self.shift - KEY_BITS)) as u16;
+        match self.keys[lo..hi].binary_search(&key) {
+            Err(first) => (lo + first) as u64,
+            Ok(_) => self.tie_rank(lo, hi, bits),
+        }
+    }
+
+    /// The rank of `bits` when keys of `lo..hi` equal its own: the first
+    /// rank of that run of equal keys whose exact CDF is `≥ u`, or the
+    /// rank after the run. The run is bisected on exact values, so a long
+    /// run of equal keys (a heavy tail's small terms) costs `O(log run)`
+    /// re-sums of at most [`CHECKPOINT_EVERY`] terms each.
+    #[cold]
+    #[inline(never)]
+    fn tie_rank(&self, lo: usize, hi: usize, bits: u64) -> u64 {
+        let u = bits as f64 * (1.0 / (1u64 << 53) as f64);
+        let key = (bits >> (self.shift - KEY_BITS)) as u16;
+        let keys = &self.keys[lo..hi];
+        let first = lo + keys.partition_point(|&q| q < key);
+        let end = lo + keys.partition_point(|&q| q <= key);
+        bisect(first, end, |rank| self.cdf(rank) < u) as u64
+    }
+
+    /// `cdf_k` bit for bit as the build computed it: the checkpoint at or
+    /// before `rank`, plus the terms from there through `rank` in the
+    /// build's order, over the total.
+    fn cdf(&self, rank: usize) -> f64 {
+        let c = rank / CHECKPOINT_EVERY;
+        let mut acc = self.checkpoints[c];
+        for r in c * CHECKPOINT_EVERY..=rank {
+            acc += term(r, self.s);
+        }
+        acc / self.total
     }
 }
 
@@ -449,19 +538,46 @@ pub(crate) mod tests {
         for _ in 0..5_000 {
             assert!(zipf.sample(&mut rng) < 17);
         }
-        assert_eq!(zipf.table.cdf.len(), 17);
+        assert_eq!(zipf.table.keys.len(), 17);
+    }
+
+    /// The full `f64` CDF of `(n, s)`, summed as the table's build sums
+    /// it and as the sampler kept it before the keys: `cdf[k]` = P(rank ≤
+    /// k), the last entry exactly 1.
+    fn full_cdf(n: usize, s: f64) -> Vec<f64> {
+        let mut cdf = Vec::with_capacity(n);
+        let mut acc = 0.0;
+        for k in 1..=n {
+            acc += 1.0 / (k as f64).powf(s);
+            cdf.push(acc);
+        }
+        for v in &mut cdf {
+            *v /= acc;
+        }
+        cdf
     }
 
     /// The reference draw: the first index of the whole CDF that is
     /// `≥ u`, clamped to the last rank.
-    fn full_table_rank(table: &ZipfTable, bits: u64) -> u64 {
+    fn full_table_rank(cdf: &[f64], bits: u64) -> u64 {
         let u = bits as f64 * (1.0 / (1u64 << 53) as f64);
-        let idx = table.cdf.partition_point(|&c| c < u);
-        idx.min(table.cdf.len() - 1) as u64
+        let idx = cdf.partition_point(|&c| c < u);
+        idx.min(cdf.len() - 1) as u64
     }
 
-    /// 64 cases. The largest domains (2²⁰ + 1 items, 2¹⁹ buckets) cost
-    /// the most: a table build and a million edge draws each.
+    /// Whether `bits`'s key ties with a key of its bucket, so that
+    /// [`ZipfTable::rank_of`] takes the exact path.
+    fn ties(table: &ZipfTable, bits: u64) -> bool {
+        let j = (bits >> table.shift) as usize;
+        let (lo, hi) = (table.guide[j] as usize, table.guide[j + 1] as usize);
+        let key = (bits >> (table.shift - KEY_BITS)) as u16;
+        table.keys[lo..hi].contains(&key)
+    }
+
+    /// 64 cases, 1.96 M inputs, 10 929 of them ties; 0.3 s in the
+    /// workspace's test profile. The largest domains (up to 2²⁰ + 1
+    /// items, 2¹⁹ buckets) cost the most: two table builds and a million
+    /// edge draws each.
     #[test]
     fn guide_table_ranks_equal_the_full_table_search() {
         crate::check::check(0x6A1D_E7AB, 64, |g| {
@@ -475,9 +591,12 @@ pub(crate) mod tests {
                 k => [0.0, 0.5, 0.9, 0.99, 1.0, 1.5][k],
             };
             let table = ZipfTable::new(n as usize, s);
+            let cdf = full_cdf(n as usize, s);
             let m = table.guide.len() as u64 - 1;
             assert!(m.is_power_of_two() && m <= (n / 2).max(1) && 2 * m > n / 2);
             assert_eq!(1u64 << (53 - table.shift), m, "n {n}");
+            assert_eq!(table.keys.len() as u64, n);
+            assert_eq!(table.checkpoints.len() as u64, n.div_ceil(64));
             // Both sides of every bucket edge, both ends of the unit
             // interval, then random draws.
             let mut inputs = vec![0, (1 << 53) - 1];
@@ -485,14 +604,113 @@ pub(crate) mod tests {
                 inputs.extend([(j << table.shift) - 1, j << table.shift]);
             }
             inputs.extend((0..4_096).map(|_| g.any_u64() >> 11));
-            for bits in inputs {
+            // The smallest input whose `u` reaches `cdf[k]`, and its two
+            // neighbours, for 64 ranks spread over the domain: these share
+            // `cdf[k]`'s key, so the exact path decides them.
+            for i in 0..64 {
+                let k = (n - 1) * i / 63;
+                let edge = (cdf[k as usize] * (1u64 << 53) as f64).ceil() as u64;
+                inputs.extend(
+                    [edge.wrapping_sub(1), edge, edge + 1]
+                        .into_iter()
+                        .filter(|&b| b < 1 << 53),
+                );
+            }
+            for (i, &bits) in inputs.iter().enumerate() {
                 assert_eq!(
                     table.rank_of(bits),
-                    full_table_rank(&table, bits),
-                    "n {n}, s {s}, bits {bits:#x}"
+                    full_table_rank(&cdf, bits),
+                    "n {n}, s {s}, input {i}: bits {bits:#x}"
                 );
             }
         });
+    }
+
+    /// The exact path re-sums exactly the CDF the full table holds, and
+    /// the `⌈cdf_k · 2⁵³⌉` inputs do reach it.
+    #[test]
+    fn tie_path_re_sums_the_built_cdf() {
+        for (n, s) in [
+            (1, 0.99),
+            (64, 0.9),
+            (65, 2.0),
+            (10_007, 0.99),
+            (379_454, 0.9),
+        ] {
+            let table = ZipfTable::new(n, s);
+            let cdf = full_cdf(n, s);
+            let mut tied = 0;
+            for k in (0..n).step_by(n / 97 + 1).chain([n - 1]) {
+                assert_eq!(
+                    table.cdf(k).to_bits(),
+                    cdf[k].to_bits(),
+                    "n {n}, s {s}, rank {k}"
+                );
+                let edge = (cdf[k] * (1u64 << 53) as f64).ceil() as u64;
+                if edge < 1 << 53 && ties(&table, edge) {
+                    tied += 1;
+                    let reference = full_table_rank(&cdf, edge);
+                    assert_eq!(table.rank_of(edge), reference, "n {n}, s {s}, rank {k}");
+                }
+            }
+            assert!(
+                n == 1 || tied > 0,
+                "n {n}, s {s}: no input took the exact path"
+            );
+        }
+    }
+
+    /// A heavy tail puts long runs of equal keys in one bucket: at s = 2
+    /// and 2²⁰ + 1 items, ranks past ~2¹⁸ each add less than one key step.
+    /// A tie in such a run is bisected on exact values, `⌈log₂(run + 1)⌉`
+    /// re-sums, not one per rank of the run.
+    #[test]
+    fn tie_walk_bisects_a_long_run_of_equal_keys() {
+        let (n, s) = ((1 << 20) + 1, 2.0);
+        let table = ZipfTable::new(n, s);
+        let cdf = full_cdf(n, s);
+        // The longest run of equal keys inside one bucket.
+        let (mut run, mut best) = (0..0, 0..0);
+        for j in 0..table.guide.len() - 1 {
+            let (lo, hi) = (table.guide[j] as usize, table.guide[j + 1] as usize);
+            for k in lo..hi {
+                if k > run.start && k == run.end && table.keys[k] == table.keys[run.start] {
+                    run.end = k + 1;
+                } else {
+                    run = k..k + 1;
+                }
+                if run.len() > best.len() {
+                    best = run.clone();
+                }
+            }
+            run = 0..0;
+        }
+        assert!(best.len() >= 32, "longest run {best:?}");
+        let bound = (best.len() + 1).next_power_of_two().ilog2();
+        let mut tied = 0;
+        for k in best.clone() {
+            let edge = (cdf[k] * (1u64 << 53) as f64).ceil() as u64;
+            let rank = table.rank_of(edge);
+            assert_eq!(rank, full_table_rank(&cdf, edge), "rank {k}");
+            if (edge >> (table.shift - KEY_BITS)) as u16 != table.keys[best.start] {
+                continue;
+            }
+            // The run's tie: the exact path bisects the run alone.
+            tied += 1;
+            let u = edge as f64 * (1.0 / (1u64 << 53) as f64);
+            let mut resums = 0;
+            let bisected = bisect(best.start, best.end, |r| {
+                resums += 1;
+                table.cdf(r) < u
+            });
+            assert_eq!(bisected as u64, rank, "rank {k}");
+            assert!(
+                resums <= bound,
+                "{resums} re-sums for a run of {}",
+                best.len()
+            );
+        }
+        assert!(2 * tied > best.len(), "{tied} of {} inputs tie", best.len());
     }
 
     /// The fig7 16× cells' working set: `user_pages − op_pages/2` of the
@@ -576,8 +794,11 @@ pub(crate) mod tests {
         // An evicted table lives on in its samplers and is rebuilt equal.
         let rebuilt = Zipf::new(301, 0.7);
         assert!(!Arc::ptr_eq(&held.table, &rebuilt.table), "301 was evicted");
-        assert_eq!(held.table.cdf, rebuilt.table.cdf);
+        assert_eq!(held.table.keys, rebuilt.table.keys);
         assert_eq!(held.table.guide, rebuilt.table.guide);
+        assert_eq!(held.table.checkpoints, rebuilt.table.checkpoints);
+        assert_eq!(held.table.total.to_bits(), rebuilt.table.total.to_bits());
+        assert_eq!(held.table.shift, rebuilt.table.shift);
         assert_eq!(ranks(&held, 53, 500), ranks(&rebuilt, 53, 500));
     }
 

@@ -62,15 +62,25 @@ impl SimTime {
     }
 
     /// Creates an instant `millis` milliseconds after simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if the instant is past
+    /// [`SimTime::MAX`].
     #[must_use]
     pub const fn from_millis(millis: u64) -> Self {
-        SimTime(millis * 1_000)
+        SimTime(SimDuration::from_millis(millis).0)
     }
 
     /// Creates an instant `secs` seconds after simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if the instant is past
+    /// [`SimTime::MAX`].
     #[must_use]
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * 1_000_000)
+        SimTime(SimDuration::from_secs(secs).0)
     }
 
     /// Microseconds since simulation start.
@@ -114,15 +124,42 @@ impl SimDuration {
     }
 
     /// A duration of `millis` milliseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if the duration is longer than
+    /// [`SimDuration::MAX`].
     #[must_use]
     pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000)
+        match millis.checked_mul(1_000) {
+            Some(micros) => SimDuration(micros),
+            None => panic!("the simulated clock overflows: too many milliseconds"),
+        }
+    }
+
+    /// A duration of `secs` seconds, or `None` if it is longer than
+    /// [`SimDuration::MAX`] (about 585 000 years).
+    #[must_use]
+    pub const fn checked_from_secs(secs: u64) -> Option<Self> {
+        match secs.checked_mul(1_000_000) {
+            Some(micros) => Some(SimDuration(micros)),
+            None => None,
+        }
     }
 
     /// A duration of `secs` seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if the duration is longer than
+    /// [`SimDuration::MAX`]: a wrapped conversion would silently turn a
+    /// long run into a short one, or a short one into a near-endless one.
     #[must_use]
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000)
+        match Self::checked_from_secs(secs) {
+            Some(d) => d,
+            None => panic!("the simulated clock overflows: too many seconds"),
+        }
     }
 
     /// A duration from fractional seconds, rounded to the nearest
@@ -311,6 +348,51 @@ mod tests {
     #[should_panic(expected = "the simulated clock overflows")]
     fn advancing_past_the_last_instant_panics_instead_of_wrapping() {
         let _ = SimTime::MAX + SimDuration::from_micros(1);
+    }
+
+    #[test]
+    fn conversions_panic_past_the_clock_instead_of_wrapping() {
+        const LAST_SEC: u64 = u64::MAX / 1_000_000;
+        const LAST_MILLI: u64 = u64::MAX / 1_000;
+        assert_eq!(
+            SimDuration::from_secs(LAST_SEC).as_micros(),
+            LAST_SEC * 1_000_000
+        );
+        assert_eq!(
+            SimTime::from_secs(LAST_SEC).as_micros(),
+            LAST_SEC * 1_000_000
+        );
+        assert_eq!(SimDuration::checked_from_secs(LAST_SEC + 1), None);
+        assert_eq!(
+            SimDuration::checked_from_secs(LAST_SEC),
+            Some(SimDuration::from_secs(LAST_SEC))
+        );
+        assert_eq!(
+            SimTime::from_millis(LAST_MILLI).as_micros(),
+            LAST_MILLI * 1_000
+        );
+        let past: [fn(); 4] = [
+            || {
+                let _ = SimDuration::from_secs(LAST_SEC + 1);
+            },
+            || {
+                let _ = SimTime::from_secs(20_000_000_000_000);
+            },
+            || {
+                let _ = SimDuration::from_millis(LAST_MILLI + 1);
+            },
+            || {
+                let _ = SimTime::from_millis(u64::MAX);
+            },
+        ];
+        for conversion in past {
+            let message = std::panic::catch_unwind(conversion).expect_err("wrapped");
+            let message = message.downcast_ref::<&str>().expect("a message");
+            assert!(
+                message.starts_with("the simulated clock overflows"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

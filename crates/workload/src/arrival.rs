@@ -13,6 +13,9 @@ use jitgc_sim::{SimDuration, SimRng};
 pub enum ArrivalError {
     /// The duration is zero.
     Duration,
+    /// The duration is longer than 2^62 µs: the run could end past the
+    /// end of the simulated clock.
+    TooLong,
     /// The mean rate is zero, negative, NaN or infinite.
     MeanIops,
     /// The mean burst length is below 1 or not finite.
@@ -26,6 +29,10 @@ impl fmt::Display for ArrivalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ArrivalError::Duration => "the run needs at least one simulated second",
+            ArrivalError::TooLong => {
+                "the run may last at most 2^62 µs (4611686018427 simulated seconds, about \
+                 146 000 years): a longer one can run the simulated clock past its end"
+            }
             ArrivalError::MeanIops => "the mean iops must be positive and finite",
             ArrivalError::BurstMean => "the mean burst length must be at least 1",
             ArrivalError::IdleGap => {
@@ -83,6 +90,10 @@ impl ArrivalProcess {
     /// no single gap reaches 2^62 µs and a run's clock stays far from
     /// `u64::MAX`.
     const MAX_IDLE_MEAN_US: f64 = (1u64 << 52) as f64;
+
+    /// The longest run the duration rule admits, 2^62 µs: its clock plus
+    /// the one gap that ends it stays below 2^63 µs.
+    pub(crate) const MAX_DURATION: SimDuration = SimDuration::from_micros(1 << 62);
 
     /// The rate half of the arrival rule: `iops` positive and finite,
     /// `burst_mean` finite and at least 1, and the mean idle gap

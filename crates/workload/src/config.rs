@@ -111,6 +111,17 @@ impl WorkloadConfigBuilder {
         self
     }
 
+    /// Sets the emitted think-time duration to `secs` simulated seconds,
+    /// as the CLIs and a service roster count it. A count of seconds past
+    /// the clock's end sets [`SimDuration::MAX`], which
+    /// [`check_arrival`](Self::check_arrival) refuses, instead of
+    /// panicking in the conversion.
+    #[must_use]
+    pub fn seconds(mut self, secs: u64) -> Self {
+        self.duration = SimDuration::checked_from_secs(secs).unwrap_or(SimDuration::MAX);
+        self
+    }
+
     /// Sets the target arrival rate in requests/second.
     #[must_use]
     pub fn mean_iops(mut self, iops: f64) -> Self {
@@ -134,7 +145,8 @@ impl WorkloadConfigBuilder {
 
     /// The range rule on the arrival knobs, whichever input sets them
     /// (`ssdsim --seconds/--iops/--burst`, a service tenant, code): the
-    /// duration is above zero, the mean IOPS positive and finite, the
+    /// duration is above zero and at most 2^62 µs (see
+    /// [`ArrivalError::TooLong`]), the mean IOPS positive and finite, the
     /// mean burst length finite and at least 1, and the mean idle gap
     /// between bursts short enough that no drawn gap runs the simulated
     /// clock past its end (see [`ArrivalError::IdleGap`]).
@@ -145,6 +157,9 @@ impl WorkloadConfigBuilder {
     pub fn check_arrival(&self) -> Result<(), ArrivalError> {
         if self.duration.is_zero() {
             return Err(ArrivalError::Duration);
+        }
+        if self.duration > ArrivalProcess::MAX_DURATION {
+            return Err(ArrivalError::TooLong);
         }
         ArrivalProcess::check(self.mean_iops, self.burst_mean)
     }
@@ -249,6 +264,22 @@ mod tests {
             assert_eq!(check(1, 1.0, burst), Err(ArrivalError::BurstMean));
         }
         assert_eq!(check(1, 1e-300, 1.0), Err(ArrivalError::IdleGap));
+        let seconds = |secs| {
+            WorkloadConfig::builder()
+                .seconds(secs)
+                .mean_iops(1.0)
+                .check_arrival()
+        };
+        let last = (1 << 62) / 1_000_000;
+        assert_eq!(seconds(last), Ok(()));
+        for secs in [
+            last + 1,
+            u64::MAX / 1_000_000 + 1,
+            20_000_000_000_000,
+            u64::MAX,
+        ] {
+            assert_eq!(seconds(secs), Err(ArrivalError::TooLong), "{secs} s");
+        }
     }
 
     #[test]
