@@ -1,21 +1,24 @@
 //! Every number a `--config` file carries obeys one rule, and
 //! `SystemConfig::from_json` is where a file meets it: a configuration it
 //! accepts builds an `SsdSystem` and runs, one it rejects is an error
-//! that names a key. The property mutates one numeric key of the dumped
-//! `default_sim` configuration at a time — to zero, one, the largest
-//! integer, a negative and a non-integer — and holds both halves. The
+//! that names a key. The property mutates one numeric key of a dumped
+//! configuration at a time — to zero, one, the largest integer, a
+//! negative and a non-integer — and holds both halves. It runs on two
+//! dumps: `default_sim`, and `default_sim` with an endurance limit and
+//! fault injection, whose keys the first dump does not carry. The
 //! system-level rules themselves are `SystemConfig::validate`'s.
 
 use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::{SsdSystem, SystemConfig};
+use jitgc_nand::FaultConfig;
 use jitgc_sim::check::check;
 use jitgc_sim::json::JsonValue;
 use jitgc_sim::SimDuration;
 use jitgc_workload::{BenchmarkKind, WorkloadConfig};
 
-/// Cases the property runs: about four per (key, mutation) pair of the
-/// 24 numeric keys and five mutations.
-const CASES: u32 = 480;
+/// Cases the property runs per numeric key of a dump: about four for each
+/// of the five mutations.
+const CASES_PER_KEY: u32 = 20;
 
 /// The dotted path of every numeric leaf under `v`.
 fn numeric_paths(v: &JsonValue, prefix: &str, out: &mut Vec<String>) {
@@ -81,12 +84,33 @@ fn run_one_second(config: SystemConfig) {
     assert!(report.duration_secs > 0.0);
 }
 
-#[test]
-fn one_mutated_number_is_either_run_or_rejected_by_name() {
-    let dumped = SystemConfig::default_sim().to_json();
+/// `default_sim` on a device that wears out and faults, as
+/// `ssdsim --endurance 40 --fault-seed 9 --fault-program 0.05
+/// --fault-erase 0.05 --fault-read 0.02` builds it.
+fn wearing_sim() -> SystemConfig {
+    let mut config = SystemConfig::default_sim();
+    config.ftl = config
+        .ftl
+        .to_builder()
+        .endurance_limit(40)
+        .fault(FaultConfig {
+            seed: 9,
+            program_rate: 0.05,
+            erase_rate: 0.05,
+            read_rate: 0.02,
+            wear_scale: 40,
+        })
+        .build();
+    config
+}
+
+/// Mutates one numeric key of `base`'s dump per case, which must hold
+/// `keys` of them; `CASES_PER_KEY` cases a key.
+fn mutate_each_number(base: SystemConfig, keys: usize, seed: u64) {
+    let dumped = base.to_json();
     let mut paths = Vec::new();
     numeric_paths(&dumped, "", &mut paths);
-    assert_eq!(paths.len(), 24, "{paths:?}");
+    assert_eq!(paths.len(), keys, "{paths:?}");
     let leaves: Vec<&str> = paths
         .iter()
         .map(|p| p.rsplit('.').next().expect("a path has a leaf"))
@@ -98,7 +122,7 @@ fn one_mutated_number_is_either_run_or_rejected_by_name() {
         JsonValue::I64(-1),
         JsonValue::F64(0.5),
     ];
-    check(0xC0_4F16, CASES, |g| {
+    check(seed, CASES_PER_KEY * keys as u32, |g| {
         let path = &paths[g.usize(0, paths.len())];
         let value = g.pick(&mutations);
         let mutated = with_leaf(&dumped, path, &value);
@@ -114,6 +138,15 @@ fn one_mutated_number_is_either_run_or_rejected_by_name() {
             }
         }
     });
+}
+
+/// 480 cases on the 24 keys of `default_sim` (0.4 s), then 600 on the
+/// 30 of the wearing dump: its `ftl.endurance_limit` and five
+/// `ftl.fault.*` numbers are mutated too.
+#[test]
+fn one_mutated_number_is_either_run_or_rejected_by_name() {
+    mutate_each_number(SystemConfig::default_sim(), 24, 0xC0_4F16);
+    mutate_each_number(wearing_sim(), 30, 0xC0_4F17);
 }
 
 #[test]

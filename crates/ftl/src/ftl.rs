@@ -146,11 +146,6 @@ pub struct Ftl {
     /// reused across batches (a mirror layer reads these back from the
     /// surviving replica).
     failed_reads: Vec<Lpn>,
-    /// GC migration uses the batched
-    /// [`copy_pages_within`](NandDevice::copy_pages_within) path when set
-    /// (the default); tests clear it to run the per-page reference. Both
-    /// produce byte-identical state.
-    bulk_gc: bool,
     /// Scratch for the bulk path's victim snapshot, reused across
     /// collections so the steady state allocates nothing.
     gc_snapshot: Vec<(Ppn, Lpn)>,
@@ -196,7 +191,6 @@ impl Ftl {
             retired_pages: 0,
             degrade_events: Vec::new(),
             failed_reads: Vec::new(),
-            bulk_gc: true,
             gc_snapshot: Vec::new(),
             gc_dst_scratch: Vec::new(),
             gc_copy_enabled: false,
@@ -453,8 +447,8 @@ impl Ftl {
     /// pages *before* they are migrated, so interrupted victims get cheaper.
     ///
     /// Page-granular does not mean page-at-a-time: the pages a visit can
-    /// afford move in one budgeted bulk copy whose in-copy gate stops at
-    /// the same page a per-page loop would.
+    /// afford move in one budgeted bulk copy whose in-copy gate stops
+    /// before the first page the budget cannot pay for.
     pub fn background_collect(
         &mut self,
         now: SimTime,
@@ -534,12 +528,16 @@ impl Ftl {
     /// `outcome`. `None` is unlimited: foreground GC and wear leveling
     /// empty the victim.
     ///
+    /// The victim's valid pages are snapshotted in offset order — under a
+    /// budget only as many as it can pay for, each costing at least
+    /// `page_migrate_cost` — and handed to
+    /// [`bulk_copy_out`](Self::bulk_copy_out), whose in-copy gate decides
+    /// where a budgeted step really stops (program retries make pages
+    /// dearer than the estimate).
+    ///
     /// Fails with [`FtlError::NoReclaimableSpace`] when no GC scratch block
     /// could be opened; the page in flight then stays valid in the victim
     /// and its cost is not charged.
-    ///
-    /// This is the only dispatch site between the batched production path
-    /// and the per-page reference ([`set_bulk_gc`](Self::set_bulk_gc)).
     fn migrate(
         &mut self,
         victim: BlockId,
@@ -553,56 +551,6 @@ impl Ftl {
             "victim must not be an active block"
         );
         let t0 = self.gc_copy_enabled.then(std::time::Instant::now);
-        let result = if self.bulk_gc {
-            self.migrate_bulk(victim, now, budget, outcome)
-        } else {
-            self.migrate_per_page(victim, now, budget, outcome)
-        };
-        if let Some(t0) = t0 {
-            self.gc_copy_wall += t0.elapsed();
-        }
-        result
-    }
-
-    /// Per-page reference implementation of [`migrate`](Self::migrate):
-    /// the budget gate, then one read/program/invalidate round-trip, per
-    /// page.
-    fn migrate_per_page(
-        &mut self,
-        victim: BlockId,
-        now: SimTime,
-        budget: Option<SimDuration>,
-        outcome: &mut BgcOutcome,
-    ) -> Result<(), FtlError> {
-        let migrate_cost = self.config.timing().page_migrate_cost();
-        while let Some((offset, lpn)) = {
-            let next = self.device.block(victim).valid_lpns().next();
-            next
-        } {
-            if budget.is_some_and(|budget| outcome.duration + migrate_cost > budget) {
-                break;
-            }
-            outcome.duration += self.migrate_page(victim, offset, lpn, now)?;
-            outcome.pages_migrated += 1;
-            self.stats.gc_pages_migrated += 1;
-        }
-        Ok(())
-    }
-
-    /// Batched implementation of [`migrate`](Self::migrate): snapshots the
-    /// victim's valid pages — under a budget only as many as it can pay
-    /// for, each costing at least `page_migrate_cost` — then hands them to
-    /// the chunk loop, whose in-copy gate decides where a budgeted step
-    /// really stops (program retries make pages dearer than the estimate).
-    /// Device operations, and therefore fault-model RNG draws, timings and
-    /// counters, happen in exactly the order the per-page loop issues them.
-    fn migrate_bulk(
-        &mut self,
-        victim: BlockId,
-        now: SimTime,
-        budget: Option<SimDuration>,
-        outcome: &mut BgcOutcome,
-    ) -> Result<(), FtlError> {
         let affordable = budget.map_or(usize::MAX, |budget| {
             let pages = budget
                 .saturating_sub(outcome.duration)
@@ -623,65 +571,10 @@ impl Ftl {
         }
         let result = self.bulk_copy_out(victim, &snapshot, now, budget, outcome);
         self.gc_snapshot = snapshot;
-        result
-    }
-
-    /// Migrates one valid page out of `victim` into the GC write stream.
-    fn migrate_page(
-        &mut self,
-        victim: BlockId,
-        offset: u32,
-        lpn: Lpn,
-        now: SimTime,
-    ) -> Result<SimDuration, FtlError> {
-        let old_ppn = self.device.geometry().ppn(victim, offset);
-        let mut took = match self.device.read(old_ppn) {
-            Ok(t) => t,
-            Err(NandError::ReadFailed { .. }) => {
-                // Uncorrectable source read. Relocate the raw (error-laden)
-                // data anyway: dropping the mapping would turn a read error
-                // into silent data loss, and a real controller would salvage
-                // whatever the ECC could not fix.
-                self.stats.gc_read_failures += 1;
-                self.config.timing().page_read_cost()
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let (gc_block, new_ppn) = loop {
-            let gc_block = self.ensure_active_gc_block()?;
-            let gc_offset = self
-                .device
-                .block(gc_block)
-                .next_free_offset()
-                .expect("gc block has space by construction");
-            let new_ppn = self.device.geometry().ppn(gc_block, gc_offset);
-            match self.device.program(new_ppn, lpn) {
-                Ok(t) => {
-                    took += t;
-                    break (gc_block, new_ppn);
-                }
-                Err(NandError::ProgramFailed { .. }) => {
-                    // Failed page is consumed; charge the attempt and retry
-                    // on the next free GC page.
-                    took += self.config.timing().page_program_cost();
-                    self.stats.program_retries += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        self.device.invalidate(old_ppn)?;
-        debug_assert!(
-            !self.victim_index.is_tracked(victim),
-            "migrating pages out of a block still tracked as a candidate"
-        );
-        self.mapping.set(lpn, new_ppn);
-        self.last_write[gc_block.0 as usize] = now;
-        if self.sip.contains(lpn) {
-            self.sip_counts[victim.0 as usize] =
-                self.sip_counts[victim.0 as usize].saturating_sub(1);
-            self.sip_counts[gc_block.0 as usize] += 1;
+        if let Some(t0) = t0 {
+            self.gc_copy_wall += t0.elapsed();
         }
-        Ok(took)
+        result
     }
 
     /// Foreground reclamation: collect until the pool rises above the GC
@@ -747,22 +640,22 @@ impl Ftl {
     /// one [`copy_pages_within`](NandDevice::copy_pages_within) call per
     /// destination block, adding completed pages to `outcome`.
     ///
-    /// The per-page loop interleaves each source read with GC-block
-    /// allocation (read first, then allocate on demand), so the chunk
-    /// boundary protocol mirrors that: the first read of each chunk is
-    /// issued *before* ensuring a destination block, and a chunk that
-    /// fills its destination mid-copy reports `pending_read` so the
-    /// already-read source page is not re-read (nor its fault re-drawn)
-    /// after the next block is opened.
+    /// Each page is read from its source before its destination is
+    /// opened: the first read of each chunk is issued *before* ensuring a
+    /// GC block, and a chunk that fills its destination mid-copy reports
+    /// `pending_read`, so the already-read source page is not read again
+    /// (nor its fault drawn again) after the next block is opened. Device
+    /// operations, and so fault draws, happen page by page in the order
+    /// read, program (with retries), invalidate.
     ///
     /// With a `budget`, the copy stops before the first page for which
     /// `outcome.duration + page_migrate_cost > budget` — the gate sits in
     /// front of every source read, here for a chunk's first page and
-    /// inside the device for the rest — and returns `Ok` with the
-    /// remainder untouched. On an error (no destination block to be had)
-    /// `outcome` holds the completed pages only: what the page in flight
-    /// had already cost is dropped, as `migrate_page`'s early return
-    /// drops it.
+    /// inside the device for the rest, so a refused page is neither read
+    /// nor charged — and returns `Ok` with the remainder untouched. On an
+    /// error (no destination block to be had) `outcome` holds the
+    /// completed pages only: what the page in flight had already cost is
+    /// dropped.
     fn bulk_copy_out(
         &mut self,
         victim: BlockId,
@@ -827,9 +720,11 @@ impl Ftl {
         Ok(())
     }
 
-    /// One GC source read with uncorrectable-read salvage, exactly as the
-    /// per-page loop performs it (see [`migrate_page`](Self::migrate_page)
-    /// for why errored data is relocated anyway).
+    /// One GC source read with uncorrectable-read salvage. An
+    /// uncorrectable read costs a full read and is relocated anyway, from
+    /// the raw (error-laden) data: dropping the mapping would turn a read
+    /// error into silent data loss, and a real controller salvages
+    /// whatever the ECC could not fix.
     fn gc_source_read(&mut self, ppn: Ppn) -> Result<SimDuration, FtlError> {
         match self.device.read(ppn) {
             Ok(t) => Ok(t),
@@ -1216,16 +1111,6 @@ impl Ftl {
     pub fn victim_candidates(&self) -> impl Iterator<Item = BlockId> + '_ {
         (0..=self.victim_index.pages_per_block())
             .flat_map(|valid| self.victim_index.bucket(valid).iter().copied())
-    }
-
-    /// Test hook: `false` pins every GC migration — foreground GC, wear
-    /// leveling and budgeted background GC alike — to the per-page
-    /// reference loop instead of the batched production path (`true`, the
-    /// default). Both produce byte-identical simulation state, background
-    /// GC stopping on the same page under the same budget; the hook exists
-    /// so the equivalence tests can run the reference. No driver exposes it.
-    pub fn set_bulk_gc(&mut self, enabled: bool) {
-        self.bulk_gc = enabled;
     }
 
     /// Starts wall-clock accounting of GC copy work — the page migration

@@ -245,18 +245,33 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 }
 
 /// Reads one frame from `r`; `Ok(None)` on a clean EOF at a frame
-/// boundary.
+/// boundary, that is before the first byte of the length prefix.
+///
+/// A claimed length above the largest legal frame is refused before any
+/// payload buffer is allocated, whatever the prefix says (up to
+/// `u32::MAX`).
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on an oversized or malformed frame and
-/// propagates underlying I/O errors (including EOF mid-frame).
+/// Returns `InvalidData` on an oversized or malformed frame,
+/// `UnexpectedEof` when the stream ends inside a frame (its length prefix
+/// included), and propagates other I/O errors.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut got = 0;
+    while got < len.len() {
+        match r.read(&mut len[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("stream ended {got} bytes into a frame's length prefix"),
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_le_bytes(len);
     if len > MAX_FRAME {
@@ -324,6 +339,15 @@ mod tests {
     fn clean_eof_is_none() {
         let mut empty: &[u8] = &[];
         assert_eq!(read_frame(&mut empty).expect("clean EOF"), None);
+    }
+
+    #[test]
+    fn a_stream_cut_inside_the_length_prefix_is_an_error() {
+        let encoded = Frame::Bye.encode();
+        for cut in 1..4 {
+            let err = read_frame(&mut &encoded[..cut]).expect_err("cut inside the prefix");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
     }
 
     #[test]

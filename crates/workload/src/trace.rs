@@ -187,7 +187,13 @@ pub fn parse_msr_trace(csv: &str, page_size: u64) -> Result<Vec<TraceRecord>, Pa
         let offset = parse_u64(fields[4], "offset")?;
         let size = parse_u64(fields[5], "size")?.max(1);
         let lpn = offset / page_size;
-        let end = (offset + size).div_ceil(page_size);
+        let end = offset
+            .checked_add(size)
+            .ok_or_else(|| ParseTraceError {
+                line: line_no,
+                reason: format!("extent of {size} bytes at offset {offset} passes 2^64 bytes"),
+            })?
+            .div_ceil(page_size);
         let pages = u32::try_from((end - lpn).max(1)).map_err(|_| ParseTraceError {
             line: line_no,
             reason: format!("request of {size} bytes is too large"),
@@ -421,11 +427,31 @@ mod tests {
 
     #[test]
     fn msr_parse_rejects_malformed_lines() {
-        assert!(parse_msr_trace("not,enough,fields", 4096).is_err());
-        assert!(parse_msr_trace("x,h,0,Write,0,4096,1", 4096).is_err());
-        assert!(parse_msr_trace("1,h,0,Flush,0,4096,1", 4096).is_err());
-        let err = parse_msr_trace("1,h,0,Write,bad,4096,1", 4096).expect_err("offset is invalid");
-        assert!(err.to_string().contains("line 1"));
+        let good = "1,h,0,Write,0,4096,1\n";
+        // (line, what the message names); each is tried first and after a
+        // good line, so the line number moves with it.
+        let rows = [
+            ("not,enough,fields", "got 3"),
+            ("x,h,0,Write,0,4096,1", "invalid timestamp"),
+            ("1,h,0,Flush,0,4096,1", "unknown request type"),
+            ("1,h,0,Write,bad,4096,1", "invalid offset"),
+            // The extent's end passes 2^64 bytes.
+            ("1,h,0,Write,18446744073709551615,4096,1", "passes 2^64"),
+            ("1,h,0,Read,18446744073709547520,4097,1", "passes 2^64"),
+            // Cut off in the middle of the type and of the offset.
+            ("1,h,0,Wri", "got 4"),
+            ("1,h,0,Write,40", "got 5"),
+        ];
+        for (line, reason) in rows {
+            for (csv, line_no) in [(line.to_owned(), 1), (format!("{good}{line}"), 2)] {
+                let err = parse_msr_trace(&csv, 4096).expect_err(line);
+                let message = err.to_string();
+                assert!(
+                    message.contains(&format!("line {line_no}")) && message.contains(reason),
+                    "{line:?}: {message}"
+                );
+            }
+        }
     }
 
     #[test]
