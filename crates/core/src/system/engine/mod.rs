@@ -1,17 +1,23 @@
-//! The simulation engine proper.
+//! The simulation engine: the system, its stepping API and shared helpers.
+
+mod quiescence;
+mod report;
+mod request;
+mod tick;
 
 use super::scorer::HorizonScorer;
-use crate::policy::{GcPolicy, IntervalObservation};
+use crate::policy::GcPolicy;
 use crate::predictor::{AccuracyTracker, BufferedWritePredictor, DirectWritePredictor};
-use crate::system::{
-    ClosedLoop, FfGate, FfRefusals, PhaseProfile, RunPerf, SimReport, SystemConfig,
-};
-use jitgc_ftl::{DegradeKind, Ftl, FtlError, SipList};
+use crate::system::{ClosedLoop, ManagerPlacement, PhaseProfile, SimReport, SystemConfig};
+use jitgc_ftl::{Ftl, SipList};
 use jitgc_nand::Lpn;
 use jitgc_pagecache::PageCache;
 use jitgc_sim::stats::LatencyRecorder;
 use jitgc_sim::{ByteSize, SimDuration, SimTime};
-use jitgc_workload::{IoKind, IoRequest, Workload};
+use jitgc_workload::{IoRequest, Workload};
+use quiescence::Quiescence;
+pub use quiescence::{FfGate, FfRefusals};
+use std::time::Duration;
 
 /// A snapshot of one system's JIT-GC-relevant state, taken between
 /// requests.
@@ -88,6 +94,8 @@ pub struct SsdSystem {
     latencies: LatencyRecorder,
 
     // Timeline.
+    /// Written by [`occupy`](SsdSystem::occupy) alone, and by the
+    /// fast-forward's closed form of many ticks' SG_IO commands.
     device_busy_until: SimTime,
     /// The issue clock of [`run`](SsdSystem::run); an external scheduler
     /// driving [`step`](SsdSystem::step) keeps its own.
@@ -108,24 +116,8 @@ pub struct SsdSystem {
     /// of the `N_wb` intervals after it.
     scorer: HorizonScorer,
 
-    // Quiescence fast-forward (DESIGN.md §15). `last_tick_noop` is the
-    // dirty-flag core: the most recent tick verified itself a no-flow
-    // fixed point of `handle_tick`. The snapshots taken with it detect any
-    // perturbation since: of the FTL's capacity picture (BGC, trim, block
-    // retirement) and of the cache's dirty set (every buffered write bumps
-    // `writes`, and without one `dirty_count` can only fall).
-    fast_forward: bool,
-    last_tick_noop: bool,
-    /// The prediction the most recent tick pushed; a skipped tick pushes
-    /// it again.
-    last_tick_predicted: Option<u64>,
-    noop_free_pages: u64,
-    noop_reclaimable: ByteSize,
-    noop_cache_writes: u64,
-    noop_dirty_count: u64,
-    ticks_skipped: u64,
-    ff_spans: u64,
-    ff_refusals: FfRefusals,
+    /// The quiescence fast-forward's certificate (DESIGN.md §15).
+    quiescence: Quiescence,
 
     /// Set by [`prefill`](SsdSystem::prefill), which ages a device once.
     prefilled: bool,
@@ -217,7 +209,6 @@ impl SsdSystem {
             config.cdh_percentile,
             config.cdh_bin_bytes,
         );
-        let next_tick = SimTime::ZERO + config.flusher_period;
         SsdSystem {
             ftl,
             cache,
@@ -229,7 +220,7 @@ impl SsdSystem {
             latencies: LatencyRecorder::new(),
             device_busy_until: SimTime::ZERO,
             closed_loop: ClosedLoop::new(config.queue_depth),
-            next_tick,
+            next_tick: SimTime::ZERO + config.flusher_period,
             target_free: ByteSize::ZERO,
             target_free_pages: 0,
             last_buffered_demand: 0,
@@ -237,16 +228,7 @@ impl SsdSystem {
             direct_bytes_interval: 0,
             host_pages_at_tick: 0,
             scorer: HorizonScorer::default(),
-            fast_forward: true,
-            last_tick_noop: false,
-            last_tick_predicted: None,
-            noop_free_pages: 0,
-            noop_reclaimable: ByteSize::ZERO,
-            noop_cache_writes: 0,
-            noop_dirty_count: 0,
-            ticks_skipped: 0,
-            ff_spans: 0,
-            ff_refusals: FfRefusals::default(),
+            quiescence: Quiescence::default(),
             prefilled: false,
             ops: 0,
             reads: 0,
@@ -289,8 +271,43 @@ impl SsdSystem {
         profile
     }
 
-    fn timer(&self) -> Option<std::time::Instant> {
-        self.profile_enabled.then(std::time::Instant::now)
+    /// Runs `f`, adding its wall time to `phase` of the profile when
+    /// profiling is on: the one stopwatch of every phase.
+    fn timed<R>(
+        &mut self,
+        phase: fn(&mut PhaseProfile) -> &mut Duration,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let t0 = self.profile_enabled.then(std::time::Instant::now);
+        let out = f(self);
+        if let Some(t0) = t0 {
+            *phase(&mut self.profile) += t0.elapsed();
+        }
+        out
+    }
+
+    /// Gives the device `took` of work that can start no earlier than
+    /// `from` nor before it finishes what it has accepted; returns when
+    /// the work ends. The one writer of the device timeline between
+    /// fast-forwards.
+    fn occupy(&mut self, from: SimTime, took: SimDuration) -> SimTime {
+        self.device_busy_until = from.max(self.device_busy_until) + took;
+        self.device_busy_until
+    }
+
+    /// The device time one tick's extended-interface exchange costs, or
+    /// `None` when no tick pays one. With the manager in the host (the
+    /// paper's actual implementation, Fig. 3(b)) a SIP-using policy pays
+    /// four SG_IO commands per tick: the paper measured ~160 µs each, and
+    /// JIT-GC exchanges demands, the SIP list, `C_free` and the BGC
+    /// command. The ideal in-device manager (Fig. 3(a)) pays nothing.
+    fn sg_io_cost(&self) -> Option<SimDuration> {
+        (self.policy.uses_sip() && self.config.manager_placement == ManagerPlacement::Host)
+            .then(|| self.config.host_command_overhead.saturating_mul(4))
+    }
+
+    fn page_size(&self) -> ByteSize {
+        self.config.ftl.geometry().page_size()
     }
 
     /// Runs the workload to exhaustion and reports.
@@ -321,12 +338,8 @@ impl SsdSystem {
     /// advance members in virtual-time lockstep; the caller owns the
     /// closed-loop schedule (think times, thread completion bookkeeping).
     pub fn step(&mut self, req: IoRequest, issue: SimTime) -> SimTime {
-        self.catch_up(issue);
-        let t0 = self.timer();
-        let completion = self.execute(req, issue);
-        if let Some(t0) = t0 {
-            self.profile.request_execution += t0.elapsed();
-        }
+        self.advance_to(issue);
+        let completion = self.timed(|p| &mut p.request_execution, |s| s.execute(req, issue));
         self.latencies.record(completion.saturating_since(issue));
         self.ops += 1;
         completion
@@ -335,21 +348,21 @@ impl SsdSystem {
     /// Processes periodic host work (flusher, predictors, policy) and
     /// idle-gap background GC up to time `t` without issuing a request —
     /// how an external scheduler lets a member's clock advance through a
-    /// stretch where no request touched it.
+    /// stretch where no request touched it. It is also the preamble of
+    /// [`step`](Self::step), so every tick — looped or fast-forwarded —
+    /// and the fast-forward decision funnel through one place.
     pub fn advance_to(&mut self, t: SimTime) {
-        self.catch_up(t);
+        if self.next_tick <= t {
+            self.timed(|p| &mut p.tick, |s| s.process_ticks_until(t));
+        }
+        self.run_bgc_in_gap(t);
     }
 
     /// Builds the final report, treating `end` as the run's end time
     /// (callers that drive the engine via [`step`](SsdSystem::step) own
     /// the schedule and therefore know when the run ended).
     pub fn finalize(&mut self, end: SimTime) -> SimReport {
-        let t0 = self.timer();
-        let report = self.build_report(end);
-        if let Some(t0) = t0 {
-            self.profile.reporting += t0.elapsed();
-        }
-        report
+        self.timed(|p| &mut p.reporting, |s| s.build_report(end))
     }
 
     /// Shifts the first flusher tick later by `offset`, staggering this
@@ -365,39 +378,6 @@ impl SsdSystem {
         let p_us = self.config.flusher_period.as_micros();
         self.cache
             .set_flusher_phase(SimDuration::from_micros(self.next_tick.as_micros() % p_us));
-    }
-
-    /// Current JIT-GC telemetry for array-level coordination.
-    #[must_use]
-    pub fn gc_signals(&self) -> GcSignals {
-        GcSignals {
-            free_capacity: self.ftl.free_capacity(),
-            reclaimable_capacity: self.ftl.reclaimable_capacity(),
-            target_free: self.target_free,
-            predicted_buffered_bytes: self.last_buffered_demand,
-            predicted_direct_bytes: self.last_direct_demand,
-            busy_until: self.device_busy_until,
-            fgc_invocations: self.ftl.stats().fgc_invocations,
-        }
-    }
-
-    /// This member's virtual clock: the next instant at which it owes
-    /// periodic host work (flusher tick, predictor poll, policy
-    /// decision). Everything strictly before it has already been
-    /// processed, so an external scheduler can treat it as "how far this
-    /// member has advanced".
-    #[must_use]
-    pub fn virtual_clock(&self) -> SimTime {
-        self.next_tick
-    }
-
-    /// Cumulative foreground-GC invocations so far. Sampling this around
-    /// a [`step`](SsdSystem::step) tells an external scheduler whether
-    /// the step stalled on foreground GC — the per-member straggler
-    /// attribution the array layer reports.
-    #[must_use]
-    pub fn fgc_invocations(&self) -> u64 {
-        self.ftl.stats().fgc_invocations
     }
 
     /// Ages the device: writes the whole working set once in scrambled
@@ -438,648 +418,43 @@ impl SsdSystem {
         self.host_pages_at_tick = 0;
     }
 
-    // ------------------------------------------------------------------
-    // Periodic host work (flusher + predictors + policy)
-    // ------------------------------------------------------------------
-
-    /// Catches the engine up to time `t`: all owed periodic host work
-    /// (flusher, predictors, policy — looped or fast-forwarded) followed
-    /// by background GC in the idle gap up to `t`. This is the single
-    /// shared preamble of [`step`](Self::step) and
-    /// [`advance_to`](Self::advance_to), so every tick in the simulation
-    /// funnels through one place — and so does the fast-forward decision.
-    fn catch_up(&mut self, t: SimTime) {
-        if self.next_tick <= t {
-            let t0 = self.timer();
-            self.process_ticks_until(t);
-            if let Some(t0) = t0 {
-                self.profile.tick += t0.elapsed();
-            }
-        }
-        self.run_bgc_in_gap(t);
-    }
-
-    fn process_ticks_until(&mut self, t: SimTime) {
-        while self.next_tick <= t {
-            // Quiescence can be *reached* partway through a long idle
-            // span (the cache drains and the predictors saturate during
-            // the first ticks of the gap), so the check runs before every
-            // tick, not just once on entry. The first tick that verifies
-            // skips the whole remainder in one bulk update.
-            if self.fast_forward {
-                match self.can_fast_forward() {
-                    Ok(()) => {
-                        let span = t.saturating_since(self.next_tick);
-                        let k = span.div_duration(self.config.flusher_period) + 1;
-                        self.fast_forward_span(k);
-                        self.ticks_skipped += k;
-                        self.ff_spans += 1;
-                        return;
-                    }
-                    Err(gate) => self.ff_refusals.note(gate),
-                }
-            }
-            let tick = self.next_tick;
-            self.run_bgc_in_gap(tick);
-            self.handle_tick(tick);
-            self.next_tick = tick + self.config.flusher_period;
-        }
-    }
-
-    /// The quiescence check (DESIGN.md §15a): `Ok` when the next tick —
-    /// and by induction every tick until an external event — would map
-    /// the engine exactly onto its current state, else the first gate
-    /// that refused. Cheap dirty-flag and counter comparisons come first;
-    /// the O(window) predictor scans run only once everything else has
-    /// passed.
-    fn can_fast_forward(&self) -> Result<(), FfGate> {
-        // The most recent tick must have verified itself a no-op…
-        if !self.last_tick_noop {
-            return Err(FfGate::TickNotNoop);
-        }
-        // …over the dirty set the cache still holds: any buffered write
-        // since bumps `writes` (a rewrite of a dirty page, which resets
-        // its age, bumps nothing else), and without one the dirty count
-        // can only fall (direct write over a dirty page).
-        if self.cache.stats().writes != self.noop_cache_writes
-            || self.cache.dirty_count() != self.noop_dirty_count
-        {
-            return Err(FfGate::CacheChanged);
-        }
-        if self.direct_bytes_interval != 0 {
-            return Err(FfGate::DirectBytes);
-        }
-        // Nothing may have perturbed the FTL's mapping or capacity
-        // picture since (BGC, trim, read-repair block retirement…).
-        if self.ftl.stats().host_pages_written != self.host_pages_at_tick
-            || self.ftl.free_pages() != self.noop_free_pages
-            || self.ftl.reclaimable_capacity() != self.noop_reclaimable
-        {
-            return Err(FfGate::FtlMoved);
-        }
-        // Per-tick side effects the bulk update does not model.
-        if self.config.record_timeline || self.config.wear_leveling {
-            return Err(FfGate::PerTickEffect);
-        }
-        // BGC must be at target, otherwise inter-tick gaps do real work.
-        if self.ftl.free_pages() < self.target_free_pages {
-            return Err(FfGate::BgcBelowTarget);
-        }
-        // The SG_IO cost folds into a closed form only when one tick's
-        // commands fit within the period (Lindley recursion unrolling
-        // needs c ≤ p); gate rather than assume.
-        if self.sip_tick_cost_applies()
-            && self.config.host_command_overhead.saturating_mul(4) > self.config.flusher_period
-        {
-            return Err(FfGate::SgIoCost);
-        }
-        // Predictor and policy must be exact self-maps on a repeated
-        // zero-traffic interval (lazy O(window) scans).
-        if !self.direct_pred.at_zero_traffic_fixed_point() {
-            return Err(FfGate::DirectPredictor);
-        }
-        if !self.policy.zero_traffic_fixed_point() {
-            return Err(FfGate::Policy);
-        }
-        Ok(())
-    }
-
-    fn sip_tick_cost_applies(&self) -> bool {
-        self.policy.uses_sip()
-            && self.config.manager_placement == crate::system::ManagerPlacement::Host
-    }
-
-    /// Applies the net effect of `k` consecutive quiescent ticks in
-    /// O(`N_wb`) instead of O(`k`):
-    ///
-    /// * `k` intervals close without traffic, each re-issuing the
-    ///   verified prediction `R` ([`HorizonScorer::skip_idle`]: same FIFO
-    ///   order, same `u64` sums, same float operations as the per-tick
-    ///   loop);
-    /// * the per-tick SG_IO device cost folds in closed form
-    ///   `busy' = max(busy + k·c, T_k + c)` (valid because `c ≤ p` was
-    ///   gated);
-    /// * the clock jumps past the span.
-    ///
-    /// Everything else — cache, FTL, predictors, policy, demand
-    /// snapshots, `host_pages_at_tick` — is untouched, which is exactly
-    /// what `can_fast_forward` certified.
-    fn fast_forward_span(&mut self, k: u64) {
-        let p = self.config.flusher_period;
-        self.scorer.skip_idle(
-            k,
-            self.last_tick_predicted,
-            self.config.nwb(),
-            &mut self.accuracy,
-        );
-        let t_last = self.next_tick + p.saturating_mul(k - 1);
-        if self.sip_tick_cost_applies() {
-            let c = self.config.host_command_overhead.saturating_mul(4);
-            self.device_busy_until = (self.device_busy_until + c.saturating_mul(k)).max(t_last + c);
-        }
-        self.next_tick = t_last + p;
-    }
-
-    fn handle_tick(&mut self, now: SimTime) {
-        // Direct traffic of the closing interval, read before step 3
-        // resets it — one input of the quiescence verdict below.
-        let entry_direct_bytes = self.direct_bytes_interval;
-        let entry_target = self.target_free;
-
-        // 1. Flusher thread: write back expired / pressured dirty pages.
-        let t0 = self.timer();
-        let batch = self.cache.flusher_tick(now);
-        let batch_was_empty = batch.lpns.is_empty();
-        if !batch.lpns.is_empty() {
-            match self.ftl.host_write_batch(&batch.lpns, now) {
-                Ok(out) => {
-                    if out.fgc_writes > 0 {
-                        self.fgc_flush_stalls += 1;
-                    }
-                    let start = now.max(self.device_busy_until);
-                    self.device_busy_until = start + out.duration;
-                    let bytes = self.page_size() * batch.lpns.len() as u64;
-                    self.policy.observe_write(bytes, out.duration);
-                }
-                // End of life: the device stopped accepting writes
-                // mid-batch. The remaining dirty data has nowhere to go —
-                // it is lost, exactly as on a real drive that dies with a
-                // dirty page cache.
-                Err(FtlError::ReadOnly) => self.note_read_only(now),
-                Err(e) => panic!("flush target within user space: {e}"),
-            }
-        }
-        if let Some(t0) = t0 {
-            self.profile.flush += t0.elapsed();
-        }
-
-        // 2. Account the device traffic of the interval that just closed
-        //    (post-flush to post-flush) and score any prediction whose
-        //    full horizon has now elapsed.
-        let host_pages_now = self.ftl.stats().host_pages_written;
-        let actual_bytes = (host_pages_now - self.host_pages_at_tick) * self.page_size().as_u64();
-        self.host_pages_at_tick = host_pages_now;
-        self.scorer
-            .close_interval(actual_bytes, self.config.nwb(), &mut self.accuracy);
-
-        // 3. Kernel-side predictors (paper Sec. 3.2). The SIP list is a
-        //    scratch buffer ping-ponged with the FTL (step 5), so the
-        //    poll reuses its backing storage instead of reallocating.
-        let t0 = self.timer();
-        self.direct_pred
-            .observe_interval(self.direct_bytes_interval);
-        self.direct_bytes_interval = 0;
-        let mut sip = std::mem::take(&mut self.sip_scratch);
-        let buffered_demand = self.buffered_pred.predict_into(&self.cache, now, &mut sip);
-        let direct_demand = self.direct_pred.predict();
-        self.last_buffered_demand = buffered_demand.total();
-        self.last_direct_demand = direct_demand.total();
-        if let Some(t0) = t0 {
-            self.profile.predictor += t0.elapsed();
-        }
-
-        // 4. Policy decision (paper Sec. 3.3).
-        let obs = IntervalObservation {
-            now,
+    /// Current JIT-GC telemetry for array-level coordination.
+    #[must_use]
+    pub fn gc_signals(&self) -> GcSignals {
+        GcSignals {
             free_capacity: self.ftl.free_capacity(),
-            op_capacity: self.ftl.op_capacity(),
-            buffered_demand: &buffered_demand,
-            direct_demand: &direct_demand,
-            device_bytes_last_interval: actual_bytes,
-        };
-        let decision = self.policy.on_interval(&obs);
-        // The paper's feasibility restriction: a reserve beyond what is
-        // physically reclaimable would make BGC erase fully-valid blocks
-        // for nothing ("useless BGC operations").
-        self.target_free = decision.target_free.min(self.ftl.reclaimable_capacity());
-        self.target_free_pages = self.target_free.as_u64() / self.page_size().as_u64();
-        if let Some(predicted) = decision.predicted_next_interval {
-            self.scorer.issue(predicted);
-        }
-
-        // 5. Ship the SIP list to the FTL. With the manager in the host
-        //    (the paper's actual implementation, Fig. 3(b)) each tick pays
-        //    the extended-interface cost: the paper measured ~160 µs per
-        //    SG_IO command, and JIT-GC exchanges demands, the SIP list,
-        //    C_free and the BGC command — four commands. The ideal
-        //    in-device manager (Fig. 3(a)) pays nothing.
-        if self.policy.uses_sip() {
-            let t0 = self.timer();
-            // Swap the fresh list in and take last interval's back as the
-            // next poll's scratch — allocation-free in steady state.
-            self.sip_scratch = self.ftl.install_sip_list(sip);
-            if let Some(t0) = t0 {
-                self.profile.predictor += t0.elapsed();
-            }
-            if self.config.manager_placement == crate::system::ManagerPlacement::Host {
-                self.device_busy_until = self.device_busy_until.max(now)
-                    + self.config.host_command_overhead.saturating_mul(4);
-            }
-        } else {
-            self.sip_scratch = sip;
-        }
-
-        // 6. Optional timeline snapshot for time-series analysis.
-        if self.config.record_timeline {
-            let page = self.page_size().as_u64();
-            self.timeline.push(crate::system::IntervalSample {
-                t_secs: now.as_secs_f64(),
-                free_pages: self.ftl.free_pages(),
-                target_pages: self.target_free_pages,
-                host_pages_interval: actual_bytes / page,
-                fgc_cumulative: self.ftl.stats().fgc_invocations,
-                bgc_blocks_cumulative: self.ftl.stats().bgc_blocks,
-                waf: self.ftl.waf().unwrap_or(1.0),
-            });
-        }
-
-        // 7. Optional static wear leveling (extension). A device at the
-        //    end of its life has nothing left to level — and relocation
-        //    itself can fail for lack of a spare block.
-        if self.config.wear_leveling && !self.ftl.read_only() {
-            match self.ftl.wear_level(now) {
-                Ok(out) => {
-                    if out.performed {
-                        let start = now.max(self.device_busy_until);
-                        self.device_busy_until = start + out.duration;
-                    }
-                }
-                Err(FtlError::NoReclaimableSpace | FtlError::ReadOnly) => {
-                    // Leveling is best-effort; skip the pass.
-                }
-                Err(e) => panic!("wear leveling: {e}"),
-            }
-        }
-
-        // 8. Quiescence verdict (DESIGN.md §15a). This tick was a no-flow
-        //    fixed point iff nothing flowed (empty flush batch, no host or
-        //    direct bytes), whatever is still dirty can never flush (at or
-        //    below `τ_flush`, so the AND-semantics flusher stays gated)
-        //    and has aged into the predictor's interval 1 (where the
-        //    clamp keeps it, so the next poll returns this demand and
-        //    installs this SIP list again), the direct demand is zero, and
-        //    the policy repeated the previous tick's target and
-        //    prediction. Under those conditions — plus the predictor /
-        //    policy self-map checks and the snapshots below, verified
-        //    again at skip time — the next zero-traffic tick repeats this
-        //    one exactly.
-        self.last_tick_noop = batch_was_empty
-            && actual_bytes == 0
-            && entry_direct_bytes == 0
-            && self.cache.dirty_count() <= self.cache.config().flush_threshold_pages()
-            && buffered_demand.total() == buffered_demand.interval(1)
-            && self.last_direct_demand == 0
-            && self.target_free == entry_target
-            && decision.predicted_next_interval == self.last_tick_predicted;
-        self.last_tick_predicted = decision.predicted_next_interval;
-        if self.last_tick_noop {
-            self.noop_free_pages = self.ftl.free_pages();
-            self.noop_reclaimable = self.ftl.reclaimable_capacity();
-            self.noop_cache_writes = self.cache.stats().writes;
-            self.noop_dirty_count = self.cache.dirty_count();
+            reclaimable_capacity: self.ftl.reclaimable_capacity(),
+            target_free: self.target_free,
+            predicted_buffered_bytes: self.last_buffered_demand,
+            predicted_direct_bytes: self.last_direct_demand,
+            busy_until: self.device_busy_until,
+            fgc_invocations: self.ftl.stats().fgc_invocations,
         }
     }
 
-    /// Records the first observation of the device's read-only transition
-    /// and freezes the lifetime metric: host pages accepted since the end
-    /// of pre-fill ([`prefill`](Self::prefill) resets the counters, so
-    /// aging writes never count as lifetime).
-    fn note_read_only(&mut self, now: SimTime) {
-        if self.read_only_at.is_none() {
-            self.read_only_at = Some(now);
-            self.lifetime_host_pages = self.ftl.stats().host_pages_written;
-        }
+    /// This member's virtual clock: the next instant at which it owes
+    /// periodic host work (flusher tick, predictor poll, policy
+    /// decision). Everything strictly before it has already been
+    /// processed, so an external scheduler can treat it as "how far this
+    /// member has advanced".
+    #[must_use]
+    pub fn virtual_clock(&self) -> SimTime {
+        self.next_tick
     }
 
-    /// Tallies a host request refused because the device is read-only.
-    fn reject_request(&mut self, now: SimTime) {
-        self.note_read_only(now);
-        self.rejected_requests += 1;
-    }
-
-    /// Mirror-repair read path: the array layer re-reads LPNs whose copy
-    /// on the peer replica came back uncorrectable. Bypasses the page
-    /// cache (the data demonstrably was not there) and returns the
-    /// completion time plus how many pages failed on *this* replica too —
-    /// those are lost for good.
-    pub fn recovery_read(&mut self, lpns: &[Lpn], issue: SimTime) -> (SimTime, u64) {
-        let out = self
-            .ftl
-            .host_read_batch(lpns, issue)
-            .expect("recovery stays within user space");
-        if out.duration.is_zero() {
-            return (issue, out.failed);
-        }
-        let start = issue.max(self.device_busy_until);
-        self.device_busy_until = start + out.duration;
-        (start + out.duration, out.failed)
-    }
-
-    /// Lets background GC consume device idle time in `[busy_until, t)`,
-    /// reclaiming toward the policy's current target. Because the budget
-    /// ends at the next known event, BGC never delays host work — the
-    /// model of a perfectly preemptible collector.
-    fn run_bgc_in_gap(&mut self, t: SimTime) {
-        let t0 = self.timer();
-        self.bgc_in_gap(t);
-        if let Some(t0) = t0 {
-            self.profile.bgc += t0.elapsed();
-        }
-    }
-
-    fn bgc_in_gap(&mut self, t: SimTime) {
-        if self.device_busy_until >= t {
-            return;
-        }
-        if self.ftl.free_pages() >= self.target_free_pages {
-            return;
-        }
-        let gap_start = self.device_busy_until;
-        let budget = t.saturating_since(gap_start);
-        let outcome = self
-            .ftl
-            .background_collect(gap_start, budget, Some(self.target_free_pages));
-        if outcome.blocks_erased > 0 {
-            self.device_busy_until = gap_start + outcome.duration;
-            self.policy
-                .observe_gc(self.page_size() * outcome.pages_freed, outcome.duration);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Request execution
-    // ------------------------------------------------------------------
-
-    fn execute(&mut self, req: IoRequest, issue: SimTime) -> SimTime {
-        self.failed_reads.clear();
-        let mut host_time = SimDuration::ZERO;
-        let mut device_time = SimDuration::ZERO;
-        match req.kind {
-            IoKind::Read => {
-                self.reads += 1;
-                let mut misses = std::mem::take(&mut self.lpn_scratch);
-                misses.clear();
-                for lpn in req.lpns() {
-                    if self.cache.read(lpn, issue) {
-                        host_time += self.config.cache_op_time;
-                    } else {
-                        misses.push(lpn);
-                    }
-                }
-                if !misses.is_empty() {
-                    let out = self
-                        .ftl
-                        .host_read_batch(&misses, issue)
-                        .expect("workload stays within user space");
-                    device_time += out.duration;
-                    // Never-written data reads back as zeros without
-                    // touching the device.
-                    host_time += self.config.cache_op_time.saturating_mul(out.unmapped);
-                    if out.failed > 0 {
-                        self.failed_reads
-                            .extend_from_slice(self.ftl.failed_read_lpns());
-                    }
-                }
-                self.lpn_scratch = misses;
-            }
-            IoKind::BufferedWrite => {
-                self.buffered_writes += 1;
-                // The cache is saturated with dirty data: the oldest
-                // pages must hit the device before this write can be
-                // absorbed. Stage them and issue one batch below.
-                let mut writebacks = std::mem::take(&mut self.lpn_scratch);
-                writebacks.clear();
-                for lpn in req.lpns() {
-                    host_time += self.config.cache_op_time;
-                    let effect = self.cache.write(lpn, issue);
-                    writebacks.extend(effect.forced_writebacks);
-                }
-                if !writebacks.is_empty() {
-                    match self.ftl.host_write_batch(&writebacks, issue) {
-                        Ok(out) => {
-                            device_time += out.duration;
-                            // Every forced write-back that hit foreground GC
-                            // is its own stall, exactly as in the per-page
-                            // loop.
-                            self.fgc_request_stalls += out.fgc_writes;
-                        }
-                        Err(FtlError::ReadOnly) => self.reject_request(issue),
-                        Err(e) => panic!("cache holds user-space pages: {e}"),
-                    }
-                }
-                self.lpn_scratch = writebacks;
-                // Linux dirty throttling: past the hard dirty ratio this
-                // writer performs write-back itself — synchronously, GC
-                // stalls and all. This is how a slow flush path reaches
-                // the application.
-                let throttled = self.cache.throttle_excess();
-                if !throttled.is_empty() {
-                    self.throttled_requests += 1;
-                    match self.ftl.host_write_batch(&throttled, issue) {
-                        Ok(out) => {
-                            device_time += out.duration;
-                            self.fgc_request_stalls += u64::from(out.fgc_writes > 0);
-                        }
-                        Err(FtlError::ReadOnly) => self.reject_request(issue),
-                        Err(e) => panic!("cache holds user-space pages: {e}"),
-                    }
-                }
-            }
-            IoKind::DirectWrite => {
-                self.direct_writes += 1;
-                let mut lpns = std::mem::take(&mut self.lpn_scratch);
-                lpns.clear();
-                lpns.extend(req.lpns());
-                match self.ftl.host_write_batch(&lpns, issue) {
-                    Ok(out) => {
-                        device_time += out.duration;
-                        self.fgc_request_stalls += u64::from(out.fgc_writes > 0);
-                        for &lpn in &lpns {
-                            // A direct write supersedes any cached copy;
-                            // drop it so a stale flush cannot overwrite the
-                            // new data.
-                            self.cache.invalidate(lpn);
-                        }
-                        let bytes = self.page_size() * u64::from(req.pages);
-                        self.direct_bytes_interval += bytes.as_u64();
-                        self.policy.observe_write(bytes, device_time);
-                    }
-                    Err(FtlError::ReadOnly) => self.reject_request(issue),
-                    Err(e) => panic!("workload stays within user space: {e}"),
-                }
-                self.lpn_scratch = lpns;
-            }
-            IoKind::Trim => {
-                self.trims += 1;
-                for lpn in req.lpns() {
-                    match self.ftl.trim(lpn, issue) {
-                        Ok(()) => host_time += self.config.cache_op_time,
-                        Err(FtlError::ReadOnly) => {
-                            self.reject_request(issue);
-                            break;
-                        }
-                        Err(e) => panic!("workload stays within user space: {e}"),
-                    }
-                }
-            }
-        }
-
-        if device_time.is_zero() {
-            issue + host_time
-        } else {
-            let start = issue.max(self.device_busy_until);
-            self.device_busy_until = start + device_time;
-            start + device_time + host_time
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Reporting
-    // ------------------------------------------------------------------
-
-    fn page_size(&self) -> ByteSize {
-        self.config.ftl.geometry().page_size()
-    }
-
-    fn build_report(&self, end: SimTime) -> SimReport {
-        let secs = end.as_secs_f64().max(f64::MIN_POSITIVE);
-        let lat = |q: f64| self.latencies.percentile(q).map_or(0, |d| d.as_micros());
-        let stats = self.ftl.stats();
-        SimReport {
-            policy: self.policy.name().to_owned(),
-            workload: self.workload.name().to_owned(),
-            victim_policy: self.ftl.victim_policy().to_owned(),
-            duration_secs: secs,
-            ops: self.ops,
-            iops: self.ops as f64 / secs,
-            reads: self.reads,
-            buffered_writes: self.buffered_writes,
-            direct_writes: self.direct_writes,
-            trims: self.trims,
-            waf: self.ftl.waf(),
-            nand_erases: self.ftl.device().stats().erases,
-            wear: self.ftl.device().wear_report(),
-            fgc_request_stalls: self.fgc_request_stalls,
-            fgc_flush_stalls: self.fgc_flush_stalls,
-            throttled_requests: self.throttled_requests,
-            bgc_blocks: stats.bgc_blocks,
-            gc_pages_migrated: stats.gc_pages_migrated,
-            latency_mean_us: self.latencies.mean().map_or(0, |d| d.as_micros()),
-            latency_p50_us: lat(0.50),
-            latency_p99_us: lat(0.99),
-            latency_p999_us: lat(0.999),
-            latency_max_us: self.latencies.max().map_or(0, |d| d.as_micros()),
-            prediction_accuracy_percent: self.accuracy.mean_accuracy_percent(),
-            sip_filtered_fraction: stats.sip_filtered_fraction(),
-            cache_hit_ratio: self.cache.stats().hit_ratio(),
-            host_pages_written: stats.host_pages_written,
-            nand_pages_programmed: self.ftl.device().stats().programs,
-            timeline: self.timeline.clone(),
-            degraded: self.degraded_report(),
-        }
-    }
-
-    /// Builds the end-of-life section, or `None` for a healthy run —
-    /// omitting the section keeps fault-free reports byte-identical with
-    /// builds that predate the fault model.
-    fn degraded_report(&self) -> Option<crate::system::DegradedReport> {
-        let stats = self.ftl.stats();
-        let device = self.ftl.device().stats();
-        let events = self.ftl.degrade_events();
-        let healthy = events.is_empty()
-            && !self.ftl.read_only()
-            && stats.program_retries == 0
-            && stats.gc_read_failures == 0
-            && stats.host_read_failures == 0
-            && device.read_failures == 0;
-        if healthy {
-            return None;
-        }
-        let page_bytes = self.page_size().as_u64();
-        Some(crate::system::DegradedReport {
-            read_only: self.ftl.read_only(),
-            read_only_at_secs: self.read_only_at.map(SimTime::as_secs_f64),
-            lifetime_host_bytes: self
-                .read_only_at
-                .map(|_| self.lifetime_host_pages * page_bytes),
-            retired_blocks: self.ftl.retired_blocks(),
-            retired_pages: self.ftl.retired_pages(),
-            program_retries: stats.program_retries,
-            gc_read_failures: stats.gc_read_failures,
-            host_read_failures: stats.host_read_failures,
-            rejected_requests: self.rejected_requests,
-            events: events
-                .iter()
-                .map(|e| crate::system::DegradeEventRecord {
-                    t_secs: e.time.as_secs_f64(),
-                    kind: match e.kind {
-                        DegradeKind::BlockRetired(_) => "block_retired".to_owned(),
-                        DegradeKind::ReadOnly => "read_only".to_owned(),
-                    },
-                    block: match e.kind {
-                        DegradeKind::BlockRetired(b) => Some(u64::from(b.0)),
-                        DegradeKind::ReadOnly => None,
-                    },
-                })
-                .collect(),
-        })
+    /// Cumulative foreground-GC invocations so far. Sampling this around
+    /// a [`step`](SsdSystem::step) tells an external scheduler whether
+    /// the step stalled on foreground GC — the per-member straggler
+    /// attribution the array layer reports.
+    #[must_use]
+    pub fn fgc_invocations(&self) -> u64 {
+        self.ftl.stats().fgc_invocations
     }
 
     /// Read-only access to the FTL (for tests and examples).
     #[must_use]
     pub fn ftl(&self) -> &Ftl {
         &self.ftl
-    }
-
-    /// Test hook: selects the tick-processing path — the quiescence
-    /// fast-forward (the production path, on by default) or the pure
-    /// per-tick loop, the reference the identity tests compare it
-    /// against. Reports are byte-for-byte the same either way. No CLI
-    /// reaches this.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.fast_forward = enabled;
-    }
-
-    /// The wall-clock facts of this system's run so far, for the
-    /// `--bench-json` perf record: the caller's stopwatch readings plus
-    /// the engine's own fast-forward setting, counters and — when
-    /// [`enable_phase_profiling`](SsdSystem::enable_phase_profiling) was
-    /// called — phase profile.
-    #[must_use]
-    pub fn run_perf(&self, setup_secs: f64, run_secs: f64) -> RunPerf {
-        RunPerf {
-            setup_secs,
-            run_secs,
-            profile: self.profile_enabled.then(|| self.phase_profile()),
-            fast_forward: self.fast_forward,
-            ticks_skipped: self.ticks_skipped,
-            ff_spans: self.ff_spans,
-        }
-    }
-
-    /// Ticks skipped by the quiescence fast-forward so far. Zero with
-    /// the fast-forward off; deliberately *not* part of [`SimReport`] so
-    /// reports stay byte-identical across the switch.
-    #[must_use]
-    pub fn ticks_skipped(&self) -> u64 {
-        self.ticks_skipped
-    }
-
-    /// Contiguous fast-forwarded spans so far (each covers one or more
-    /// skipped ticks).
-    #[must_use]
-    pub fn ff_spans(&self) -> u64 {
-        self.ff_spans
-    }
-
-    /// Idle ticks the fast-forward refused so far, tallied by the first
-    /// gate of the quiescence check that failed — why a gap (or the first
-    /// ticks of it) ran through the per-tick loop. All zero with the
-    /// fast-forward off; like the skip counters, not part of
-    /// [`SimReport`].
-    #[must_use]
-    pub fn ff_refusals(&self) -> FfRefusals {
-        self.ff_refusals
     }
 
     /// Predictions still waiting for their horizon to close: at most
@@ -1123,7 +498,7 @@ impl SsdSystem {
 mod tests {
     use super::*;
     use crate::policy::{JitGc, NoBgc, PolicyKind};
-    use jitgc_workload::{BenchmarkKind, WorkloadConfig};
+    use jitgc_workload::{BenchmarkKind, IoKind, WorkloadConfig};
 
     fn run(policy: Box<dyn GcPolicy>, kind: BenchmarkKind, secs: u64, seed: u64) -> SimReport {
         let config = SystemConfig::small_for_tests();

@@ -16,13 +16,11 @@ mod closed_loop;
 mod config;
 mod engine;
 mod profile;
-mod refusal;
 mod report;
 mod scorer;
 
 pub use closed_loop::ClosedLoop;
 pub use config::{ManagerPlacement, SystemConfig, VictimKind};
-pub use engine::{GcSignals, SsdSystem};
+pub use engine::{FfGate, FfRefusals, GcSignals, SsdSystem};
 pub use profile::{PhaseProfile, RunPerf, RunTotals};
-pub use refusal::{FfGate, FfRefusals};
 pub use report::{DegradeEventRecord, DegradedReport, IntervalSample, SimReport};

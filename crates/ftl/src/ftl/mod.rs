@@ -1,103 +1,31 @@
-//! The page-mapping FTL proper.
+//! The page-mapping FTL: state, space accounting, the streams' open blocks.
+
+mod degrade;
+mod gc;
+mod host;
+mod wear;
+
+pub use degrade::{DegradeEvent, DegradeKind};
+pub use gc::BgcOutcome;
+pub use host::{BatchReadOutcome, BatchWriteOutcome, WriteOutcome};
+pub use wear::WearLevelOutcome;
 
 use crate::free_pool::FreePool;
 use crate::mapping::Mapping;
 use crate::victim_index::VictimIndex;
-use crate::{BlockInfo, FtlConfig, FtlError, FtlStats, SipList, VictimSelector};
-use jitgc_nand::{BlockId, FaultModel, Lpn, NandDevice, NandError, Ppn};
-use jitgc_sim::{ByteSize, SimDuration, SimTime};
+use crate::{FtlConfig, FtlError, FtlStats, SipList, VictimSelector};
+use jitgc_nand::{BlockId, FaultModel, Lpn, NandDevice, Ppn};
+use jitgc_sim::{ByteSize, SimTime};
 
-/// What kind of degradation a [`DegradeEvent`] records.
+/// A write stream: each has its own open block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeKind {
-    /// A block was retired as bad (endurance exceeded or erase failed);
-    /// the device's usable capacity shrank by one block.
-    BlockRetired(BlockId),
-    /// The device entered read-only degraded mode: retirements left too
-    /// little writable space to sustain further host writes.
-    ReadOnly,
-}
-
-/// One entry of the device's failure timeline: when wear took capacity
-/// away, and when it finally took write service away. The sequence is
-/// fully determined by the fault seed and the operation stream, so two
-/// runs with the same seed produce identical timelines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradeEvent {
-    /// Simulated time of the event.
-    pub time: SimTime,
-    /// What degraded.
-    pub kind: DegradeKind,
-}
-
-/// Result of one host page write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WriteOutcome {
-    /// Total device time charged to this write, *including* any foreground
-    /// GC it had to wait for.
-    pub duration: SimDuration,
-    /// `true` when the write triggered foreground GC — the stall the
-    /// paper's background policies try to avoid.
-    pub foreground_gc: bool,
-    /// Pages migrated by the foreground GC episode (0 without FGC).
-    pub migrated_pages: u64,
-    /// Blocks erased by the foreground GC episode (0 without FGC).
-    pub erased_blocks: u64,
-}
-
-/// Result of a batched host write ([`Ftl::host_write_batch`]).
-///
-/// Durations and page counts are sums over the batch; `fgc_writes` keeps
-/// *per-write* resolution because the engine's stall accounting charges
-/// one episode per foreground-collected write, not per batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchWriteOutcome {
-    /// Total device time consumed, foreground GC included.
-    pub duration: SimDuration,
-    /// How many writes in the batch triggered foreground GC.
-    pub fgc_writes: u64,
-    /// Pages migrated by foreground GC across the batch.
-    pub migrated_pages: u64,
-    /// Blocks erased by foreground GC across the batch.
-    pub erased_blocks: u64,
-}
-
-/// Result of a batched host read ([`Ftl::host_read_batch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchReadOutcome {
-    /// Total device time consumed by the mapped reads.
-    pub duration: SimDuration,
-    /// Reads of never-written pages; the host layer zero-fills these
-    /// without touching the device.
-    pub unmapped: u64,
-    /// Reads that came back uncorrectable (injected wear faults). The
-    /// affected LPNs are available from
-    /// [`Ftl::failed_read_lpns`] until the next batched read.
-    pub failed: u64,
-}
-
-/// Result of one background-GC invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BgcOutcome {
-    /// Device time consumed (the caller hides this in idle periods).
-    pub duration: SimDuration,
-    /// Blocks erased.
-    pub blocks_erased: u64,
-    /// Valid pages migrated to keep them alive.
-    pub pages_migrated: u64,
-    /// Free pages gained.
-    pub pages_freed: u64,
-}
-
-/// Result of one static wear-leveling pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WearLevelOutcome {
-    /// Device time consumed.
-    pub duration: SimDuration,
-    /// `true` when the pass actually moved data.
-    pub performed: bool,
-    /// Pages relocated.
-    pub moved_pages: u64,
+enum Stream {
+    /// Host writes (all of them without hot/cold separation).
+    Cold,
+    /// Host rewrites within the hot window, with hot/cold separation on.
+    Hot,
+    /// Pages garbage collection and wear leveling relocate.
+    Gc,
 }
 
 /// A page-mapping flash translation layer.
@@ -112,10 +40,8 @@ pub struct Ftl {
     device: NandDevice,
     mapping: Mapping,
     free_blocks: FreePool,
-    active_user: Option<BlockId>,
-    /// Second user stream for hot pages when hot/cold separation is on.
-    active_hot: Option<BlockId>,
-    active_gc: Option<BlockId>,
+    /// Each [`Stream`]'s open block, indexed by the stream.
+    active: [Option<BlockId>; 3],
     /// A background-GC victim collected partially; resumed on the next
     /// BGC call (or finished by foreground GC).
     gc_in_progress: Option<BlockId>,
@@ -174,9 +100,7 @@ impl Ftl {
         Ftl {
             mapping: Mapping::new(config.user_pages()),
             free_blocks: FreePool::unworn(blocks),
-            active_user: None,
-            active_hot: None,
-            active_gc: None,
+            active: [None; 3],
             gc_in_progress: None,
             lpn_last_write: config
                 .hot_cold_streams()
@@ -200,806 +124,6 @@ impl Ftl {
             config,
         }
     }
-
-    // ------------------------------------------------------------------
-    // Host operations
-    // ------------------------------------------------------------------
-
-    /// Writes one logical page out-of-place, running foreground GC first if
-    /// the free-block pool is at its floor.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::LpnOutOfRange`] for an address beyond the user space;
-    /// [`FtlError::NoReclaimableSpace`] if foreground GC cannot free any
-    /// block (only possible with pathological over-provisioning).
-    pub fn host_write(&mut self, lpn: Lpn, now: SimTime) -> Result<WriteOutcome, FtlError> {
-        self.check_lpn(lpn)?;
-        self.host_write_checked(lpn, now)
-    }
-
-    /// [`host_write`](Self::host_write) body after address validation;
-    /// batch entry points validate the whole batch once, then call this.
-    fn host_write_checked(&mut self, lpn: Lpn, now: SimTime) -> Result<WriteOutcome, FtlError> {
-        if self.read_only {
-            return Err(FtlError::ReadOnly);
-        }
-        let mut outcome = WriteOutcome::default();
-
-        // Make sure a page is available, reclaiming in the foreground if
-        // the pool has fallen to the GC scratch reserve.
-        let hot = self.classify_hot(lpn, now);
-        self.fgc_if_at_floor(hot, now, &mut outcome)?;
-        let mut active = self.ensure_writable_block(hot, now)?;
-
-        // Out-of-place update: retire the previous copy.
-        if let Some(old) = self.mapping.get(lpn) {
-            self.device.invalidate(old)?;
-            let b = self.device.geometry().block_of(old);
-            self.victim_index.on_invalidate(b);
-            if self.sip.remove(lpn) {
-                self.sip_counts[b.0 as usize] = self.sip_counts[b.0 as usize].saturating_sub(1);
-            }
-        } else {
-            // Never-written LPNs can still sit on a stale SIP list.
-            self.sip.remove(lpn);
-        }
-
-        let ppn = loop {
-            let offset = self
-                .device
-                .block(active)
-                .next_free_offset()
-                .expect("active block has space by construction");
-            let ppn = self.device.geometry().ppn(active, offset);
-            match self.device.program(ppn, lpn) {
-                Ok(took) => {
-                    outcome.duration += took;
-                    break ppn;
-                }
-                Err(NandError::ProgramFailed { .. }) => {
-                    // The failed page is consumed (marked invalid by the
-                    // device); charge the wasted attempt and re-issue the
-                    // write to the next free page, reclaiming first if the
-                    // failure sealed the last page of the pool's headroom.
-                    outcome.duration += self.config.timing().page_program_cost();
-                    self.stats.program_retries += 1;
-                    self.fgc_if_at_floor(hot, now, &mut outcome)?;
-                    active = self.ensure_writable_block(hot, now)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        self.mapping.set(lpn, ppn);
-        self.last_write[active.0 as usize] = now;
-        if let Some(times) = self.lpn_last_write.as_mut() {
-            times[lpn.0 as usize] = now;
-        }
-        self.stats.host_pages_written += 1;
-        self.stats.hot_stream_pages += u64::from(hot);
-        Ok(outcome)
-    }
-
-    /// Runs foreground GC when the next host write would need a block the
-    /// pool cannot spare. When even foreground GC cannot free space — only
-    /// possible once retirements have consumed the over-provisioning — the
-    /// device transitions to read-only degraded mode instead of erroring
-    /// with an internal GC failure.
-    fn fgc_if_at_floor(
-        &mut self,
-        hot: bool,
-        now: SimTime,
-        outcome: &mut WriteOutcome,
-    ) -> Result<(), FtlError> {
-        if !(self.needs_active_block(hot) && self.pool_is_at_floor()) {
-            return Ok(());
-        }
-        match self.foreground_collect(now) {
-            Ok(fgc) => {
-                outcome.foreground_gc = true;
-                outcome.migrated_pages += fgc.pages_migrated;
-                outcome.erased_blocks += fgc.blocks_erased;
-                outcome.duration += fgc.duration;
-                self.stats.fgc_invocations += 1;
-                self.stats.fgc_blocks += fgc.blocks_erased;
-                self.stats.fgc_time += fgc.duration;
-                Ok(())
-            }
-            Err(FtlError::NoReclaimableSpace) => {
-                self.enter_read_only(now);
-                Err(FtlError::ReadOnly)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// [`ensure_active_block`](Self::ensure_active_block), degrading to
-    /// read-only mode when no free block exists at all.
-    fn ensure_writable_block(&mut self, hot: bool, now: SimTime) -> Result<BlockId, FtlError> {
-        match self.ensure_active_block(hot) {
-            Ok(b) => Ok(b),
-            Err(FtlError::NoReclaimableSpace) => {
-                self.enter_read_only(now);
-                Err(FtlError::ReadOnly)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// TRIMs one logical page: the mapping is dropped and the flash copy
-    /// invalidated, making its space reclaimable without migration.
-    ///
-    /// TRIM of an unmapped page is a no-op (as on real devices).
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::LpnOutOfRange`] for a bad address, or
-    /// [`FtlError::ReadOnly`] once the device has degraded to read-only
-    /// mode (TRIM mutates device state like any write).
-    pub fn trim(&mut self, lpn: Lpn, _now: SimTime) -> Result<(), FtlError> {
-        self.check_lpn(lpn)?;
-        if self.read_only {
-            return Err(FtlError::ReadOnly);
-        }
-        if let Some(old) = self.mapping.take(lpn) {
-            self.device.invalidate(old)?;
-            let b = self.device.geometry().block_of(old);
-            self.victim_index.on_invalidate(b);
-            if self.sip.remove(lpn) {
-                self.sip_counts[b.0 as usize] = self.sip_counts[b.0 as usize].saturating_sub(1);
-            }
-        }
-        self.stats.trims += 1;
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Batched host operations
-    // ------------------------------------------------------------------
-
-    /// Writes a run of logical pages in order, validating every address
-    /// up front so the per-page path skips its bounds check. Device
-    /// operations happen in exactly the order a [`host_write`] loop would
-    /// issue them, so all counters and the device state end up identical.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::LpnOutOfRange`] if *any* address is out of range — in
-    /// that case nothing has been written (unlike a caller loop, which
-    /// would stop mid-batch); [`FtlError::NoReclaimableSpace`] propagates
-    /// from foreground GC with the earlier pages already written.
-    ///
-    /// [`host_write`]: Self::host_write
-    pub fn host_write_batch(
-        &mut self,
-        lpns: &[Lpn],
-        now: SimTime,
-    ) -> Result<BatchWriteOutcome, FtlError> {
-        for &lpn in lpns {
-            self.check_lpn(lpn)?;
-        }
-        let mut out = BatchWriteOutcome::default();
-        for &lpn in lpns {
-            let w = self.host_write_checked(lpn, now)?;
-            out.duration += w.duration;
-            out.fgc_writes += u64::from(w.foreground_gc);
-            out.migrated_pages += w.migrated_pages;
-            out.erased_blocks += w.erased_blocks;
-        }
-        Ok(out)
-    }
-
-    /// Reads a run of logical pages. Unmapped pages are not errors here:
-    /// they are tallied in [`BatchReadOutcome::unmapped`] for the host
-    /// layer to zero-fill, letting one call serve a request whose pages
-    /// are partly unwritten.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::LpnOutOfRange`] if *any* address is out of range; no
-    /// page has been read in that case.
-    pub fn host_read_batch(
-        &mut self,
-        lpns: &[Lpn],
-        _now: SimTime,
-    ) -> Result<BatchReadOutcome, FtlError> {
-        for &lpn in lpns {
-            self.check_lpn(lpn)?;
-        }
-        let mut out = BatchReadOutcome::default();
-        self.failed_reads.clear();
-        for &lpn in lpns {
-            match self.mapping.get(lpn) {
-                Some(ppn) => match self.device.read(ppn) {
-                    Ok(took) => {
-                        out.duration += took;
-                        self.stats.host_pages_read += 1;
-                    }
-                    Err(NandError::ReadFailed { .. }) => {
-                        // Uncorrectable: the attempt still took a full read,
-                        // but no data came back. The LPN is recorded so a
-                        // redundant layer can re-read it from a mirror.
-                        out.duration += self.config.timing().page_read_cost();
-                        out.failed += 1;
-                        self.stats.host_read_failures += 1;
-                        self.failed_reads.push(lpn);
-                    }
-                    Err(e) => return Err(e.into()),
-                },
-                None => out.unmapped += 1,
-            }
-        }
-        Ok(out)
-    }
-
-    // ------------------------------------------------------------------
-    // Garbage collection
-    // ------------------------------------------------------------------
-
-    /// Runs background GC until `budget` time is spent, `target_free_pages`
-    /// is reached (if given), or nothing reclaimable remains.
-    ///
-    /// Collection is **page-granular and resumable**: a victim whose
-    /// remaining cost exceeds the budget is collected partially and picked
-    /// up again on the next call — exactly how a production FTL interleaves
-    /// GC steps with host I/O in sub-millisecond idle gaps. A bonus of
-    /// preemption: host overwrites landing between steps invalidate victim
-    /// pages *before* they are migrated, so interrupted victims get cheaper.
-    ///
-    /// Page-granular does not mean page-at-a-time: the pages a visit can
-    /// afford move in one budgeted bulk copy whose in-copy gate stops
-    /// before the first page the budget cannot pay for.
-    pub fn background_collect(
-        &mut self,
-        now: SimTime,
-        budget: SimDuration,
-        target_free_pages: Option<u64>,
-    ) -> BgcOutcome {
-        let mut outcome = BgcOutcome::default();
-        if self.read_only {
-            return outcome;
-        }
-        let migrate_cost = self.config.timing().page_migrate_cost();
-        let erase_cost = self.config.timing().block_erase_cost();
-        // A victim in progress is resumed before anything else, and a
-        // budget that affords neither its next page nor its erase does
-        // nothing to it. Without one, the selection below still runs for
-        // its side effects (selector draws, SIP counters).
-        if self.gc_in_progress.is_some() && budget < migrate_cost.min(erase_cost) {
-            return outcome;
-        }
-        'outer: loop {
-            if let Some(target) = target_free_pages {
-                if self.gc_in_progress.is_none() && self.free_pages() >= target {
-                    break;
-                }
-            }
-            // Resume the in-progress victim or start a new one.
-            let victim = match self.gc_in_progress {
-                Some(v) => v,
-                None => {
-                    let Some(v) = self.select_victim(now, true) else {
-                        break;
-                    };
-                    self.victim_index.remove(v);
-                    self.gc_in_progress = Some(v);
-                    v
-                }
-            };
-            // Migrate surviving pages while the budget affords one more.
-            while self.device.block(victim).valid_pages() > 0 {
-                if outcome.duration + migrate_cost > budget {
-                    break 'outer;
-                }
-                // Retirements can empty the free pool so no GC scratch
-                // block is available: background GC simply cannot make
-                // progress right now (the victim stays in progress for
-                // later).
-                match self.migrate(victim, now, Some(budget), &mut outcome) {
-                    Ok(()) => {}
-                    Err(FtlError::NoReclaimableSpace) => break 'outer,
-                    Err(e) => panic!("BGC migration failed: {e}"),
-                }
-            }
-            if outcome.duration + erase_cost > budget {
-                break;
-            }
-            let freed = u64::from(self.device.block(victim).invalid_pages());
-            // A worn-out victim is retired instead: nothing reclaimed.
-            if let Some(took) = self.erase_or_retire(victim, now) {
-                outcome.duration += took;
-                outcome.blocks_erased += 1;
-                outcome.pages_freed += freed;
-            }
-            self.gc_in_progress = None;
-        }
-        if outcome.blocks_erased > 0 || outcome.pages_migrated > 0 {
-            self.stats.bgc_invocations += 1;
-            self.stats.bgc_blocks += outcome.blocks_erased;
-            self.stats.bgc_time += outcome.duration;
-        }
-        outcome
-    }
-
-    /// The one GC copy primitive: moves valid pages out of `victim` into the
-    /// GC write stream until the victim is empty or — with a `budget` —
-    /// the next page would not fit (`outcome.duration` plus
-    /// `page_migrate_cost` exceeds it), adding completed pages to
-    /// `outcome`. `None` is unlimited: foreground GC and wear leveling
-    /// empty the victim.
-    ///
-    /// The victim's valid pages are snapshotted in offset order — under a
-    /// budget only as many as it can pay for, each costing at least
-    /// `page_migrate_cost` — and handed to
-    /// [`bulk_copy_out`](Self::bulk_copy_out), whose in-copy gate decides
-    /// where a budgeted step really stops (program retries make pages
-    /// dearer than the estimate).
-    ///
-    /// Fails with [`FtlError::NoReclaimableSpace`] when no GC scratch block
-    /// could be opened; the page in flight then stays valid in the victim
-    /// and its cost is not charged.
-    fn migrate(
-        &mut self,
-        victim: BlockId,
-        now: SimTime,
-        budget: Option<SimDuration>,
-        outcome: &mut BgcOutcome,
-    ) -> Result<(), FtlError> {
-        debug_assert!(!self.is_free(victim), "victim must be in use");
-        debug_assert!(
-            self.active_user != Some(victim) && self.active_gc != Some(victim),
-            "victim must not be an active block"
-        );
-        let t0 = self.gc_copy_enabled.then(std::time::Instant::now);
-        let affordable = budget.map_or(usize::MAX, |budget| {
-            let pages = budget
-                .saturating_sub(outcome.duration)
-                .div_duration(self.config.timing().page_migrate_cost());
-            usize::try_from(pages).unwrap_or(usize::MAX)
-        });
-        let mut snapshot = std::mem::take(&mut self.gc_snapshot);
-        snapshot.clear();
-        {
-            let geometry = self.device.geometry();
-            snapshot.extend(
-                self.device
-                    .block(victim)
-                    .valid_lpns()
-                    .take(affordable)
-                    .map(|(offset, lpn)| (geometry.ppn(victim, offset), lpn)),
-            );
-        }
-        let result = self.bulk_copy_out(victim, &snapshot, now, budget, outcome);
-        self.gc_snapshot = snapshot;
-        if let Some(t0) = t0 {
-            self.gc_copy_wall += t0.elapsed();
-        }
-        result
-    }
-
-    /// Foreground reclamation: collect until the pool rises above the GC
-    /// scratch floor. Finishes any half-collected background victim first —
-    /// it is the cheapest source of a free block.
-    fn foreground_collect(&mut self, now: SimTime) -> Result<BgcOutcome, FtlError> {
-        let mut outcome = BgcOutcome::default();
-        if let Some(victim) = self.gc_in_progress {
-            let (duration, migrated) = self.collect_block(victim, now)?;
-            self.gc_in_progress = None;
-            outcome.duration += duration;
-            outcome.blocks_erased += 1;
-            outcome.pages_migrated += migrated;
-        }
-        while self.pool_is_at_floor() {
-            let victim = self
-                .select_victim(now, false)
-                .ok_or(FtlError::NoReclaimableSpace)?;
-            let (duration, migrated) = self.collect_candidate(victim, now)?;
-            outcome.duration += duration;
-            outcome.blocks_erased += 1;
-            outcome.pages_migrated += migrated;
-        }
-        Ok(outcome)
-    }
-
-    /// Takes `victim` out of the candidate index and collects it. A
-    /// collection that gives up half way (no GC scratch block left) puts
-    /// the block back, so what it still holds stays reclaimable.
-    fn collect_candidate(
-        &mut self,
-        victim: BlockId,
-        now: SimTime,
-    ) -> Result<(SimDuration, u64), FtlError> {
-        self.victim_index.remove(victim);
-        let collected = self.collect_block(victim, now);
-        if collected.is_err() {
-            self.seal(victim);
-        }
-        collected
-    }
-
-    /// Migrates every remaining valid page out of `victim` and erases it
-    /// (or retires it, when the erase fails or the block is worn out).
-    fn collect_block(
-        &mut self,
-        victim: BlockId,
-        now: SimTime,
-    ) -> Result<(SimDuration, u64), FtlError> {
-        let mut outcome = BgcOutcome::default();
-        self.migrate(victim, now, None, &mut outcome)?;
-        debug_assert_eq!(
-            self.sip_counts[victim.0 as usize], 0,
-            "erased block retains SIP-listed valid pages"
-        );
-        if let Some(took) = self.erase_or_retire(victim, now) {
-            outcome.duration += took;
-        }
-        Ok((outcome.duration, outcome.pages_migrated))
-    }
-
-    /// Copies `snapshot` pages out of `victim` into the GC write stream,
-    /// one [`copy_pages_within`](NandDevice::copy_pages_within) call per
-    /// destination block, adding completed pages to `outcome`.
-    ///
-    /// Each page is read from its source before its destination is
-    /// opened: the first read of each chunk is issued *before* ensuring a
-    /// GC block, and a chunk that fills its destination mid-copy reports
-    /// `pending_read`, so the already-read source page is not read again
-    /// (nor its fault drawn again) after the next block is opened. Device
-    /// operations, and so fault draws, happen page by page in the order
-    /// read, program (with retries), invalidate.
-    ///
-    /// With a `budget`, the copy stops before the first page for which
-    /// `outcome.duration + page_migrate_cost > budget` — the gate sits in
-    /// front of every source read, here for a chunk's first page and
-    /// inside the device for the rest, so a refused page is neither read
-    /// nor charged — and returns `Ok` with the remainder untouched. On an
-    /// error (no destination block to be had) `outcome` holds the
-    /// completed pages only: what the page in flight had already cost is
-    /// dropped.
-    fn bulk_copy_out(
-        &mut self,
-        victim: BlockId,
-        snapshot: &[(Ppn, Lpn)],
-        now: SimTime,
-        budget: Option<SimDuration>,
-        outcome: &mut BgcOutcome,
-    ) -> Result<(), FtlError> {
-        let migrate_cost = self.config.timing().page_migrate_cost();
-        let mut idx = 0usize;
-        // Cost so far of the page that is read but not yet programmed.
-        let mut in_flight = SimDuration::ZERO;
-        let mut pending_read = false;
-        while idx < snapshot.len() {
-            if !pending_read {
-                if budget.is_some_and(|budget| outcome.duration + migrate_cost > budget) {
-                    break;
-                }
-                in_flight = self.gc_source_read(snapshot[idx].0)?;
-            }
-            let gc_block = self.ensure_active_gc_block()?;
-            let room = budget.map(|budget| budget.saturating_sub(outcome.duration + in_flight));
-            let mut dsts = std::mem::take(&mut self.gc_dst_scratch);
-            dsts.clear();
-            let copied =
-                self.device
-                    .copy_pages_within(&snapshot[idx..], gc_block, true, &mut dsts, room);
-            let out = match copied {
-                Ok(out) => out,
-                Err(e) => {
-                    self.gc_dst_scratch = dsts;
-                    return Err(e.into());
-                }
-            };
-            debug_assert!(
-                !self.victim_index.is_tracked(victim),
-                "migrating pages out of a block still tracked as a candidate"
-            );
-            for (k, &new_ppn) in dsts.iter().enumerate() {
-                let lpn = snapshot[idx + k].1;
-                self.mapping.set(lpn, new_ppn);
-                if self.sip.contains(lpn) {
-                    self.sip_counts[victim.0 as usize] =
-                        self.sip_counts[victim.0 as usize].saturating_sub(1);
-                    self.sip_counts[gc_block.0 as usize] += 1;
-                }
-            }
-            self.gc_dst_scratch = dsts;
-            self.stats.gc_read_failures += out.read_failures;
-            self.stats.program_retries += out.program_retries;
-            self.stats.gc_pages_migrated += out.copied as u64;
-            in_flight += out.duration;
-            if out.copied > 0 {
-                self.last_write[gc_block.0 as usize] = now;
-                outcome.duration += in_flight - out.pending_cost;
-                in_flight = out.pending_cost;
-            }
-            outcome.pages_migrated += out.copied as u64;
-            idx += out.copied;
-            pending_read = out.pending_read;
-        }
-        Ok(())
-    }
-
-    /// One GC source read with uncorrectable-read salvage. An
-    /// uncorrectable read costs a full read and is relocated anyway, from
-    /// the raw (error-laden) data: dropping the mapping would turn a read
-    /// error into silent data loss, and a real controller salvages
-    /// whatever the ECC could not fix.
-    fn gc_source_read(&mut self, ppn: Ppn) -> Result<SimDuration, FtlError> {
-        match self.device.read(ppn) {
-            Ok(t) => Ok(t),
-            Err(NandError::ReadFailed { .. }) => {
-                self.stats.gc_read_failures += 1;
-                Ok(self.config.timing().page_read_cost())
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Erases `victim` and returns it to the free pool, or — when the
-    /// block has exceeded its endurance limit or the erase itself failed —
-    /// retires it as a bad block (capacity shrinks by one block) and
-    /// returns `None`.
-    fn erase_or_retire(&mut self, victim: BlockId, now: SimTime) -> Option<SimDuration> {
-        debug_assert!(
-            !self.victim_index.is_tracked(victim),
-            "erasing a block still tracked as a candidate"
-        );
-        match self.device.erase(victim) {
-            Ok(took) => {
-                self.sip_counts[victim.0 as usize] = 0;
-                self.free_blocks
-                    .release(victim, self.device.block(victim).erase_count());
-                Some(took)
-            }
-            Err(NandError::BlockWornOut { .. } | NandError::EraseFailed { .. }) => {
-                self.retire_block(victim, now);
-                None
-            }
-            Err(e) => panic!("erase of selected victim failed: {e}"),
-        }
-    }
-
-    /// Permanently removes `victim` from circulation as a bad block and
-    /// records the capacity loss on the failure timeline. When the loss
-    /// leaves too little writable space to keep absorbing host writes, the
-    /// device transitions to read-only degraded mode.
-    fn retire_block(&mut self, victim: BlockId, now: SimTime) {
-        self.sip_counts[victim.0 as usize] = 0;
-        self.is_retired[victim.0 as usize] = true;
-        self.stats.retired_blocks += 1;
-        // Victims are fully collected before erase, so every page of the
-        // block sits in the device's invalid tally — and stays there
-        // forever. Track the loss so space accounting can exclude it.
-        self.retired_pages += u64::from(self.config.geometry().pages_per_block());
-        self.degrade_events.push(DegradeEvent {
-            time: now,
-            kind: DegradeKind::BlockRetired(victim),
-        });
-        self.update_degraded_state(now);
-    }
-
-    /// Checks whether block retirements have shrunk the device below the
-    /// minimum writable footprint: enough live blocks to hold all valid
-    /// data plus the GC scratch reserve plus one block of write headroom.
-    /// Below that, GC can no longer turn over blocks and the device goes
-    /// read-only.
-    fn update_degraded_state(&mut self, now: SimTime) {
-        if self.read_only {
-            return;
-        }
-        let geometry = self.config.geometry();
-        let ppb = u64::from(geometry.pages_per_block());
-        // Derive the retired count from `retired_pages`, not from
-        // `stats.retired_blocks`: the stats counter is zeroed by
-        // [`reset_counters`](Ftl::reset_counters) after aging pre-fill,
-        // while retirement is permanent device state.
-        let live_blocks = u64::from(geometry.blocks()) - self.retired_pages / ppb;
-        let valid_pages = self.device.total_valid_pages();
-        let reserve_blocks = u64::from(self.config.gc_reserve_blocks());
-        if live_blocks * ppb < valid_pages + (reserve_blocks + 1) * ppb {
-            self.enter_read_only(now);
-        }
-    }
-
-    /// Idempotent transition into read-only degraded mode.
-    fn enter_read_only(&mut self, now: SimTime) {
-        if self.read_only {
-            return;
-        }
-        self.read_only = true;
-        self.degrade_events.push(DegradeEvent {
-            time: now,
-            kind: DegradeKind::ReadOnly,
-        });
-    }
-
-    /// Number of blocks retired as bad (endurance exceeded or erase
-    /// failed).
-    #[must_use]
-    pub fn retired_blocks(&self) -> u64 {
-        self.stats.retired_blocks
-    }
-
-    /// Pages permanently lost to retired blocks.
-    #[must_use]
-    pub fn retired_pages(&self) -> u64 {
-        self.retired_pages
-    }
-
-    /// `true` once the device has entered read-only degraded mode: writes
-    /// fail with [`FtlError::ReadOnly`], reads keep working.
-    #[must_use]
-    pub fn read_only(&self) -> bool {
-        self.read_only
-    }
-
-    /// The failure timeline: every block retirement plus the read-only
-    /// transition, in event order. Deterministic for a given fault seed
-    /// and operation stream.
-    #[must_use]
-    pub fn degrade_events(&self) -> &[DegradeEvent] {
-        &self.degrade_events
-    }
-
-    /// LPNs whose most recent [`host_read_batch`](Self::host_read_batch)
-    /// attempt came back uncorrectable, in batch order. Valid until the
-    /// next batched read; a mirror layer re-reads these from the surviving
-    /// replica.
-    #[must_use]
-    pub fn failed_read_lpns(&self) -> &[Lpn] {
-        &self.failed_reads
-    }
-
-    /// Chooses the next GC victim. For background GC with a non-empty SIP
-    /// list, candidates whose soon-to-be-invalidated fraction exceeds the
-    /// configured threshold are avoided; if that filter would leave no
-    /// candidate, the unfiltered choice is used. A policy without SIP
-    /// never installs a list, so it never filters.
-    fn select_victim(&mut self, now: SimTime, background: bool) -> Option<BlockId> {
-        let unfiltered = self.run_selector(now, None)?;
-        if !background || self.sip.is_empty() {
-            return Some(unfiltered);
-        }
-
-        self.stats.sip_eligible_selections += 1;
-        let threshold = self.config.sip_filter_threshold_permille();
-        let choice = self
-            .run_selector(now, Some(threshold))
-            .unwrap_or(unfiltered);
-        if choice != unfiltered {
-            self.stats.sip_filtered_selections += 1;
-        }
-        Some(choice)
-    }
-
-    /// Runs the installed selector over the victim index. With a SIP
-    /// threshold, candidates whose soon-to-be-invalidated fraction exceeds
-    /// it are withheld from the selector.
-    ///
-    /// Frontier selectors ([`VictimSelector::uses_min_valid_frontier`])
-    /// see only the lowest eligible valid-count bucket — an O(1) hop per
-    /// selection instead of the O(blocks) scan this replaces. Other
-    /// selectors iterate the tracked set in block-id order, reproducing
-    /// the exact candidate sequence (and therefore the exact choice, RNG
-    /// draws included) of a full device scan.
-    fn run_selector(&mut self, now: SimTime, sip_threshold: Option<u64>) -> Option<BlockId> {
-        let selector = &mut self.selector;
-        let device = &self.device;
-        let index = &self.victim_index;
-        let last_write = &self.last_write;
-        let sip_counts = &self.sip_counts;
-        let passes = |b: BlockId, valid: u32| match sip_threshold {
-            None => true,
-            Some(t) => u64::from(sip_counts[b.0 as usize]) * 1000 <= u64::from(valid) * t,
-        };
-        let info = |b: BlockId| {
-            let block = device.block(b);
-            BlockInfo {
-                id: b,
-                valid: block.valid_pages(),
-                invalid: block.invalid_pages(),
-                pages: block.pages(),
-                erase_count: block.erase_count(),
-                last_write: last_write[b.0 as usize],
-                sip_valid: sip_counts[b.0 as usize],
-            }
-        };
-        if selector.uses_min_valid_frontier() {
-            // The bucket at pages_per_block holds fully-valid blocks,
-            // which have nothing to reclaim and are never picked.
-            for valid in 0..index.pages_per_block() {
-                let bucket = index.bucket(valid);
-                if !bucket.iter().any(|&b| passes(b, valid)) {
-                    continue;
-                }
-                let mut frontier = bucket
-                    .iter()
-                    .copied()
-                    .filter(|&b| passes(b, valid))
-                    .map(info);
-                return selector.select(&mut frontier, now);
-            }
-            None
-        } else {
-            let mut candidates = index
-                .iter_ids()
-                .filter(|&(b, valid)| passes(b, valid))
-                .map(|(b, _)| info(b));
-            selector.select(&mut candidates, now)
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Wear leveling
-    // ------------------------------------------------------------------
-
-    /// One static wear-leveling pass: when the erase-count spread exceeds
-    /// the configured threshold, the coldest sealed block's data is
-    /// relocated into the most-worn free block and the cold block is
-    /// erased, putting its low-wear cells back into circulation.
-    pub fn wear_level(&mut self, now: SimTime) -> Result<WearLevelOutcome, FtlError> {
-        let wear = self.device.wear_report();
-        if wear.max - wear.min <= self.config.wear_level_threshold() {
-            return Ok(WearLevelOutcome::default());
-        }
-        // Coldest sealed candidate: minimum erase count.
-        let Some((coldest, _)) = self
-            .victim_index
-            .iter_ids()
-            .min_by_key(|&(b, _)| (self.device.block(b).erase_count(), b))
-        else {
-            return Ok(WearLevelOutcome::default());
-        };
-        // Steer the relocation into the most-worn free block by making it
-        // the active GC block for this pass — only when no GC block is
-        // currently open.
-        if self
-            .active_gc
-            .is_none_or(|b| self.device.block(b).next_free_offset().is_none())
-        {
-            if let Some(hot) = self.free_blocks.take_most_worn() {
-                if let Some(full) = self.active_gc.replace(hot) {
-                    self.seal(full);
-                }
-            }
-        }
-        let (duration, moved) = self.collect_candidate(coldest, now)?;
-        self.stats.wear_level_migrations += moved;
-        self.stats.wear_level_blocks += 1;
-        Ok(WearLevelOutcome {
-            duration,
-            performed: true,
-            moved_pages: moved,
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // SIP list
-    // ------------------------------------------------------------------
-
-    /// Installs the soon-to-be-invalidated page list delivered by the
-    /// host-side predictor, replacing the previous one. Per-block SIP
-    /// counts are recomputed from the current mapping.
-    ///
-    /// Returns the displaced list so the caller can refill it on the next
-    /// poll ([`assign_words`](SipList::assign_words) reuses its storage)
-    /// — the engine ping-pongs two bitmaps this way and the steady state
-    /// allocates nothing.
-    pub fn install_sip_list(&mut self, sip: SipList) -> SipList {
-        self.sip_counts.fill(0);
-        for lpn in sip.iter() {
-            if let Some(ppn) = self.mapping.get(lpn) {
-                let b = self.device.geometry().block_of(ppn);
-                self.sip_counts[b.0 as usize] += 1;
-            }
-        }
-        std::mem::replace(&mut self.sip, sip)
-    }
-
-    // ------------------------------------------------------------------
-    // Space accounting and accessors
-    // ------------------------------------------------------------------
 
     /// Pages the host can write before foreground GC becomes necessary:
     /// all free pages minus the GC scratch reserve.
@@ -1130,10 +254,6 @@ impl Ftl {
         self.gc_copy_wall
     }
 
-    // ------------------------------------------------------------------
-    // Internals
-    // ------------------------------------------------------------------
-
     fn check_lpn(&self, lpn: Lpn) -> Result<(), FtlError> {
         if lpn.0 < self.config.user_pages() {
             Ok(())
@@ -1145,29 +265,30 @@ impl Ftl {
         }
     }
 
-    /// Classifies a write as hot (rewritten within the configured window)
-    /// when hot/cold stream separation is enabled.
-    fn classify_hot(&self, lpn: Lpn, now: SimTime) -> bool {
-        let Some(times) = self.lpn_last_write.as_ref() else {
-            return false;
-        };
-        // Never-written pages are cold by definition (mapping check, not a
-        // timestamp sentinel — a legitimate write at t = 0 must count).
-        if self.mapping.get(lpn).is_none() {
-            return false;
-        }
-        now.saturating_since(times[lpn.0 as usize]) <= self.config.hot_window()
+    /// `stream`'s open block, if it has a free page left.
+    fn room(&self, stream: Stream) -> Option<BlockId> {
+        self.active[stream as usize].filter(|&b| !self.device.block(b).is_full())
     }
 
-    fn needs_active_block(&self, hot: bool) -> bool {
-        let active = if hot {
-            self.active_hot
-        } else {
-            self.active_user
-        };
-        match active {
-            None => true,
-            Some(b) => self.device.block(b).is_full(),
+    /// The block `stream` writes next: its open block while that has
+    /// room, else the least-worn free block, opened for it.
+    fn ensure_open(&mut self, stream: Stream) -> Result<BlockId, FtlError> {
+        if let Some(block) = self.room(stream) {
+            return Ok(block);
+        }
+        let block = self
+            .free_blocks
+            .take_least_worn()
+            .ok_or(FtlError::NoReclaimableSpace)?;
+        self.open(stream, block);
+        Ok(block)
+    }
+
+    /// Makes `block` the open block of `stream`, sealing the full block it
+    /// replaces.
+    fn open(&mut self, stream: Stream, block: BlockId) {
+        if let Some(full) = self.active[stream as usize].replace(block) {
+            self.seal(full);
         }
     }
 
@@ -1175,47 +296,6 @@ impl Ftl {
     /// scratch reserve — the foreground-GC trigger.
     fn pool_is_at_floor(&self) -> bool {
         self.free_blocks.len() <= self.config.gc_reserve_blocks() as usize
-    }
-
-    fn ensure_active_block(&mut self, hot: bool) -> Result<BlockId, FtlError> {
-        if !self.needs_active_block(hot) {
-            let active = if hot {
-                self.active_hot
-            } else {
-                self.active_user
-            };
-            return Ok(active.expect("checked present"));
-        }
-        let block = self
-            .free_blocks
-            .take_least_worn()
-            .ok_or(FtlError::NoReclaimableSpace)?;
-        let sealed = if hot {
-            self.active_hot.replace(block)
-        } else {
-            self.active_user.replace(block)
-        };
-        if let Some(full) = sealed {
-            self.seal(full);
-        }
-        Ok(block)
-    }
-
-    fn ensure_active_gc_block(&mut self) -> Result<BlockId, FtlError> {
-        let needs = match self.active_gc {
-            None => true,
-            Some(b) => self.device.block(b).is_full(),
-        };
-        if needs {
-            let block = self
-                .free_blocks
-                .take_least_worn()
-                .ok_or(FtlError::NoReclaimableSpace)?;
-            if let Some(full) = self.active_gc.replace(block) {
-                self.seal(full);
-            }
-        }
-        Ok(self.active_gc.expect("just ensured"))
     }
 
     /// Registers a just-closed (full) active block as a GC candidate.
@@ -1239,6 +319,7 @@ impl Ftl {
 mod tests {
     use super::*;
     use crate::GreedySelector;
+    use jitgc_sim::SimDuration;
 
     fn small_config(op_permille: u64) -> FtlConfig {
         FtlConfig::builder()
@@ -1520,9 +601,7 @@ mod tests {
             .filter(|b| {
                 !ftl.is_free(*b)
                     && !ftl.is_retired[b.0 as usize]
-                    && ftl.active_user != Some(*b)
-                    && ftl.active_hot != Some(*b)
-                    && ftl.active_gc != Some(*b)
+                    && !ftl.active.contains(&Some(*b))
                     && ftl.gc_in_progress != Some(*b)
             })
             .map(|b| (b, ftl.device.block(b).valid_pages()))

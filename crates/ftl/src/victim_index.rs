@@ -25,8 +25,8 @@
 //!
 //! Membership invariant: a block is tracked **iff** it is a GC candidate —
 //! sealed (hence full), not free, not retired, not any active write
-//! target, and not the in-progress background victim. `ftl.rs`'s unit
-//! tests check this against a full device scan after every operation of
+//! target, and not the in-progress background victim. The unit tests in
+//! `ftl/mod.rs` check this against a full device scan after every operation of
 //! generated streams (`victim_index_tracks_the_full_candidate_scan`).
 
 use jitgc_nand::BlockId;

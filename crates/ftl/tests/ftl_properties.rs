@@ -1,6 +1,6 @@
 //! Property tests of the FTL's core invariants.
 //!
-//! (The SIP-count property lives with the unit tests in `src/ftl.rs`,
+//! (The SIP-count property lives with the unit tests in `src/ftl/mod.rs`,
 //! where the per-block counts are visible.)
 
 use jitgc_ftl::{Ftl, FtlConfig, GreedySelector, Lpn};

@@ -17,6 +17,10 @@
 //! What is private to either side (free-pool order, candidates, recency,
 //! SIP counts) decides the next victim and the next block opened, so a
 //! divergence there surfaces in the ops that follow.
+//!
+//! Equal answers can still be equally wrong, so after every op `Ftl` is
+//! also held to read-your-writes against the test's own record of what
+//! the stream last did to each LPN (see [`Pair::assert_reads_your_writes`]).
 
 mod reference_ftl;
 
@@ -24,7 +28,7 @@ use jitgc_ftl::{
     BgcOutcome, CostBenefitSelector, DegradeEvent, FifoSelector, Ftl, FtlConfig, FtlError,
     FtlStats, GreedySelector, Lpn, Ppn, RandomSelector, SipList, VictimSelector,
 };
-use jitgc_nand::{FaultConfig, NandStats, NandTiming};
+use jitgc_nand::{FaultConfig, NandStats, NandTiming, PageState};
 use jitgc_sim::check::check;
 use jitgc_sim::{SimDuration, SimRng, SimTime};
 use reference_ftl::ReferenceFtl;
@@ -86,6 +90,7 @@ impl Rig {
         Pair {
             ftl: Ftl::new(config.clone(), (self.selector)()),
             reference: ReferenceFtl::new(config, (self.selector)()),
+            last: vec![Last::Never; USER_PAGES as usize],
             label: label.to_owned(),
             ops: 0,
         }
@@ -190,11 +195,22 @@ fn blocks(device: &jitgc_nand::NandDevice) -> Vec<(u64, Option<u32>, u32, u32)> 
         .collect()
 }
 
+/// What the op stream last did to an LPN with an op that succeeded.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Last {
+    Never,
+    Written,
+    Trimmed,
+}
+
 /// `Ftl` and the reference, driven op for op: each method runs the op on
-/// both and requires equal results and equal [`Observed`] state.
+/// both and requires equal results and equal [`Observed`] state, and
+/// read-your-writes of `Ftl` against `last`.
 struct Pair {
     ftl: Ftl,
     reference: ReferenceFtl,
+    /// Per LPN, kept by the test from the op results alone.
+    last: Vec<Last>,
     label: String,
     ops: u64,
 }
@@ -214,17 +230,53 @@ impl Pair {
             );
             ftl.assert_matches(&reference, &at);
         }
+        self.assert_reads_your_writes(op);
+    }
+
+    /// Read-your-writes: every LPN the stream last wrote maps to a
+    /// `Valid` page whose OOB names that LPN, and every LPN it trimmed or
+    /// never wrote is unmapped. GC, wear leveling and retirement move
+    /// pages but must never change this.
+    fn assert_reads_your_writes(&self, op: &str) {
+        let device = self.ftl.device();
+        for (lpn, &last) in (0..).zip(&self.last) {
+            let at = format!(
+                "{}, op {} ({op}), LPN {lpn} last {last:?}",
+                self.label, self.ops
+            );
+            let mapped = self.ftl.lookup(Lpn(lpn)).expect("in range");
+            match (last, mapped) {
+                (Last::Written, Some(ppn)) => {
+                    assert_eq!(device.page_lpn(ppn), Some(Lpn(lpn)), "{at}: OOB of {ppn:?}");
+                    assert_eq!(device.page_state(ppn), PageState::Valid, "{at}: {ppn:?}");
+                }
+                (Last::Written, None) => panic!("{at}: a written LPN is unmapped"),
+                (_, Some(ppn)) => panic!("{at}: mapped to {ppn:?}"),
+                (_, None) => {}
+            }
+        }
     }
 
     fn host_write(&mut self, lpn: u64, now: SimTime) {
         let got = self.ftl.host_write(Lpn(lpn), now);
         let want = self.reference.host_write(Lpn(lpn), now);
+        if got.is_ok() {
+            self.last[lpn as usize] = Last::Written;
+        }
         self.agree("host_write", got, want);
     }
 
     fn host_write_batch(&mut self, lpns: &[Lpn], now: SimTime) {
+        let before = self.reference.stats().host_pages_written;
         let got = self.ftl.host_write_batch(lpns, now);
         let want = self.reference.host_write_batch(lpns, now);
+        // A batch writes in order and stops at its first failure (one out
+        // of range refuses it whole): the reference's count of accepted
+        // host pages says how far it got.
+        let accepted = self.reference.stats().host_pages_written - before;
+        for lpn in &lpns[..accepted as usize] {
+            self.last[lpn.0 as usize] = Last::Written;
+        }
         self.agree("host_write_batch", got, want);
     }
 
@@ -237,6 +289,9 @@ impl Pair {
     fn trim(&mut self, lpn: u64, now: SimTime) {
         let got = self.ftl.trim(Lpn(lpn), now);
         let want = self.reference.trim(Lpn(lpn), now);
+        if got.is_ok() {
+            self.last[lpn as usize] = Last::Trimmed;
+        }
         self.agree("trim", got, want);
     }
 
@@ -543,7 +598,8 @@ fn retirements_that_empty_the_pool_mid_victim() {
 /// the filtered victim choice — under any of the four victim selectors,
 /// with or without hot/cold streams, at arbitrary fault-rate corners and
 /// all the way to end of life, `Ftl` and the reference agree after every
-/// op. 64 cases of up to 300 ops.
+/// op, and `Ftl` reads back every LPN's last successful write. 64 cases
+/// of up to 300 ops.
 #[test]
 fn seeded_op_streams_at_random_fault_corners() {
     #[derive(Debug)]

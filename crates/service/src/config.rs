@@ -181,7 +181,9 @@ impl ServiceConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending knob when the tenant list
-    /// is empty, any weight is zero, a concurrency breaks
+    /// is empty, two tenants share a name (a `HELLO` could claim only the
+    /// first), any weight is zero or the weights' total does not fit a
+    /// `u64` (the fair-queueing shares divide by it), a concurrency breaks
     /// [`ClosedLoop::check_threads`], a tenant's arrival knobs break
     /// [`WorkloadConfigBuilder::check_arrival`] (the run has no simulated
     /// second, or a rate is not positive and finite or leaves idle gaps
@@ -195,6 +197,12 @@ impl ServiceConfig {
             return Err("the service needs at least one tenant".into());
         }
         for (i, t) in self.tenants.iter().enumerate() {
+            if let Some(j) = self.tenants[..i].iter().position(|u| u.name == t.name) {
+                return Err(format!(
+                    "tenants {j} and {i} are both named {:?}; tenant names must be unique",
+                    t.name
+                ));
+            }
             if t.weight == 0 {
                 return Err(format!(
                     "tenant {} ({}) has weight 0; fair-queueing weights must be positive",
@@ -220,6 +228,16 @@ impl ServiceConfig {
                     ))
                 }
             }
+        }
+        let weights = self
+            .tenants
+            .iter()
+            .try_fold(0u64, |sum, t| sum.checked_add(t.weight));
+        if weights.is_none() {
+            return Err(format!(
+                "the tenant weights sum past {}; fair-queueing shares divide by their total",
+                u64::MAX
+            ));
         }
         if self.sq_depth == 0 {
             return Err("the submission-queue depth must be at least 1".into());
@@ -307,6 +325,9 @@ mod tests {
         };
         assert!(err(&|c| c.tenants.clear()).contains("at least one tenant"));
         assert!(err(&|c| c.tenants[0].weight = 0).contains("weight 0"));
+        let twin = |c: &mut ServiceConfig| c.tenants[2].name = c.tenants[0].name.clone();
+        assert!(err(&twin).starts_with("tenants 0 and 2 are both named"));
+        assert!(err(&|c| c.tenants[1].weight = u64::MAX).contains("tenant weights sum past"));
         assert!(err(&|c| c.tenants[1].concurrency = 0).contains("concurrency 0"));
         assert!(err(&|c| c.tenants[1].concurrency = 65_537).contains("concurrency 65537"));
         let mut deepest = ServiceConfig::small_for_tests();

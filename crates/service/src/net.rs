@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc;
@@ -50,6 +50,14 @@ impl AnyStream {
             AnyStream::Tcp(s) => s.try_clone().map(AnyStream::Tcp),
             #[cfg(unix)]
             AnyStream::Unix(s) => s.try_clone().map(AnyStream::Unix),
+        }
+    }
+
+    fn shutdown(&self) -> io::Result<()> {
+        match self {
+            AnyStream::Tcp(s) => s.shutdown(Shutdown::Both),
+            #[cfg(unix)]
+            AnyStream::Unix(s) => s.shutdown(Shutdown::Both),
         }
     }
 }
@@ -142,7 +150,10 @@ pub fn serve(endpoint: Endpoint, mut service: Service, sessions: usize) -> io::R
                 }
                 let _ = events.send(Event::Disconnected(conn));
             }));
-            // Writer threads die when the dispatcher drops their sender.
+            // Writer threads die when the dispatcher drops their sender,
+            // and close the connection as they go: the reader thread holds
+            // a second handle on the socket, so dropping this one alone
+            // would leave a dropped client waiting for a reply.
             std::thread::spawn(move || {
                 let mut w = write_half;
                 while let Ok(frame) = out_rx.recv() {
@@ -150,6 +161,7 @@ pub fn serve(endpoint: Endpoint, mut service: Service, sessions: usize) -> io::R
                         break;
                     }
                 }
+                let _ = w.shutdown();
             });
         }
         for r in readers {

@@ -3,7 +3,8 @@
 //! and the device report's `policy` field says which policy ran. The
 //! SIP-less JIT-GC reports itself as JIT-GC, so for it
 //! `sip_filtered_fraction` must be null on a run where JIT-GC's is not.
-//! An unknown spelling exits 2 naming it.
+//! An unknown spelling exits 2 naming it, and so does a roster that
+//! repeats a tenant name or whose weights overflow their total.
 
 use jitgc_sim::json::JsonValue;
 use std::process::Command;
@@ -50,4 +51,27 @@ fn an_unknown_policy_spelling_exits_2_naming_it() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert_eq!(stderr, "unknown policy: jit-gc\n");
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn a_duplicate_tenant_name_or_an_overflowing_weight_total_exits_2_naming_it() {
+    let max = u64::MAX;
+    let rosters = [
+        (
+            "a:reader:1:100:1,a:writer:1:100:1".to_owned(),
+            "tenants 0 and 1 are both named \"a\"",
+        ),
+        (
+            format!("a:reader:{max}:100:1,b:writer:{max}:100:1"),
+            "the tenant weights sum past",
+        ),
+    ];
+    for (roster, message) in rosters {
+        let args = ["--tenants", &roster, "--small", "--seconds", "1", "--json"];
+        let out = ssdsimd(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--tenants {roster}: {stderr}");
+        assert!(stderr.contains(message), "--tenants {roster}: {stderr}");
+        assert!(out.stdout.is_empty());
+    }
 }
