@@ -10,7 +10,9 @@
 //! or above 65 536 and a fault rate that is negative or not finite, on the
 //! command line or in a `--config`;
 //! an unwritable output path is reported before anything runs, and the
-//! selector flags this CLI no longer has are plain unknown flags.
+//! selector flags this CLI no longer has are plain unknown flags. A legal
+//! but outsized value runs: a cache capacity of 2^40 pages is no
+//! allocation request.
 
 use std::process::Command;
 
@@ -256,4 +258,38 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         );
         assert!(out.stdout.is_empty(), "ssdsim {args:?} printed a report");
     }
+}
+
+/// The page cache reserves its slab for the smaller of its capacity and
+/// the device's LPN space, so a capacity far past memory runs like any
+/// other. A failed allocation aborts the process, which only a child
+/// process can observe.
+#[test]
+fn a_cache_capacity_of_2_to_the_40_pages_runs() {
+    let config = config_with(
+        "cache_capacity_2_pow_40",
+        "\"capacity_pages\": 8192",
+        "\"capacity_pages\": 1099511627776",
+    );
+    let args = [
+        "--config",
+        &config,
+        "--benchmark",
+        "ycsb",
+        "--policy",
+        "jit-gc",
+        "--seconds",
+        "30",
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_ssdsim"))
+        .args(args)
+        .output()
+        .expect("ssdsim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "ssdsim {args:?}: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("policy          JIT-GC") && stdout.contains("WAF"),
+        "ssdsim {args:?} printed no report: {stdout}"
+    );
 }

@@ -2,23 +2,25 @@
 //!
 //! # Data layout
 //!
-//! The cache is a **flat slab**: one `Vec<Slot>` of 32-byte slots holding
+//! The cache is a **flat slab**: one `Vec<Slot>` of 20-byte slots holding
 //! every cached page, a direct index from LPN to slot (`Vec<u32>`, one
 //! entry per LPN — no hashing on any path), and two intrusive doubly
 //! linked lists threaded through the slots with `u32` indices:
 //!
-//! * the **dirty list**, oldest first by `(last_update, seq)` — the
-//!   flusher pops from its head, and [`PageCache::dirty_pages`] walks it
-//!   without allocating;
+//! * the **dirty list**, oldest first by write time and, at equal times,
+//!   in write order — the flusher pops from its head, and
+//!   [`PageCache::dirty_pages`] walks it without allocating;
 //! * the **clean list** in LRU order — eviction pops the head, touches
 //!   move a slot to the tail in O(1).
 //!
 //! Buffered writes almost always carry the youngest timestamp, so the
 //! dirty list's sorted insert scans backward from the tail and is O(1)
 //! in practice; it stays correct when the caller's clock is not
-//! monotone (overlapping requests at queue depth > 1). Freed slots are
-//! recycled through a free list threaded over the same `next` links, so
-//! the slab never exceeds the configured capacity.
+//! monotone (overlapping requests at queue depth > 1). The scan stops at
+//! the first page no younger than the new one, so the list itself keeps
+//! equal times in write order and a slot needs no sequence number. Freed
+//! slots are recycled through a free list threaded over the same `next`
+//! links, so the slab never exceeds the configured capacity.
 //!
 //! A direct index is sound because the LPN space is dense and small: the
 //! generators, trace replay and the stripe map keep every LPN inside the
@@ -29,14 +31,15 @@
 //! could never reach the 32-bit FTL below, and indexing by it would
 //! allocate gigabytes.
 //!
-//! The index and the dirty bitmap are allocated when the first page is
-//! cached. An embedder that knows its LPN space says so
-//! ([`PageCache::expect_lpns`]) and both are sized for it there and then;
-//! otherwise they reach the largest LPN handed in so far and regrow, by
-//! doubling, whenever a higher one arrives — which makes their capacity,
-//! and where the allocator puts each regrowth, depend on the order the
-//! addresses happen to come in (1.5 – 3 MB for the same 393 216-LPN run,
-//! DESIGN.md §8g).
+//! The index, the dirty bitmap and the slab are allocated when the first
+//! page is cached. An embedder that knows its LPN space says so
+//! ([`PageCache::expect_lpns`]) and all three are sized for it there and
+//! then (the slab for that space or the capacity, if smaller); otherwise
+//! the slab doubles as pages arrive and the other two reach the largest
+//! LPN handed in so far and regrow, by doubling, whenever a higher one
+//! arrives — which makes their capacity, and where the allocator puts
+//! each regrowth, depend on the order the addresses happen to come in
+//! (1.5 – 3 MB for the same 393 216-LPN run, DESIGN.md §8g).
 //!
 //! # The flusher clock and the dirty-age epoch counters
 //!
@@ -84,24 +87,37 @@ pub struct FlushBatch {
 /// Index sentinel terminating the intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// One cached page. A slot is always on exactly one list: dirty, clean,
-/// or (when unoccupied) the free list, which reuses `next`.
+/// The write time a clean slot holds; [`PageCache::write`] refuses it.
+const CLEAN: u64 = u64::MAX;
+
+/// One cached page in 20 bytes, packed to 4-byte alignment. A slot is on
+/// exactly one list: dirty, clean, or the free list, which reuses `next`.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Slot {
     /// The cached page's LPN, which [`PageCache::alloc_slot`] checked
     /// fits.
     lpn: u32,
-    dirty: bool,
-    last_update: SimTime,
-    /// Sequence number breaking age ties deterministically.
-    seq: u64,
     prev: u32,
     next: u32,
+    /// The last write's time in microseconds while dirty, `CLEAN` otherwise.
+    at: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 20);
 
 impl Slot {
     fn lpn(&self) -> Lpn {
         Lpn(u64::from(self.lpn))
+    }
+
+    fn dirty(&self) -> bool {
+        self.at != CLEAN
+    }
+
+    fn last_update(&self) -> SimTime {
+        debug_assert!(self.dirty(), "a clean slot has no write time");
+        SimTime::from_micros(self.at)
     }
 }
 
@@ -120,14 +136,13 @@ pub struct PageCache {
     cached: usize,
     /// Head of the free-slot list (threaded through `next`).
     free_head: u32,
-    /// Dirty pages, oldest first by `(last_update, seq)`.
+    /// Dirty pages, oldest first by write time, equal times in write order.
     dirty_head: u32,
     dirty_tail: u32,
     dirty_len: u64,
     /// Clean pages, least recently used at the head.
     clean_head: u32,
     clean_tail: u32,
-    next_seq: u64,
     /// Dirty pages per flusher epoch `⌈(last_update − φ) / p⌉`; zero
     /// counts are removed so iteration touches only live buckets (at most
     /// `N_wb` + 1 of them, plus residue stranded below `τ_flush`).
@@ -161,7 +176,6 @@ impl PageCache {
             dirty_len: 0,
             clean_head: NIL,
             clean_tail: NIL,
-            next_seq: 0,
             dirty_epochs: BTreeMap::new(),
             period_us,
             phase_us: 0,
@@ -250,7 +264,7 @@ impl PageCache {
     #[must_use]
     pub fn is_dirty(&self, lpn: Lpn) -> bool {
         self.slot_index(lpn)
-            .is_some_and(|i| self.slots[i as usize].dirty)
+            .is_some_and(|i| self.slots[i as usize].dirty())
     }
 
     /// A buffered write: marks `lpn` dirty with age zero. Rewriting an
@@ -262,8 +276,11 @@ impl PageCache {
     ///
     /// # Panics
     ///
-    /// Panics if `lpn` is `u32::MAX` or above (see the module docs).
+    /// Panics if `lpn` is `u32::MAX` or above (see the module docs), or if
+    /// `now` is [`SimTime::MAX`], the time a clean slot holds. A simulated
+    /// run never gets there: it ends by 2^62 µs (`ArrivalError::TooLong`).
     pub fn write(&mut self, lpn: Lpn, now: SimTime) -> WriteEffect {
+        assert!(now < SimTime::MAX, "a page-cache write at SimTime::MAX");
         self.stats.writes += 1;
         let mut effect = WriteEffect::default();
         let idx = if let Some(i) = self.slot_index(lpn) {
@@ -277,13 +294,7 @@ impl PageCache {
             }
             self.alloc_slot(lpn)
         };
-        let seq = self.bump_seq();
-        {
-            let slot = &mut self.slots[idx as usize];
-            slot.dirty = true;
-            slot.last_update = now;
-            slot.seq = seq;
-        }
+        self.slots[idx as usize].at = now.as_micros();
         self.dirty_insert_sorted(idx);
         effect
     }
@@ -297,7 +308,7 @@ impl PageCache {
     pub fn read(&mut self, lpn: Lpn, _now: SimTime) -> bool {
         if let Some(i) = self.slot_index(lpn) {
             self.stats.read_hits += 1;
-            if !self.slots[i as usize].dirty {
+            if !self.slots[i as usize].dirty() {
                 // Refresh LRU position: move to the most-recent tail.
                 self.unlink(i);
                 Self::link_tail(
@@ -319,12 +330,6 @@ impl PageCache {
                 self.evict_one();
             }
             let i = self.alloc_slot(lpn);
-            {
-                let slot = &mut self.slots[i as usize];
-                slot.dirty = false;
-                slot.last_update = SimTime::ZERO;
-                slot.seq = 0;
-            }
             Self::link_tail(
                 &mut self.slots,
                 &mut self.clean_head,
@@ -357,7 +362,7 @@ impl PageCache {
         while self.dirty_head != NIL {
             let head = self.dirty_head;
             let slot = &self.slots[head as usize];
-            if now.saturating_since(slot.last_update) < self.config.tau_expire() {
+            if now.saturating_since(slot.last_update()) < self.config.tau_expire() {
                 break;
             }
             let lpn = slot.lpn();
@@ -383,7 +388,7 @@ impl PageCache {
         )
         .map(move |i| {
             let slot = &self.slots[i as usize];
-            (slot.lpn(), slot.last_update)
+            (slot.lpn(), slot.last_update())
         })
     }
 
@@ -492,9 +497,9 @@ impl PageCache {
         (idx != NIL).then_some(idx)
     }
 
-    /// Takes a slot for `lpn` off the free list (or grows the slab) and
-    /// registers it in the index, growing that to reach `lpn`. The slot's
-    /// list links are left NIL.
+    /// Takes a slot for `lpn` off the free list (or grows the slab, sized
+    /// by the first page) and registers it in the index, growing that to
+    /// reach `lpn`. The slot is left clean, its list links NIL.
     ///
     /// # Panics
     ///
@@ -509,14 +514,16 @@ impl PageCache {
             self.free_head = self.slots[idx as usize].next;
             idx
         } else {
+            if self.slots.is_empty() {
+                let slots = self.config.capacity_pages().min(self.expected_lpns as u64);
+                self.slots.reserve_exact(slots as usize);
+            }
             let idx = self.slots.len() as u32;
             self.slots.push(Slot {
                 lpn,
-                dirty: false,
-                last_update: SimTime::ZERO,
-                seq: 0,
                 prev: NIL,
                 next: NIL,
+                at: CLEAN,
             });
             idx
         };
@@ -524,6 +531,7 @@ impl PageCache {
         slot.lpn = lpn;
         slot.prev = NIL;
         slot.next = NIL;
+        slot.at = CLEAN;
         if lpn as usize >= self.slot_of.len() {
             let lpns = self.expected_lpns.max(lpn as usize + 1);
             self.slot_of.resize(lpns, NIL);
@@ -546,7 +554,7 @@ impl PageCache {
 
     /// Unlinks `idx` from whichever list (dirty or clean) it is on.
     fn unlink(&mut self, idx: u32) {
-        if self.slots[idx as usize].dirty {
+        if self.slots[idx as usize].dirty() {
             self.dirty_detach(idx);
         } else {
             Self::detach(
@@ -562,7 +570,7 @@ impl PageCache {
     /// counters and the dirty bitmap.
     fn dirty_detach(&mut self, idx: u32) {
         let slot = &self.slots[idx as usize];
-        let (lpn, at) = (slot.lpn(), slot.last_update);
+        let (lpn, at) = (slot.lpn(), slot.last_update());
         Self::detach(
             &mut self.slots,
             &mut self.dirty_head,
@@ -576,9 +584,9 @@ impl PageCache {
     /// Moves the dirty slot `idx` (currently at the dirty head) onto the
     /// clean list's MRU tail.
     fn mark_clean(&mut self, idx: u32) {
-        debug_assert!(self.slots[idx as usize].dirty);
+        debug_assert!(self.slots[idx as usize].dirty());
         self.dirty_detach(idx);
-        self.slots[idx as usize].dirty = false;
+        self.slots[idx as usize].at = CLEAN;
         Self::link_tail(
             &mut self.slots,
             &mut self.clean_head,
@@ -587,23 +595,20 @@ impl PageCache {
         );
     }
 
-    /// Inserts the dirty slot `idx` into the dirty list keeping the
-    /// oldest-first `(last_update, seq)` order. New writes are almost
-    /// always the youngest, so the backward scan from the tail terminates
-    /// immediately in the common case.
+    /// Inserts the dirty slot `idx` into the dirty list, oldest first. The
+    /// backward scan from the tail stops at the first page no younger than
+    /// `idx`, so equal times stay in write order; new writes are almost
+    /// always the youngest, so it usually stops at once.
     fn dirty_insert_sorted(&mut self, idx: u32) {
-        let (lpn, key) = {
-            let slot = &self.slots[idx as usize];
-            (slot.lpn(), (slot.last_update, slot.seq))
-        };
-        self.dirty_track_add(lpn, key.0);
+        let slot = self.slots[idx as usize];
+        self.dirty_track_add(slot.lpn(), slot.last_update());
         let mut after = self.dirty_tail;
         while after != NIL {
-            let slot = &self.slots[after as usize];
-            if (slot.last_update, slot.seq) <= key {
+            let other = &self.slots[after as usize];
+            if other.at <= slot.at {
                 break;
             }
-            after = slot.prev;
+            after = other.prev;
         }
         Self::link_after(
             &mut self.slots,
@@ -639,12 +644,6 @@ impl PageCache {
         } else {
             None
         }
-    }
-
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
     }
 
     // ------------------------------------------------------------------
@@ -721,8 +720,9 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_is_32_bytes() {
-        assert!(std::mem::size_of::<Slot>() <= 32);
+    #[should_panic(expected = "a page-cache write at SimTime::MAX")]
+    fn a_write_at_the_clean_sentinel_is_refused() {
+        cache(8).write(Lpn(1), SimTime::MAX);
     }
 
     #[test]
@@ -736,23 +736,34 @@ mod tests {
         let mut c = cache(8);
         c.expect_lpns(1_000);
         assert!(c.slot_of.is_empty() && c.dirty_bits.is_empty());
-        // Whichever address comes first, the first page sizes both, and
-        // no later one below the expectation regrows them.
+        assert_eq!(c.slots.capacity(), 0);
+        // Whichever address comes first, the first page sizes all three
+        // (the slab for its 8-page capacity), and no later one below the
+        // expectation regrows them.
         for lpn in [700, 3, 999] {
             c.write(Lpn(lpn), t(0));
             assert_eq!(c.slot_of.len(), 1_000);
             assert_eq!(c.slot_of.capacity(), 1_000);
             assert_eq!(c.dirty_lpn_words().len(), 1_000_usize.div_ceil(64));
+            assert_eq!(c.slots.capacity(), 8);
         }
         // The expectation is no limit: a higher LPN regrows them.
         c.write(Lpn(2_000), t(0));
         assert!(c.is_dirty(Lpn(2_000)) && c.is_dirty(Lpn(3)));
         assert_eq!(c.slot_of.len(), 2_001);
 
+        // A capacity beyond the expected space reserves only that space,
+        // however large the capacity.
+        let mut c = cache(1 << 40);
+        c.expect_lpns(1_000);
+        c.read(Lpn(5), t(0));
+        assert_eq!(c.slots.capacity(), 1_000);
+
         // Told nothing, the tables follow the addresses.
         let mut c = cache(8);
         c.write(Lpn(700), t(0));
         assert_eq!(c.slot_of.len(), 701);
+        assert!(c.slots.capacity() < 8);
     }
 
     #[test]
