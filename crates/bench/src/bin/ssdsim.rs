@@ -17,14 +17,6 @@
 //!                          user capacity, below 2000: the working set is
 //!                          user − OP/2); each value rebuilds the device
 //!                          geometry                  (default: config's OP)
-//!   --screen <model>       pre-filter the sweep with the jitgc-model
-//!                          analytical screen: every cell is predicted
-//!                          (WAF, lifetime, stall proxy), and only each
-//!                          benchmark's predicted Pareto frontier plus the
-//!                          best runners-up are simulated; skipped cells
-//!                          keep their model predictions in --bench-json
-//!   --screen-keep <F>      fraction of each benchmark's cells the screen
-//!                          fills up to beyond the frontier  (default 0.25)
 //!   --seconds <N>          simulated duration, 1 ..= 2^62 µs
 //!                          (4611686018427 s)           (default 300)
 //!   --iops <F>             mean arrival rate, > 0      (default 250)
@@ -63,11 +55,7 @@
 //!                          add an `array` section with the layout and
 //!                          routing counters, plus per-member entries
 //!                          with their own `phase_*_secs` breakdowns and
-//!                          straggler accounting; screened sweeps write a wrapper
-//!                          object with a `screening` stats section and a
-//!                          `cells` array carrying every cell's model
-//!                          prediction plus, for simulated cells, the
-//!                          usual perf record under `perf`)
+//!                          straggler accounting)
 //!   --array <N>            simulate an N-member striped array instead of a
 //!                          single device (`--array 1` reproduces the
 //!                          single-device reports exactly); workload working
@@ -84,10 +72,7 @@
 //! ```
 
 use jitgc_array::{ArrayConfig, ArrayReport, ArrayScheduler, GcMode, Redundancy};
-use jitgc_bench::{
-    default_threads, expand_cells, run_grid, screen_cells, Experiment, PolicyKind, ScreenPlan,
-    SweepCell,
-};
+use jitgc_bench::{default_threads, expand_cells, run_grid, Experiment, PolicyKind, SweepCell};
 use jitgc_core::system::{
     ClosedLoop, ManagerPlacement, RunPerf, RunTotals, SimReport, SystemConfig, VictimKind,
 };
@@ -103,8 +88,6 @@ struct Args {
     threads: usize,
     policies: Vec<PolicyKind>,
     op_sweep: Vec<u64>,
-    screen: bool,
-    screen_keep: f64,
     seconds: u64,
     iops: f64,
     burst: f64,
@@ -139,8 +122,6 @@ impl Default for Args {
             threads: default_threads(),
             policies: vec![PolicyKind::Jit],
             op_sweep: Vec::new(),
-            screen: false,
-            screen_keep: 0.25,
             seconds: 300,
             iops: 250.0,
             burst: 1_024.0,
@@ -177,9 +158,8 @@ fn fmt_waf(waf: Option<f64>) -> String {
 
 fn usage() -> ! {
     eprintln!("usage: ssdsim [--benchmark B] [--policy P] [--seconds N] [--iops F]");
-    eprintln!("              [--op-sweep p1,p2,…] [--screen model] [--screen-keep F]");
-    eprintln!("              [--burst F] [--seed N] [--victim V] [--no-prefill]");
-    eprintln!("              [--hot-cold] [--strict-tau-flush] [--wear-leveling]");
+    eprintln!("              [--op-sweep p1,p2,…] [--burst F] [--seed N] [--victim V]");
+    eprintln!("              [--no-prefill] [--hot-cold] [--strict-tau-flush] [--wear-leveling]");
     eprintln!("              [--in-device-manager] [--json]");
     eprintln!("              [--endurance N] [--fault-seed N] [--fault-program F]");
     eprintln!("              [--fault-erase F] [--fault-read F]");
@@ -310,20 +290,6 @@ fn parse_args() -> Args {
                     .split(',')
                     .map(|p| p.parse::<u32>().map_or_else(|_| usage(), u64::from))
                     .collect()
-            }
-            "--screen" => match value().as_str() {
-                "model" => args.screen = true,
-                other => {
-                    eprintln!("unknown screen mode: {other} (only `model` exists)");
-                    usage()
-                }
-            },
-            "--screen-keep" => {
-                args.screen_keep = value().parse().unwrap_or_else(|_| usage());
-                if !(0.0..=1.0).contains(&args.screen_keep) {
-                    eprintln!("--screen-keep must be a fraction in [0, 1]");
-                    usage()
-                }
             }
             "--seconds" => args.seconds = value().parse().unwrap_or_else(|_| usage()),
             "--iops" => args.iops = value().parse().unwrap_or_else(|_| usage()),
@@ -507,118 +473,27 @@ fn array_perf_record(
 /// One simulated sweep cell: its report and how fast it ran.
 type CellRun = (SimReport, RunPerf);
 
-/// Serializes one cell's model prediction.
-fn model_json(pred: &jitgc_model::Prediction) -> JsonValue {
-    ObjectBuilder::new()
-        .field("waf", pred.waf)
-        .field("feasible", pred.feasible)
-        .field("stall_proxy", pred.stall_proxy)
-        .field("lifetime_host_bytes", pred.lifetime_host_bytes)
-        .field("utilization", pred.utilization)
-        .field("reserve_pages", pred.reserve_pages)
-        .build()
-}
-
-/// The `--bench-json` wrapper of a screened sweep: a `screening` stats
-/// section plus one `cells` entry per cell (simulated or not) carrying
-/// the model prediction, the Pareto/simulated verdicts, and — for
-/// simulated cells — the usual per-run perf record under `perf`.
-fn screened_bench_record(
-    args: &Args,
-    cells: &[SweepCell],
-    plan: &ScreenPlan,
-    runs: &[Option<CellRun>],
-    duplicates: usize,
-    model_eval_secs: f64,
-) -> JsonValue {
-    let entries: Vec<JsonValue> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, cell)| {
-            let benchmark = cell.benchmark.to_string();
-            let policy = cell.policy.name();
-            let mut b = ObjectBuilder::new()
-                .field("benchmark", benchmark.as_str())
-                .field("policy", policy.as_str())
-                .field("op_permille", cell.op_permille)
-                .field("simulated", plan.keep[i])
-                .field("pareto", plan.pareto[i])
-                .field("model", model_json(&plan.predictions[i]));
-            if let Some((report, perf)) = &runs[i] {
-                b = b.field("perf", perf_record(args.seed, report, perf));
-            }
-            b.build()
-        })
-        .collect();
-    ObjectBuilder::new()
-        .field("schema", RunPerf::SCHEMA)
-        .field(
-            "screening",
-            ObjectBuilder::new()
-                .field("mode", "model")
-                .field("keep_frac", args.screen_keep)
-                .field("total_cells", cells.len() as u64)
-                .field("duplicate_cells_dropped", duplicates as u64)
-                .field("simulated_cells", plan.simulated_cells() as u64)
-                .field("pareto_cells", plan.pareto_cells() as u64)
-                .field("model_eval_secs", model_eval_secs)
-                .build(),
-        )
-        .field("cells", JsonValue::Array(entries))
-        .build()
-}
-
-/// The extended sweep table: one row per cell (policy and OP columns
-/// included), model predictions when the sweep was screened, and
-/// `skipped` rows for cells the screen filtered out.
-fn print_sweep_table(
-    system: &SystemConfig,
-    cells: &[SweepCell],
-    plan: Option<&ScreenPlan>,
-    runs: &[Option<CellRun>],
-) {
+/// The extended sweep table: one row per cell, policy and OP columns
+/// included.
+fn print_sweep_table(system: &SystemConfig, cells: &[SweepCell], runs: &[CellRun]) {
     println!(
-        "{:<12}{:<16}{:>6}{:>11}{:>10}{:>8}{:>10}{:>12}",
-        "benchmark", "policy", "OP\u{2030}", "model WAF", "IOPS", "WAF", "FGC", "p99 µs"
+        "{:<12}{:<16}{:>6}{:>10}{:>8}{:>10}{:>12}",
+        "benchmark", "policy", "OP\u{2030}", "IOPS", "WAF", "FGC", "p99 µs"
     );
-    for (i, cell) in cells.iter().enumerate() {
+    for (cell, (report, _)) in cells.iter().zip(runs) {
         let op = cell.op_permille.unwrap_or_else(|| system.ftl.op_permille());
-        let model_waf = plan.map_or_else(
-            || "-".to_owned(),
-            |p| {
-                if p.predictions[i].feasible {
-                    format!("{:.3}", p.predictions[i].waf)
-                } else {
-                    "inf".to_owned()
-                }
-            },
-        );
         // Cell labels, not `report.policy`: ablation variants (e.g.
         // JIT-GC without SIP) self-report the base policy's name.
-        match &runs[i] {
-            Some((report, _)) => println!(
-                "{:<12}{:<16}{:>6}{:>11}{:>10.0}{:>8}{:>10}{:>12}",
-                cell.benchmark.to_string(),
-                cell.policy.name(),
-                op,
-                model_waf,
-                report.iops,
-                fmt_waf(report.waf),
-                report.fgc_request_stalls + report.fgc_flush_stalls,
-                report.latency_p99_us
-            ),
-            None => println!(
-                "{:<12}{:<16}{:>6}{:>11}{:>10}{:>8}{:>10}{:>12}",
-                cell.benchmark.to_string(),
-                cell.policy.name(),
-                op,
-                model_waf,
-                "skipped",
-                "-",
-                "-",
-                "-"
-            ),
-        }
+        println!(
+            "{:<12}{:<16}{:>6}{:>10.0}{:>8}{:>10}{:>12}",
+            cell.benchmark.to_string(),
+            cell.policy.name(),
+            op,
+            report.iops,
+            fmt_waf(report.waf),
+            report.fgc_request_stalls + report.fgc_flush_stalls,
+            report.latency_p99_us
+        );
     }
 }
 
@@ -629,8 +504,8 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
         eprintln!("--timeline is not supported with --array");
         std::process::exit(2)
     }
-    if args.policies.len() != 1 || !args.op_sweep.is_empty() || args.screen {
-        eprintln!("--array supports a single --policy and no --op-sweep/--screen");
+    if args.policies.len() != 1 || !args.op_sweep.is_empty() {
+        eprintln!("--array supports a single --policy and no --op-sweep");
         std::process::exit(2)
     }
     let redundancy = if args.mirror {
@@ -896,44 +771,15 @@ fn main() {
         seed: args.seed,
     };
 
-    // Screening: predict every cell analytically and simulate only the
-    // predicted Pareto frontier plus the keep-fraction fill; skipped
-    // cells keep their predictions in the bench record.
-    let screen_start = Instant::now();
-    let plan = args.screen.then(|| {
-        screen_cells(
-            &base.system,
-            &cells,
-            args.iops,
-            args.burst,
-            args.screen_keep,
-        )
-    });
-    let model_eval_secs = screen_start.elapsed().as_secs_f64();
-    let keep: Vec<bool> = plan
-        .as_ref()
-        .map_or_else(|| vec![true; cells.len()], |p| p.keep.clone());
-    let kept: Vec<usize> = (0..cells.len()).filter(|&i| keep[i]).collect();
-    if let Some(plan) = &plan {
-        eprintln!(
-            "screen: simulating {}/{} cells ({} on the predicted frontier)",
-            kept.len(),
-            cells.len(),
-            plan.pareto_cells()
-        );
-    }
-
     // Each scenario is an independent simulation, so the sweep runs the
-    // kept cells across worker threads; results come back in input order
+    // cells across worker threads; results come back in input order
     // regardless of the thread count. A single cell takes the plain
-    // serial path inside `run_grid`. Screening changes which cells run,
-    // never what a run produces: a simulated cell's report is
-    // byte-identical to the same cell of an exhaustive sweep.
-    let threads = if kept.len() == 1 { 1 } else { args.threads };
+    // serial path inside `run_grid`.
+    let threads = if cells.len() == 1 { 1 } else { args.threads };
     let profile_phases = args.bench_json.is_some();
-    let results = run_grid(&kept, threads, |&i| {
+    let runs: Vec<CellRun> = run_grid(&cells, threads, |cell| {
         let setup_start = Instant::now();
-        let mut sim = cells[i].build(&base);
+        let mut sim = cell.build(&base);
         if profile_phases {
             sim.enable_phase_profiling();
         }
@@ -943,46 +789,27 @@ fn main() {
         let perf = sim.run_perf(setup_secs, run_start.elapsed().as_secs_f64());
         (report, perf)
     });
-    // Scatter the kept-cell results back into cell order; screened-out
-    // cells stay `None`.
-    let mut runs: Vec<Option<CellRun>> = (0..cells.len()).map(|_| None).collect();
-    for (&slot, result) in kept.iter().zip(results) {
-        runs[slot] = Some(result);
-    }
 
     if let Some(path) = &args.bench_json {
-        let record = match &plan {
-            Some(plan) => {
-                screened_bench_record(&args, &cells, plan, &runs, duplicates, model_eval_secs)
-            }
-            None => one_or_many(
-                runs.iter()
-                    .flatten()
-                    .map(|(report, perf)| perf_record(args.seed, report, perf))
-                    .collect(),
-            ),
-        };
-        written(path, std::fs::write(path, record.to_pretty()));
+        let records = runs
+            .iter()
+            .map(|(report, perf)| perf_record(args.seed, report, perf))
+            .collect();
+        written(path, std::fs::write(path, one_or_many(records).to_pretty()));
         eprintln!("wrote perf record to {path}");
     }
 
     if cells.len() != 1 {
         if args.json {
-            // Simulated cells only, in cell order (screened-out cells
-            // have no report to print).
-            let reports: Vec<JsonValue> = runs
-                .iter()
-                .flatten()
-                .map(|(report, _)| report.to_json())
-                .collect();
+            let reports = runs.iter().map(|(report, _)| report.to_json()).collect();
             println!("{}", JsonValue::Array(reports).to_pretty());
-        } else if args.policies.len() == 1 && args.op_sweep.is_empty() && plan.is_none() {
+        } else if args.policies.len() == 1 && args.op_sweep.is_empty() {
             // The classic benchmark-only sweep table, unchanged.
             println!(
                 "{:<12}{:>10}{:>8}{:>10}{:>10}{:>12}",
                 "benchmark", "IOPS", "WAF", "FGC", "BGC blk", "p99 µs"
             );
-            for (report, _) in runs.iter().flatten() {
+            for (report, _) in &runs {
                 println!(
                     "{:<12}{:>10.0}{:>8}{:>10}{:>10}{:>12}",
                     report.workload,
@@ -994,15 +821,11 @@ fn main() {
                 );
             }
         } else {
-            print_sweep_table(&base.system, &cells, plan.as_ref(), &runs);
+            print_sweep_table(&base.system, &cells, &runs);
         }
         return;
     }
-    let (report, _) = runs
-        .into_iter()
-        .next()
-        .flatten()
-        .expect("a single cell is always simulated");
+    let (report, _) = runs.into_iter().next().expect("a single cell ran");
 
     if let Some(path) = &args.timeline {
         let mut csv = String::from(

@@ -1,22 +1,19 @@
 //! Shared experiment harness for regenerating the paper's tables and
 //! figures.
 //!
-//! Each `[[bench]]` target in this crate (with `harness = false`) is one
-//! experiment; this library holds the pieces they share: the policy
-//! matrix, the standard experiment configuration, the sweep screen, and
-//! table formatting. The grid runner is `jitgc-sim`'s, re-exported here.
+//! The crate's one bench target, `paper` (`harness = false`), runs every
+//! table of the paper's evaluation and its ablations and writes them into
+//! `EXPERIMENTS.md`; `ssdsim` runs sweeps of single cells. This library
+//! holds what they share: the policy matrix, the standard experiment
+//! configuration, sweep cells, and table formatting. The grid runner is
+//! `jitgc-sim`'s, re-exported here.
 //!
-//! Run everything with `cargo bench -p jitgc-bench`, or a single
-//! experiment with e.g.
-//! `cargo bench -p jitgc-bench --bench fig7_policy_comparison`.
+//! Regenerate the tables with `cargo bench -p jitgc-bench --bench paper`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod screen;
-
 pub use jitgc_sim::{default_threads, run_grid};
-pub use screen::{expand_cells, screen_cells, ScreenPlan, SweepCell};
 
 pub use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::{SimReport, SsdSystem, SystemConfig};
@@ -57,7 +54,7 @@ impl Experiment {
     /// Builds one `(policy, benchmark)` cell, ready to run: the benchmark
     /// over the system's [standard working
     /// set](SystemConfig::standard_working_set), the policy instantiated
-    /// for this system. `ssdsim`'s sweep, every figure/table bench and
+    /// for this system. `ssdsim`'s sweep, the `paper` bench and
     /// [`run`](Self::run) construct their cells here. The device is aged
     /// (pre-filled) at the start of the run when the system says so; see
     /// [`SystemConfig::default_sim`] for the scale model.
@@ -89,19 +86,78 @@ impl Experiment {
     pub fn run(&self, policy: PolicyKind, benchmark: BenchmarkKind) -> SimReport {
         self.build(policy, benchmark).run()
     }
+}
 
-    /// Runs every `(policy, benchmark)` cell on up to `n_threads` threads;
-    /// `results[i]` belongs to `cells[i]` regardless of thread count.
+/// One cell of a CLI sweep: a GC policy × a benchmark × an optional
+/// over-provisioning override (permille; `None` keeps the base config).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepCell {
+    /// The GC policy under test.
+    pub policy: PolicyKind,
+    /// The benchmark personality driving the run.
+    pub benchmark: BenchmarkKind,
+    /// Over-provisioning override in permille of user capacity.
+    pub op_permille: Option<u64>,
+}
+
+impl SweepCell {
+    /// The system configuration this cell runs under: the base config
+    /// with the cell's OP override applied (geometry rescales with it).
     #[must_use]
-    pub fn run_cells(
-        &self,
-        cells: &[(PolicyKind, BenchmarkKind)],
-        n_threads: usize,
-    ) -> Vec<SimReport> {
-        run_grid(cells, n_threads, |&(policy, benchmark)| {
-            self.run(policy, benchmark)
-        })
+    pub fn system(&self, base: &SystemConfig) -> SystemConfig {
+        match self.op_permille {
+            None => base.clone(),
+            Some(p) => {
+                let mut system = base.clone();
+                system.ftl = system.ftl.to_builder().op_permille(p).build();
+                system
+            }
+        }
     }
+
+    /// Builds this cell ready to run, the way every sweep driver does:
+    /// `base` on the cell's [`system`](Self::system), through
+    /// [`Experiment::build`].
+    #[must_use]
+    pub fn build(&self, base: &Experiment) -> SsdSystem {
+        Experiment {
+            system: self.system(&base.system),
+            ..base.clone()
+        }
+        .build(self.policy, self.benchmark)
+    }
+}
+
+/// Expands the `benchmarks × policies × op values` cross product in
+/// deterministic order and drops exact duplicate cells (same policy,
+/// benchmark, and OP — e.g. `--policy l-bgc,reserved:500` names the same
+/// configuration twice). Returns the unique cells in first-occurrence
+/// order and the number of duplicates dropped.
+#[must_use]
+pub fn expand_cells(
+    benchmarks: &[BenchmarkKind],
+    policies: &[PolicyKind],
+    op_values: &[Option<u64>],
+) -> (Vec<SweepCell>, usize) {
+    let mut cells: Vec<SweepCell> = Vec::new();
+    let mut dropped = 0usize;
+    for &benchmark in benchmarks {
+        for &policy in policies {
+            for &op_permille in op_values {
+                let cell = SweepCell {
+                    policy,
+                    benchmark,
+                    op_permille,
+                };
+                if cells.contains(&cell) {
+                    dropped += 1;
+                } else {
+                    cells.push(cell);
+                }
+            }
+        }
+    }
+    (cells, dropped)
 }
 
 /// Renders a row-per-benchmark, column-per-variant table of `f64` cells.
@@ -144,5 +200,47 @@ mod tests {
         assert!(t.contains("=== T ==="));
         assert!(t.contains("row"));
         assert!(t.contains("2.00"));
+    }
+
+    #[test]
+    fn expansion_is_the_ordered_cross_product() {
+        let (cells, dropped) = expand_cells(
+            &[BenchmarkKind::Ycsb, BenchmarkKind::TpcC],
+            &[PolicyKind::Jit, PolicyKind::NoBgc],
+            &[None, Some(140)],
+        );
+        assert_eq!(cells.len(), 8);
+        assert_eq!(dropped, 0);
+        assert_eq!(cells[0].benchmark, BenchmarkKind::Ycsb);
+        assert_eq!(cells[0].policy, PolicyKind::Jit);
+        assert_eq!(cells[1].op_permille, Some(140));
+    }
+
+    #[test]
+    fn duplicate_cells_are_dropped_and_counted() {
+        let (cells, dropped) = expand_cells(
+            &[BenchmarkKind::Ycsb],
+            &[PolicyKind::L_BGC, PolicyKind::L_BGC, PolicyKind::Jit],
+            &[None],
+        );
+        assert_eq!(cells.len(), 2);
+        assert_eq!(dropped, 1);
+    }
+
+    #[test]
+    fn op_override_rescales_the_geometry() {
+        let base = SystemConfig::default_sim();
+        let cell = SweepCell {
+            policy: PolicyKind::Jit,
+            benchmark: BenchmarkKind::Ycsb,
+            op_permille: Some(200),
+        };
+        let system = cell.system(&base);
+        assert_eq!(system.ftl.op_permille(), 200);
+        assert!(system.ftl.op_pages() > base.ftl.op_pages());
+        assert_eq!(system.ftl.user_pages(), base.ftl.user_pages());
+        // The built cell runs on that system, not the base's.
+        let sim = cell.build(&Experiment::standard());
+        assert_eq!(sim.config().ftl.op_permille(), 200);
     }
 }

@@ -1,9 +1,10 @@
-//! Pins the key paths — names *and* order — of the three `--bench-json`
-//! record shapes `ssdsim` writes (single device, `--array`, screened
-//! sweep). All three go through the one `RunPerf::record` writer, so a
-//! field dropped or reordered there fails here; dashboards diff these
-//! records positionally. The fourth shape, `ssdsimd`'s, is pinned by
-//! `crates/service/tests/cli_bench_record.rs` against the same lists.
+//! Pins the key paths — names *and* order — of the two `--bench-json`
+//! record shapes `ssdsim` writes (single device, `--array`; a sweep
+//! writes an array of single-device records). Both go through the one
+//! `RunPerf::record` writer, so a field dropped or reordered there fails
+//! here; dashboards diff these records positionally. The third shape,
+//! `ssdsimd`'s, is pinned by `crates/service/tests/cli_bench_record.rs`
+//! against the same lists.
 
 use jitgc_sim::json::JsonValue;
 use std::process::Command;
@@ -152,74 +153,4 @@ fn bench_record_key_paths_are_pinned() {
             ])
         );
     }
-
-    // --- screened sweep: a wrapper whose simulated cells carry the
-    // single-device record under `perf` ---
-    let screened = bench_record(
-        "screened.json",
-        &[
-            "--benchmark",
-            "ycsb",
-            "--policy",
-            "all",
-            "--screen",
-            "model",
-        ],
-    );
-    assert_eq!(keys(&screened), ["schema", "screening", "cells"]);
-    assert_eq!(
-        screened.get("schema").and_then(JsonValue::as_str),
-        Some("ssdsim-bench/11")
-    );
-    assert_eq!(
-        keys(screened.get("screening").expect("screening section")),
-        [
-            "mode",
-            "keep_frac",
-            "total_cells",
-            "duplicate_cells_dropped",
-            "simulated_cells",
-            "pareto_cells",
-            "model_eval_secs",
-        ]
-    );
-    let cells = screened
-        .get("cells")
-        .and_then(JsonValue::as_array)
-        .expect("cells array");
-    let cell_keys = [
-        "benchmark",
-        "policy",
-        "op_permille",
-        "simulated",
-        "pareto",
-        "model",
-        "perf",
-    ];
-    let mut simulated = 0;
-    for cell in cells {
-        match cell.get("perf") {
-            Some(perf) => {
-                simulated += 1;
-                assert_eq!(keys(cell), cell_keys);
-                assert_eq!(keys(perf), single_keys());
-            }
-            None => assert_eq!(keys(cell), cell_keys[..6]),
-        }
-        assert_eq!(
-            keys(cell.get("model").expect("model block")),
-            [
-                "waf",
-                "feasible",
-                "stall_proxy",
-                "lifetime_host_bytes",
-                "utilization",
-                "reserve_pages",
-            ]
-        );
-    }
-    assert!(
-        simulated >= 1 && simulated < cells.len(),
-        "both cell forms seen"
-    );
 }

@@ -10,9 +10,9 @@
 //! or above 65 536 and a fault rate that is negative or not finite, on the
 //! command line or in a `--config`;
 //! an unwritable output path is reported before anything runs, and the
-//! selector flags this CLI no longer has are plain unknown flags. A legal
-//! but outsized value runs: a cache capacity of 2^40 pages is no
-//! allocation request.
+//! selector and screening flags this CLI no longer has are plain unknown
+//! flags. A legal but outsized value runs: a cache capacity of 2^40 pages
+//! is no allocation request.
 
 use std::process::Command;
 
@@ -97,7 +97,7 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         "\"queue_depth\": 4294967295",
     );
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 39] = [
+    let cases: [(&[&str], &str); 41] = [
         (&["--seconds", "0"], "--seconds"),
         // The first used to run until killed: 2e13 s wrapped the
         // microsecond conversion in a release build. The second is one
@@ -126,6 +126,8 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
             "unknown flag: --array-sched",
         ),
         (&["--fast-forward", "on"], "unknown flag: --fast-forward"),
+        (&["--screen", "model"], "unknown flag: --screen"),
+        (&["--screen-keep", "0.25"], "unknown flag: --screen-keep"),
         (
             &["--array", "4", "--member-threads", "2"],
             "unknown flag: --member-threads",

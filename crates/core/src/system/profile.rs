@@ -158,11 +158,10 @@ pub struct RunPerf {
 }
 
 impl RunPerf {
-    /// The perf-record schema tag, for wrappers (the screened sweep) that
-    /// carry it outside a [`record`](Self::record).
-    pub const SCHEMA: &'static str = "ssdsim-bench/11";
+    /// The perf-record schema tag.
+    const SCHEMA: &'static str = "ssdsim-bench/11";
 
-    /// Starts a [`SCHEMA`](Self::SCHEMA) perf record with every field the drivers
+    /// Starts an `ssdsim-bench/11` perf record with every field the drivers
     /// share: identity and totals, wall time and throughput, the phase
     /// breakdown and the fast-forward counters. Key order is part of the
     /// schema, and its history put each driver's outcome fields between

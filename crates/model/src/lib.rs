@@ -6,10 +6,9 @@
 //! [write profile](jitgc_workload::WriteProfile), it predicts write
 //! amplification, lifetime, and a foreground-stall proxy in
 //! microseconds of compute instead of minutes of simulation. That makes
-//! it a *screening layer* for design-space sweeps (`ssdsim --sweep
-//! --screen model` evaluates every cell analytically and simulates only
-//! the predicted Pareto frontier) and an independent correctness check
-//! on the simulator — the two implementations share no code beyond the
+//! it an independent correctness check on the simulator
+//! (`tests/model_validation.rs`, and the `model` table of
+//! EXPERIMENTS.md) — the two implementations share no code beyond the
 //! config types, so agreement is evidence for both.
 //!
 //! The model chain (in the spirit of Desnoyers' and Li/Lee/Lui's

@@ -11,7 +11,7 @@ use jitgc_sim::{ByteSize, SimDuration};
 /// 384 pages-per-block at 25 nm — making GC ever more expensive. The
 /// [`legacy_130nm`](NandTiming::legacy_130nm) and
 /// [`dense_25nm`](NandTiming::dense_25nm) presets encode exactly those
-/// numbers so the `ablation_nand_generation` bench can reproduce the trend;
+/// numbers so the `ablation_nand` table can reproduce the trend;
 /// [`mlc_20nm`](NandTiming::mlc_20nm) approximates the SM843T's 20 nm MLC
 /// flash and is the default everywhere else.
 ///

@@ -12,8 +12,8 @@
 //! * [`core`] — the paper's contribution: predictors, the JIT-GC manager,
 //!   BGC policies, and the full-system simulation engine.
 //! * [`array`] — striped multi-SSD array layer with GC-aware routing.
-//! * [`model`] — analytical mean-field WAF/lifetime model used to screen
-//!   sweep configurations before simulating them.
+//! * [`model`] — analytical mean-field WAF/lifetime model, an independent
+//!   oracle the simulator is checked against.
 //! * [`service`] — multi-tenant queue-pair frontend: per-tenant
 //!   submission/completion queues, weighted fair queueing, and tiered
 //!   backpressure over one engine.

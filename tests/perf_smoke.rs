@@ -102,9 +102,10 @@ fn sweep_reports_are_identical_serial_and_threaded() {
             })
             .collect();
 
-    let serial = exp.run_cells(&cells, 1);
+    let run = |&(p, b): &(PolicyKind, BenchmarkKind)| exp.run(p, b);
+    let serial = run_grid(&cells, 1, run);
     for threads in [2, 4] {
-        let threaded = exp.run_cells(&cells, threads);
+        let threaded = run_grid(&cells, threads, run);
         assert_eq!(
             serial, threaded,
             "sweep results diverged at {threads} threads"
