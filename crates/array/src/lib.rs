@@ -26,7 +26,7 @@
 //!
 //! A 1-member array degenerates to the standalone engine: same request
 //! sequence, same prefill, byte-identical per-device report — the
-//! equivalence the root `array_smoke` test pins.
+//! equivalence `tests/array_properties.rs` pins.
 //!
 //! # Example
 //!

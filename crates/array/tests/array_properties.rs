@@ -2,9 +2,9 @@
 //! consistency, determinism, and mirrored-write coherence.
 
 use jitgc_array::{ArrayConfig, ArrayReport, GcMode, Redundancy};
-use jitgc_bench::{run_grid, PolicyKind};
+use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::{SsdSystem, SystemConfig};
-use jitgc_sim::SimDuration;
+use jitgc_sim::{run_grid, SimDuration};
 use jitgc_workload::{BenchmarkKind, Workload, WorkloadConfig};
 
 fn workload_for(system: &SystemConfig, columns: u64, seed: u64) -> Box<dyn Workload> {

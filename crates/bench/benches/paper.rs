@@ -1,6 +1,8 @@
 //! Every table of the paper's evaluation — Fig. 2, Table 1, Fig. 7,
-//! Tables 2 and 3 — with the ablations and extensions beside them and
-//! the analytical model's accuracy, written into `EXPERIMENTS.md`.
+//! Tables 2 and 3, Fig. 9's lifetime — with the ablations and extensions
+//! beside them (among them the Fig. 7 policies on a 4-member RAID-0 array
+//! by GC mode, staggered collection on that array under load, and the
+//! analytical model's accuracy), written into `EXPERIMENTS.md`.
 //!
 //! `cargo bench -p jitgc-bench --bench paper` runs every table's cells
 //! on all cores and replaces the text between each table's
@@ -12,14 +14,17 @@
 //! A table is a spec: an id, a title, its columns and their precision,
 //! one row of cells per row label, and the function that turns a row's
 //! reports into its values. Each cell is a variant of
-//! [`Experiment::standard`], a policy and a workload.
+//! [`Experiment::standard`], a policy and a load: one device running a
+//! benchmark or the synthetic workload, or an array of devices running a
+//! benchmark.
 
+use jitgc_array::{ArrayConfig, ArrayReport, GcMode, Redundancy};
 use jitgc_bench::{default_threads, format_table, run_grid, Experiment, PolicyKind};
 use jitgc_core::system::{SimReport, SsdSystem, VictimKind};
 use jitgc_model::{predict, WorkloadSpec};
 use jitgc_nand::NandTiming;
 use jitgc_sim::SimDuration;
-use jitgc_workload::{measure_write_mix, BenchmarkKind, Synthetic, WorkloadConfig};
+use jitgc_workload::{measure_write_mix, BenchmarkKind, Synthetic, Workload, WorkloadConfig};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -31,6 +36,35 @@ enum Load {
     /// The synthetic workload (40 % reads, Zipf 0.99, 1–4 pages) with
     /// this share of its writes buffered.
     Synthetic(f64),
+    /// A benchmark striped over a RAID-0 array of [`MEMBERS`] devices in
+    /// 64 KiB chunks, each member carrying the experiment's single-device
+    /// load, collecting in this GC mode.
+    Array(BenchmarkKind, GcMode),
+}
+
+/// The members of every array cell.
+const MEMBERS: usize = 4;
+
+/// What a cell reports: one device's report, or an array's.
+enum Report {
+    Device(SimReport),
+    Array(ArrayReport),
+}
+
+impl Report {
+    fn device(&self) -> &SimReport {
+        match self {
+            Report::Device(report) => report,
+            Report::Array(_) => panic!("a device table reads an array cell"),
+        }
+    }
+
+    fn array(&self) -> &ArrayReport {
+        match self {
+            Report::Array(report) => report,
+            Report::Device(_) => panic!("an array table reads a device cell"),
+        }
+    }
 }
 
 /// One simulation.
@@ -41,42 +75,72 @@ struct Cell {
     load: Load,
 }
 
+/// A cell: `load` under `policy` on `exp`.
+fn cell(exp: &Experiment, policy: PolicyKind, load: Load) -> Cell {
+    Cell {
+        exp: exp.clone(),
+        policy,
+        load,
+    }
+}
+
 impl Cell {
-    fn run(&self) -> SimReport {
+    fn run(&self) -> Report {
+        let system = &self.exp.system;
+        let device = |workload: Box<dyn Workload>| {
+            Report::Device(
+                SsdSystem::new(system.clone(), self.policy.build(system), workload).run(),
+            )
+        };
         match self.load {
-            Load::Bench(benchmark) => self.exp.run(self.policy, benchmark),
-            Load::Synthetic(buffered) => {
-                let workload = Synthetic::builder()
+            Load::Bench(benchmark) => device(benchmark.build(workload_config(&self.exp, 1))),
+            Load::Synthetic(buffered) => device(Box::new(
+                Synthetic::builder()
                     .read_fraction(0.4)
                     .buffered_fraction(buffered)
                     .zipf_skew(0.99)
                     .pages(1, 4)
-                    .build(workload_config(&self.exp));
-                let system = &self.exp.system;
-                SsdSystem::new(
-                    system.clone(),
-                    self.policy.build(system),
-                    Box::new(workload),
-                )
-                .run()
+                    .build(workload_config(&self.exp, 1)),
+            )),
+            Load::Array(benchmark, gc_mode) => {
+                let array = ArrayConfig {
+                    members: MEMBERS,
+                    chunk_pages: 16,
+                    redundancy: Redundancy::None,
+                    gc_mode,
+                    system: system.clone(),
+                };
+                let workload = benchmark.build(workload_config(&self.exp, MEMBERS as u64));
+                Report::Array(array.build(|cfg| self.policy.build(cfg), workload).run())
             }
         }
     }
 }
 
-/// The workload knobs of `exp`, as [`Experiment::build`] sets them.
-fn workload_config(exp: &Experiment) -> WorkloadConfig {
+/// The workload knobs of `exp`, as [`Experiment::build`] sets them,
+/// with the working set and the rate spread over `columns` stripe
+/// columns (1 on one device).
+fn workload_config(exp: &Experiment, columns: u64) -> WorkloadConfig {
+    let working_set = exp.system.standard_working_set().expect("a working set");
     WorkloadConfig::builder()
-        .working_set_pages(exp.system.standard_working_set().expect("a working set"))
+        .working_set_pages(working_set * columns)
         .duration(exp.duration)
-        .mean_iops(exp.mean_iops)
+        .mean_iops(exp.mean_iops * columns as f64)
         .burst_mean(exp.burst_mean)
         .seed(exp.seed)
         .build()
 }
 
 /// A row's values, from the row's index and its cells' reports in order.
-type Values = Box<dyn Fn(usize, &[&SimReport]) -> Vec<f64>>;
+type Values = Box<dyn Fn(usize, &[&Report]) -> Vec<f64>>;
+
+/// A row's values from its cells' single-device reports.
+fn device(values: impl Fn(usize, &[&SimReport]) -> Vec<f64> + 'static) -> Values {
+    Box::new(move |row, reports| {
+        let reports: Vec<&SimReport> = reports.iter().map(|r| r.device()).collect();
+        values(row, &reports)
+    })
+}
 
 /// One generated table.
 struct Table {
@@ -108,11 +172,7 @@ fn by_benchmark(
         .map(|&benchmark| {
             let cells = variants
                 .iter()
-                .map(|(exp, policy)| Cell {
-                    exp: exp.clone(),
-                    policy: *policy,
-                    load: Load::Bench(benchmark),
-                })
+                .map(|(exp, policy)| cell(exp, *policy, Load::Bench(benchmark)))
                 .collect();
             (benchmark.name().to_owned(), cells)
         })
@@ -129,7 +189,12 @@ fn policies(policies: &[PolicyKind]) -> Vec<(Experiment, PolicyKind)> {
 
 /// One value per cell.
 fn each(metric: fn(&SimReport) -> f64) -> Values {
-    Box::new(move |_, reports| reports.iter().map(|r| metric(r)).collect())
+    device(move |_, reports| reports.iter().map(|r| metric(r)).collect())
+}
+
+/// One value per array cell.
+fn each_array(metric: fn(&ArrayReport) -> f64) -> Values {
+    Box::new(move |_, reports| reports.iter().map(|r| metric(r.array())).collect())
 }
 
 fn waf(r: &SimReport) -> f64 {
@@ -166,7 +231,7 @@ fn tables() -> Vec<Table> {
         columns: reserve_columns.clone(),
         precision: 3,
         rows: reserve_cells.clone(),
-        values: Box::new(|_, r| r.iter().map(|x| x.normalized_iops(r[4])).collect()),
+        values: device(|_, r| r.iter().map(|x| x.normalized_iops(r[4])).collect()),
     });
     tables.push(Table {
         id: "fig2b",
@@ -174,7 +239,7 @@ fn tables() -> Vec<Table> {
         columns: reserve_columns,
         precision: 3,
         rows: reserve_cells,
-        values: Box::new(|_, r| r.iter().map(|x| x.normalized_waf(r[4])).collect()),
+        values: device(|_, r| r.iter().map(|x| x.normalized_waf(r[4])).collect()),
     });
 
     // Table 1 drains each generator; nothing is simulated.
@@ -192,9 +257,9 @@ fn tables() -> Vec<Table> {
             .iter()
             .map(|b| (b.name().to_owned(), Vec::new()))
             .collect(),
-        values: Box::new(move |row, _| {
+        values: device(move |row, _| {
             let kind = all[row];
-            let mut workload = kind.build(workload_config(&Experiment::standard()));
+            let mut workload = kind.build(workload_config(&Experiment::standard(), 1));
             let measured = measure_write_mix(workload.as_mut(), u64::MAX)
                 .buffered_fraction()
                 .expect("every benchmark writes");
@@ -218,7 +283,7 @@ fn tables() -> Vec<Table> {
         columns: labels(&fig7, |p| p.name()),
         precision: 3,
         rows: by_benchmark(&all, &policies(&fig7)),
-        values: Box::new(|_, r| r.iter().map(|x| x.normalized_iops(r[1])).collect()),
+        values: device(|_, r| r.iter().map(|x| x.normalized_iops(r[1])).collect()),
     });
     tables.push(Table {
         id: "fig7b",
@@ -226,7 +291,7 @@ fn tables() -> Vec<Table> {
         columns: labels(&fig7, |p| p.name()),
         precision: 3,
         rows: by_benchmark(&all, &policies(&fig7)),
-        values: Box::new(|_, r| r.iter().map(|x| x.normalized_waf(r[1])).collect()),
+        values: device(|_, r| r.iter().map(|x| x.normalized_waf(r[1])).collect()),
     });
 
     // The paper's own values of Tables 2 and 3, in `BenchmarkKind::all()`
@@ -246,7 +311,7 @@ fn tables() -> Vec<Table> {
         columns: columns(&["JIT-GC", "ADP-GC", "JIT-GC(paper)", "ADP-GC(paper)"]),
         precision: 1,
         rows: by_benchmark(&all, &policies(&[PolicyKind::Jit, PolicyKind::Adp])),
-        values: Box::new(|row, r| {
+        values: device(|row, r| {
             let accuracy = |r: &SimReport| r.prediction_accuracy_percent.expect("it predicts");
             let [jit, adp] = TABLE2_PAPER[row];
             vec![accuracy(r[0]), accuracy(r[1]), jit, adp]
@@ -258,7 +323,7 @@ fn tables() -> Vec<Table> {
         columns: columns(&["filtered", "paper"]),
         precision: 1,
         rows: by_benchmark(&all, &policies(&[PolicyKind::Jit])),
-        values: Box::new(|row, r| {
+        values: device(|row, r| {
             let filtered = r[0].sip_filtered_fraction.map_or(0.0, |f| f * 100.0);
             vec![filtered, TABLE3_PAPER[row]]
         }),
@@ -270,7 +335,7 @@ fn tables() -> Vec<Table> {
         columns: columns(&["WAF(SIP)", "WAF(no SIP)", "penalty %", "filtered %"]),
         precision: 2,
         rows: by_benchmark(&all, &policies(&[PolicyKind::Jit, PolicyKind::JitNoSip])),
-        values: Box::new(|_, r| {
+        values: device(|_, r| {
             let (with, without) = (waf(r[0]), waf(r[1]));
             let filtered = r[0].sip_filtered_fraction.map_or(0.0, |f| f * 100.0);
             vec![with, without, (without / with - 1.0) * 100.0, filtered]
@@ -352,7 +417,7 @@ fn tables() -> Vec<Table> {
                 ),
             ],
         ),
-        values: Box::new(|_, r| vec![stalls(r[0]), stalls(r[1]), waf(r[0]), waf(r[1])]),
+        values: device(|_, r| vec![stalls(r[0]), stalls(r[1]), waf(r[0]), waf(r[1])]),
     });
 
     // The standard device on three flash generations' program time and
@@ -384,15 +449,12 @@ fn tables() -> Vec<Table> {
                         .timing(timing)
                         .build();
                 });
-                let cells = [PolicyKind::NoBgc, PolicyKind::A_BGC].map(|policy| Cell {
-                    exp: exp.clone(),
-                    policy,
-                    load: Load::Bench(BenchmarkKind::TpcC),
-                });
+                let cells = [PolicyKind::NoBgc, PolicyKind::A_BGC]
+                    .map(|policy| cell(&exp, policy, Load::Bench(BenchmarkKind::TpcC)));
                 (name.to_owned(), cells.to_vec())
             })
             .collect(),
-        values: Box::new(|_, r| {
+        values: device(|_, r| {
             let (none, aggressive) = (r[0], r[1]);
             vec![
                 none.iops,
@@ -428,7 +490,7 @@ fn tables() -> Vec<Table> {
                 (streams, PolicyKind::Jit),
             ],
         ),
-        values: Box::new(|_, r| {
+        values: device(|_, r| {
             let (single, streamed) = (waf(r[0]), waf(r[1]));
             vec![single, streamed, (1.0 - streamed / single) * 100.0]
         }),
@@ -455,7 +517,7 @@ fn tables() -> Vec<Table> {
                 })
                 .collect::<Vec<_>>(),
         ),
-        values: Box::new(|_, r| {
+        values: device(|_, r| {
             r.chunks(2)
                 .map(|pair| (pair[1].iops / pair[0].iops - 1.0) * 100.0)
                 .collect()
@@ -468,11 +530,7 @@ fn tables() -> Vec<Table> {
     let synthetic = |policy: PolicyKind| -> Vec<Cell> {
         fractions
             .iter()
-            .map(|&f| Cell {
-                exp: Experiment::standard(),
-                policy,
-                load: Load::Synthetic(f),
-            })
+            .map(|&f| cell(&Experiment::standard(), policy, Load::Synthetic(f)))
             .collect()
     };
     tables.push(Table {
@@ -495,7 +553,7 @@ fn tables() -> Vec<Table> {
             "gap".to_owned(),
             [synthetic(PolicyKind::Jit), synthetic(PolicyKind::Adp)].concat(),
         )],
-        values: Box::new(|_, r| {
+        values: device(|_, r| {
             let accuracy = |r: &SimReport| r.prediction_accuracy_percent.unwrap_or(0.0);
             let (jit, adp) = r.split_at(r.len() / 2);
             jit.iter()
@@ -541,6 +599,125 @@ fn tables() -> Vec<Table> {
         });
     }
 
+    // The Fig. 7 policies on a 4-member array, with and without
+    // staggered collection.
+    let modes = [GcMode::Unsynchronized, GcMode::Staggered];
+    let short = varied(|e| e.duration = SimDuration::from_secs(120));
+    let array_cells: Vec<(String, Vec<Cell>)> = all
+        .iter()
+        .map(|&b| {
+            let cells = fig7
+                .iter()
+                .flat_map(|&p| modes.map(|m| cell(&short, p, Load::Array(b, m))));
+            (b.name().to_owned(), cells.collect())
+        })
+        .collect();
+    let array_columns: Vec<String> = fig7
+        .iter()
+        .flat_map(|p| modes.map(|m| format!("{}/{}", p.name(), m.name())))
+        .collect();
+    for (id, title, precision, metric) in [
+        (
+            "array_iops",
+            "Array (4-way RAID-0): IOPS by policy x GC mode",
+            0,
+            (|r| r.iops) as fn(&ArrayReport) -> f64,
+        ),
+        (
+            "array_p99",
+            "Array (4-way RAID-0): p99 latency (us)",
+            0,
+            |r| r.latency_p99_us as f64,
+        ),
+        ("array_waf", "Array (4-way RAID-0): WAF", 3, |r| {
+            r.waf.expect("host writes happened")
+        }),
+    ] {
+        tables.push(Table {
+            id,
+            title,
+            columns: array_columns.clone(),
+            precision,
+            rows: array_cells.clone(),
+            values: each_array(metric),
+        });
+    }
+
+    // The same array under load: JIT-GC at 500 IOPS per member, 8
+    // closed-loop threads.
+    let loaded = varied(|e| {
+        e.duration = SimDuration::from_secs(120);
+        e.mean_iops = 500.0;
+        e.system.queue_depth = 8;
+    });
+    tables.push(Table {
+        id: "array_stagger",
+        title: "Array (4-way RAID-0, QD 8, JIT-GC): staggered vs unsynchronized GC",
+        columns: columns(&["IOPS", "p99 (us)", "p999 (us)", "WAF", "FGC(request)"]),
+        precision: 3,
+        rows: [BenchmarkKind::Tiobench, BenchmarkKind::Postmark]
+            .iter()
+            .flat_map(|&b| {
+                let row = |m: GcMode| format!("{} {}", b.name(), m.name());
+                modes.map(|m| {
+                    (
+                        row(m),
+                        vec![cell(&loaded, PolicyKind::Jit, Load::Array(b, m))],
+                    )
+                })
+            })
+            .collect(),
+        values: Box::new(|_, r| {
+            let a = r[0].array();
+            vec![
+                a.iops,
+                a.latency_p99_us as f64,
+                a.latency_p999_us as f64,
+                a.waf.expect("host writes happened"),
+                a.fgc_request_stalls as f64,
+            ]
+        }),
+    });
+
+    // Fig. 9: each policy on flash that wears out at the 60th erase of
+    // a block, run until the device goes read-only.
+    let endurance = varied(|e| {
+        e.system.ftl = e.system.ftl.to_builder().endurance_limit(60).build();
+        e.duration = SimDuration::from_secs(2_400);
+        e.mean_iops = 2_000.0;
+        e.seed = 7;
+    });
+    tables.push(Table {
+        id: "lifetime",
+        title: "Fig. 9: lifetime to read-only (endurance 60, 2000 IOPS, seed 7)",
+        columns: columns(&["lifetime MiB", "read-only s", "FGC(request)", "WAF"]),
+        precision: 2,
+        rows: [
+            BenchmarkKind::Ycsb,
+            BenchmarkKind::Filebench,
+            BenchmarkKind::Tiobench,
+            BenchmarkKind::Postmark,
+        ]
+        .iter()
+        .flat_map(|&benchmark| {
+            [PolicyKind::A_BGC, PolicyKind::L_BGC, PolicyKind::Jit].map(|policy| {
+                let row = format!("{} {}", benchmark.name(), policy.name());
+                (row, vec![cell(&endurance, policy, Load::Bench(benchmark))])
+            })
+        })
+        .collect(),
+        values: device(|_, r| {
+            let worn = r[0].degraded.as_ref().expect("the device wears out");
+            let bytes = worn.lifetime_host_bytes.expect("it went read-only");
+            vec![
+                bytes as f64 / f64::from(1u32 << 20),
+                worn.read_only_at_secs.expect("it went read-only"),
+                r[0].fgc_request_stalls as f64,
+                waf(r[0]),
+            ]
+        }),
+    });
+
     // The mean-field model against the simulator under the model's own
     // assumptions: foreground-only cleaning, FIFO victims, steady state.
     let control = varied(|e| {
@@ -555,7 +732,7 @@ fn tables() -> Vec<Table> {
         columns: columns(&["model WAF", "simulated WAF", "error %"]),
         precision: 3,
         rows: by_benchmark(&all, &[(control, PolicyKind::NoBgc)]),
-        values: Box::new(move |row, r| {
+        values: device(move |row, r| {
             let model = predict(&model_system, PolicyKind::NoBgc, all[row], &spec).waf;
             let simulated = waf(r[0]);
             vec![model, simulated, (model / simulated - 1.0) * 100.0]
@@ -610,7 +787,7 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, (name, cells))| {
-                let row: Vec<&SimReport> = cells.iter().map(|c| &reports[index[&key(c)]]).collect();
+                let row: Vec<&Report> = cells.iter().map(|c| &reports[index[&key(c)]]).collect();
                 (name.clone(), (table.values)(i, &row))
             })
             .collect();

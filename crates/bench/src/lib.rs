@@ -161,6 +161,10 @@ pub fn expand_cells(
 }
 
 /// Renders a row-per-benchmark, column-per-variant table of `f64` cells.
+///
+/// Row labels take at least 12 characters and every column at least 16;
+/// a wider label or value widens its column so that at least one space
+/// separates it from its neighbour.
 #[must_use]
 pub fn format_table(
     title: &str,
@@ -168,17 +172,32 @@ pub fn format_table(
     rows: &[(String, Vec<f64>)],
     precision: usize,
 ) -> String {
+    let width = |text: &str| text.chars().count() + 1;
+    let label_width = rows
+        .iter()
+        .map(|(name, _)| width(name))
+        .fold(12, usize::max);
+    let widths: Vec<usize> = columns
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            rows.iter()
+                .filter_map(|(_, cells)| cells.get(i))
+                .map(|v| width(&format!("{v:.precision$}")))
+                .fold(width(c).max(16), usize::max)
+        })
+        .collect();
     let mut out = String::new();
     out.push_str(&format!("\n=== {title} ===\n"));
-    out.push_str(&format!("{:<12}", ""));
-    for c in columns {
-        out.push_str(&format!("{c:>16}"));
+    out.push_str(&format!("{:<label_width$}", ""));
+    for (c, w) in columns.iter().zip(&widths) {
+        out.push_str(&format!("{c:>w$}"));
     }
     out.push('\n');
     for (name, cells) in rows {
-        out.push_str(&format!("{name:<12}"));
-        for v in cells {
-            out.push_str(&format!("{v:>16.precision$}"));
+        out.push_str(&format!("{name:<label_width$}"));
+        for (v, w) in cells.iter().zip(&widths) {
+            out.push_str(&format!("{v:>w$.precision$}"));
         }
         out.push('\n');
     }
@@ -200,6 +219,26 @@ mod tests {
         assert!(t.contains("=== T ==="));
         assert!(t.contains("row"));
         assert!(t.contains("2.00"));
+        assert_eq!(t.lines().nth(2).map(str::len), Some(12 + 16 + 16));
+
+        // A 16-character label widens its column to keep a space on its
+        // left; narrower columns stay 16 wide.
+        let t = format_table(
+            "T",
+            &["A-BGC/unsync".into(), "ADP-GC/staggered".into()],
+            &[("Filebench JIT-GC".into(), vec![1.0, 2.0])],
+            0,
+        );
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(
+            lines[2],
+            format!("{:17}{:>16}{:>17}", "", "A-BGC/unsync", "ADP-GC/staggered")
+        );
+        assert_eq!(
+            lines[3],
+            format!("{:<17}{:>16}{:>17}", "Filebench JIT-GC", "1", "2")
+        );
+        assert!(lines[2].contains(" ADP-GC/staggered"));
     }
 
     #[test]

@@ -214,7 +214,8 @@ fn prefill_phase_is_excluded_from_wear_and_lifetime_reporting() {
 
 /// A 1-member array preserves the member's configured fault seed, so even
 /// a *faulty* standalone run is byte-identical to its 1-member array
-/// counterpart (the root `array_smoke` pins the fault-free case).
+/// counterpart (`crates/array/tests/array_properties.rs` pins the
+/// fault-free case).
 #[test]
 fn one_member_array_preserves_the_fault_stream() {
     let config = faulty_config();

@@ -5,6 +5,7 @@
 //! there calls held names its test here; each is checked with
 //! comfortable margins so the suite stays fast and stable.
 
+use jitgc_repro::array::{ArrayConfig, GcMode, Redundancy};
 use jitgc_repro::core::policy::PolicyKind;
 use jitgc_repro::core::system::{SimReport, SsdSystem, SystemConfig, VictimKind};
 use jitgc_repro::sim::SimDuration;
@@ -246,4 +247,102 @@ fn experiments_are_reproducible() {
     assert_eq!(a.nand_erases, b.nand_erases);
     assert_eq!(a.latency_p999_us, b.latency_p999_us);
     assert_eq!(a.prediction_accuracy_percent, b.prediction_accuracy_percent);
+}
+
+/// Lifetime in host bytes and FGC request stalls of A-BGC, L-BGC and
+/// JIT-GC, in that order: three rows of the `lifetime` table (endurance
+/// 60, 2 000 IOPS, seed 7). Every such run goes read-only before 300 s,
+/// and the request stream's prefix does not depend on the horizon, so
+/// these 300 s runs report the table's 2 400 s numbers.
+fn wear_out(kind: BenchmarkKind) -> [(f64, u64); 3] {
+    let mut config = aged_config();
+    config.ftl = config.ftl.to_builder().endurance_limit(60).build();
+    [PolicyKind::A_BGC, PolicyKind::L_BGC, PolicyKind::Jit].map(|policy| {
+        let wl = WorkloadConfig::builder()
+            .working_set_pages(config.standard_working_set().unwrap())
+            .duration(SimDuration::from_secs(300))
+            .mean_iops(2_000.0)
+            .burst_mean(1_024.0)
+            .seed(7)
+            .build();
+        let report = SsdSystem::new(config.clone(), policy.build(&config), kind.build(wl)).run();
+        let worn = report.degraded.expect("the device wears out");
+        assert!(worn.read_only, "{} on {}", policy.name(), kind.name());
+        let bytes = worn
+            .lifetime_host_bytes
+            .expect("read-only devices have one");
+        (bytes as f64, report.fgc_request_stalls)
+    })
+}
+
+/// Fig. 9, the `lifetime` table's verdicts. On YCSB, JIT-GC accepts at
+/// least L-BGC's host data with fewer FGC stalls, and A-BGC's early
+/// erases cost it over a tenth of the device's life. On Filebench and
+/// Tiobench JIT-GC outlives both (and on Tiobench stalls least). On
+/// Postmark it sits between the two on both axes. Twelve 300 s runs,
+/// ~4 s in the test profile.
+#[test]
+fn fig9_shape_jit_lives_as_long_as_lazy_with_fewer_stalls() {
+    let [(a, _), (l, l_stalls), (j, j_stalls)] = wear_out(BenchmarkKind::Ycsb);
+    assert!(
+        j >= l && j_stalls < l_stalls && a < l * 0.9,
+        "YCSB: lifetimes A {a} L {l} J {j}, stalls L {l_stalls} J {j_stalls}"
+    );
+    for kind in [BenchmarkKind::Filebench, BenchmarkKind::Tiobench] {
+        let [(a, a_stalls), (l, l_stalls), (j, j_stalls)] = wear_out(kind);
+        assert!(
+            j > l && j > a,
+            "{}: lifetimes A {a} L {l} J {j}",
+            kind.name()
+        );
+        let fewest = j_stalls < l_stalls && j_stalls < a_stalls;
+        assert!(
+            kind != BenchmarkKind::Tiobench || fewest,
+            "Tiobench stalls A {a_stalls} L {l_stalls} J {j_stalls}"
+        );
+    }
+    let [(a, a_stalls), (l, l_stalls), (j, j_stalls)] = wear_out(BenchmarkKind::Postmark);
+    assert!(a < j && j < l, "Postmark: lifetimes A {a} J {j} L {l}");
+    assert!(
+        a_stalls < j_stalls && j_stalls < l_stalls,
+        "Postmark: stalls A {a_stalls} J {j_stalls} L {l_stalls}"
+    );
+}
+
+/// The `array_stagger` table's verdict: on a 4-member RAID-0 array at 500
+/// IOPS per member and 8 closed-loop threads, staggered collection
+/// lowers the volume's p99 on Tiobench and Postmark. Four 120 s array
+/// runs, ~1.3 s in the test profile.
+#[test]
+fn array_stagger_shape_lowers_p99_under_load() {
+    let mut config = aged_config();
+    config.queue_depth = 8;
+    for kind in [BenchmarkKind::Tiobench, BenchmarkKind::Postmark] {
+        let [unsync, staggered] = [GcMode::Unsynchronized, GcMode::Staggered].map(|gc_mode| {
+            let wl = WorkloadConfig::builder()
+                .working_set_pages(config.standard_working_set().unwrap() * 4)
+                .duration(SimDuration::from_secs(120))
+                .mean_iops(500.0 * 4.0)
+                .burst_mean(1_024.0)
+                .seed(42)
+                .build();
+            let system = config.clone();
+            let array = ArrayConfig {
+                members: 4,
+                chunk_pages: 16,
+                redundancy: Redundancy::None,
+                gc_mode,
+                system,
+            };
+            array
+                .build(|cfg| PolicyKind::Jit.build(cfg), kind.build(wl))
+                .run()
+                .latency_p99_us
+        });
+        assert!(
+            staggered < unsync,
+            "{}: p99 {staggered} vs {unsync} us",
+            kind.name()
+        );
+    }
 }
