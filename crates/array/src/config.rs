@@ -9,9 +9,10 @@ use jitgc_workload::{NullWorkload, Workload};
 ///
 /// Every member is a complete [`SsdSystem`] built from the same
 /// [`SystemConfig`] — the array does not shrink devices to fit the
-/// volume; it stripes the volume over full devices. Size the workload's
-/// working set to `columns × (per-device working set)` to load each
-/// member like the standalone single-device experiments do.
+/// volume; it stripes the volume over full devices. A workload loads
+/// each member like the standalone single-device experiments do when its
+/// working set and rate are [`columns`](ArrayConfig::columns) times one
+/// device's; `jitgc_bench::Experiment::workload_config` sizes it so.
 #[derive(Debug, Clone)]
 pub struct ArrayConfig {
     /// Number of member devices (≥ 1).
@@ -52,6 +53,18 @@ impl ArrayConfig {
             ));
         }
         self.system.validate()
+    }
+
+    /// The number of data columns the volume is striped over
+    /// ([`StripeMap::columns`]); panics on a layout
+    /// [`StripeMap::new`] refuses.
+    #[must_use]
+    pub fn columns(&self) -> usize {
+        self.stripe().columns()
+    }
+
+    fn stripe(&self) -> StripeMap {
+        StripeMap::new(self.members, self.chunk_pages, self.redundancy)
     }
 
     /// Builds the array and its scheduler around `workload`.
@@ -104,16 +117,18 @@ impl ArrayConfig {
         if let Err(message) = self.validate() {
             panic!("invalid array config: {message}");
         }
-        let stripe = StripeMap::new(self.members, self.chunk_pages, self.redundancy);
+        let stripe = self.stripe();
         let volume = workload.working_set_pages();
         let name = workload.name();
         let mix = workload.write_mix();
         let mut members = Vec::with_capacity(self.members);
-        for device in 0..self.members {
-            let column = match self.redundancy {
-                Redundancy::None => device,
-                Redundancy::Mirror => device / 2,
-            };
+        // Columns in order, each's primary then its replica, are the
+        // devices in order.
+        let devices = (0..stripe.columns()).flat_map(|column| {
+            let (primary, replica) = stripe.devices_of(column);
+            std::iter::once((primary, column)).chain(replica.map(|r| (r, column)))
+        });
+        for (device, column) in devices {
             // A column the volume never reaches still needs a non-empty
             // logical space to build a device around.
             let share = stripe.member_extent(column, volume).max(1);

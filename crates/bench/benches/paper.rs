@@ -13,67 +13,23 @@
 //!
 //! A table is a spec: an id, a title, its columns and their precision,
 //! one row of cells per row label, and the function that turns a row's
-//! reports into its values. Each cell is a variant of
-//! [`Experiment::standard`], a policy and a load: one device running a
-//! benchmark or the synthetic workload, or an array of devices running a
-//! benchmark.
+//! reports into its values. Each cell is a [`jitgc_bench::Cell`] — a
+//! variant of [`Experiment::standard`], a policy and a [`Load`]: one
+//! device running a benchmark or the synthetic workload, or an array of
+//! devices running a benchmark, sized by the library like every `ssdsim`
+//! cell.
 
-use jitgc_array::{ArrayConfig, ArrayReport, GcMode, Redundancy};
-use jitgc_bench::{default_threads, format_table, run_grid, Experiment, PolicyKind};
-use jitgc_core::system::{SimReport, SsdSystem, VictimKind};
+use jitgc_array::{ArrayReport, GcMode, Redundancy};
+use jitgc_bench::{
+    default_threads, format_table, run_grid, Cell, Experiment, Load, PolicyKind, Report,
+};
+use jitgc_core::system::{SimReport, VictimKind};
 use jitgc_model::{predict, WorkloadSpec};
 use jitgc_nand::NandTiming;
 use jitgc_sim::SimDuration;
-use jitgc_workload::{measure_write_mix, BenchmarkKind, Synthetic, Workload, WorkloadConfig};
+use jitgc_workload::{measure_write_mix, BenchmarkKind};
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// What drives a cell.
-#[derive(Debug, Clone, Copy)]
-enum Load {
-    /// One of the paper's six benchmarks.
-    Bench(BenchmarkKind),
-    /// The synthetic workload (40 % reads, Zipf 0.99, 1–4 pages) with
-    /// this share of its writes buffered.
-    Synthetic(f64),
-    /// A benchmark striped over a RAID-0 array of [`MEMBERS`] devices in
-    /// 64 KiB chunks, each member carrying the experiment's single-device
-    /// load, collecting in this GC mode.
-    Array(BenchmarkKind, GcMode),
-}
-
-/// The members of every array cell.
-const MEMBERS: usize = 4;
-
-/// What a cell reports: one device's report, or an array's.
-enum Report {
-    Device(SimReport),
-    Array(ArrayReport),
-}
-
-impl Report {
-    fn device(&self) -> &SimReport {
-        match self {
-            Report::Device(report) => report,
-            Report::Array(_) => panic!("a device table reads an array cell"),
-        }
-    }
-
-    fn array(&self) -> &ArrayReport {
-        match self {
-            Report::Array(report) => report,
-            Report::Device(_) => panic!("an array table reads a device cell"),
-        }
-    }
-}
-
-/// One simulation.
-#[derive(Debug, Clone)]
-struct Cell {
-    exp: Experiment,
-    policy: PolicyKind,
-    load: Load,
-}
 
 /// A cell: `load` under `policy` on `exp`.
 fn cell(exp: &Experiment, policy: PolicyKind, load: Load) -> Cell {
@@ -84,51 +40,16 @@ fn cell(exp: &Experiment, policy: PolicyKind, load: Load) -> Cell {
     }
 }
 
-impl Cell {
-    fn run(&self) -> Report {
-        let system = &self.exp.system;
-        let device = |workload: Box<dyn Workload>| {
-            Report::Device(
-                SsdSystem::new(system.clone(), self.policy.build(system), workload).run(),
-            )
-        };
-        match self.load {
-            Load::Bench(benchmark) => device(benchmark.build(workload_config(&self.exp, 1))),
-            Load::Synthetic(buffered) => device(Box::new(
-                Synthetic::builder()
-                    .read_fraction(0.4)
-                    .buffered_fraction(buffered)
-                    .zipf_skew(0.99)
-                    .pages(1, 4)
-                    .build(workload_config(&self.exp, 1)),
-            )),
-            Load::Array(benchmark, gc_mode) => {
-                let array = ArrayConfig {
-                    members: MEMBERS,
-                    chunk_pages: 16,
-                    redundancy: Redundancy::None,
-                    gc_mode,
-                    system: system.clone(),
-                };
-                let workload = benchmark.build(workload_config(&self.exp, MEMBERS as u64));
-                Report::Array(array.build(|cfg| self.policy.build(cfg), workload).run())
-            }
-        }
+/// `benchmark` striped over a RAID-0 array of 4 devices in 64 KiB
+/// chunks, collecting in `gc_mode`.
+fn array(benchmark: BenchmarkKind, gc_mode: GcMode) -> Load {
+    Load::Array {
+        benchmark,
+        members: 4,
+        chunk_pages: 16,
+        redundancy: Redundancy::None,
+        gc_mode,
     }
-}
-
-/// The workload knobs of `exp`, as [`Experiment::build`] sets them,
-/// with the working set and the rate spread over `columns` stripe
-/// columns (1 on one device).
-fn workload_config(exp: &Experiment, columns: u64) -> WorkloadConfig {
-    let working_set = exp.system.standard_working_set().expect("a working set");
-    WorkloadConfig::builder()
-        .working_set_pages(working_set * columns)
-        .duration(exp.duration)
-        .mean_iops(exp.mean_iops * columns as f64)
-        .burst_mean(exp.burst_mean)
-        .seed(exp.seed)
-        .build()
 }
 
 /// A row's values, from the row's index and its cells' reports in order.
@@ -259,7 +180,10 @@ fn tables() -> Vec<Table> {
             .collect(),
         values: device(move |row, _| {
             let kind = all[row];
-            let mut workload = kind.build(workload_config(&Experiment::standard(), 1));
+            let config = Experiment::standard()
+                .workload_config(1)
+                .expect("it is sized");
+            let mut workload = kind.build(config);
             let measured = measure_write_mix(workload.as_mut(), u64::MAX)
                 .buffered_fraction()
                 .expect("every benchmark writes");
@@ -608,7 +532,7 @@ fn tables() -> Vec<Table> {
         .map(|&b| {
             let cells = fig7
                 .iter()
-                .flat_map(|&p| modes.map(|m| cell(&short, p, Load::Array(b, m))));
+                .flat_map(|&p| modes.map(|m| cell(&short, p, array(b, m))));
             (b.name().to_owned(), cells.collect())
         })
         .collect();
@@ -659,12 +583,7 @@ fn tables() -> Vec<Table> {
             .iter()
             .flat_map(|&b| {
                 let row = |m: GcMode| format!("{} {}", b.name(), m.name());
-                modes.map(|m| {
-                    (
-                        row(m),
-                        vec![cell(&loaded, PolicyKind::Jit, Load::Array(b, m))],
-                    )
-                })
+                modes.map(|m| (row(m), vec![cell(&loaded, PolicyKind::Jit, array(b, m))]))
             })
             .collect(),
         values: Box::new(|_, r| {

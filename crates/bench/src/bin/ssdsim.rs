@@ -71,15 +71,18 @@
 //!                                                           (default: config)
 //! ```
 
-use jitgc_array::{ArrayConfig, ArrayReport, ArrayScheduler, GcMode, Redundancy};
-use jitgc_bench::{default_threads, expand_cells, run_grid, Experiment, PolicyKind, SweepCell};
+use jitgc_array::{ArrayReport, ArrayScheduler, GcMode, Redundancy};
+use jitgc_bench::{
+    default_threads, expand_cells, run_grid, Cell, Experiment, Load, PolicyKind, Report, Sim,
+    SizingError,
+};
 use jitgc_core::system::{
     ClosedLoop, ManagerPlacement, RunPerf, RunTotals, SimReport, SystemConfig, VictimKind,
 };
 use jitgc_nand::FaultConfig;
 use jitgc_sim::json::{JsonValue, ObjectBuilder};
 use jitgc_sim::SimDuration;
-use jitgc_workload::{ArrivalError, BenchmarkKind, WorkloadConfig, WorkloadConfigBuilder};
+use jitgc_workload::{ArrivalError, BenchmarkKind, WorkloadConfig};
 use std::time::Instant;
 
 #[derive(Debug)]
@@ -241,23 +244,11 @@ fn parse_fault_rate(flag: &str, v: &str) -> f64 {
     rate
 }
 
-/// The workload's arrival knobs as `--seconds`, `--iops` and `--burst`
-/// set them, the rate spread over `columns` stripe columns (1 on one
-/// device).
-fn arrival(args: &Args, columns: u64) -> WorkloadConfigBuilder {
-    WorkloadConfig::builder()
-        .seconds(args.seconds)
-        .mean_iops(args.iops * columns as f64)
-        .burst_mean(args.burst)
-}
-
-/// Holds the arrival flags to the workload's rule
-/// ([`WorkloadConfigBuilder::check_arrival`]); a breach names the flags
-/// it came from and exits 2.
-fn check_arrival(args: &Args, columns: u64) {
-    let Err(rule) = arrival(args, columns).check_arrival() else {
-        return;
-    };
+/// A breach of the workload's arrival rule
+/// ([`check_arrival`](jitgc_workload::WorkloadConfigBuilder::check_arrival))
+/// by `--seconds`, `--iops` and `--burst`, the rate spread over `columns`
+/// stripe columns (1 on one device): names the flags and exits 2.
+fn arrival_rejected(args: &Args, columns: u64, rule: ArrivalError) -> ! {
     let iops = if columns == 1 {
         format!("--iops {:?}", args.iops)
     } else {
@@ -329,7 +320,13 @@ fn parse_args() -> Args {
             }
         }
     }
-    check_arrival(&args, 1);
+    let arrival = WorkloadConfig::builder()
+        .seconds(args.seconds)
+        .mean_iops(args.iops)
+        .burst_mean(args.burst);
+    if let Err(rule) = arrival.check_arrival() {
+        arrival_rejected(&args, 1, rule)
+    }
     args
 }
 
@@ -361,17 +358,42 @@ fn one_or_many(mut values: Vec<JsonValue>) -> JsonValue {
     }
 }
 
-/// The standard working set of one cell's system, or exit 2 naming the
-/// flag that set an over-provisioning no working set survives.
-fn working_set_or_exit(args: &Args, system: &SystemConfig, op_permille: Option<u64>) -> u64 {
-    system.standard_working_set().unwrap_or_else(|e| {
-        match (op_permille, &args.config) {
-            (Some(p), _) => eprintln!("--op-sweep {p}: {e}"),
-            (None, Some(path)) => eprintln!("--config {path}: {e}"),
-            (None, None) => eprintln!("{e}"),
-        }
+/// A cell whose workload cannot be sized: exits 2 naming the flag that
+/// set an over-provisioning no working set survives, a rate the arrival
+/// rule refuses, or an array too wide for the volume.
+fn sizing_rejected(args: &Args, cell: &Cell, e: SizingError) -> ! {
+    match e {
+        SizingError::Arrival { columns, rule } => arrival_rejected(args, columns, rule),
+        SizingError::Volume { .. } => eprintln!("--array {}: {e}", args.array.unwrap_or(1)),
+        SizingError::WorkingSet(_) => match (args.op_sweep.is_empty(), &args.config) {
+            (false, _) => eprintln!("--op-sweep {}: {e}", cell.exp.system.ftl.op_permille()),
+            (true, Some(path)) => eprintln!("--config {path}: {e}"),
+            (true, None) => eprintln!("{e}"),
+        },
+    }
+    std::process::exit(2)
+}
+
+/// The `--stripe-kb` chunk in pages, or exit 2 naming the flag: a chunk
+/// is a whole number of pages (a non-multiple would silently truncate
+/// the requested size) and its byte count fits 64 bits.
+fn chunk_pages(args: &Args, system: &SystemConfig) -> u64 {
+    let page_size = system.ftl.geometry().page_size().as_u64();
+    let Some(bytes) = args.stripe_kb.checked_mul(1024) else {
+        eprintln!(
+            "--stripe-kb {}: the chunk's byte count does not fit in 64 bits",
+            args.stripe_kb
+        );
         std::process::exit(2)
-    })
+    };
+    if !bytes.is_multiple_of(page_size) {
+        eprintln!(
+            "--stripe-kb {} is not a multiple of the {page_size}-byte page size",
+            args.stripe_kb
+        );
+        std::process::exit(2)
+    }
+    bytes / page_size
 }
 
 /// The `--bench-json` perf record of a single-device run: how fast the
@@ -399,7 +421,7 @@ fn perf_record(seed: u64, report: &SimReport, perf: &RunPerf) -> JsonValue {
 /// member with its page counts, per-phase wall-clock breakdown, and
 /// straggler accounting.
 fn array_perf_record(
-    args: &Args,
+    seed: u64,
     report: &ArrayReport,
     sim: &ArrayScheduler,
     perf: &RunPerf,
@@ -409,7 +431,7 @@ fn array_perf_record(
         benchmark: &report.workload,
         policy: &report.policy,
         victim: Some(&report.member_reports[0].victim_policy),
-        seed: args.seed,
+        seed,
         simulated_secs: report.duration_secs,
         ops: report.ops,
         host_pages_written: sum(|r| r.host_pages_written),
@@ -470,137 +492,111 @@ fn array_perf_record(
     .build()
 }
 
-/// One simulated sweep cell: its report and how fast it ran.
-type CellRun = (SimReport, RunPerf);
-
-/// The extended sweep table: one row per cell, policy and OP columns
-/// included.
-fn print_sweep_table(system: &SystemConfig, cells: &[SweepCell], runs: &[CellRun]) {
+/// The text report of device cells: the detailed report of one, a
+/// summary table of several.
+fn print_device_text(args: &Args, cells: &[Cell], reports: &[Report]) {
+    if cells.len() != 1 {
+        if args.policies.len() == 1 && args.op_sweep.is_empty() {
+            // The classic benchmark-only sweep table, unchanged.
+            println!(
+                "{:<12}{:>10}{:>8}{:>10}{:>10}{:>12}",
+                "benchmark", "IOPS", "WAF", "FGC", "BGC blk", "p99 µs"
+            );
+            for report in reports.iter().map(Report::device) {
+                println!(
+                    "{:<12}{:>10.0}{:>8}{:>10}{:>10}{:>12}",
+                    report.workload,
+                    report.iops,
+                    fmt_waf(report.waf),
+                    report.fgc_request_stalls + report.fgc_flush_stalls,
+                    report.bgc_blocks,
+                    report.latency_p99_us
+                );
+            }
+        } else {
+            // The extended sweep table: policy and OP columns included.
+            println!(
+                "{:<12}{:<16}{:>6}{:>10}{:>8}{:>10}{:>12}",
+                "benchmark", "policy", "OP\u{2030}", "IOPS", "WAF", "FGC", "p99 µs"
+            );
+            for (cell, report) in cells.iter().zip(reports.iter().map(Report::device)) {
+                // Cell labels, not `report.policy`: ablation variants
+                // (e.g. JIT-GC without SIP) self-report the base
+                // policy's name.
+                println!(
+                    "{:<12}{:<16}{:>6}{:>10.0}{:>8}{:>10}{:>12}",
+                    report.workload,
+                    cell.policy.name(),
+                    cell.exp.system.ftl.op_permille(),
+                    report.iops,
+                    fmt_waf(report.waf),
+                    report.fgc_request_stalls + report.fgc_flush_stalls,
+                    report.latency_p99_us
+                );
+            }
+        }
+        return;
+    }
+    let report = reports[0].device();
+    println!("policy          {}", report.policy);
+    println!("workload        {}", report.workload);
+    println!("victim          {}", report.victim_policy);
+    println!("duration        {:.1} s", report.duration_secs);
+    println!("requests        {}", report.ops);
+    println!("IOPS            {:.0}", report.iops);
+    println!("WAF             {}", fmt_waf(report.waf));
+    println!("erases          {}", report.nand_erases);
     println!(
-        "{:<12}{:<16}{:>6}{:>10}{:>8}{:>10}{:>12}",
-        "benchmark", "policy", "OP\u{2030}", "IOPS", "WAF", "FGC", "p99 µs"
+        "wear            min {} / mean {:.1} / max {} (σ {:.2})",
+        report.wear.min, report.wear.mean, report.wear.max, report.wear.std_dev
     );
-    for (cell, (report, _)) in cells.iter().zip(runs) {
-        let op = cell.op_permille.unwrap_or_else(|| system.ftl.op_permille());
-        // Cell labels, not `report.policy`: ablation variants (e.g.
-        // JIT-GC without SIP) self-report the base policy's name.
+    println!(
+        "FGC stalls      {} requests + {} flush episodes",
+        report.fgc_request_stalls, report.fgc_flush_stalls
+    );
+    println!("throttled       {}", report.throttled_requests);
+    println!("BGC blocks      {}", report.bgc_blocks);
+    println!("GC migrations   {}", report.gc_pages_migrated);
+    println!(
+        "latency (µs)    mean {} / p50 {} / p99 {} / p999 {} / max {}",
+        report.latency_mean_us,
+        report.latency_p50_us,
+        report.latency_p99_us,
+        report.latency_p999_us,
+        report.latency_max_us
+    );
+    if let Some(acc) = report.prediction_accuracy_percent {
+        println!("prediction      {acc:.1} %");
+    }
+    if let Some(sip) = report.sip_filtered_fraction {
+        println!("SIP filtered    {:.1} %", sip * 100.0);
+    }
+    if let Some(hit) = report.cache_hit_ratio {
+        println!("cache hits      {:.1} %", hit * 100.0);
+    }
+    if let Some(d) = &report.degraded {
         println!(
-            "{:<12}{:<16}{:>6}{:>10.0}{:>8}{:>10}{:>12}",
-            cell.benchmark.to_string(),
-            cell.policy.name(),
-            op,
-            report.iops,
-            fmt_waf(report.waf),
-            report.fgc_request_stalls + report.fgc_flush_stalls,
-            report.latency_p99_us
+            "degraded        read-only {} / retired {} blocks / {} program retries / {} read failures",
+            d.read_only,
+            d.retired_blocks,
+            d.program_retries,
+            d.gc_read_failures + d.host_read_failures
         );
+        if let (Some(at), Some(bytes)) = (d.read_only_at_secs, d.lifetime_host_bytes) {
+            println!("lifetime        {bytes} host bytes accepted before read-only at {at:.1} s");
+        }
     }
 }
 
-/// Runs the `--array` path: one array simulation per requested benchmark,
-/// swept across worker threads like the single-device path.
-fn run_array(args: &Args, system: &SystemConfig, members: usize) {
-    if args.timeline.is_some() {
-        eprintln!("--timeline is not supported with --array");
-        std::process::exit(2)
-    }
-    if args.policies.len() != 1 || !args.op_sweep.is_empty() {
-        eprintln!("--array supports a single --policy and no --op-sweep");
-        std::process::exit(2)
-    }
-    let redundancy = if args.mirror {
-        Redundancy::Mirror
-    } else {
-        Redundancy::None
-    };
-    let page_size = system.ftl.geometry().page_size().as_u64();
-    // The stripe chunk is a whole number of pages; a non-multiple would
-    // silently truncate the requested size, so reject it up front.
-    if !(args.stripe_kb * 1024).is_multiple_of(page_size) {
-        eprintln!(
-            "--stripe-kb {} is not a multiple of the {page_size}-byte page size",
-            args.stripe_kb
-        );
-        std::process::exit(2)
-    }
-    let chunk_pages = args.stripe_kb * 1024 / page_size;
-    let config = ArrayConfig {
-        members,
-        chunk_pages,
-        redundancy,
-        gc_mode: args.gc_mode,
-        system: system.clone(),
-    };
-    // Geometry errors surface here as CLI diagnostics, not as panics deep
-    // in the scheduler.
-    if let Err(message) = config.validate() {
-        eprintln!("invalid array configuration: {message}");
-        std::process::exit(2)
-    }
-    let working_set = working_set_or_exit(args, system, None);
-    if let Some(path) = &args.bench_json {
-        check_writable(path);
-    }
-    let columns = match redundancy {
-        Redundancy::None => members as u64,
-        Redundancy::Mirror => members as u64 / 2,
-    };
-    // Scale the single-device sizing by the column count so each member
-    // carries the load a standalone device would; with one plain member
-    // this is exactly the single-device workload and the per-device
-    // report is byte-identical to the non-array path.
-    check_arrival(args, columns);
-    let workload_config = arrival(args, columns)
-        .working_set_pages(working_set * columns)
-        .seed(args.seed)
-        .build();
-
-    let policy = args.policies[0];
-    let threads = if args.benchmarks.len() == 1 {
-        1
-    } else {
-        args.threads
-    };
-    let profile_phases = args.bench_json.is_some();
-    let config = &config;
-    let (reports, records): (Vec<ArrayReport>, Vec<Option<JsonValue>>) =
-        run_grid(&args.benchmarks, threads, |&benchmark| {
-            let setup_start = Instant::now();
-            let workload = benchmark.build(workload_config);
-            let mut sim = config.build(|cfg| policy.build(cfg), workload);
-            if profile_phases {
-                sim.enable_phase_profiling();
-            }
-            let setup_secs = setup_start.elapsed().as_secs_f64();
-            let run_start = Instant::now();
-            let report = sim.run();
-            let perf = sim.run_perf(setup_secs, run_start.elapsed().as_secs_f64());
-            // The record reads member profiles off the array itself, so
-            // it is built before `sim` drops.
-            let record = profile_phases.then(|| array_perf_record(args, &report, &sim, &perf));
-            (report, record)
-        })
-        .into_iter()
-        .unzip();
-
-    if let Some(path) = &args.bench_json {
-        let records = records.into_iter().flatten().collect();
-        written(path, std::fs::write(path, one_or_many(records).to_pretty()));
-        eprintln!("wrote perf record to {path}");
-    }
-
-    if args.json {
-        let reports = reports.iter().map(ArrayReport::to_json).collect();
-        println!("{}", one_or_many(reports).to_pretty());
-        return;
-    }
-
-    if args.benchmarks.len() != 1 {
+/// The text report of array cells: the detailed report of one, a
+/// summary table of several.
+fn print_array_text(args: &Args, reports: &[Report]) {
+    if reports.len() != 1 {
         println!(
             "{:<12}{:>10}{:>8}{:>10}{:>10}{:>12}{:>12}",
             "benchmark", "IOPS", "WAF", "FGC", "BGC blk", "p99 µs", "p999 µs"
         );
-        for report in &reports {
+        for report in reports.iter().map(Report::array) {
             println!(
                 "{:<12}{:>10.0}{:>8}{:>10}{:>10}{:>12}{:>12}",
                 report.workload,
@@ -614,7 +610,7 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
         }
         return;
     }
-    let report = reports.into_iter().next().expect("one benchmark ran");
+    let report = reports[0].array();
     println!(
         "array           {} members, {} KiB chunks, {}, {}",
         report.members, args.stripe_kb, report.redundancy, report.gc_mode
@@ -733,23 +729,52 @@ fn main() {
         return;
     }
 
-    if let Some(members) = args.array {
-        if members == 0 {
-            eprintln!("--array needs at least one member");
-            std::process::exit(2)
+    // One validation pass over every cell, device or array: a bad value
+    // exits 2 naming its flag before anything is built.
+    let loads: Vec<Load> = match args.array {
+        None => args.benchmarks.iter().map(|&b| Load::Bench(b)).collect(),
+        Some(members) => {
+            if members == 0 {
+                eprintln!("--array needs at least one member");
+                std::process::exit(2)
+            }
+            if args.timeline.is_some() {
+                eprintln!("--timeline is not supported with --array");
+                std::process::exit(2)
+            }
+            if args.policies.len() != 1 || !args.op_sweep.is_empty() {
+                eprintln!("--array supports a single --policy and no --op-sweep");
+                std::process::exit(2)
+            }
+            let chunk_pages = chunk_pages(&args, &system);
+            let redundancy = if args.mirror {
+                Redundancy::Mirror
+            } else {
+                Redundancy::None
+            };
+            let array = |benchmark| Load::Array {
+                benchmark,
+                members,
+                chunk_pages,
+                redundancy,
+                gc_mode: args.gc_mode,
+            };
+            args.benchmarks.iter().map(|&b| array(b)).collect()
         }
-        run_array(&args, &system, members);
-        return;
-    }
-
-    // Expand the benchmark × policy × OP cross product into sweep cells,
-    // dropping exact duplicates before any work is dispatched.
+    };
     let op_values: Vec<Option<u64>> = if args.op_sweep.is_empty() {
         vec![None]
     } else {
         args.op_sweep.iter().map(|&p| Some(p)).collect()
     };
-    let (cells, duplicates) = expand_cells(&args.benchmarks, &args.policies, &op_values);
+    let base = Experiment {
+        system,
+        duration: SimDuration::from_secs(args.seconds),
+        mean_iops: args.iops,
+        burst_mean: args.burst,
+        seed: args.seed,
+    };
+    let (cells, duplicates) = expand_cells(&base, &loads, &args.policies, &op_values);
     if duplicates > 0 {
         eprintln!("sweep: dropped {duplicates} duplicate cell(s)");
     }
@@ -758,76 +783,56 @@ fn main() {
         std::process::exit(2)
     }
     for cell in &cells {
-        working_set_or_exit(&args, &cell.system(&system), cell.op_permille);
+        // Geometry errors surface here as CLI diagnostics, not as panics
+        // deep in the scheduler.
+        if let Some(Err(message)) = cell.array().map(|array| array.validate()) {
+            eprintln!("invalid array configuration: {message}");
+            std::process::exit(2)
+        }
+        if let Err(e) = cell.workload_config() {
+            sizing_rejected(&args, cell, e)
+        }
     }
     for path in args.bench_json.iter().chain(&args.timeline) {
         check_writable(path);
     }
-    let base = Experiment {
-        system,
-        duration: SimDuration::from_secs(args.seconds),
-        mean_iops: args.iops,
-        burst_mean: args.burst,
-        seed: args.seed,
-    };
 
-    // Each scenario is an independent simulation, so the sweep runs the
+    // Each cell is an independent simulation, so the sweep runs the
     // cells across worker threads; results come back in input order
     // regardless of the thread count. A single cell takes the plain
     // serial path inside `run_grid`.
     let threads = if cells.len() == 1 { 1 } else { args.threads };
     let profile_phases = args.bench_json.is_some();
-    let runs: Vec<CellRun> = run_grid(&cells, threads, |cell| {
-        let setup_start = Instant::now();
-        let mut sim = cell.build(&base);
-        if profile_phases {
-            sim.enable_phase_profiling();
-        }
-        let setup_secs = setup_start.elapsed().as_secs_f64();
-        let run_start = Instant::now();
-        let report = sim.run();
-        let perf = sim.run_perf(setup_secs, run_start.elapsed().as_secs_f64());
-        (report, perf)
-    });
+    let (reports, records): (Vec<Report>, Vec<Option<JsonValue>>) =
+        run_grid(&cells, threads, |cell| {
+            let setup_start = Instant::now();
+            let mut sim = cell.build();
+            if profile_phases {
+                sim.enable_phase_profiling();
+            }
+            let setup_secs = setup_start.elapsed().as_secs_f64();
+            let run_start = Instant::now();
+            let report = sim.run();
+            let perf = sim.run_perf(setup_secs, run_start.elapsed().as_secs_f64());
+            // An array's record reads member profiles off the array
+            // itself, so it is built before `sim` drops.
+            let record = profile_phases.then(|| match &sim {
+                Sim::Device(_) => perf_record(args.seed, report.device(), &perf),
+                Sim::Array(array) => array_perf_record(args.seed, report.array(), array, &perf),
+            });
+            (report, record)
+        })
+        .into_iter()
+        .unzip();
 
     if let Some(path) = &args.bench_json {
-        let records = runs
-            .iter()
-            .map(|(report, perf)| perf_record(args.seed, report, perf))
-            .collect();
+        let records = records.into_iter().flatten().collect();
         written(path, std::fs::write(path, one_or_many(records).to_pretty()));
         eprintln!("wrote perf record to {path}");
     }
 
-    if cells.len() != 1 {
-        if args.json {
-            let reports = runs.iter().map(|(report, _)| report.to_json()).collect();
-            println!("{}", JsonValue::Array(reports).to_pretty());
-        } else if args.policies.len() == 1 && args.op_sweep.is_empty() {
-            // The classic benchmark-only sweep table, unchanged.
-            println!(
-                "{:<12}{:>10}{:>8}{:>10}{:>10}{:>12}",
-                "benchmark", "IOPS", "WAF", "FGC", "BGC blk", "p99 µs"
-            );
-            for (report, _) in &runs {
-                println!(
-                    "{:<12}{:>10.0}{:>8}{:>10}{:>10}{:>12}",
-                    report.workload,
-                    report.iops,
-                    fmt_waf(report.waf),
-                    report.fgc_request_stalls + report.fgc_flush_stalls,
-                    report.bgc_blocks,
-                    report.latency_p99_us
-                );
-            }
-        } else {
-            print_sweep_table(&base.system, &cells, &runs);
-        }
-        return;
-    }
-    let (report, _) = runs.into_iter().next().expect("a single cell ran");
-
     if let Some(path) = &args.timeline {
+        let report = reports[0].device();
         let mut csv = String::from(
             "t_secs,free_pages,target_pages,host_pages_interval,fgc_cumulative,bgc_blocks_cumulative,waf\n",
         );
@@ -848,55 +853,11 @@ fn main() {
     }
 
     if args.json {
-        println!("{}", report.to_json().to_pretty());
-        return;
-    }
-    println!("policy          {}", report.policy);
-    println!("workload        {}", report.workload);
-    println!("victim          {}", report.victim_policy);
-    println!("duration        {:.1} s", report.duration_secs);
-    println!("requests        {}", report.ops);
-    println!("IOPS            {:.0}", report.iops);
-    println!("WAF             {}", fmt_waf(report.waf));
-    println!("erases          {}", report.nand_erases);
-    println!(
-        "wear            min {} / mean {:.1} / max {} (σ {:.2})",
-        report.wear.min, report.wear.mean, report.wear.max, report.wear.std_dev
-    );
-    println!(
-        "FGC stalls      {} requests + {} flush episodes",
-        report.fgc_request_stalls, report.fgc_flush_stalls
-    );
-    println!("throttled       {}", report.throttled_requests);
-    println!("BGC blocks      {}", report.bgc_blocks);
-    println!("GC migrations   {}", report.gc_pages_migrated);
-    println!(
-        "latency (µs)    mean {} / p50 {} / p99 {} / p999 {} / max {}",
-        report.latency_mean_us,
-        report.latency_p50_us,
-        report.latency_p99_us,
-        report.latency_p999_us,
-        report.latency_max_us
-    );
-    if let Some(acc) = report.prediction_accuracy_percent {
-        println!("prediction      {acc:.1} %");
-    }
-    if let Some(sip) = report.sip_filtered_fraction {
-        println!("SIP filtered    {:.1} %", sip * 100.0);
-    }
-    if let Some(hit) = report.cache_hit_ratio {
-        println!("cache hits      {:.1} %", hit * 100.0);
-    }
-    if let Some(d) = &report.degraded {
-        println!(
-            "degraded        read-only {} / retired {} blocks / {} program retries / {} read failures",
-            d.read_only,
-            d.retired_blocks,
-            d.program_retries,
-            d.gc_read_failures + d.host_read_failures
-        );
-        if let (Some(at), Some(bytes)) = (d.read_only_at_secs, d.lifetime_host_bytes) {
-            println!("lifetime        {bytes} host bytes accepted before read-only at {at:.1} s");
-        }
+        let reports = reports.iter().map(Report::to_json).collect();
+        println!("{}", one_or_many(reports).to_pretty());
+    } else if args.array.is_some() {
+        print_array_text(&args, &reports);
+    } else {
+        print_device_text(&args, &cells, &reports);
     }
 }

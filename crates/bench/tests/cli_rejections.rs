@@ -9,6 +9,8 @@
 //! CDH percentile outside `(0, 1]`, a zero CDH bin, a queue depth of zero
 //! or above 65 536 and a fault rate that is negative or not finite, on the
 //! command line or in a `--config`;
+//! a `--stripe-kb` whose byte count overflows and an `--array` too wide
+//! for the generators' 32-bit page domain name their flag;
 //! an unwritable output path is reported before anything runs, and the
 //! selector and screening flags this CLI no longer has are plain unknown
 //! flags. A legal but outsized value runs: a cache capacity of 2^40 pages
@@ -97,7 +99,7 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         "\"queue_depth\": 4294967295",
     );
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 41] = [
+    let cases: [(&[&str], &str); 43] = [
         (&["--seconds", "0"], "--seconds"),
         // The first used to run until killed: 2e13 s wrapped the
         // microsecond conversion in a release build. The second is one
@@ -234,6 +236,18 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         // deepest NVMe queue these aborted (exit 134) allocating 34 GB
         // of per-thread clocks.
         (&["--queue-depth", "4294967295"], "--queue-depth 4294967295"),
+        // The chunk's byte count wrapped to 4096: a release build ran
+        // 1-page chunks under a header that printed the flag's value.
+        (
+            &["--array", "2", "--stripe-kb", "18014398509481988"],
+            "--stripe-kb 18014398509481988: ",
+        ),
+        // Columns × the per-device working set wrapped or left the
+        // generators' 32-bit domain: `Zipf::new` panicked (exit 101).
+        (
+            &["--array", "18446744073709551615"],
+            "--array 18446744073709551615: ",
+        ),
         (
             &["--config", &huge_queue_depth],
             "`queue_depth` of 4294967295 must be at most 65536",

@@ -14,12 +14,13 @@
 //! cargo run --release --example array_rack
 //! ```
 
+use jitgc_bench::Experiment;
 use jitgc_repro::array::{ArrayConfig, GcMode, Redundancy};
 use jitgc_repro::core::policy::JitGc;
 use jitgc_repro::core::system::SystemConfig;
 use jitgc_repro::nand::NandTiming;
 use jitgc_repro::sim::SimDuration;
-use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
+use jitgc_repro::workload::BenchmarkKind;
 
 const MEMBERS: usize = 64;
 const STRAGGLER: usize = 37;
@@ -30,18 +31,15 @@ fn main() {
     system.queue_depth = 8;
     // Start from steady state: prefill each member's extent so GC is live.
     system.prefill = true;
-    let per_member = system
-        .standard_working_set()
-        .expect("over-provisioning is below 200 %");
-    let workload = BenchmarkKind::Ycsb.build(
-        WorkloadConfig::builder()
-            .working_set_pages(per_member * MEMBERS as u64)
-            .duration(SimDuration::from_secs(10))
-            .mean_iops(400.0 * MEMBERS as f64)
-            .burst_mean(128.0)
-            .seed(42)
-            .build(),
-    );
+    // Each member carries one device's working set at 400 IOPS: the
+    // volume is sized for the array's columns.
+    let exp = Experiment {
+        system: system.clone(),
+        duration: SimDuration::from_secs(10),
+        mean_iops: 400.0,
+        burst_mean: 128.0,
+        seed: 42,
+    };
     let config = ArrayConfig {
         members: MEMBERS,
         chunk_pages: 4,
@@ -49,6 +47,8 @@ fn main() {
         gc_mode: GcMode::Staggered,
         system,
     };
+    let sized = exp.workload_config(config.columns() as u64);
+    let workload = BenchmarkKind::Ycsb.build(sized.expect("64 columns fit the generators"));
     // One member is a degraded part: slow dense flash with most of its
     // internal channels gone (2-way instead of 8-way striping) and
     // starved of over-provisioning (1.5 % instead of 7 %), so it programs

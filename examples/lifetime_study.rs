@@ -10,35 +10,26 @@
 //! cargo run --release --example lifetime_study
 //! ```
 
+use jitgc_bench::Experiment;
 use jitgc_repro::core::policy::PolicyKind;
-use jitgc_repro::core::system::{SsdSystem, SystemConfig};
 use jitgc_repro::sim::SimDuration;
-use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
+use jitgc_repro::workload::BenchmarkKind;
 
 /// 20 nm MLC endurance in program/erase cycles.
 const ENDURANCE_CYCLES: f64 = 3_000.0;
 
 fn main() {
-    let system_config = SystemConfig::default_sim();
+    let exp = Experiment {
+        duration: SimDuration::from_secs(300),
+        seed: 11,
+        ..Experiment::standard()
+    };
     println!(
         "{:<10}{:>8}{:>12}{:>12}{:>12}{:>14}{:>20}",
         "policy", "WAF", "erases", "max wear", "wear σ", "IOPS", "projected life (h)"
     );
     for kind in [PolicyKind::L_BGC, PolicyKind::A_BGC, PolicyKind::Jit] {
-        let policy = kind.build(&system_config);
-        let workload_config = WorkloadConfig::builder()
-            .working_set_pages(
-                system_config
-                    .standard_working_set()
-                    .expect("over-provisioning is below 200 %"),
-            )
-            .duration(SimDuration::from_secs(300))
-            .mean_iops(250.0)
-            .burst_mean(1_024.0)
-            .seed(11)
-            .build();
-        let workload = BenchmarkKind::Ycsb.build(workload_config);
-        let report = SsdSystem::new(system_config.clone(), policy, workload).run();
+        let report = exp.run(kind, BenchmarkKind::Ycsb);
 
         // The first block to reach the endurance limit kills the device;
         // project from the worst block's observed wear rate.

@@ -5,10 +5,10 @@
 //! cargo run --release --example policy_comparison [ycsb|postmark|filebench|bonnie|tiobench|tpcc]
 //! ```
 
+use jitgc_bench::Experiment;
 use jitgc_repro::core::policy::PolicyKind;
-use jitgc_repro::core::system::{SsdSystem, SystemConfig};
 use jitgc_repro::sim::SimDuration;
-use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
+use jitgc_repro::workload::BenchmarkKind;
 
 fn benchmark_from_arg() -> BenchmarkKind {
     match std::env::args().nth(1).as_deref() {
@@ -23,7 +23,12 @@ fn benchmark_from_arg() -> BenchmarkKind {
 
 fn main() {
     let benchmark = benchmark_from_arg();
-    let system_config = SystemConfig::default_sim();
+    // The paper's standard cell (aged default device, bursty 250 IOPS),
+    // 300 simulated seconds.
+    let exp = Experiment {
+        duration: SimDuration::from_secs(300),
+        ..Experiment::standard()
+    };
     let policies = [
         PolicyKind::L_BGC,
         PolicyKind::A_BGC,
@@ -37,24 +42,7 @@ fn main() {
         "policy", "IOPS", "WAF", "FGC stalls", "BGC blocks", "p99 (µs)"
     );
     for policy in policies {
-        let workload_config = WorkloadConfig::builder()
-            .working_set_pages(
-                system_config
-                    .standard_working_set()
-                    .expect("over-provisioning is below 200 %"),
-            )
-            .duration(SimDuration::from_secs(300))
-            .mean_iops(250.0)
-            .burst_mean(1_024.0)
-            .seed(42)
-            .build();
-        let workload = benchmark.build(workload_config);
-        let report = SsdSystem::new(
-            system_config.clone(),
-            policy.build(&system_config),
-            workload,
-        )
-        .run();
+        let report = exp.run(policy, benchmark);
         println!(
             "{:<10}{:>10.0}{:>10.3}{:>12}{:>12}{:>12}",
             report.policy,

@@ -5,36 +5,22 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use jitgc_repro::core::policy::JitGc;
-use jitgc_repro::core::system::{SsdSystem, SystemConfig};
+use jitgc_bench::Experiment;
+use jitgc_repro::core::policy::PolicyKind;
 use jitgc_repro::sim::SimDuration;
-use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
+use jitgc_repro::workload::BenchmarkKind;
 
 fn main() {
-    // 1. Configure the system: a 96 MiB scale-model SSD with 7 % OP, a
-    //    Linux-style page cache, and the default NAND timing.
-    let system_config = SystemConfig::default_sim();
+    // 1. The paper's standard experiment: a 96 MiB scale-model SSD with
+    //    7 % OP, a Linux-style page cache and the default NAND timing,
+    //    bursty arrivals over most of the logical space — for 120 s.
+    let exp = Experiment {
+        duration: SimDuration::from_secs(120),
+        ..Experiment::standard()
+    };
 
-    // 2. Configure a workload: YCSB over most of the logical space.
-    let workload_config = WorkloadConfig::builder()
-        .working_set_pages(
-            system_config
-                .standard_working_set()
-                .expect("over-provisioning is below 200 %"),
-        )
-        .duration(SimDuration::from_secs(120))
-        .mean_iops(250.0)
-        .burst_mean(1_024.0)
-        .seed(42)
-        .build();
-    let workload = BenchmarkKind::Ycsb.build(workload_config);
-
-    // 3. Pick the GC policy — here the paper's JIT-GC.
-    let policy = JitGc::from_system_config(&system_config);
-
-    // 4. Run and report.
-    let mut system = SsdSystem::new(system_config, Box::new(policy), workload);
-    let report = system.run();
+    // 2. Run YCSB under the paper's JIT-GC and report.
+    let report = exp.run(PolicyKind::Jit, BenchmarkKind::Ycsb);
 
     println!("policy        : {}", report.policy);
     println!("workload      : {}", report.workload);

@@ -6,28 +6,21 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use jitgc_repro::core::policy::JitGc;
-use jitgc_repro::core::system::{SsdSystem, SystemConfig};
+use jitgc_bench::Experiment;
+use jitgc_repro::core::policy::{JitGc, PolicyKind};
+use jitgc_repro::core::system::SsdSystem;
 use jitgc_repro::sim::json::JsonValue;
 use jitgc_repro::sim::SimDuration;
-use jitgc_repro::workload::{
-    record_trace, BenchmarkKind, TraceRecord, TraceWorkload, WorkloadConfig,
-};
+use jitgc_repro::workload::{record_trace, BenchmarkKind, TraceRecord, TraceWorkload};
 use std::io::{BufRead, Write};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let system_config = SystemConfig::default_sim();
-    let workload_config = WorkloadConfig::builder()
-        .working_set_pages(
-            system_config
-                .standard_working_set()
-                .expect("over-provisioning is below 200 %"),
-        )
-        .duration(SimDuration::from_secs(60))
-        .mean_iops(250.0)
-        .burst_mean(1_024.0)
-        .seed(7)
-        .build();
+    let exp = Experiment {
+        duration: SimDuration::from_secs(60),
+        seed: 7,
+        ..Experiment::standard()
+    };
+    let workload_config = exp.workload_config(1)?;
 
     // 1. Record a Postmark stream to JSON lines.
     let mut original = BenchmarkKind::Postmark.build(workload_config);
@@ -52,16 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Run the generator-driven and the trace-driven simulations; they
     //    must agree exactly.
-    let fresh = BenchmarkKind::Postmark.build(workload_config);
-    let report_live = SsdSystem::new(
-        system_config.clone(),
-        Box::new(JitGc::from_system_config(&system_config)),
-        fresh,
-    )
-    .run();
+    let report_live = exp.run(PolicyKind::Jit, BenchmarkKind::Postmark);
     let report_replay = SsdSystem::new(
-        system_config.clone(),
-        Box::new(JitGc::from_system_config(&system_config)),
+        exp.system.clone(),
+        Box::new(JitGc::from_system_config(&exp.system)),
         Box::new(
             TraceWorkload::new("Postmark (replayed)", loaded)
                 .with_working_set(workload_config.working_set_pages()),
