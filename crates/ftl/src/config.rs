@@ -37,8 +37,18 @@ const MAX_PAGE_BYTES: u64 = 1 << 20;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FtlConfig {
+    knobs: FtlKnobs,
+    geometry: Geometry,
+}
+
+/// The knobs of an FTL configuration: what [`FtlConfigBuilder`] sets and
+/// [`FtlConfig`] keeps beside the geometry it derives from them.
+#[derive(Debug, Clone, Copy)]
+struct FtlKnobs {
     user_pages: u64,
     op_permille: u64,
+    pages_per_block: u32,
+    page_size_bytes: u64,
     gc_reserve_blocks: u32,
     sip_filter_threshold_permille: u64,
     wear_level_threshold: u64,
@@ -46,8 +56,26 @@ pub struct FtlConfig {
     hot_window: SimDuration,
     endurance_limit: Option<u64>,
     fault: Option<FaultConfig>,
-    geometry: Geometry,
     timing: NandTiming,
+}
+
+impl Default for FtlKnobs {
+    fn default() -> Self {
+        FtlKnobs {
+            user_pages: 8_192,
+            op_permille: 70,
+            pages_per_block: 128,
+            page_size_bytes: 4_096,
+            gc_reserve_blocks: 2,
+            sip_filter_threshold_permille: 250,
+            wear_level_threshold: 64,
+            hot_cold_streams: false,
+            hot_window: SimDuration::from_secs(5),
+            endurance_limit: None,
+            fault: None,
+            timing: NandTiming::mlc_20nm(),
+        }
+    }
 }
 
 impl FtlConfig {
@@ -60,25 +88,25 @@ impl FtlConfig {
     /// Number of host-visible logical pages.
     #[must_use]
     pub fn user_pages(&self) -> u64 {
-        self.user_pages
+        self.knobs.user_pages
     }
 
     /// Host-visible capacity in bytes.
     #[must_use]
     pub fn user_capacity(&self) -> ByteSize {
-        self.geometry.page_size() * self.user_pages
+        self.geometry.page_size() * self.knobs.user_pages
     }
 
     /// Over-provisioning ratio in permille (70 = 7 %).
     #[must_use]
     pub fn op_permille(&self) -> u64 {
-        self.op_permille
+        self.knobs.op_permille
     }
 
     /// Number of over-provisioning pages (`C_OP` in pages).
     #[must_use]
     pub fn op_pages(&self) -> u64 {
-        self.user_pages * self.op_permille / 1000
+        self.knobs.user_pages * self.knobs.op_permille / 1000
     }
 
     /// Over-provisioning capacity in bytes (`C_OP`).
@@ -90,23 +118,23 @@ impl FtlConfig {
     /// Blocks the GC engine keeps for itself as migration scratch space.
     #[must_use]
     pub fn gc_reserve_blocks(&self) -> u32 {
-        self.gc_reserve_blocks
+        self.knobs.gc_reserve_blocks
     }
 
     /// SIP filter threshold in permille of a block's valid pages: a BGC
     /// victim candidate whose soon-to-be-invalidated fraction exceeds this
     /// is avoided. Default 250 (25 %): cold blocks carry almost no dirty
-    /// overlap while hot, recently-written blocks carry a lot, so
-    /// half of the valid pages separates the two populations.
+    /// overlap while hot, recently-written blocks carry a lot, so a
+    /// quarter of the valid pages separates the two populations.
     #[must_use]
     pub fn sip_filter_threshold_permille(&self) -> u64 {
-        self.sip_filter_threshold_permille
+        self.knobs.sip_filter_threshold_permille
     }
 
     /// Erase-count spread (max − min) that triggers static wear leveling.
     #[must_use]
     pub fn wear_level_threshold(&self) -> u64 {
-        self.wear_level_threshold
+        self.knobs.wear_level_threshold
     }
 
     /// `true` when host writes are split into hot and cold streams
@@ -115,28 +143,28 @@ impl FtlConfig {
     /// that reduces the valid data GC must migrate.
     #[must_use]
     pub fn hot_cold_streams(&self) -> bool {
-        self.hot_cold_streams
+        self.knobs.hot_cold_streams
     }
 
     /// A page rewritten within this window of its previous write counts as
     /// hot (only meaningful with [`hot_cold_streams`](Self::hot_cold_streams)).
     #[must_use]
     pub fn hot_window(&self) -> SimDuration {
-        self.hot_window
+        self.knobs.hot_window
     }
 
     /// Program/erase endurance limit per block, if device end-of-life is
     /// modeled (`None` = unlimited; 3 000 cycles is typical 20 nm MLC).
     #[must_use]
     pub fn endurance_limit(&self) -> Option<u64> {
-        self.endurance_limit
+        self.knobs.endurance_limit
     }
 
     /// Wear-dependent fault injection parameters, if fault injection is
     /// enabled (`None` = a fault-free device).
     #[must_use]
     pub fn fault(&self) -> Option<&FaultConfig> {
-        self.fault.as_ref()
+        self.knobs.fault.as_ref()
     }
 
     /// Blocks available for data placement: the full geometry minus the
@@ -145,7 +173,7 @@ impl FtlConfig {
     /// models (the `jitgc-model` crate).
     #[must_use]
     pub fn data_blocks(&self) -> u64 {
-        u64::from(self.geometry.blocks()) - u64::from(self.gc_reserve_blocks)
+        u64::from(self.geometry.blocks()) - u64::from(self.knobs.gc_reserve_blocks)
     }
 
     /// Pages available for data placement (`data_blocks × pages_per_block`).
@@ -158,7 +186,8 @@ impl FtlConfig {
     /// (`data_blocks × endurance_limit`), if end-of-life is modeled.
     #[must_use]
     pub fn erase_budget(&self) -> Option<u64> {
-        self.endurance_limit
+        self.knobs
+            .endurance_limit
             .map(|cycles| self.data_blocks() * cycles)
     }
 
@@ -171,7 +200,7 @@ impl FtlConfig {
     /// The NAND timing model.
     #[must_use]
     pub fn timing(&self) -> &NandTiming {
-        &self.timing
+        &self.knobs.timing
     }
 
     /// Serializes to the repository's JSON config format. The geometry is
@@ -181,22 +210,23 @@ impl FtlConfig {
     /// fault-free config dumps are unchanged from earlier versions.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
+        let k = &self.knobs;
         let mut b = ObjectBuilder::new()
-            .field("user_pages", self.user_pages)
-            .field("op_permille", self.op_permille)
-            .field("pages_per_block", self.geometry.pages_per_block())
-            .field("page_size_bytes", self.geometry.page_size().as_u64())
-            .field("gc_reserve_blocks", self.gc_reserve_blocks)
+            .field("user_pages", k.user_pages)
+            .field("op_permille", k.op_permille)
+            .field("pages_per_block", k.pages_per_block)
+            .field("page_size_bytes", k.page_size_bytes)
+            .field("gc_reserve_blocks", k.gc_reserve_blocks)
             .field(
                 "sip_filter_threshold_permille",
-                self.sip_filter_threshold_permille,
+                k.sip_filter_threshold_permille,
             )
-            .field("wear_level_threshold", self.wear_level_threshold)
-            .field("hot_cold_streams", self.hot_cold_streams)
-            .field("hot_window_us", self.hot_window.as_micros())
-            .field("endurance_limit", self.endurance_limit)
-            .field("timing", self.timing.to_json());
-        if let Some(fault) = &self.fault {
+            .field("wear_level_threshold", k.wear_level_threshold)
+            .field("hot_cold_streams", k.hot_cold_streams)
+            .field("hot_window_us", k.hot_window.as_micros())
+            .field("endurance_limit", k.endurance_limit)
+            .field("timing", k.timing.to_json());
+        if let Some(fault) = &k.fault {
             b = b.field("fault", fault.to_json());
         }
         b.build()
@@ -206,26 +236,16 @@ impl FtlConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on missing or mistyped fields, on a
-    /// `user_pages`, `pages_per_block`, `page_size_bytes` or
-    /// `gc_reserve_blocks` of zero (the zeros
-    /// [`build`](FtlConfigBuilder::build) would panic on), on a page
-    /// above 1 MiB, and on a device of [`u32::MAX`] physical pages or
-    /// more; each error names its key by its path in a system
-    /// configuration (`ftl.…`).
+    /// Returns a [`JsonError`] on missing or mistyped fields and on
+    /// values [`build`](FtlConfigBuilder::build) would panic on, named by
+    /// their path in a system configuration (`ftl.…`).
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let page_size_bytes = positive(v, "page_size_bytes")?;
-        if page_size_bytes > MAX_PAGE_BYTES {
-            return Err(JsonError::new(format!(
-                "`ftl.page_size_bytes` of {page_size_bytes} must be at most {MAX_PAGE_BYTES}"
-            )));
-        }
         let mut builder = FtlConfig::builder()
-            .user_pages(positive(v, "user_pages")?)
+            .user_pages(v.req_u64("user_pages")?)
             .op_permille(v.req_u64("op_permille")?)
-            .pages_per_block(positive_u32(v, "pages_per_block")?)
-            .page_size_bytes(page_size_bytes)
-            .gc_reserve_blocks(positive_u32(v, "gc_reserve_blocks")?)
+            .pages_per_block(req_u32(v, "pages_per_block")?)
+            .page_size_bytes(v.req_u64("page_size_bytes")?)
+            .gc_reserve_blocks(req_u32(v, "gc_reserve_blocks")?)
             .sip_filter_threshold_permille(v.req_u64("sip_filter_threshold_permille")?)
             .wear_level_threshold(v.req_u64("wear_level_threshold")?)
             .timing(NandTiming::from_json(v.req("timing")?)?);
@@ -243,58 +263,21 @@ impl FtlConfig {
             Some(fault) if fault.is_null() => {}
             Some(fault) => builder = builder.fault(FaultConfig::from_json(fault)?),
         }
-        if builder.blocks().is_none() {
-            return Err(JsonError::new(format!(
-                "`ftl.user_pages` of {} (plus over-provisioning and the GC reserve) needs \
-                 {MAX_PHYSICAL_PAGES} physical pages or more; the page tables hold 32-bit entries",
-                builder.user_pages
-            )));
-        }
+        builder.check("ftl.").map_err(JsonError::new)?;
         Ok(builder.build())
     }
 
-    /// Reconstructs a builder carrying every setting of this
-    /// configuration, so a caller can tweak one knob without silently
-    /// dropping the others (timing, SIP threshold, endurance, fault
-    /// injection, …) the way a fresh builder would.
+    /// A builder carrying every setting of this configuration, so a
+    /// caller can tweak one knob without dropping the others.
     #[must_use]
     pub fn to_builder(&self) -> FtlConfigBuilder {
-        let mut builder = FtlConfig::builder()
-            .user_pages(self.user_pages)
-            .op_permille(self.op_permille)
-            .pages_per_block(self.geometry.pages_per_block())
-            .page_size_bytes(self.geometry.page_size().as_u64())
-            .gc_reserve_blocks(self.gc_reserve_blocks)
-            .sip_filter_threshold_permille(self.sip_filter_threshold_permille)
-            .wear_level_threshold(self.wear_level_threshold)
-            .timing(self.timing);
-        if self.hot_cold_streams {
-            builder = builder.hot_cold_streams(self.hot_window);
-        }
-        if let Some(limit) = self.endurance_limit {
-            builder = builder.endurance_limit(limit);
-        }
-        if let Some(fault) = self.fault {
-            builder = builder.fault(fault);
-        }
-        builder
+        FtlConfigBuilder(self.knobs)
     }
 }
 
-/// The required key `key` of an FTL config, which must be above zero:
-/// [`FtlConfigBuilder::build`] panics on a zero.
-fn positive(v: &JsonValue, key: &str) -> Result<u64, JsonError> {
-    match v.req_u64(key)? {
-        0 => Err(JsonError::new(format!(
-            "`ftl.{key}` must be greater than zero"
-        ))),
-        value => Ok(value),
-    }
-}
-
-/// [`positive`], for a key the geometry holds in 32 bits.
-fn positive_u32(v: &JsonValue, key: &str) -> Result<u32, JsonError> {
-    positive(v, key)?
+/// The required key `key` of an FTL config, for a knob held in 32 bits.
+fn req_u32(v: &JsonValue, key: &str) -> Result<u32, JsonError> {
+    v.req_u64(key)?
         .try_into()
         .map_err(|_| JsonError::new(format!("`{key}` out of range")))
 }
@@ -302,110 +285,67 @@ fn positive_u32(v: &JsonValue, key: &str) -> Result<u32, JsonError> {
 /// Builder for [`FtlConfig`].
 ///
 /// Defaults: 8 192 user pages, 7 % OP, 128 pages/block, 4 KiB pages,
-/// 2 GC-reserve blocks, [`NandTiming::mlc_20nm`], SIP threshold 10 %,
-/// wear-level threshold 64.
-#[derive(Debug, Clone)]
-pub struct FtlConfigBuilder {
-    user_pages: u64,
-    user_pages_is_bytes: bool,
-    op_permille: u64,
-    pages_per_block: u32,
-    page_size_bytes: u64,
-    gc_reserve_blocks: u32,
-    sip_filter_threshold_permille: u64,
-    wear_level_threshold: u64,
-    hot_cold_streams: bool,
-    hot_window: SimDuration,
-    endurance_limit: Option<u64>,
-    fault: Option<FaultConfig>,
-    timing: NandTiming,
-}
-
-impl Default for FtlConfigBuilder {
-    fn default() -> Self {
-        FtlConfigBuilder {
-            user_pages: 8_192,
-            user_pages_is_bytes: false,
-            op_permille: 70,
-            pages_per_block: 128,
-            page_size_bytes: 4_096,
-            gc_reserve_blocks: 2,
-            sip_filter_threshold_permille: 250,
-            wear_level_threshold: 64,
-            hot_cold_streams: false,
-            hot_window: SimDuration::from_secs(5),
-            endurance_limit: None,
-            fault: None,
-            timing: NandTiming::mlc_20nm(),
-        }
-    }
-}
+/// 2 GC-reserve blocks, [`NandTiming::mlc_20nm`], SIP threshold 25 %,
+/// wear-level threshold 64, one write stream, unlimited endurance, no
+/// fault injection.
+#[derive(Debug, Clone, Default)]
+pub struct FtlConfigBuilder(FtlKnobs);
 
 impl FtlConfigBuilder {
     /// Sets the logical (host-visible) page count.
     #[must_use]
     pub fn user_pages(mut self, pages: u64) -> Self {
-        self.user_pages = pages;
-        self.user_pages_is_bytes = false;
-        self
-    }
-
-    /// Sets the host-visible capacity in bytes (converted to pages with the
-    /// configured page size at [`build`](Self::build) time).
-    #[must_use]
-    pub fn user_capacity(mut self, capacity: ByteSize) -> Self {
-        self.user_pages = capacity.as_u64();
-        self.user_pages_is_bytes = true;
+        self.0.user_pages = pages;
         self
     }
 
     /// Sets the over-provisioning ratio in permille (70 = 7 %).
     #[must_use]
     pub fn op_permille(mut self, permille: u64) -> Self {
-        self.op_permille = permille;
+        self.0.op_permille = permille;
         self
     }
 
     /// Sets pages per erase block.
     #[must_use]
     pub fn pages_per_block(mut self, pages: u32) -> Self {
-        self.pages_per_block = pages;
+        self.0.pages_per_block = pages;
         self
     }
 
     /// Sets the page size in bytes.
     #[must_use]
     pub fn page_size_bytes(mut self, bytes: u64) -> Self {
-        self.page_size_bytes = bytes;
+        self.0.page_size_bytes = bytes;
         self
     }
 
     /// Sets the GC scratch reserve in blocks (minimum 1).
     #[must_use]
     pub fn gc_reserve_blocks(mut self, blocks: u32) -> Self {
-        self.gc_reserve_blocks = blocks;
+        self.0.gc_reserve_blocks = blocks;
         self
     }
 
     /// Sets the SIP filter threshold in permille of valid pages.
     #[must_use]
     pub fn sip_filter_threshold_permille(mut self, permille: u64) -> Self {
-        self.sip_filter_threshold_permille = permille;
+        self.0.sip_filter_threshold_permille = permille;
         self
     }
 
     /// Sets the erase-count spread that triggers static wear leveling.
     #[must_use]
     pub fn wear_level_threshold(mut self, threshold: u64) -> Self {
-        self.wear_level_threshold = threshold;
+        self.0.wear_level_threshold = threshold;
         self
     }
 
     /// Enables hot/cold stream separation with the given hot window.
     #[must_use]
     pub fn hot_cold_streams(mut self, window: SimDuration) -> Self {
-        self.hot_cold_streams = true;
-        self.hot_window = window;
+        self.0.hot_cold_streams = true;
+        self.0.hot_window = window;
         self
     }
 
@@ -414,7 +354,7 @@ impl FtlConfigBuilder {
     /// with [`NandError::BlockWornOut`](jitgc_nand::NandError::BlockWornOut).
     #[must_use]
     pub fn endurance_limit(mut self, cycles: u64) -> Self {
-        self.endurance_limit = Some(cycles);
+        self.0.endurance_limit = Some(cycles);
         self
     }
 
@@ -424,41 +364,66 @@ impl FtlConfigBuilder {
     /// block, uncorrectable reads are reported to the host layer.
     #[must_use]
     pub fn fault(mut self, fault: FaultConfig) -> Self {
-        self.fault = Some(fault);
+        self.0.fault = Some(fault);
         self
     }
 
     /// Sets the NAND timing model.
     #[must_use]
     pub fn timing(mut self, timing: NandTiming) -> Self {
-        self.timing = timing;
+        self.0.timing = timing;
         self
-    }
-
-    /// The user capacity in pages.
-    fn user_page_count(&self) -> u64 {
-        if self.user_pages_is_bytes {
-            self.user_pages.div_ceil(self.page_size_bytes)
-        } else {
-            self.user_pages
-        }
     }
 
     /// Blocks of the derived geometry — user pages and over-provisioning
     /// in whole blocks, plus the GC reserve — or `None` when that device
-    /// would have [`MAX_PHYSICAL_PAGES`] or more. Pages per block and page
-    /// size must be non-zero.
+    /// would have [`MAX_PHYSICAL_PAGES`] or more. Pages per block must be
+    /// non-zero.
     fn blocks(&self) -> Option<u32> {
-        let per_block = u64::from(self.pages_per_block);
-        let user_pages = self.user_page_count();
+        let k = &self.0;
+        let per_block = u64::from(k.pages_per_block);
         let op_pages =
-            u64::try_from(u128::from(user_pages) * u128::from(self.op_permille) / 1000).ok()?;
-        let blocks = user_pages
+            u64::try_from(u128::from(k.user_pages) * u128::from(k.op_permille) / 1000).ok()?;
+        let blocks = k
+            .user_pages
             .checked_add(op_pages)?
             .div_ceil(per_block)
-            .checked_add(u64::from(self.gc_reserve_blocks))?;
+            .checked_add(u64::from(k.gc_reserve_blocks))?;
         let fits = blocks.checked_mul(per_block)? < MAX_PHYSICAL_PAGES;
         u32::try_from(blocks).ok().filter(|_| fits)
+    }
+
+    /// The rule on the FTL's knobs: page size, user pages, pages per
+    /// block and the GC reserve are above zero, the page is at most
+    /// 1 MiB, and the derived device has fewer than [`u32::MAX`] physical
+    /// pages (the per-page tables hold 32-bit entries). The error names
+    /// the first knob that breaks it by its JSON key, after `prefix`.
+    fn check(&self, prefix: &str) -> Result<(), String> {
+        let k = &self.0;
+        for (key, value) in [
+            ("page_size_bytes", k.page_size_bytes),
+            ("user_pages", k.user_pages),
+            ("pages_per_block", u64::from(k.pages_per_block)),
+            ("gc_reserve_blocks", u64::from(k.gc_reserve_blocks)),
+        ] {
+            if value == 0 {
+                return Err(format!("`{prefix}{key}` must be greater than zero"));
+            }
+        }
+        if k.page_size_bytes > MAX_PAGE_BYTES {
+            return Err(format!(
+                "`{prefix}page_size_bytes` of {} must be at most {MAX_PAGE_BYTES}",
+                k.page_size_bytes
+            ));
+        }
+        if self.blocks().is_none() {
+            return Err(format!(
+                "`{prefix}user_pages` of {} (plus over-provisioning and the GC reserve) needs \
+                 {MAX_PHYSICAL_PAGES} physical pages or more; the page tables hold 32-bit entries",
+                k.user_pages
+            ));
+        }
+        Ok(())
     }
 
     /// Finalizes the configuration, deriving the physical geometry.
@@ -466,38 +431,22 @@ impl FtlConfigBuilder {
     /// # Panics
     ///
     /// Panics if user pages, pages per block, page size, or the GC reserve
-    /// is zero, or if the device would have [`u32::MAX`] physical pages or
-    /// more (the per-page tables hold 32-bit entries).
+    /// is zero, if the page is larger than 1 MiB, or if the device would
+    /// have [`u32::MAX`] physical pages or more (the per-page tables hold
+    /// 32-bit entries).
     #[must_use]
     pub fn build(self) -> FtlConfig {
-        assert!(self.pages_per_block > 0, "pages per block must be non-zero");
-        assert!(self.page_size_bytes > 0, "page size must be non-zero");
-        assert!(
-            self.gc_reserve_blocks >= 1,
-            "gc reserve must be at least one block"
-        );
-        let user_pages = self.user_page_count();
-        assert!(user_pages > 0, "user capacity must be non-zero");
-        let blocks = self.blocks().unwrap_or_else(|| {
-            panic!("device must have fewer than {MAX_PHYSICAL_PAGES} physical pages")
-        });
+        if let Err(rule) = self.check("") {
+            panic!("{rule}");
+        }
         let geometry = Geometry::builder()
-            .blocks(blocks)
-            .pages_per_block(self.pages_per_block)
-            .page_size_bytes(self.page_size_bytes)
+            .blocks(self.blocks().expect("checked"))
+            .pages_per_block(self.0.pages_per_block)
+            .page_size_bytes(self.0.page_size_bytes)
             .build();
         FtlConfig {
-            user_pages,
-            hot_cold_streams: self.hot_cold_streams,
-            hot_window: self.hot_window,
-            endurance_limit: self.endurance_limit,
-            fault: self.fault,
-            op_permille: self.op_permille,
-            gc_reserve_blocks: self.gc_reserve_blocks,
-            sip_filter_threshold_permille: self.sip_filter_threshold_permille,
-            wear_level_threshold: self.wear_level_threshold,
+            knobs: self.0,
             geometry,
-            timing: self.timing,
         }
     }
 }
@@ -624,15 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_builder_converts_to_pages() {
-        let c = FtlConfig::builder()
-            .user_capacity(ByteSize::mib(4))
-            .page_size_bytes(4_096)
-            .build();
-        assert_eq!(c.user_pages(), 1_024);
-    }
-
-    #[test]
     fn op_capacity_scales_with_permille() {
         let a = FtlConfig::builder()
             .user_pages(10_000)
@@ -652,6 +592,26 @@ mod tests {
         assert_eq!(c.op_permille(), 70);
         assert_eq!(c.gc_reserve_blocks(), 2);
         assert!(c.geometry().total_pages() > c.user_pages() + c.op_pages());
+    }
+
+    #[test]
+    fn builder_defaults_are_pinned() {
+        let explicit = FtlConfig::builder()
+            .user_pages(8_192)
+            .op_permille(70)
+            .pages_per_block(128)
+            .page_size_bytes(4_096)
+            .gc_reserve_blocks(2)
+            .sip_filter_threshold_permille(250)
+            .wear_level_threshold(64)
+            .timing(NandTiming::mlc_20nm())
+            .build();
+        let default = FtlConfig::builder().build();
+        assert_eq!(default.to_json(), explicit.to_json());
+        assert!(!default.hot_cold_streams());
+        assert_eq!(default.hot_window(), SimDuration::from_secs(5));
+        assert_eq!(default.endurance_limit(), None);
+        assert!(default.fault().is_none());
     }
 
     #[test]
@@ -706,19 +666,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fewer than 4294967295 physical pages")]
+    #[should_panic(expected = "needs 4294967295 physical pages or more")]
     fn oversized_device_panics_in_the_builder() {
         let _ = FtlConfig::builder().user_pages(1 << 33).build();
     }
 
     #[test]
-    #[should_panic(expected = "gc reserve must be at least one block")]
+    #[should_panic(expected = "`gc_reserve_blocks` must be greater than zero")]
     fn zero_reserve_panics() {
         let _ = FtlConfig::builder().gc_reserve_blocks(0).build();
     }
 
     #[test]
-    #[should_panic(expected = "user capacity must be non-zero")]
+    #[should_panic(expected = "`user_pages` must be greater than zero")]
     fn zero_user_pages_panics() {
         let _ = FtlConfig::builder().user_pages(0).build();
     }

@@ -441,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pages per block must be non-zero")]
+    #[should_panic(expected = "`pages_per_block` must be greater than zero")]
     fn zero_page_block_panics() {
         let _ = one_block(0);
     }

@@ -118,8 +118,18 @@ impl Geometry {
     }
 }
 
-/// Builder for [`Geometry`]; all fields have sensible defaults for a small
-/// test device (64 blocks × 128 pages × 4 KiB = 32 MiB).
+impl Default for Geometry {
+    /// A small test device: 64 blocks × 128 pages × 4 KiB = 32 MiB.
+    fn default() -> Self {
+        Geometry {
+            blocks: 64,
+            pages_per_block: 128,
+            page_size: ByteSize::kib(4),
+        }
+    }
+}
+
+/// Builder for [`Geometry`], starting from [`Geometry::default`].
 ///
 /// # Example
 ///
@@ -127,90 +137,63 @@ impl Geometry {
 /// use jitgc_nand::Geometry;
 /// use jitgc_sim::ByteSize;
 ///
-/// let g = Geometry::builder()
-///     .capacity(ByteSize::mib(64))   // derives the block count
-///     .pages_per_block(128)
-///     .page_size_bytes(4096)
-///     .build();
-/// assert_eq!(g.blocks(), 128); // 64 MiB / (128 × 4 KiB)
+/// let g = Geometry::builder().blocks(128).build();
+/// assert_eq!(g.pages_per_block(), 128); // the default
+/// assert_eq!(g.page_size(), ByteSize::kib(4)); // the default
+/// assert_eq!(g.page_size() * g.total_pages(), ByteSize::mib(64));
 /// ```
-#[derive(Debug, Clone)]
-pub struct GeometryBuilder {
-    blocks: Option<u32>,
-    capacity: Option<ByteSize>,
-    pages_per_block: u32,
-    page_size: ByteSize,
-}
-
-impl Default for GeometryBuilder {
-    fn default() -> Self {
-        GeometryBuilder {
-            blocks: None,
-            capacity: None,
-            pages_per_block: 128,
-            page_size: ByteSize::kib(4),
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct GeometryBuilder(Geometry);
 
 impl GeometryBuilder {
-    /// Sets the number of erase blocks directly. Mutually exclusive with
-    /// [`capacity`](Self::capacity) (the later call wins).
+    /// Sets the number of erase blocks (default 64).
     #[must_use]
     pub fn blocks(mut self, blocks: u32) -> Self {
-        self.blocks = Some(blocks);
-        self.capacity = None;
-        self
-    }
-
-    /// Sets the total raw capacity; the block count is derived (rounding up
-    /// to whole blocks). Mutually exclusive with [`blocks`](Self::blocks)
-    /// (the later call wins).
-    #[must_use]
-    pub fn capacity(mut self, capacity: ByteSize) -> Self {
-        self.capacity = Some(capacity);
-        self.blocks = None;
+        self.0.blocks = blocks;
         self
     }
 
     /// Sets pages per erase block (default 128).
     #[must_use]
     pub fn pages_per_block(mut self, pages: u32) -> Self {
-        self.pages_per_block = pages;
+        self.0.pages_per_block = pages;
         self
     }
 
     /// Sets the page size in bytes (default 4096).
     #[must_use]
     pub fn page_size_bytes(mut self, bytes: u64) -> Self {
-        self.page_size = ByteSize::bytes(bytes);
+        self.0.page_size = ByteSize::bytes(bytes);
         self
+    }
+
+    /// The rule on the geometry's knobs: every one is above zero. The
+    /// error names the first knob that breaks it.
+    fn check(&self) -> Result<(), String> {
+        let g = &self.0;
+        for (key, value) in [
+            ("blocks", u64::from(g.blocks)),
+            ("pages_per_block", u64::from(g.pages_per_block)),
+            ("page_size_bytes", g.page_size.as_u64()),
+        ] {
+            if value == 0 {
+                return Err(format!("`{key}` must be greater than zero"));
+            }
+        }
+        Ok(())
     }
 
     /// Finalizes the geometry.
     ///
     /// # Panics
     ///
-    /// Panics if pages per block or page size is zero, or if the resulting
-    /// device would have no blocks.
+    /// Panics if the block count, pages per block or page size is zero.
     #[must_use]
     pub fn build(self) -> Geometry {
-        assert!(self.pages_per_block > 0, "pages per block must be non-zero");
-        assert!(!self.page_size.is_zero(), "page size must be non-zero");
-        let block_capacity = self.page_size.as_u64() * u64::from(self.pages_per_block);
-        let blocks = match (self.blocks, self.capacity) {
-            (Some(b), _) => b,
-            (None, Some(cap)) => {
-                u32::try_from(cap.as_u64().div_ceil(block_capacity)).expect("block count fits u32")
-            }
-            (None, None) => 64,
-        };
-        assert!(blocks > 0, "device must have at least one block");
-        Geometry {
-            blocks,
-            pages_per_block: self.pages_per_block,
-            page_size: self.page_size,
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
         }
+        self.0
     }
 }
 
@@ -265,34 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_builder_rounds_up() {
-        let g = Geometry::builder()
-            .capacity(ByteSize::kib(33)) // 1 block is 32 KiB
-            .pages_per_block(8)
-            .page_size_bytes(4096)
-            .build();
-        assert_eq!(g.blocks(), 2);
-    }
-
-    #[test]
-    fn later_builder_call_wins() {
-        let g = Geometry::builder()
-            .blocks(100)
-            .capacity(ByteSize::kib(32))
-            .pages_per_block(8)
-            .page_size_bytes(4096)
-            .build();
-        assert_eq!(g.blocks(), 1);
-        let g2 = Geometry::builder()
-            .capacity(ByteSize::kib(32))
-            .blocks(100)
-            .pages_per_block(8)
-            .page_size_bytes(4096)
-            .build();
-        assert_eq!(g2.blocks(), 100);
-    }
-
-    #[test]
     fn default_build_is_valid() {
         let g = Geometry::builder().build();
         assert_eq!(g.blocks(), 64);
@@ -301,13 +256,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pages per block must be non-zero")]
+    #[should_panic(expected = "`pages_per_block` must be greater than zero")]
     fn zero_pages_per_block_panics() {
         let _ = Geometry::builder().pages_per_block(0).build();
     }
 
     #[test]
-    #[should_panic(expected = "at least one block")]
+    #[should_panic(expected = "`blocks` must be greater than zero")]
     fn zero_blocks_panics() {
         let _ = Geometry::builder().blocks(0).build();
     }

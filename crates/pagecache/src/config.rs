@@ -105,22 +105,22 @@ impl PageCacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on missing or mistyped fields, and on a
-    /// `capacity_pages`, `tau_expire_us` or `flusher_period_us` of zero,
-    /// named by their path in a system configuration (`cache.…`) — the
-    /// zeros [`build`](PageCacheConfigBuilder::build) would panic on.
+    /// Returns a [`JsonError`] on missing or mistyped fields, and on
+    /// values [`build`](PageCacheConfigBuilder::build) would panic on,
+    /// named by their path in a system configuration (`cache.…`).
     pub fn from_json(v: &JsonValue, flusher_period: SimDuration) -> Result<Self, JsonError> {
         let flusher_period = match v.get("flusher_period_us") {
-            Some(_) => SimDuration::from_micros(positive(v, "flusher_period_us")?),
+            Some(_) => SimDuration::from_micros(v.req_u64("flusher_period_us")?),
             None => flusher_period,
         };
-        Ok(PageCacheConfig::builder()
-            .capacity_pages(positive(v, "capacity_pages")?)
-            .tau_expire(SimDuration::from_micros(positive(v, "tau_expire_us")?))
+        let builder = PageCacheConfig::builder()
+            .capacity_pages(v.req_u64("capacity_pages")?)
+            .tau_expire(SimDuration::from_micros(v.req_u64("tau_expire_us")?))
             .tau_flush_permille(v.req_u64("tau_flush_permille")?)
             .throttle_permille(v.req_u64("throttle_permille")?)
-            .flusher_period(flusher_period)
-            .build())
+            .flusher_period(flusher_period);
+        builder.check("cache.").map_err(JsonError::new)?;
+        Ok(builder.build())
     }
 }
 
@@ -130,33 +130,11 @@ fn permille_of(pages: u64, permille: u64) -> u64 {
     u64::try_from(u128::from(pages) * u128::from(permille) / 1000).unwrap_or(u64::MAX)
 }
 
-/// The required key `key` of a cache config, which must be above zero:
-/// [`PageCacheConfigBuilder::build`] panics on a zero.
-fn positive(v: &JsonValue, key: &str) -> Result<u64, JsonError> {
-    match v.req_u64(key)? {
-        0 => Err(JsonError::new(format!(
-            "`cache.{key}` must be greater than zero"
-        ))),
-        value => Ok(value),
-    }
-}
-
-/// Builder for [`PageCacheConfig`].
-///
-/// Defaults mirror a Linux desktop: 2 048 pages capacity, `τ_expire` 30 s,
-/// `τ_flush` 10 % of capacity.
-#[derive(Debug, Clone)]
-pub struct PageCacheConfigBuilder {
-    capacity_pages: u64,
-    tau_expire: SimDuration,
-    tau_flush_permille: u64,
-    throttle_permille: u64,
-    flusher_period: SimDuration,
-}
-
-impl Default for PageCacheConfigBuilder {
+impl Default for PageCacheConfig {
+    /// A Linux desktop's: 2 048 pages capacity, `τ_expire` 30 s, `τ_flush`
+    /// 10 % and the hard dirty limit 20 % of capacity, flusher period 5 s.
     fn default() -> Self {
-        PageCacheConfigBuilder {
+        PageCacheConfig {
             capacity_pages: 2_048,
             tau_expire: SimDuration::from_secs(30),
             tau_flush_permille: 100,
@@ -166,25 +144,30 @@ impl Default for PageCacheConfigBuilder {
     }
 }
 
+/// Builder for [`PageCacheConfig`], starting from
+/// [`PageCacheConfig::default`].
+#[derive(Debug, Clone, Default)]
+pub struct PageCacheConfigBuilder(PageCacheConfig);
+
 impl PageCacheConfigBuilder {
     /// Sets the cache capacity in pages.
     #[must_use]
     pub fn capacity_pages(mut self, pages: u64) -> Self {
-        self.capacity_pages = pages;
+        self.0.capacity_pages = pages;
         self
     }
 
     /// Sets the dirty-age expiration threshold.
     #[must_use]
     pub fn tau_expire(mut self, tau: SimDuration) -> Self {
-        self.tau_expire = tau;
+        self.0.tau_expire = tau;
         self
     }
 
     /// Sets the dirty-pressure threshold in permille of capacity.
     #[must_use]
     pub fn tau_flush_permille(mut self, permille: u64) -> Self {
-        self.tau_flush_permille = permille;
+        self.0.tau_flush_permille = permille;
         self
     }
 
@@ -192,7 +175,7 @@ impl PageCacheConfigBuilder {
     /// capacity (Linux `dirty_ratio`; default 200 = 20 %).
     #[must_use]
     pub fn throttle_permille(mut self, permille: u64) -> Self {
-        self.throttle_permille = permille;
+        self.0.throttle_permille = permille;
         self
     }
 
@@ -200,33 +183,39 @@ impl PageCacheConfigBuilder {
     /// age (default 5 s, the paper's Linux default).
     #[must_use]
     pub fn flusher_period(mut self, p: SimDuration) -> Self {
-        self.flusher_period = p;
+        self.0.flusher_period = p;
         self
+    }
+
+    /// The rule on the cache's knobs: capacity, `τ_expire` and the
+    /// flusher period are above zero (a zero `τ_expire` means no
+    /// caching). The error names the first knob that breaks it by its
+    /// JSON key, after `prefix`.
+    fn check(&self, prefix: &str) -> Result<(), String> {
+        let c = &self.0;
+        for (key, value) in [
+            ("capacity_pages", c.capacity_pages),
+            ("tau_expire_us", c.tau_expire.as_micros()),
+            ("flusher_period_us", c.flusher_period.as_micros()),
+        ] {
+            if value == 0 {
+                return Err(format!("`{prefix}{key}` must be greater than zero"));
+            }
+        }
+        Ok(())
     }
 
     /// Finalizes the configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is zero or `τ_expire` is zero.
+    /// Panics if the capacity, `τ_expire` or the flusher period is zero.
     #[must_use]
     pub fn build(self) -> PageCacheConfig {
-        assert!(self.capacity_pages > 0, "cache capacity must be non-zero");
-        assert!(
-            !self.tau_expire.is_zero(),
-            "tau_expire must be non-zero (a zero value means no caching)"
-        );
-        assert!(
-            !self.flusher_period.is_zero(),
-            "flusher_period must be non-zero"
-        );
-        PageCacheConfig {
-            capacity_pages: self.capacity_pages,
-            tau_expire: self.tau_expire,
-            tau_flush_permille: self.tau_flush_permille,
-            throttle_permille: self.throttle_permille,
-            flusher_period: self.flusher_period,
+        if let Err(rule) = self.check("") {
+            panic!("{rule}");
         }
+        self.0
     }
 }
 
@@ -273,6 +262,18 @@ mod tests {
     }
 
     #[test]
+    fn builder_defaults_are_pinned() {
+        let explicit = PageCacheConfig::builder()
+            .capacity_pages(2_048)
+            .tau_expire(SimDuration::from_secs(30))
+            .tau_flush_permille(100)
+            .throttle_permille(200)
+            .flusher_period(SimDuration::from_secs(5))
+            .build();
+        assert_eq!(PageCacheConfig::builder().build(), explicit);
+    }
+
+    #[test]
     fn flush_threshold_derivation() {
         let c = PageCacheConfig::builder()
             .capacity_pages(1000)
@@ -314,13 +315,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be non-zero")]
+    #[should_panic(expected = "`capacity_pages` must be greater than zero")]
     fn zero_capacity_panics() {
         let _ = PageCacheConfig::builder().capacity_pages(0).build();
     }
 
     #[test]
-    #[should_panic(expected = "tau_expire must be non-zero")]
+    #[should_panic(expected = "`tau_expire_us` must be greater than zero")]
     fn zero_tau_expire_panics() {
         let _ = PageCacheConfig::builder()
             .tau_expire(SimDuration::ZERO)

@@ -340,8 +340,14 @@ fn main() {
         let seconds = cfg.seconds;
         let policy = args.policy.build(&cfg.system);
         let service = Service::new(cfg, policy);
-        let mut service = serve(endpoint, service, sessions)
-            .unwrap_or_else(|e| fail(format!("serve failed: {e}")));
+        let served = serve(endpoint, service, sessions);
+        // The socket file is this run's own once bound; a file already at
+        // the path when it started is never removed (it may be a live
+        // server's).
+        if let Some(path) = &args.unix {
+            let _ = std::fs::remove_file(path);
+        }
+        let mut service = served.unwrap_or_else(|e| fail(format!("serve failed: {e}")));
         let report = service.finalize(SimTime::from_secs(seconds));
         (report, service.ticks_skipped(), service.ff_spans())
     } else {

@@ -124,7 +124,6 @@ pub fn run_closed_loop_counting(
         .collect();
     let mut service = Service::new(cfg.clone(), policy);
     let mut now = SimTime::ZERO;
-    let mut last_completion = SimTime::ZERO;
     loop {
         let next_submit = loops.iter().filter_map(TenantLoop::next_instant).min();
         let window_free = if service.has_queued() {
@@ -162,12 +161,10 @@ pub fn run_closed_loop_counting(
                     c.id
                 );
                 *slot = Some(c.completed_at);
-                last_completion = last_completion.max(c.completed_at);
             }
         }
     }
-    let end = last_completion.max(SimTime::from_secs(cfg.seconds));
-    let report = service.finalize(end);
+    let report = service.finalize(SimTime::from_secs(cfg.seconds));
     (report, service.ticks_skipped(), service.ff_spans())
 }
 

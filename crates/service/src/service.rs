@@ -93,6 +93,8 @@ pub struct Service {
     pages_per_tenant: u64,
     page_bytes: u64,
     last_issue: SimTime,
+    /// The latest `completed_at` posted: the run cannot end before it.
+    last_completion: SimTime,
     tier_transitions: Vec<(SimTime, Tier)>,
     tier_entered: SimTime,
     tier_residency: [SimDuration; 4],
@@ -134,6 +136,7 @@ impl Service {
             pages_per_tenant,
             page_bytes,
             last_issue: SimTime::ZERO,
+            last_completion: SimTime::ZERO,
             tier_transitions: vec![(SimTime::ZERO, Tier::Green)],
             tier_entered: SimTime::ZERO,
             tier_residency: [SimDuration::ZERO; 4],
@@ -208,6 +211,7 @@ impl Service {
     }
 
     fn post(&mut self, tenant: usize, completion: Completion) {
+        self.last_completion = self.last_completion.max(completion.completed_at);
         let t = &mut self.tenants[tenant];
         match completion.status {
             CompletionStatus::Done => {
@@ -419,10 +423,12 @@ impl Service {
         self.tenants[tenant].cq.drain(..)
     }
 
-    /// Closes the run at virtual time `end` and assembles the service
-    /// report (per-tenant accounting + tier timeline + device report).
+    /// Closes the run at virtual time `end`, or at the latest completion
+    /// posted if that is later, and assembles the service report
+    /// (per-tenant accounting + tier timeline + device report).
     #[must_use]
     pub fn finalize(&mut self, end: SimTime) -> ServiceReport {
+        let end = end.max(self.last_completion);
         self.engine.advance_to(end);
         let device: SimReport = self.engine.finalize(end);
         self.tier_residency[self.tier.current().index()] += end.saturating_since(self.tier_entered);
@@ -603,6 +609,22 @@ mod tests {
         assert_eq!(svc.tier(), Tier::Black, "tier still tracked for reports");
         let out = svc.submit(1, IoKind::DirectWrite, 0, 1, now);
         assert!(matches!(out, SubmitOutcome::Accepted(_)));
+    }
+
+    #[test]
+    fn the_run_ends_no_earlier_than_its_last_completion() {
+        let mut svc = service();
+        let now = SimTime::from_secs(2);
+        let _ = svc.submit(0, IoKind::DirectWrite, 0, 32, now);
+        assert_eq!(svc.pump(now), 1);
+        let done = svc.take_completions(0).next().expect("a completion");
+        let report = svc.finalize(SimTime::from_secs(1));
+        assert_eq!(report.duration_us, done.completed_at.as_micros());
+        assert_eq!(
+            report.tier.residency_us.iter().sum::<u64>(),
+            report.duration_us,
+            "tier residency partitions the run"
+        );
     }
 
     #[test]

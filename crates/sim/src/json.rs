@@ -315,9 +315,7 @@ impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
 /// assert_eq!(v.to_compact(), r#"{"a":1,"b":true}"#);
 /// ```
 #[derive(Debug, Default)]
-pub struct ObjectBuilder {
-    fields: Vec<(String, JsonValue)>,
-}
+pub struct ObjectBuilder(Vec<(String, JsonValue)>);
 
 impl ObjectBuilder {
     /// Starts an empty object.
@@ -329,14 +327,14 @@ impl ObjectBuilder {
     /// Appends one key/value pair.
     #[must_use]
     pub fn field(mut self, key: &str, value: impl Into<JsonValue>) -> Self {
-        self.fields.push((key.to_owned(), value.into()));
+        self.0.push((key.to_owned(), value.into()));
         self
     }
 
     /// Finishes the object.
     #[must_use]
     pub fn build(self) -> JsonValue {
-        JsonValue::Object(self.fields)
+        JsonValue::Object(self.0)
     }
 }
 

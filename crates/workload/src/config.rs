@@ -71,22 +71,11 @@ impl WorkloadConfig {
     }
 }
 
-/// Builder for [`WorkloadConfig`].
-///
-/// Defaults: 8 192-page working set, 300 s duration, 2 000 IOPS,
-/// mean burst 32, seed 0.
-#[derive(Debug, Clone)]
-pub struct WorkloadConfigBuilder {
-    working_set_pages: u64,
-    duration: SimDuration,
-    mean_iops: f64,
-    burst_mean: f64,
-    seed: u64,
-}
-
-impl Default for WorkloadConfigBuilder {
+impl Default for WorkloadConfig {
+    /// An 8 192-page working set, 300 s duration, 2 000 IOPS, mean burst
+    /// 32, seed 0.
     fn default() -> Self {
-        WorkloadConfigBuilder {
+        WorkloadConfig {
             working_set_pages: 8_192,
             duration: SimDuration::from_secs(300),
             mean_iops: 2_000.0,
@@ -96,18 +85,23 @@ impl Default for WorkloadConfigBuilder {
     }
 }
 
+/// Builder for [`WorkloadConfig`], starting from
+/// [`WorkloadConfig::default`].
+#[derive(Debug, Clone, Default)]
+pub struct WorkloadConfigBuilder(WorkloadConfig);
+
 impl WorkloadConfigBuilder {
     /// Sets the working set size in pages.
     #[must_use]
     pub fn working_set_pages(mut self, pages: u64) -> Self {
-        self.working_set_pages = pages;
+        self.0.working_set_pages = pages;
         self
     }
 
     /// Sets the emitted think-time duration.
     #[must_use]
     pub fn duration(mut self, duration: SimDuration) -> Self {
-        self.duration = duration;
+        self.0.duration = duration;
         self
     }
 
@@ -118,28 +112,28 @@ impl WorkloadConfigBuilder {
     /// panicking in the conversion.
     #[must_use]
     pub fn seconds(mut self, secs: u64) -> Self {
-        self.duration = SimDuration::checked_from_secs(secs).unwrap_or(SimDuration::MAX);
+        self.0.duration = SimDuration::checked_from_secs(secs).unwrap_or(SimDuration::MAX);
         self
     }
 
     /// Sets the target arrival rate in requests/second.
     #[must_use]
     pub fn mean_iops(mut self, iops: f64) -> Self {
-        self.mean_iops = iops;
+        self.0.mean_iops = iops;
         self
     }
 
     /// Sets the mean burst length.
     #[must_use]
     pub fn burst_mean(mut self, mean: f64) -> Self {
-        self.burst_mean = mean;
+        self.0.burst_mean = mean;
         self
     }
 
     /// Sets the RNG seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.0.seed = seed;
         self
     }
 
@@ -155,13 +149,14 @@ impl WorkloadConfigBuilder {
     ///
     /// Returns the first knob that breaks the rule.
     pub fn check_arrival(&self) -> Result<(), ArrivalError> {
-        if self.duration.is_zero() {
+        let c = &self.0;
+        if c.duration.is_zero() {
             return Err(ArrivalError::Duration);
         }
-        if self.duration > ArrivalProcess::MAX_DURATION {
+        if c.duration > ArrivalProcess::MAX_DURATION {
             return Err(ArrivalError::TooLong);
         }
-        ArrivalProcess::check(self.mean_iops, self.burst_mean)
+        ArrivalProcess::check(c.mean_iops, c.burst_mean)
     }
 
     /// Finalizes the configuration.
@@ -173,17 +168,14 @@ impl WorkloadConfigBuilder {
     /// wording.
     #[must_use]
     pub fn build(self) -> WorkloadConfig {
-        assert!(self.working_set_pages > 0, "working set must be non-empty");
+        assert!(
+            self.0.working_set_pages > 0,
+            "working set must be non-empty"
+        );
         if let Err(rule) = self.check_arrival() {
             panic!("{rule}");
         }
-        WorkloadConfig {
-            working_set_pages: self.working_set_pages,
-            duration: self.duration,
-            mean_iops: self.mean_iops,
-            burst_mean: self.burst_mean,
-            seed: self.seed,
-        }
+        self.0
     }
 }
 
@@ -197,6 +189,18 @@ mod tests {
         assert_eq!(c.working_set_pages(), 8_192);
         assert_eq!(c.duration(), SimDuration::from_secs(300));
         assert_eq!(c.seed(), 0);
+    }
+
+    #[test]
+    fn builder_defaults_are_pinned() {
+        let explicit = WorkloadConfig::builder()
+            .working_set_pages(8_192)
+            .duration(SimDuration::from_secs(300))
+            .mean_iops(2_000.0)
+            .burst_mean(32.0)
+            .seed(0)
+            .build();
+        assert_eq!(WorkloadConfig::builder().build(), explicit);
     }
 
     #[test]

@@ -36,17 +36,13 @@ use jitgc_sim::Zipf;
 pub struct Synthetic {
     base: Base,
     zipf: Zipf,
-    read_fraction: f64,
-    buffered_fraction: f64,
-    trim_fraction: f64,
-    min_pages: u32,
-    max_pages: u32,
+    knobs: SyntheticKnobs,
 }
 
-/// Builder for [`Synthetic`]. Defaults: 40 % reads, 70 % buffered writes,
-/// Zipf 0.9, no TRIM, 1–4 pages per request.
-#[derive(Debug, Clone)]
-pub struct SyntheticBuilder {
+/// The knobs of a [`Synthetic`] workload: what [`SyntheticBuilder`] sets
+/// and the workload draws with.
+#[derive(Debug, Clone, Copy)]
+struct SyntheticKnobs {
     read_fraction: f64,
     buffered_fraction: f64,
     trim_fraction: f64,
@@ -55,9 +51,9 @@ pub struct SyntheticBuilder {
     max_pages: u32,
 }
 
-impl Default for SyntheticBuilder {
+impl Default for SyntheticKnobs {
     fn default() -> Self {
-        SyntheticBuilder {
+        SyntheticKnobs {
             read_fraction: 0.4,
             buffered_fraction: 0.7,
             trim_fraction: 0.0,
@@ -68,41 +64,77 @@ impl Default for SyntheticBuilder {
     }
 }
 
+/// Builder for [`Synthetic`]. Defaults: 40 % reads, 70 % buffered writes,
+/// Zipf 0.9, no TRIM, 1–4 pages per request.
+#[derive(Debug, Clone, Default)]
+pub struct SyntheticBuilder(SyntheticKnobs);
+
 impl SyntheticBuilder {
     /// Sets the fraction of requests that read (`[0, 1]`).
     #[must_use]
     pub fn read_fraction(mut self, f: f64) -> Self {
-        self.read_fraction = f;
+        self.0.read_fraction = f;
         self
     }
 
     /// Sets the fraction of written pages that are buffered (`[0, 1]`).
     #[must_use]
     pub fn buffered_fraction(mut self, f: f64) -> Self {
-        self.buffered_fraction = f;
+        self.0.buffered_fraction = f;
         self
     }
 
     /// Sets the fraction of requests that TRIM (`[0, 1]`).
     #[must_use]
     pub fn trim_fraction(mut self, f: f64) -> Self {
-        self.trim_fraction = f;
+        self.0.trim_fraction = f;
         self
     }
 
     /// Sets the Zipf skew of the address distribution (0 = uniform).
     #[must_use]
     pub fn zipf_skew(mut self, s: f64) -> Self {
-        self.zipf_skew = s;
+        self.0.zipf_skew = s;
         self
     }
 
     /// Sets the request size range in pages (inclusive).
     #[must_use]
     pub fn pages(mut self, min: u32, max: u32) -> Self {
-        self.min_pages = min;
-        self.max_pages = max;
+        self.0.min_pages = min;
+        self.0.max_pages = max;
         self
+    }
+
+    /// The rule on the workload's knobs over a working set of
+    /// `working_set_pages`: each fraction is in `[0, 1]`, read and trim
+    /// fit one request budget, the page range is non-empty, and the
+    /// working set holds one maximum-size request. The error names the
+    /// first knob that breaks it.
+    fn check(&self, working_set_pages: u64) -> Result<(), String> {
+        let k = &self.0;
+        for (name, v) in [
+            ("read_fraction", k.read_fraction),
+            ("buffered_fraction", k.buffered_fraction),
+            ("trim_fraction", k.trim_fraction),
+        ] {
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!("{name} must be in [0, 1], got {v}"));
+            }
+        }
+        if k.read_fraction + k.trim_fraction > 1.0 {
+            return Err("read and trim fractions exceed the request budget".into());
+        }
+        if k.min_pages < 1 || k.min_pages > k.max_pages {
+            return Err(format!(
+                "invalid page range {}..={}",
+                k.min_pages, k.max_pages
+            ));
+        }
+        if working_set_pages < u64::from(k.max_pages) {
+            return Err("working set smaller than one request".into());
+        }
+        Ok(())
     }
 
     /// Finalizes the workload.
@@ -114,39 +146,13 @@ impl SyntheticBuilder {
     /// maximum-size request.
     #[must_use]
     pub fn build(self, cfg: WorkloadConfig) -> Synthetic {
-        for (name, v) in [
-            ("read_fraction", self.read_fraction),
-            ("buffered_fraction", self.buffered_fraction),
-            ("trim_fraction", self.trim_fraction),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&v),
-                "{name} must be in [0, 1], got {v}"
-            );
+        if let Err(rule) = self.check(cfg.working_set_pages()) {
+            panic!("{rule}");
         }
-        assert!(
-            self.read_fraction + self.trim_fraction <= 1.0,
-            "read and trim fractions exceed the request budget"
-        );
-        assert!(
-            self.min_pages >= 1 && self.min_pages <= self.max_pages,
-            "invalid page range {}..={}",
-            self.min_pages,
-            self.max_pages
-        );
-        assert!(
-            cfg.working_set_pages() >= u64::from(self.max_pages),
-            "working set smaller than one request"
-        );
-        let zipf = Zipf::new(cfg.working_set_pages(), self.zipf_skew);
         Synthetic {
+            zipf: Zipf::new(cfg.working_set_pages(), self.0.zipf_skew),
             base: Base::new(cfg),
-            zipf,
-            read_fraction: self.read_fraction,
-            buffered_fraction: self.buffered_fraction,
-            trim_fraction: self.trim_fraction,
-            min_pages: self.min_pages,
-            max_pages: self.max_pages,
+            knobs: self.0,
         }
     }
 }
@@ -166,15 +172,14 @@ impl Synthetic {
     }
 
     fn draw_pages(&mut self) -> u32 {
-        if self.min_pages == self.max_pages {
-            self.min_pages
+        if self.knobs.min_pages == self.knobs.max_pages {
+            self.knobs.min_pages
         } else {
-            self.min_pages
-                + self
-                    .base
-                    .rng
-                    .range_u64(0, u64::from(self.max_pages - self.min_pages + 1))
-                    as u32
+            self.knobs.min_pages
+                + self.base.rng.range_u64(
+                    0,
+                    u64::from(self.knobs.max_pages - self.knobs.min_pages + 1),
+                ) as u32
         }
     }
 }
@@ -185,7 +190,7 @@ impl Workload for Synthetic {
     }
 
     fn write_mix(&self) -> WriteMix {
-        WriteMix::new(self.buffered_fraction)
+        WriteMix::new(self.knobs.buffered_fraction)
     }
 
     fn working_set_pages(&self) -> u64 {
@@ -197,11 +202,11 @@ impl Workload for Synthetic {
         let pages = self.draw_pages();
         let lpn = Lpn(self.draw_lpn(pages));
         let roll = self.base.rng.unit_f64();
-        let kind = if roll < self.read_fraction {
+        let kind = if roll < self.knobs.read_fraction {
             IoKind::Read
-        } else if roll < self.read_fraction + self.trim_fraction {
+        } else if roll < self.knobs.read_fraction + self.knobs.trim_fraction {
             IoKind::Trim
-        } else if self.base.rng.chance(self.buffered_fraction) {
+        } else if self.base.rng.chance(self.knobs.buffered_fraction) {
             IoKind::BufferedWrite
         } else {
             IoKind::DirectWrite
@@ -236,6 +241,22 @@ mod tests {
         assert!((read_frac - 0.25).abs() < 0.03, "reads {read_frac}");
         assert!((trim_frac - 0.10).abs() < 0.03, "trims {trim_frac}");
         assert!((buf_frac - 0.60).abs() < 0.03, "buffered {buf_frac}");
+    }
+
+    #[test]
+    fn builder_defaults_are_pinned() {
+        let mut default = Synthetic::builder().build(small_config(5));
+        let mut explicit = Synthetic::builder()
+            .read_fraction(0.4)
+            .buffered_fraction(0.7)
+            .trim_fraction(0.0)
+            .zipf_skew(0.9)
+            .pages(1, 4)
+            .build(small_config(5));
+        assert_eq!(default.write_mix(), explicit.write_mix());
+        for _ in 0..5_000 {
+            assert_eq!(default.next_request(), explicit.next_request());
+        }
     }
 
     #[test]

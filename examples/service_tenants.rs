@@ -1,6 +1,6 @@
-//! Multi-tenant isolation demo: a heavy writer degrades a
-//! latency-sensitive reader's tail, and tiered backpressure plus JIT-GC
-//! confine the damage to the tenant causing it.
+//! Multi-tenant isolation demo: a heavy writer shares one device with a
+//! latency-sensitive reader, and tiered backpressure sheds the writer's
+//! requests, never the reader's.
 //!
 //! Runs the same three-tenant mix (one hot writer, one latency-sensitive
 //! reader, one mixed tenant) through the queue-pair service under
@@ -60,9 +60,7 @@ fn main() {
         }
     }
     println!(
-        "\nExpected shape: the reader's tail is worst under L-BGC with no \
-         backpressure (the writer's bursts pile into foreground GC); JIT-GC \
-         trims it, and enabling backpressure converts reader tail latency \
-         into explicit writer sheds/deferrals."
+        "\nWith backpressure off nothing is shed or deferred; with it on, \
+         only writes are shed, so the reader's requests all complete."
     );
 }
