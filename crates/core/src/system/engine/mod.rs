@@ -1,5 +1,6 @@
 //! The simulation engine: the system, its stepping API and shared helpers.
 
+mod prefetch;
 mod quiescence;
 mod report;
 mod request;
@@ -14,7 +15,7 @@ use jitgc_nand::Lpn;
 use jitgc_pagecache::PageCache;
 use jitgc_sim::stats::LatencyRecorder;
 use jitgc_sim::{ByteSize, SimDuration, SimTime};
-use jitgc_workload::{IoRequest, Workload};
+use jitgc_workload::{IoRequest, NullWorkload, Workload};
 use quiescence::Quiescence;
 pub use quiescence::{FfGate, FfRefusals};
 use std::time::Duration;
@@ -312,19 +313,32 @@ impl SsdSystem {
 
     /// Runs the workload to exhaustion and reports.
     ///
+    /// A long run generates its requests on a second thread while this
+    /// one executes them (DESIGN.md §8j); the order, and so the report,
+    /// is the workload's own either way.
+    ///
     /// # Panics
     ///
     /// Panics if the FTL signals an unrecoverable condition (no
-    /// reclaimable space), which indicates a misconfigured experiment.
+    /// reclaimable space), which indicates a misconfigured experiment,
+    /// or with the workload's own message if generating a request panics.
     pub fn run(&mut self) -> SimReport {
         if self.config.prefill {
             self.prefill();
         }
-        while let Some(req) = self.workload.next_request() {
+        // A stand-in holds the workload's place while the run lends it out.
+        let stand_in = NullWorkload::new(
+            self.workload.name(),
+            self.workload.working_set_pages(),
+            self.workload.write_mix(),
+        );
+        let mut workload = std::mem::replace(&mut self.workload, Box::new(stand_in));
+        prefetch::drain(workload.as_mut(), |req| {
             let (thread, issue) = self.closed_loop.issue(req.gap);
             let completion = self.step(req, issue);
             self.closed_loop.complete(thread, completion);
-        }
+        });
+        self.workload = workload;
         self.finalize(self.closed_loop.end())
     }
 

@@ -564,29 +564,57 @@ mod tests {
         assert_eq!(ftl.sip_counts, recount);
     }
 
-    /// Installing any SIP list — mapped LPNs, unmapped ones, none — keeps
-    /// the per-block counts exact through GC migrations and through the
-    /// overwrites that take pages off the list.
+    /// Installing any chain of SIP lists — overlapping, with mapped LPNs,
+    /// unmapped ones, none — keeps the per-block counts exact, and so do
+    /// the writes, trims and GC migrations between installs, which the
+    /// SIP filter reads the counts after. Each case installs up to 12
+    /// lists, each the list the FTL holds with some pages flipped, with
+    /// ops between installs.
     #[test]
     fn sip_counts_track_mapping() {
         jitgc_sim::check::check(0x0F71_0004, 128, |g| {
-            let sip_lpns: std::collections::BTreeSet<u64> =
-                g.vec(0, 20, |g| g.u64(0, 64)).into_iter().collect();
             let writes = g.vec(20, 100, |g| g.u64(0, 64));
             let mut ftl = small_ftl();
             for (i, &lpn) in writes.iter().enumerate() {
                 ftl.host_write(Lpn(lpn), SimTime::from_millis(i as u64))
                     .expect("in range");
             }
-            let _ = ftl.install_sip_list(sip_lpns.iter().map(|&l| Lpn(l)).collect());
-            assert_sip_counts_match_a_recount(&ftl);
-            ftl.background_collect(t(5), SimDuration::from_secs(1), None);
-            assert_sip_counts_match_a_recount(&ftl);
-            for &l in sip_lpns.iter().take(3) {
-                ftl.host_write(Lpn(l), t(6)).expect("in range");
-                assert!(!ftl.sip.contains(Lpn(l)), "an overwrite delists the page");
+            let installs = g.vec(1, 12, |g| {
+                let flips = g.vec(0, 20, |g| g.u64(0, 64));
+                let ops = g.vec(0, 12, |g| (g.weighted(&[6, 2, 2]), g.u64(0, 64)));
+                (flips, ops)
+            });
+            let mut now = writes.len() as u64;
+            for (flips, ops) in installs {
+                let mut next: std::collections::BTreeSet<u64> =
+                    ftl.sip.iter().map(|l| l.0).collect();
+                for lpn in flips {
+                    if !next.remove(&lpn) {
+                        next.insert(lpn);
+                    }
+                }
+                let _ = ftl.install_sip_list(next.iter().map(|&l| Lpn(l)).collect());
+                assert_sip_counts_match_a_recount(&ftl);
+                for (op, arg) in ops {
+                    now += 1;
+                    let at = SimTime::from_millis(now);
+                    match op {
+                        0 => {
+                            ftl.host_write(Lpn(arg), at).expect("in range");
+                            assert!(!ftl.sip.contains(Lpn(arg)), "an overwrite delists the page");
+                        }
+                        1 => ftl.trim(Lpn(arg), at).expect("in range"),
+                        // A fraction of a page to two blocks' worth of
+                        // budget, so victims stay half collected.
+                        _ => drop(ftl.background_collect(
+                            at,
+                            SimDuration::from_micros(arg * 400),
+                            None,
+                        )),
+                    }
+                    assert_sip_counts_match_a_recount(&ftl);
+                }
             }
-            assert_sip_counts_match_a_recount(&ftl);
         });
     }
 

@@ -2,9 +2,9 @@
 //! pipeline under every policy.
 
 use jitgc_repro::core::policy::{GcPolicy, PolicyKind};
-use jitgc_repro::core::system::{SimReport, SsdSystem, SystemConfig};
+use jitgc_repro::core::system::{ClosedLoop, SimReport, SsdSystem, SystemConfig};
 use jitgc_repro::sim::SimDuration;
-use jitgc_repro::workload::{BenchmarkKind, WorkloadConfig};
+use jitgc_repro::workload::{BenchmarkKind, NullWorkload, WorkloadConfig};
 
 fn run(
     config: &SystemConfig,
@@ -160,4 +160,50 @@ fn latency_tail_reflects_fgc() {
         report.latency_max_us,
         report.latency_p50_us
     );
+}
+
+/// `run` generates a long run's requests on a second thread once the
+/// first 2^16 are in, if a core is free; either way its report is the one
+/// a hand-written closed loop over `step` gives for the same stream, byte
+/// for byte.
+#[test]
+fn run_matches_a_stepping_loop_past_the_inline_prefix() {
+    let mut config = SystemConfig::default_sim();
+    config.queue_depth = 3;
+    let workload = || {
+        let wl = WorkloadConfig::builder()
+            .working_set_pages(config.standard_working_set().unwrap())
+            .duration(SimDuration::from_secs(25))
+            .mean_iops(3_000.0)
+            .seed(11)
+            .build();
+        BenchmarkKind::Ycsb.build(wl)
+    };
+    let ran = SsdSystem::new(config.clone(), PolicyKind::Jit.build(&config), workload()).run();
+    assert!(
+        ran.ops > (1 << 16) + 4 * 1024,
+        "{} requests do not reach past the inline prefix",
+        ran.ops
+    );
+
+    let mut requests = workload();
+    let stand_in = NullWorkload::new(
+        requests.name(),
+        requests.working_set_pages(),
+        requests.write_mix(),
+    );
+    let mut stepped = SsdSystem::new(
+        config.clone(),
+        PolicyKind::Jit.build(&config),
+        Box::new(stand_in),
+    );
+    stepped.prefill();
+    let mut clock = ClosedLoop::new(config.queue_depth);
+    while let Some(req) = requests.next_request() {
+        let (thread, issue) = clock.issue(req.gap);
+        let completion = stepped.step(req, issue);
+        clock.complete(thread, completion);
+    }
+    let stepped = stepped.finalize(clock.end());
+    assert_eq!(ran.to_json().to_pretty(), stepped.to_json().to_pretty());
 }

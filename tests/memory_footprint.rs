@@ -7,7 +7,9 @@
 //! from the configuration and the request stream, so the numbers repeat
 //! exactly: 8.6 B per physical page for a new `default_sim` system, 19.1 B
 //! once it has run (22.8 B while a cache slot took 32 bytes), and 8.2 B
-//! for a new system at the benchmark's 16x scale. DESIGN.md §8g has the
+//! for a new system at the benchmark's 16x scale. A run long enough to
+//! hand its requests over from a generator thread holds the same, and
+//! leaves nothing of the thread behind. DESIGN.md §8g has the
 //! byte table the bounds below come from.
 //!
 //! "Follows from the request stream" means its shape, not its addresses:
@@ -94,13 +96,13 @@ impl Workload for Rotated {
 }
 
 /// A JIT-GC system on `config` under 30 simulated seconds of Tiobench at
-/// 250 IOPS over the standard working set, rotated by `offset` pages, and
+/// `iops` over the standard working set, rotated by `offset` pages, and
 /// the bytes allocated before it was built.
-fn build(config: &SystemConfig, offset: u64) -> (SsdSystem, usize) {
+fn build(config: &SystemConfig, offset: u64, iops: f64) -> (SsdSystem, usize) {
     let workload = WorkloadConfig::builder()
         .working_set_pages(config.standard_working_set().expect("default OP"))
         .duration(SimDuration::from_secs(30))
-        .mean_iops(250.0)
+        .mean_iops(iops)
         .seed(42)
         .build();
     let before = LIVE.load(Ordering::Relaxed);
@@ -125,7 +127,7 @@ fn heap_bytes_per_physical_page_stay_bounded() {
     // One array member of `array64_qd8`: freshly built, then prefilled and
     // run.
     let config = SystemConfig::default_sim();
-    let (mut system, before) = build(&config, 0);
+    let (mut system, before) = build(&config, 0, 250.0);
     let built = bytes_per_page(before, &config);
     assert!(
         built <= 12.0,
@@ -146,7 +148,7 @@ fn heap_bytes_per_physical_page_stay_bounded() {
     // them, but no table's size does.
     let working_set = config.standard_working_set().expect("default OP");
     for fifth in 1..5 {
-        let (mut system, before) = build(&config, working_set * fifth / 5);
+        let (mut system, before) = build(&config, working_set * fifth / 5, 250.0);
         drop(system.run());
         let rotated = bytes_per_page(before, &config);
         assert!(
@@ -155,6 +157,35 @@ fn heap_bytes_per_physical_page_stay_bounded() {
              page, unrotated {ran:.2}"
         );
     }
+
+    // Ten times the load runs past the 2^16 requests `run` pulls inline,
+    // so a generator thread hands it the rest in batches (this binary
+    // runs one test, so a second core is free on any multi-core host;
+    // on one core the run stays inline and the bounds hold all the
+    // same). The run holds
+    // the same tables as the short one, and once the system is gone
+    // nothing of the thread or its batches is left. (The first thread a
+    // process starts leaves a few dozen bytes of the standard library's
+    // own set-up behind, so the second long run is the one counted.)
+    let (mut system, before) = build(&config, 0, 2_500.0);
+    let report = system.run();
+    assert!(report.ops > 1 << 16, "{} requests stay inline", report.ops);
+    drop(report);
+    let long = bytes_per_page(before, &config);
+    assert!(
+        (long - ran).abs() <= 0.25,
+        "past the inline prefix the run holds {long:.2} B per physical page, at a tenth of \
+         the load {ran:.2}"
+    );
+    drop(system);
+    let (mut system, before) = build(&config, 0, 2_500.0);
+    drop(system.run());
+    drop(system);
+    let left = LIVE.load(Ordering::Relaxed) as i64 - before as i64;
+    assert_eq!(
+        left, 0,
+        "a run past the inline prefix left {left} bytes behind"
+    );
 
     // The benchmark's 16x cell: 393 216 user pages, 131 072-page cache.
     let mut scaled = SystemConfig::default_sim();
@@ -166,7 +197,7 @@ fn heap_bytes_per_physical_page_stay_bounded() {
         .throttle_permille(scaled.cache.throttle_permille())
         .flusher_period(scaled.cache.flusher_period())
         .build();
-    let (system, before) = build(&scaled, 0);
+    let (system, before) = build(&scaled, 0, 250.0);
     let built = bytes_per_page(before, &scaled);
     assert!(
         built <= 12.0,
