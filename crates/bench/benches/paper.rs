@@ -1,8 +1,8 @@
 //! Every table of the paper's evaluation — Fig. 2, Table 1, Fig. 7,
 //! Tables 2 and 3, Fig. 9's lifetime — with the ablations and extensions
 //! beside them (among them the Fig. 7 policies on a 4-member RAID-0 array
-//! by GC mode, staggered collection on that array under load, and the
-//! analytical model's accuracy), written into `EXPERIMENTS.md`.
+//! by GC mode, and staggered collection on that array under load),
+//! written into `EXPERIMENTS.md`.
 //!
 //! `cargo bench -p jitgc-bench --bench paper` runs every table's cells
 //! on all cores and replaces the text between each table's
@@ -24,7 +24,6 @@ use jitgc_bench::{
     default_threads, format_table, run_grid, Cell, Experiment, Load, PolicyKind, Report,
 };
 use jitgc_core::system::{SimReport, VictimKind};
-use jitgc_model::{predict, WorkloadSpec};
 use jitgc_nand::NandTiming;
 use jitgc_sim::SimDuration;
 use jitgc_workload::{measure_write_mix, BenchmarkKind};
@@ -250,19 +249,6 @@ fn tables() -> Vec<Table> {
         values: device(|row, r| {
             let filtered = r[0].sip_filtered_fraction.map_or(0.0, |f| f * 100.0);
             vec![filtered, TABLE3_PAPER[row]]
-        }),
-    });
-
-    tables.push(Table {
-        id: "ablation_sip",
-        title: "Ablation: SIP filtering (WAF with / without, penalty of disabling in %, filter rate %)",
-        columns: columns(&["WAF(SIP)", "WAF(no SIP)", "penalty %", "filtered %"]),
-        precision: 2,
-        rows: by_benchmark(&all, &policies(&[PolicyKind::Jit, PolicyKind::JitNoSip])),
-        values: device(|_, r| {
-            let (with, without) = (waf(r[0]), waf(r[1]));
-            let filtered = r[0].sip_filtered_fraction.map_or(0.0, |f| f * 100.0);
-            vec![with, without, (without / with - 1.0) * 100.0, filtered]
         }),
     });
 
@@ -547,12 +533,6 @@ fn tables() -> Vec<Table> {
             0,
             (|r| r.iops) as fn(&ArrayReport) -> f64,
         ),
-        (
-            "array_p99",
-            "Array (4-way RAID-0): p99 latency (us)",
-            0,
-            |r| r.latency_p99_us as f64,
-        ),
         ("array_waf", "Array (4-way RAID-0): WAF", 3, |r| {
             r.waf.expect("host writes happened")
         }),
@@ -637,26 +617,6 @@ fn tables() -> Vec<Table> {
         }),
     });
 
-    // The mean-field model against the simulator under the model's own
-    // assumptions: foreground-only cleaning, FIFO victims, steady state.
-    let control = varied(|e| {
-        e.system.victim = VictimKind::Fifo;
-        e.duration = SimDuration::from_secs(1_800);
-    });
-    let spec = WorkloadSpec::for_system(&control.system, control.mean_iops, control.burst_mean);
-    let model_system = control.system.clone();
-    tables.push(Table {
-        id: "model",
-        title: "Model vs simulator: WAF under No-BGC, FIFO victims, 1800 s",
-        columns: columns(&["model WAF", "simulated WAF", "error %"]),
-        precision: 3,
-        rows: by_benchmark(&all, &[(control, PolicyKind::NoBgc)]),
-        values: device(move |row, r| {
-            let model = predict(&model_system, PolicyKind::NoBgc, all[row], &spec).waf;
-            let simulated = waf(r[0]);
-            vec![model, simulated, (model / simulated - 1.0) * 100.0]
-        }),
-    });
     tables
 }
 

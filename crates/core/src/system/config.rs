@@ -246,18 +246,6 @@ impl SystemConfig {
         self.tau_expire().div_duration(self.flusher_period) as usize
     }
 
-    /// The mean host-side dwell time of a buffered write before the
-    /// flusher pushes it to the device, in seconds. A dirty page expires
-    /// after `τ_expire` and is picked up by the next flusher pass, so a
-    /// write arriving at a uniformly random phase waits
-    /// `τ_expire + p/2` on average. Overwrites landing inside this window
-    /// coalesce in the cache — the write-absorption term of the
-    /// mean-field model (`jitgc-model`).
-    #[must_use]
-    pub fn write_back_window(&self) -> f64 {
-        self.tau_expire().as_secs_f64() + self.flusher_period.as_secs_f64() / 2.0
-    }
-
     /// Initial `(B_w, B_gc)` bandwidth estimates in bytes/second, derived
     /// from the NAND timing model: `B_w` is the sustained program
     /// bandwidth; `B_gc` assumes half-valid victims (each reclaimed page

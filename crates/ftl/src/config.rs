@@ -167,30 +167,6 @@ impl FtlConfig {
         self.knobs.fault.as_ref()
     }
 
-    /// Blocks available for data placement: the full geometry minus the
-    /// GC migration scratch reserve. This is the block pool a steady-state
-    /// GC cycle actually rotates through — the `T` of mean-field WAF
-    /// models (the `jitgc-model` crate).
-    #[must_use]
-    pub fn data_blocks(&self) -> u64 {
-        u64::from(self.geometry.blocks()) - u64::from(self.knobs.gc_reserve_blocks)
-    }
-
-    /// Pages available for data placement (`data_blocks × pages_per_block`).
-    #[must_use]
-    pub fn data_pages(&self) -> u64 {
-        self.data_blocks() * u64::from(self.geometry.pages_per_block())
-    }
-
-    /// Total block-erase budget before endurance exhaustion
-    /// (`data_blocks × endurance_limit`), if end-of-life is modeled.
-    #[must_use]
-    pub fn erase_budget(&self) -> Option<u64> {
-        self.knobs
-            .endurance_limit
-            .map(|cycles| self.data_blocks() * cycles)
-    }
-
     /// The derived physical geometry.
     #[must_use]
     pub fn geometry(&self) -> &Geometry {

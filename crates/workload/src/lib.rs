@@ -38,7 +38,6 @@ mod arrival;
 mod benchmark;
 mod config;
 mod measure;
-mod profile;
 mod request;
 mod stub;
 mod trace;
@@ -52,7 +51,6 @@ pub use generators::{
     Bonnie, Filebench, Postmark, Synthetic, SyntheticBuilder, Tiobench, TpcC, Ycsb,
 };
 pub use measure::{measure_write_mix, MeasuredMix};
-pub use profile::{AccessPattern, WriteProfile, WriteStream};
 pub use request::{IoKind, IoRequest, WriteMix};
 pub use stub::NullWorkload;
 pub use trace::{parse_msr_trace, record_trace, ParseTraceError, TraceRecord, TraceWorkload};

@@ -12,8 +12,6 @@
 //! * [`core`] — the paper's contribution: predictors, the JIT-GC manager,
 //!   BGC policies, and the full-system simulation engine.
 //! * [`array`] — striped multi-SSD array layer with GC-aware routing.
-//! * [`model`] — analytical mean-field WAF/lifetime model, an independent
-//!   oracle the simulator is checked against.
 //! * [`service`] — multi-tenant queue-pair frontend: per-tenant
 //!   submission/completion queues, weighted fair queueing, and tiered
 //!   backpressure over one engine.
@@ -23,7 +21,6 @@
 pub use jitgc_array as array;
 pub use jitgc_core as core;
 pub use jitgc_ftl as ftl;
-pub use jitgc_model as model;
 pub use jitgc_nand as nand;
 pub use jitgc_pagecache as pagecache;
 pub use jitgc_service as service;
