@@ -24,7 +24,8 @@
 //!   --seed <N>             RNG seed                    (default 42)
 //!   --victim <greedy|cost-benefit|fifo|random:<seed>>  (default greedy)
 //!   --no-prefill           start from an erased device (default: aged)
-//!   --hot-cold             enable FTL hot/cold streams
+//!   --hot-cold             enable FTL hot/cold streams (the config's
+//!                          hot window, 5 s by default)
 //!   --strict-tau-flush     strict predictor variant
 //!   --wear-leveling        enable static wear leveling
 //!   --in-device-manager    paper Fig. 3(a) placement (no SG_IO cost)
@@ -37,12 +38,16 @@
 //!                          F × erase_count / wear_scale     (default 0)
 //!   --fault-erase <F>      erase-failure rate coefficient   (default 0)
 //!   --fault-read <F>       uncorrectable-read rate coefficient (default 0)
-//!                          (all three at 0 ⇒ no fault model is installed
-//!                          and every report is byte-identical to a build
-//!                          without fault injection)
+//!                          (each sets one field of the config's fault
+//!                          model; with no model in the config and all
+//!                          three at 0, none is installed and every report
+//!                          is byte-identical to a build without fault
+//!                          injection)
 //!   --timeline <path>      write a per-interval CSV time series
-//!   --config <path>        load a full SystemConfig from JSON (flags that
-//!                          modify the system still apply on top)
+//!   --config <path>        load a full SystemConfig from JSON (the last
+//!                          one given); a flag on the command line
+//!                          overrides its key in the file, and a flag left
+//!                          off leaves the file's value
 //!   --dump-config <path>   write the effective SystemConfig to JSON and exit
 //!   --json                 emit the full SimReport as JSON
 //!   --bench-json <path>    also write a machine-readable perf record (host
@@ -70,6 +75,10 @@
 //!   --queue-depth <N>      closed-loop application threads, 1 to 65536
 //!                                                           (default: config)
 //! ```
+//!
+//! The flags from `--victim` to `--timeline` and `--queue-depth` write
+//! their key into the `SystemConfig` being run; their defaults above are
+//! `SystemConfig::default_sim`'s, and under `--config` the file's.
 
 use jitgc_array::{ArrayReport, ArrayScheduler, GcMode, Redundancy};
 use jitgc_bench::{
@@ -95,17 +104,6 @@ struct Args {
     iops: f64,
     burst: f64,
     seed: u64,
-    victim: VictimKind,
-    prefill: bool,
-    hot_cold: bool,
-    strict_tau_flush: bool,
-    wear_leveling: bool,
-    in_device_manager: bool,
-    endurance: Option<u64>,
-    fault_seed: u64,
-    fault_program: f64,
-    fault_erase: f64,
-    fault_read: f64,
     timeline: Option<String>,
     config: Option<String>,
     dump_config: Option<String>,
@@ -115,7 +113,6 @@ struct Args {
     stripe_kb: u64,
     mirror: bool,
     gc_mode: GcMode,
-    queue_depth: Option<u64>,
 }
 
 impl Default for Args {
@@ -129,17 +126,6 @@ impl Default for Args {
             iops: 250.0,
             burst: 1_024.0,
             seed: 42,
-            victim: VictimKind::Greedy,
-            prefill: true,
-            hot_cold: false,
-            strict_tau_flush: false,
-            wear_leveling: false,
-            in_device_manager: false,
-            endurance: None,
-            fault_seed: 1,
-            fault_program: 0.0,
-            fault_erase: 0.0,
-            fault_read: 0.0,
             timeline: None,
             config: None,
             dump_config: None,
@@ -149,7 +135,6 @@ impl Default for Args {
             stripe_kb: 64,
             mirror: false,
             gc_mode: GcMode::Staggered,
-            queue_depth: None,
         }
     }
 }
@@ -265,9 +250,35 @@ fn arrival_rejected(args: &Args, columns: u64, rule: ArrivalError) -> ! {
     usage()
 }
 
-fn parse_args() -> Args {
+/// The `--config` file, or exit 2 naming it.
+fn load_config(path: &str) -> SystemConfig {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(2)
+    });
+    JsonValue::parse(&text)
+        .and_then(|value| SystemConfig::from_json(&value))
+        .unwrap_or_else(|e| {
+            eprintln!("cannot parse {path}: {e}");
+            std::process::exit(2)
+        })
+}
+
+/// Parses the command line into the run's flags and the system they
+/// configure. The last `--config` file (or `default_sim`) loads first;
+/// each system flag then writes its own key into it, so a flag on the
+/// command line overrides the file and a flag left off leaves it.
+fn parse_args() -> (Args, SystemConfig) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut system = match argv.iter().rposition(|a| a == "--config") {
+        Some(at) => load_config(argv.get(at + 1).unwrap_or_else(|| usage())),
+        None => SystemConfig::default_sim(),
+    };
+    // The `--fault-*` flags edit the config's fault model, or an inert
+    // default when the config has none.
+    let mut fault = system.ftl.fault().copied();
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
@@ -286,18 +297,36 @@ fn parse_args() -> Args {
             "--iops" => args.iops = value().parse().unwrap_or_else(|_| usage()),
             "--burst" => args.burst = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--victim" => args.victim = parse_victim(&value()),
-            "--no-prefill" => args.prefill = false,
-            "--hot-cold" => args.hot_cold = true,
-            "--strict-tau-flush" => args.strict_tau_flush = true,
-            "--wear-leveling" => args.wear_leveling = true,
-            "--in-device-manager" => args.in_device_manager = true,
-            "--endurance" => args.endurance = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--fault-seed" => args.fault_seed = value().parse().unwrap_or_else(|_| usage()),
-            "--fault-program" => args.fault_program = parse_fault_rate(&flag, &value()),
-            "--fault-erase" => args.fault_erase = parse_fault_rate(&flag, &value()),
-            "--fault-read" => args.fault_read = parse_fault_rate(&flag, &value()),
-            "--timeline" => args.timeline = Some(value()),
+            "--victim" => system.victim = parse_victim(&value()),
+            "--no-prefill" => system.prefill = false,
+            "--hot-cold" => {
+                let window = system.ftl.hot_window();
+                system.ftl = system.ftl.to_builder().hot_cold_streams(window).build()
+            }
+            "--strict-tau-flush" => system.strict_tau_flush = true,
+            "--wear-leveling" => system.wear_leveling = true,
+            "--in-device-manager" => system.manager_placement = ManagerPlacement::Device,
+            "--endurance" => {
+                let limit = value().parse().unwrap_or_else(|_| usage());
+                system.ftl = system.ftl.to_builder().endurance_limit(limit).build()
+            }
+            "--fault-seed" => {
+                fault.get_or_insert_default().seed = value().parse().unwrap_or_else(|_| usage())
+            }
+            "--fault-program" => {
+                fault.get_or_insert_default().program_rate = parse_fault_rate(&flag, &value())
+            }
+            "--fault-erase" => {
+                fault.get_or_insert_default().erase_rate = parse_fault_rate(&flag, &value())
+            }
+            "--fault-read" => {
+                fault.get_or_insert_default().read_rate = parse_fault_rate(&flag, &value())
+            }
+            "--timeline" => {
+                args.timeline = Some(value());
+                system.record_timeline = true
+            }
+            // Loaded above; the path stays for diagnostics.
             "--config" => args.config = Some(value()),
             "--dump-config" => args.dump_config = Some(value()),
             "--json" => args.json = true,
@@ -312,13 +341,24 @@ fn parse_args() -> Args {
                     usage()
                 })
             }
-            "--queue-depth" => args.queue_depth = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--queue-depth" => {
+                let qd: u64 = value().parse().unwrap_or_else(|_| usage());
+                system.queue_depth = ClosedLoop::check_threads(qd).unwrap_or_else(|rule| {
+                    eprintln!("--queue-depth {qd}: the thread count {rule}");
+                    std::process::exit(2)
+                })
+            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");
                 usage()
             }
         }
+    }
+    // Fault flags that leave every rate at zero on a device without a
+    // model install none, so the run is byte-identical to a fault-free one.
+    if let Some(fault) = fault.filter(|f| f.is_active() || system.ftl.fault().is_some()) {
+        system.ftl = system.ftl.to_builder().fault(fault).build();
     }
     let arrival = WorkloadConfig::builder()
         .seconds(args.seconds)
@@ -327,7 +367,7 @@ fn parse_args() -> Args {
     if let Err(rule) = arrival.check_arrival() {
         arrival_rejected(&args, 1, rule)
     }
-    args
+    (args, system)
 }
 
 /// An output path that cannot be written is a bad argument like any
@@ -662,66 +702,7 @@ fn print_array_text(args: &Args, reports: &[Report]) {
 }
 
 fn main() {
-    let args = parse_args();
-
-    let mut system = match &args.config {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2)
-            });
-            let value = JsonValue::parse(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse {path}: {e}");
-                std::process::exit(2)
-            });
-            SystemConfig::from_json(&value).unwrap_or_else(|e| {
-                eprintln!("cannot parse {path}: {e}");
-                std::process::exit(2)
-            })
-        }
-        None => SystemConfig::default_sim(),
-    };
-    system.victim = args.victim;
-    system.prefill = args.prefill;
-    system.strict_tau_flush = args.strict_tau_flush;
-    system.wear_leveling = args.wear_leveling;
-    if let Some(qd) = args.queue_depth {
-        system.queue_depth = ClosedLoop::check_threads(qd).unwrap_or_else(|rule| {
-            eprintln!("--queue-depth {qd}: the thread count {rule}");
-            std::process::exit(2)
-        });
-    }
-    if args.in_device_manager {
-        system.manager_placement = ManagerPlacement::Device;
-    }
-    if args.timeline.is_some() {
-        system.record_timeline = true;
-    }
-    if args.hot_cold {
-        // Rebuild from the existing config so every other setting (SIP
-        // threshold, timing, endurance, …) survives the flag.
-        system.ftl = system
-            .ftl
-            .to_builder()
-            .hot_cold_streams(SimDuration::from_secs(5))
-            .build();
-    }
-    if let Some(limit) = args.endurance {
-        system.ftl = system.ftl.to_builder().endurance_limit(limit).build();
-    }
-    if args.fault_program > 0.0 || args.fault_erase > 0.0 || args.fault_read > 0.0 {
-        system.ftl = system
-            .ftl
-            .to_builder()
-            .fault(FaultConfig {
-                seed: args.fault_seed,
-                program_rate: args.fault_program,
-                erase_rate: args.fault_erase,
-                read_rate: args.fault_read,
-                ..FaultConfig::default()
-            })
-            .build();
-    }
+    let (args, system) = parse_args();
 
     if let Some(path) = &args.dump_config {
         written(path, std::fs::write(path, system.to_json().to_pretty()));

@@ -155,7 +155,9 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// A small configuration for unit/integration tests: 2 048 user pages
-    /// (8 MiB at 4 KiB), 7 % OP, 64-page blocks, 512-page cache.
+    /// (8 MiB at 4 KiB), 7 % OP, 64-page blocks, a 2 048-page cache on a
+    /// 5 s flusher, 64 KiB CDH bins and no aging; every other knob is
+    /// [`default_sim`](Self::default_sim)'s.
     #[must_use]
     pub fn small_for_tests() -> Self {
         let ftl = FtlConfig::builder()
@@ -175,17 +177,9 @@ impl SystemConfig {
             ftl,
             cache,
             flusher_period: SimDuration::from_secs(5),
-            cache_op_time: SimDuration::from_micros(2),
-            host_command_overhead: SimDuration::from_micros(160),
-            cdh_percentile: 0.8,
             cdh_bin_bytes: 64 * 1024,
-            victim: VictimKind::Greedy,
-            manager_placement: ManagerPlacement::Host,
-            queue_depth: 1,
-            strict_tau_flush: false,
-            wear_leveling: false,
             prefill: false,
-            record_timeline: false,
+            ..Self::default_sim()
         }
     }
 

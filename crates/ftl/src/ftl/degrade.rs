@@ -86,7 +86,7 @@ impl Ftl {
     }
 
     /// Idempotent transition into read-only degraded mode.
-    fn enter_read_only(&mut self, now: SimTime) {
+    pub(super) fn enter_read_only(&mut self, now: SimTime) {
         if self.read_only {
             return;
         }

@@ -59,7 +59,9 @@ impl Ftl {
     ///
     /// [`FtlError::LpnOutOfRange`] for an address beyond the user space;
     /// [`FtlError::NoReclaimableSpace`] if foreground GC cannot free any
-    /// block (only possible with pathological over-provisioning).
+    /// block (only possible with pathological over-provisioning);
+    /// [`FtlError::ReadOnly`] once the device is read-only, which a write
+    /// whose programs fail on as many pages as the device has brings about.
     pub fn host_write(&mut self, lpn: Lpn, now: SimTime) -> Result<WriteOutcome, FtlError> {
         self.check_lpn(lpn)?;
         self.host_write_checked(lpn, now)
@@ -84,6 +86,12 @@ impl Ftl {
             }
         }
 
+        // Each failed program consumes a page, but foreground GC hands
+        // blocks full of failed pages back as free ones, so on a device
+        // where every program fails the retries would never end. A write
+        // that has failed on as many pages as the device holds gives up:
+        // the device can no longer program, and it goes read-only.
+        let mut attempts_left = self.device.geometry().total_pages();
         let ppn = loop {
             let offset = self
                 .device
@@ -103,6 +111,11 @@ impl Ftl {
                     // failure sealed the last page of the pool's headroom.
                     outcome.duration += self.config.timing().page_program_cost();
                     self.stats.program_retries += 1;
+                    attempts_left -= 1;
+                    if attempts_left == 0 {
+                        self.enter_read_only(now);
+                        return Err(FtlError::ReadOnly);
+                    }
                     active = self.host_block(stream, now, &mut outcome)?;
                 }
                 Err(e) => return Err(e.into()),

@@ -1075,6 +1075,41 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn a_device_whose_every_program_fails_goes_read_only() {
+        // A program rate at `wear_scale` fails every program on a block
+        // erased once. Foreground GC erases the blocks such failures fill
+        // and hands them back, so without a bound one write retries
+        // forever; it gives up after as many attempts as the device has
+        // pages.
+        let mut ftl = Ftl::new(
+            FtlConfig::builder()
+                .user_pages(64)
+                .op_permille(500)
+                .pages_per_block(8)
+                .gc_reserve_blocks(2)
+                .fault(jitgc_nand::FaultConfig {
+                    program_rate: 1.0,
+                    wear_scale: 1,
+                    ..jitgc_nand::FaultConfig::default()
+                })
+                .build(),
+            Box::new(GreedySelector),
+        );
+        let rounds = hammer_until(&mut ftl, 100, Ftl::read_only);
+        assert!(ftl.read_only(), "never went read-only in {rounds} rounds");
+        assert!(ftl.stats().program_retries >= ftl.config().geometry().total_pages());
+        assert_eq!(
+            ftl.retired_blocks(),
+            0,
+            "no block wore out or failed an erase"
+        );
+        assert!(matches!(
+            ftl.degrade_events().last().map(|e| e.kind),
+            Some(DegradeKind::ReadOnly)
+        ));
+    }
+
     fn faulty_config(seed: u64) -> FtlConfig {
         FtlConfig::builder()
             .user_pages(64)

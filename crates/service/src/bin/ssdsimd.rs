@@ -24,7 +24,9 @@
 //!   --tier-black <F>       Black entry threshold              (default 0.90)
 //!   --tier-hysteresis <F>  margin below entry to leave a tier (default 0.05)
 //!   --no-backpressure      track tiers but never defer or shed
-//!   --small                use the small test device (default: default_sim)
+//!   --small                use the small test device (default: default_sim);
+//!                          the aging choice stays, so `--small` and
+//!                          `--no-prefill` commute
 //!   --no-prefill           start from an erased device (default: aged)
 //!   --json                 emit the deterministic service report as JSON
 //!   --bench-json <path>    write a machine-readable perf record
@@ -48,49 +50,18 @@ use jitgc_core::policy::PolicyKind;
 use jitgc_core::system::{RunPerf, RunTotals, SystemConfig};
 use jitgc_service::{
     run_closed_loop_counting, serve, Endpoint, Service, ServiceConfig, ServiceReport,
-    TenantProfile, TenantSpec, TierThresholds,
+    TenantProfile, TenantSpec,
 };
 use jitgc_sim::json::JsonValue;
 use jitgc_sim::SimTime;
 
 struct Args {
-    tenants: Vec<TenantSpec>,
     policy: PolicyKind,
-    seconds: u64,
-    seed: u64,
-    sq_depth: usize,
-    dispatch_window: usize,
-    tiers: TierThresholds,
-    backpressure: bool,
-    small: bool,
-    prefill: bool,
     json: bool,
     bench_json: Option<String>,
     listen: Option<String>,
     unix: Option<String>,
     sessions: Option<usize>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            tenants: ServiceConfig::default_tenants(),
-            policy: PolicyKind::Jit,
-            seconds: 60,
-            seed: 42,
-            sq_depth: 64,
-            dispatch_window: 32,
-            tiers: TierThresholds::default(),
-            backpressure: true,
-            small: false,
-            prefill: true,
-            json: false,
-            bench_json: None,
-            listen: None,
-            unix: None,
-            sessions: None,
-        }
-    }
 }
 
 fn usage() -> ! {
@@ -167,29 +138,54 @@ fn parse_tenant(token: &str) -> TenantSpec {
     }
 }
 
-fn parse_args() -> Args {
-    let mut args = Args::default();
+/// Parses the command line into the daemon's own flags and the service
+/// they configure: each service flag writes its key into one base
+/// configuration (60 s on the `default_sim` device, SQ depth 64, window
+/// 32, the rest as [`ServiceConfig::small_for_tests`]).
+fn parse_args() -> (Args, ServiceConfig) {
+    let mut args = Args {
+        policy: PolicyKind::Jit,
+        json: false,
+        bench_json: None,
+        listen: None,
+        unix: None,
+        sessions: None,
+    };
+    let mut cfg = ServiceConfig {
+        seconds: 60,
+        sq_depth: 64,
+        dispatch_window: 32,
+        system: SystemConfig::default_sim(),
+        ..ServiceConfig::small_for_tests()
+    };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--tenants" => args.tenants = value().split(',').map(parse_tenant).collect(),
+            "--tenants" => cfg.tenants = value().split(',').map(parse_tenant).collect(),
             "--policy" => args.policy = parse_policy(&value()),
-            "--seconds" => args.seconds = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--sq-depth" => args.sq_depth = value().parse().unwrap_or_else(|_| usage()),
+            "--seconds" => cfg.seconds = value().parse().unwrap_or_else(|_| usage()),
+            "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
+            "--sq-depth" => cfg.sq_depth = value().parse().unwrap_or_else(|_| usage()),
             "--dispatch-window" => {
-                args.dispatch_window = value().parse().unwrap_or_else(|_| usage())
+                cfg.dispatch_window = value().parse().unwrap_or_else(|_| usage())
             }
-            "--tier-yellow" => args.tiers.yellow = value().parse().unwrap_or_else(|_| usage()),
-            "--tier-red" => args.tiers.red = value().parse().unwrap_or_else(|_| usage()),
-            "--tier-black" => args.tiers.black = value().parse().unwrap_or_else(|_| usage()),
+            "--tier-yellow" => cfg.tiers.yellow = value().parse().unwrap_or_else(|_| usage()),
+            "--tier-red" => cfg.tiers.red = value().parse().unwrap_or_else(|_| usage()),
+            "--tier-black" => cfg.tiers.black = value().parse().unwrap_or_else(|_| usage()),
             "--tier-hysteresis" => {
-                args.tiers.hysteresis = value().parse().unwrap_or_else(|_| usage())
+                cfg.tiers.hysteresis = value().parse().unwrap_or_else(|_| usage())
             }
-            "--no-backpressure" => args.backpressure = false,
-            "--small" => args.small = true,
-            "--no-prefill" => args.prefill = false,
+            "--no-backpressure" => cfg.backpressure = false,
+            // The small device keeps the aging choice, so `--small` and
+            // `--no-prefill` commute.
+            "--small" => {
+                cfg.system = SystemConfig {
+                    prefill: cfg.system.prefill,
+                    ..SystemConfig::small_for_tests()
+                }
+            }
+            "--no-prefill" => cfg.system.prefill = false,
             "--json" => args.json = true,
             "--bench-json" => args.bench_json = Some(value()),
             "--listen" => args.listen = Some(value()),
@@ -199,18 +195,18 @@ fn parse_args() -> Args {
             other => fail(format!("unknown flag: {other}")),
         }
     }
-    args
+    (args, cfg)
 }
 
 /// The `--bench-json` perf record: the shared wall-clock fields of
 /// [`RunPerf::record`] over the device's totals, then the full
 /// deterministic `service` block.
-fn perf_record(args: &Args, report: &ServiceReport, perf: &RunPerf) -> JsonValue {
+fn perf_record(seed: u64, report: &ServiceReport, perf: &RunPerf) -> JsonValue {
     let totals = RunTotals {
         benchmark: "service",
         victim: None,
         simulated_secs: report.duration_us as f64 / 1e6,
-        ..RunTotals::of(&report.device, args.seed)
+        ..RunTotals::of(&report.device, seed)
     };
     perf.record(&totals, |record| record)
         .field("service", report.to_json())
@@ -277,26 +273,7 @@ fn print_table(report: &ServiceReport) {
 }
 
 fn main() {
-    let args = parse_args();
-    let mut system = if args.small {
-        SystemConfig::small_for_tests()
-    } else {
-        SystemConfig::default_sim()
-    };
-    system.prefill = args.prefill;
-    let cfg = ServiceConfig {
-        tenants: args.tenants.clone(),
-        sq_depth: args.sq_depth,
-        dispatch_window: args.dispatch_window,
-        tiers: args.tiers,
-        backpressure: args.backpressure,
-        worker_threads: 1,
-        // A test hook, not a knob: the daemon always fast-forwards.
-        fast_forward: true,
-        seconds: args.seconds,
-        seed: args.seed,
-        system,
-    };
+    let (args, cfg) = parse_args();
     if let Err(message) = cfg.validate() {
         fail(message);
     }
@@ -312,7 +289,7 @@ fn main() {
             .open(path);
         written(path, probe);
     }
-    let fast_forward = cfg.fast_forward;
+    let (fast_forward, seed) = (cfg.fast_forward, cfg.seed);
 
     let setup_start = Instant::now();
     let (report, ticks_skipped, ff_spans) = if args.listen.is_some() || args.unix.is_some() {
@@ -368,7 +345,7 @@ fn main() {
             ticks_skipped,
             ff_spans,
         };
-        let record = perf_record(&args, &report, &perf);
+        let record = perf_record(seed, &report, &perf);
         written(path, std::fs::write(path, record.to_pretty()));
         eprintln!("wrote perf record to {path}");
     }

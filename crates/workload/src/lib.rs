@@ -53,7 +53,7 @@ pub use generators::{
 pub use measure::{measure_write_mix, MeasuredMix};
 pub use request::{IoKind, IoRequest, WriteMix};
 pub use stub::NullWorkload;
-pub use trace::{parse_msr_trace, record_trace, ParseTraceError, TraceRecord, TraceWorkload};
+pub use trace::{parse_msr_trace, record_trace, ParseTraceError, TraceWorkload};
 
 /// A stream of I/O requests with think-time gaps.
 ///

@@ -1,6 +1,7 @@
 //! Request types shared by all generators.
 
 use jitgc_nand::Lpn;
+use jitgc_sim::json::{JsonError, JsonValue, ObjectBuilder};
 use jitgc_sim::SimDuration;
 use std::fmt;
 
@@ -62,6 +63,46 @@ impl IoRequest {
     pub fn lpns(&self) -> impl Iterator<Item = Lpn> {
         let start = self.lpn.0;
         (start..start + u64::from(self.pages)).map(Lpn)
+    }
+
+    /// Serializes the request as a compact JSON object — one trace-file
+    /// line (`gap_us`, `kind`, `lpn`, `pages`).
+    #[must_use]
+    pub fn to_json(&self) -> JsonValue {
+        let kind = match self.kind {
+            IoKind::Read => "Read",
+            IoKind::BufferedWrite => "BufferedWrite",
+            IoKind::DirectWrite => "DirectWrite",
+            IoKind::Trim => "Trim",
+        };
+        ObjectBuilder::new()
+            .field("gap_us", self.gap.as_micros())
+            .field("kind", kind)
+            .field("lpn", self.lpn.0)
+            .field("pages", self.pages)
+            .build()
+    }
+
+    /// Parses the format written by [`to_json`](Self::to_json).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] on missing fields or unknown kinds.
+    pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let kind = match v.req("kind")?.as_str() {
+            Some("Read") => IoKind::Read,
+            Some("BufferedWrite") => IoKind::BufferedWrite,
+            Some("DirectWrite") => IoKind::DirectWrite,
+            Some("Trim") => IoKind::Trim,
+            _ => return Err(JsonError::new("`kind` must be a known IoKind name")),
+        };
+        Ok(IoRequest {
+            gap: SimDuration::from_micros(v.req_u64("gap_us")?),
+            kind,
+            lpn: Lpn(v.req_u64("lpn")?),
+            pages: u32::try_from(v.req_u64("pages")?)
+                .map_err(|_| JsonError::new("`pages` out of range"))?,
+        })
     }
 }
 

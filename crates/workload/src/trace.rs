@@ -6,95 +6,18 @@
 
 use crate::{IoKind, IoRequest, Workload, WriteMix};
 use jitgc_nand::Lpn;
-use jitgc_sim::json::{JsonError, JsonValue, ObjectBuilder};
 use jitgc_sim::SimDuration;
 use std::error::Error;
 use std::fmt;
 
-/// One serialized request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Think-time gap since the previous request, microseconds.
-    pub gap_us: u64,
-    /// Operation type.
-    pub kind: IoKind,
-    /// First logical page.
-    pub lpn: u64,
-    /// Page count.
-    pub pages: u32,
-}
-
-impl TraceRecord {
-    /// Serializes one record as a compact JSON object — one trace-file line.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        let kind = match self.kind {
-            IoKind::Read => "Read",
-            IoKind::BufferedWrite => "BufferedWrite",
-            IoKind::DirectWrite => "DirectWrite",
-            IoKind::Trim => "Trim",
-        };
-        ObjectBuilder::new()
-            .field("gap_us", self.gap_us)
-            .field("kind", kind)
-            .field("lpn", self.lpn)
-            .field("pages", self.pages)
-            .build()
-    }
-
-    /// Parses the format written by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on missing fields or unknown kinds.
-    pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let kind = match v.req("kind")?.as_str() {
-            Some("Read") => IoKind::Read,
-            Some("BufferedWrite") => IoKind::BufferedWrite,
-            Some("DirectWrite") => IoKind::DirectWrite,
-            Some("Trim") => IoKind::Trim,
-            _ => return Err(JsonError::new("`kind` must be a known IoKind name")),
-        };
-        Ok(TraceRecord {
-            gap_us: v.req_u64("gap_us")?,
-            kind,
-            lpn: v.req_u64("lpn")?,
-            pages: u32::try_from(v.req_u64("pages")?)
-                .map_err(|_| JsonError::new("`pages` out of range"))?,
-        })
-    }
-}
-
-impl From<IoRequest> for TraceRecord {
-    fn from(r: IoRequest) -> Self {
-        TraceRecord {
-            gap_us: r.gap.as_micros(),
-            kind: r.kind,
-            lpn: r.lpn.0,
-            pages: r.pages,
-        }
-    }
-}
-
-impl From<TraceRecord> for IoRequest {
-    fn from(r: TraceRecord) -> Self {
-        IoRequest {
-            gap: SimDuration::from_micros(r.gap_us),
-            kind: r.kind,
-            lpn: Lpn(r.lpn),
-            pages: r.pages,
-        }
-    }
-}
-
 /// Drains up to `max_requests` from `workload` into a trace.
-pub fn record_trace(workload: &mut dyn Workload, max_requests: u64) -> Vec<TraceRecord> {
+pub fn record_trace(workload: &mut dyn Workload, max_requests: u64) -> Vec<IoRequest> {
     let mut out = Vec::new();
     while (out.len() as u64) < max_requests {
         let Some(req) = workload.next_request() else {
             break;
         };
-        out.push(TraceRecord::from(req));
+        out.push(req);
     }
     out
 }
@@ -114,7 +37,7 @@ impl fmt::Display for ParseTraceError {
 
 impl Error for ParseTraceError {}
 
-/// Parses an MSR-Cambridge-style block trace into [`TraceRecord`]s.
+/// Parses an MSR-Cambridge-style block trace into [`IoRequest`]s.
 ///
 /// The MSR Cambridge traces (SNIA IOTTA repository) are the de-facto
 /// standard block traces in storage research. Each CSV line is
@@ -150,7 +73,7 @@ impl Error for ParseTraceError {}
 /// assert_eq!(first.pages, 2); // 8192 bytes = 2 pages
 /// # Ok::<(), jitgc_workload::ParseTraceError>(())
 /// ```
-pub fn parse_msr_trace(csv: &str, page_size: u64) -> Result<Vec<TraceRecord>, ParseTraceError> {
+pub fn parse_msr_trace(csv: &str, page_size: u64) -> Result<Vec<IoRequest>, ParseTraceError> {
     assert!(page_size > 0, "page size must be non-zero");
     let mut out = Vec::new();
     let mut prev_ticks: Option<u64> = None;
@@ -204,10 +127,10 @@ pub fn parse_msr_trace(csv: &str, page_size: u64) -> Result<Vec<TraceRecord>, Pa
             None => 0,
         };
         prev_ticks = Some(ticks);
-        out.push(TraceRecord {
-            gap_us,
+        out.push(IoRequest {
+            gap: SimDuration::from_micros(gap_us),
             kind,
-            lpn,
+            lpn: Lpn(lpn),
             pages,
         });
     }
@@ -234,7 +157,7 @@ pub fn parse_msr_trace(csv: &str, page_size: u64) -> Result<Vec<TraceRecord>, Pa
 #[derive(Debug, Clone)]
 pub struct TraceWorkload {
     name: &'static str,
-    records: Vec<TraceRecord>,
+    records: Vec<IoRequest>,
     cursor: usize,
     working_set_pages: u64,
     mix: WriteMix,
@@ -244,10 +167,10 @@ impl TraceWorkload {
     /// Wraps a trace for replay. The working set and write mix are derived
     /// from the trace contents.
     #[must_use]
-    pub fn new(name: &'static str, records: Vec<TraceRecord>) -> Self {
+    pub fn new(name: &'static str, records: Vec<IoRequest>) -> Self {
         let working_set_pages = records
             .iter()
-            .map(|r| r.lpn + u64::from(r.pages))
+            .map(|r| r.lpn.0 + u64::from(r.pages))
             .max()
             .unwrap_or(1);
         let buffered: u64 = records
@@ -301,9 +224,9 @@ impl Workload for TraceWorkload {
     }
 
     fn next_request(&mut self) -> Option<IoRequest> {
-        let rec = self.records.get(self.cursor)?;
+        let req = self.records.get(self.cursor).copied()?;
         self.cursor += 1;
-        Some(IoRequest::from(*rec))
+        Some(req)
     }
 
     fn write_mix(&self) -> WriteMix {
@@ -319,6 +242,16 @@ impl Workload for TraceWorkload {
 mod tests {
     use super::*;
     use crate::{BenchmarkKind, WorkloadConfig};
+    use jitgc_sim::json::JsonValue;
+
+    fn req(gap_us: u64, kind: IoKind, lpn: u64, pages: u32) -> IoRequest {
+        IoRequest {
+            gap: SimDuration::from_micros(gap_us),
+            kind,
+            lpn: Lpn(lpn),
+            pages,
+        }
+    }
 
     #[test]
     fn record_and_replay_round_trips() {
@@ -338,18 +271,8 @@ mod tests {
     #[test]
     fn derives_working_set_and_mix() {
         let trace = vec![
-            TraceRecord {
-                gap_us: 1,
-                kind: IoKind::BufferedWrite,
-                lpn: 10,
-                pages: 4,
-            },
-            TraceRecord {
-                gap_us: 1,
-                kind: IoKind::DirectWrite,
-                lpn: 90,
-                pages: 2,
-            },
+            req(1, IoKind::BufferedWrite, 10, 4),
+            req(1, IoKind::DirectWrite, 90, 2),
         ];
         let w = TraceWorkload::new("t", trace);
         assert_eq!(w.working_set_pages(), 92);
@@ -360,26 +283,20 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let rec = TraceRecord {
-            gap_us: 123,
-            kind: IoKind::DirectWrite,
-            lpn: 7,
-            pages: 8,
-        };
+        let rec = req(123, IoKind::DirectWrite, 7, 8);
         let line = rec.to_json().to_compact();
-        let back = TraceRecord::from_json(&JsonValue::parse(&line).unwrap()).unwrap();
+        assert_eq!(
+            line,
+            r#"{"gap_us":123,"kind":"DirectWrite","lpn":7,"pages":8}"#
+        );
+        let back = IoRequest::from_json(&JsonValue::parse(&line).unwrap()).unwrap();
         assert_eq!(back, rec);
-        assert!(TraceRecord::from_json(&JsonValue::parse("{}").unwrap()).is_err());
+        assert!(IoRequest::from_json(&JsonValue::parse("{}").unwrap()).is_err());
     }
 
     #[test]
     fn with_working_set_overrides() {
-        let trace = vec![TraceRecord {
-            gap_us: 1,
-            kind: IoKind::Read,
-            lpn: 10,
-            pages: 2,
-        }];
+        let trace = vec![req(1, IoKind::Read, 10, 2)];
         let w = TraceWorkload::new("t", trace).with_working_set(100);
         assert_eq!(w.working_set_pages(), 100);
     }
@@ -387,12 +304,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "smaller than trace extent")]
     fn with_working_set_rejects_shrink() {
-        let trace = vec![TraceRecord {
-            gap_us: 1,
-            kind: IoKind::Read,
-            lpn: 10,
-            pages: 2,
-        }];
+        let trace = vec![req(1, IoKind::Read, 10, 2)];
         let _ = TraceWorkload::new("t", trace).with_working_set(5);
     }
 
@@ -407,12 +319,20 @@ mod tests {
         let records = parse_msr_trace(csv, 4096).expect("valid trace");
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].kind, IoKind::DirectWrite);
-        assert_eq!(records[0].lpn, 1);
+        assert_eq!(records[0].lpn, Lpn(1));
         assert_eq!(records[0].pages, 2);
-        assert_eq!(records[0].gap_us, 0, "first request has no gap");
+        assert_eq!(
+            records[0].gap,
+            SimDuration::ZERO,
+            "first request has no gap"
+        );
         assert_eq!(records[1].kind, IoKind::Read);
         assert_eq!(records[1].pages, 1, "sub-page read rounds to one page");
-        assert_eq!(records[1].gap_us, 1_000_000, "10^7 ticks = 1 s");
+        assert_eq!(
+            records[1].gap,
+            SimDuration::from_secs(1),
+            "10^7 ticks = 1 s"
+        );
         assert_eq!(records[2].kind, IoKind::DirectWrite, "case-insensitive");
     }
 
@@ -421,7 +341,7 @@ mod tests {
         // 100 bytes at offset 4000 straddles pages 0 and 1.
         let csv = "1000,h,0,Read,4000,200,1";
         let records = parse_msr_trace(csv, 4096).expect("valid trace");
-        assert_eq!(records[0].lpn, 0);
+        assert_eq!(records[0].lpn, Lpn(0));
         assert_eq!(records[0].pages, 2);
     }
 

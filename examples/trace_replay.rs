@@ -11,7 +11,7 @@ use jitgc_repro::core::policy::{JitGc, PolicyKind};
 use jitgc_repro::core::system::SsdSystem;
 use jitgc_repro::sim::json::JsonValue;
 use jitgc_repro::sim::SimDuration;
-use jitgc_repro::workload::{record_trace, BenchmarkKind, TraceRecord, TraceWorkload};
+use jitgc_repro::workload::{record_trace, BenchmarkKind, IoRequest, TraceWorkload};
 use std::io::{BufRead, Write};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,9 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Load it back.
     let file = std::io::BufReader::new(std::fs::File::open(&path)?);
-    let loaded: Vec<TraceRecord> = file
+    let loaded: Vec<IoRequest> = file
         .lines()
-        .map(|line| Ok(TraceRecord::from_json(&JsonValue::parse(&line?)?)?))
+        .map(|line| Ok(IoRequest::from_json(&JsonValue::parse(&line?)?)?))
         .collect::<Result<_, Box<dyn std::error::Error>>>()?;
     println!("loaded   {} requests", loaded.len());
 
