@@ -3,11 +3,11 @@
 use crate::{
     ArrayDegraded, ArrayManager, ArrayReport, GcMode, MemberSched, StripeExtent, StripeMap,
 };
-use jitgc_core::system::{ClosedLoop, FfRefusals, RunPerf, SsdSystem};
+use jitgc_core::system::{ClosedLoop, RunPerf, SsdSystem};
 use jitgc_nand::{Lpn, WearReport};
 use jitgc_sim::stats::LatencyRecorder;
 use jitgc_sim::SimTime;
-use jitgc_workload::{IoKind, IoRequest, Workload};
+use jitgc_workload::{IoKind, IoRequest, NullWorkload, Workload};
 
 /// Splits a slice into two distinct mutable elements.
 fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
@@ -141,14 +141,14 @@ fn route_mirrored_sub(
 /// Drives N member [`SsdSystem`]s in virtual-time lockstep behind one
 /// logical volume.
 ///
-/// The scheduler owns the closed loop the single-device engine runs
-/// internally — `queue_depth` application threads dealing requests
-/// round-robin, each issuing its next request a think-time after its own
-/// previous completion — and replaces the "execute on the device" step
-/// with *split, route, fan out*: the request's extent is split into one
-/// sub-request per touched member via the [`StripeMap`], mirrored reads
-/// are steered by the [`ArrayManager`], and the logical request completes
-/// when the slowest sub-request does.
+/// The scheduler runs the single-device engine's closed loop,
+/// [`ClosedLoop::run`] — `queue_depth` application threads dealing
+/// requests round-robin, each issuing its next request a think-time after
+/// its own previous completion — with *split, route, fan out* as the step
+/// in place of "execute on the device": the request's extent is split
+/// into one sub-request per touched member via the [`StripeMap`],
+/// mirrored reads are steered by the [`ArrayManager`], and the logical
+/// request completes when the slowest sub-request does.
 ///
 /// With one member and one chunk-aligned column the split is the
 /// identity, the routing is trivial and the member sees the exact request
@@ -157,22 +157,21 @@ fn route_mirrored_sub(
 ///
 /// # One loop, one thread
 ///
-/// [`run`](ArrayScheduler::run) takes one request at a time on the
-/// calling thread: issue it on the closed loop, split it, step each
-/// touched member (route a mirrored read between its replicas), and
-/// commit the slowest completion back to the issuing thread. Stepping
-/// members on several host threads cannot pay here: under the closed
-/// loop request *n + QD* cannot issue before request *n* completes, so
-/// at most `queue_depth` requests — microseconds of member work — could
-/// ever run between two synchronisations (DESIGN.md §12).
+/// [`run`](ArrayScheduler::run) steps one request at a time on the
+/// calling thread: the closed loop issues it, the scheduler splits it,
+/// steps each touched member (routing a mirrored read between its
+/// replicas) and hands the slowest completion back to the loop. Only the
+/// workload's generation may move to a second thread, as it does for a
+/// single device. Stepping members on several host threads cannot pay
+/// here: under the closed loop request *n + QD* cannot issue before
+/// request *n* completes, so at most `queue_depth` requests —
+/// microseconds of member work — could ever run between two
+/// synchronisations (DESIGN.md §12).
 pub struct ArrayScheduler {
     members: Vec<SsdSystem>,
     stripe: StripeMap,
     manager: ArrayManager,
     workload: Box<dyn Workload>,
-
-    /// The issue clock the single-device engine runs internally.
-    closed_loop: ClosedLoop,
 
     // Volume-level measurements.
     latencies: LatencyRecorder,
@@ -218,14 +217,12 @@ impl ArrayScheduler {
             stripe.members(),
             "member count disagrees with the stripe map"
         );
-        let closed_loop = ClosedLoop::new(members[0].config().queue_depth);
         let n = members.len();
         ArrayScheduler {
             manager: ArrayManager::new(gc_mode),
             members,
             stripe,
             workload,
-            closed_loop,
             latencies: LatencyRecorder::new(),
             ops: 0,
             split_requests: 0,
@@ -302,17 +299,6 @@ impl ArrayScheduler {
         self.members.iter().map(SsdSystem::ff_spans).sum()
     }
 
-    /// Idle ticks the members' fast-forwards refused, summed per gate
-    /// (see [`SsdSystem::ff_refusals`]).
-    #[must_use]
-    pub fn ff_refusals(&self) -> FfRefusals {
-        let mut total = FfRefusals::default();
-        for member in &self.members {
-            total += member.ff_refusals();
-        }
-        total
-    }
-
     /// Per-member phase profiles, index-aligned with
     /// [`members`](ArrayScheduler::members) (all zero unless
     /// [`enable_phase_profiling`](ArrayScheduler::enable_phase_profiling)
@@ -328,7 +314,8 @@ impl ArrayScheduler {
         &self.members
     }
 
-    /// Runs the workload to exhaustion and reports.
+    /// Runs the workload to exhaustion on [`ClosedLoop::run`], splitting
+    /// each request over the members it touches, and reports.
     ///
     /// # Panics
     ///
@@ -341,12 +328,21 @@ impl ArrayScheduler {
                 m.prefill();
             }
         }
-        while let Some(req) = self.workload.next_request() {
-            let (thread, issue) = self.closed_loop.issue(req.gap);
+        // A stand-in holds the workload's place while the run lends it out.
+        let stand_in = NullWorkload::new(
+            self.workload.name(),
+            self.workload.working_set_pages(),
+            self.workload.write_mix(),
+        );
+        let mut workload = std::mem::replace(&mut self.workload, Box::new(stand_in));
+        let queue_depth = self.members[0].config().queue_depth;
+        let end = ClosedLoop::run(queue_depth, workload.as_mut(), |req, issue| {
             let outcome = self.dispatch(req, issue);
-            self.commit_request(thread, issue, &outcome);
-        }
-        self.build_report(self.closed_loop.end())
+            self.commit_request(issue, &outcome);
+            outcome.completion
+        });
+        self.workload = workload;
+        self.build_report(end)
     }
 
     /// Splits `req` over the stripe and hands `each` one sub-request per
@@ -376,11 +372,10 @@ impl ArrayScheduler {
         }
     }
 
-    /// Finishes one logical request: thread completion, volume latency,
-    /// op count, and straggler attribution for the member that held the
-    /// request back (multi-member requests only — see [`ReqOutcome`]).
-    fn commit_request(&mut self, thread: usize, issue: SimTime, outcome: &ReqOutcome) {
-        self.closed_loop.complete(thread, outcome.completion);
+    /// Finishes one logical request: volume latency, op count, and
+    /// straggler attribution for the member that held the request back
+    /// (multi-member requests only — see [`ReqOutcome`]).
+    fn commit_request(&mut self, issue: SimTime, outcome: &ReqOutcome) {
         self.latencies
             .record(outcome.completion.saturating_since(issue));
         self.ops += 1;

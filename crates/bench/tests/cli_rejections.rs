@@ -8,7 +8,9 @@
 //! zero the config builders would panic on names that key, and so do a
 //! CDH percentile outside `(0, 1]`, a zero CDH bin, a queue depth of zero
 //! or above 65 536 and a fault rate that is negative or not finite, on the
-//! command line or in a `--config`;
+//! command line or in a `--config`; a `--config` key the dump does not
+//! write, a key given twice and a SIP filter threshold above 1000 ‰ are
+//! named too;
 //! a `--stripe-kb` whose byte count overflows and an `--array` too wide
 //! for the generators' 32-bit page domain name their flag;
 //! an unwritable output path is reported before anything runs, and the
@@ -98,8 +100,23 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         "\"queue_depth\": 1",
         "\"queue_depth\": 4294967295",
     );
+    let misspelt_key = config_with(
+        "prefill-misspelt",
+        "\"prefill\": true",
+        "\"preflil\": false, \"prefill\": true",
+    );
+    let repeated_key = config_with(
+        "victim-twice",
+        "\"victim\": \"greedy\"",
+        "\"victim\": \"fifo\", \"victim\": \"greedy\"",
+    );
+    let huge_sip_threshold = config_with(
+        "sip-threshold-u64-max",
+        "\"sip_filter_threshold_permille\": 250",
+        "\"sip_filter_threshold_permille\": 18446744073709551615",
+    );
     // (arguments, what stderr must mention)
-    let cases: [(&[&str], &str); 43] = [
+    let cases: [(&[&str], &str); 46] = [
         (&["--seconds", "0"], "--seconds"),
         // The first used to run until killed: 2e13 s wrapped the
         // microsecond conversion in a release build. The second is one
@@ -251,6 +268,15 @@ fn bad_flags_exit_2_with_a_message_naming_them() {
         (
             &["--config", &huge_queue_depth],
             "`queue_depth` of 4294967295 must be at most 65536",
+        ),
+        // These two ran: prefill on, and the first `victim` (fifo).
+        (&["--config", &misspelt_key], "unknown key `preflil`"),
+        (&["--config", &repeated_key], "`victim` given twice"),
+        // The SIP filter's `valid × threshold` overflowed: a debug build
+        // panicked, a release build filtered the wrong victims.
+        (
+            &["--config", &huge_sip_threshold],
+            "`ftl.sip_filter_threshold_permille` of 18446744073709551615 must be at most 1000",
         ),
     ];
     for (args, mention) in cases {

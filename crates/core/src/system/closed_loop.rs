@@ -1,6 +1,9 @@
-//! The closed-loop issue clock.
+//! The closed-loop issue clock, and the one loop that runs a workload on
+//! it.
 
+use super::engine::prefetch;
 use jitgc_sim::{SimDuration, SimTime};
+use jitgc_workload::{IoRequest, Workload};
 
 /// When a closed-loop driver issues each request.
 ///
@@ -9,9 +12,10 @@ use jitgc_sim::{SimDuration, SimTime};
 /// request completed, then issues the next one — so every stall lengthens
 /// the run and lowers IOPS, exactly how the paper's benchmarks observe GC,
 /// and with more than one thread requests overlap at the device.
-/// [`SsdSystem::run`](super::SsdSystem::run) and the array scheduler
-/// keep the same clock, which is why a one-member array issues the exact
-/// request sequence of the standalone engine.
+/// [`run`](Self::run) is the one loop on it:
+/// [`SsdSystem::run`](super::SsdSystem::run) and the array scheduler both
+/// call it, which is why a one-member array issues the exact request
+/// sequence of the standalone engine.
 #[derive(Debug)]
 pub struct ClosedLoop {
     /// Per application thread: when its previous request completed.
@@ -82,11 +86,39 @@ impl ClosedLoop {
             .copied()
             .fold(self.latest_issue, SimTime::max)
     }
+
+    /// Runs `workload` to exhaustion on `queue_depth` application
+    /// threads: hands each request to `step` at its issue time, records
+    /// the completion `step` returns, and returns the run's
+    /// [`end`](Self::end).
+    ///
+    /// A long run generates its requests on a second thread while this
+    /// one steps the earlier ones (DESIGN.md §8j); `step` sees the
+    /// workload's own order either way, on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `step`'s panic, or with the workload's own message if
+    /// generating a request panics.
+    pub fn run(
+        queue_depth: u32,
+        workload: &mut dyn Workload,
+        mut step: impl FnMut(IoRequest, SimTime) -> SimTime,
+    ) -> SimTime {
+        let mut clock = ClosedLoop::new(queue_depth);
+        prefetch::drain(workload, |req| {
+            let (thread, issue) = clock.issue(req.gap);
+            let completion = step(req, issue);
+            clock.complete(thread, completion);
+        });
+        clock.end()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jitgc_workload::{BenchmarkKind, WorkloadConfig};
 
     #[test]
     fn threads_take_turns_and_think_after_their_own_completion() {
@@ -128,5 +160,45 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    /// Past the prefetcher's inline prefix `run` steps the bare
+    /// workload's requests at the issue times a hand-written
+    /// `issue`/`complete` loop gives them, and ends where that loop ends.
+    #[test]
+    fn run_steps_the_requests_a_hand_written_loop_issues() {
+        // ~80 000 requests, past the 2^16 pulled inline.
+        let workload = || {
+            BenchmarkKind::Ycsb.build(
+                WorkloadConfig::builder()
+                    .working_set_pages(4_096)
+                    .duration(SimDuration::from_secs(20))
+                    .mean_iops(4_000.0)
+                    .seed(5)
+                    .build(),
+            )
+        };
+        // A service time that differs by request, so the three threads
+        // drift apart and a wrong deal shows in the issue times.
+        let service =
+            |req: &IoRequest| SimDuration::from_micros(u64::from(req.pages) * 11 + req.lpn.0 % 13);
+
+        let mut stepped = Vec::new();
+        let end = ClosedLoop::run(3, workload().as_mut(), |req, issue| {
+            stepped.push((req, issue));
+            issue + service(&req)
+        });
+
+        let mut expected = Vec::new();
+        let mut clock = ClosedLoop::new(3);
+        let mut requests = workload();
+        while let Some(req) = requests.next_request() {
+            let (thread, issue) = clock.issue(req.gap);
+            expected.push((req, issue));
+            clock.complete(thread, issue + service(&req));
+        }
+        assert!(expected.len() > 1 << 16, "{} requests", expected.len());
+        assert!(stepped == expected, "run stepped another sequence");
+        assert_eq!(end, clock.end());
     }
 }

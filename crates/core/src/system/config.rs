@@ -390,16 +390,18 @@ impl SystemConfig {
 
     /// Parses the format written by [`to_json`](Self::to_json)
     /// (`ssdsim --config`): every key is read by type, then the whole
-    /// configuration passes [`validate`](Self::validate). A `cache` without
-    /// `flusher_period_us` (files older than the field) takes the
-    /// top-level `flusher_period_us`.
+    /// configuration passes [`validate`](Self::validate), and the file
+    /// holds no key its own dump would not write, nor one key twice in
+    /// an object. A `cache` without `flusher_period_us` (files older than
+    /// the field) takes the top-level `flusher_period_us`, and a `fault`
+    /// of `null` is a fault-free device.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] on missing or mistyped fields, on the cache
     /// and FTL rules of [`PageCacheConfig::from_json`] and
-    /// [`FtlConfig::from_json`], and on a broken
-    /// [`validate`](Self::validate) rule.
+    /// [`FtlConfig::from_json`], on a broken [`validate`](Self::validate)
+    /// rule, and on an unknown or repeated key, named by its dotted path.
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         let manager_placement = match v.req("manager_placement")?.as_str() {
             Some("host") => ManagerPlacement::Host,
@@ -429,8 +431,32 @@ impl SystemConfig {
             record_timeline: v.req_bool("record_timeline")?,
         };
         config.validate().map_err(JsonError::new)?;
+        check_keys(v, &config.to_json(), "")?;
         Ok(config)
     }
+}
+
+/// Holds `given`, a configuration file's object at dotted `path`, to
+/// `written`, the dump of the configuration it parsed into: each of its
+/// keys once, and none the dump lacks. A misspelt key would otherwise be
+/// ignored and a repeated one read at its first place.
+fn check_keys(given: &JsonValue, written: &JsonValue, path: &str) -> Result<(), JsonError> {
+    let JsonValue::Object(fields) = given else {
+        return Ok(());
+    };
+    for (i, (key, value)) in fields.iter().enumerate() {
+        let dotted = format!("{path}{key}");
+        if fields[..i].iter().any(|(k, _)| k == key) {
+            return Err(JsonError::new(format!("`{dotted}` given twice")));
+        }
+        match written.get(key) {
+            Some(written) => check_keys(value, written, &format!("{dotted}."))?,
+            // A fault-free device dumps no `fault` section.
+            None if dotted == "ftl.fault" && value.is_null() => {}
+            None => return Err(JsonError::new(format!("unknown key `{dotted}`"))),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -441,7 +467,7 @@ mod tests {
     fn presets_are_coherent() {
         for cfg in [SystemConfig::small_for_tests(), SystemConfig::default_sim()] {
             assert_eq!(cfg.nwb(), 6);
-            assert!(cfg.op_capacity() < cfg.ftl.user_capacity());
+            assert!(cfg.ftl.op_pages() < cfg.ftl.user_pages());
             let (bw, gc_bw) = cfg.default_bandwidths();
             assert!(bw > 0.0 && gc_bw > 0.0);
             assert!(gc_bw < bw, "GC reclaims slower than plain writes");

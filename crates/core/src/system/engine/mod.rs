@@ -1,6 +1,6 @@
 //! The simulation engine: the system, its stepping API and shared helpers.
 
-mod prefetch;
+pub(super) mod prefetch;
 mod quiescence;
 mod report;
 mod request;
@@ -98,9 +98,6 @@ pub struct SsdSystem {
     /// Written by [`occupy`](SsdSystem::occupy) alone, and by the
     /// fast-forward's closed form of many ticks' SG_IO commands.
     device_busy_until: SimTime,
-    /// The issue clock of [`run`](SsdSystem::run); an external scheduler
-    /// driving [`step`](SsdSystem::step) keeps its own.
-    closed_loop: ClosedLoop,
     next_tick: SimTime,
     /// BGC reclaims toward this free-capacity target during idle gaps.
     target_free: ByteSize,
@@ -220,7 +217,6 @@ impl SsdSystem {
             accuracy: AccuracyTracker::new(),
             latencies: LatencyRecorder::new(),
             device_busy_until: SimTime::ZERO,
-            closed_loop: ClosedLoop::new(config.queue_depth),
             next_tick: SimTime::ZERO + config.flusher_period,
             target_free: ByteSize::ZERO,
             target_free_pages: 0,
@@ -311,11 +307,8 @@ impl SsdSystem {
         self.config.ftl.geometry().page_size()
     }
 
-    /// Runs the workload to exhaustion and reports.
-    ///
-    /// A long run generates its requests on a second thread while this
-    /// one executes them (DESIGN.md §8j); the order, and so the report,
-    /// is the workload's own either way.
+    /// Runs the workload to exhaustion on [`ClosedLoop::run`], one
+    /// [`step`](SsdSystem::step) per request, and reports.
     ///
     /// # Panics
     ///
@@ -333,13 +326,11 @@ impl SsdSystem {
             self.workload.write_mix(),
         );
         let mut workload = std::mem::replace(&mut self.workload, Box::new(stand_in));
-        prefetch::drain(workload.as_mut(), |req| {
-            let (thread, issue) = self.closed_loop.issue(req.gap);
-            let completion = self.step(req, issue);
-            self.closed_loop.complete(thread, completion);
+        let end = ClosedLoop::run(self.config.queue_depth, workload.as_mut(), |req, issue| {
+            self.step(req, issue)
         });
         self.workload = workload;
-        self.finalize(self.closed_loop.end())
+        self.finalize(end)
     }
 
     /// Issues one request at simulated time `issue` and returns its
@@ -349,8 +340,8 @@ impl SsdSystem {
     /// in this system's latency and request counters.
     ///
     /// This is the hook an external scheduler (the array layer) uses to
-    /// advance members in virtual-time lockstep; the caller owns the
-    /// closed-loop schedule (think times, thread completion bookkeeping).
+    /// advance members in virtual-time lockstep from its own
+    /// [`ClosedLoop::run`], which deals the issue times.
     pub fn step(&mut self, req: IoRequest, issue: SimTime) -> SimTime {
         self.advance_to(issue);
         let completion = self.timed(|p| &mut p.request_execution, |s| s.execute(req, issue));

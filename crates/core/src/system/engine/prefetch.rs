@@ -1,35 +1,26 @@
-//! The request prefetcher of [`SsdSystem::run`](super::SsdSystem::run).
+//! The request prefetcher of [`ClosedLoop::run`](crate::system::ClosedLoop::run).
 //!
 //! A [`Workload`] stream never depends on the simulation: `next_request`
 //! takes no input, and the closed loop adds each request's `gap` itself.
-//! So `run` can generate requests on a second thread while the engine
-//! executes the earlier ones. The first [`INLINE_PREFIX`] requests are
-//! pulled on the calling thread, so a short run starts no thread. A run
-//! that outlasts them lends the workload to one scoped generator thread,
-//! if a core is free for it, which fills [`BATCH`]-request batches and
-//! sends them back through a bounded channel; the engine drains each
-//! batch and returns it through a second one to be refilled, [`IN_FLIGHT`]
-//! batches in circulation. The engine sees the workload's own order, so
-//! no report depends on which path ran.
-//!
-//! A core is free while fewer threads of the process are in a drain,
-//! engines and generators counted, than it may run at once. A grid whose
-//! workers each drain a run already fills the cores, and there a second
-//! thread per run would only take turns with the first; its runs pull
-//! inline. Whether a generator starts is decided once, at the end of the
-//! prefix.
+//! So the loop can generate requests on a second thread while the
+//! calling thread steps the earlier ones. The first [`INLINE_PREFIX`]
+//! requests are pulled on the calling thread, so a short run starts no
+//! thread. A run that outlasts them lends the workload to one scoped
+//! generator thread, which fills [`BATCH`]-request batches and sends them
+//! back through a bounded channel; the caller drains each batch and
+//! returns it through a second one to be refilled, [`IN_FLIGHT`] batches
+//! in circulation. The caller sees the workload's own order, so no report
+//! depends on which thread generated a request.
 //!
 //! The generator is joined before [`drain`] returns, and a panic on it
 //! resumes on the caller with its own payload, so a run never reports a
-//! truncated stream. A panic in the engine unwinds through the scope:
-//! the channels close first, the generator's next send or receive fails
-//! and it returns, and the scope's join finds it gone. A spawn the OS
-//! refuses leaves the workload with the caller, which pulls the rest
+//! truncated stream. A panic in the caller's sink unwinds through the
+//! scope: the channels close first, the generator's next send or receive
+//! fails and it returns, and the scope's join finds it gone. A spawn the
+//! OS refuses leaves the workload with the caller, which pulls the rest
 //! inline.
 
 use jitgc_workload::{IoRequest, Workload};
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread;
 
@@ -42,72 +33,26 @@ const INLINE_PREFIX: u64 = 1 << 16;
 /// Requests per batch.
 const BATCH: usize = 1024;
 
-/// Batches in circulation: one the engine drains while the generator
+/// Batches in circulation: one the caller drains while the generator
 /// fills the other.
 const IN_FLIGHT: usize = 2;
 
-/// Threads of this process in a [`drain`]: each engine, and each
-/// generator.
-static DRAINING: AtomicUsize = AtomicUsize::new(0);
-
-/// A count of the threads in a drain, against the cores they may use.
-#[derive(Clone, Copy)]
-struct Cores<'a> {
-    busy: &'a AtomicUsize,
-    cores: usize,
-}
-
-impl<'a> Cores<'a> {
-    /// Counts the calling thread in, whether or not a core is free.
-    fn enter(self) -> Seat<'a> {
-        self.busy.fetch_add(1, Ordering::Relaxed);
-        Seat(self.busy)
-    }
-
-    /// Counts one more thread in if a core is free for it.
-    fn take_free(self) -> Option<Seat<'a>> {
-        self.busy
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
-                (busy < self.cores).then_some(busy + 1)
-            })
-            .ok()
-            .map(|_| Seat(self.busy))
-    }
-}
-
-/// A thread counted in a [`Cores`]; dropping it counts the thread out.
-struct Seat<'a>(&'a AtomicUsize);
-
-impl Drop for Seat<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// Hands every request of `workload` to `sink`, in order, until the
 /// workload is exhausted.
-pub(super) fn drain(workload: &mut dyn Workload, sink: impl FnMut(IoRequest)) {
-    let cores = Cores {
-        busy: &DRAINING,
-        cores: thread::available_parallelism().map_or(1, NonZeroUsize::get),
-    };
+pub(in crate::system) fn drain(workload: &mut dyn Workload, sink: impl FnMut(IoRequest)) {
     drain_with(
         workload,
-        cores,
         thread::Builder::new().name("workload".into()),
         sink,
     );
 }
 
-/// [`drain`] counted in `cores`, with the generator thread built by
-/// `generator`.
+/// [`drain`], with the generator thread built by `generator`.
 fn drain_with(
     workload: &mut dyn Workload,
-    cores: Cores<'_>,
     generator: thread::Builder,
     mut sink: impl FnMut(IoRequest),
 ) {
-    let _engine = cores.enter();
     for _ in 0..INLINE_PREFIX {
         match workload.next_request() {
             Some(req) => sink(req),
@@ -116,35 +61,30 @@ fn drain_with(
     }
     // A reborrow: if no generator runs, the workload is the caller's again.
     let lent = &mut *workload;
-    let spawned = match cores.take_free() {
-        // The seat is held until the scope has joined the generator.
-        Some(_generator) => thread::scope(|scope| {
-            let (full_tx, full_rx) = sync_channel::<Vec<IoRequest>>(IN_FLIGHT);
-            let (empty_tx, empty_rx) = sync_channel::<Vec<IoRequest>>(IN_FLIGHT);
-            for _ in 0..IN_FLIGHT {
-                empty_tx
-                    .send(Vec::with_capacity(BATCH))
-                    .expect("the channel holds every batch");
-            }
-            let Ok(handle) =
-                generator.spawn_scoped(scope, move || generate(lent, &full_tx, &empty_rx))
-            else {
-                return false;
-            };
-            // The generator drops its sender once it has sent a short
-            // batch (or panicked): then the last batch is in.
-            while let Ok(mut batch) = full_rx.recv() {
-                batch.drain(..).for_each(&mut sink);
-                // Fails once the generator is done; the batch is freed here.
-                let _ = empty_tx.send(batch);
-            }
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-            true
-        }),
-        None => false,
-    };
+    let spawned = thread::scope(|scope| {
+        let (full_tx, full_rx) = sync_channel::<Vec<IoRequest>>(IN_FLIGHT);
+        let (empty_tx, empty_rx) = sync_channel::<Vec<IoRequest>>(IN_FLIGHT);
+        for _ in 0..IN_FLIGHT {
+            empty_tx
+                .send(Vec::with_capacity(BATCH))
+                .expect("the channel holds every batch");
+        }
+        let Ok(handle) = generator.spawn_scoped(scope, move || generate(lent, &full_tx, &empty_rx))
+        else {
+            return false;
+        };
+        // The generator drops its sender once it has sent a short batch
+        // (or panicked): then the last batch is in.
+        while let Ok(mut batch) = full_rx.recv() {
+            batch.drain(..).for_each(&mut sink);
+            // Fails once the generator is done; the batch is freed here.
+            let _ = empty_tx.send(batch);
+        }
+        if let Err(payload) = handle.join() {
+            std::panic::resume_unwind(payload);
+        }
+        true
+    });
     if !spawned {
         while let Some(req) = workload.next_request() {
             sink(req);
@@ -177,7 +117,6 @@ mod tests {
     use jitgc_sim::SimDuration;
     use jitgc_workload::{IoKind, WriteMix};
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
@@ -190,9 +129,9 @@ mod tests {
         panic_at: Option<u64>,
         home: thread::ThreadId,
         pulled_elsewhere: bool,
-        /// Set once the last thread other than the creator's that pulled
-        /// from this workload has exited.
-        gone: Arc<AtomicBool>,
+        /// Also held by each thread other than the creator's that pulled
+        /// from this workload, until that thread exits.
+        held: Arc<()>,
     }
 
     impl Numbered {
@@ -203,7 +142,7 @@ mod tests {
                 panic_at: None,
                 home: thread::current().id(),
                 pulled_elsewhere: false,
-                gone: Arc::new(AtomicBool::new(false)),
+                held: Arc::new(()),
             }
         }
 
@@ -214,17 +153,9 @@ mod tests {
         }
     }
 
-    /// Dropped with the thread-local it sits in, when its thread exits.
-    struct OnExit(Arc<AtomicBool>);
-
-    impl Drop for OnExit {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::SeqCst);
-        }
-    }
-
     thread_local! {
-        static ON_EXIT: Cell<Option<OnExit>> = const { Cell::new(None) };
+        /// Dropped when its thread exits.
+        static HELD: Cell<Option<Arc<()>>> = const { Cell::new(None) };
     }
 
     impl Workload for Numbered {
@@ -235,7 +166,7 @@ mod tests {
         fn next_request(&mut self) -> Option<IoRequest> {
             if thread::current().id() != self.home && !self.pulled_elsewhere {
                 self.pulled_elsewhere = true;
-                ON_EXIT.set(Some(OnExit(Arc::clone(&self.gone))));
+                HELD.set(Some(Arc::clone(&self.held)));
             }
             let i = self.pulls;
             self.pulls += 1;
@@ -262,58 +193,25 @@ mod tests {
     const P: u64 = INLINE_PREFIX;
     const B: u64 = BATCH as u64;
 
-    /// Two cores, `busy` of them taken.
-    fn two_cores(busy: &AtomicUsize) -> Cores<'_> {
-        Cores { busy, cores: 2 }
-    }
-
-    /// [`drain_with`] on two cores that no other drain counts in, so a run
-    /// past the prefix starts a generator whatever else the suite runs.
-    /// Returns the count once the drain is over.
-    fn drain_on_two_cores(workload: &mut dyn Workload, sink: impl FnMut(IoRequest)) -> usize {
-        let busy = AtomicUsize::new(0);
-        let cores = two_cores(&busy);
-        drain_with(workload, cores, thread::Builder::new(), sink);
-        busy.into_inner()
-    }
-
     /// The drained stream is the bare workload's, request for request,
     /// around every edge of the inline prefix and of the first batch; the
     /// workload is pulled once past its end and no more; and a run that
-    /// went threaded leaves no generator behind, nor a thread counted.
+    /// went threaded leaves no generator behind.
     #[test]
     fn the_stream_is_the_bare_workloads() {
         for n in [0, 1, P - 1, P, P + 1, P + B - 1, P + B, P + B + 1] {
             let mut workload = Numbered::new(n);
             let mut got = Vec::new();
-            let busy = drain_on_two_cores(&mut workload, |req| got.push(req));
+            drain(&mut workload, |req| got.push(req));
             assert!(got == Numbered::bare(n), "{n} requests: the streams differ");
             assert_eq!(workload.pulls, n + 1, "{n} requests: pulled past the end");
             assert_eq!(workload.pulled_elsewhere, n >= P, "{n} requests");
             assert_eq!(
-                workload.gone.load(Ordering::SeqCst),
-                n >= P,
+                Arc::strong_count(&workload.held),
+                1,
                 "{n} requests: the generator thread outlived the drain"
             );
-            assert_eq!(busy, 0, "{n} requests: a thread is still counted in");
         }
-    }
-
-    /// With every core taken (here by another engine's drain), a long run
-    /// pulls all of its requests on the calling thread.
-    #[test]
-    fn a_busy_host_pulls_inline() {
-        let n = P + 3 * B;
-        let mut workload = Numbered::new(n);
-        let mut got = Vec::new();
-        let busy = AtomicUsize::new(1);
-        let cores = two_cores(&busy);
-        drain_with(&mut workload, cores, thread::Builder::new(), |req| {
-            got.push(req);
-        });
-        assert!(got == Numbered::bare(n), "the streams differ");
-        assert!(!workload.pulled_elsewhere, "a generator thread ran");
-        assert_eq!(busy.into_inner(), 1, "the drain left its count behind");
     }
 
     /// A generator that panics past the prefix resumes its panic on the
@@ -324,7 +222,7 @@ mod tests {
         workload.panic_at = Some(70_000);
         let mut seen = 0u64;
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drain_on_two_cores(&mut workload, |_| seen += 1)
+            drain(&mut workload, |_| seen += 1);
         }))
         .expect_err("the generator panicked");
         let message = payload.downcast_ref::<String>().map(String::as_str);
@@ -356,17 +254,14 @@ mod tests {
     }
 
     /// An engine panic past the prefix unwinds out of the drain: the
-    /// closed channels stop the generator, so the scope's join returns,
-    /// and both threads are counted out.
+    /// closed channels stop the generator, so the scope's join returns.
     #[test]
     fn an_engine_panic_unwinds_without_hanging() {
-        let (payload, busy) = within_30s(|| {
+        let payload = within_30s(|| {
             let mut workload = Numbered::new(P + 10 * B);
             let mut seen = 0u64;
-            let busy = AtomicUsize::new(0);
-            let cores = two_cores(&busy);
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                drain_with(&mut workload, cores, thread::Builder::new(), |_| {
+                drain(&mut workload, |_| {
                     seen += 1;
                     if seen == P + 3 * B + 5 {
                         panic!("the engine failed at request {seen}");
@@ -374,14 +269,12 @@ mod tests {
                 });
             }))
             .expect_err("the sink panicked");
-            let message = payload.downcast_ref::<String>().cloned();
-            (message, busy.into_inner())
+            payload.downcast_ref::<String>().cloned()
         });
         assert_eq!(
             payload.as_deref(),
             Some("the engine failed at request 68613")
         );
-        assert_eq!(busy, 0, "a thread is still counted in");
     }
 
     /// A spawn the OS refuses (here a stack larger than any address
@@ -392,13 +285,10 @@ mod tests {
         let n = P + 3 * B;
         let mut workload = Numbered::new(n);
         let mut got = Vec::new();
-        let busy = AtomicUsize::new(0);
-        let cores = two_cores(&busy);
         let unspawnable = thread::Builder::new().stack_size(1 << 60);
-        drain_with(&mut workload, cores, unspawnable, |req| got.push(req));
+        drain_with(&mut workload, unspawnable, |req| got.push(req));
         assert!(got == Numbered::bare(n), "the streams differ");
         assert!(!workload.pulled_elsewhere, "a generator thread ran");
         assert_eq!(workload.pulls, n + 1);
-        assert_eq!(busy.into_inner(), 0, "a thread is still counted in");
     }
 }

@@ -194,3 +194,54 @@ fn a_cache_without_its_own_period_takes_the_systems() {
     let back = SystemConfig::from_json(&JsonValue::Object(fields)).expect("parse");
     assert_eq!(back.cache, cfg.cache);
 }
+
+/// A file holds each key once, and only keys its own dump writes, at any
+/// depth. A `null` fault section is a fault-free device's, which dumps
+/// none.
+#[test]
+fn a_file_holds_only_the_keys_its_dump_writes() {
+    let dump = SystemConfig::default_sim().to_json().to_pretty();
+    let load = |from: &str, to: &str| {
+        assert_eq!(dump.matches(from).count(), 1, "{from:?} in {dump}");
+        let text = dump.replace(from, to);
+        SystemConfig::from_json(&JsonValue::parse(&text).expect("the edit parses"))
+            .map(drop)
+            .map_err(|e| e.to_string())
+    };
+    let limit = "\"endurance_limit\": null";
+    assert_eq!(load(limit, &format!("{limit}, \"fault\": null")), Ok(()));
+    let fault = "\"fault\": {\"seed\": 9, \"program_rate\": 0, \"erase_rate\": 0, \
+                 \"read_rate\": 0, \"wear_scale\": 40";
+    assert_eq!(load(limit, &format!("{limit}, {fault}}}")), Ok(()));
+    let read = "\"read_us\": 50";
+    for (from, to, named) in [
+        (
+            read,
+            format!("{read}, {read}"),
+            "`ftl.timing.read_us` given twice",
+        ),
+        (
+            read,
+            format!("{read}, \"write_us\": 50"),
+            "unknown key `ftl.timing.write_us`",
+        ),
+        (
+            limit,
+            format!("{limit}, {fault}, \"rate\": 1}}"),
+            "unknown key `ftl.fault.rate`",
+        ),
+        (
+            "\"victim\": \"greedy\"",
+            "\"victim\": {\"random\": 3, \"seed\": 1}".into(),
+            "unknown key `victim.seed`",
+        ),
+        (
+            "\"prefill\": true",
+            "\"prefill\": true, \"fault\": null".into(),
+            "unknown key `fault`",
+        ),
+    ] {
+        let err = load(from, &to).expect_err(&to);
+        assert!(err.contains(named), "{to}: {err}");
+    }
+}

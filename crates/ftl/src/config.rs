@@ -91,12 +91,6 @@ impl FtlConfig {
         self.knobs.user_pages
     }
 
-    /// Host-visible capacity in bytes.
-    #[must_use]
-    pub fn user_capacity(&self) -> ByteSize {
-        self.geometry.page_size() * self.knobs.user_pages
-    }
-
     /// Over-provisioning ratio in permille (70 = 7 %).
     #[must_use]
     pub fn op_permille(&self) -> u64 {
@@ -371,9 +365,11 @@ impl FtlConfigBuilder {
 
     /// The rule on the FTL's knobs: page size, user pages, pages per
     /// block and the GC reserve are above zero, the page is at most
-    /// 1 MiB, and the derived device has fewer than [`u32::MAX`] physical
-    /// pages (the per-page tables hold 32-bit entries). The error names
-    /// the first knob that breaks it by its JSON key, after `prefix`.
+    /// 1 MiB, the SIP filter threshold is at most 1000 ‰ (a share of a
+    /// block's valid pages; 1000 already never filters), and the derived
+    /// device has fewer than [`u32::MAX`] physical pages (the per-page
+    /// tables hold 32-bit entries). The error names the first knob that
+    /// breaks it by its JSON key, after `prefix`.
     fn check(&self, prefix: &str) -> Result<(), String> {
         let k = &self.0;
         for (key, value) in [
@@ -392,6 +388,13 @@ impl FtlConfigBuilder {
                 k.page_size_bytes
             ));
         }
+        if k.sip_filter_threshold_permille > 1000 {
+            return Err(format!(
+                "`{prefix}sip_filter_threshold_permille` of {} must be at most 1000 \
+                 (a share of a block's valid pages)",
+                k.sip_filter_threshold_permille
+            ));
+        }
         if self.blocks().is_none() {
             return Err(format!(
                 "`{prefix}user_pages` of {} (plus over-provisioning and the GC reserve) needs \
@@ -407,7 +410,8 @@ impl FtlConfigBuilder {
     /// # Panics
     ///
     /// Panics if user pages, pages per block, page size, or the GC reserve
-    /// is zero, if the page is larger than 1 MiB, or if the device would
+    /// is zero, if the page is larger than 1 MiB, if the SIP filter
+    /// threshold is above 1000 ‰, or if the device would
     /// have [`u32::MAX`] physical pages or more (the per-page tables hold
     /// 32-bit entries).
     #[must_use]
@@ -545,7 +549,10 @@ mod tests {
             .user_pages(1_000)
             .page_size_bytes(4_096)
             .build();
-        assert_eq!(c.user_capacity(), ByteSize::bytes(4_096_000));
+        assert_eq!(
+            c.geometry().page_size() * c.user_pages(),
+            ByteSize::bytes(4_096_000)
+        );
     }
 
     #[test]
@@ -657,5 +664,27 @@ mod tests {
     #[should_panic(expected = "`user_pages` must be greater than zero")]
     fn zero_user_pages_panics() {
         let _ = FtlConfig::builder().user_pages(0).build();
+    }
+
+    /// The threshold is a share of a block's valid pages: 1000 ‰ (never
+    /// filter) is the top, and a larger value once overflowed the SIP
+    /// filter's `valid × threshold`.
+    #[test]
+    fn sip_threshold_is_at_most_a_whole_block() {
+        let check = |permille| {
+            FtlConfig::builder()
+                .sip_filter_threshold_permille(permille)
+                .check("ftl.")
+        };
+        assert_eq!(check(1000), Ok(()));
+        for above in [1001, u64::MAX] {
+            let err = check(above).unwrap_err();
+            assert!(
+                err.starts_with(&format!(
+                    "`ftl.sip_filter_threshold_permille` of {above} must be at most 1000"
+                )),
+                "{err}"
+            );
+        }
     }
 }

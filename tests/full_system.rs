@@ -162,10 +162,10 @@ fn latency_tail_reflects_fgc() {
     );
 }
 
-/// `run` generates a long run's requests on a second thread once the
-/// first 2^16 are in, if a core is free; either way its report is the one
-/// a hand-written closed loop over `step` gives for the same stream, byte
-/// for byte.
+/// `run` goes through `ClosedLoop::run`, which generates a long run's
+/// requests on a second thread once the first 2^16 are in; its report is
+/// the one a hand-written closed loop over `step` gives for the same
+/// stream, byte for byte.
 #[test]
 fn run_matches_a_stepping_loop_past_the_inline_prefix() {
     let mut config = SystemConfig::default_sim();

@@ -159,10 +159,7 @@ fn heap_bytes_per_physical_page_stay_bounded() {
     }
 
     // Ten times the load runs past the 2^16 requests `run` pulls inline,
-    // so a generator thread hands it the rest in batches (this binary
-    // runs one test, so a second core is free on any multi-core host;
-    // on one core the run stays inline and the bounds hold all the
-    // same). The run holds
+    // so a generator thread hands it the rest in batches. The run holds
     // the same tables as the short one, and once the system is gone
     // nothing of the thread or its batches is left. (The first thread a
     // process starts leaves a few dozen bytes of the standard library's

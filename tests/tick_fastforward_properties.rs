@@ -166,7 +166,8 @@ fn array_run(config: &ArrayConfig, seed: u64, fast_forward: bool) -> (ArrayRepor
     let mut sim = config.build(|cfg| PolicyKind::Jit.build(cfg), workload);
     sim.set_fast_forward(fast_forward);
     let report = sim.run();
-    (report, sim.ticks_skipped(), sim.ff_refusals().total())
+    let refused = sim.members().iter().map(|m| m.ff_refusals().total()).sum();
+    (report, sim.ticks_skipped(), refused)
 }
 
 /// The array acceptance criterion: byte-identical reports with the
