@@ -223,7 +223,7 @@ impl GcPolicy for ReservedCapacity {
 // ----------------------------------------------------------------------
 
 /// An idle-time-exploiting baseline in the spirit of Park et al. (the
-/// paper's reference [7], Sec. 5): trigger background GC aggressively only
+/// paper's reference \[7\], Sec. 5): trigger background GC aggressively only
 /// when a long idle period is expected, and stay lazy otherwise, to avoid
 /// hurting user-perceived response time.
 ///
@@ -503,7 +503,7 @@ pub enum PolicyKind {
     /// The paper's adaptive device-internal baseline.
     Adp,
     /// Related-work baseline: idle-time-exploiting BGC (Park et al.,
-    /// the paper's reference [7]).
+    /// the paper's reference \[7\]).
     Idle,
     /// The paper's contribution.
     Jit,

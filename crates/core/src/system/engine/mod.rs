@@ -414,11 +414,19 @@ impl SsdSystem {
             let j = rng.range_u64(0, i as u64 + 1) as usize;
             lpns.swap(i, j);
         }
-        for lpn in lpns {
+        // A block's worth at a time through the request scratch: a run of
+        // host pages is one device call, and no `Lpn` copy of the whole
+        // permutation is ever built.
+        let chunk = self.config.ftl.geometry().pages_per_block() as usize;
+        let mut batch = std::mem::take(&mut self.lpn_scratch);
+        for pages in lpns.chunks(chunk) {
+            batch.clear();
+            batch.extend(pages.iter().map(|&lpn| Lpn(u64::from(lpn))));
             self.ftl
-                .host_write(Lpn(u64::from(lpn)), SimTime::ZERO)
+                .host_write_batch(&batch, SimTime::ZERO)
                 .expect("prefill stays within user space");
         }
+        self.lpn_scratch = batch;
         self.ftl.reset_counters();
         self.host_pages_at_tick = 0;
     }

@@ -255,7 +255,7 @@ impl Ftl {
             }
             let gc_block = self.ensure_open(Stream::Gc)?;
             let room = budget.map(|budget| budget.saturating_sub(outcome.duration + in_flight));
-            let mut dsts = std::mem::take(&mut self.gc_dst_scratch);
+            let mut dsts = std::mem::take(&mut self.dst_scratch);
             dsts.clear();
             let copied =
                 self.device
@@ -263,7 +263,7 @@ impl Ftl {
             let out = match copied {
                 Ok(out) => out,
                 Err(e) => {
-                    self.gc_dst_scratch = dsts;
+                    self.dst_scratch = dsts;
                     return Err(e.into());
                 }
             };
@@ -280,7 +280,7 @@ impl Ftl {
                     self.sip_counts[gc_block.0 as usize] += 1;
                 }
             }
-            self.gc_dst_scratch = dsts;
+            self.dst_scratch = dsts;
             self.stats.gc_read_failures += out.read_failures;
             self.stats.program_retries += out.program_retries;
             self.stats.gc_pages_migrated += out.copied as u64;

@@ -51,9 +51,35 @@ pub struct BatchReadOutcome {
     pub failed: u64,
 }
 
+/// One host page write in progress inside a batch.
+struct PageWrite {
+    stream: Stream,
+    /// The old copy is off the books (done before the first retry).
+    retired: bool,
+    /// One of the page's block openings ran foreground GC.
+    foreground_gc: bool,
+    /// A write that has failed on as many pages as the device holds gives
+    /// up: the device can no longer program, and it goes read-only.
+    /// (Foreground GC hands blocks full of failed pages back as free ones,
+    /// so on a device where every program fails retries would never end.)
+    attempts_left: u64,
+}
+
+impl PageWrite {
+    fn new(stream: Stream, ftl: &Ftl) -> Self {
+        PageWrite {
+            stream,
+            retired: false,
+            foreground_gc: false,
+            attempts_left: ftl.device.geometry().total_pages(),
+        }
+    }
+}
+
 impl Ftl {
     /// Writes one logical page out-of-place, running foreground GC first if
-    /// the free-block pool is at its floor.
+    /// the free-block pool is at its floor: a one-page
+    /// [`host_write_batch`](Self::host_write_batch).
     ///
     /// # Errors
     ///
@@ -63,90 +89,31 @@ impl Ftl {
     /// [`FtlError::ReadOnly`] once the device is read-only, which a write
     /// whose programs fail on as many pages as the device has brings about.
     pub fn host_write(&mut self, lpn: Lpn, now: SimTime) -> Result<WriteOutcome, FtlError> {
-        self.check_lpn(lpn)?;
-        self.host_write_checked(lpn, now)
-    }
-
-    /// [`host_write`](Self::host_write) body after address validation;
-    /// batch entry points validate the whole batch once, then call this.
-    fn host_write_checked(&mut self, lpn: Lpn, now: SimTime) -> Result<WriteOutcome, FtlError> {
-        if self.read_only {
-            return Err(FtlError::ReadOnly);
-        }
-        let mut outcome = WriteOutcome::default();
-        let stream = self.host_stream(lpn, now);
-        let mut active = self.host_block(stream, now, &mut outcome)?;
-
-        // Out-of-place update: retire the previous copy.
-        match self.mapping.get(lpn) {
-            Some(old) => self.drop_copy(lpn, old)?,
-            // Never-written LPNs can still sit on a stale SIP list.
-            None => {
-                self.sip.remove(lpn);
-            }
-        }
-
-        // Each failed program consumes a page, but foreground GC hands
-        // blocks full of failed pages back as free ones, so on a device
-        // where every program fails the retries would never end. A write
-        // that has failed on as many pages as the device holds gives up:
-        // the device can no longer program, and it goes read-only.
-        let mut attempts_left = self.device.geometry().total_pages();
-        let ppn = loop {
-            let offset = self
-                .device
-                .block(active)
-                .next_free_offset()
-                .expect("active block has space by construction");
-            let ppn = self.device.geometry().ppn(active, offset);
-            match self.device.program(ppn, lpn) {
-                Ok(took) => {
-                    outcome.duration += took;
-                    break ppn;
-                }
-                Err(NandError::ProgramFailed { .. }) => {
-                    // The failed page is consumed (marked invalid by the
-                    // device); charge the wasted attempt and re-issue the
-                    // write to the next free page, reclaiming first if the
-                    // failure sealed the last page of the pool's headroom.
-                    outcome.duration += self.config.timing().page_program_cost();
-                    self.stats.program_retries += 1;
-                    attempts_left -= 1;
-                    if attempts_left == 0 {
-                        self.enter_read_only(now);
-                        return Err(FtlError::ReadOnly);
-                    }
-                    active = self.host_block(stream, now, &mut outcome)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        self.mapping.set(lpn, ppn);
-        self.last_write[active.0 as usize] = now;
-        if let Some(times) = self.lpn_last_write.as_mut() {
-            times[lpn.0 as usize] = now;
-        }
-        self.stats.host_pages_written += 1;
-        self.stats.hot_stream_pages += u64::from(stream == Stream::Hot);
-        Ok(outcome)
+        let out = self.host_write_batch(&[lpn], now)?;
+        Ok(WriteOutcome {
+            duration: out.duration,
+            foreground_gc: out.fgc_writes > 0,
+            migrated_pages: out.migrated_pages,
+            erased_blocks: out.erased_blocks,
+        })
     }
 
     /// The block the next `stream` write goes to, running foreground GC
-    /// first when opening one would eat into the pool's GC reserve. When
-    /// even foreground GC cannot free space — only possible once
-    /// retirements have consumed the over-provisioning — or no free block
-    /// is left to open, the device transitions to read-only degraded mode
-    /// instead of erroring with an internal GC failure.
+    /// first when opening one would eat into the pool's GC reserve, and
+    /// whether it did. When even foreground GC cannot free space — only
+    /// possible once retirements have consumed the over-provisioning — or
+    /// no free block is left to open, the device transitions to read-only
+    /// degraded mode instead of erroring with an internal GC failure.
     fn host_block(
         &mut self,
         stream: Stream,
         now: SimTime,
-        outcome: &mut WriteOutcome,
-    ) -> Result<BlockId, FtlError> {
-        if self.room(stream).is_none() && self.pool_is_at_floor() {
+        outcome: &mut BatchWriteOutcome,
+    ) -> Result<(BlockId, bool), FtlError> {
+        let collect = self.room(stream).is_none() && self.pool_is_at_floor();
+        if collect {
             let collected = self.foreground_collect(now);
             let fgc = self.read_only_when_out_of_space(collected, now)?;
-            outcome.foreground_gc = true;
             outcome.migrated_pages += fgc.pages_migrated;
             outcome.erased_blocks += fgc.blocks_erased;
             outcome.duration += fgc.duration;
@@ -155,7 +122,20 @@ impl Ftl {
             self.stats.fgc_time += fgc.duration;
         }
         let opened = self.ensure_open(stream);
-        self.read_only_when_out_of_space(opened, now)
+        let block = self.read_only_when_out_of_space(opened, now)?;
+        Ok((block, collect))
+    }
+
+    /// Retires `lpn`'s current copy ahead of its rewrite: invalid on
+    /// flash, or — never written — off a stale SIP list.
+    fn retire(&mut self, lpn: Lpn) -> Result<(), FtlError> {
+        match self.mapping.get(lpn) {
+            Some(old) => self.drop_copy(lpn, old),
+            None => {
+                self.sip.remove(lpn);
+                Ok(())
+            }
+        }
     }
 
     /// Takes `lpn`'s superseded copy at `old` off the books: invalid on
@@ -209,19 +189,23 @@ impl Ftl {
         Ok(())
     }
 
-    /// Writes a run of logical pages in order, validating every address
-    /// up front so the per-page path skips its bounds check. Device
-    /// operations happen in exactly the order a [`host_write`] loop would
-    /// issue them, so all counters and the device state end up identical.
+    /// Writes logical pages in order, each out-of-place — the one host
+    /// write path. Every address is validated up front; then the batch is
+    /// written in runs: the pages that fit the open block of one stream go
+    /// to the device in one [`program_run`](jitgc_nand::NandDevice::program_run)
+    /// call, and are booked page by page (old copy retired, mapping set)
+    /// in batch order. Foreground GC, the read-only rule and failed-program
+    /// retries act where a page-at-a-time loop would meet them, and every
+    /// device operation happens in that loop's order, so all counters, the
+    /// fault draws and the device state end up identical to it.
     ///
     /// # Errors
     ///
     /// [`FtlError::LpnOutOfRange`] if *any* address is out of range — in
     /// that case nothing has been written (unlike a caller loop, which
-    /// would stop mid-batch); [`FtlError::NoReclaimableSpace`] propagates
-    /// from foreground GC with the earlier pages already written.
-    ///
-    /// [`host_write`]: Self::host_write
+    /// would stop mid-batch); [`FtlError::NoReclaimableSpace`] and
+    /// [`FtlError::ReadOnly`] as [`host_write`](Self::host_write), with the
+    /// earlier pages already written.
     pub fn host_write_batch(
         &mut self,
         lpns: &[Lpn],
@@ -229,14 +213,107 @@ impl Ftl {
     ) -> Result<BatchWriteOutcome, FtlError> {
         lpns.iter().try_for_each(|&lpn| self.check_lpn(lpn))?;
         let mut out = BatchWriteOutcome::default();
-        for &lpn in lpns {
-            let w = self.host_write_checked(lpn, now)?;
-            out.duration += w.duration;
-            out.fgc_writes += u64::from(w.foreground_gc);
-            out.migrated_pages += w.migrated_pages;
-            out.erased_blocks += w.erased_blocks;
+        let mut next = 0;
+        // The write of `lpns[next]` once one of its programs has failed.
+        let mut retrying: Option<PageWrite> = None;
+        while next < lpns.len() {
+            let mut head = match retrying.take() {
+                Some(head) => head,
+                None => {
+                    if self.read_only {
+                        return Err(FtlError::ReadOnly);
+                    }
+                    PageWrite::new(self.host_stream(lpns[next], now), self)
+                }
+            };
+            let (block, collected) = self
+                .host_block(head.stream, now, &mut out)
+                .map_err(|e| self.refuse(&head, lpns[next], e))?;
+            head.foreground_gc |= collected;
+            // Foreground GC that retired a block can leave the device
+            // read-only: the head page is still written, the next refused.
+            let end = if self.read_only {
+                next + 1
+            } else {
+                let room = self.device.block(block).free_pages() as usize;
+                self.run_end(lpns, next, lpns.len().min(next + room), head.stream, now)
+            };
+            let mut dsts = std::mem::take(&mut self.dst_scratch);
+            dsts.clear();
+            let run = self
+                .device
+                .program_run(block, &lpns[next..end], &mut dsts)?;
+            out.duration += run.duration;
+            for (k, (&lpn, &ppn)) in lpns[next..].iter().zip(&dsts).enumerate() {
+                if k > 0 || !head.retired {
+                    self.retire(lpn)?;
+                }
+                self.mapping.set(lpn, ppn);
+                if let Some(times) = self.lpn_last_write.as_mut() {
+                    times[lpn.0 as usize] = now;
+                }
+            }
+            self.dst_scratch = dsts;
+            if run.programmed > 0 {
+                self.last_write[block.0 as usize] = now;
+                self.stats.host_pages_written += run.programmed as u64;
+                if head.stream == Stream::Hot {
+                    self.stats.hot_stream_pages += run.programmed as u64;
+                }
+                // Only the head page can have met foreground GC.
+                out.fgc_writes += u64::from(head.foreground_gc);
+                next += run.programmed;
+                head = PageWrite::new(head.stream, self);
+            }
+            if run.failed {
+                // `lpns[next]`'s program consumed a page. Its old copy goes
+                // now, before the retry's block may need foreground GC.
+                if !head.retired {
+                    self.retire(lpns[next])?;
+                    head.retired = true;
+                }
+                self.stats.program_retries += 1;
+                head.attempts_left -= 1;
+                if head.attempts_left == 0 {
+                    self.enter_read_only(now);
+                    return Err(self.refuse(&head, lpns[next], FtlError::ReadOnly));
+                }
+                retrying = Some(head);
+            }
         }
         Ok(out)
+    }
+
+    /// Gives up the write of `lpn` with `error`. Once a program of it has
+    /// failed, its old copy is retired and foreground GC may since have
+    /// erased that page, so the LPN is unmapped rather than left pointing
+    /// there: its content is lost, as a failed write's may be.
+    fn refuse(&mut self, head: &PageWrite, lpn: Lpn, error: FtlError) -> FtlError {
+        if head.retired {
+            self.mapping.take(lpn);
+        }
+        error
+    }
+
+    /// Where a run from `lpns[start]` on `stream`, with room up to
+    /// `limit`, ends: at the first page of another stream, and — since a
+    /// page's stream depends on its earlier writes — before an LPN the
+    /// run already holds. Without hot/cold streams every page is cold.
+    fn run_end(
+        &self,
+        lpns: &[Lpn],
+        start: usize,
+        limit: usize,
+        stream: Stream,
+        now: SimTime,
+    ) -> usize {
+        if self.lpn_last_write.is_none() {
+            return limit;
+        }
+        let run = &lpns[start..limit];
+        (1..run.len())
+            .find(|&k| self.host_stream(run[k], now) != stream || run[..k].contains(&run[k]))
+            .map_or(limit, |k| start + k)
     }
 
     /// Reads a run of logical pages. Unmapped pages are not errors here:

@@ -75,8 +75,9 @@ pub struct Ftl {
     /// Scratch for the bulk path's victim snapshot, reused across
     /// collections so the steady state allocates nothing.
     gc_snapshot: Vec<(Ppn, Lpn)>,
-    /// Scratch for the destination PPNs a bulk copy reports back.
-    gc_dst_scratch: Vec<Ppn>,
+    /// Scratch for the destination PPNs a bulk copy or a host program run
+    /// reports back.
+    dst_scratch: Vec<Ppn>,
     /// Opt-in wall-clock accounting of GC copy work (surfaced as the
     /// engine's `gc_copy` profile phase); measurement only, never feeds
     /// back into simulated behaviour.
@@ -116,7 +117,7 @@ impl Ftl {
             degrade_events: Vec::new(),
             failed_reads: Vec::new(),
             gc_snapshot: Vec::new(),
-            gc_dst_scratch: Vec::new(),
+            dst_scratch: Vec::new(),
             gc_copy_enabled: false,
             gc_copy_wall: std::time::Duration::ZERO,
             stats: FtlStats::default(),

@@ -29,7 +29,7 @@ use jitgc_ftl::{
     FtlStats, GreedySelector, Lpn, Ppn, RandomSelector, SipList, VictimSelector,
 };
 use jitgc_nand::{FaultConfig, NandStats, NandTiming, PageState};
-use jitgc_sim::check::check;
+use jitgc_sim::check::{check, Gen};
 use jitgc_sim::{SimDuration, SimRng, SimTime};
 use reference_ftl::ReferenceFtl;
 use std::fmt::Debug;
@@ -195,12 +195,17 @@ fn blocks(device: &jitgc_nand::NandDevice) -> Vec<(u64, Option<u32>, u32, u32)> 
         .collect()
 }
 
-/// What the op stream last did to an LPN with an op that succeeded.
+/// What the op stream last did to an LPN with an op that succeeded —
+/// or that the device refused as it went read-only.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Last {
     Never,
     Written,
     Trimmed,
+    /// A write refused by the device going read-only during it: the LPN
+    /// keeps its earlier copy, or — once a failed program had retired
+    /// that copy — maps nowhere. Never to any other page.
+    Refused,
 }
 
 /// `Ftl` and the reference, driven op for op: each method runs the op on
@@ -235,8 +240,9 @@ impl Pair {
 
     /// Read-your-writes: every LPN the stream last wrote maps to a
     /// `Valid` page whose OOB names that LPN, and every LPN it trimmed or
-    /// never wrote is unmapped. GC, wear leveling and retirement move
-    /// pages but must never change this.
+    /// never wrote is unmapped; a refused write's LPN maps to such a page
+    /// or nowhere. GC, wear leveling and retirement move pages but must
+    /// never change this.
     fn assert_reads_your_writes(&self, op: &str) {
         let device = self.ftl.device();
         for (lpn, &last) in (0..).zip(&self.last) {
@@ -246,27 +252,31 @@ impl Pair {
             );
             let mapped = self.ftl.lookup(Lpn(lpn)).expect("in range");
             match (last, mapped) {
-                (Last::Written, Some(ppn)) => {
+                (Last::Written | Last::Refused, Some(ppn)) => {
                     assert_eq!(device.page_lpn(ppn), Some(Lpn(lpn)), "{at}: OOB of {ppn:?}");
                     assert_eq!(device.page_state(ppn), PageState::Valid, "{at}: {ppn:?}");
                 }
                 (Last::Written, None) => panic!("{at}: a written LPN is unmapped"),
-                (_, Some(ppn)) => panic!("{at}: mapped to {ppn:?}"),
+                (Last::Never | Last::Trimmed, Some(ppn)) => panic!("{at}: mapped to {ppn:?}"),
                 (_, None) => {}
             }
         }
     }
 
     fn host_write(&mut self, lpn: u64, now: SimTime) {
+        let writable = !self.reference.read_only();
         let got = self.ftl.host_write(Lpn(lpn), now);
         let want = self.reference.host_write(Lpn(lpn), now);
-        if got.is_ok() {
-            self.last[lpn as usize] = Last::Written;
+        match got {
+            Ok(_) => self.last[lpn as usize] = Last::Written,
+            Err(FtlError::ReadOnly) if writable => self.last[lpn as usize] = Last::Refused,
+            Err(_) => {}
         }
         self.agree("host_write", got, want);
     }
 
     fn host_write_batch(&mut self, lpns: &[Lpn], now: SimTime) {
+        let writable = !self.reference.read_only();
         let before = self.reference.stats().host_pages_written;
         let got = self.ftl.host_write_batch(lpns, now);
         let want = self.reference.host_write_batch(lpns, now);
@@ -276,6 +286,9 @@ impl Pair {
         let accepted = self.reference.stats().host_pages_written - before;
         for lpn in &lpns[..accepted as usize] {
             self.last[lpn.0 as usize] = Last::Written;
+        }
+        if writable && matches!(got, Err(FtlError::ReadOnly)) {
+            self.last[lpns[accepted as usize].0 as usize] = Last::Refused;
         }
         self.agree("host_write_batch", got, want);
     }
@@ -591,8 +604,10 @@ fn retirements_that_empty_the_pool_mid_victim() {
     );
 }
 
-/// For arbitrary op mixes — single and batched writes, batched reads (a
-/// few LPNs past the end, so some batches are refused whole), trims, BGC
+/// For arbitrary op mixes — single writes, batched writes (short ones
+/// with a few LPNs past the end, so some are refused whole; ones of one
+/// to three blocks; ones that write a few LPNs over and over), batched
+/// reads (refused whole the same way), trims, BGC
 /// budgets from a fraction of a page to several blocks with and without a
 /// free-page target, wear-leveling passes and SIP-list installs that steer
 /// the filtered victim choice — under any of the four victim selectors,
@@ -626,10 +641,23 @@ fn seeded_op_streams_at_random_fault_corners() {
             hot_window,
             ..Rig::new(Some(fault), 8)
         };
-        let batch = |g: &mut jitgc_sim::check::Gen| g.vec(0, 8, |g| Lpn(g.u64(0, USER_PAGES + 1)));
-        let ops = g.vec(1, 300, |g| match g.weighted(&[6, 1, 2, 1, 1, 1, 1, 1]) {
+        let batch = |g: &mut Gen| g.vec(0, 8, |g| Lpn(g.u64(0, USER_PAGES + 1)));
+        let block = PAGES_PER_BLOCK as usize;
+        let write_batch = |g: &mut Gen| match g.u64(0, 3) {
+            0 => batch(g),
+            // One to three blocks: runs end at block ends and wherever
+            // foreground GC or a failed program comes in mid-batch.
+            1 => g.vec(block + 1, 3 * block + 1, |g| Lpn(g.u64(0, USER_PAGES))),
+            // A few LPNs written over and over: a run holds the same LPN
+            // twice, and with hot/cold streams a rewrite changes stream.
+            _ => {
+                let few = g.vec(1, 4, |g| Lpn(g.u64(0, USER_PAGES)));
+                g.vec(2, 2 * block + 1, |g| g.pick(&few))
+            }
+        };
+        let ops = g.vec(1, 300, |g| match g.weighted(&[6, 3, 2, 1, 1, 1, 1, 1]) {
             0 => Op::Write(g.u64(0, USER_PAGES)),
-            1 => Op::WriteBatch(batch(g)),
+            1 => Op::WriteBatch(write_batch(g)),
             2 => Op::ReadBatch(batch(g)),
             3 => Op::Trim(g.u64(0, USER_PAGES)),
             4 => Op::Bgc(SimDuration::from_millis(g.u64(1, 50)), None),

@@ -123,8 +123,18 @@ impl ReferenceFtl {
                 Err(NandError::ProgramFailed { .. }) => {
                     outcome.duration += self.config.timing().page_program_cost();
                     self.stats.program_retries += 1;
-                    self.collect_if_at_floor(hot, now, &mut outcome)?;
-                    block = self.open_user_block(hot, now)?;
+                    // The old copy is gone: a write given up from here
+                    // leaves the LPN unmapped.
+                    let reopened = self
+                        .collect_if_at_floor(hot, now, &mut outcome)
+                        .and_then(|()| self.open_user_block(hot, now));
+                    match reopened {
+                        Ok(opened) => block = opened,
+                        Err(e) => {
+                            self.map[lpn.0 as usize] = None;
+                            return Err(e);
+                        }
+                    }
                 }
                 Err(e) => return Err(e.into()),
             }

@@ -41,6 +41,19 @@ pub struct CopyOutcome {
     pub pending_cost: SimDuration,
 }
 
+/// Result of one [`NandDevice::program_run`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProgramRun {
+    /// Pages programmed valid, in order from the block's write pointer.
+    pub programmed: usize,
+    /// `true` when the run stopped at a failed program: the page after
+    /// the `programmed` ones is consumed (programmed and immediately
+    /// invalid) and its LPN is not written.
+    pub failed: bool,
+    /// Program time of every attempt, the failed one included.
+    pub duration: SimDuration,
+}
+
 /// A NAND flash device: flat per-page tables for every erase block plus a
 /// timing model and operation/wear counters.
 ///
@@ -260,19 +273,85 @@ impl NandDevice {
             });
         }
         let worn = block.erase_count();
-        let failed = self.fault.as_mut().is_some_and(|f| f.program_fails(worn));
-        self.tables.program_next(at.block, entry, !failed);
-        self.free_total -= 1;
+        let programmed = self.program_page(at.block, worn, entry);
         let cost = self.timing.page_program_cost();
         self.stats.program_time += cost;
+        match programmed {
+            Ok(_) => Ok(cost),
+            Err(_) => Err(NandError::ProgramFailed { ppn }),
+        }
+    }
+
+    /// Programs `block`'s next pages with `lpns`, in order — a loop of
+    /// [`program`](Self::program) on the block's write pointer in one
+    /// call. Every page draws the one fault `program` draws, so a seeded
+    /// [`FaultModel`] fails the same pages either way; the block is
+    /// checked once and the run's program time is charged as one product.
+    ///
+    /// The PPN of each page programmed is appended to `dst_ppns`. The run
+    /// ends when the block is full, when `lpns` is exhausted, or at the
+    /// first failed program: that page is consumed (programmed and
+    /// immediately invalid) and [`ProgramRun::failed`] is set, so the
+    /// caller decides where the write is retried.
+    ///
+    /// # Errors
+    ///
+    /// [`NandError::BlockOutOfRange`] for a bad block, or
+    /// [`NandError::LpnTooLarge`] when an LPN the block has room for
+    /// cannot be recorded in an OOB entry; nothing is programmed then.
+    pub fn program_run(
+        &mut self,
+        block: BlockId,
+        lpns: &[Lpn],
+        dst_ppns: &mut Vec<Ppn>,
+    ) -> Result<ProgramRun, NandError> {
+        self.check_block(block)?;
+        let header = self.tables.block(block.0);
+        let lpns = &lpns[..lpns.len().min(header.free_pages() as usize)];
+        let worn = header.erase_count();
+        for &lpn in lpns {
+            Self::oob_entry(lpn)?;
+        }
+        let first_page = u64::from(block.0) * u64::from(self.geometry.pages_per_block());
+        let mut out = ProgramRun::default();
+        for &lpn in lpns {
+            // In range: every entry was checked above.
+            match self.program_page(block.0, worn, lpn.0 as u32) {
+                Ok(offset) => {
+                    dst_ppns.push(Ppn(first_page + u64::from(offset)));
+                    out.programmed += 1;
+                }
+                Err(_) => {
+                    out.failed = true;
+                    break;
+                }
+            }
+        }
+        let attempts = out.programmed as u64 + u64::from(out.failed);
+        out.duration = self.timing.page_program_cost() * attempts;
+        self.stats.program_time += out.duration;
+        Ok(out)
+    }
+
+    /// The one page program behind [`program`](Self::program),
+    /// [`program_run`](Self::program_run) and the copy: draws the fault a
+    /// program on a block erased `worn` times draws, writes `entry` to
+    /// `block`'s next page and keeps the tallies and counters — all but
+    /// `program_time`, which each caller charges. `Ok(offset)` for a valid
+    /// page, `Err(offset)` for one the fault consumed.
+    fn program_page(&mut self, block: u32, worn: u64, entry: u32) -> Result<u32, u32> {
+        let failed = self.fault.as_mut().is_some_and(|f| f.program_fails(worn));
+        let offset = self.tables.program_next(block, entry, !failed);
+        self.free_total -= 1;
         if failed {
             self.invalid_total += 1;
             self.stats.program_failures += 1;
-            return Err(NandError::ProgramFailed { ppn });
+            Err(offset)
+        } else {
+            self.valid_total += 1;
+            self.stats.programs += 1;
+            Ok(offset)
         }
-        self.valid_total += 1;
-        self.stats.programs += 1;
-        Ok(cost)
     }
 
     /// Erases one block, returning the simulated cost.
@@ -447,24 +526,13 @@ impl NandDevice {
                     out.pending_cost = out.duration - page_start;
                     return Ok(out);
                 }
-                let failed = self
-                    .fault
-                    .as_mut()
-                    .is_some_and(|f| f.program_fails(dst_worn));
-                // A failed program consumes the page — programmed and
-                // immediately invalid — so the retry makes progress.
-                let dst_offset = self.tables.program_next(dst.0, entry, !failed);
                 self.stats.program_time += program_cost;
                 out.duration += program_cost;
-                self.free_total -= 1;
-                if failed {
-                    self.invalid_total += 1;
-                    self.stats.program_failures += 1;
-                    out.program_retries += 1;
-                } else {
-                    self.valid_total += 1;
-                    self.stats.programs += 1;
-                    break Ppn(dst_first_page + u64::from(dst_offset));
+                match self.program_page(dst.0, dst_worn, entry) {
+                    Ok(offset) => break Ppn(dst_first_page + u64::from(offset)),
+                    // A failed program consumes the page — programmed and
+                    // immediately invalid — so the retry makes progress.
+                    Err(_) => out.program_retries += 1,
                 }
             };
 

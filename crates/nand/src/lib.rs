@@ -49,7 +49,7 @@ mod timing;
 
 pub use address::{BlockId, Lpn, Ppn};
 pub use block::{Block, PageState};
-pub use device::{CopyOutcome, NandDevice};
+pub use device::{CopyOutcome, NandDevice, ProgramRun};
 pub use error::NandError;
 pub use fault::{FaultConfig, FaultModel};
 pub use geometry::{Geometry, GeometryBuilder};

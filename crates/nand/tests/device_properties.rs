@@ -6,6 +6,7 @@ use jitgc_nand::{
 };
 use jitgc_sim::check::{check, Gen};
 use jitgc_sim::SimDuration;
+use std::cell::Cell;
 
 fn small_device() -> NandDevice {
     NandDevice::new(
@@ -203,6 +204,9 @@ enum TableOp {
     Read(u64),
     Invalidate(u64),
     Erase(u32),
+    /// `program_run` of these LPNs into a block (one past the device
+    /// sometimes; an LPN no OOB entry can hold sometimes).
+    ProgramRun(u32, Vec<u64>),
     /// `copy_pages_within` of up to `take` valid pages of `src` into
     /// `dst`, with room for `room_pages` migrations (`None` = unlimited).
     Copy {
@@ -213,6 +217,50 @@ enum TableOp {
     },
 }
 
+/// How a `program_run` ended, over all cases.
+#[derive(Default)]
+struct RunEnds {
+    full_block: Cell<u32>,
+    failed_program: Cell<u32>,
+}
+
+/// A loop of `program` on `block`'s write pointer — what `program_run`
+/// replaces: the PPNs programmed, whether the loop stopped at a failed
+/// program, and the time the calls returned or the failures cost.
+fn program_loop(
+    dev: &mut NandDevice,
+    block: BlockId,
+    lpns: &[u64],
+) -> (Vec<Ppn>, bool, SimDuration) {
+    let (mut ppns, mut took) = (Vec::new(), SimDuration::ZERO);
+    for &lpn in lpns {
+        let Some(offset) = dev.block(block).next_free_offset() else {
+            break;
+        };
+        let ppn = dev.geometry().ppn(block, offset);
+        match dev.program(ppn, Lpn(lpn)) {
+            Ok(cost) => {
+                took += cost;
+                ppns.push(ppn);
+            }
+            Err(NandError::ProgramFailed { .. }) => {
+                took += dev.timing().page_program_cost();
+                return (ppns, true, took);
+            }
+            Err(e) => panic!("a program the run could make failed: {e}"),
+        }
+    }
+    (ppns, false, took)
+}
+
+/// Where a device's fault stream stands: the outcomes of a fixed probe
+/// of erases, run on a copy. Two devices that drew a different number of
+/// faults so far answer differently.
+fn fault_probe(dev: &NandDevice) -> Vec<bool> {
+    let mut dev = dev.clone();
+    (0..24).map(|_| dev.erase(BlockId(0)).is_ok()).collect()
+}
+
 /// 128 cases × up to 400 ops on a 3- or 4-block device of 8, 64, 70 or
 /// 130 pages a block (one, one, two and three validity words; the last
 /// two not word-aligned), faults off and on: after **every** op each
@@ -220,15 +268,23 @@ enum TableOp {
 /// agree with a naive per-page `Vec<(PageState, Option<Lpn>)>`. In
 /// particular a page programmed, erased and not yet re-programmed reads
 /// `(Free, None)` although the erase left its OOB entry in place.
+///
+/// A `program_run` is held to a loop of `program` on a copy of the
+/// device taken just before it: the same PPNs, the same stop, the same
+/// time, stats and tallies, and the fault stream at the same place. With
+/// faults on, every block is worn by a few erases up front, so runs stop
+/// at failed programs as well as at full blocks; both must happen.
 #[test]
 fn flat_tables_agree_with_a_per_page_model() {
+    let ends = RunEnds::default();
     check(0x4A4D_0005, 128, |g| {
         let per_block = g.pick(&[8u32, 64, 70, 130]);
         let blocks = g.u64(3, 5) as u32;
         let faults = g.u64(0, 2) == 1;
         let fault_seed = g.any_u64();
+        let wear: Vec<u64> = (0..blocks).map(|_| g.u64(0, 6)).collect();
         let total = u64::from(blocks) * u64::from(per_block);
-        let ops = g.vec(1, 400, |g| match g.weighted(&[10, 1, 1, 5, 1, 2]) {
+        let ops = g.vec(1, 400, |g| match g.weighted(&[10, 1, 1, 5, 1, 2, 3]) {
             0 => TableOp::ProgramNext(g.u64(0, u64::from(blocks)) as u32, g.u64(0, 1_000)),
             // Mostly out of order; sometimes past the device, sometimes
             // an LPN no OOB entry can hold.
@@ -239,6 +295,14 @@ fn flat_tables_agree_with_a_per_page_model() {
             2 => TableOp::Read(g.u64(0, total + 2)),
             3 => TableOp::Invalidate(g.u64(0, total + 2)),
             4 => TableOp::Erase(g.u64(0, u64::from(blocks) + 1) as u32),
+            5 => {
+                let mut lpns = g.vec(1, per_block as usize + 3, |g| g.u64(0, 1_000));
+                if g.u64(0, 8) == 0 {
+                    let at = g.usize(0, lpns.len());
+                    lpns[at] = u64::from(u32::MAX);
+                }
+                TableOp::ProgramRun(g.u64(0, u64::from(blocks) + 1) as u32, lpns)
+            }
             _ => {
                 let src = g.u64(0, u64::from(blocks)) as u32;
                 TableOp::Copy {
@@ -263,6 +327,14 @@ fn flat_tables_agree_with_a_per_page_model() {
                 read_rate: 0.3,
                 wear_scale: 4,
             }));
+        }
+        if faults {
+            for (b, &erases) in (0..).zip(&wear) {
+                for _ in 0..erases {
+                    // A failed erase leaves the block erased all the same.
+                    let _ = dev.erase(BlockId(b));
+                }
+            }
         }
         let mut model = Model {
             per_block: per_block as usize,
@@ -317,6 +389,55 @@ fn flat_tables_agree_with_a_per_page_model() {
                             assert_eq!(expected_offset as usize, write_ptr);
                         }
                         Err(e) => panic!("unexpected program error {e}"),
+                    }
+                }
+                TableOp::ProgramRun(b, ref lpns) => {
+                    let before = dev.clone();
+                    let mut dsts = Vec::new();
+                    let run: Vec<Lpn> = lpns.iter().map(|&lpn| Lpn(lpn)).collect();
+                    let result = dev.program_run(BlockId(b), &run, &mut dsts);
+                    if b == blocks {
+                        assert!(matches!(result, Err(NandError::BlockOutOfRange { .. })));
+                        continue;
+                    }
+                    let room = (per_block as usize - model.write_ptr(b)).min(lpns.len());
+                    if lpns[..room].contains(&u64::from(u32::MAX)) {
+                        assert!(matches!(result, Err(NandError::LpnTooLarge { .. })));
+                        assert_eq!(
+                            dev.stats(),
+                            before.stats(),
+                            "a refused run programs nothing"
+                        );
+                        continue;
+                    }
+                    let out = result.expect("a legal run");
+                    let mut looped = before;
+                    let (ppns, failed, took) = program_loop(&mut looped, BlockId(b), lpns);
+                    assert_eq!(dsts, ppns);
+                    assert_eq!(out.programmed, ppns.len());
+                    assert_eq!((out.failed, out.duration), (failed, took));
+                    assert_eq!(dev.stats(), looped.stats());
+                    assert_eq!(fault_probe(&dev), fault_probe(&looped));
+                    // The model follows the loop; `dev` must match it below.
+                    let first = b as usize * per_block as usize + model.write_ptr(b);
+                    for (k, &lpn) in lpns
+                        .iter()
+                        .enumerate()
+                        .take(ppns.len() + usize::from(failed))
+                    {
+                        let state = if k < ppns.len() {
+                            PageState::Valid
+                        } else {
+                            PageState::Invalid
+                        };
+                        model.pages[first + k] = (state, Some(Lpn(lpn)));
+                    }
+                    model.assert_matches(&looped);
+                    let bump = |ends: &Cell<u32>| ends.set(ends.get() + 1);
+                    if failed {
+                        bump(&ends.failed_program);
+                    } else if ppns.len() < lpns.len() {
+                        bump(&ends.full_block);
                     }
                 }
                 TableOp::Read(ppn) => {
@@ -408,6 +529,11 @@ fn flat_tables_agree_with_a_per_page_model() {
             model.assert_matches(&dev);
         }
     });
+    let (full, failed) = (ends.full_block.get(), ends.failed_program.get());
+    assert!(
+        full > 50 && failed > 50,
+        "runs stopped at a full block {full} times, at a failed program {failed} times"
+    );
 }
 
 /// An LPN that does not fit a 32-bit OOB entry is an error, never a

@@ -11,7 +11,7 @@
 //! * [`workload`] — synthetic benchmark workload generators.
 //! * [`core`] — the paper's contribution: predictors, the JIT-GC manager,
 //!   BGC policies, and the full-system simulation engine.
-//! * [`array`] — striped multi-SSD array layer with GC-aware routing.
+//! * [`array`](mod@array) — striped multi-SSD array layer with GC-aware routing.
 //! * [`service`] — multi-tenant queue-pair frontend: per-tenant
 //!   submission/completion queues, weighted fair queueing, and tiered
 //!   backpressure over one engine.

@@ -10,7 +10,9 @@
 //! for a new system at the benchmark's 16x scale. A run long enough to
 //! hand its requests over from a generator thread holds the same, and
 //! leaves nothing of the thread behind. DESIGN.md §8g has the
-//! byte table the bounds below come from.
+//! byte table the bounds below come from. Aging the 16x device peaks at
+//! its 4-byte permutation of the working set plus a few kilobytes above
+//! the built tables (DESIGN.md §8i).
 //!
 //! "Follows from the request stream" means its shape, not its addresses:
 //! the same stream rotated through the working set must leave the same
@@ -30,20 +32,28 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// The system allocator, tallying the bytes currently allocated.
 struct Counting;
 
-/// A statistic only: it publishes no other data, so `Relaxed` suffices.
+/// Statistics only: they publish no other data, so `Relaxed` suffices.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most `LIVE` has been since it was last reset to `LIVE`.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts `size` more live bytes and raises the peak to match.
+fn grow(size: usize) {
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // `GlobalAlloc`'s contract; the tally beside it touches no allocation.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: the caller's obligations are `System::alloc`'s own.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: the caller's obligations are `System::alloc_zeroed`'s own.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -55,7 +65,8 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        // A moving reallocation holds both blocks at once.
+        grow(new_size);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller's obligations are `System::realloc`'s own.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -194,11 +205,27 @@ fn heap_bytes_per_physical_page_stay_bounded() {
         .throttle_permille(scaled.cache.throttle_permille())
         .flusher_period(scaled.cache.flusher_period())
         .build();
-    let (system, before) = build(&scaled, 0, 250.0);
+    let (mut system, before) = build(&scaled, 0, 250.0);
     let built = bytes_per_page(before, &scaled);
     assert!(
         built <= 12.0,
         "a new 16x system holds {built:.1} B per physical page"
+    );
+
+    // The aging fill holds its 4-byte permutation of the working set and
+    // block-sized batches, nothing per page more: an `Lpn` copy of the
+    // permutation (8 B a page) would take it far past the slack.
+    let tables = LIVE.load(Ordering::Relaxed);
+    PEAK.store(tables, Ordering::Relaxed);
+    system.prefill();
+    let over = PEAK.load(Ordering::Relaxed) - tables;
+    let working_set = scaled.standard_working_set().expect("default OP");
+    let bound = 4 * working_set as usize + 64 * 1024;
+    assert!(
+        over <= bound,
+        "the 16x aging fill peaked {over} B above the built tables; the permutation is \
+         {} B",
+        4 * working_set
     );
     drop(system);
 }
