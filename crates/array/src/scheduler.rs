@@ -3,7 +3,7 @@
 use crate::{
     ArrayDegraded, ArrayManager, ArrayReport, GcMode, MemberSched, StripeExtent, StripeMap,
 };
-use jitgc_core::system::{ClosedLoop, RunPerf, SsdSystem};
+use jitgc_core::system::{ClosedLoop, SsdSystem};
 use jitgc_nand::{Lpn, WearReport};
 use jitgc_sim::stats::LatencyRecorder;
 use jitgc_sim::SimTime;
@@ -270,22 +270,6 @@ impl ArrayScheduler {
         }
     }
 
-    /// The array-wide wall-clock facts for the `--bench-json` perf
-    /// record: the members' summed phase profile and fast-forward
-    /// counters under the caller's stopwatch readings (see
-    /// [`SsdSystem::run_perf`]; every member shares one fast-forward
-    /// setting and profiling state).
-    #[must_use]
-    pub fn run_perf(&self, setup_secs: f64, run_secs: f64) -> RunPerf {
-        let first = self.members[0].run_perf(setup_secs, run_secs);
-        RunPerf {
-            profile: first.profile.map(|_| self.phase_profile()),
-            ticks_skipped: self.ticks_skipped(),
-            ff_spans: self.ff_spans(),
-            ..first
-        }
-    }
-
     /// Total flusher ticks elided by the quiescence fast-forward across
     /// all members.
     #[must_use]
@@ -519,7 +503,7 @@ impl std::fmt::Debug for ArrayScheduler {
 
 // The `benchmark/` package still names the retired driver selector, the
 // member-thread knob and their telemetry. They are accepted and ignored
-// here so it builds unchanged; a `[benchmark]` PR (ROADMAP item 7) moves
+// here so it builds unchanged; a `[benchmark]` PR (ROADMAP item 9) moves
 // the package off them and deletes this block.
 
 #[doc(hidden)]

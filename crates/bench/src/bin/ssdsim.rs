@@ -50,17 +50,6 @@
 //!                          off leaves the file's value
 //!   --dump-config <path>   write the effective SystemConfig to JSON and exit
 //!   --json                 emit the full SimReport as JSON
-//!   --bench-json <path>    also write a machine-readable perf record (host
-//!                          pages simulated per wall-clock second, per-phase
-//!                          timing) for tracking simulator throughput; the
-//!                          record schema is `ssdsim-bench/11`, the shared
-//!                          fields (throughput, phases, the quiescence
-//!                          fast-forward counters of DESIGN.md §15) come
-//!                          from the one `RunPerf::record` (array runs
-//!                          add an `array` section with the layout and
-//!                          routing counters, plus per-member entries
-//!                          with their own `phase_*_secs` breakdowns and
-//!                          straggler accounting)
 //!   --array <N>            simulate an N-member striped array instead of a
 //!                          single device (`--array 1` reproduces the
 //!                          single-device reports exactly); workload working
@@ -80,19 +69,16 @@
 //! their key into the `SystemConfig` being run; their defaults above are
 //! `SystemConfig::default_sim`'s, and under `--config` the file's.
 
-use jitgc_array::{ArrayReport, ArrayScheduler, GcMode, Redundancy};
+use jitgc_array::{GcMode, Redundancy};
 use jitgc_bench::{
-    default_threads, expand_cells, run_grid, Cell, Experiment, Load, PolicyKind, Report, Sim,
+    default_threads, expand_cells, run_grid, Cell, Experiment, Load, PolicyKind, Report,
     SizingError,
 };
-use jitgc_core::system::{
-    ClosedLoop, ManagerPlacement, RunPerf, RunTotals, SimReport, SystemConfig, VictimKind,
-};
+use jitgc_core::system::{ClosedLoop, ManagerPlacement, SystemConfig, VictimKind};
 use jitgc_nand::FaultConfig;
-use jitgc_sim::json::{JsonValue, ObjectBuilder};
+use jitgc_sim::json::JsonValue;
 use jitgc_sim::SimDuration;
 use jitgc_workload::{ArrivalError, BenchmarkKind, WorkloadConfig};
-use std::time::Instant;
 
 #[derive(Debug)]
 struct Args {
@@ -108,7 +94,6 @@ struct Args {
     config: Option<String>,
     dump_config: Option<String>,
     json: bool,
-    bench_json: Option<String>,
     array: Option<usize>,
     stripe_kb: u64,
     mirror: bool,
@@ -130,7 +115,6 @@ impl Default for Args {
             config: None,
             dump_config: None,
             json: false,
-            bench_json: None,
             array: None,
             stripe_kb: 64,
             mirror: false,
@@ -330,7 +314,6 @@ fn parse_args() -> (Args, SystemConfig) {
             "--config" => args.config = Some(value()),
             "--dump-config" => args.dump_config = Some(value()),
             "--json" => args.json = true,
-            "--bench-json" => args.bench_json = Some(value()),
             "--array" => args.array = Some(value().parse().unwrap_or_else(|_| usage())),
             "--stripe-kb" => args.stripe_kb = value().parse().unwrap_or_else(|_| usage()),
             "--mirror" => args.mirror = true,
@@ -389,7 +372,7 @@ fn check_writable(path: &str) {
     written(path, probe);
 }
 
-/// A lone record or report prints as an object, several as an array.
+/// A lone report prints as an object, several as an array.
 fn one_or_many(mut values: Vec<JsonValue>) -> JsonValue {
     if values.len() == 1 {
         values.remove(0)
@@ -434,102 +417,6 @@ fn chunk_pages(args: &Args, system: &SystemConfig) -> u64 {
         std::process::exit(2)
     }
     bytes / page_size
-}
-
-/// The `--bench-json` perf record of a single-device run: how fast the
-/// *simulator itself* ran, so successive commits can track the throughput
-/// trajectory. [`RunPerf::record`] writes the shared fields.
-fn perf_record(seed: u64, report: &SimReport, perf: &RunPerf) -> JsonValue {
-    let degraded = report.degraded.as_ref();
-    perf.record(&RunTotals::of(report, seed), |record| {
-        // Schema 4: end-of-life outcome of the run (all-healthy runs
-        // report false / null so dashboards need no special-casing).
-        record
-            .field("read_only", degraded.is_some_and(|d| d.read_only))
-            .field(
-                "lifetime_host_bytes",
-                degraded.and_then(|d| d.lifetime_host_bytes),
-            )
-            .field("retired_blocks", degraded.map_or(0, |d| d.retired_blocks))
-    })
-    .build()
-}
-
-/// The `--bench-json` perf record of an array run: the shared fields of
-/// [`RunPerf::record`] over the array's totals, plus an `array` section
-/// with the layout and routing counters and one `member_perf` entry per
-/// member with its page counts, per-phase wall-clock breakdown, and
-/// straggler accounting.
-fn array_perf_record(
-    seed: u64,
-    report: &ArrayReport,
-    sim: &ArrayScheduler,
-    perf: &RunPerf,
-) -> JsonValue {
-    let sum = |pages: fn(&SimReport) -> u64| report.member_reports.iter().map(pages).sum();
-    let totals = RunTotals {
-        benchmark: &report.workload,
-        policy: &report.policy,
-        victim: Some(&report.member_reports[0].victim_policy),
-        seed,
-        simulated_secs: report.duration_secs,
-        ops: report.ops,
-        host_pages_written: sum(|r| r.host_pages_written),
-        nand_pages_programmed: sum(|r| r.nand_pages_programmed),
-    };
-    let members: Vec<JsonValue> = report
-        .member_reports
-        .iter()
-        .zip(sim.members())
-        .enumerate()
-        .map(|(i, (r, member))| {
-            let sched = &report.member_sched[i];
-            let counts = ObjectBuilder::new()
-                .field("ops", r.ops)
-                .field("host_pages_written", r.host_pages_written)
-                .field("nand_pages_programmed", r.nand_pages_programmed)
-                .field("nand_erases", r.nand_erases);
-            // Schema 5: where this member's simulation time went; schema
-            // 9: its elided ticks.
-            member
-                .phase_profile()
-                .fields(counts)
-                .field("ticks_skipped", member.ticks_skipped())
-                // Schema 6: straggler accounting (simulated-time facts).
-                .field("steps", sched.steps)
-                .field("lag_mean_us", sched.lag_mean_us)
-                .field("lag_p99_us", sched.lag_p99_us)
-                .field("lag_max_us", sched.lag_max_us)
-                .field("straggler_requests", sched.straggler_requests)
-                .field("straggler_fgc_requests", sched.straggler_fgc_requests)
-                .field("straggler_time_us", sched.straggler_time_us)
-                .build()
-        })
-        .collect();
-    let degraded = report.degraded.as_ref();
-    perf.record(&totals, |record| {
-        // Schema 4: volume-level end-of-life outcome.
-        record
-            .field(
-                "degraded_members",
-                degraded.map_or(0, |d| d.degraded_members),
-            )
-            .field("recovered_pages", degraded.map_or(0, |d| d.recovered_pages))
-            .field("lost_pages", degraded.map_or(0, |d| d.lost_pages))
-    })
-    .field(
-        "array",
-        ObjectBuilder::new()
-            .field("members", report.members as u64)
-            .field("chunk_pages", report.chunk_pages)
-            .field("redundancy", report.redundancy.as_str())
-            .field("gc_mode", report.gc_mode.as_str())
-            .field("split_requests", report.split_requests)
-            .field("routed_reads", report.routed_reads)
-            .build(),
-    )
-    .field("member_perf", JsonValue::Array(members))
-    .build()
 }
 
 /// The text report of device cells: the detailed report of one, a
@@ -774,7 +661,7 @@ fn main() {
             sizing_rejected(&args, cell, e)
         }
     }
-    for path in args.bench_json.iter().chain(&args.timeline) {
+    if let Some(path) = &args.timeline {
         check_writable(path);
     }
 
@@ -783,34 +670,7 @@ fn main() {
     // regardless of the thread count. A single cell takes the plain
     // serial path inside `run_grid`.
     let threads = if cells.len() == 1 { 1 } else { args.threads };
-    let profile_phases = args.bench_json.is_some();
-    let (reports, records): (Vec<Report>, Vec<Option<JsonValue>>) =
-        run_grid(&cells, threads, |cell| {
-            let setup_start = Instant::now();
-            let mut sim = cell.build();
-            if profile_phases {
-                sim.enable_phase_profiling();
-            }
-            let setup_secs = setup_start.elapsed().as_secs_f64();
-            let run_start = Instant::now();
-            let report = sim.run();
-            let perf = sim.run_perf(setup_secs, run_start.elapsed().as_secs_f64());
-            // An array's record reads member profiles off the array
-            // itself, so it is built before `sim` drops.
-            let record = profile_phases.then(|| match &sim {
-                Sim::Device(_) => perf_record(args.seed, report.device(), &perf),
-                Sim::Array(array) => array_perf_record(args.seed, report.array(), array, &perf),
-            });
-            (report, record)
-        })
-        .into_iter()
-        .unzip();
-
-    if let Some(path) = &args.bench_json {
-        let records = records.into_iter().flatten().collect();
-        written(path, std::fs::write(path, one_or_many(records).to_pretty()));
-        eprintln!("wrote perf record to {path}");
-    }
+    let reports = run_grid(&cells, threads, Cell::run);
 
     if let Some(path) = &args.timeline {
         let report = reports[0].device();

@@ -23,7 +23,7 @@ pub use jitgc_sim::{default_threads, run_grid};
 
 use jitgc_array::{ArrayConfig, ArrayReport, ArrayScheduler, GcMode, Redundancy};
 pub use jitgc_core::policy::PolicyKind;
-use jitgc_core::system::{RunPerf, SimReport, SsdSystem, SystemConfig};
+use jitgc_core::system::{SimReport, SsdSystem, SystemConfig};
 use jitgc_sim::json::JsonValue;
 use jitgc_sim::SimDuration;
 use jitgc_workload::{ArrivalError, BenchmarkKind, Synthetic, Workload, WorkloadConfig};
@@ -98,7 +98,7 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// As [`Cell::build`].
+    /// As [`Cell::run`].
     #[must_use]
     pub fn run(&self, policy: PolicyKind, benchmark: BenchmarkKind) -> SimReport {
         let cell = Cell {
@@ -106,9 +106,9 @@ impl Experiment {
             policy,
             load: Load::Bench(benchmark),
         };
-        match cell.build() {
-            Sim::Device(mut sim) => sim.run(),
-            Sim::Array(_) => unreachable!("a benchmark load runs on one device"),
+        match cell.run() {
+            Report::Device(report) => report,
+            Report::Array(_) => unreachable!("a benchmark load runs on one device"),
         }
     }
 }
@@ -227,14 +227,22 @@ impl Cell {
         self.exp.workload_config(columns)
     }
 
-    /// Builds the cell, ready to run.
+    /// Builds and runs the cell.
     ///
     /// # Panics
     ///
     /// Panics if the sizing fails or the array breaks
     /// [`ArrayConfig::validate`]; CLIs check both when they parse flags.
     #[must_use]
-    pub fn build(&self) -> Sim {
+    pub fn run(&self) -> Report {
+        match self.build() {
+            Sim::Device(mut sim) => Report::Device(sim.run()),
+            Sim::Array(mut sim) => Report::Array(sim.run()),
+        }
+    }
+
+    /// Builds the cell, ready to run.
+    fn build(&self) -> Sim {
         let config = self.workload_config().unwrap_or_else(|e| panic!("{e}"));
         let workload: Box<dyn Workload> = match self.load {
             Load::Bench(benchmark) => benchmark.build(config),
@@ -256,48 +264,13 @@ impl Cell {
         let policy = self.policy.build(&system);
         Sim::Device(Box::new(SsdSystem::new(system, policy, workload)))
     }
-
-    /// Builds and runs the cell.
-    #[must_use]
-    pub fn run(&self) -> Report {
-        self.build().run()
-    }
 }
 
 /// A built cell: one device, or an array's scheduler over its members
 /// (boxed: the two differ in size by a factor of seven).
-pub enum Sim {
-    /// One device.
+enum Sim {
     Device(Box<SsdSystem>),
-    /// An array.
     Array(Box<ArrayScheduler>),
-}
-
-impl Sim {
-    /// Times each phase of the run, for [`run_perf`](Self::run_perf).
-    pub fn enable_phase_profiling(&mut self) {
-        match self {
-            Sim::Device(sim) => sim.enable_phase_profiling(),
-            Sim::Array(sim) => sim.enable_phase_profiling(),
-        }
-    }
-
-    /// Runs the workload to its end.
-    pub fn run(&mut self) -> Report {
-        match self {
-            Sim::Device(sim) => Report::Device(sim.run()),
-            Sim::Array(sim) => Report::Array(sim.run()),
-        }
-    }
-
-    /// How fast the run went, from its setup and run wall times.
-    #[must_use]
-    pub fn run_perf(&self, setup_secs: f64, run_secs: f64) -> RunPerf {
-        match self {
-            Sim::Device(sim) => sim.run_perf(setup_secs, run_secs),
-            Sim::Array(sim) => sim.run_perf(setup_secs, run_secs),
-        }
-    }
 }
 
 /// What a cell reports: one device's report, or an array's.

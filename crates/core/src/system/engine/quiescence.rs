@@ -2,7 +2,6 @@
 
 use super::SsdSystem;
 use crate::predictor::BufferedDemand;
-use crate::system::RunPerf;
 use jitgc_sim::{ByteSize, SimTime};
 use std::fmt;
 
@@ -300,23 +299,6 @@ impl SsdSystem {
     /// reaches this.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.quiescence.per_tick = !enabled;
-    }
-
-    /// The wall-clock facts of this system's run so far, for the
-    /// `--bench-json` perf record: the caller's stopwatch readings plus
-    /// the engine's own fast-forward setting, counters and — when
-    /// [`enable_phase_profiling`](SsdSystem::enable_phase_profiling) was
-    /// called — phase profile.
-    #[must_use]
-    pub fn run_perf(&self, setup_secs: f64, run_secs: f64) -> RunPerf {
-        RunPerf {
-            setup_secs,
-            run_secs,
-            profile: self.profile_enabled.then(|| self.phase_profile()),
-            fast_forward: !self.quiescence.per_tick,
-            ticks_skipped: self.quiescence.ticks_skipped,
-            ff_spans: self.quiescence.ff_spans,
-        }
     }
 
     /// Ticks skipped by the quiescence fast-forward so far. Zero with

@@ -22,5 +22,5 @@ mod scorer;
 pub use closed_loop::ClosedLoop;
 pub use config::{ManagerPlacement, SystemConfig, VictimKind};
 pub use engine::{FfGate, FfRefusals, GcSignals, SsdSystem};
-pub use profile::{PhaseProfile, RunPerf, RunTotals};
+pub use profile::PhaseProfile;
 pub use report::{DegradeEventRecord, DegradedReport, IntervalSample, SimReport};

@@ -29,11 +29,6 @@
 //!                          `--no-prefill` commute
 //!   --no-prefill           start from an erased device (default: aged)
 //!   --json                 emit the deterministic service report as JSON
-//!   --bench-json <path>    write a machine-readable perf record
-//!                          (`ssdsim-bench/11`: the wall-time and
-//!                          fast-forward fields `ssdsim` writes, through
-//!                          the same `RunPerf::record`, and the full
-//!                          `service` block)
 //!   --listen <addr>        serve the wire protocol on a TCP address
 //!                          instead of running the in-process demo
 //!   --unix <path>          serve on a Unix socket (unix only)
@@ -44,21 +39,17 @@
 //! Every knob is validated up front; a bad value names the offending knob
 //! on stderr and exits 2.
 
-use std::time::Instant;
-
 use jitgc_core::policy::PolicyKind;
-use jitgc_core::system::{RunPerf, RunTotals, SystemConfig};
+use jitgc_core::system::SystemConfig;
 use jitgc_service::{
-    run_closed_loop_counting, serve, Endpoint, Service, ServiceConfig, ServiceReport,
-    TenantProfile, TenantSpec,
+    run_closed_loop, serve, Endpoint, Service, ServiceConfig, ServiceReport, TenantProfile,
+    TenantSpec,
 };
-use jitgc_sim::json::JsonValue;
 use jitgc_sim::SimTime;
 
 struct Args {
     policy: PolicyKind,
     json: bool,
-    bench_json: Option<String>,
     listen: Option<String>,
     unix: Option<String>,
     sessions: Option<usize>,
@@ -71,7 +62,7 @@ fn usage() -> ! {
     eprintln!("               [--dispatch-window N] [--tier-yellow F] [--tier-red F]");
     eprintln!("               [--tier-black F] [--tier-hysteresis F]");
     eprintln!("               [--no-backpressure] [--small] [--no-prefill]");
-    eprintln!("               [--json] [--bench-json PATH]");
+    eprintln!("               [--json]");
     eprintln!("               [--listen ADDR | --unix PATH] [--sessions N]");
     eprintln!("see the module docs (`ssdsimd.rs`) for value sets");
     std::process::exit(2)
@@ -146,7 +137,6 @@ fn parse_args() -> (Args, ServiceConfig) {
     let mut args = Args {
         policy: PolicyKind::Jit,
         json: false,
-        bench_json: None,
         listen: None,
         unix: None,
         sessions: None,
@@ -187,7 +177,6 @@ fn parse_args() -> (Args, ServiceConfig) {
             }
             "--no-prefill" => cfg.system.prefill = false,
             "--json" => args.json = true,
-            "--bench-json" => args.bench_json = Some(value()),
             "--listen" => args.listen = Some(value()),
             "--unix" => args.unix = Some(value()),
             "--sessions" => args.sessions = Some(value().parse().unwrap_or_else(|_| usage())),
@@ -196,27 +185,6 @@ fn parse_args() -> (Args, ServiceConfig) {
         }
     }
     (args, cfg)
-}
-
-/// The `--bench-json` perf record: the shared wall-clock fields of
-/// [`RunPerf::record`] over the device's totals, then the full
-/// deterministic `service` block.
-fn perf_record(seed: u64, report: &ServiceReport, perf: &RunPerf) -> JsonValue {
-    let totals = RunTotals {
-        benchmark: "service",
-        victim: None,
-        simulated_secs: report.duration_us as f64 / 1e6,
-        ..RunTotals::of(&report.device, seed)
-    };
-    perf.record(&totals, |record| record)
-        .field("service", report.to_json())
-        .build()
-}
-
-/// An output path that cannot be written is a bad argument like any
-/// other: one line on stderr and exit 2.
-fn written<T>(path: &str, result: std::io::Result<T>) -> T {
-    result.unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")))
 }
 
 fn fmt_opt(v: Option<u64>) -> String {
@@ -280,19 +248,7 @@ fn main() {
     if args.listen.is_some() && args.unix.is_some() {
         fail("--listen and --unix are mutually exclusive".into());
     }
-    // Checked before the run so a typo costs no simulated minutes; creates
-    // the file if missing, never truncates.
-    if let Some(path) = &args.bench_json {
-        let probe = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path);
-        written(path, probe);
-    }
-    let (fast_forward, seed) = (cfg.fast_forward, cfg.seed);
-
-    let setup_start = Instant::now();
-    let (report, ticks_skipped, ff_spans) = if args.listen.is_some() || args.unix.is_some() {
+    let report = if args.listen.is_some() || args.unix.is_some() {
         let endpoint = if let Some(addr) = &args.listen {
             let listener = std::net::TcpListener::bind(addr)
                 .unwrap_or_else(|e| fail(format!("cannot listen on {addr}: {e}")));
@@ -325,30 +281,10 @@ fn main() {
             let _ = std::fs::remove_file(path);
         }
         let mut service = served.unwrap_or_else(|e| fail(format!("serve failed: {e}")));
-        let report = service.finalize(SimTime::from_secs(seconds));
-        (report, service.ticks_skipped(), service.ff_spans())
+        service.finalize(SimTime::from_secs(seconds))
     } else {
-        run_closed_loop_counting(&cfg, args.policy.build(&cfg.system))
+        run_closed_loop(&cfg, args.policy.build(&cfg.system))
     };
-    let setup_plus_run = setup_start.elapsed().as_secs_f64();
-
-    if let Some(path) = &args.bench_json {
-        // The whole wall time is `run` here; the service builds its
-        // engine inside the run (prefill included in setup would need
-        // instrumentation the report does not carry). It never profiles
-        // phases either.
-        let perf = RunPerf {
-            setup_secs: 0.0,
-            run_secs: setup_plus_run,
-            profile: None,
-            fast_forward,
-            ticks_skipped,
-            ff_spans,
-        };
-        let record = perf_record(seed, &report, &perf);
-        written(path, std::fs::write(path, record.to_pretty()));
-        eprintln!("wrote perf record to {path}");
-    }
     if args.json {
         println!("{}", report.to_json().to_pretty());
     } else {

@@ -102,8 +102,8 @@ pub fn run_closed_loop(cfg: &ServiceConfig, policy: Box<dyn GcPolicy>) -> Servic
 
 /// [`run_closed_loop`], additionally returning the engine's quiescence
 /// fast-forward counters `(report, ticks_skipped, ff_spans)` — wall-clock
-/// telemetry the deterministic report deliberately omits (the bench
-/// harness records them; see `ssdsimd --bench-json`).
+/// telemetry the deterministic report deliberately omits (the
+/// `benchmark/` package's `jitgc-perf` records them).
 ///
 /// # Panics
 ///

@@ -2,7 +2,7 @@
 //!
 //! The simulator must build with no network access, so it cannot rely on
 //! `serde_json` for its machine-readable interfaces (`ssdsim --json`,
-//! `--config`, `--bench-json`, trace files). This module provides the
+//! `--config`, `ssdsimd --json`, trace files). This module provides the
 //! subset of JSON the repository needs: a tree value type, a strict
 //! recursive-descent parser, and compact/pretty printers.
 //!

@@ -10,7 +10,7 @@
 //! `crates/core/tests/fast_forward_certificate.rs`.
 
 use jitgc_array::{ArrayConfig, ArrayReport, GcMode, Redundancy};
-use jitgc_bench::PolicyKind;
+use jitgc_bench::{Experiment, PolicyKind};
 use jitgc_core::system::{FfGate, SsdSystem, SystemConfig};
 use jitgc_nand::FaultConfig;
 use jitgc_service::{run_closed_loop_counting, ServiceConfig, TenantProfile, TenantSpec};
@@ -93,28 +93,61 @@ fn single_device_reports_are_identical_ff_on_and_off_across_workloads() {
     );
 }
 
+/// Asserts that `sim`'s idle gaps each ran only their warm-up through
+/// the per-tick loop, and that every tick that ran was refused by exactly
+/// one gate.
+fn assert_gaps_cost_their_warm_up_only(name: &str, sim: &SsdSystem) {
+    let system = sim.config();
+    let period = system.flusher_period.as_micros();
+    let ticks = sim.virtual_clock().as_micros() / period - 1;
+    let run_one_by_one = ticks - sim.ticks_skipped();
+    let spans = sim.ff_spans();
+    assert!(spans >= 5, "{name}: {spans} spans in a day of gaps");
+    let per_gap = system.nwb() as u64 + 64 + 8;
+    assert!(
+        run_one_by_one <= spans * per_gap,
+        "{name}: {run_one_by_one} of {ticks} ticks ran in {spans} gaps: {}",
+        sim.ff_refusals()
+    );
+    // A settled gap is never refused on the cache's account: the one
+    // such refusal a span can be followed by is the burst ending it.
+    let refused = sim.ff_refusals();
+    assert!(
+        refused.count(FfGate::CacheChanged) <= spans,
+        "{name}: {refused}"
+    );
+    assert_eq!(
+        refused.total(),
+        run_one_by_one,
+        "{name}: every tick that ran was refused by exactly one gate"
+    );
+}
+
 /// The benchmark's `diurnal_idle` shape: 500-request bursts ~10 000 s
 /// apart on an un-aged default device under JIT-GC, one simulated day.
 /// TPC-C's 0.1 % buffered writes and YCSB's 88 % both strand residue
 /// below `τ_flush`; each gap must cost the ~`N_wb` + 64 ticks in which
 /// the residue ages out and the direct predictor saturates, not the
-/// thousands it spans.
+/// thousands it spans. The last row stripes the YCSB day over four
+/// members, sized as `ssdsim --array 4` sizes it (four times the working
+/// set and the rate), and holds every member to the same bound.
 #[test]
 fn diurnal_gaps_cost_their_warm_up_only() {
+    let day = Experiment {
+        system: SystemConfig {
+            prefill: false,
+            ..SystemConfig::default_sim()
+        },
+        duration: SimDuration::from_secs(86_400),
+        mean_iops: 0.05,
+        burst_mean: 500.0,
+        seed: 29,
+    };
     for benchmark in [BenchmarkKind::TpcC, BenchmarkKind::Ycsb] {
-        let mut system = SystemConfig::default_sim();
-        system.prefill = false;
         let run = |fast_forward: bool| {
-            let workload = benchmark.build(
-                WorkloadConfig::builder()
-                    .working_set_pages(system.standard_working_set().unwrap())
-                    .duration(SimDuration::from_secs(86_400))
-                    .mean_iops(0.05)
-                    .burst_mean(500.0)
-                    .seed(29)
-                    .build(),
-            );
-            let mut sim = SsdSystem::new(system.clone(), PolicyKind::Jit.build(&system), workload);
+            let workload = benchmark.build(day.workload_config(1).unwrap());
+            let system = day.system.clone();
+            let mut sim = SsdSystem::new(system, PolicyKind::Jit.build(&day.system), workload);
             sim.set_fast_forward(fast_forward);
             let report = sim.run().to_json().to_pretty();
             (report, sim)
@@ -122,30 +155,28 @@ fn diurnal_gaps_cost_their_warm_up_only() {
         let (on, sim) = run(true);
         let (off, _) = run(false);
         assert_eq!(on, off, "{benchmark:?}: fast-forward changed the report");
+        assert_gaps_cost_their_warm_up_only(&format!("{benchmark:?}"), &sim);
+    }
 
-        let period = system.flusher_period.as_micros();
-        let ticks = sim.virtual_clock().as_micros() / period - 1;
-        let run_one_by_one = ticks - sim.ticks_skipped();
-        let spans = sim.ff_spans();
-        assert!(spans >= 5, "{benchmark:?}: {spans} spans in a day of gaps");
-        let per_gap = system.nwb() as u64 + 64 + 8;
-        assert!(
-            run_one_by_one <= spans * per_gap,
-            "{benchmark:?}: {run_one_by_one} of {ticks} ticks ran in {spans} gaps: {}",
-            sim.ff_refusals()
-        );
-        // A settled gap is never refused on the cache's account: the one
-        // such refusal a span can be followed by is the burst ending it.
-        let refused = sim.ff_refusals();
-        assert!(
-            refused.count(FfGate::CacheChanged) <= spans,
-            "{benchmark:?}: {refused}"
-        );
-        assert_eq!(
-            refused.total(),
-            run_one_by_one,
-            "every tick that ran was refused by exactly one gate"
-        );
+    let array = ArrayConfig {
+        members: 4,
+        chunk_pages: 16,
+        redundancy: Redundancy::None,
+        gc_mode: GcMode::Staggered,
+        system: day.system.clone(),
+    };
+    let run = |fast_forward: bool| {
+        let workload = BenchmarkKind::Ycsb.build(day.workload_config(4).unwrap());
+        let mut sim = array.build(|cfg| PolicyKind::Jit.build(cfg), workload);
+        sim.set_fast_forward(fast_forward);
+        let report = sim.run().to_json().to_pretty();
+        (report, sim)
+    };
+    let (on, sim) = run(true);
+    let (off, _) = run(false);
+    assert_eq!(on, off, "4-member YCSB: fast-forward changed the report");
+    for (i, member) in sim.members().iter().enumerate() {
+        assert_gaps_cost_their_warm_up_only(&format!("4-member YCSB, member {i}"), member);
     }
 }
 
