@@ -22,7 +22,7 @@ fn ssdsim(args: &[&str]) -> String {
 /// Drives a tiny-endurance device through the CLI to read-only mode and
 /// checks the report's degraded section.
 #[test]
-fn endurance_run_reaches_read_only_and_reports_schema_7() {
+fn endurance_run_reaches_read_only_and_reports_the_degraded_section() {
     let stdout = ssdsim(&[
         "--benchmark",
         "ycsb",

@@ -1,4 +1,5 @@
-//! The request prefetcher of [`ClosedLoop::run`](crate::system::ClosedLoop::run).
+//! The request prefetcher of [`ClosedLoop::run`](crate::system::ClosedLoop::run)
+//! and of the service's tenant streams ([`prefetch_streams`]).
 //!
 //! A [`Workload`] stream never depends on the simulation: `next_request`
 //! takes no input, and the closed loop adds each request's `gap` itself.
@@ -12,17 +13,25 @@
 //! in circulation. The caller sees the workload's own order, so no report
 //! depends on which thread generated a request.
 //!
-//! The generator is joined before [`drain`] returns, and a panic on it
-//! resumes on the caller with its own payload, so a run never reports a
-//! truncated stream. A panic in the caller's sink unwinds through the
-//! scope: the channels close first, the generator's next send or receive
-//! fails and it returns, and the scope's join finds it gone. A spawn the
-//! OS refuses leaves the workload with the caller, which pulls the rest
-//! inline.
+//! [`prefetch_streams`] does the same for several workloads at once, all
+//! on one generator thread: each stream has its own [`IN_FLIGHT`]
+//! batches, allocated before the caller's loop starts, and its own
+//! channel back to the caller, while spent batches of every stream share
+//! one channel to the generator, which refills them in the order they
+//! come back. The caller pulls any stream at any time
+//! ([`Streams::next`]), in the stream's own order.
+//!
+//! The generator is joined before [`drain`] (or [`prefetch_streams`])
+//! returns, and a panic on it resumes on the caller with its own payload,
+//! so a run never reports a truncated stream. A panic in the caller's
+//! sink unwinds through the scope: the channels close first, the
+//! generator's next send or receive fails and it returns, and the scope's
+//! join finds it gone. A spawn the OS refuses leaves the workload with
+//! the caller, which pulls the rest inline.
 
 use jitgc_workload::{IoRequest, Workload};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::thread;
+use std::thread::{self, ScopedJoinHandle};
 
 /// Requests pulled on the calling thread before the generator starts.
 /// Starting any thread maps ~0.3 MB more of the process's code and stack
@@ -103,6 +112,189 @@ fn generate(
         batch.extend(std::iter::from_fn(|| workload.next_request()).take(BATCH));
         let last = batch.len() < BATCH;
         if full.send(batch).is_err() || last {
+            return;
+        }
+    }
+}
+
+/// Runs `body` with [`Streams`] over `workloads`: stream `i` yields every
+/// request of `workloads[i]`, in order, generated on one thread for all
+/// of them while `body` runs on the calling thread. Returns what `body`
+/// returns, once the generator has been joined.
+pub fn prefetch_streams<W: Workload, R>(
+    workloads: &mut [W],
+    body: impl FnOnce(&mut Streams<'_, W>) -> R,
+) -> R {
+    prefetch_streams_with(
+        workloads,
+        thread::Builder::new().name("streams".into()),
+        body,
+    )
+}
+
+/// [`prefetch_streams`], with the generator thread built by `generator`.
+fn prefetch_streams_with<W: Workload, R>(
+    workloads: &mut [W],
+    generator: thread::Builder,
+    body: impl FnOnce(&mut Streams<'_, W>) -> R,
+) -> R {
+    let count = workloads.len();
+    let mut body = Some(body);
+    // A reborrow: if no generator runs, the workloads are the caller's again.
+    let lent = &mut *workloads;
+    let threaded = thread::scope(|scope| {
+        let (spent_tx, spent_rx) = sync_channel::<(usize, Vec<IoRequest>)>(count * IN_FLIGHT);
+        let (full_txs, lanes): (Vec<_>, Vec<_>) = (0..count)
+            .map(|stream| {
+                for _ in 0..IN_FLIGHT {
+                    spent_tx
+                        .send((stream, Vec::with_capacity(BATCH)))
+                        .expect("the channel holds every batch");
+                }
+                let (full_tx, full_rx) = sync_channel::<Vec<IoRequest>>(IN_FLIGHT);
+                let lane = Lane {
+                    full: full_rx,
+                    batch: Vec::new(),
+                    next: 0,
+                    last: false,
+                };
+                (full_tx, lane)
+            })
+            .unzip();
+        let generate = move || generate_streams(lent, &full_txs, &spent_rx);
+        let Ok(handle) = generator.spawn_scoped(scope, generate) else {
+            return None;
+        };
+        let mut streams = Streams {
+            source: Source::Threaded {
+                lanes,
+                spent: spent_tx,
+                generator: Some(handle),
+            },
+        };
+        let out = (body.take().expect("the body runs once"))(&mut streams);
+        streams.join();
+        Some(out)
+    });
+    threaded.unwrap_or_else(|| {
+        let mut streams = Streams {
+            source: Source::Inline(workloads),
+        };
+        (body.take().expect("the body runs once"))(&mut streams)
+    })
+}
+
+/// The request streams [`prefetch_streams`] hands its body.
+pub struct Streams<'s, W> {
+    source: Source<'s, W>,
+}
+
+enum Source<'s, W> {
+    /// Generated on the generator thread.
+    Threaded {
+        lanes: Vec<Lane>,
+        /// Spent batches back to the generator, tagged with their stream.
+        spent: SyncSender<(usize, Vec<IoRequest>)>,
+        generator: Option<ScopedJoinHandle<'s, ()>>,
+    },
+    /// The spawn failed: pulled on the calling thread.
+    Inline(&'s mut [W]),
+}
+
+/// One stream's end of the generator's batches.
+struct Lane {
+    full: Receiver<Vec<IoRequest>>,
+    /// The batch being read; empty before the first.
+    batch: Vec<IoRequest>,
+    next: usize,
+    /// `batch` is the stream's short, final one.
+    last: bool,
+}
+
+impl<W: Workload> Streams<'_, W> {
+    /// Stream `stream`'s next request, or `None` once it has ended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is out of range, and with the generator's own
+    /// payload if the generator panicked.
+    pub fn next(&mut self, stream: usize) -> Option<IoRequest> {
+        let (lanes, spent, generator) = match &mut self.source {
+            Source::Inline(workloads) => return workloads[stream].next_request(),
+            Source::Threaded {
+                lanes,
+                spent,
+                generator,
+            } => (lanes, spent, generator),
+        };
+        let lane = &mut lanes[stream];
+        if lane.next == lane.batch.len() {
+            if lane.last {
+                return None;
+            }
+            let batch = std::mem::take(&mut lane.batch);
+            if batch.capacity() > 0 {
+                // Fails once the generator is done; the batch is freed here.
+                let _ = spent.send((stream, batch));
+            }
+            let Ok(batch) = lane.full.recv() else {
+                // The generator hung up before this stream's short batch:
+                // it panicked.
+                let handle = generator.take().expect("the generator is joined once");
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+                unreachable!("the generator returned before stream {stream} ended");
+            };
+            lane.last = batch.len() < BATCH;
+            lane.batch = batch;
+            lane.next = 0;
+        }
+        let req = lane.batch.get(lane.next).copied();
+        lane.next += usize::from(req.is_some());
+        req
+    }
+
+    /// Hangs up on the generator and joins it, resuming its panic.
+    fn join(self) {
+        let Source::Threaded {
+            lanes,
+            spent,
+            generator,
+        } = self.source
+        else {
+            return;
+        };
+        drop((lanes, spent));
+        if let Some(Err(payload)) = generator.map(ScopedJoinHandle::join) {
+            std::panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// The generator thread of [`prefetch_streams`]: refills each spent batch
+/// from its stream's workload, ending each stream with a short (possibly
+/// empty) batch, until the caller hangs up. A spent batch of an ended
+/// stream is kept, not freed, so the batches stay allocated until the
+/// caller is done: the run's peak heap then does not depend on when its
+/// streams end.
+fn generate_streams<W: Workload>(
+    workloads: &mut [W],
+    full: &[SyncSender<Vec<IoRequest>>],
+    spent: &Receiver<(usize, Vec<IoRequest>)>,
+) {
+    let mut ended = vec![false; workloads.len()];
+    let mut kept = Vec::with_capacity(workloads.len() * IN_FLIGHT);
+    while let Ok((stream, mut batch)) = spent.recv() {
+        if ended[stream] {
+            kept.push(batch);
+            continue;
+        }
+        let workload = &mut workloads[stream];
+        batch.clear();
+        batch.extend(std::iter::from_fn(|| workload.next_request()).take(BATCH));
+        ended[stream] = batch.len() < BATCH;
+        if full[stream].send(batch).is_err() {
             return;
         }
     }
@@ -290,5 +482,123 @@ mod tests {
         assert!(got == Numbered::bare(n), "the streams differ");
         assert!(!workload.pulled_elsewhere, "a generator thread ran");
         assert_eq!(workload.pulls, n + 1);
+    }
+
+    /// Pulls every stream to its end in a fixed, uneven interleaving (a
+    /// draw of 1 – 3 requests from each live stream in turn).
+    fn pull_all(streams: &mut Streams<'_, Numbered>, count: usize) -> Vec<Vec<IoRequest>> {
+        let mut got = vec![Vec::new(); count];
+        let mut live: Vec<usize> = (0..count).collect();
+        let mut turn = 0usize;
+        while !live.is_empty() {
+            let at = turn % live.len();
+            let stream = live[at];
+            for _ in 0..1 + turn % 3 {
+                match streams.next(stream) {
+                    Some(req) => got[stream].push(req),
+                    None => {
+                        live.remove(at);
+                        break;
+                    }
+                }
+            }
+            turn += 1;
+        }
+        got
+    }
+
+    /// Each stream is its bare workload, request for request, around
+    /// every edge of a batch, whatever the interleaving of the pulls;
+    /// every workload is pulled once past its end and no more, on the
+    /// generator thread; and the generator is gone once the body returns.
+    #[test]
+    fn every_stream_is_its_bare_workload() {
+        let sizes = [0, 1, B - 1, B, B + 1, 3 * B, 5 * B + 17];
+        let mut workloads: Vec<Numbered> = sizes.iter().map(|&n| Numbered::new(n)).collect();
+        let got = prefetch_streams(&mut workloads, |streams| {
+            let got = pull_all(streams, sizes.len());
+            for stream in 0..sizes.len() {
+                assert_eq!(streams.next(stream), None, "stream {stream} ended");
+            }
+            got
+        });
+        for ((n, workload), got) in sizes.iter().zip(&workloads).zip(got) {
+            assert!(
+                got == Numbered::bare(*n),
+                "{n} requests: the streams differ"
+            );
+            assert_eq!(workload.pulls, n + 1, "{n} requests: pulled past the end");
+            assert!(workload.pulled_elsewhere, "{n} requests: pulled inline");
+            assert_eq!(
+                Arc::strong_count(&workload.held),
+                1,
+                "{n} requests: the generator thread outlived the body"
+            );
+        }
+    }
+
+    /// A generator that panics resumes its panic on the caller, at the
+    /// pull that waits for the batch it never sent.
+    #[test]
+    fn a_stream_generator_panic_resumes_on_the_caller() {
+        let mut workloads = vec![Numbered::new(4 * B), Numbered::new(4 * B)];
+        workloads[1].panic_at = Some(2 * B + 5);
+        let mut seen = 0u64;
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            prefetch_streams(&mut workloads, |streams| {
+                while streams.next(1).is_some() {
+                    seen += 1;
+                }
+            });
+        }))
+        .expect_err("the generator panicked");
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("the generator failed at request 2053"));
+        assert_eq!(seen, 2 * B, "the requests before the failed batch arrived");
+    }
+
+    /// A panic in the body unwinds out of `prefetch_streams`: the closed
+    /// channels stop the generator, so the scope's join returns.
+    #[test]
+    fn a_body_panic_unwinds_without_hanging() {
+        let payload = within_30s(|| {
+            let mut workloads = vec![Numbered::new(10 * B), Numbered::new(10 * B)];
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                prefetch_streams(&mut workloads, |streams| {
+                    for seen in 1u64.. {
+                        streams.next((seen % 2) as usize);
+                        if seen == 3 * B + 5 {
+                            panic!("the service failed at request {seen}");
+                        }
+                    }
+                });
+            }))
+            .expect_err("the body panicked");
+            payload.downcast_ref::<String>().cloned()
+        });
+        assert_eq!(
+            payload.as_deref(),
+            Some("the service failed at request 3077")
+        );
+    }
+
+    /// A spawn the OS refuses leaves the workloads with the caller, which
+    /// pulls every stream itself.
+    #[test]
+    fn a_failed_spawn_pulls_the_streams_inline() {
+        let sizes = [B + 3, 2 * B];
+        let mut workloads: Vec<Numbered> = sizes.iter().map(|&n| Numbered::new(n)).collect();
+        let unspawnable = thread::Builder::new().stack_size(1 << 60);
+        let got = prefetch_streams_with(&mut workloads, unspawnable, |streams| {
+            pull_all(streams, sizes.len())
+        });
+        for ((n, workload), got) in sizes.iter().zip(&workloads).zip(got) {
+            assert!(
+                got == Numbered::bare(*n),
+                "{n} requests: the streams differ"
+            );
+            assert!(!workload.pulled_elsewhere, "a generator thread ran");
+            assert_eq!(workload.pulls, n + 1);
+        }
     }
 }

@@ -21,6 +21,7 @@ mod scorer;
 
 pub use closed_loop::ClosedLoop;
 pub use config::{ManagerPlacement, SystemConfig, VictimKind};
+pub use engine::prefetch::{prefetch_streams, Streams};
 pub use engine::{FfGate, FfRefusals, GcSignals, SsdSystem};
 pub use profile::PhaseProfile;
 pub use report::{DegradeEventRecord, DegradedReport, IntervalSample, SimReport};

@@ -2,7 +2,7 @@
 
 use super::{Ftl, Stream};
 use crate::{BlockInfo, FtlError, SipList};
-use jitgc_nand::{BlockId, Lpn, NandError, Ppn};
+use jitgc_nand::{BlockId, NandError, Ppn};
 use jitgc_sim::{SimDuration, SimTime};
 
 /// Result of one background-GC invocation.
@@ -103,23 +103,35 @@ impl Ftl {
         outcome
     }
 
-    /// The one GC copy primitive: moves valid pages out of `victim` into the
+    /// The one GC copy path: moves valid pages out of `victim` into the
     /// GC write stream until the victim is empty or — with a `budget` —
     /// the next page would not fit (`outcome.duration` plus
     /// `page_migrate_cost` exceeds it), adding completed pages to
     /// `outcome`. `None` is unlimited: foreground GC and wear leveling
     /// empty the victim.
     ///
-    /// The victim's valid pages are snapshotted in offset order — under a
-    /// budget only as many as it can pay for, each costing at least
-    /// `page_migrate_cost` — and handed to
-    /// [`bulk_copy_out`](Self::bulk_copy_out), whose in-copy gate decides
-    /// where a budgeted step really stops (program retries make pages
-    /// dearer than the estimate).
+    /// Each page is read from its source before its destination is
+    /// opened: the victim's first valid page is read here, *before*
+    /// ensuring a GC block, and the rest by
+    /// [`copy_valid_pages`](jitgc_nand::NandDevice::copy_valid_pages),
+    /// one call per destination block, which walks the victim's validity
+    /// words and reports each moved page so its mapping and SIP count
+    /// follow. A call that fills its destination mid-copy reports
+    /// `pending_read`, so the already-read source page is not read again
+    /// (nor its fault drawn again) after the next block is opened. Device
+    /// operations, and so fault draws, happen page by page in the order
+    /// read, program (with retries), invalidate.
+    ///
+    /// With a `budget`, the copy stops before the first page for which
+    /// `outcome.duration + page_migrate_cost > budget` — the gate sits in
+    /// front of every source read, here for a call's first page and
+    /// inside the device for the rest, so a refused page is neither read
+    /// nor charged — and returns `Ok` with the remainder untouched.
     ///
     /// Fails with [`FtlError::NoReclaimableSpace`] when no GC scratch block
     /// could be opened; the page in flight then stays valid in the victim
-    /// and its cost is not charged.
+    /// and what it had already cost is dropped: `outcome` holds the
+    /// completed pages only.
     fn migrate(
         &mut self,
         victim: BlockId,
@@ -133,28 +145,68 @@ impl Ftl {
             "victim must not be an active block"
         );
         let t0 = self.gc_copy_enabled.then(std::time::Instant::now);
-        let affordable = budget.map_or(usize::MAX, |budget| {
-            let pages = budget
-                .saturating_sub(outcome.duration)
-                .div_duration(self.config.timing().page_migrate_cost());
-            usize::try_from(pages).unwrap_or(usize::MAX)
-        });
-        let mut snapshot = std::mem::take(&mut self.gc_snapshot);
-        snapshot.clear();
-        let geometry = self.device.geometry();
-        snapshot.extend(
-            self.device
-                .block(victim)
-                .valid_lpns()
-                .take(affordable)
-                .map(|(offset, lpn)| (geometry.ppn(victim, offset), lpn)),
-        );
-        let result = self.bulk_copy_out(victim, &snapshot, now, budget, outcome);
-        self.gc_snapshot = snapshot;
+        let result = self.copy_out(victim, now, budget, outcome);
         if let Some(t0) = t0 {
             self.gc_copy_wall += t0.elapsed();
         }
         result
+    }
+
+    /// The body of [`migrate`](Self::migrate).
+    fn copy_out(
+        &mut self,
+        victim: BlockId,
+        now: SimTime,
+        budget: Option<SimDuration>,
+        outcome: &mut BgcOutcome,
+    ) -> Result<(), FtlError> {
+        let migrate_cost = self.config.timing().page_migrate_cost();
+        // Cost so far of the page that is read but not yet programmed.
+        let mut in_flight = SimDuration::ZERO;
+        let mut pending_read = false;
+        while self.device.block(victim).valid_pages() > 0 {
+            if !pending_read {
+                if budget.is_some_and(|budget| outcome.duration + migrate_cost > budget) {
+                    break;
+                }
+                let (offset, _) = self
+                    .device
+                    .block(victim)
+                    .valid_lpns()
+                    .next()
+                    .expect("the victim holds a valid page");
+                in_flight = self.gc_source_read(self.device.geometry().ppn(victim, offset))?;
+            }
+            let gc_block = self.ensure_open(Stream::Gc)?;
+            debug_assert!(
+                !self.victim_index.is_tracked(victim),
+                "migrating pages out of a block still tracked as a candidate"
+            );
+            let room = budget.map(|budget| budget.saturating_sub(outcome.duration + in_flight));
+            let (mapping, sip, sip_counts) = (&mut self.mapping, &self.sip, &mut self.sip_counts);
+            let out =
+                self.device
+                    .copy_valid_pages(victim, gc_block, true, room, |lpn, new_ppn| {
+                        mapping.set(lpn, new_ppn);
+                        if sip.contains(lpn) {
+                            sip_counts[victim.0 as usize] =
+                                sip_counts[victim.0 as usize].saturating_sub(1);
+                            sip_counts[gc_block.0 as usize] += 1;
+                        }
+                    })?;
+            self.stats.gc_read_failures += out.read_failures;
+            self.stats.program_retries += out.program_retries;
+            self.stats.gc_pages_migrated += out.copied as u64;
+            in_flight += out.duration;
+            if out.copied > 0 {
+                self.last_write[gc_block.0 as usize] = now;
+                outcome.duration += in_flight - out.pending_cost;
+                in_flight = out.pending_cost;
+            }
+            outcome.pages_migrated += out.copied as u64;
+            pending_read = out.pending_read;
+        }
+        Ok(())
     }
 
     /// Foreground reclamation: collect until the pool rises above the GC
@@ -210,90 +262,6 @@ impl Ftl {
             outcome.duration += took;
         }
         outcome.blocks_erased += 1;
-        Ok(())
-    }
-
-    /// Copies `snapshot` pages out of `victim` into the GC write stream,
-    /// one [`copy_pages_within`](NandDevice::copy_pages_within) call per
-    /// destination block, adding completed pages to `outcome`.
-    ///
-    /// Each page is read from its source before its destination is
-    /// opened: the first read of each chunk is issued *before* ensuring a
-    /// GC block, and a chunk that fills its destination mid-copy reports
-    /// `pending_read`, so the already-read source page is not read again
-    /// (nor its fault drawn again) after the next block is opened. Device
-    /// operations, and so fault draws, happen page by page in the order
-    /// read, program (with retries), invalidate.
-    ///
-    /// With a `budget`, the copy stops before the first page for which
-    /// `outcome.duration + page_migrate_cost > budget` — the gate sits in
-    /// front of every source read, here for a chunk's first page and
-    /// inside the device for the rest, so a refused page is neither read
-    /// nor charged — and returns `Ok` with the remainder untouched. On an
-    /// error (no destination block to be had) `outcome` holds the
-    /// completed pages only: what the page in flight had already cost is
-    /// dropped.
-    fn bulk_copy_out(
-        &mut self,
-        victim: BlockId,
-        snapshot: &[(Ppn, Lpn)],
-        now: SimTime,
-        budget: Option<SimDuration>,
-        outcome: &mut BgcOutcome,
-    ) -> Result<(), FtlError> {
-        let migrate_cost = self.config.timing().page_migrate_cost();
-        let mut idx = 0usize;
-        // Cost so far of the page that is read but not yet programmed.
-        let mut in_flight = SimDuration::ZERO;
-        let mut pending_read = false;
-        while idx < snapshot.len() {
-            if !pending_read {
-                if budget.is_some_and(|budget| outcome.duration + migrate_cost > budget) {
-                    break;
-                }
-                in_flight = self.gc_source_read(snapshot[idx].0)?;
-            }
-            let gc_block = self.ensure_open(Stream::Gc)?;
-            let room = budget.map(|budget| budget.saturating_sub(outcome.duration + in_flight));
-            let mut dsts = std::mem::take(&mut self.dst_scratch);
-            dsts.clear();
-            let copied =
-                self.device
-                    .copy_pages_within(&snapshot[idx..], gc_block, true, &mut dsts, room);
-            let out = match copied {
-                Ok(out) => out,
-                Err(e) => {
-                    self.dst_scratch = dsts;
-                    return Err(e.into());
-                }
-            };
-            debug_assert!(
-                !self.victim_index.is_tracked(victim),
-                "migrating pages out of a block still tracked as a candidate"
-            );
-            for (k, &new_ppn) in dsts.iter().enumerate() {
-                let lpn = snapshot[idx + k].1;
-                self.mapping.set(lpn, new_ppn);
-                if self.sip.contains(lpn) {
-                    self.sip_counts[victim.0 as usize] =
-                        self.sip_counts[victim.0 as usize].saturating_sub(1);
-                    self.sip_counts[gc_block.0 as usize] += 1;
-                }
-            }
-            self.dst_scratch = dsts;
-            self.stats.gc_read_failures += out.read_failures;
-            self.stats.program_retries += out.program_retries;
-            self.stats.gc_pages_migrated += out.copied as u64;
-            in_flight += out.duration;
-            if out.copied > 0 {
-                self.last_write[gc_block.0 as usize] = now;
-                outcome.duration += in_flight - out.pending_cost;
-                in_flight = out.pending_cost;
-            }
-            outcome.pages_migrated += out.copied as u64;
-            idx += out.copied;
-            pending_read = out.pending_read;
-        }
         Ok(())
     }
 

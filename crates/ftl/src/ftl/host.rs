@@ -332,6 +332,7 @@ impl Ftl {
     ) -> Result<BatchReadOutcome, FtlError> {
         lpns.iter().try_for_each(|&lpn| self.check_lpn(lpn))?;
         let mut out = BatchReadOutcome::default();
+        let read_cost = self.config.timing().page_read_cost();
         self.failed_reads.clear();
         for &lpn in lpns {
             match self.mapping.get(lpn) {
@@ -344,7 +345,7 @@ impl Ftl {
                         // Uncorrectable: the attempt still took a full read,
                         // but no data came back. The LPN is recorded so a
                         // redundant layer can re-read it from a mirror.
-                        out.duration += self.config.timing().page_read_cost();
+                        out.duration += read_cost;
                         out.failed += 1;
                         self.stats.host_read_failures += 1;
                         self.failed_reads.push(lpn);

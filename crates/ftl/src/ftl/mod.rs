@@ -72,11 +72,7 @@ pub struct Ftl {
     /// reused across batches (a mirror layer reads these back from the
     /// surviving replica).
     failed_reads: Vec<Lpn>,
-    /// Scratch for the bulk path's victim snapshot, reused across
-    /// collections so the steady state allocates nothing.
-    gc_snapshot: Vec<(Ppn, Lpn)>,
-    /// Scratch for the destination PPNs a bulk copy or a host program run
-    /// reports back.
+    /// Scratch for the destination PPNs a host program run reports back.
     dst_scratch: Vec<Ppn>,
     /// Opt-in wall-clock accounting of GC copy work (surfaced as the
     /// engine's `gc_copy` profile phase); measurement only, never feeds
@@ -116,7 +112,6 @@ impl Ftl {
             retired_pages: 0,
             degrade_events: Vec::new(),
             failed_reads: Vec::new(),
-            gc_snapshot: Vec::new(),
             dst_scratch: Vec::new(),
             gc_copy_enabled: false,
             gc_copy_wall: std::time::Duration::ZERO,

@@ -145,6 +145,88 @@ impl PageTables {
         was_valid
     }
 
+    /// Moves the valid pages of block `src` that `select` keeps (every one
+    /// for `None`, else one mask per validity word) to the next pages of
+    /// block `dst`, lowest offset first, walking `src`'s validity words
+    /// once. The two blocks must differ.
+    ///
+    /// Before each page, `page(room)` hears how many pages `dst` has
+    /// left and decides the page's fate: `None` stops the copy in front
+    /// of it, changing nothing; `Some(failed)` (at most `room`) says that
+    /// many programs failed before one succeeded, each consuming a
+    /// destination page under the page's OOB entry — unless `failed` is
+    /// `room`: then the page used up the destination without landing,
+    /// stays valid in `src`, and the copy stops with [`Moved::pending`].
+    /// `placed(entry, offset)` hears of each page that landed.
+    ///
+    /// OOB entries move page by page; validity bits are cleared in `src`
+    /// and set in `dst` a word at a time, and both headers are updated
+    /// once.
+    pub(crate) fn copy_valid(
+        &mut self,
+        src: u32,
+        select: Option<&[u64]>,
+        dst: u32,
+        mut page: impl FnMut(u32) -> Option<u32>,
+        mut placed: impl FnMut(u32, u32),
+    ) -> Moved {
+        debug_assert_ne!(src, dst, "a block is copied into another one");
+        let per_block = self.pages_per_block as usize;
+        let words = self.words_per_block as usize;
+        let (src_oob, dst_oob) = (src as usize * per_block, dst as usize * per_block);
+        let (src_bits, dst_bits) = (src as usize * words, dst as usize * words);
+        let mut write_ptr = self.headers[dst as usize].write_ptr;
+        let mut out = Moved::default();
+        let mut stopped = false;
+        // The destination word being filled, and its bits set so far.
+        let (mut dst_word, mut dst_set) = (write_ptr / 64, 0u64);
+        for w in 0..words {
+            let mut bits = self.valid_bits[src_bits + w] & select.map_or(u64::MAX, |s| s[w]);
+            let mut cleared = 0u64;
+            while bits != 0 {
+                let offset = w * 64 + bits.trailing_zeros() as usize;
+                let room = self.pages_per_block - write_ptr;
+                let Some(failed) = page(room) else {
+                    stopped = true;
+                    break;
+                };
+                debug_assert!(failed <= room, "{failed} failed programs in {room} pages");
+                let entry = self.oob[src_oob + offset];
+                let at = dst_oob + write_ptr as usize;
+                self.oob[at..at + failed as usize].fill(entry);
+                write_ptr += failed;
+                out.consumed += failed;
+                if failed == room {
+                    (out.pending, stopped) = (true, true);
+                    break;
+                }
+                self.oob[at + failed as usize] = entry;
+                if write_ptr / 64 != dst_word {
+                    self.valid_bits[dst_bits + dst_word as usize] |= dst_set;
+                    (dst_word, dst_set) = (write_ptr / 64, 0);
+                }
+                dst_set |= 1 << (write_ptr % 64);
+                placed(entry, write_ptr);
+                write_ptr += 1;
+                cleared |= bits & bits.wrapping_neg();
+                bits &= bits - 1;
+                out.moved += 1;
+            }
+            self.valid_bits[src_bits + w] &= !cleared;
+            if stopped {
+                break;
+            }
+        }
+        if dst_set != 0 {
+            self.valid_bits[dst_bits + dst_word as usize] |= dst_set;
+        }
+        self.headers[src as usize].valid -= out.moved;
+        let header = &mut self.headers[dst as usize];
+        header.write_ptr = write_ptr;
+        header.valid += out.moved;
+        out
+    }
+
     /// Erases `block`: every page becomes free, the write pointer resets
     /// and the erase counter increments. The OOB entries are left as they
     /// were — the write pointer already says they describe nothing.
@@ -156,6 +238,17 @@ impl PageTables {
         header.valid = 0;
         header.erase_count += 1;
     }
+}
+
+/// What one [`PageTables::copy_valid`] did.
+#[derive(Debug, Default)]
+pub(crate) struct Moved {
+    /// Pages that landed in the destination (and left the source).
+    pub(crate) moved: u32,
+    /// Destination pages consumed by failed programs.
+    pub(crate) consumed: u32,
+    /// It stopped on a page that used up the destination without landing.
+    pub(crate) pending: bool,
 }
 
 /// A read-only view of one erase block: page states, OOB metadata, the

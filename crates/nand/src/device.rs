@@ -7,8 +7,9 @@ use crate::{
 };
 use jitgc_sim::SimDuration;
 
-/// Result of one [`NandDevice::copy_pages`] call: how far the batched
-/// copy got and what it cost.
+/// Result of one [`NandDevice::copy_valid_pages`] or
+/// [`NandDevice::copy_pages`] call: how far the copy got and what it
+/// cost.
 ///
 /// The call is op-for-op equivalent to the per-page
 /// read → program (with retries) → invalidate sequence GC used to issue,
@@ -333,8 +334,8 @@ impl NandDevice {
         Ok(out)
     }
 
-    /// The one page program behind [`program`](Self::program),
-    /// [`program_run`](Self::program_run) and the copy: draws the fault a
+    /// The one page program behind [`program`](Self::program) and
+    /// [`program_run`](Self::program_run): draws the fault a
     /// program on a block erased `worn` times draws, writes `entry` to
     /// `block`'s next page and keeps the tallies and counters — all but
     /// `program_time`, which each caller charges. `Ok(offset)` for a valid
@@ -396,11 +397,6 @@ impl NandDevice {
     /// [`NandError::InvalidateNonValidPage`] unless the page is valid.
     pub fn invalidate(&mut self, ppn: Ppn) -> Result<(), NandError> {
         let at = self.locate(ppn)?;
-        self.invalidate_at(at, ppn)
-    }
-
-    /// [`invalidate`](Self::invalidate) of an address already split.
-    fn invalidate_at(&mut self, at: PageAt, ppn: Ppn) -> Result<(), NandError> {
         if !self.tables.invalidate(at.block, at.offset) {
             return Err(NandError::InvalidateNonValidPage { ppn });
         }
@@ -410,39 +406,82 @@ impl NandDevice {
         Ok(())
     }
 
-    /// Relocates a batch of valid pages into the destination block — the
-    /// vectorized form of GC's per-page read → program → invalidate loop.
+    /// Relocates `victim`'s valid pages, lowest offset first, into the
+    /// next pages of `dst` — GC's per-page read → program (with retries)
+    /// → invalidate loop, done by walking the victim's validity words
+    /// once. Each page keeps the LPN its OOB entry records, and
+    /// `moved(lpn, new_ppn)` hears of every page relocated, in order.
     ///
-    /// For each `(source, lpn)` pair, in slice order: read the source
-    /// (fault draw against the source block's wear; uncorrectable data is
-    /// salvaged, not dropped), program the destination's next sequential
-    /// page (retrying past pages consumed by injected program failures),
-    /// then invalidate the source. Fault draws therefore happen in
-    /// exactly the per-operation order of the equivalent loop, so a
-    /// seeded [`FaultModel`] produces the identical failure timeline
-    /// either way. The batching amortizes per-call dispatch: destination
-    /// bounds and wear are checked once, and the caller gets one outcome
-    /// instead of three results per page.
+    /// Without a fault model every page costs one read and one program,
+    /// so the copy moves OOB entries, clears and sets validity bits a
+    /// word at a time and charges tallies and counters once per call.
+    /// With one, each page draws its read fault against the victim's wear
+    /// (uncorrectable data is salvaged, not dropped), then one program
+    /// fault per attempt against `dst`'s, in exactly the order of the
+    /// per-page loop, so a seeded [`FaultModel`] produces the same failure
+    /// timeline. A failed program consumes its destination page
+    /// (programmed and immediately invalid) and the page is retried on
+    /// the next one.
     ///
-    /// The new location of every copied page is appended to `dst_ppns`
-    /// (index-aligned with the leading `copied` entries of `srcs`). When
-    /// `first_read_done` is set, the first source page's read has already
-    /// been performed (and its fault drawn) by the caller and is skipped
-    /// here — GC reads a victim page *before* securing a destination for
-    /// it, and resumed calls after a destination change must not re-read.
+    /// When `first_read_done` is set, the caller has already read the
+    /// victim's first valid page (and drawn its fault) — GC reads a page
+    /// *before* it secures a destination for it — so that read is not
+    /// repeated. The copy stops early:
     ///
-    /// The call stops early, with [`CopyOutcome::pending_read`] set, when
-    /// the destination fills up; the caller allocates a fresh destination
-    /// and resumes from `srcs[copied..]`.
+    /// * with [`CopyOutcome::pending_read`] set when `dst` fills up after
+    ///   the next page was read; the caller opens a fresh destination and
+    ///   calls again with `first_read_done`;
+    /// * with `room = Some(r)`, *before* the read of the first page for
+    ///   which `duration + page_migrate_cost > r` — the gate budgeted
+    ///   background GC applies before every page. A page the caller read
+    ///   is past its gate and always completes, and a page that is started
+    ///   is finished (retries included) even when that overruns `r`, so
+    ///   preemption stays page-exact. A budget stop reads nothing, draws
+    ///   no fault, touches no counter and leaves `pending_read` clear: the
+    ///   caller tells it from completion by the pages the victim still
+    ///   holds. `room = None` is unlimited.
+    ///
+    /// # Errors
+    ///
+    /// [`NandError::BlockOutOfRange`] for a bad block; nothing is copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `victim` is `dst`.
+    pub fn copy_valid_pages(
+        &mut self,
+        victim: BlockId,
+        dst: BlockId,
+        first_read_done: bool,
+        room: Option<SimDuration>,
+        mut moved: impl FnMut(Lpn, Ppn),
+    ) -> Result<CopyOutcome, NandError> {
+        self.check_block(victim)?;
+        self.check_block(dst)?;
+        assert_ne!(victim, dst, "a block is copied into another one");
+        Ok(self.copy_from(victim.0, None, dst.0, first_read_done, room, &mut moved))
+    }
+
+    /// Relocates the pages `srcs` names, in slice order, into `dst`:
+    /// [`copy_valid_pages`](Self::copy_valid_pages) for a list of pages
+    /// instead of a whole victim, without a budget. Each entry names a
+    /// valid page outside `dst` and the LPN its OOB entry records (the
+    /// page keeps it, as `copy_valid_pages` keeps it); each run of entries
+    /// in one block at rising offsets is one word-walking copy. The new
+    /// location of every copied page is appended to `dst_ppns`
+    /// (index-aligned with the leading `copied` entries of `srcs`), and a
+    /// destination that fills stops the copy with
+    /// [`CopyOutcome::pending_read`] as there; the caller resumes from
+    /// `srcs[copied..]` with `first_read_done`.
     ///
     /// # Errors
     ///
     /// [`NandError::BlockOutOfRange`] / [`NandError::PpnOutOfRange`] for
     /// bad addresses, [`NandError::LpnTooLarge`] for an LPN an OOB entry
-    /// cannot record, [`NandError::ReadUnwrittenPage`] when a source page
-    /// holds no data, or [`NandError::InvalidateNonValidPage`] when a
-    /// source page is not valid — all indicate caller bugs, as in the
-    /// per-page loop.
+    /// cannot record, or [`NandError::InvalidateNonValidPage`] when a
+    /// source page is not valid or lies in `dst` — caller bugs all, found
+    /// before the run that holds the page is copied (earlier runs stay
+    /// copied).
     pub fn copy_pages(
         &mut self,
         srcs: &[(Ppn, Lpn)],
@@ -450,98 +489,135 @@ impl NandDevice {
         first_read_done: bool,
         dst_ppns: &mut Vec<Ppn>,
     ) -> Result<CopyOutcome, NandError> {
-        self.copy_pages_within(srcs, dst, first_read_done, dst_ppns, None)
-    }
-
-    /// [`copy_pages`](Self::copy_pages) under a time budget: with
-    /// `room = Some(r)`, the copy stops *before* the source read of the
-    /// first page for which `duration + page_migrate_cost > r` — the gate
-    /// budgeted background GC applies before every page, evaluated where
-    /// the pages move. A page whose read the caller already performed
-    /// (`first_read_done`) is past its gate and always completes. A page
-    /// that is started is finished (program retries included) even when
-    /// that overruns `r`, exactly as the per-page loop behaves, so
-    /// preemption stays page-exact.
-    ///
-    /// A budget stop performs no read, draws no fault and touches no
-    /// counter for the page it refuses, and never sets
-    /// [`CopyOutcome::pending_read`]: the caller tells it from completion
-    /// by `copied < srcs.len()`. `room = None` is unlimited.
-    ///
-    /// # Errors
-    ///
-    /// As [`copy_pages`](Self::copy_pages).
-    pub fn copy_pages_within(
-        &mut self,
-        srcs: &[(Ppn, Lpn)],
-        dst: BlockId,
-        first_read_done: bool,
-        dst_ppns: &mut Vec<Ppn>,
-        room: Option<SimDuration>,
-    ) -> Result<CopyOutcome, NandError> {
         self.check_block(dst)?;
+        let mut select = vec![0; self.geometry.pages_per_block().div_ceil(64) as usize];
         let mut out = CopyOutcome::default();
-        let migrate_cost = self.timing.page_migrate_cost();
-        let read_cost = self.timing.page_read_cost();
-        let program_cost = self.timing.page_program_cost();
-        let per_block = self.geometry.pages_per_block();
-        let dst_first_page = u64::from(dst.0) * u64::from(per_block);
-        // No erase can happen mid-copy, so both wear inputs to the fault
-        // probabilities are constants fetched once per call.
-        let dst_worn = self.tables.block(dst.0).erase_count();
-
-        for (idx, &(src, lpn)) in srcs.iter().enumerate() {
-            let page_start = out.duration;
-            let caller_read_it = idx == 0 && first_read_done;
-            if !caller_read_it && room.is_some_and(|room| out.duration + migrate_cost > room) {
-                return Ok(out);
+        let mut first_read_done = first_read_done;
+        let mut rest = srcs;
+        while !rest.is_empty() {
+            select.fill(0);
+            let mut last: Option<PageAt> = None;
+            let mut len = 0;
+            for &(src, lpn) in rest {
+                let at = self.locate(src)?;
+                if last.is_some_and(|last| last.block != at.block || last.offset >= at.offset) {
+                    break;
+                }
+                Self::oob_entry(lpn)?;
+                let block = self.tables.block(at.block);
+                if at.block == dst.0 || block.page_state(at.offset) != PageState::Valid {
+                    return Err(NandError::InvalidateNonValidPage { ppn: src });
+                }
+                debug_assert_eq!(block.page_lpn(at.offset), Some(lpn), "{src}'s owner");
+                select[(at.offset / 64) as usize] |= 1 << (at.offset % 64);
+                last = Some(at);
+                len += 1;
             }
-            let src_at = self.locate(src)?;
-            let entry = Self::oob_entry(lpn)?;
-            // Source read. The caller may have read the first page itself
-            // (GC reads before it knows whether a destination exists).
-            if !caller_read_it {
-                let block = self.tables.block(src_at.block);
-                if src_at.offset >= block.write_ptr() {
-                    return Err(NandError::ReadUnwrittenPage { ppn: src });
-                }
-                let src_worn = block.erase_count();
-                let uncorrectable = self.fault.as_mut().is_some_and(|f| f.read_fails(src_worn));
-                if uncorrectable {
-                    self.stats.read_failures += 1;
-                    out.read_failures += 1;
-                } else {
-                    self.stats.reads += 1;
-                }
-                self.stats.read_time += read_cost;
-                out.duration += read_cost;
+            let block = last.expect("a run holds its first page").block;
+            let part = self.copy_from(
+                block,
+                Some(&select),
+                dst.0,
+                first_read_done,
+                None,
+                &mut |_, ppn| dst_ppns.push(ppn),
+            );
+            out.duration += part.duration;
+            out.copied += part.copied;
+            out.read_failures += part.read_failures;
+            out.program_retries += part.program_retries;
+            if part.pending_read {
+                out.pending_read = true;
+                out.pending_cost = part.pending_cost;
+                break;
             }
-
-            // Program into the destination, retrying past consumed pages.
-            let new_ppn = loop {
-                if self.tables.block(dst.0).is_full() {
-                    // Destination full with this page's read already done:
-                    // hand back to the caller for a fresh destination.
-                    out.pending_read = true;
-                    out.pending_cost = out.duration - page_start;
-                    return Ok(out);
-                }
-                self.stats.program_time += program_cost;
-                out.duration += program_cost;
-                match self.program_page(dst.0, dst_worn, entry) {
-                    Ok(offset) => break Ppn(dst_first_page + u64::from(offset)),
-                    // A failed program consumes the page — programmed and
-                    // immediately invalid — so the retry makes progress.
-                    Err(_) => out.program_retries += 1,
-                }
-            };
-
-            // Retire the source copy.
-            self.invalidate_at(src_at, src)?;
-            dst_ppns.push(new_ppn);
-            out.copied += 1;
+            first_read_done = false;
+            rest = &rest[len..];
         }
         Ok(out)
+    }
+
+    /// The one GC copy behind [`copy_valid_pages`](Self::copy_valid_pages)
+    /// and [`copy_pages`](Self::copy_pages): the word walk of
+    /// [`PageTables::copy_valid`] over `victim`'s pages in `select`, with
+    /// each page's budget gate, fault draws and time decided here and the
+    /// counters and tallies charged once at the end.
+    fn copy_from(
+        &mut self,
+        victim: u32,
+        select: Option<&[u64]>,
+        dst: u32,
+        first_read_done: bool,
+        room: Option<SimDuration>,
+        moved: &mut impl FnMut(Lpn, Ppn),
+    ) -> CopyOutcome {
+        let read_cost = self.timing.page_read_cost();
+        let program_cost = self.timing.page_program_cost();
+        let migrate_cost = read_cost + program_cost;
+        // No erase can happen mid-copy, so both wear inputs to the fault
+        // probabilities are constants fetched once per call.
+        let src_worn = self.tables.block(victim).erase_count();
+        let dst_worn = self.tables.block(dst).erase_count();
+        let dst_first_page = u64::from(dst) * u64::from(self.geometry.pages_per_block());
+        let fault = &mut self.fault;
+        let mut out = CopyOutcome::default();
+        let (mut reads, mut attempts) = (0u64, 0u64);
+        let mut page_start = SimDuration::ZERO;
+        let mut caller_read = first_read_done;
+        let run = self.tables.copy_valid(
+            victim,
+            select,
+            dst,
+            |room_left| {
+                page_start = out.duration;
+                if !std::mem::take(&mut caller_read) {
+                    if room.is_some_and(|room| out.duration + migrate_cost > room) {
+                        return None;
+                    }
+                    if fault.as_mut().is_some_and(|f| f.read_fails(src_worn)) {
+                        out.read_failures += 1;
+                    } else {
+                        reads += 1;
+                    }
+                    out.duration += read_cost;
+                }
+                let mut failed = 0;
+                while failed < room_left {
+                    attempts += 1;
+                    out.duration += program_cost;
+                    if !fault.as_mut().is_some_and(|f| f.program_fails(dst_worn)) {
+                        break;
+                    }
+                    failed += 1;
+                }
+                Some(failed)
+            },
+            |entry, offset| {
+                moved(
+                    Lpn(u64::from(entry)),
+                    Ppn(dst_first_page + u64::from(offset)),
+                );
+            },
+        );
+        let (landed, consumed) = (u64::from(run.moved), u64::from(run.consumed));
+        out.copied = run.moved as usize;
+        out.program_retries = consumed;
+        if run.pending {
+            out.pending_read = true;
+            out.pending_cost = out.duration - page_start;
+        }
+        self.stats.reads += reads;
+        self.stats.read_failures += out.read_failures;
+        self.stats.read_time += read_cost * (reads + out.read_failures);
+        self.stats.programs += landed;
+        self.stats.program_failures += consumed;
+        self.stats.program_time += program_cost * attempts;
+        self.stats.invalidations += landed;
+        // Each landed page leaves an invalid copy behind; each failed
+        // program leaves an invalid page in `dst`.
+        self.invalid_total += landed + consumed;
+        self.free_total -= landed + consumed;
+        out
     }
 
     /// State of the page at `ppn`.
@@ -967,7 +1043,7 @@ mod tests {
     }
 
     #[test]
-    fn copy_pages_within_unlimited_is_copy_pages() {
+    fn copy_valid_pages_unlimited_is_copy_pages() {
         // Nearly full destination, so the comparison covers a pending read.
         let build = || {
             let mut dev = copy_fixture();
@@ -983,7 +1059,9 @@ mod tests {
             .copy_pages(&srcs, BlockId(1), false, &mut plain_dsts)
             .expect("copy");
         let out = within
-            .copy_pages_within(&srcs, BlockId(1), false, &mut within_dsts, None)
+            .copy_valid_pages(BlockId(0), BlockId(1), false, None, |_, ppn| {
+                within_dsts.push(ppn);
+            })
             .expect("copy");
         assert_eq!(out, expected);
         assert!(out.pending_read);
@@ -993,7 +1071,7 @@ mod tests {
     }
 
     #[test]
-    fn copy_pages_within_stops_before_the_read_it_cannot_afford() {
+    fn copy_valid_pages_stops_before_the_read_it_cannot_afford() {
         let migrate = NandTiming::mlc_20nm().page_migrate_cost();
         let one_us = SimDuration::from_micros(1);
         // Rooms on either side of page-count boundaries of the 5-page victim.
@@ -1009,7 +1087,9 @@ mod tests {
             let srcs = victim_srcs(&dev, BlockId(0));
             let mut dsts = Vec::new();
             let out = dev
-                .copy_pages_within(&srcs, BlockId(1), false, &mut dsts, Some(room))
+                .copy_valid_pages(BlockId(0), BlockId(1), false, Some(room), |_, ppn| {
+                    dsts.push(ppn);
+                })
                 .expect("copy");
             assert_eq!(out.copied, pages, "room {room}");
             assert_eq!(out.duration, migrate * pages as u64, "room {room}");
@@ -1027,14 +1107,21 @@ mod tests {
     }
 
     #[test]
-    fn copy_pages_within_gate_skips_a_page_the_caller_already_read() {
+    fn copy_valid_pages_gate_skips_a_page_the_caller_already_read() {
         // `first_read_done`: the caller gated and read page 0 itself, so a
         // zero room still completes it and stops before page 1.
         let mut dev = copy_fixture();
-        let srcs = victim_srcs(&dev, BlockId(0));
         let mut dsts = Vec::new();
         let out = dev
-            .copy_pages_within(&srcs, BlockId(1), true, &mut dsts, Some(SimDuration::ZERO))
+            .copy_valid_pages(
+                BlockId(0),
+                BlockId(1),
+                true,
+                Some(SimDuration::ZERO),
+                |_, ppn| {
+                    dsts.push(ppn);
+                },
+            )
             .expect("copy");
         assert_eq!(out.copied, 1);
         assert_eq!(out.duration, dev.timing().page_program_cost());
@@ -1062,7 +1149,15 @@ mod tests {
             .expect("copy");
         dsts.clear();
         let out = stopped
-            .copy_pages_within(&srcs, BlockId(1), false, &mut dsts, Some(three.duration))
+            .copy_valid_pages(
+                BlockId(0),
+                BlockId(1),
+                false,
+                Some(three.duration),
+                |_, ppn| {
+                    dsts.push(ppn);
+                },
+            )
             .expect("copy");
         assert_eq!(out, three);
         assert_same_device_state(&stopped, &exact);

@@ -38,6 +38,11 @@ pub struct NandTiming {
     erase: SimDuration,
     transfer_per_page: SimDuration,
     parallelism: u32,
+    /// The amortized costs, divided out once here: the host and GC loops
+    /// ask for them per page.
+    read_cost: SimDuration,
+    program_cost: SimDuration,
+    erase_cost: SimDuration,
 }
 
 impl NandTiming {
@@ -67,6 +72,9 @@ impl NandTiming {
             erase,
             transfer_per_page,
             parallelism,
+            read_cost: Self::amortize(Self::plus(read, transfer_per_page), parallelism),
+            program_cost: Self::amortize(Self::plus(program, transfer_per_page), parallelism),
+            erase_cost: Self::amortize(erase, parallelism),
         }
     }
 
@@ -113,19 +121,19 @@ impl NandTiming {
     /// At least 1 µs so time always advances.
     #[must_use]
     pub fn page_read_cost(&self) -> SimDuration {
-        Self::amortize(self.read + self.transfer_per_page, self.parallelism)
+        self.read_cost
     }
 
     /// Effective cost of programming one page, amortized over striping.
     #[must_use]
     pub fn page_program_cost(&self) -> SimDuration {
-        Self::amortize(self.program + self.transfer_per_page, self.parallelism)
+        self.program_cost
     }
 
     /// Effective cost of erasing one block, amortized over striping.
     #[must_use]
     pub fn block_erase_cost(&self) -> SimDuration {
-        Self::amortize(self.erase, self.parallelism)
+        self.erase_cost
     }
 
     /// Effective cost of migrating one valid page during GC
@@ -141,6 +149,12 @@ impl NandTiming {
     #[must_use]
     pub fn program_bandwidth(&self, page_size: ByteSize) -> f64 {
         page_size.as_u64() as f64 / self.page_program_cost().as_secs_f64()
+    }
+
+    /// `a + b`, saturating: `new` runs before [`check`](Self::check)
+    /// refuses a time past one second, so it must not overflow on one.
+    fn plus(a: SimDuration, b: SimDuration) -> SimDuration {
+        SimDuration::from_micros(a.as_micros().saturating_add(b.as_micros()))
     }
 
     fn amortize(raw: SimDuration, parallelism: u32) -> SimDuration {

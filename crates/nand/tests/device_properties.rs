@@ -1,8 +1,8 @@
 //! Property tests of the NAND device state machine.
 
 use jitgc_nand::{
-    BlockId, FaultConfig, FaultModel, Geometry, Lpn, NandDevice, NandError, NandTiming, PageState,
-    Ppn,
+    BlockId, CopyOutcome, FaultConfig, FaultModel, Geometry, Lpn, NandDevice, NandError,
+    NandTiming, PageState, Ppn,
 };
 use jitgc_sim::check::{check, Gen};
 use jitgc_sim::SimDuration;
@@ -207,12 +207,11 @@ enum TableOp {
     /// `program_run` of these LPNs into a block (one past the device
     /// sometimes; an LPN no OOB entry can hold sometimes).
     ProgramRun(u32, Vec<u64>),
-    /// `copy_pages_within` of up to `take` valid pages of `src` into
-    /// `dst`, with room for `room_pages` migrations (`None` = unlimited).
+    /// `copy_valid_pages` of `src`'s valid pages into `dst`, with room
+    /// for `room_pages` migrations (`None` = unlimited).
     Copy {
         src: u32,
         dst: u32,
-        take: usize,
         room_pages: Option<u64>,
     },
 }
@@ -308,7 +307,6 @@ fn flat_tables_agree_with_a_per_page_model() {
                 TableOp::Copy {
                     src,
                     dst: (src + 1 + g.u64(0, u64::from(blocks) - 1) as u32) % blocks,
-                    take: g.usize(1, per_block as usize + 1),
                     room_pages: (g.u64(0, 3) == 0).then(|| g.u64(0, 12)),
                 }
             }
@@ -479,22 +477,27 @@ fn flat_tables_agree_with_a_per_page_model() {
                 TableOp::Copy {
                     src,
                     dst,
-                    take,
                     room_pages,
                 } => {
                     let srcs: Vec<(Ppn, Lpn)> = model
                         .valid_lpns(src)
                         .into_iter()
-                        .take(take)
                         .map(|(offset, lpn)| (geometry.ppn(BlockId(src), offset), lpn))
                         .collect();
                     let migrate = dev.timing().page_migrate_cost();
                     let room: Option<SimDuration> = room_pages.map(|pages| migrate * pages);
-                    let mut dsts = Vec::new();
+                    let mut moved = Vec::new();
                     let out = dev
-                        .copy_pages_within(&srcs, BlockId(dst), false, &mut dsts, room)
-                        .expect("valid sources, destination in range");
-                    assert_eq!(out.copied, dsts.len());
+                        .copy_valid_pages(BlockId(src), BlockId(dst), false, room, |lpn, ppn| {
+                            moved.push((lpn, ppn));
+                        })
+                        .expect("both blocks in range");
+                    assert_eq!(out.copied, moved.len());
+                    let dsts: Vec<Ppn> = moved.iter().map(|&(_, ppn)| ppn).collect();
+                    assert!(
+                        moved.iter().zip(&srcs).all(|(m, s)| m.0 == s.1),
+                        "pages move in offset order under their own LPNs"
+                    );
                     // Destination pages fill in order: the ones a failed
                     // program consumed carry the LPN it was writing.
                     let dst_first = dst as usize * per_block as usize;
@@ -548,7 +551,7 @@ fn oversized_lpns_are_refused_not_wrapped() {
         );
         let mut dsts = Vec::new();
         assert_eq!(
-            dev.copy_pages_within(&[(Ppn(8), Lpn(lpn))], BlockId(0), true, &mut dsts, None),
+            dev.copy_pages(&[(Ppn(8), Lpn(lpn))], BlockId(0), true, &mut dsts),
             Err(NandError::LpnTooLarge { lpn: Lpn(lpn) })
         );
     }
@@ -558,4 +561,194 @@ fn oversized_lpns_are_refused_not_wrapped() {
     let largest = Lpn(u64::from(u32::MAX) - 1);
     dev.program(Ppn(0), largest).expect("fits");
     assert_eq!(dev.page_lpn(Ppn(0)), Some(largest));
+}
+
+/// How the word-walk copy cases ended, over all cases.
+#[derive(Default)]
+struct CopyEnds {
+    /// A budget stop in front of a page whose validity word also held a
+    /// page this call moved.
+    mid_word: Cell<u32>,
+    /// The destination filled after this call read the next page.
+    pending: Cell<u32>,
+    /// A fault fired: an uncorrectable read or a failed program.
+    faulted: Cell<u32>,
+}
+
+/// The per-page loop `copy_valid_pages` replaces, on `dev`: for each valid
+/// page of `victim` in offset order, the budget gate, a read (skipped for
+/// the first page when the caller read it), programs into `dst` until one
+/// succeeds, then the invalidation. Returns what the word walk returns:
+/// its outcome and the `(lpn, new_ppn)` of every page moved.
+fn per_page_copy(
+    dev: &mut NandDevice,
+    victim: BlockId,
+    dst: BlockId,
+    first_read_done: bool,
+    room: Option<SimDuration>,
+) -> (CopyOutcome, Vec<(Lpn, Ppn)>) {
+    let timing = *dev.timing();
+    let migrate = timing.page_migrate_cost();
+    let srcs: Vec<(u32, Lpn)> = dev.block(victim).valid_lpns().collect();
+    let mut out = CopyOutcome::default();
+    let mut moved = Vec::new();
+    'pages: for (k, (offset, lpn)) in srcs.into_iter().enumerate() {
+        let src = dev.geometry().ppn(victim, offset);
+        let page_start = out.duration;
+        if k > 0 || !first_read_done {
+            if room.is_some_and(|room| out.duration + migrate > room) {
+                break;
+            }
+            out.duration += match dev.read(src) {
+                Ok(took) => took,
+                Err(NandError::ReadFailed { .. }) => {
+                    out.read_failures += 1;
+                    timing.page_read_cost()
+                }
+                Err(e) => panic!("source read: {e}"),
+            };
+        }
+        let new_ppn = loop {
+            let Some(at) = dev.block(dst).next_free_offset() else {
+                out.pending_read = true;
+                out.pending_cost = out.duration - page_start;
+                break 'pages;
+            };
+            let ppn = dev.geometry().ppn(dst, at);
+            match dev.program(ppn, lpn) {
+                Ok(took) => {
+                    out.duration += took;
+                    break ppn;
+                }
+                Err(NandError::ProgramFailed { .. }) => {
+                    out.duration += timing.page_program_cost();
+                    out.program_retries += 1;
+                }
+                Err(e) => panic!("program: {e}"),
+            }
+        };
+        dev.invalidate(src).expect("the source page is valid");
+        moved.push((lpn, new_ppn));
+        out.copied += 1;
+    }
+    (out, moved)
+}
+
+/// 256 cases: `copy_valid_pages` on a device and the per-page read →
+/// program → invalidate loop on a clone of it end in the same place —
+/// the same outcome (time, pages, read failures, retries, pending read
+/// and its cost), the same pages moved to the same PPNs, the same
+/// counters, tallies and page tables, and the fault stream at the same
+/// point. Blocks of 8 to 256 pages (one to four validity words, two not
+/// word-aligned) hold a drawn share of valid pages; the destination
+/// starts empty, part-full or a page or two short of full; the caller
+/// has read the first page or not; and the budget is unlimited or a
+/// drawn number of page migrations plus a remainder. Faults are off in
+/// half the cases, and on worn blocks in the rest. Across the cases
+/// budgets must stop mid-word, destinations must fill while a read is
+/// pending, and faults must fire.
+#[test]
+fn word_walk_copy_matches_the_per_page_loop() {
+    let ends = CopyEnds::default();
+    check(0x4A4D_0006, 256, |g| {
+        let per_block = g.pick(&[8u32, 64, 70, 130, 256]);
+        let faults = g.u64(0, 2) == 1;
+        let geometry = Geometry::builder()
+            .blocks(3)
+            .pages_per_block(per_block)
+            .build();
+        let mut dev = NandDevice::new(geometry, NandTiming::mlc_20nm());
+        if faults {
+            dev = dev.with_fault_model(FaultModel::new(FaultConfig {
+                seed: g.any_u64(),
+                program_rate: 0.3,
+                erase_rate: 0.0,
+                read_rate: 0.3,
+                wear_scale: 4,
+            }));
+            for b in [0, 1] {
+                for _ in 0..g.u64(0, 6) {
+                    dev.erase(BlockId(b)).expect("erases never fail here");
+                }
+            }
+        }
+        let (victim, dst) = (BlockId(0), BlockId(1));
+        // Fill the victim, LPN = offset (failed programs leave invalid
+        // pages), then invalidate a drawn share of what landed.
+        let keep = g.u64(1, 101);
+        for lpn in 0..u64::from(per_block) {
+            let at = dev.block(victim).next_free_offset().expect("room");
+            let ppn = geometry.ppn(victim, at);
+            if dev.program(ppn, Lpn(lpn)).is_ok() && g.u64(0, 100) >= keep {
+                dev.invalidate(ppn).expect("just programmed");
+            }
+        }
+        let filled = match g.weighted(&[2, 2, 1]) {
+            0 => 0,
+            1 => g.u64(0, u64::from(per_block)),
+            _ => u64::from(per_block) - g.u64(1, 3),
+        };
+        for lpn in 0..filled {
+            let at = dev.block(dst).next_free_offset().expect("room");
+            let _ = dev.program(geometry.ppn(dst, at), Lpn(10_000 + lpn));
+        }
+        let valid = dev.block(victim).valid_pages();
+        let first_read_done = valid > 0 && g.u64(0, 2) == 1;
+        if first_read_done {
+            let (offset, _) = dev.block(victim).valid_lpns().next().expect("valid");
+            let _ = dev.read(geometry.ppn(victim, offset));
+        }
+        let migrate = dev.timing().page_migrate_cost();
+        let room = (g.u64(0, 3) > 0).then(|| {
+            migrate * g.u64(0, u64::from(valid) + 2)
+                + SimDuration::from_micros(g.u64(0, migrate.as_micros()))
+        });
+
+        let mut looped = dev.clone();
+        let mut moved = Vec::new();
+        let out = dev
+            .copy_valid_pages(victim, dst, first_read_done, room, |lpn, ppn| {
+                moved.push((lpn, ppn));
+            })
+            .expect("both blocks in range");
+        let (want, want_moved) = per_page_copy(&mut looped, victim, dst, first_read_done, room);
+        assert_eq!(out, want);
+        assert_eq!(moved, want_moved);
+        assert_eq!(dev.stats(), looped.stats());
+        assert_eq!(dev.total_valid_pages(), looped.total_valid_pages());
+        assert_eq!(dev.total_invalid_pages(), looped.total_invalid_pages());
+        assert_eq!(dev.total_free_pages(), looped.total_free_pages());
+        for b in geometry.block_ids() {
+            assert_eq!(
+                dev.block(b).iter_pages().collect::<Vec<_>>(),
+                looped.block(b).iter_pages().collect::<Vec<_>>(),
+                "{b}"
+            );
+        }
+        assert_eq!(fault_probe(&dev), fault_probe(&looped));
+
+        let bump = |end: &Cell<u32>| end.set(end.get() + 1);
+        if !out.pending_read && out.copied < valid as usize {
+            // A budget stop in front of the first page left. Each page's
+            // LPN is its victim offset, so a moved page in the refused
+            // page's validity word makes the stop mid-word.
+            let (refused, _) = dev.block(victim).valid_lpns().next().expect("refused");
+            let word = u64::from(refused / 64);
+            if moved.iter().any(|&(lpn, _)| lpn.0 / 64 == word) {
+                bump(&ends.mid_word);
+            }
+        }
+        if out.pending_read && !(first_read_done && out.copied == 0) {
+            bump(&ends.pending);
+        }
+        if out.read_failures > 0 || out.program_retries > 0 {
+            bump(&ends.faulted);
+        }
+    });
+    let (mid_word, pending, faulted) =
+        (ends.mid_word.get(), ends.pending.get(), ends.faulted.get());
+    assert!(
+        mid_word > 50 && pending > 30 && faulted > 50,
+        "{mid_word} budget stops mid-word, {pending} pending reads, {faulted} faulted copies"
+    );
 }

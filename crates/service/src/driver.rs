@@ -12,19 +12,22 @@
 //!
 //! # Constant memory
 //!
-//! Each tenant's requests are pulled from its generator one ahead of
+//! Each tenant's requests are pulled from its stream one ahead of
 //! submission, never materialised: a stream depends only on its tenant's
 //! seed, so pulling lazily yields the same requests in the same order as
-//! generating the whole trace up front. The loop's memory is therefore
-//! O(tenants + concurrency), whatever `seconds × IOPS` is. Ids are dense
-//! per tenant and slots are dealt round-robin from 0, one per submission,
-//! so a completion's slot is `id % concurrency` and no outstanding-request
-//! map is kept. Everything runs serially on the calling thread in one
-//! discrete-event loop.
+//! generating the whole trace up front. The streams are generated on one
+//! thread for every tenant ([`prefetch_streams`]) into a fixed set of
+//! batches, so the loop's memory is O(tenants + concurrency), whatever
+//! `seconds × IOPS` is. Ids are dense per tenant and slots are dealt
+//! round-robin from 0, one per submission, so a completion's slot is
+//! `id % concurrency` and no outstanding-request map is kept. The service
+//! itself runs serially on the calling thread in one discrete-event
+//! loop.
 
 use jitgc_core::policy::GcPolicy;
+use jitgc_core::system::prefetch_streams;
 use jitgc_sim::SimTime;
-use jitgc_workload::{IoRequest, Synthetic, Workload};
+use jitgc_workload::{IoRequest, Synthetic};
 
 use crate::config::{ServiceConfig, TenantProfile};
 use crate::report::ServiceReport;
@@ -59,7 +62,6 @@ fn tenant_workload(cfg: &ServiceConfig, tenant: usize) -> Synthetic {
 
 /// One tenant's closed-loop driving state.
 struct TenantLoop {
-    workload: Synthetic,
     /// The stream's next request, pulled one ahead (`None` once it ends).
     next: Option<IoRequest>,
     prev_submit: SimTime,
@@ -70,10 +72,9 @@ struct TenantLoop {
 }
 
 impl TenantLoop {
-    fn new(mut workload: Synthetic, concurrency: u32) -> Self {
+    fn new(next: Option<IoRequest>, concurrency: u32) -> Self {
         TenantLoop {
-            next: workload.next_request(),
-            workload,
+            next,
             prev_submit: SimTime::ZERO,
             slots: vec![Some(SimTime::ZERO); concurrency as usize],
             next_slot: 0,
@@ -116,54 +117,62 @@ pub fn run_closed_loop_counting(
     if let Err(message) = cfg.validate() {
         panic!("invalid service config: {message}");
     }
-    let mut loops: Vec<TenantLoop> = cfg
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| TenantLoop::new(tenant_workload(cfg, i), spec.concurrency))
+    let mut workloads: Vec<Synthetic> = (0..cfg.tenants.len())
+        .map(|i| tenant_workload(cfg, i))
         .collect();
     let mut service = Service::new(cfg.clone(), policy);
-    let mut now = SimTime::ZERO;
-    loop {
-        let next_submit = loops.iter().filter_map(TenantLoop::next_instant).min();
-        let window_free = if service.has_queued() {
-            service.next_window_free()
-        } else {
-            None
-        };
-        let event = match (next_submit, window_free) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(t), None) | (None, Some(t)) => t,
-            (None, None) => break,
-        };
-        now = now.max(event);
-        service.release_window(now);
-        for (tenant, l) in loops.iter_mut().enumerate() {
-            while matches!(l.next_instant(), Some(t) if t <= now) {
-                let req = std::mem::replace(&mut l.next, l.workload.next_request())
-                    .expect("next_instant saw a request");
-                l.prev_submit = now;
-                let slot = l.next_slot;
-                l.next_slot = (slot + 1) % l.slots.len();
-                l.slots[slot] = None;
-                let outcome = service.submit(tenant, req.kind, req.lpn.0, req.pages, now);
-                debug_assert_eq!(outcome.id() % l.slots.len() as u64, slot as u64);
+    prefetch_streams(&mut workloads, |streams| {
+        let mut loops: Vec<TenantLoop> = cfg
+            .tenants
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| TenantLoop::new(streams.next(i), spec.concurrency))
+            .collect();
+        let mut now = SimTime::ZERO;
+        loop {
+            let next_submit = loops.iter().filter_map(TenantLoop::next_instant).min();
+            let window_free = if service.has_queued() {
+                service.next_window_free()
+            } else {
+                None
+            };
+            let event = match (next_submit, window_free) {
+                (Some(a), Some(b)) => a.min(b),
+                (Some(t), None) | (None, Some(t)) => t,
+                (None, None) => break,
+            };
+            now = now.max(event);
+            service.release_window(now);
+            for (tenant, l) in loops.iter_mut().enumerate() {
+                while matches!(l.next_instant(), Some(t) if t <= now) {
+                    let req = std::mem::replace(&mut l.next, streams.next(tenant))
+                        .expect("next_instant saw a request");
+                    l.prev_submit = now;
+                    let slot = l.next_slot;
+                    l.next_slot = (slot + 1) % l.slots.len();
+                    l.slots[slot] = None;
+                    let outcome = service.submit(tenant, req.kind, req.lpn.0, req.pages, now);
+                    debug_assert_eq!(outcome.id() % l.slots.len() as u64, slot as u64);
+                }
+            }
+            service.pump(now);
+            for (tenant, l) in loops.iter_mut().enumerate() {
+                if !service.has_completions(tenant) {
+                    continue;
+                }
+                let threads = l.slots.len() as u64;
+                for c in service.take_completions(tenant) {
+                    let slot = &mut l.slots[(c.id % threads) as usize];
+                    assert!(
+                        slot.is_none(),
+                        "completion {} of tenant {tenant} finds its slot idle",
+                        c.id
+                    );
+                    *slot = Some(c.completed_at);
+                }
             }
         }
-        service.pump(now);
-        for (tenant, l) in loops.iter_mut().enumerate() {
-            let threads = l.slots.len() as u64;
-            for c in service.take_completions(tenant) {
-                let slot = &mut l.slots[(c.id % threads) as usize];
-                assert!(
-                    slot.is_none(),
-                    "completion {} of tenant {tenant} finds its slot idle",
-                    c.id
-                );
-                *slot = Some(c.completed_at);
-            }
-        }
-    }
+    });
     let report = service.finalize(SimTime::from_secs(cfg.seconds));
     (report, service.ticks_skipped(), service.ff_spans())
 }

@@ -86,6 +86,11 @@ pub struct Service {
     arbiter: WfqArbiter,
     tier: TierPolicy,
     tenants: Vec<TenantState>,
+    /// Submissions in every SQ and stalled buffer.
+    queued: usize,
+    /// An input of the pressure signal — a queue's length or the
+    /// engine's state — changed since the tier last saw it.
+    pressure_stale: bool,
     low_weight: Vec<bool>,
     /// Completion times of requests dispatched to the device but not yet
     /// past their (virtual) completion — the NVMe-queue-depth analogue.
@@ -131,6 +136,8 @@ impl Service {
         Service {
             arbiter: WfqArbiter::new(&weights),
             tenants: (0..cfg.tenants.len()).map(|_| TenantState::new()).collect(),
+            queued: 0,
+            pressure_stale: true,
             low_weight,
             inflight: BinaryHeap::new(),
             pages_per_tenant,
@@ -179,15 +186,22 @@ impl Service {
     }
 
     /// Recomputes pressure and lets the tier policy react, recording the
-    /// transition for the report timeline.
+    /// transition for the report timeline. Does nothing unless an input
+    /// changed since the last call: [`TierPolicy::update`] of an unchanged
+    /// pressure changes nothing.
     fn refresh_tier(&mut self, now: SimTime) {
-        let depth = self.cfg.sq_depth as f64;
-        let occupancy = self
+        if !std::mem::take(&mut self.pressure_stale) {
+            return;
+        }
+        // Dividing by the depth is monotone, so the fullest tenant's count
+        // over it is the largest of their fractions, to the bit.
+        let fullest = self
             .tenants
             .iter()
-            .map(|t| (t.sq.len() + t.stalled.len()) as f64 / depth)
-            .fold(0.0_f64, f64::max)
-            .min(1.0);
+            .map(|t| t.sq.len() + t.stalled.len())
+            .max()
+            .unwrap_or(0);
+        let occupancy = (fullest as f64 / self.cfg.sq_depth as f64).min(1.0);
         let pressure = occupancy.max(self.engine.gc_signals().gc_debt());
         let before = self.tier.current();
         let after = self.tier.update(pressure);
@@ -225,13 +239,15 @@ impl Service {
 
     /// Moves stalled submissions into the SQ while room lasts, applying a
     /// fresh shed check to each (the tier may have risen since they
-    /// stalled).
+    /// stalled). Called right after a push or pop, which marked the
+    /// pressure stale.
     fn drain_stalled(&mut self, tenant: usize, now: SimTime) {
         while self.tenants[tenant].sq.len() < self.cfg.sq_depth {
             let Some(sub) = self.tenants[tenant].stalled.pop_front() else {
                 return;
             };
             if self.sheds(tenant, sub.kind) {
+                self.queued -= 1;
                 self.post(
                     tenant,
                     Completion {
@@ -294,6 +310,8 @@ impl Service {
             // tag to the clock so idle time earns no catch-up credit.
             self.arbiter.arrive(tenant);
         }
+        self.queued += 1;
+        self.pressure_stale = true;
         let t = &mut self.tenants[tenant];
         if !t.stalled.is_empty() || t.sq.len() >= self.cfg.sq_depth {
             t.blocked += 1;
@@ -309,9 +327,7 @@ impl Service {
     /// True while any submission queue or stalled buffer holds work.
     #[must_use]
     pub fn has_queued(&self) -> bool {
-        self.tenants
-            .iter()
-            .any(|t| !t.sq.is_empty() || !t.stalled.is_empty())
+        self.queued > 0
     }
 
     /// Releases dispatch-window slots whose requests completed by `now`.
@@ -336,25 +352,29 @@ impl Service {
         let held_back = |tenant: usize, head: &Submission| {
             deferring && low_weight[tenant] && head.kind.is_write()
         };
-        let (mut eligible, mut held) = (0, 0);
-        for (i, t) in self.tenants.iter().enumerate() {
-            match t.sq.front() {
-                Some(head) if held_back(i, head) => held += 1,
-                Some(_) => eligible += 1,
-                None => {}
+        // Below Yellow nothing is held back, so every head is a candidate.
+        let mut serve_all = true;
+        if deferring {
+            let (mut eligible, mut held) = (0, 0);
+            for (i, t) in self.tenants.iter().enumerate() {
+                match t.sq.front() {
+                    Some(head) if held_back(i, head) => held += 1,
+                    Some(_) => eligible += 1,
+                    None => {}
+                }
             }
-        }
-        // Everything runnable held back: serve it anyway rather than
-        // deadlock — Yellow slows low-weight writers, never stops them.
-        let serve_all = eligible == 0;
-        if !serve_all && held > 0 {
-            for (i, t) in self.tenants.iter_mut().enumerate() {
-                match t.sq.front_mut() {
-                    Some(head) if held_back(i, head) && !head.deferred => {
-                        head.deferred = true;
-                        t.deferred += 1;
+            // Everything runnable held back: serve it anyway rather than
+            // deadlock — Yellow slows low-weight writers, never stops them.
+            serve_all = eligible == 0;
+            if !serve_all && held > 0 {
+                for (i, t) in self.tenants.iter_mut().enumerate() {
+                    match t.sq.front_mut() {
+                        Some(head) if held_back(i, head) && !head.deferred => {
+                            head.deferred = true;
+                            t.deferred += 1;
+                        }
+                        _ => {}
                     }
-                    _ => {}
                 }
             }
         }
@@ -374,10 +394,16 @@ impl Service {
         let mut dispatched = 0;
         while self.inflight.len() < self.cfg.dispatch_window {
             self.refresh_tier(now);
+            if self.queued == 0 {
+                break;
+            }
             let Some(tenant) = self.arbitrate() else {
                 break;
             };
             let sub = self.tenants[tenant].sq.pop_front().expect("picked head");
+            self.queued -= 1;
+            // The pop, and the engine step below, move the pressure.
+            self.pressure_stale = true;
             self.drain_stalled(tenant, now);
             let base = tenant as u64 * self.pages_per_tenant;
             let span = u64::from(sub.pages).min(self.pages_per_tenant);
@@ -417,6 +443,12 @@ impl Service {
         dispatched
     }
 
+    /// True while tenant `tenant`'s completion queue holds completions.
+    #[must_use]
+    pub fn has_completions(&self, tenant: usize) -> bool {
+        !self.tenants[tenant].cq.is_empty()
+    }
+
     /// Drains tenant `tenant`'s completion queue, oldest first. Dropping
     /// the iterator early still empties the queue.
     pub fn take_completions(&mut self, tenant: usize) -> Drain<'_, Completion> {
@@ -430,6 +462,7 @@ impl Service {
     pub fn finalize(&mut self, end: SimTime) -> ServiceReport {
         let end = end.max(self.last_completion);
         self.engine.advance_to(end);
+        self.pressure_stale = true;
         let device: SimReport = self.engine.finalize(end);
         self.tier_residency[self.tier.current().index()] += end.saturating_since(self.tier_entered);
         self.tier_entered = end;

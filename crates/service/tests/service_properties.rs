@@ -86,9 +86,11 @@ fn wfq_idle_tenant_banks_no_credit() {
 
 /// For any pressure sequence: escalation requires the entry
 /// threshold, de-escalation requires clearing the hysteresis margin,
-/// and a maximal-pressure sample always lands in Black. One sample in
-/// four sits exactly on a threshold, a hysteresis exit or an end of the
-/// range, where the comparisons can be wrong by one.
+/// and a maximal-pressure sample always lands in Black. A sample fed
+/// twice changes nothing the second time: the service skips the update
+/// while its pressure has not moved. One sample in four sits exactly on
+/// a threshold, a hysteresis exit or an end of the range, where the
+/// comparisons can be wrong by one.
 #[test]
 fn tier_transitions_respect_thresholds() {
     let thresholds = TierThresholds::default();
@@ -130,6 +132,7 @@ fn tier_transitions_respect_thresholds() {
             if p >= thresholds.black {
                 assert!(now == Tier::Black);
             }
+            assert_eq!(policy.update(p), now, "a repeated pressure {p} moved {now}");
             prev = now;
         }
     });
@@ -361,11 +364,16 @@ fn streaming_closed_loop_matches_the_materialising_reference() {
 /// The reference above shares `Service` with the loop it checks, so the
 /// service core — WFQ pick, Yellow deferral, shedding, completion
 /// draining — is pinned on its own: an FNV-1a hash of the `--json`
-/// report of four short runs on the small device, recorded with the
-/// arbiter that collected its queue heads into vectors and the driver
-/// that materialised its traces. Between them the runs defer 94 writes,
-/// shed 2 934 and block 2 478 submissions; a changed tie-break or
-/// deferral mark fails here, where the identity property cannot see it.
+/// report of short runs on the small device. The first four were
+/// recorded with the arbiter that collected its queue heads into vectors
+/// and the closed loop that materialised its traces; between them they defer
+/// 94 writes, shed 2 934 and block 2 478 submissions, so a changed
+/// tie-break or deferral mark fails here, where the identity property
+/// cannot see it. The fifth was recorded with the service that
+/// recomputed pressure on every submission and every pump pass: it
+/// enters every tier (2 715 transitions) and ends in Green, so a
+/// recompute skipped after an input changed moves a transition's time
+/// and fails it.
 #[test]
 fn service_reports_are_pinned() {
     let fnv = |text: &str| {
@@ -389,18 +397,25 @@ fn service_reports_are_pinned() {
         mean_iops: 600.0,
         concurrency: 4,
     });
+    // Sixteen reader threads on 4-deep SQs: every tier, thousands of
+    // transitions, and Green again once the streams end.
+    let mut cycle = quick(4, 1, true);
+    cycle.tenants[1].concurrency = 16;
+    cycle.tenants[1].mean_iops = 2_000.0;
     let cases = [
         quick(16, 8, true),
         quick(2, 1, true),
         quick(2, 1, false),
         backup,
+        cycle,
     ];
-    let hashes: Vec<String> = cases
+    let reports: Vec<_> = cases
         .iter()
-        .map(|cfg| {
-            let report = run_closed_loop(cfg, PolicyKind::Jit.build(&cfg.system));
-            format!("{:#018x}", fnv(&report.to_json().to_pretty()))
-        })
+        .map(|cfg| run_closed_loop(cfg, PolicyKind::Jit.build(&cfg.system)))
+        .collect();
+    let hashes: Vec<String> = reports
+        .iter()
+        .map(|report| format!("{:#018x}", fnv(&report.to_json().to_pretty())))
         .collect();
     assert_eq!(
         hashes,
@@ -409,8 +424,21 @@ fn service_reports_are_pinned() {
             "0xa8ea2388cac7532f",
             "0x48765ef7f3872c56",
             "0x69d077f73bf201d8",
+            "0x2742b4bce49df3ff",
         ],
         "report hashes of: the small roster; 2-deep SQs and window 1, \
-         with and without backpressure; four tenants"
+         with and without backpressure; four tenants; the tier cycle"
+    );
+    let tiers = &reports[4].tier;
+    for tier in Tier::ALL {
+        assert!(
+            tiers.transitions.iter().any(|&(_, t)| t == tier),
+            "the tier cycle never entered {tier}"
+        );
+    }
+    assert_eq!(
+        tiers.final_tier,
+        Tier::Green,
+        "the tier cycle ends in Green"
     );
 }
