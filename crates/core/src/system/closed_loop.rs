@@ -1,7 +1,7 @@
 //! The closed-loop issue clock, and the one loop that runs a workload on
 //! it.
 
-use super::engine::prefetch;
+use super::engine::prefetch::{prefetch_streams, INLINE_PREFIX};
 use jitgc_sim::{SimDuration, SimTime};
 use jitgc_workload::{IoRequest, Workload};
 
@@ -92,9 +92,12 @@ impl ClosedLoop {
     /// the completion `step` returns, and returns the run's
     /// [`end`](Self::end).
     ///
-    /// A long run generates its requests on a second thread while this
-    /// one steps the earlier ones (DESIGN.md §8j); `step` sees the
-    /// workload's own order either way, on the calling thread.
+    /// The first 2^16 requests are pulled on the calling thread; a longer
+    /// run reads the rest as one stream of
+    /// [`prefetch_streams`](super::prefetch_streams), generated on a
+    /// second thread while this one steps the earlier ones (DESIGN.md
+    /// §8j). `step` sees the workload's own order either way, on the
+    /// calling thread.
     ///
     /// # Panics
     ///
@@ -106,11 +109,19 @@ impl ClosedLoop {
         mut step: impl FnMut(IoRequest, SimTime) -> SimTime,
     ) -> SimTime {
         let mut clock = ClosedLoop::new(queue_depth);
-        prefetch::drain(workload, |req| {
+        let mut issue = |req: IoRequest| {
             let (thread, issue) = clock.issue(req.gap);
-            let completion = step(req, issue);
-            clock.complete(thread, completion);
-        });
+            clock.complete(thread, step(req, issue));
+        };
+        let inline = std::iter::from_fn(|| workload.next_request())
+            .take(INLINE_PREFIX)
+            .map(&mut issue)
+            .count();
+        if inline == INLINE_PREFIX {
+            prefetch_streams(&mut [workload], |streams| {
+                std::iter::from_fn(|| streams.next(0)).for_each(&mut issue);
+            });
+        }
         clock.end()
     }
 }

@@ -189,9 +189,9 @@ impl SystemConfig {
     ///
     /// **Scale model.** The device is ~2 500× smaller than the paper's
     /// 240 GB SM843T but just as fast, so the host-side write-back
-    /// constants are scaled by 5× to preserve the paper's governing
-    /// ratios: `p = 1 s`, `τ_expire = 6 s` (`N_wb = 6` exactly as with the
-    /// paper's 5 s/30 s), keeping one write-back window's worth of write
+    /// constants are scaled down 10× to preserve the paper's governing
+    /// ratios: `p = 500 ms`, `τ_expire = 3 s` (`N_wb = 6` exactly as with
+    /// the paper's 5 s/30 s), keeping one write-back window's worth of write
     /// traffic small relative to `C_OP` — on the SM843T a 30 s window is
     /// ~10 % of `C_OP`; at simulator scale a 3 s window preserves that
     /// relationship. DESIGN.md documents this substitution.

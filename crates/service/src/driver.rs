@@ -120,8 +120,9 @@ pub fn run_closed_loop_counting(
     let mut workloads: Vec<Synthetic> = (0..cfg.tenants.len())
         .map(|i| tenant_workload(cfg, i))
         .collect();
+    let mut lent: Vec<&mut Synthetic> = workloads.iter_mut().collect();
     let mut service = Service::new(cfg.clone(), policy);
-    prefetch_streams(&mut workloads, |streams| {
+    prefetch_streams(&mut lent, |streams| {
         let mut loops: Vec<TenantLoop> = cfg
             .tenants
             .iter()
@@ -142,7 +143,6 @@ pub fn run_closed_loop_counting(
                 (None, None) => break,
             };
             now = now.max(event);
-            service.release_window(now);
             for (tenant, l) in loops.iter_mut().enumerate() {
                 while matches!(l.next_instant(), Some(t) if t <= now) {
                     let req = std::mem::replace(&mut l.next, streams.next(tenant))

@@ -21,12 +21,12 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use jitgc_sim::SimTime;
 
 use crate::proto::{read_frame, write_frame, Frame};
-use crate::queue::Completion;
 use crate::service::Service;
 
 /// Where the server listens.
@@ -38,60 +38,10 @@ pub enum Endpoint {
     Unix(UnixListener),
 }
 
-enum AnyStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl AnyStream {
-    fn try_clone(&self) -> io::Result<AnyStream> {
-        match self {
-            AnyStream::Tcp(s) => s.try_clone().map(AnyStream::Tcp),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.try_clone().map(AnyStream::Unix),
-        }
-    }
-
-    fn shutdown(&self) -> io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.shutdown(Shutdown::Both),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.shutdown(Shutdown::Both),
-        }
-    }
-}
-
-impl Read for AnyStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            AnyStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for AnyStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            AnyStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            AnyStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            AnyStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 enum Event {
-    Connected(usize, mpsc::Sender<Frame>),
+    /// The next connection's outbound frames; connections are numbered
+    /// from 0 in the order they connect.
+    Connected(mpsc::Sender<Frame>),
     Frame(usize, Frame),
     Disconnected(usize),
 }
@@ -99,18 +49,13 @@ enum Event {
 /// Runs queued work to completion in virtual time: the virtual clock may
 /// jump ahead of the wall clock so accepted submissions always answer.
 fn drain_all(service: &mut Service, vnow: &mut SimTime) {
-    loop {
-        service.pump(*vnow);
-        if !service.has_queued() {
+    service.pump(*vnow);
+    while service.has_queued() {
+        let Some(t) = service.next_window_free() else {
             return;
-        }
-        match service.next_window_free() {
-            Some(t) => {
-                *vnow = (*vnow).max(t);
-                service.release_window(*vnow);
-            }
-            None => return,
-        }
+        };
+        *vnow = (*vnow).max(t);
+        service.pump(*vnow);
     }
 }
 
@@ -126,42 +71,19 @@ fn drain_all(service: &mut Service, vnow: &mut SimTime) {
 /// end that connection.
 pub fn serve(endpoint: Endpoint, mut service: Service, sessions: usize) -> io::Result<Service> {
     let (events_tx, events_rx) = mpsc::channel::<Event>();
-    let accept_tx = events_tx.clone();
-    drop(events_tx);
     let acceptor = std::thread::spawn(move || -> io::Result<()> {
         let mut readers = Vec::new();
         for conn in 0..sessions {
-            let stream = match &endpoint {
-                Endpoint::Tcp(l) => AnyStream::Tcp(l.accept()?.0),
+            readers.push(match &endpoint {
+                Endpoint::Tcp(l) => {
+                    let (s, _) = l.accept()?;
+                    session(conn, s.try_clone()?, s, TcpStream::shutdown, &events_tx)
+                }
                 #[cfg(unix)]
-                Endpoint::Unix(l) => AnyStream::Unix(l.accept()?.0),
-            };
-            let mut read_half = stream.try_clone()?;
-            let write_half = stream;
-            let (out_tx, out_rx) = mpsc::channel::<Frame>();
-            let events = accept_tx.clone();
-            let _ = events.send(Event::Connected(conn, out_tx));
-            readers.push(std::thread::spawn(move || {
-                while let Ok(Some(frame)) = read_frame(&mut read_half) {
-                    let bye = frame == Frame::Bye;
-                    if events.send(Event::Frame(conn, frame)).is_err() || bye {
-                        break;
-                    }
+                Endpoint::Unix(l) => {
+                    let (s, _) = l.accept()?;
+                    session(conn, s.try_clone()?, s, UnixStream::shutdown, &events_tx)
                 }
-                let _ = events.send(Event::Disconnected(conn));
-            }));
-            // Writer threads die when the dispatcher drops their sender,
-            // and close the connection as they go: the reader thread holds
-            // a second handle on the socket, so dropping this one alone
-            // would leave a dropped client waiting for a reply.
-            std::thread::spawn(move || {
-                let mut w = write_half;
-                while let Ok(frame) = out_rx.recv() {
-                    if write_frame(&mut w, &frame).is_err() {
-                        break;
-                    }
-                }
-                let _ = w.shutdown();
             });
         }
         for r in readers {
@@ -172,39 +94,37 @@ pub fn serve(endpoint: Endpoint, mut service: Service, sessions: usize) -> io::R
 
     let start = Instant::now();
     let mut vnow = SimTime::ZERO;
-    let mut writers: HashMap<usize, mpsc::Sender<Frame>> = HashMap::new();
-    // Per connection: the tenant it serves and wire-id bookkeeping
-    // (service ids are assigned per tenant; the wire echoes client ids).
-    let mut tenant_of: HashMap<usize, usize> = HashMap::new();
-    let mut claimed: HashMap<usize, usize> = HashMap::new();
+    // Per connection: its outbound frames (`None` once dropped) and the
+    // tenant it serves. Service ids are assigned per tenant; the wire
+    // echoes client ids.
+    let mut writers: Vec<Option<mpsc::Sender<Frame>>> = Vec::new();
+    let mut tenant_of: Vec<Option<usize>> = Vec::new();
     let mut wire_ids: HashMap<(usize, u64), u64> = HashMap::new();
 
     while let Ok(event) = events_rx.recv() {
         vnow = vnow.max(SimTime::from_micros(start.elapsed().as_micros() as u64));
         match event {
-            Event::Connected(conn, tx) => {
-                writers.insert(conn, tx);
+            Event::Connected(tx) => {
+                writers.push(Some(tx));
+                tenant_of.push(None);
             }
             Event::Disconnected(conn) => {
-                writers.remove(&conn);
-                if let Some(tenant) = tenant_of.remove(&conn) {
-                    claimed.remove(&tenant);
-                }
+                writers[conn] = None;
+                tenant_of[conn] = None;
             }
             Event::Frame(conn, Frame::Hello { name, .. }) => {
                 let tenant = service.config().tenants.iter().position(|t| t.name == name);
                 match tenant {
-                    Some(t) if !claimed.contains_key(&t) => {
-                        claimed.insert(t, conn);
-                        tenant_of.insert(conn, t);
-                        if let Some(tx) = writers.get(&conn) {
+                    Some(t) if !tenant_of.contains(&Some(t)) => {
+                        tenant_of[conn] = Some(t);
+                        if let Some(tx) = &writers[conn] {
                             let _ = tx.send(Frame::HelloOk { tenant: t as u16 });
                         }
                     }
                     _ => {
                         // Unknown or already-claimed tenant: drop the
                         // connection by closing its writer.
-                        writers.remove(&conn);
+                        writers[conn] = None;
                     }
                 }
             }
@@ -217,15 +137,24 @@ pub fn serve(endpoint: Endpoint, mut service: Service, sessions: usize) -> io::R
                     pages,
                 },
             ) => {
-                let Some(&tenant) = tenant_of.get(&conn) else {
+                let Some(tenant) = tenant_of[conn] else {
                     continue; // SUBMIT before HELLO_OK: ignore.
                 };
                 let outcome = service.submit(tenant, kind, lpn, pages, vnow);
                 wire_ids.insert((tenant, outcome.id()), id);
                 drain_all(&mut service, &mut vnow);
-                for (&c, &t) in &tenant_of {
-                    for done in service.take_completions(t) {
-                        route(&writers, &mut wire_ids, c, t, done);
+                for (conn, tenant) in tenant_of.iter().enumerate() {
+                    let Some(tenant) = *tenant else { continue };
+                    for done in service.take_completions(tenant) {
+                        let id = wire_ids.remove(&(tenant, done.id)).unwrap_or(done.id);
+                        if let Some(tx) = &writers[conn] {
+                            let _ = tx.send(Frame::Complete {
+                                id,
+                                status: done.status,
+                                submitted_us: done.submitted_at.as_micros(),
+                                completed_us: done.completed_at.as_micros(),
+                            });
+                        }
                     }
                 }
             }
@@ -240,22 +169,42 @@ pub fn serve(endpoint: Endpoint, mut service: Service, sessions: usize) -> io::R
     Ok(service)
 }
 
-fn route(
-    writers: &HashMap<usize, mpsc::Sender<Frame>>,
-    wire_ids: &mut HashMap<(usize, u64), u64>,
+/// Starts connection `conn`'s two threads: a reader that parses frames
+/// from `read_half` into `events`, and a writer that sends the
+/// dispatcher's frames over `write_half`. Announces the connection on
+/// `events` first and returns the reader.
+fn session<S: Read + Write + Send + 'static>(
     conn: usize,
-    tenant: usize,
-    done: Completion,
-) {
-    let id = wire_ids.remove(&(tenant, done.id)).unwrap_or(done.id);
-    if let Some(tx) = writers.get(&conn) {
-        let _ = tx.send(Frame::Complete {
-            id,
-            status: done.status,
-            submitted_us: done.submitted_at.as_micros(),
-            completed_us: done.completed_at.as_micros(),
-        });
-    }
+    mut read_half: S,
+    mut write_half: S,
+    shutdown: fn(&S, Shutdown) -> io::Result<()>,
+    events: &mpsc::Sender<Event>,
+) -> JoinHandle<()> {
+    let (out_tx, out_rx) = mpsc::channel::<Frame>();
+    let _ = events.send(Event::Connected(out_tx));
+    let events = events.clone();
+    let reader = std::thread::spawn(move || {
+        while let Ok(Some(frame)) = read_frame(&mut read_half) {
+            let bye = frame == Frame::Bye;
+            if events.send(Event::Frame(conn, frame)).is_err() || bye {
+                break;
+            }
+        }
+        let _ = events.send(Event::Disconnected(conn));
+    });
+    // The writer dies when the dispatcher drops its sender, and closes the
+    // connection as it goes: the reader holds a second handle on the
+    // socket, so dropping this one alone would leave a dropped client
+    // waiting for a reply.
+    std::thread::spawn(move || {
+        while let Ok(frame) = out_rx.recv() {
+            if write_frame(&mut write_half, &frame).is_err() {
+                break;
+            }
+        }
+        let _ = shutdown(&write_half, Shutdown::Both);
+    });
+    reader
 }
 
 /// A minimal blocking client for tests and examples.

@@ -1,7 +1,8 @@
 #![cfg(unix)]
 //! `serve` over a Unix socket, against clients that break the session
 //! rules: an unknown tenant's `HELLO`, a second `HELLO` for a claimed
-//! tenant, a `SUBMIT` before `HELLO_OK`, a disconnect inside a frame.
+//! tenant, a `SUBMIT` before `HELLO_OK`, a disconnect inside a frame;
+//! and one well-behaved session over TCP on the loopback interface.
 //! Every test serves a fixed number of sessions and requires `serve` to
 //! return after them. A client read or a `serve` that outlasts
 //! `PATIENCE` fails the test instead of hanging the suite.
@@ -10,7 +11,8 @@ use jitgc_core::policy::PolicyKind;
 use jitgc_service::{read_frame, serve, write_frame, Endpoint, Frame, Service, ServiceConfig};
 use jitgc_sim::SimTime;
 use jitgc_workload::IoKind;
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -18,27 +20,26 @@ use std::time::Duration;
 
 const PATIENCE: Duration = Duration::from_secs(30);
 
-/// Serves `sessions` connections of a small service on a fresh socket
-/// while `clients` runs against it, and returns the reader tenant's
-/// completed requests once `serve` has returned.
-fn serve_while(tag: &str, sessions: usize, clients: impl FnOnce(&Path) + Send + 'static) -> u64 {
-    let path = std::env::temp_dir().join(format!("jitgc-net-{tag}-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let listener = UnixListener::bind(&path).expect("bind a unix socket");
+/// Serves `sessions` connections of a small service on `endpoint` while
+/// `clients` runs against it, and returns the reader tenant's completed
+/// requests once `serve` has returned.
+fn serve_on(
+    tag: &str,
+    endpoint: Endpoint,
+    sessions: usize,
+    clients: impl FnOnce() + Send + 'static,
+) -> u64 {
     let mut cfg = ServiceConfig::small_for_tests();
     cfg.system.prefill = false;
     let policy = PolicyKind::Jit.build(&cfg.system);
     let service = Service::new(cfg, policy);
     let (done, finished) = mpsc::channel();
-    let client_path = path.clone();
     std::thread::spawn(move || {
-        let server = std::thread::spawn(move || serve(Endpoint::Unix(listener), service, sessions));
-        clients(&client_path);
+        let server = std::thread::spawn(move || serve(endpoint, service, sessions));
+        clients();
         let _ = done.send(server.join());
     });
-    let served = finished.recv_timeout(PATIENCE);
-    let _ = std::fs::remove_file(&path);
-    let served = match served {
+    let served = match finished.recv_timeout(PATIENCE) {
         Ok(served) => served,
         Err(RecvTimeoutError::Timeout) => panic!("{tag}: serve did not return in {PATIENCE:?}"),
         Err(RecvTimeoutError::Disconnected) => panic!("{tag}: a client failed (see above)"),
@@ -46,6 +47,19 @@ fn serve_while(tag: &str, sessions: usize, clients: impl FnOnce(&Path) + Send + 
     let mut service = served.expect("the server thread").expect("serve");
     let report = service.finalize(SimTime::from_secs(1));
     report.tenant("reader").expect("a reader tenant").completed
+}
+
+/// [`serve_on`] a fresh Unix socket, which `clients` gets the path of.
+fn serve_while(tag: &str, sessions: usize, clients: impl FnOnce(&Path) + Send + 'static) -> u64 {
+    let path = std::env::temp_dir().join(format!("jitgc-net-{tag}-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind a unix socket");
+    let client_path = path.clone();
+    let completed = serve_on(tag, Endpoint::Unix(listener), sessions, move || {
+        clients(&client_path);
+    });
+    let _ = std::fs::remove_file(&path);
+    completed
 }
 
 fn connect(path: &Path) -> UnixStream {
@@ -56,7 +70,7 @@ fn connect(path: &Path) -> UnixStream {
     stream
 }
 
-fn send(stream: &mut UnixStream, frame: &Frame) {
+fn send(stream: &mut impl Write, frame: &Frame) {
     write_frame(stream, frame).expect("send a frame");
 }
 
@@ -77,7 +91,7 @@ fn read(id: u64) -> Frame {
 }
 
 /// The next frame, or `None` once the server has closed the connection.
-fn next(stream: &mut UnixStream) -> Option<Frame> {
+fn next(stream: &mut impl Read) -> Option<Frame> {
     read_frame(stream).expect("a frame or a clean close before the read timeout")
 }
 
@@ -151,4 +165,23 @@ fn a_client_that_disconnects_mid_frame_ends_its_session() {
         // Dropping the stream here cuts the frame off.
     });
     assert_eq!(completed, 0);
+}
+
+#[test]
+fn a_session_over_tcp_submits_and_completes() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = listener.local_addr().expect("the bound address");
+    let completed = serve_on("tcp", Endpoint::Tcp(listener), 1, move || {
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(PATIENCE / 2))
+            .expect("a read timeout");
+        send(&mut client, &hello("reader"));
+        assert_eq!(next(&mut client), Some(Frame::HelloOk { tenant: 1 }));
+        send(&mut client, &read(9));
+        assert_eq!(completed_id(next(&mut client)), 9);
+        send(&mut client, &Frame::Bye);
+        assert_eq!(next(&mut client), None, "the server closes after BYE");
+    });
+    assert_eq!(completed, 1);
 }

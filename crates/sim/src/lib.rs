@@ -15,8 +15,8 @@
 //!   simulator's machine-readable interfaces.
 //! * [`check`] — the seeded property checker every crate's property tests
 //!   run on.
-//! * [`run_grid`] — the one thread fan-out: independent scenarios on a
-//!   worker pool, results in input order whatever the thread count.
+//! * [`run_grid`] — the one worker pool over independent scenarios,
+//!   results in input order whatever the thread count.
 //!
 //! # Example
 //!

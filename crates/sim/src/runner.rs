@@ -1,10 +1,10 @@
-//! Multi-threaded scenario-grid runner: the one thread fan-out in the
-//! workspace.
+//! Multi-threaded scenario-grid runner: the one worker pool over
+//! independent runs. Requests are generated on `jitgc-core`'s
+//! prefetcher (a device's, an array's and the service's tenant streams).
 //!
 //! Every figure and table in the paper is a grid of independent
-//! simulation runs (policy × benchmark, or a parameter sweep), and the
-//! service driver's tenant streams are independent too. Each run owns its
-//! whole world — system, device, workload RNG — so the grid is
+//! simulation runs (policy × benchmark, or a parameter sweep). Each run
+//! owns its whole world — system, device, workload RNG — so the grid is
 //! embarrassingly parallel, and results are **deterministic by
 //! construction**: `run_grid` returns results indexed exactly like its
 //! input slice, so the output is byte-identical no matter how many
